@@ -28,7 +28,6 @@ from .core import (
     binary_tournament,
     blend_crossover,
     de_trial_vector,
-    euclidean_distance,
     evaluate,
     gaussian_mutation,
     is_better,
@@ -207,13 +206,14 @@ def crowding_replacement(child: Individual, pop: Population, cf: int,
     """
     if not 1 <= cf <= len(pop):
         raise ValueError("crowding factor must be in [1, len(pop)]")
+    genomes = pop.genome_matrix()
     if cf == len(pop):
-        idxs = np.arange(len(pop))
+        dists = np.sqrt(np.sum((genomes - child.genome) ** 2, axis=1))
+        nearest = int(dists.argmin())  # first minimum: the lowest index
     else:
         idxs = rng.gen.choice(len(pop), size=cf, replace=False)
-    genomes = np.array([pop[int(i)].genome for i in idxs])
-    dists = np.sqrt(np.sum((genomes - child.genome) ** 2, axis=1))
-    nearest = int(np.min(idxs[dists == dists.min()]))
+        dists = np.sqrt(np.sum((genomes[idxs] - child.genome) ** 2, axis=1))
+        nearest = int(np.min(idxs[dists == dists.min()]))
     if is_better(child.fitness, pop[nearest].fitness, direction):
         pop[nearest] = child
     return pop
@@ -282,7 +282,7 @@ def shared_fitness(i: int, pop: Population, sharing_radius: float,
     beyond; the self term keeps the denominator at 1 or more. Assumes a
     larger-is-better fitness orientation.
     """
-    genomes = pop.genomes()
+    genomes = pop.genome_matrix()
     dists = np.sqrt(np.sum((genomes - genomes[i]) ** 2, axis=1))
     return float(pop[i].fitness / _sharing_degrees(dists, sharing_radius, alpha))
 
@@ -320,7 +320,7 @@ def sharing_ga(problem, config: AlgorithmConfig | None = None,
     st = _RunState(problem, config, budget, rng)
     pop, ok = st.init_population()
     while ok and not st.budget.exhausted:
-        scores = _shared_scores(pop.genomes(), pop.fitnesses(), st.direction,
+        scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
                                 config.sharing_radius, config.sharing_alpha)
         children: list[Individual] = []
         while len(children) < len(pop):
@@ -394,19 +394,21 @@ def determine_species_seeds(pop: Population, species_distance: float,
     keys = pop.fitnesses()
     if direction == "max":
         keys = -keys
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys, kind="stable").tolist()
+    genomes = pop.genome_matrix()
+    # free[i]: member i lies at distance >= radius from every seed so far
+    free = np.ones(len(pop), dtype=bool)
     seeds: list[Individual] = []
     for idx in order:
-        genome = pop[int(idx)].genome
-        if all(euclidean_distance(genome, s.genome) >= radius for s in seeds):
-            seeds.append(pop[int(idx)].copy())
+        if free[idx]:
+            seeds.append(pop[idx].copy())
+            free &= np.sqrt(np.sum((genomes - genomes[idx]) ** 2, axis=1)) >= radius
     return seeds
 
 
-def _nearest_seed_assignment(genomes: np.ndarray, seeds: list[Individual]):
+def _nearest_seed_assignment(genomes: np.ndarray, seed_matrix: np.ndarray):
     """Nearest-seed index per member (ties to the earlier seed) and the
     full member-to-seed distance matrix."""
-    seed_matrix = np.array([s.genome for s in seeds])
     diff = genomes[:, None, :] - seed_matrix[None, :, :]
     dists = np.sqrt(np.sum(diff * diff, axis=2))
     return np.argmin(dists, axis=1), dists
@@ -426,37 +428,43 @@ def conserve_species_seeds(pop: Population, seeds: list[Individual],
     if not seeds:
         return pop
     radius = species_distance / 2.0
-    genomes = pop.genomes()
-    assigned, dists = _nearest_seed_assignment(genomes, seeds)
-    replaced: set[int] = set()
+    # only slots still free are read or written below, so the genomes and
+    # fitnesses taken here stay current for every slot the loop looks at
+    genomes = pop.genome_matrix()
+    seed_matrix = np.array([s.genome for s in seeds])
+    assigned, dists = _nearest_seed_assignment(genomes, seed_matrix)
+    in_region = dists[np.arange(len(pop)), assigned] < radius
+    # as lists, == is np.array_equal on one member row and one seed row
+    rows, seed_rows = genomes.tolist(), seed_matrix.tolist()
+    fitness = pop.fitnesses()
+    if direction == "max":
+        fitness = -fitness
+    elif direction != "min":
+        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    # max() keeps the first of equal maxima: the lowest-index worst member
+    badness = fitness.tolist().__getitem__
+    species: list[list[int]] = [[] for _ in seeds]
+    for i in np.flatnonzero(in_region).tolist():
+        species[assigned[i]].append(i)
+    free = [True] * len(pop)
     overflow = 0
 
-    def worst_of(indices):
-        worst = indices[0]
-        for i in indices[1:]:
-            if is_better(pop[worst].fitness, pop[i].fitness, direction):
-                worst = i
-        return worst
-
     for k, seed in enumerate(seeds):
-        members = [
-            i for i in range(len(pop))
-            if i not in replaced and assigned[i] == k and dists[i, k] < radius
-        ]
+        members = [i for i in species[k] if free[i]]
         if members:
-            surviving = [i for i in members if np.array_equal(pop[i].genome, seed.genome)]
+            surviving = [i for i in members if rows[i] == seed_rows[k]]
             if surviving:
-                replaced.add(surviving[0])
+                free[surviving[0]] = False
                 continue
-            slot = worst_of(members)
+            slot = max(members, key=badness)
         else:
-            candidates = [i for i in range(len(pop)) if i not in replaced]
+            candidates = [i for i in range(len(pop)) if free[i]]
             if not candidates:
                 overflow += 1
                 continue
-            slot = worst_of(candidates)
+            slot = max(candidates, key=badness)
         pop[slot] = seed.copy()
-        replaced.add(slot)
+        free[slot] = False
     if overflow:
         logger.warning("%d species seeds could not be conserved: population full", overflow)
     return pop
@@ -524,7 +532,8 @@ def sde(problem, config: AlgorithmConfig | None = None,
     pop, ok = st.init_population()
     while ok and not st.budget.exhausted:
         seeds = determine_species_seeds(pop, config.species_distance, st.direction)
-        assigned, _ = _nearest_seed_assignment(pop.genomes(), seeds)
+        assigned, _ = _nearest_seed_assignment(pop.genome_matrix(),
+                                               np.array([s.genome for s in seeds]))
         species: dict[int, list[int]] = {}
         for i, k in enumerate(assigned):
             species.setdefault(int(k), []).append(i)

@@ -96,6 +96,9 @@ def build_spec(args) -> tuple[ExperimentSpec, list[str], float, int]:
     for test in tests:
         if test not in TESTS:
             raise ConfigError(f"unknown test {test!r}; known: {sorted(TESTS)}")
+    if "t" in tests and len(spec.algorithms) >= 2 and spec.runs < 2:
+        # welch_t needs two values per sample; fail before any run starts
+        raise ConfigError("the t test needs runs >= 2 when comparing two or more algorithms")
     alpha = args.alpha if args.alpha is not None else float(file_cfg.get("alpha", 0.05))
     jobs = args.jobs if args.jobs else int(file_cfg.get("jobs", 1))
     return spec, tests, alpha, jobs

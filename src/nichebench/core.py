@@ -7,10 +7,21 @@ array of [lo, hi] rows and every operator clamps its output to them.
 Termination is driven solely by :class:`EvalBudget`: each objective call
 consumes exactly one evaluation and a run stops the moment the budget is
 exhausted.
+
+Draw exactness: every published result is a pure function of the run
+seed, so the random requests made here are frozen. A change to an RNG
+request (a cheaper call, a merged or split draw) is allowed only if it
+consumes the same doubles from the stream, in the same order, and yields
+bit-identical values; e.g. ``lo + (hi - lo) * gen.random(d)`` is what
+``gen.uniform(lo, hi)`` computes. ``tests/test_fingerprint.py`` pins the
+final populations and traces of all 42 (algorithm, problem) cells and
+``tests/test_draw_equivalence.py`` checks each such rewrite against the
+call it replaced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,13 +101,21 @@ class Individual:
 
 
 class Population:
-    """Ordered, fixed-capacity list of individuals."""
+    """Ordered, fixed-capacity list of individuals.
+
+    The ``(n, dim)`` matrix of member genomes is built on first use and
+    kept in sync by ``pop[i] = ind``, so the survivor-selection steps do
+    not re-stack the genomes on every call. Members' genomes are therefore
+    treated as immutable while they sit in a population: replace a member
+    instead of editing its genome in place.
+    """
 
     def __init__(self, members, capacity: int | None = None):
         self.members: list[Individual] = list(members)
         self.capacity = len(self.members) if capacity is None else int(capacity)
         if self.capacity <= 0:
             raise ValueError("population capacity must be positive")
+        self._matrix: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -109,10 +128,18 @@ class Population:
 
     def __setitem__(self, i: int, ind: Individual) -> None:
         self.members[i] = ind
+        if self._matrix is not None:
+            self._matrix[i] = ind.genome
+
+    def genome_matrix(self) -> np.ndarray:
+        """The population's own (n, dim) genome matrix; read it, never write it."""
+        if self._matrix is None:
+            self._matrix = np.array([m.genome for m in self.members])
+        return self._matrix
 
     def genomes(self) -> np.ndarray:
-        """Stack member genomes into an (n, dim) array."""
-        return np.array([m.genome for m in self.members])
+        """Member genomes as an (n, dim) array owned by the caller."""
+        return self.genome_matrix().copy()
 
     def fitnesses(self) -> np.ndarray:
         """Fitness vector; raises if any member is unevaluated."""
@@ -166,11 +193,14 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def clip_to_bounds(genome: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    return np.clip(genome, bounds[:, 0], bounds[:, 1])
+    # same values as np.clip (signed zeros and NaN included), at half the cost
+    return np.minimum(np.maximum(genome, bounds[:, 0]), bounds[:, 1])
 
 
 def random_genome(rng: RngStream, bounds: np.ndarray) -> np.ndarray:
-    return rng.gen.uniform(bounds[:, 0], bounds[:, 1])
+    lo = bounds[:, 0]
+    # gen.uniform(lo, hi) computes exactly lo + (hi - lo) * next_double
+    return lo + (bounds[:, 1] - lo) * rng.gen.random(lo.shape[0])
 
 
 def evaluate(ind: Individual, problem, budget: EvalBudget) -> Individual:
@@ -182,7 +212,7 @@ def evaluate(ind: Individual, problem, budget: EvalBudget) -> Individual:
     """
     tick = budget.spend()
     value = float(problem.objective(ind.genome))
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"objective returned non-finite value {value!r} at {ind.genome!r}")
     ind.fitness = value
     ind.eval_index = tick
@@ -225,9 +255,10 @@ def blend_crossover(
     d = np.abs(p1 - p2)
     lo = np.minimum(p1, p2) - alpha * d
     hi = np.maximum(p1, p2) + alpha * d
-    c1 = rng.gen.uniform(lo, hi)
-    c2 = rng.gen.uniform(lo, hi)
-    return clip_to_bounds(c1, bounds), clip_to_bounds(c2, bounds)
+    # two gen.uniform(lo, hi) calls: c1's doubles, then c2's, each child
+    # lo + (hi - lo) * next_double
+    children = clip_to_bounds(lo + (hi - lo) * rng.gen.random((2, p1.shape[0])), bounds)
+    return children[0], children[1]
 
 
 def gaussian_mutation(
@@ -243,11 +274,13 @@ def gaussian_mutation(
         raise ValueError("mutation rate must be in [0, 1]")
     if sigma <= 0.0:
         raise ValueError("mutation sigma must be positive")
-    out = np.asarray(genome, dtype=float).copy()
+    out = np.array(genome, dtype=float)
     mask = rng.gen.random(out.shape[0]) < rate
     if mask.any():
         scale = sigma * (bounds[mask, 1] - bounds[mask, 0])
-        out[mask] += rng.gen.normal(0.0, scale)
+        # gen.normal(0.0, scale) is 0.0 + scale * standard_normal; the 0.0
+        # turns a -0.0 step into +0.0
+        out[mask] += 0.0 + scale * rng.gen.standard_normal(scale.shape[0])
     return clip_to_bounds(out, bounds)
 
 
@@ -266,13 +299,23 @@ def de_trial_vector(
     (defaults to the whole population), excluding the target. Binomial
     crossover keeps at least one mutant coordinate.
     """
-    pool = list(range(len(pop))) if donor_pool is None else list(donor_pool)
-    candidates = np.array([i for i in pool if i != target_idx], dtype=int)
-    if candidates.size < 3:
-        raise ValueError("DE needs at least 4 individuals in the donor pool (incl. target)")
-    a, b, c = rng.gen.choice(candidates, size=3, replace=False)
-    mutant = pop[int(a)].genome + F * (pop[int(b)].genome - pop[int(c)].genome)
-    target = pop[target_idx].genome
+    # choice() draws positions from the pool's size alone; a position is
+    # mapped to a member index here instead of by indexing a pool array
+    if donor_pool is None:
+        if len(pop) < 4:
+            raise ValueError("DE needs at least 4 individuals in the donor pool (incl. target)")
+        positions = rng.gen.choice(len(pop) - 1, size=3, replace=False).tolist()
+        # range(n) without the target: position p is p, or p + 1 from the target on
+        a, b, c = [p + (p >= target_idx) for p in positions]
+    else:
+        candidates = [i for i in donor_pool if i != target_idx]
+        if len(candidates) < 3:
+            raise ValueError("DE needs at least 4 individuals in the donor pool (incl. target)")
+        positions = rng.gen.choice(len(candidates), size=3, replace=False).tolist()
+        a, b, c = [candidates[p] for p in positions]
+    genomes = pop.genome_matrix()
+    mutant = genomes[a] + F * (genomes[b] - genomes[c])
+    target = genomes[target_idx]
     dim = target.shape[0]
     cross = rng.gen.random(dim) < CR
     cross[int(rng.gen.integers(dim))] = True

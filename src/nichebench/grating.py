@@ -279,11 +279,10 @@ class SyntheticRecordingModel:
         return float(j[0]), float(j[1]), float(j[2]), float(j[3])
 
 
-def synthetic_recording_model(anchor: GratingDesign | np.ndarray | None = None,
-                              params: GratingParams | None = None) -> SyntheticRecordingModel:
+def synthetic_recording_model(
+        anchor: GratingDesign | np.ndarray | None = None) -> SyntheticRecordingModel:
     """Build the synthetic model, anchored at ``anchor`` (default anchor
-    otherwise). ``params`` is accepted for interface symmetry and only
-    used to validate that the anchor lies inside the default box."""
+    otherwise)."""
     if anchor is None:
         anchor = default_anchor()
     vector = anchor.to_vector() if isinstance(anchor, GratingDesign) else np.asarray(anchor, dtype=float)

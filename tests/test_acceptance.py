@@ -9,6 +9,7 @@ minutes; everything else is seconds.
 import math
 import itertools
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,14 @@ from nichebench.problems import PROBLEM_FACTORIES, six_hump_camel
 from nichebench.stats import SampleSet, ks_two_sample, mann_whitney_u, pairwise_matrix, welch_t
 
 JOBS = 2  # worker processes for the 50-run protocol criteria
+COMMITTED_RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+
+def assert_matches_committed_runs(out_dir, name):
+    """The protocol run's runs.csv must reproduce the committed file byte for byte."""
+    got = (Path(out_dir) / "runs.csv").read_bytes()
+    expected = (COMMITTED_RESULTS / name / "runs.csv").read_bytes()
+    assert got == expected, f"{name}/runs.csv differs from the committed file"
 
 
 @contextmanager
@@ -178,7 +187,7 @@ def test_criterion_2_budget_exactness_and_determinism():
 # criterion 3: CrowdingDE niching efficacy floors
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_crowding_de_peak_ratio_floors():
+def test_criterion_3_crowding_de_peak_ratio_floors(tmp_path):
     with criterion(3, "CrowdingDE mean peak ratio >= 0.90 (himmelblau), >= 0.80 (deb1)"):
         spec = ExperimentSpec(
             algorithms=[("crowding_de", AlgorithmConfig(population_size=50))],
@@ -186,9 +195,10 @@ def test_criterion_3_crowding_de_peak_ratio_floors():
             runs=50,
             max_evals=10000,
             base_seed=31,
-            output_dir="results/acceptance_c3",
+            output_dir=tmp_path / "acceptance_c3",
         )
         table = run_experiment(spec, jobs=JOBS)
+        assert_matches_committed_runs(spec.output_dir, "acceptance_c3")
         mean_himmelblau = table.mean("crowding_de", "himmelblau", "peak_ratio")
         mean_deb1 = table.mean("crowding_de", "deb1", "peak_ratio")
         print(f"  mean peak ratio: himmelblau={mean_himmelblau:.3f} deb1={mean_deb1:.3f}")
@@ -196,7 +206,7 @@ def test_criterion_3_crowding_de_peak_ratio_floors():
         assert mean_deb1 >= 0.80
 
 
-def test_crowding_ga_spans_multiple_deb1_peaks():
+def test_crowding_ga_spans_multiple_deb1_peaks(tmp_path):
     # supplementary example-level check: CrowdingGA keeps at least two of
     # deb1's five peaks populated in at least 90% of 50 seeded runs
     with criterion("3b", "CrowdingGA covers >=2 deb1 peaks in >=90% of runs"):
@@ -206,9 +216,10 @@ def test_crowding_ga_spans_multiple_deb1_peaks():
             runs=50,
             max_evals=10000,
             base_seed=33,
-            output_dir="results/acceptance_c3b",
+            output_dir=tmp_path / "acceptance_c3b",
         )
         table = run_experiment(spec, jobs=JOBS)
+        assert_matches_committed_runs(spec.output_dir, "acceptance_c3b")
         ratios = table.raw("crowding_ga", "deb1", "peak_ratio")
         covered = sum(r >= 2 / 5 for r in ratios)
         print(f"  runs with >=2 peaks: {covered}/50")
@@ -219,7 +230,7 @@ def test_crowding_ga_spans_multiple_deb1_peaks():
 # criterion 4: qualitative ordering on the grating problem
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_grating_ordering_crowding_vs_sharing():
+def test_criterion_4_grating_ordering_crowding_vs_sharing(tmp_path):
     with criterion(4, "grating: CrowdingDE finds more distinct peaks than SharingDE (MWU significant)"):
         spec = ExperimentSpec(
             algorithms=[
@@ -230,9 +241,10 @@ def test_criterion_4_grating_ordering_crowding_vs_sharing():
             runs=50,
             max_evals=10000,
             base_seed=47,
-            output_dir="results/acceptance_c4",
+            output_dir=tmp_path / "acceptance_c4",
         )
         table = run_experiment(spec, jobs=JOBS)
+        assert_matches_committed_runs(spec.output_dir, "acceptance_c4")
         crowding_peaks = table.raw("crowding_de", "grating", "distinct_peaks")
         sharing_peaks = table.raw("sharing_de", "grating", "distinct_peaks")
         mean_crowding = float(np.mean(crowding_peaks))

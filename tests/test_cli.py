@@ -41,6 +41,17 @@ def test_unknown_test_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_single_run_with_t_test_exits_2_before_running(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main([
+        "--algorithm", "crowding_de", "--algorithm", "sde", "--problem", "deb1",
+        "--runs", "1", "--evals", "60", "--pop-size", "6", "--out", str(out),
+    ])
+    assert code == 2
+    assert "runs >= 2" in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
