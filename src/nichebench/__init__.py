@@ -13,21 +13,17 @@ from .algorithms import (
     preselection_ga,
     scga,
     sde,
-    shared_fitness,
     sharing_de,
     sharing_ga,
 )
 from .core import (
-    BudgetExhausted,
-    EvalBudget,
+    Evaluator,
     Individual,
     Population,
-    RngStream,
     binary_tournament,
     blend_crossover,
     de_trial_vector,
     euclidean_distance,
-    evaluate,
     gaussian_mutation,
 )
 from .grating import (
@@ -53,7 +49,6 @@ from .problems import (
     BoundedProblem,
     branin,
     deb1,
-    get_problem,
     himmelblau,
     rosenbrock,
     six_hump_camel,

@@ -4,8 +4,8 @@ sharing (GA and DE), species conservation, and species-partitioned DE.
 Every algorithm has the signature ``(problem, config, budget, rng) ->
 RunResult`` and terminates exactly when the evaluation budget runs out,
 returning the partially updated population if that happens mid-generation.
-``budget`` may be an :class:`~nichebench.core.EvalBudget` or a plain int,
-``rng`` an :class:`~nichebench.core.RngStream` or a plain seed.
+``budget`` is the number of objective evaluations (an int) and ``rng`` an
+int seed or a ``np.random.Generator``, which is used as is.
 
 Replacement rules are uniformly strict: an incumbent is only displaced by
 a strictly better challenger, so equal-fitness duplicates never drift.
@@ -19,16 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    BudgetExhausted,
-    EvalBudget,
+    Evaluator,
     Individual,
     Population,
-    RngStream,
-    as_stream,
     binary_tournament,
     blend_crossover,
     de_trial_vector,
-    evaluate,
     gaussian_mutation,
     is_better,
     random_genome,
@@ -45,7 +41,6 @@ __all__ = [
     "scga",
     "sde",
     "crowding_replacement",
-    "shared_fitness",
     "determine_species_seeds",
     "conserve_species_seeds",
     "ALGORITHMS",
@@ -118,44 +113,32 @@ class RunResult:
 
 
 class _RunState:
-    """Per-run bookkeeping: budget-aware evaluation and the trace."""
+    """Per-run bookkeeping: the evaluator, the RNG and the GA operators."""
 
     def __init__(self, problem, config: AlgorithmConfig, budget, rng):
         config.validate()
-        self.problem = problem
         self.config = config
-        self.budget = budget if isinstance(budget, EvalBudget) else EvalBudget(int(budget))
-        self.rng = as_stream(rng)
+        self.evaluate = Evaluator(problem, budget)
+        self.rng = np.random.default_rng(rng)
         self.direction = problem.direction
         self.bounds = problem.bounds
         self.mutation_rate = config.effective_mutation_rate(problem.dimension)
-        self.best: float | None = None
-        self.trace: list[tuple[int, float]] = []
 
-    def try_eval(self, ind: Individual) -> bool:
-        """Evaluate in place; False once the budget is exhausted."""
-        try:
-            evaluate(ind, self.problem, self.budget)
-        except BudgetExhausted:
-            return False
-        if self.best is None or is_better(ind.fitness, self.best, self.direction):
-            self.best = ind.fitness
-        return True
+    @property
+    def exhausted(self) -> bool:
+        return self.evaluate.exhausted
 
     def checkpoint(self) -> None:
-        if self.best is not None:
-            self.trace.append((self.budget.used, self.best))
+        self.evaluate.checkpoint()
 
-    def init_population(self) -> tuple[Population, bool]:
+    def init_population(self) -> Population:
+        """Random members, evaluated in order while the budget lasts."""
         size = self.config.population_size
         members = [Individual(random_genome(self.rng, self.bounds)) for _ in range(size)]
-        pop = Population(members, capacity=size)
-        for ind in pop:
-            if not self.try_eval(ind):
-                self.checkpoint()
-                return pop, False
+        for ind in members:
+            self.evaluate(ind)
         self.checkpoint()
-        return pop, True
+        return Population(members, capacity=size)
 
     def crossover(self, p1: Individual, p2: Individual) -> tuple[np.ndarray, np.ndarray]:
         return blend_crossover(p1.genome, p2.genome, self.rng, self.bounds,
@@ -165,8 +148,26 @@ class _RunState:
         return gaussian_mutation(genome, self.rng, self.bounds,
                                  rate=self.mutation_rate, sigma=self.config.mutation_sigma)
 
+    def breed(self, pop: Population, select) -> None:
+        """Generational GA step: evaluated children of ``select()``-chosen
+        parent pairs fill the population's slots in order; if the budget
+        runs out first, the remaining slots keep their parents."""
+        children: list[Individual] = []
+        while len(children) < len(pop) and not self.exhausted:
+            p1, p2 = select(), select()
+            for genome in self.crossover(p1, p2):
+                if len(children) == len(pop):
+                    break
+                child = Individual(self.mutate(genome))
+                if not self.evaluate(child):
+                    break
+                children.append(child)
+        for slot, child in enumerate(children):
+            pop[slot] = child
+
     def result(self, pop: Population) -> RunResult:
-        return RunResult(final_population=pop, evals_used=self.budget.used, trace=self.trace)
+        return RunResult(final_population=pop, evals_used=self.evaluate.used,
+                         trace=self.evaluate.trace)
 
 
 def preselection_ga(problem, config: AlgorithmConfig | None = None,
@@ -177,27 +178,24 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
     takes its parent's slot iff strictly better.
     """
     st = _RunState(problem, config or AlgorithmConfig(), budget, rng)
-    pop, ok = st.init_population()
-    while ok and not st.budget.exhausted:
-        order = st.rng.gen.permutation(len(pop))
+    pop = st.init_population()
+    while not st.exhausted:
+        order = st.rng.permutation(len(pop))
         for k in range(0, len(pop) - 1, 2):
-            i, j = int(order[k]), int(order[k + 1])
-            child_genomes = st.crossover(pop[i], pop[j])
-            for parent_idx, genome in zip((i, j), child_genomes):
-                child = Individual(st.mutate(genome))
-                if not st.try_eval(child):
-                    ok = False
-                    break
-                if is_better(child.fitness, pop[parent_idx].fitness, st.direction):
-                    pop[parent_idx] = child
-            if not ok:
+            if st.exhausted:
                 break
+            i, j = int(order[k]), int(order[k + 1])
+            for parent_idx, genome in zip((i, j), st.crossover(pop[i], pop[j])):
+                child = Individual(st.mutate(genome))
+                if st.evaluate(child) and is_better(child.fitness, pop[parent_idx].fitness,
+                                                    st.direction):
+                    pop[parent_idx] = child
         st.checkpoint()
     return st.result(pop)
 
 
 def crowding_replacement(child: Individual, pop: Population, cf: int,
-                         rng: RngStream, direction: str) -> Population:
+                         rng: np.random.Generator, direction: str) -> Population:
     """Let the child challenge the most similar of ``cf`` sampled members.
 
     Samples ``cf`` members without replacement, finds the sampled member
@@ -211,7 +209,7 @@ def crowding_replacement(child: Individual, pop: Population, cf: int,
         dists = np.sqrt(np.sum((genomes - child.genome) ** 2, axis=1))
         nearest = int(dists.argmin())  # first minimum: the lowest index
     else:
-        idxs = rng.gen.choice(len(pop), size=cf, replace=False)
+        idxs = rng.choice(len(pop), size=cf, replace=False)
         dists = np.sqrt(np.sum((genomes[idxs] - child.genome) ** 2, axis=1))
         nearest = int(np.min(idxs[dists == dists.min()]))
     if is_better(child.fitness, pop[nearest].fitness, direction):
@@ -230,19 +228,17 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
     config = config or AlgorithmConfig()
     st = _RunState(problem, config, budget, rng)
     cf = config.effective_crowding_factor()
-    pop, ok = st.init_population()
-    while ok and not st.budget.exhausted:
+    pop = st.init_population()
+    while not st.exhausted:
         for _ in range(len(pop) // 2):
+            if st.exhausted:
+                break
             p1 = binary_tournament(pop, st.rng, st.direction)
             p2 = binary_tournament(pop, st.rng, st.direction)
             for genome in st.crossover(p1, p2):
                 child = Individual(st.mutate(genome))
-                if not st.try_eval(child):
-                    ok = False
-                    break
-                crowding_replacement(child, pop, cf, st.rng, st.direction)
-            if not ok:
-                break
+                if st.evaluate(child):
+                    crowding_replacement(child, pop, cf, st.rng, st.direction)
         st.checkpoint()
     return st.result(pop)
 
@@ -260,31 +256,17 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
         raise ValueError("crowding_de needs a population of at least 4")
     st = _RunState(problem, config, budget, rng)
     cf = config.effective_crowding_factor()
-    pop, ok = st.init_population()
-    while ok and not st.budget.exhausted:
+    pop = st.init_population()
+    while not st.exhausted:
         for target in range(len(pop)):
             trial = de_trial_vector(target, pop, config.de_F, config.de_CR,
                                     st.rng, st.bounds)
             child = Individual(trial)
-            if not st.try_eval(child):
-                ok = False
+            if not st.evaluate(child):
                 break
             crowding_replacement(child, pop, cf, st.rng, st.direction)
         st.checkpoint()
     return st.result(pop)
-
-
-def shared_fitness(i: int, pop: Population, sharing_radius: float,
-                   alpha: float = 1.0) -> float:
-    """Raw fitness of member ``i`` divided by its degree of sharing.
-
-    The sharing kernel is 1 - (d/radius)^alpha for d < radius and zero
-    beyond; the self term keeps the denominator at 1 or more. Assumes a
-    larger-is-better fitness orientation.
-    """
-    genomes = pop.genome_matrix()
-    dists = np.sqrt(np.sum((genomes - genomes[i]) ** 2, axis=1))
-    return float(pop[i].fitness / _sharing_degrees(dists, sharing_radius, alpha))
 
 
 def _sharing_degrees(dists: np.ndarray, radius: float, alpha: float):
@@ -305,11 +287,11 @@ def _shared_scores(genomes: np.ndarray, raw: np.ndarray, direction: str,
     return scores / _sharing_degrees(dists, radius, alpha)
 
 
-def _score_tournament(scores: np.ndarray, rng: RngStream) -> int:
+def _score_tournament(scores: np.ndarray, rng: np.random.Generator) -> int:
     """Binary tournament on a larger-is-better score vector; ties keep the
     first drawn index."""
-    i = int(rng.gen.integers(scores.shape[0]))
-    j = int(rng.gen.integers(scores.shape[0]))
+    i = int(rng.integers(scores.shape[0]))
+    j = int(rng.integers(scores.shape[0]))
     return j if scores[j] > scores[i] else i
 
 
@@ -318,26 +300,11 @@ def sharing_ga(problem, config: AlgorithmConfig | None = None,
     """Generational GA whose parent selection runs on shared fitness."""
     config = config or AlgorithmConfig()
     st = _RunState(problem, config, budget, rng)
-    pop, ok = st.init_population()
-    while ok and not st.budget.exhausted:
+    pop = st.init_population()
+    while not st.exhausted:
         scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
                                 config.sharing_radius, config.sharing_alpha)
-        children: list[Individual] = []
-        while len(children) < len(pop):
-            p1 = pop[_score_tournament(scores, st.rng)]
-            p2 = pop[_score_tournament(scores, st.rng)]
-            for genome in st.crossover(p1, p2):
-                if len(children) == len(pop):
-                    break
-                child = Individual(st.mutate(genome))
-                if not st.try_eval(child):
-                    ok = False
-                    break
-                children.append(child)
-            if not ok:
-                break
-        for slot, child in enumerate(children):
-            pop[slot] = child
+        st.breed(pop, lambda: pop[_score_tournament(scores, st.rng)])
         st.checkpoint()
     return st.result(pop)
 
@@ -355,15 +322,14 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
     if config.population_size < 4:
         raise ValueError("sharing_de needs a population of at least 4")
     st = _RunState(problem, config, budget, rng)
-    pop, ok = st.init_population()
-    while ok and not st.budget.exhausted:
+    pop = st.init_population()
+    while not st.exhausted:
         trials: list[Individual] = []
         for target in range(len(pop)):
             trial = de_trial_vector(target, pop, config.de_F, config.de_CR,
                                     st.rng, st.bounds)
             child = Individual(trial)
-            if not st.try_eval(child):
-                ok = False
+            if not st.evaluate(child):
                 break
             trials.append(child)
         if trials:
@@ -484,30 +450,14 @@ def scga(problem, config: AlgorithmConfig | None = None,
     """
     config = config or AlgorithmConfig()
     st = _RunState(problem, config, budget, rng)
-    pop, ok = st.init_population()
+    pop = st.init_population()
     generation = 0
-    if ok and observer is not None:
+    if observer is not None and pop[-1].evaluated:
         observer(generation, pop)
-    while ok and not st.budget.exhausted:
+    while not st.exhausted:
         generation += 1
         seeds = determine_species_seeds(pop, config.species_distance, st.direction)
-        children: list[Individual] = []
-        while len(children) < len(pop):
-            p1 = binary_tournament(pop, st.rng, st.direction)
-            p2 = binary_tournament(pop, st.rng, st.direction)
-            for genome in st.crossover(p1, p2):
-                if len(children) == len(pop):
-                    break
-                child = Individual(st.mutate(genome))
-                if not st.try_eval(child):
-                    ok = False
-                    break
-                children.append(child)
-            if not ok:
-                break
-        # children fill the first slots; on exhaustion the rest stay parents
-        for slot, child in enumerate(children):
-            pop[slot] = child
+        st.breed(pop, lambda: binary_tournament(pop, st.rng, st.direction))
         conserve_species_seeds(pop, seeds, config.species_distance, st.direction)
         st.checkpoint()
         if observer is not None:
@@ -529,8 +479,8 @@ def sde(problem, config: AlgorithmConfig | None = None,
     if config.population_size < 4:
         raise ValueError("sde needs a population of at least 4")
     st = _RunState(problem, config, budget, rng)
-    pop, ok = st.init_population()
-    while ok and not st.budget.exhausted:
+    pop = st.init_population()
+    while not st.exhausted:
         seeds = determine_species_seeds(pop, config.species_distance, st.direction)
         assigned, _ = _nearest_seed_assignment(pop.genome_matrix(),
                                                np.array([s.genome for s in seeds]))
@@ -543,8 +493,7 @@ def sde(problem, config: AlgorithmConfig | None = None,
             trial = de_trial_vector(target, pop, config.de_F, config.de_CR,
                                     st.rng, st.bounds, donor_pool=pool)
             child = Individual(trial)
-            if not st.try_eval(child):
-                ok = False
+            if not st.evaluate(child):
                 break
             if is_better(child.fitness, pop[target].fitness, st.direction):
                 pop[target] = child

@@ -19,9 +19,9 @@ from .harness import (
     ExperimentSpec,
     emit_reports,
     run_experiment,
+    validate_tests,
 )
 from .problems import PROBLEM_FACTORIES
-from .stats import TESTS
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(AlgorithmConfig)}
 
@@ -93,12 +93,7 @@ def build_spec(args) -> tuple[ExperimentSpec, list[str], float, int]:
     )
     tests = (args.tests.split(",") if args.tests
              else list(file_cfg.get("tests", DEFAULT_TESTS)))
-    for test in tests:
-        if test not in TESTS:
-            raise ConfigError(f"unknown test {test!r}; known: {sorted(TESTS)}")
-    if "t" in tests and len(spec.algorithms) >= 2 and spec.runs < 2:
-        # welch_t needs two values per sample; fail before any run starts
-        raise ConfigError("the t test needs runs >= 2 when comparing two or more algorithms")
+    validate_tests(tests, len(spec.algorithms), spec.runs)  # before any run starts
     alpha = args.alpha if args.alpha is not None else float(file_cfg.get("alpha", 0.05))
     jobs = args.jobs if args.jobs else int(file_cfg.get("jobs", 1))
     return spec, tests, alpha, jobs

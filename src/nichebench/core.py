@@ -1,19 +1,19 @@
-"""Shared EA machinery: individuals, populations, evaluation budget, RNG
-streams, distances, and the real-coded variation operators used by every
-algorithm in this package.
+"""Shared EA machinery: individuals, populations, the evaluator that is
+the run clock, distances, and the real-coded variation operators used by
+every algorithm in this package.
 
 All genomes are 1-d float ndarrays. Box bounds are given as a (dim, 2)
 array of [lo, hi] rows and every operator clamps its output to them.
-Termination is driven solely by :class:`EvalBudget`: each objective call
-consumes exactly one evaluation and a run stops the moment the budget is
-exhausted.
+Operators draw from a ``np.random.Generator``. Termination is driven
+solely by :class:`Evaluator`: each objective call consumes exactly one
+evaluation and a run stops the moment the budget is exhausted.
 
 Draw exactness: every published result is a pure function of the run
 seed, so the random requests made here are frozen. A change to an RNG
 request (a cheaper call, a merged or split draw) is allowed only if it
 consumes the same doubles from the stream, in the same order, and yields
-bit-identical values; e.g. ``lo + (hi - lo) * gen.random(d)`` is what
-``gen.uniform(lo, hi)`` computes. ``tests/test_fingerprint.py`` pins the
+bit-identical values; e.g. ``lo + (hi - lo) * rng.random(d)`` is what
+``rng.uniform(lo, hi)`` computes. ``tests/test_fingerprint.py`` pins the
 final populations and traces of all 42 (algorithm, problem) cells and
 ``tests/test_draw_equivalence.py`` checks each such rewrite against the
 call it replaced.
@@ -27,57 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BudgetExhausted",
-    "EvalBudget",
+    "Evaluator",
     "Individual",
     "Population",
-    "RngStream",
-    "as_stream",
     "is_better",
     "euclidean_distance",
     "clip_to_bounds",
     "random_genome",
-    "evaluate",
     "binary_tournament",
     "blend_crossover",
     "gaussian_mutation",
     "de_trial_vector",
 ]
-
-
-class BudgetExhausted(RuntimeError):
-    """Raised when an evaluation is requested after the budget ran out."""
-
-
-@dataclass
-class EvalBudget:
-    """Counts objective evaluations; the run clock of every algorithm."""
-
-    max_evals: int
-    used: int = 0
-
-    def __post_init__(self):
-        if self.max_evals < 0:
-            raise ValueError("max_evals must be >= 0")
-
-    @property
-    def remaining(self) -> int:
-        return self.max_evals - self.used
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.max_evals
-
-    def spend(self) -> int:
-        """Consume one evaluation and return its 1-based tick.
-
-        Raises :class:`BudgetExhausted` before anything is consumed, so no
-        objective call can ever happen past ``max_evals``.
-        """
-        if self.used >= self.max_evals:
-            raise BudgetExhausted(f"evaluation budget of {self.max_evals} exhausted")
-        self.used += 1
-        return self.used
 
 
 @dataclass
@@ -160,21 +121,6 @@ class Population:
         return best
 
 
-class RngStream:
-    """Deterministic random stream: identical seeds give identical draws."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.gen = np.random.default_rng(self.seed)
-
-
-def as_stream(rng) -> RngStream:
-    """Coerce an int seed or RngStream into an RngStream."""
-    if isinstance(rng, RngStream):
-        return rng
-    return RngStream(int(rng))
-
-
 def is_better(a: float, b: float, direction: str) -> bool:
     """True iff fitness ``a`` is strictly better than ``b``."""
     if direction == "max":
@@ -197,29 +143,56 @@ def clip_to_bounds(genome: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(genome, bounds[:, 0]), bounds[:, 1])
 
 
-def random_genome(rng: RngStream, bounds: np.ndarray) -> np.ndarray:
+def random_genome(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
     lo = bounds[:, 0]
-    # gen.uniform(lo, hi) computes exactly lo + (hi - lo) * next_double
-    return lo + (bounds[:, 1] - lo) * rng.gen.random(lo.shape[0])
+    # rng.uniform(lo, hi) computes exactly lo + (hi - lo) * next_double
+    return lo + (bounds[:, 1] - lo) * rng.random(lo.shape[0])
 
 
-def evaluate(ind: Individual, problem, budget: EvalBudget) -> Individual:
-    """Evaluate ``ind`` in place, spending one budget tick.
+class Evaluator:
+    """The run clock: evaluates individuals until ``max_evals`` objective
+    calls are spent, keeping the best fitness so far and the trace of
+    (evaluations used, best fitness) checkpoints."""
 
-    Raises :class:`BudgetExhausted` (without touching the individual) when
-    the budget is used up, and ValueError if the objective returns a
-    non-finite value.
-    """
-    tick = budget.spend()
-    value = float(problem.objective(ind.genome))
-    if not math.isfinite(value):
-        raise ValueError(f"objective returned non-finite value {value!r} at {ind.genome!r}")
-    ind.fitness = value
-    ind.eval_index = tick
-    return ind
+    def __init__(self, problem, max_evals: int):
+        self.max_evals = int(max_evals)
+        if self.max_evals < 0:
+            raise ValueError("max_evals must be >= 0")
+        self.objective = problem.objective
+        self.direction = problem.direction
+        self.used = 0
+        self.best: float | None = None
+        self.trace: list[tuple[int, float]] = []
+
+    @property
+    def exhausted(self) -> bool:
+        return self.used >= self.max_evals
+
+    def __call__(self, ind: Individual) -> bool:
+        """Evaluate ``ind`` in place; False, without calling the objective
+        or touching ``ind``, once the budget is used up.
+
+        Raises ValueError if the objective returns a non-finite value.
+        """
+        if self.used >= self.max_evals:
+            return False
+        self.used += 1
+        value = float(self.objective(ind.genome))
+        if not math.isfinite(value):
+            raise ValueError(f"objective returned non-finite value {value!r} at {ind.genome!r}")
+        ind.fitness = value
+        ind.eval_index = self.used
+        if self.best is None or is_better(value, self.best, self.direction):
+            self.best = value
+        return True
+
+    def checkpoint(self) -> None:
+        """Record (evaluations used, best fitness) once anything is evaluated."""
+        if self.best is not None:
+            self.trace.append((self.used, self.best))
 
 
-def binary_tournament(pop: Population, rng: RngStream, direction: str) -> Individual:
+def binary_tournament(pop: Population, rng: np.random.Generator, direction: str) -> Individual:
     """Draw two members uniformly (with replacement), return the better.
 
     Ties keep the first drawn member, which makes the outcome a pure
@@ -227,8 +200,8 @@ def binary_tournament(pop: Population, rng: RngStream, direction: str) -> Indivi
     """
     if len(pop) == 0:
         raise ValueError("cannot run a tournament on an empty population")
-    i = int(rng.gen.integers(len(pop)))
-    j = int(rng.gen.integers(len(pop)))
+    i = int(rng.integers(len(pop)))
+    j = int(rng.integers(len(pop)))
     first, second = pop[i], pop[j]
     if is_better(second.fitness, first.fitness, direction):
         return second
@@ -238,7 +211,7 @@ def binary_tournament(pop: Population, rng: RngStream, direction: str) -> Indivi
 def blend_crossover(
     p1: np.ndarray,
     p2: np.ndarray,
-    rng: RngStream,
+    rng: np.random.Generator,
     bounds: np.ndarray,
     alpha: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -255,15 +228,15 @@ def blend_crossover(
     d = np.abs(p1 - p2)
     lo = np.minimum(p1, p2) - alpha * d
     hi = np.maximum(p1, p2) + alpha * d
-    # two gen.uniform(lo, hi) calls: c1's doubles, then c2's, each child
+    # two rng.uniform(lo, hi) calls: c1's doubles, then c2's, each child
     # lo + (hi - lo) * next_double
-    children = clip_to_bounds(lo + (hi - lo) * rng.gen.random((2, p1.shape[0])), bounds)
+    children = clip_to_bounds(lo + (hi - lo) * rng.random((2, p1.shape[0])), bounds)
     return children[0], children[1]
 
 
 def gaussian_mutation(
     genome: np.ndarray,
-    rng: RngStream,
+    rng: np.random.Generator,
     bounds: np.ndarray,
     rate: float,
     sigma: float,
@@ -275,12 +248,12 @@ def gaussian_mutation(
     if sigma <= 0.0:
         raise ValueError("mutation sigma must be positive")
     out = np.array(genome, dtype=float)
-    mask = rng.gen.random(out.shape[0]) < rate
+    mask = rng.random(out.shape[0]) < rate
     if mask.any():
         scale = sigma * (bounds[mask, 1] - bounds[mask, 0])
-        # gen.normal(0.0, scale) is 0.0 + scale * standard_normal; the 0.0
+        # rng.normal(0.0, scale) is 0.0 + scale * standard_normal; the 0.0
         # turns a -0.0 step into +0.0
-        out[mask] += 0.0 + scale * rng.gen.standard_normal(scale.shape[0])
+        out[mask] += 0.0 + scale * rng.standard_normal(scale.shape[0])
     return clip_to_bounds(out, bounds)
 
 
@@ -289,7 +262,7 @@ def de_trial_vector(
     pop: Population,
     F: float,
     CR: float,
-    rng: RngStream,
+    rng: np.random.Generator,
     bounds: np.ndarray,
     donor_pool: list[int] | None = None,
 ) -> np.ndarray:
@@ -304,20 +277,20 @@ def de_trial_vector(
     if donor_pool is None:
         if len(pop) < 4:
             raise ValueError("DE needs at least 4 individuals in the donor pool (incl. target)")
-        positions = rng.gen.choice(len(pop) - 1, size=3, replace=False).tolist()
+        positions = rng.choice(len(pop) - 1, size=3, replace=False).tolist()
         # range(n) without the target: position p is p, or p + 1 from the target on
         a, b, c = [p + (p >= target_idx) for p in positions]
     else:
         candidates = [i for i in donor_pool if i != target_idx]
         if len(candidates) < 3:
             raise ValueError("DE needs at least 4 individuals in the donor pool (incl. target)")
-        positions = rng.gen.choice(len(candidates), size=3, replace=False).tolist()
+        positions = rng.choice(len(candidates), size=3, replace=False).tolist()
         a, b, c = [candidates[p] for p in positions]
     genomes = pop.genome_matrix()
     mutant = genomes[a] + F * (genomes[b] - genomes[c])
     target = genomes[target_idx]
     dim = target.shape[0]
-    cross = rng.gen.random(dim) < CR
-    cross[int(rng.gen.integers(dim))] = True
+    cross = rng.random(dim) < CR
+    cross[int(rng.integers(dim))] = True
     trial = np.where(cross, mutant, target)
     return clip_to_bounds(trial, bounds)

@@ -23,7 +23,7 @@ from .algorithms import ALGORITHMS, AlgorithmConfig, RunResult, get_algorithm
 from .grating import make_default_problem
 from .metrics import avg_min_distance, best_fitness, distinct_peaks, peak_ratio
 from .problems import PROBLEM_FACTORIES, BoundedProblem
-from .stats import SampleSet, pairwise_matrix
+from .stats import TESTS, SampleSet, pairwise_matrix
 
 __all__ = [
     "ConfigError",
@@ -31,6 +31,7 @@ __all__ = [
     "ResultTable",
     "resolve_problem",
     "derive_seed",
+    "validate_tests",
     "run_experiment",
     "emit_reports",
     "DEFAULT_TESTS",
@@ -94,6 +95,17 @@ def resolve_problem(name: str, grating_profile: str | None = None) -> BoundedPro
     raise ConfigError(f"unknown problem {name!r}; known: {known}")
 
 
+def validate_tests(tests, n_algorithms: int, runs: int) -> None:
+    """Reject unknown significance tests, and the t test on one run per
+    cell when two or more algorithms are compared (``welch_t`` needs two
+    values per sample)."""
+    for test in tests:
+        if test not in TESTS:
+            raise ConfigError(f"unknown test {test!r}; known: {sorted(TESTS)}")
+    if "t" in tests and n_algorithms >= 2 and runs < 2:
+        raise ConfigError("the t test needs runs >= 2 when comparing two or more algorithms")
+
+
 def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
     """Stable 64-bit run seed from the experiment coordinates."""
     key = f"{base_seed}|{algorithm}|{problem}|{run}".encode()
@@ -129,7 +141,7 @@ def _execute_run(task) -> tuple:
             f"budget audit failed: {result.evals_used} > {max_evals} "
             f"({alg_name} on {problem_name})"
         )
-    return run_metrics(problem, result), result.trace, result.evals_used
+    return run_metrics(problem, result), result.trace
 
 
 @dataclass
@@ -140,7 +152,6 @@ class ResultTable:
     problems: list[str]
     runs: int
     values: dict[tuple[str, str, str], list[float]] = field(default_factory=dict)
-    seeds: dict[tuple[str, str, int], int] = field(default_factory=dict)
     traces: dict[tuple[str, str, int], list[tuple[int, float]]] = field(default_factory=dict)
 
     def metrics_for(self, problem: str) -> list[str]:
@@ -198,14 +209,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
 
         def record(task, outcome):
             alg_name, _, problem_name, _, _, seed, run = task
-            metric_values, trace, evals_used = outcome
-            if evals_used > spec.max_evals:
-                raise RuntimeError("budget audit failed after run collection")
+            metric_values, trace = outcome
             for metric, value in metric_values.items():
                 table.values.setdefault((alg_name, problem_name, metric), []).append(value)
                 writer.writerow([alg_name, problem_name, run, seed, metric, _float_repr(value)])
             fh.flush()
-            table.seeds[(alg_name, problem_name, run)] = seed
             table.traces[(alg_name, problem_name, run)] = trace
 
         if jobs <= 1:
@@ -226,28 +234,19 @@ def emit_reports(table: ResultTable, tests=DEFAULT_TESTS, alpha: float = 0.05,
                  output_dir: str | Path = "results") -> list[Path]:
     """Write the report files for a finished experiment.
 
-    Produces ``runs.csv`` (raw rows), ``summary.csv`` (mean and sample
-    standard deviation per cell, algorithms as columns), one JSON
-    significance matrix per (problem, metric, test) with the same
-    algorithm order on both axes, and ``traces.csv`` with per-run
-    convergence checkpoints. Returns the written paths.
+    Produces ``summary.csv`` (mean and sample standard deviation per cell,
+    algorithms as columns), one JSON significance matrix per (problem,
+    metric, test) with the same algorithm order on both axes, and
+    ``traces.csv`` with per-run convergence checkpoints. The raw rows are
+    not rewritten: ``runs.csv`` is the run-major file that
+    :func:`run_experiment` streamed. The tests are checked with
+    :func:`validate_tests` before any file is written. Returns the written
+    paths.
     """
+    validate_tests(tests, len(table.algorithms), table.runs)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    raw_path = out_dir / "runs.csv"
-    with open(raw_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAW_COLUMNS)
-        for alg in table.algorithms:
-            for problem in table.problems:
-                for metric in table.metrics_for(problem):
-                    raw = table.raw(alg, problem, metric)
-                    for run, value in enumerate(raw):
-                        seed = table.seeds.get((alg, problem, run), "")
-                        writer.writerow([alg, problem, run, seed, metric, _float_repr(value)])
-    written.append(raw_path)
 
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:

@@ -22,7 +22,6 @@ __all__ = [
     "branin",
     "rosenbrock",
     "PROBLEM_FACTORIES",
-    "get_problem",
 ]
 
 
@@ -185,11 +184,3 @@ PROBLEM_FACTORIES: dict[str, Callable[[], BoundedProblem]] = {
     "rosenbrock": rosenbrock,
 }
 
-
-def get_problem(name: str) -> BoundedProblem:
-    try:
-        factory = PROBLEM_FACTORIES[name]
-    except KeyError:
-        known = ", ".join(sorted(PROBLEM_FACTORIES))
-        raise KeyError(f"unknown problem {name!r}; known benchmarks: {known}") from None
-    return factory()

@@ -21,7 +21,7 @@ from nichebench.algorithms import (
     determine_species_seeds,
     scga,
 )
-from nichebench.core import Individual, Population, RngStream
+from nichebench.core import Individual, Population
 from nichebench.grating import (
     default_anchor,
     default_params,
@@ -99,7 +99,7 @@ def test_criterion_1_oracle_equivalence():
             fits = rng.integers(0, 4, size=n).astype(float)
             child = Individual(rng.uniform(-1, 1, size=dim), float(rng.integers(0, 4)))
             pop = make_pop(list(genomes), fits)
-            crowding_replacement(child, pop, cf=n, rng=RngStream(0), direction="max")
+            crowding_replacement(child, pop, cf=n, rng=np.random.default_rng(0), direction="max")
             dists = [math.dist(child.genome, g) for g in genomes]
             nearest = min(range(n), key=lambda i: (dists[i], i))
             if child.fitness > fits[nearest]:

@@ -11,10 +11,10 @@ from nichebench.algorithms import (
     AlgorithmConfig,
     conserve_species_seeds,
     crowding_replacement,
+    _shared_scores,
     determine_species_seeds,
-    shared_fitness,
 )
-from nichebench.core import Individual, Population, RngStream
+from nichebench.core import Individual, Population
 from nichebench.problems import deb1, himmelblau, six_hump_camel
 
 ALL_NAMES = sorted(ALGORITHMS)
@@ -35,7 +35,7 @@ class TestCrowdingReplacement:
     def test_replaces_nearest_when_better(self):
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0])
         child = Individual(np.array([0.1, 0.1]), 3.0)
-        crowding_replacement(child, pop, cf=2, rng=RngStream(0), direction="max")
+        crowding_replacement(child, pop, cf=2, rng=np.random.default_rng(0), direction="max")
         assert pop[0] is child
         assert pop[1].fitness == 2.0
 
@@ -43,23 +43,23 @@ class TestCrowdingReplacement:
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [5.0, 2.0])
         child = Individual(np.array([0.1, 0.1]), 1.0)
         before = [m for m in pop]
-        crowding_replacement(child, pop, cf=2, rng=RngStream(0), direction="max")
+        crowding_replacement(child, pop, cf=2, rng=np.random.default_rng(0), direction="max")
         assert list(pop) == before
 
     def test_equal_child_changes_nothing(self):
         pop = make_pop([[0.0]], [5.0])
         child = Individual(np.array([0.2]), 5.0)
-        crowding_replacement(child, pop, cf=1, rng=RngStream(0), direction="max")
+        crowding_replacement(child, pop, cf=1, rng=np.random.default_rng(0), direction="max")
         assert pop[0] is not child
 
     def test_cf_one_compares_single_sampled_member(self):
         pop = make_pop([[0.0], [10.0], [20.0]], [1.0, 1.0, 1.0])
         for seed in range(40):
-            replay = RngStream(seed)
-            sampled = int(replay.gen.choice(3, size=1, replace=False)[0])
+            replay = np.random.default_rng(seed)
+            sampled = int(replay.choice(3, size=1, replace=False)[0])
             pop2 = make_pop([[0.0], [10.0], [20.0]], [1.0, 1.0, 1.0])
             child = Individual(np.array([0.1]), 2.0)
-            crowding_replacement(child, pop2, cf=1, rng=RngStream(seed), direction="max")
+            crowding_replacement(child, pop2, cf=1, rng=np.random.default_rng(seed), direction="max")
             assert pop2[sampled] is child
 
     def test_full_cf_against_brute_force(self):
@@ -71,7 +71,7 @@ class TestCrowdingReplacement:
             fits = rng.integers(0, 4, size=n).astype(float)  # ties likely
             child = Individual(rng.uniform(-1, 1, size=dim), float(rng.integers(0, 4)))
             pop = make_pop(list(genomes), fits)
-            crowding_replacement(child, pop, cf=n, rng=RngStream(0), direction="max")
+            crowding_replacement(child, pop, cf=n, rng=np.random.default_rng(0), direction="max")
             # oracle: nearest by scan, lowest index on distance ties,
             # replacement only when strictly better
             dists = [math.dist(child.genome, g) for g in genomes]
@@ -86,30 +86,35 @@ class TestCrowdingReplacement:
     def test_distance_tie_prefers_lowest_index(self):
         pop = make_pop([[1.0], [-1.0], [3.0]], [0.0, 0.0, 0.0])
         child = Individual(np.array([0.0]), 1.0)  # equidistant from 0 and 1
-        crowding_replacement(child, pop, cf=3, rng=RngStream(0), direction="max")
+        crowding_replacement(child, pop, cf=3, rng=np.random.default_rng(0), direction="max")
         assert pop[0] is child
 
     def test_invalid_cf(self):
         pop = make_pop([[0.0]], [0.0])
         with pytest.raises(ValueError):
             crowding_replacement(Individual(np.array([0.0]), 1.0), pop, cf=2,
-                                 rng=RngStream(0), direction="max")
+                                 rng=np.random.default_rng(0), direction="max")
+
+
+def shared_scores(pop, sharing_radius):
+    """Shared scores of a larger-is-better population, sharing exponent 1."""
+    return _shared_scores(pop.genome_matrix(), pop.fitnesses(), "max", sharing_radius, 1.0)
 
 
 class TestSharedFitness:
     def test_singleton_is_raw(self):
         pop = make_pop([[0.0]], [4.0])
-        assert shared_fitness(0, pop, sharing_radius=1.0) == 4.0
+        assert shared_scores(pop, sharing_radius=1.0)[0] == 4.0
 
     def test_two_identical_split_in_half(self):
         pop = make_pop([[0.0], [0.0]], [4.0, 4.0])
-        assert shared_fitness(0, pop, sharing_radius=1.0) == 2.0
-        assert shared_fitness(1, pop, sharing_radius=1.0) == 2.0
+        assert shared_scores(pop, sharing_radius=1.0)[0] == 2.0
+        assert shared_scores(pop, sharing_radius=1.0)[1] == 2.0
 
     def test_distant_members_share_nothing(self):
         pop = make_pop([[0.0], [10.0], [20.0]], [4.0, 6.0, 8.0])
         for i, raw in enumerate((4.0, 6.0, 8.0)):
-            assert shared_fitness(i, pop, sharing_radius=1.0) == raw
+            assert shared_scores(pop, sharing_radius=1.0)[i] == raw
 
     def test_denominator_at_least_one(self):
         rng = np.random.default_rng(73)
@@ -117,14 +122,14 @@ class TestSharedFitness:
             n = int(rng.integers(1, 8))
             pop = make_pop(list(rng.uniform(-1, 1, size=(n, 2))), rng.uniform(1, 2, size=n))
             for i in range(n):
-                assert shared_fitness(i, pop, sharing_radius=0.7) <= pop[i].fitness + 1e-12
+                assert shared_scores(pop, sharing_radius=0.7)[i] <= pop[i].fitness + 1e-12
 
     def test_smallest_cluster_wins_at_equal_raw_fitness(self):
         # duplicate clusters separated beyond the radius: the member with
         # the fewest neighbors gets the highest shared fitness
         genomes = [[0.0]] * 4 + [[10.0]] * 2 + [[20.0]]
         pop = make_pop(genomes, [5.0] * 7)
-        values = [shared_fitness(i, pop, sharing_radius=1.0) for i in range(7)]
+        values = shared_scores(pop, sharing_radius=1.0).tolist()
         assert int(np.argmax(values)) == 6
         assert values[6] == 5.0
         assert values[4] == pytest.approx(2.5)
@@ -283,7 +288,7 @@ def _slotwise_initial_population(problem, config, seed):
     """Replicate the random initial population of a run for slot tracking."""
     from nichebench.core import random_genome
 
-    rng = RngStream(seed)
+    rng = np.random.default_rng(seed)
     return np.array([random_genome(rng, problem.bounds) for _ in range(config.population_size)])
 
 

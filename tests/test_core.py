@@ -1,21 +1,19 @@
-"""Core machinery: budget accounting, distances, and variation operators."""
+"""Core machinery: the evaluator, distances, and variation operators."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from nichebench.core import (
-    BudgetExhausted,
-    EvalBudget,
+    Evaluator,
     Individual,
     Population,
-    RngStream,
     binary_tournament,
     blend_crossover,
     de_trial_vector,
     euclidean_distance,
-    evaluate,
     gaussian_mutation,
     random_genome,
 )
@@ -53,56 +51,63 @@ class TestEuclideanDistance:
 
 
 class TestEvalBudget:
-    def test_spend_counts_and_raises(self):
-        budget = EvalBudget(2)
-        assert budget.spend() == 1
-        assert budget.spend() == 2
-        assert budget.exhausted
-        with pytest.raises(BudgetExhausted):
-            budget.spend()
-        assert budget.used == 2
+    """The evaluation budget, as :class:`Evaluator` enforces it."""
+
+    def test_counts_to_budget_then_returns_false(self):
+        evaluate = Evaluator(himmelblau(), 2)
+        assert evaluate(Individual(np.array([0.0, 0.0])))
+        assert evaluate.used == 1
+        assert evaluate(Individual(np.array([1.0, 1.0])))
+        assert evaluate.used == 2
+        assert evaluate.exhausted
+        assert not evaluate(Individual(np.array([2.0, 2.0])))
+        assert evaluate.used == 2
 
     def test_evaluate_himmelblau_zero(self):
-        budget = EvalBudget(10)
+        evaluate = Evaluator(himmelblau(), 10)
         ind = Individual(np.array([3.0, 2.0]))
-        evaluate(ind, himmelblau(), budget)
+        assert evaluate(ind)
         assert ind.fitness == 0.0
         assert ind.eval_index == 1
-        assert budget.used == 1
+        assert evaluate.used == 1
 
     def test_evaluate_deb1_peak(self):
         # independent high-precision value: sin(pi/2)^6 = 1
         import mpmath as mp
 
         expected = float(mp.sin(5 * mp.pi * mp.mpf("0.1")) ** 6)
-        budget = EvalBudget(1)
+        evaluate = Evaluator(deb1(), 1)
         ind = Individual(np.array([0.1]))
-        evaluate(ind, deb1(), budget)
+        assert evaluate(ind)
         assert ind.fitness == pytest.approx(expected, abs=1e-12)
         assert ind.fitness == pytest.approx(1.0, abs=1e-12)
-        assert budget.used == 1
+        assert evaluate.used == 1
 
     def test_evaluate_after_exhaustion_leaves_individual_untouched(self):
-        budget = EvalBudget(0)
+        calls = []
+        base = himmelblau()
+        counted = dataclasses.replace(base, objective=lambda x: calls.append(x) or base.objective(x))
+        evaluate = Evaluator(counted, 0)
         ind = Individual(np.array([3.0, 2.0]))
-        with pytest.raises(BudgetExhausted):
-            evaluate(ind, himmelblau(), budget)
+        assert not evaluate(ind)
         assert ind.fitness is None
-        assert budget.used == 0
+        assert ind.eval_index is None
+        assert evaluate.used == 0
+        assert calls == []
 
 
 class TestBinaryTournament:
     def test_better_of_two_max(self):
         pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
-        rng = RngStream(0)
-        winners = {binary_tournament(pop, RngStream(s), "max").fitness for s in range(30)}
+        rng = np.random.default_rng(0)
+        winners = {binary_tournament(pop, np.random.default_rng(s), "max").fitness for s in range(30)}
         assert 2.0 in winners
         # the better individual must win whenever both are drawn
         for s in range(30):
-            replay = RngStream(s)
-            i = int(replay.gen.integers(2))
-            j = int(replay.gen.integers(2))
-            got = binary_tournament(pop, RngStream(s), "max")
+            replay = np.random.default_rng(s)
+            i = int(replay.integers(2))
+            j = int(replay.integers(2))
+            got = binary_tournament(pop, np.random.default_rng(s), "max")
             expected = pop[j] if pop[j].fitness > pop[i].fitness else pop[i]
             assert got is expected
         del rng
@@ -110,24 +115,24 @@ class TestBinaryTournament:
     def test_better_of_two_min(self):
         pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
         for s in range(30):
-            replay = RngStream(s)
-            i = int(replay.gen.integers(2))
-            j = int(replay.gen.integers(2))
-            got = binary_tournament(pop, RngStream(s), "min")
+            replay = np.random.default_rng(s)
+            i = int(replay.integers(2))
+            j = int(replay.integers(2))
+            got = binary_tournament(pop, np.random.default_rng(s), "min")
             expected = pop[j] if pop[j].fitness < pop[i].fitness else pop[i]
             assert got is expected
 
     def test_tie_keeps_first_drawn(self):
         pop = make_pop([[0.0], [1.0], [2.0]], [5.0, 5.0, 5.0])
         for s in range(30):
-            replay = RngStream(s)
-            i = int(replay.gen.integers(3))
-            replay.gen.integers(3)
-            assert binary_tournament(pop, RngStream(s), "max") is pop[i]
+            replay = np.random.default_rng(s)
+            i = int(replay.integers(3))
+            replay.integers(3)
+            assert binary_tournament(pop, np.random.default_rng(s), "max") is pop[i]
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            binary_tournament(Population([], capacity=1), RngStream(0), "max")
+            binary_tournament(Population([], capacity=1), np.random.default_rng(0), "max")
 
 
 BOUNDS_1D = np.array([[0.0, 1.0]])
@@ -136,53 +141,53 @@ BOUNDS_1D = np.array([[0.0, 1.0]])
 class TestBlendCrossover:
     def test_equal_parents_yield_equal_children(self):
         p = np.array([0.3])
-        c1, c2 = blend_crossover(p, p, RngStream(3), BOUNDS_1D)
+        c1, c2 = blend_crossover(p, p, np.random.default_rng(3), BOUNDS_1D)
         assert c1[0] == 0.3 and c2[0] == 0.3
 
     def test_interval_contract(self):
         wide = np.array([[-10.0, 10.0]])
         for s in range(200):
-            c1, c2 = blend_crossover(np.array([0.0]), np.array([1.0]), RngStream(s), wide)
+            c1, c2 = blend_crossover(np.array([0.0]), np.array([1.0]), np.random.default_rng(s), wide)
             for c in (c1, c2):
                 assert -0.5 <= c[0] <= 1.5
 
     def test_clamping(self):
         for s in range(200):
-            c1, c2 = blend_crossover(np.array([0.0]), np.array([1.0]), RngStream(s), BOUNDS_1D)
+            c1, c2 = blend_crossover(np.array([0.0]), np.array([1.0]), np.random.default_rng(s), BOUNDS_1D)
             for c in (c1, c2):
                 assert 0.0 <= c[0] <= 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            blend_crossover(np.array([0.0]), np.array([0.0, 1.0]), RngStream(0), BOUNDS_1D)
+            blend_crossover(np.array([0.0]), np.array([0.0, 1.0]), np.random.default_rng(0), BOUNDS_1D)
 
 
 class TestGaussianMutation:
     def test_rate_zero_is_identity(self):
         g = np.array([0.2, 0.8])
         bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = gaussian_mutation(g, RngStream(1), bounds, rate=0.0, sigma=0.1)
+        out = gaussian_mutation(g, np.random.default_rng(1), bounds, rate=0.0, sigma=0.1)
         assert np.array_equal(out, g)
 
     def test_tiny_sigma_limit(self):
         g = np.array([0.5, 0.5])
         bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = gaussian_mutation(g, RngStream(1), bounds, rate=1.0, sigma=1e-13)
+        out = gaussian_mutation(g, np.random.default_rng(1), bounds, rate=1.0, sigma=1e-13)
         assert np.allclose(out, g, atol=1e-9)
 
     def test_output_within_bounds(self):
         bounds = np.array([[0.0, 1.0], [-2.0, -1.0]])
         for s in range(300):
-            g = random_genome(RngStream(s), bounds)
-            out = gaussian_mutation(g, RngStream(s + 1), bounds, rate=1.0, sigma=0.5)
+            g = random_genome(np.random.default_rng(s), bounds)
+            out = gaussian_mutation(g, np.random.default_rng(s + 1), bounds, rate=1.0, sigma=0.5)
             assert np.all(out >= bounds[:, 0]) and np.all(out <= bounds[:, 1])
 
     def test_invalid_params(self):
         bounds = np.array([[0.0, 1.0]])
         with pytest.raises(ValueError):
-            gaussian_mutation(np.array([0.5]), RngStream(0), bounds, rate=1.5, sigma=0.1)
+            gaussian_mutation(np.array([0.5]), np.random.default_rng(0), bounds, rate=1.5, sigma=0.1)
         with pytest.raises(ValueError):
-            gaussian_mutation(np.array([0.5]), RngStream(0), bounds, rate=0.5, sigma=0.0)
+            gaussian_mutation(np.array([0.5]), np.random.default_rng(0), bounds, rate=0.5, sigma=0.0)
 
 
 class TestDeTrialVector:
@@ -191,18 +196,18 @@ class TestDeTrialVector:
     def test_identical_donors_reproduce_donor(self):
         # all non-target members share one genome, so a + F(b - c) = a
         pop = make_pop([[9.0], [4.0], [4.0], [4.0]], [0, 0, 0, 0])
-        trial = de_trial_vector(0, pop, F=0.5, CR=1.0, rng=RngStream(5), bounds=self.WIDE)
+        trial = de_trial_vector(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(5), bounds=self.WIDE)
         assert trial[0] == 4.0
 
     def test_full_crossover_equals_mutant(self):
         # replay the draws to reconstruct the expected mutant
         pop = make_pop([[9.0], [0.0], [2.0], [4.0]], [0, 0, 0, 0])
         for s in range(100):
-            replay = RngStream(s)
+            replay = np.random.default_rng(s)
             candidates = np.array([1, 2, 3])
-            a, b, c = replay.gen.choice(candidates, size=3, replace=False)
+            a, b, c = replay.choice(candidates, size=3, replace=False)
             expected = pop[int(a)].genome + 0.5 * (pop[int(b)].genome - pop[int(c)].genome)
-            trial = de_trial_vector(0, pop, F=0.5, CR=1.0, rng=RngStream(s), bounds=self.WIDE)
+            trial = de_trial_vector(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(s), bounds=self.WIDE)
             assert trial[0] == expected[0]
 
     def test_arithmetic_case(self):
@@ -210,26 +215,26 @@ class TestDeTrialVector:
         pop = make_pop([[9.0], [0.0], [2.0], [4.0]], [0, 0, 0, 0])
         seen = set()
         for s in range(200):
-            trial = de_trial_vector(0, pop, F=0.5, CR=1.0, rng=RngStream(s), bounds=self.WIDE)
+            trial = de_trial_vector(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(s), bounds=self.WIDE)
             seen.add(round(float(trial[0]), 6))
         assert -1.0 in seen  # 0 + 0.5 * (2 - 4)
 
     def test_small_pool_rejected(self):
         pop = make_pop([[0.0], [1.0], [2.0]], [0, 0, 0])
         with pytest.raises(ValueError):
-            de_trial_vector(0, pop, 0.5, 0.9, RngStream(0), self.WIDE)
+            de_trial_vector(0, pop, 0.5, 0.9, np.random.default_rng(0), self.WIDE)
 
     def test_clamped(self):
         bounds = np.array([[0.0, 1.0]])
         pop = make_pop([[0.1], [0.0], [0.9], [1.0]], [0, 0, 0, 0])
         for s in range(100):
-            trial = de_trial_vector(0, pop, F=2.0, CR=1.0, rng=RngStream(s), bounds=bounds)
+            trial = de_trial_vector(0, pop, F=2.0, CR=1.0, rng=np.random.default_rng(s), bounds=bounds)
             assert 0.0 <= trial[0] <= 1.0
 
 
 def test_operator_chains_never_escape_bounds():
     bounds = np.array([[0.0, 1.0], [-5.0, 5.0], [100.0, 200.0]])
-    rng = RngStream(99)
+    rng = np.random.default_rng(99)
     pop = make_pop([random_genome(rng, bounds) for _ in range(6)], range(6))
     for step in range(500):
         c1, c2 = blend_crossover(pop[step % 6].genome, pop[(step + 1) % 6].genome, rng, bounds)
@@ -240,7 +245,16 @@ def test_operator_chains_never_escape_bounds():
         pop[step % 6] = Individual(t, float(step))
 
 
-def test_rng_stream_determinism():
-    a = RngStream(1234).gen.random(10)
-    b = RngStream(1234).gen.random(10)
-    assert np.array_equal(a, b)
+def test_int_seed_and_generator_give_identical_runs():
+    from nichebench.algorithms import ALGORITHMS, AlgorithmConfig
+
+    problem = himmelblau()
+    config = AlgorithmConfig(population_size=8)
+    for name, algorithm in ALGORITHMS.items():
+        by_seed = algorithm(problem, config, 100, 7)
+        by_generator = algorithm(problem, config, 100, np.random.default_rng(7))
+        assert by_seed.final_population.genomes().tobytes() == \
+            by_generator.final_population.genomes().tobytes(), name
+        assert by_seed.final_population.fitnesses().tobytes() == \
+            by_generator.final_population.fitnesses().tobytes(), name
+        assert by_seed.trace == by_generator.trace, name

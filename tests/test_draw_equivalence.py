@@ -18,7 +18,6 @@ from nichebench.algorithms import (
 from nichebench.core import (
     Individual,
     Population,
-    RngStream,
     blend_crossover,
     clip_to_bounds,
     de_trial_vector,
@@ -38,7 +37,7 @@ def reference_clip(genome, bounds):
 
 
 def reference_random_genome(rng, bounds):
-    return rng.gen.uniform(bounds[:, 0], bounds[:, 1])
+    return rng.uniform(bounds[:, 0], bounds[:, 1])
 
 
 def reference_blend_crossover(p1, p2, rng, bounds, alpha=0.5):
@@ -47,29 +46,29 @@ def reference_blend_crossover(p1, p2, rng, bounds, alpha=0.5):
     d = np.abs(p1 - p2)
     lo = np.minimum(p1, p2) - alpha * d
     hi = np.maximum(p1, p2) + alpha * d
-    c1 = rng.gen.uniform(lo, hi)
-    c2 = rng.gen.uniform(lo, hi)
+    c1 = rng.uniform(lo, hi)
+    c2 = rng.uniform(lo, hi)
     return reference_clip(c1, bounds), reference_clip(c2, bounds)
 
 
 def reference_gaussian_mutation(genome, rng, bounds, rate, sigma):
     out = np.asarray(genome, dtype=float).copy()
-    mask = rng.gen.random(out.shape[0]) < rate
+    mask = rng.random(out.shape[0]) < rate
     if mask.any():
         scale = sigma * (bounds[mask, 1] - bounds[mask, 0])
-        out[mask] += rng.gen.normal(0.0, scale)
+        out[mask] += rng.normal(0.0, scale)
     return reference_clip(out, bounds)
 
 
 def reference_de_trial_vector(target_idx, pop, F, CR, rng, bounds, donor_pool=None):
     pool = list(range(len(pop))) if donor_pool is None else list(donor_pool)
     candidates = np.array([i for i in pool if i != target_idx], dtype=int)
-    a, b, c = rng.gen.choice(candidates, size=3, replace=False)
+    a, b, c = rng.choice(candidates, size=3, replace=False)
     mutant = pop[int(a)].genome + F * (pop[int(b)].genome - pop[int(c)].genome)
     target = pop[target_idx].genome
     dim = target.shape[0]
-    cross = rng.gen.random(dim) < CR
-    cross[int(rng.gen.integers(dim))] = True
+    cross = rng.random(dim) < CR
+    cross[int(rng.integers(dim))] = True
     return reference_clip(np.where(cross, mutant, target), bounds)
 
 
@@ -77,7 +76,7 @@ def reference_crowding_replacement(child, pop, cf, rng, direction):
     if cf == len(pop):
         idxs = np.arange(len(pop))
     else:
-        idxs = rng.gen.choice(len(pop), size=cf, replace=False)
+        idxs = rng.choice(len(pop), size=cf, replace=False)
     genomes = np.array([pop[int(i)].genome for i in idxs])
     dists = np.sqrt(np.sum((genomes - child.genome) ** 2, axis=1))
     nearest = int(np.min(idxs[dists == dists.min()]))
@@ -143,11 +142,11 @@ def reference_conserve(pop, seeds, species_distance, direction):
 # ---------------------------------------------------------------------------
 
 def twin_streams(seed):
-    return RngStream(seed), RngStream(seed)
+    return np.random.default_rng(seed), np.random.default_rng(seed)
 
 
 def assert_same_stream(a, b):
-    assert a.gen.bit_generator.state == b.gen.bit_generator.state
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def assert_bits_equal(x, y):
@@ -228,7 +227,7 @@ def test_blend_crossover_matches_uniform_draws():
 def test_blend_crossover_equal_parents_give_parent():
     bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
     p = np.array([0.25, 0.75])
-    c1, c2 = blend_crossover(p, p.copy(), RngStream(1), bounds)
+    c1, c2 = blend_crossover(p, p.copy(), np.random.default_rng(1), bounds)
     assert_bits_equal(c1, p)
     assert_bits_equal(c2, p)
 
@@ -253,7 +252,7 @@ def test_gaussian_mutation_matches_normal_draws(rate):
 def test_gaussian_mutation_leaves_input_alone():
     genome = np.array([0.5, 0.5])
     bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-    gaussian_mutation(genome, RngStream(3), bounds, rate=1.0, sigma=0.5)
+    gaussian_mutation(genome, np.random.default_rng(3), bounds, rate=1.0, sigma=0.5)
     assert genome.tolist() == [0.5, 0.5]
 
 
@@ -299,10 +298,10 @@ def test_de_trial_vector_still_rejects_small_pools():
     rng = np.random.default_rng(11)
     pop, bounds = _de_case(rng, 3, 2)
     with pytest.raises(ValueError, match="at least 4"):
-        de_trial_vector(0, pop, 0.5, 0.9, RngStream(0), bounds)
+        de_trial_vector(0, pop, 0.5, 0.9, np.random.default_rng(0), bounds)
     pop, bounds = _de_case(rng, 10, 2)
     with pytest.raises(ValueError, match="at least 4"):
-        de_trial_vector(0, pop, 0.5, 0.9, RngStream(0), bounds, donor_pool=[0, 1, 2])
+        de_trial_vector(0, pop, 0.5, 0.9, np.random.default_rng(0), bounds, donor_pool=[0, 1, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,11 @@ class TestRunExperiment:
             for problem in table.problems:
                 for metric in table.metrics_for(problem):
                     assert len(table.raw(alg, problem, metric)) == spec.runs
+        runs_csv = Path(spec.output_dir) / "runs.csv"
+        first = runs_csv.read_bytes()
         table2 = run_experiment(tiny_spec(tmp_path))
         assert table.values == table2.values
-        assert table.seeds == table2.seeds
+        assert runs_csv.read_bytes() == first  # same derived seeds, same rows
 
     def test_runs_csv_schema_and_flush(self, tmp_path):
         spec = tiny_spec(tmp_path)
@@ -107,7 +109,8 @@ class TestRunExperiment:
         for row in rows:
             stored = float(row["value"])
             assert stored in table.raw(row["algorithm"], row["problem"], row["metric"])
-            assert int(row["seed"]) == table.seeds[(row["algorithm"], row["problem"], int(row["run"]))]
+            assert int(row["seed"]) == derive_seed(spec.base_seed, row["algorithm"],
+                                                   row["problem"], int(row["run"]))
 
     def test_run_isolation_matches_harness(self, tmp_path):
         # executing a single run in isolation reproduces the table cell
@@ -115,7 +118,7 @@ class TestRunExperiment:
         table = run_experiment(spec)
         alg, config = spec.algorithms[1]
         seed = derive_seed(spec.base_seed, alg, "deb1", 1)
-        metrics, _, _ = _execute_run((alg, config, "deb1", None, spec.max_evals, seed, 1))
+        metrics, _ = _execute_run((alg, config, "deb1", None, spec.max_evals, seed, 1))
         for metric, value in metrics.items():
             assert table.raw(alg, "deb1", metric)[1] == value
 
@@ -141,10 +144,15 @@ class TestEmitReports:
     def test_files_written_and_roundtrip(self, tmp_path):
         spec = tiny_spec(tmp_path)
         table = run_experiment(spec)
+        runs_csv = Path(spec.output_dir) / "runs.csv"
+        streamed = runs_csv.read_bytes()
         written = emit_reports(table, output_dir=spec.output_dir)
         names = {p.name for p in written}
-        assert "runs.csv" in names and "summary.csv" in names and "traces.csv" in names
+        assert "summary.csv" in names and "traces.csv" in names
         assert any(n.startswith("significance_") for n in names)
+        # the run-major file streamed by run_experiment is the only runs.csv
+        assert "runs.csv" not in names
+        assert runs_csv.read_bytes() == streamed
 
         with open(Path(spec.output_dir) / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -155,6 +163,30 @@ class TestEmitReports:
                     assert stored == table.mean(alg, row["problem"], row["metric"])
                 else:
                     assert stored == table.stddev(alg, row["problem"], row["metric"])
+
+    def test_t_test_on_single_runs_rejected_before_any_file(self, tmp_path):
+        spec = ExperimentSpec(
+            algorithms=[(name, AlgorithmConfig(population_size=6)) for name in ("crowding_de", "sde")],
+            problems=["deb1"],
+            runs=1,
+            max_evals=60,
+            output_dir=tmp_path / "out",
+        )
+        table = run_experiment(spec)
+        out = Path(spec.output_dir)
+        with pytest.raises(ConfigError):
+            emit_reports(table, output_dir=out)
+        assert not (out / "summary.csv").exists()
+        assert not list(out.glob("significance_*.json"))
+        # without the t test, one run per cell is reportable
+        written = emit_reports(table, tests=("mwu",), output_dir=out)
+        assert (out / "significance_deb1_best_fitness_mwu.json") in written
+
+    def test_unknown_test_rejected(self, tmp_path):
+        table = ResultTable(algorithms=["a", "b"], problems=["p"], runs=4)
+        with pytest.raises(ConfigError):
+            emit_reports(table, tests=("nope",), output_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_significance_matrix_layout(self, tmp_path):
         spec = tiny_spec(tmp_path)

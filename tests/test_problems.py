@@ -5,11 +5,11 @@ import pytest
 from scipy.optimize import minimize
 
 from nichebench.core import is_better
+from nichebench.harness import ConfigError, resolve_problem
 from nichebench.problems import (
     PROBLEM_FACTORIES,
     branin,
     deb1,
-    get_problem,
     himmelblau,
     rosenbrock,
     six_hump_camel,
@@ -125,9 +125,9 @@ def test_peak_list_matches_multistart_oracle(problem):
 
 def test_registry_roundtrip():
     for name in PROBLEM_FACTORIES:
-        assert get_problem(name).name == name
-    with pytest.raises(KeyError):
-        get_problem("nope")
+        assert resolve_problem(name).name == name
+    with pytest.raises(ConfigError):
+        resolve_problem("nope")
 
 
 def test_direction_orientation_of_peaks():
