@@ -3,9 +3,11 @@ with metric aggregation, significance matrices, and CSV/JSON persistence.
 
 Seeds are derived deterministically from (base_seed, algorithm, problem,
 run index) so any run can be reproduced in isolation, and every run's
-metric rows hit disk before aggregation so a crash loses at most the run
-in flight. Raw rows use the frozen column schema
-``algorithm,problem,run,seed,metric,value``.
+metric rows hit disk, in grid order, before aggregation. With ``jobs > 1``
+runs go to the process pool in chunks of ``max(1, len(tasks) // (32 *
+jobs))`` runs, so a crash loses at most the runs in flight, one chunk per
+worker, plus any finished chunk still waiting for an earlier one. Raw
+rows use the frozen column schema ``algorithm,problem,run,seed,metric,value``.
 """
 
 from __future__ import annotations
@@ -174,13 +176,27 @@ class ResultTable:
         return float(np.std(raw, ddof=1))
 
 
+# a grid is cut into about this many chunks per worker: enough to balance
+# uneven runs, few enough that short runs are not dominated by dispatch
+_CHUNKS_PER_WORKER = 32
+
+
+def _chunksize(n_tasks: int, jobs: int) -> int:
+    """Runs per process-pool task for a grid of ``n_tasks`` runs."""
+    return max(1, n_tasks // (_CHUNKS_PER_WORKER * jobs))
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     """Execute every (algorithm, problem, run) cell of the spec.
 
     Run ``r`` of an algorithm/problem pair is seeded with
     ``derive_seed(base_seed, algorithm, problem, r)``, so per-run results
     do not depend on execution order or parallelism. Raw metric rows are
-    appended (and flushed) to ``runs.csv`` as each run finishes.
+    appended (and flushed) to ``runs.csv`` in grid order as each run
+    finishes. With ``jobs > 1`` the pool receives the runs in chunks of
+    ``_chunksize(len(tasks), jobs)`` and returns them in order, so a crash
+    loses at most the runs in flight (one chunk per worker) plus finished
+    chunks waiting for an earlier one.
     """
     spec.validate()
     out_dir = Path(spec.output_dir)
@@ -221,7 +237,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
                 record(task, _execute_run(task))
         else:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for task, outcome in zip(tasks, pool.map(_execute_run, tasks)):
+                outcomes = pool.map(_execute_run, tasks, chunksize=_chunksize(len(tasks), jobs))
+                for task, outcome in zip(tasks, outcomes):
                     record(task, outcome)
     return table
 

@@ -17,9 +17,10 @@ __all__ = ["peak_ratio", "avg_min_distance", "best_fitness", "distinct_peaks"]
 
 
 def _member_matrix(pop: Population) -> np.ndarray:
+    """The population's own genome matrix; the metrics only read it."""
     if len(pop) == 0:
         raise ValueError("empty population")
-    return pop.genomes()
+    return pop.genome_matrix()
 
 
 def peak_ratio(pop: Population, peaks, radius: float = 0.1) -> float:
@@ -74,10 +75,15 @@ def distinct_peaks(
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=float)
         members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
-    counted: list[np.ndarray] = []
-    for ind, point in zip(pop, members):
-        if ind.fitness is None or not is_better(ind.fitness, fitness_threshold, direction):
-            continue
-        if all(float(np.sqrt(np.sum((point - q) ** 2))) >= radius for q in counted):
-            counted.append(point)
-    return len(counted)
+    # free[i]: member i qualifies and lies at distance >= radius from every
+    # member counted so far
+    free = np.array([
+        ind.fitness is not None and is_better(ind.fitness, fitness_threshold, direction)
+        for ind in pop
+    ])
+    counted = 0
+    for idx in np.flatnonzero(free).tolist():
+        if free[idx]:
+            counted += 1
+            free &= np.sqrt(np.sum((members - members[idx]) ** 2, axis=1)) >= radius
+    return counted

@@ -6,10 +6,20 @@ two-sample Kolmogorov-Smirnov test with the asymptotic Kolmogorov
 distribution, and Welch's unequal-variance t test. All tests are
 two-sided. ``pairwise_matrix`` turns a list of per-algorithm samples into
 the boolean significance grid used by the experiment reports.
+
+The exact Mann-Whitney null distribution depends only on the pool's sorted
+doubled midranks and the smaller sample size k. It is computed once per
+``(np.sort(doubled).tobytes(), k)`` key and kept in a 64-entry LRU cache,
+and each step of its knapsack touches only the rows that can still reach
+k and the columns up to the running maximum sum. Samples of equal size
+without ties share one key, so a pairwise grid mostly costs lookups. The
+p-value stays exact: every count is an integer below C(40, 20) < 2^53, so
+the float64 sums are exact and give the same double as a full recount.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,25 +104,66 @@ def _rank_sum_doubled(a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
     return int(ranks[: a.size].sum()), doubled
 
 
-def _exact_mwu_pvalue(doubled_ranks: np.ndarray, k: int, dev2_obs: int, nm: int) -> float:
-    """Two-sided exact p by dynamic programming over rank-sum counts.
+# distinct null distributions kept by _null_rank_sum_counts; within
+# EXACT_MWU_LIMIT one entry is at most a 10 KB counts row and a 3 KB key
+_NULL_CACHE_SIZE = 64
 
-    Counts, for every achievable doubled rank sum s of a k-subset of the
-    pool, the number of subsets attaining it. All counts are bounded by
-    C(n+m, k) <= C(40, 20) < 2^53 whenever n*m <= EXACT_MWU_LIMIT, so
-    float64 accumulation is exact.
+
+@functools.lru_cache(maxsize=_NULL_CACHE_SIZE)
+def _null_rank_sum_counts(weights_key: bytes, k: int) -> tuple[np.ndarray, float]:
+    """Null distribution of the doubled rank sum of a k-subset of a pool.
+
+    ``weights_key`` is the ``tobytes()`` of the pool's sorted int64 doubled
+    midranks. Returns the read-only row ``counts`` where ``counts[s]`` is
+    the number of k-subsets whose doubled ranks sum to ``s``, and its
+    total C(n + m, k).
+
+    The 0/1 knapsack runs over the weights in ascending order and, per
+    weight, updates only the band that can matter, in one block: the rows
+    ``kk`` from which k is still reachable with the weights left, and the
+    columns up to the sum of the weights processed so far (every entry
+    beyond it is zero).
     """
-    weights = np.sort(doubled_ranks)
-    smax = int(weights[-k:].sum())
+    weights = np.frombuffer(weights_key, dtype=np.int64).tolist()
+    n_weights = len(weights)
+    smax = sum(weights[n_weights - k:])
     counts = np.zeros((k + 1, smax + 1))
     counts[0, 0] = 1.0
+    reached = 0  # sum of the weights processed so far
     for processed, w in enumerate(weights, start=1):
-        for kk in range(min(k, processed) - 1, -1, -1):
-            counts[kk + 1, w:] += counts[kk, : smax + 1 - w]
-    total = counts[k].sum()
-    sums = np.arange(smax + 1)
-    dev2 = np.abs(sums - k * (k + 1) - nm)  # doubled |U - nm/2|
-    favorable = counts[k, dev2 >= dev2_obs].sum()
+        reached = min(smax, reached + w)
+        lowest = max(0, k - 1 - (n_weights - processed))
+        top = min(k, processed)
+        # rows lowest+1..top each gain the row below as it was before this
+        # weight: NumPy evaluates an overlapping in-place add as if the
+        # right-hand side were copied first
+        counts[lowest + 1 : top + 1, w : reached + 1] += counts[lowest:top, : reached + 1 - w]
+    row = counts[k].copy()  # a view would keep the whole table alive
+    row.flags.writeable = False
+    return row, float(row.sum())
+
+
+def _exact_mwu_pvalue(doubled_ranks: np.ndarray, k: int, dev2_obs: int, nm: int) -> float:
+    """Two-sided exact p from the null distribution of the rank sum.
+
+    Counts, for every achievable doubled rank sum s of a k-subset of the
+    pool, the number of subsets attaining it, and returns the share whose
+    doubled ``|U - nm/2|`` is at least ``dev2_obs``. The distribution
+    depends only on the sorted doubled ranks and ``k``, so it is computed
+    once per ``(np.sort(doubled_ranks).tobytes(), k)`` key and kept in a
+    bounded LRU cache (``_null_rank_sum_counts``), which also trims each
+    knapsack step to the rows and columns that can reach a k-subset sum.
+
+    The p-value is still exact: all counts are integers bounded by
+    C(n+m, k) <= C(40, 20) < 2^53 whenever n*m <= EXACT_MWU_LIMIT, so
+    every float64 sum of them is exact in any order, and the skipped
+    entries are zeros or rows that never reach k. ``favorable / total`` is
+    therefore the same double with or without the cache and the trimming.
+    """
+    weights = np.sort(np.asarray(doubled_ranks, dtype=np.int64))
+    counts, total = _null_rank_sum_counts(weights.tobytes(), k)
+    dev2 = np.abs(np.arange(counts.size) - k * (k + 1) - nm)  # doubled |U - nm/2|
+    favorable = counts[dev2 >= dev2_obs].sum()
     return float(favorable / total)
 
 

@@ -165,6 +165,7 @@ def test_criterion_1_oracle_equivalence():
 # criterion 2: budget exactness and bit-identical determinism
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_2_budget_exactness_and_determinism():
     with criterion(2, "10000-eval budget exactness and fixed-seed determinism"):
         for problem_name, factory in sorted(PROBLEM_FACTORIES.items()):
@@ -187,6 +188,7 @@ def test_criterion_2_budget_exactness_and_determinism():
 # criterion 3: CrowdingDE niching efficacy floors
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_3_crowding_de_peak_ratio_floors(tmp_path):
     with criterion(3, "CrowdingDE mean peak ratio >= 0.90 (himmelblau), >= 0.80 (deb1)"):
         spec = ExperimentSpec(
@@ -206,6 +208,7 @@ def test_criterion_3_crowding_de_peak_ratio_floors(tmp_path):
         assert mean_deb1 >= 0.80
 
 
+@pytest.mark.slow
 def test_crowding_ga_spans_multiple_deb1_peaks(tmp_path):
     # supplementary example-level check: CrowdingGA keeps at least two of
     # deb1's five peaks populated in at least 90% of 50 seeded runs
@@ -230,6 +233,7 @@ def test_crowding_ga_spans_multiple_deb1_peaks(tmp_path):
 # criterion 4: qualitative ordering on the grating problem
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_grating_ordering_crowding_vs_sharing(tmp_path):
     with criterion(4, "grating: CrowdingDE finds more distinct peaks than SharingDE (MWU significant)"):
         spec = ExperimentSpec(

@@ -1,8 +1,8 @@
 """The fast operators against the implementations they replaced.
 
 Each ``reference_*`` function below is the earlier, straightforward form
-of an operator. The current operator must return bit-identical values and
-leave the random stream in the identical state, on random inputs and on
+of an operator or metric. The current one must return bit-identical values
+and leave the random stream in the identical state, on random inputs and on
 the edge cases named in each test. Together with the fingerprint table
 this is what lets the hot path change without moving a published number.
 """
@@ -26,6 +26,7 @@ from nichebench.core import (
     is_better,
     random_genome,
 )
+from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,21 @@ def reference_conserve(pop, seeds, species_distance, direction):
         pop[slot] = seed.copy()
         replaced.add(slot)
     return pop
+
+
+def reference_distinct_peaks(pop, fitness_threshold=1e-4, radius=0.1, direction="min",
+                             bounds=None):
+    members = pop.genomes()
+    if bounds is not None:
+        bounds = np.asarray(bounds, dtype=float)
+        members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
+    counted = []
+    for ind, point in zip(pop, members):
+        if ind.fitness is None or not is_better(ind.fitness, fitness_threshold, direction):
+            continue
+        if all(float(np.sqrt(np.sum((point - q) ** 2))) >= radius for q in counted):
+            counted.append(point)
+    return len(counted)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +407,47 @@ def test_conservation_seed_at_exactly_half_the_distance_is_outside():
         pop = population([[0.5], [3.0], [4.0]], [1.0, 0.0, 2.0])
         conserve(pop, [seed], 1.0, "max")
         assert [m.genome[0] for m in pop] == [0.5, 0.0, 4.0]
+
+
+# ---------------------------------------------------------------------------
+# metrics
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_distinct_peaks_matches_scalar_rescan(direction):
+    rng = np.random.default_rng(16)
+    for trial in range(400):
+        n = int(rng.integers(1, 60))
+        dim = int(rng.choice(DIMS))
+        bounds = random_bounds(rng, dim) if trial % 2 else None
+        lo, hi = (0.0, 1.0) if bounds is None else (bounds[:, 0], bounds[:, 1])
+        genomes = rng.uniform(lo, hi, size=(n, dim))
+        if n > 3:
+            genomes[1] = genomes[0]  # duplicate genomes
+        fits = rng.uniform(0.0, 2.0, size=n)
+        members = [Individual(g, None if i % 7 == 3 else float(f))
+                   for i, (g, f) in enumerate(zip(genomes, fits))]
+        pop = Population(members)
+        threshold = float(rng.uniform(0.0, 2.0))
+        radius = float(rng.uniform(0.01, 0.8))
+        got = distinct_peaks(pop, threshold, radius, direction, bounds)
+        assert got == reference_distinct_peaks(pop, threshold, radius, direction, bounds)
+
+
+def test_distinct_peaks_pair_at_exactly_the_radius_counts_twice():
+    pop = population([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]], [0.0, 0.0, 0.0])
+    assert distinct_peaks(pop, 1.0, 0.5) == reference_distinct_peaks(pop, 1.0, 0.5) == 2
+
+
+def test_metrics_leave_the_genome_matrix_alone():
+    rng = np.random.default_rng(17)
+    pop = population(rng.uniform(size=(20, 3)), np.zeros(20))
+    before = pop.genomes()
+    bounds = np.array([[0.0, 2.0]] * 3)
+    distinct_peaks(pop, 1.0, 0.2, "min", bounds)
+    peak_ratio(pop, [np.full(3, 0.5)])
+    avg_min_distance(pop, [np.full(3, 0.5)])
+    assert_bits_equal(pop.genome_matrix(), before)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from nichebench.harness import (
     ConfigError,
     ExperimentSpec,
     ResultTable,
+    _chunksize,
     _execute_run,
     derive_seed,
     emit_reports,
@@ -127,6 +128,23 @@ class TestRunExperiment:
         sequential = run_experiment(spec)
         parallel = run_experiment(tiny_spec(tmp_path), jobs=2)
         assert sequential.values == parallel.values
+
+    def test_chunked_parallel_dispatch_matches_sequential_bytes(self, tmp_path):
+        # 2 algorithms x 64 runs = 128 tasks: two runs per chunk at jobs=2
+        assert _chunksize(128, 2) == 2
+        outputs = {}
+        for jobs in (1, 2):
+            spec = tiny_spec(tmp_path / f"jobs{jobs}", runs=64, max_evals=30)
+            table = run_experiment(spec, jobs=jobs)
+            out = Path(spec.output_dir)
+            written = emit_reports(table, output_dir=out)
+            outputs[jobs] = {p.name: p.read_bytes() for p in [out / "runs.csv", *written]}
+        assert outputs[1] == outputs[2]
+
+    def test_chunk_rule_keeps_small_grids_at_one_run_per_task(self):
+        for n_tasks in (14, 50, 100):
+            assert _chunksize(n_tasks, 2) == 1
+        assert _chunksize(840, 2) == 13
 
     def test_grating_metrics_selection(self, tmp_path):
         spec = tiny_spec(tmp_path, problems=("grating",), algorithms=("sde",),

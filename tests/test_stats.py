@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from nichebench import stats
 from nichebench.stats import (
     EXACT_MWU_LIMIT,
     SampleSet,
+    _exact_mwu_pvalue,
+    _rank_sum_doubled,
     ks_two_sample,
     mann_whitney_u,
     pairwise_matrix,
@@ -109,6 +112,92 @@ class TestMannWhitneyU:
         b = np.full(30, 2.0)
         _, p = mann_whitney_u(a, b)
         assert p == 1.0
+
+
+def reference_exact_mwu_pvalue(doubled_ranks, k, dev2_obs, nm):
+    """The full rank-sum DP, recomputed on every call, without a cache."""
+    weights = np.sort(doubled_ranks)
+    smax = int(weights[-k:].sum())
+    counts = np.zeros((k + 1, smax + 1))
+    counts[0, 0] = 1.0
+    for processed, w in enumerate(weights, start=1):
+        for kk in range(min(k, processed) - 1, -1, -1):
+            counts[kk + 1, w:] += counts[kk, : smax + 1 - w]
+    total = counts[k].sum()
+    sums = np.arange(smax + 1)
+    dev2 = np.abs(sums - k * (k + 1) - nm)
+    favorable = counts[k, dev2 >= dev2_obs].sum()
+    return float(favorable / total)
+
+
+def exact_case(a, b):
+    """The arguments mann_whitney_u passes to the exact path for (a, b)."""
+    n, m = len(a), len(b)
+    rank2_a, doubled = _rank_sum_doubled(np.asarray(a, float), np.asarray(b, float))
+    return doubled, min(n, m), abs(rank2_a - n * (n + 1) - n * m), n * m
+
+
+class TestExactMwuCache:
+    """The cached, band-trimmed null distribution gives the same doubles."""
+
+    @staticmethod
+    def random_cases(seed, count):
+        rng = np.random.default_rng(seed)
+        cases = []
+        while len(cases) < count:
+            n = int(rng.integers(1, 21))
+            m = int(rng.integers(1, 21))
+            if n == m or n * m > EXACT_MWU_LIMIT:
+                continue
+            if rng.random() < 0.5:  # heavy ties
+                values = rng.integers(0, int(rng.integers(2, 7)), size=n + m).astype(float)
+            else:
+                values = rng.normal(size=n + m)
+            cases.append(exact_case(values[:n], values[n:]))
+        return cases
+
+    def assert_all_equal(self, cases):
+        for case in cases:
+            assert _exact_mwu_pvalue(*case) == reference_exact_mwu_pvalue(*case)
+
+    def test_cold_warm_and_reverse_order(self):
+        cases = self.random_cases(71, 300)
+        stats._null_rank_sum_counts.cache_clear()
+        self.assert_all_equal(cases)  # cold cache, then misses and evictions
+        self.assert_all_equal(cases[-40:])  # warm: the last entries are cached
+        assert stats._null_rank_sum_counts.cache_info().hits >= 40
+        self.assert_all_equal(cases[::-1])
+
+    def test_single_element_side_and_all_tied_pools(self):
+        stats._null_rank_sum_counts.cache_clear()
+        cases = [
+            exact_case([1.0], [2.0]),
+            exact_case([3.0], [1.0, 2.0, 4.0, 5.0]),
+            exact_case(np.arange(20.0), [7.5]),
+            exact_case([2.0] * 3, [2.0] * 9),
+            exact_case([2.0] * 20, [2.0] * 20),
+            exact_case([1.0], [1.0] * 19),
+        ]
+        for _ in range(2):  # cold, then warm
+            self.assert_all_equal(cases)
+
+    def test_largest_exact_products(self):
+        rng = np.random.default_rng(73)
+        stats._null_rank_sum_counts.cache_clear()
+        for n, m in ((20, 20), (10, 40), (40, 10), (16, 25)):
+            assert n * m == EXACT_MWU_LIMIT
+            for tied in (False, True):
+                values = rng.integers(0, 4, size=n + m).astype(float) if tied \
+                    else rng.normal(size=n + m)
+                case = exact_case(values[:n], values[n:])
+                assert _exact_mwu_pvalue(*case) == reference_exact_mwu_pvalue(*case)
+
+    def test_cached_row_is_read_only(self):
+        case = exact_case([1.0, 2.0, 3.0], [4.0, 5.0])
+        _exact_mwu_pvalue(*case)
+        counts, total = stats._null_rank_sum_counts(np.sort(case[0]).tobytes(), case[1])
+        assert not counts.flags.writeable
+        assert total == math.comb(5, 2)
 
 
 def oracle_ks_d(a, b):
