@@ -4,6 +4,10 @@ sharing (GA and DE), species conservation, and species-partitioned DE.
 Every algorithm has the signature ``(problem, config, budget, rng) ->
 RunResult`` and terminates exactly when the evaluation budget runs out,
 returning the partially updated population if that happens mid-generation.
+Children come from two streams, ``_RunState.ga_children`` (BLX crossover,
+Gaussian mutation) and ``_RunState.de_children`` (DE/rand/1/bin trials),
+the only code that builds, evaluates and budget-checks a child: no child
+is built once the budget is spent.
 ``budget`` is the number of objective evaluations (an int) and ``rng`` an
 int seed or a ``np.random.Generator``, which is used as is.
 
@@ -113,7 +117,9 @@ class RunResult:
 
 
 class _RunState:
-    """Per-run bookkeeping: the evaluator, the RNG and the GA operators."""
+    """Per-run bookkeeping: the evaluator, the RNG, and the two child
+    streams, the only code that builds, evaluates and budget-checks a
+    child."""
 
     def __init__(self, problem, config: AlgorithmConfig, budget, rng):
         config.validate()
@@ -124,44 +130,53 @@ class _RunState:
         self.bounds = problem.bounds
         self.mutation_rate = config.effective_mutation_rate(problem.dimension)
 
-    @property
-    def exhausted(self) -> bool:
-        return self.evaluate.exhausted
-
-    def checkpoint(self) -> None:
-        self.evaluate.checkpoint()
-
     def init_population(self) -> Population:
         """Random members, evaluated in order while the budget lasts."""
-        size = self.config.population_size
-        members = [Individual(random_genome(self.rng, self.bounds)) for _ in range(size)]
+        members = [Individual(random_genome(self.rng, self.bounds))
+                   for _ in range(self.config.population_size)]
         for ind in members:
             self.evaluate(ind)
-        self.checkpoint()
-        return Population(members, capacity=size)
+        self.evaluate.checkpoint()
+        return Population(members)
 
-    def crossover(self, p1: Individual, p2: Individual) -> tuple[np.ndarray, np.ndarray]:
-        return blend_crossover(p1.genome, p2.genome, self.rng, self.bounds,
-                               alpha=self.config.blend_alpha)
+    def ga_children(self, p1: Individual, p2: Individual):
+        """Evaluated BLX/mutation children of ``p1`` and ``p2``; stops once the
+        budget is spent, before mutating a child it could not evaluate."""
+        cfg = self.config
+        for genome in blend_crossover(p1.genome, p2.genome, self.rng, self.bounds, cfg.blend_alpha):
+            if self.evaluate.exhausted:
+                return
+            child = Individual(gaussian_mutation(genome, self.rng, self.bounds,
+                                                 self.mutation_rate, cfg.mutation_sigma))
+            self.evaluate(child)
+            yield child
 
-    def mutate(self, genome: np.ndarray) -> np.ndarray:
-        return gaussian_mutation(genome, self.rng, self.bounds,
-                                 rate=self.mutation_rate, sigma=self.config.mutation_sigma)
+    def de_children(self, pop: Population, donor_pools=None):
+        """``(target, evaluated trial)`` for each target in order; stops once
+        the budget is spent. A trial is built only after the caller has
+        handled the previous one, so it sees the replacements made so far.
+        ``donor_pools[target]`` lists the target's donors (None: everyone)."""
+        cfg = self.config
+        for target in range(len(pop)):
+            if self.evaluate.exhausted:
+                return
+            pool = None if donor_pools is None else donor_pools[target]
+            child = Individual(de_trial_vector(target, pop, cfg.de_F, cfg.de_CR,
+                                               self.rng, self.bounds, donor_pool=pool))
+            self.evaluate(child)
+            yield target, child
 
     def breed(self, pop: Population, select) -> None:
         """Generational GA step: evaluated children of ``select()``-chosen
         parent pairs fill the population's slots in order; if the budget
         runs out first, the remaining slots keep their parents."""
         children: list[Individual] = []
-        while len(children) < len(pop) and not self.exhausted:
+        while len(children) < len(pop) and not self.evaluate.exhausted:
             p1, p2 = select(), select()
-            for genome in self.crossover(p1, p2):
+            for child in self.ga_children(p1, p2):
+                children.append(child)
                 if len(children) == len(pop):
                     break
-                child = Individual(self.mutate(genome))
-                if not self.evaluate(child):
-                    break
-                children.append(child)
         for slot, child in enumerate(children):
             pop[slot] = child
 
@@ -179,18 +194,16 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
     """
     st = _RunState(problem, config or AlgorithmConfig(), budget, rng)
     pop = st.init_population()
-    while not st.exhausted:
+    while not st.evaluate.exhausted:
         order = st.rng.permutation(len(pop))
         for k in range(0, len(pop) - 1, 2):
-            if st.exhausted:
+            if st.evaluate.exhausted:
                 break
             i, j = int(order[k]), int(order[k + 1])
-            for parent_idx, genome in zip((i, j), st.crossover(pop[i], pop[j])):
-                child = Individual(st.mutate(genome))
-                if st.evaluate(child) and is_better(child.fitness, pop[parent_idx].fitness,
-                                                    st.direction):
+            for parent_idx, child in zip((i, j), st.ga_children(pop[i], pop[j])):
+                if is_better(child.fitness, pop[parent_idx].fitness, st.direction):
                     pop[parent_idx] = child
-        st.checkpoint()
+        st.evaluate.checkpoint()
     return st.result(pop)
 
 
@@ -229,17 +242,15 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
     st = _RunState(problem, config, budget, rng)
     cf = config.effective_crowding_factor()
     pop = st.init_population()
-    while not st.exhausted:
+    while not st.evaluate.exhausted:
         for _ in range(len(pop) // 2):
-            if st.exhausted:
+            if st.evaluate.exhausted:
                 break
             p1 = binary_tournament(pop, st.rng, st.direction)
             p2 = binary_tournament(pop, st.rng, st.direction)
-            for genome in st.crossover(p1, p2):
-                child = Individual(st.mutate(genome))
-                if st.evaluate(child):
-                    crowding_replacement(child, pop, cf, st.rng, st.direction)
-        st.checkpoint()
+            for child in st.ga_children(p1, p2):
+                crowding_replacement(child, pop, cf, st.rng, st.direction)
+        st.evaluate.checkpoint()
     return st.result(pop)
 
 
@@ -257,21 +268,11 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
     st = _RunState(problem, config, budget, rng)
     cf = config.effective_crowding_factor()
     pop = st.init_population()
-    while not st.exhausted:
-        for target in range(len(pop)):
-            trial = de_trial_vector(target, pop, config.de_F, config.de_CR,
-                                    st.rng, st.bounds)
-            child = Individual(trial)
-            if not st.evaluate(child):
-                break
+    while not st.evaluate.exhausted:
+        for _, child in st.de_children(pop):
             crowding_replacement(child, pop, cf, st.rng, st.direction)
-        st.checkpoint()
+        st.evaluate.checkpoint()
     return st.result(pop)
-
-
-def _sharing_degrees(dists: np.ndarray, radius: float, alpha: float):
-    kernel = np.where(dists < radius, 1.0 - (dists / radius) ** alpha, 0.0)
-    return kernel.sum(axis=-1)
 
 
 def _shared_scores(genomes: np.ndarray, raw: np.ndarray, direction: str,
@@ -284,7 +285,8 @@ def _shared_scores(genomes: np.ndarray, raw: np.ndarray, direction: str,
         scores = raw.astype(float)
     diff = genomes[:, None, :] - genomes[None, :, :]
     dists = np.sqrt(np.sum(diff * diff, axis=2))
-    return scores / _sharing_degrees(dists, radius, alpha)
+    kernel = np.where(dists < radius, 1.0 - (dists / radius) ** alpha, 0.0)
+    return scores / kernel.sum(axis=-1)
 
 
 def _score_tournament(scores: np.ndarray, rng: np.random.Generator) -> int:
@@ -301,11 +303,11 @@ def sharing_ga(problem, config: AlgorithmConfig | None = None,
     config = config or AlgorithmConfig()
     st = _RunState(problem, config, budget, rng)
     pop = st.init_population()
-    while not st.exhausted:
+    while not st.evaluate.exhausted:
         scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
                                 config.sharing_radius, config.sharing_alpha)
         st.breed(pop, lambda: pop[_score_tournament(scores, st.rng)])
-        st.checkpoint()
+        st.evaluate.checkpoint()
     return st.result(pop)
 
 
@@ -323,25 +325,18 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
         raise ValueError("sharing_de needs a population of at least 4")
     st = _RunState(problem, config, budget, rng)
     pop = st.init_population()
-    while not st.exhausted:
-        trials: list[Individual] = []
-        for target in range(len(pop)):
-            trial = de_trial_vector(target, pop, config.de_F, config.de_CR,
-                                    st.rng, st.bounds)
-            child = Individual(trial)
-            if not st.evaluate(child):
-                break
-            trials.append(child)
-        if trials:
-            pool = list(pop) + trials
-            genomes = np.array([ind.genome for ind in pool])
-            raw = np.array([ind.fitness for ind in pool])
-            scores = _shared_scores(genomes, raw, st.direction,
-                                    config.sharing_radius, config.sharing_alpha)
-            for slot, child in enumerate(trials):
-                if scores[len(pop) + slot] > scores[slot]:
-                    pop[slot] = child
-        st.checkpoint()
+    while not st.evaluate.exhausted:
+        # nothing is replaced until every trial is built, so all see the
+        # parents; the loop runs only with budget left, so trials is not empty
+        trials = [child for _, child in st.de_children(pop)]
+        genomes = np.vstack([pop.genome_matrix()] + [t.genome for t in trials])
+        raw = np.concatenate([pop.fitnesses(), [t.fitness for t in trials]])
+        scores = _shared_scores(genomes, raw, st.direction,
+                                config.sharing_radius, config.sharing_alpha)
+        for slot, child in enumerate(trials):
+            if scores[len(pop) + slot] > scores[slot]:
+                pop[slot] = child
+        st.evaluate.checkpoint()
     return st.result(pop)
 
 
@@ -454,12 +449,12 @@ def scga(problem, config: AlgorithmConfig | None = None,
     generation = 0
     if observer is not None and pop[-1].evaluated:
         observer(generation, pop)
-    while not st.exhausted:
+    while not st.evaluate.exhausted:
         generation += 1
         seeds = determine_species_seeds(pop, config.species_distance, st.direction)
         st.breed(pop, lambda: binary_tournament(pop, st.rng, st.direction))
         conserve_species_seeds(pop, seeds, config.species_distance, st.direction)
-        st.checkpoint()
+        st.evaluate.checkpoint()
         if observer is not None:
             observer(generation, pop)
     return st.result(pop)
@@ -480,24 +475,18 @@ def sde(problem, config: AlgorithmConfig | None = None,
         raise ValueError("sde needs a population of at least 4")
     st = _RunState(problem, config, budget, rng)
     pop = st.init_population()
-    while not st.exhausted:
+    while not st.evaluate.exhausted:
         seeds = determine_species_seeds(pop, config.species_distance, st.direction)
         assigned, _ = _nearest_seed_assignment(pop.genome_matrix(),
                                                np.array([s.genome for s in seeds]))
         species: dict[int, list[int]] = {}
-        for i, k in enumerate(assigned):
-            species.setdefault(int(k), []).append(i)
-        for target in range(len(pop)):
-            members = species[int(assigned[target])]
-            pool = members if len(members) >= 4 else None
-            trial = de_trial_vector(target, pop, config.de_F, config.de_CR,
-                                    st.rng, st.bounds, donor_pool=pool)
-            child = Individual(trial)
-            if not st.evaluate(child):
-                break
+        for i, k in enumerate(assigned.tolist()):
+            species.setdefault(k, []).append(i)
+        pools = [species[k] if len(species[k]) >= 4 else None for k in assigned.tolist()]
+        for target, child in st.de_children(pop, pools):
             if is_better(child.fitness, pop[target].fitness, st.direction):
                 pop[target] = child
-        st.checkpoint()
+        st.evaluate.checkpoint()
     return st.result(pop)
 
 

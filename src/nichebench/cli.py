@@ -15,29 +15,52 @@ import sys
 from .algorithms import ALGORITHMS, AlgorithmConfig
 from .harness import (
     DEFAULT_TESTS,
+    PROBLEM_NAMES,
     ConfigError,
     ExperimentSpec,
     emit_reports,
     run_experiment,
     validate_tests,
 )
-from .problems import PROBLEM_FACTORIES
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(AlgorithmConfig)}
+_NUMBER = (int, float)
+_TYPE_NAMES = {int: "an integer", _NUMBER: "a number", list: "a list",
+               str: "a string", (str, type(None)): "a string or null"}
+# JSON type of each top-level config-file field; other keys are ignored
+_FILE_TYPES = {
+    "algorithms": list, "problems": list, "tests": list, "runs": int, "max_evals": int,
+    "base_seed": int, "jobs": int, "alpha": _NUMBER, "output_dir": str,
+    "grating_profile": (str, type(None)),
+}
+# AlgorithmConfig field name -> its annotation ("int", "float | None", ...)
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(AlgorithmConfig)}
+
+
+def _check_type(what: str, value, kind) -> None:
+    """Reject a JSON value that is not of ``kind``; true/false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def _algorithm_config(entry, pop_size: int | None) -> tuple[str, AlgorithmConfig]:
     """Build (name, config) from a config-file entry or a bare name."""
     if isinstance(entry, str):
         entry = {"name": entry}
+    if not isinstance(entry, dict):
+        raise ConfigError(f"algorithm entry must be a name or an object, got {entry!r}")
     entry = dict(entry)
     try:
         name = entry.pop("name")
     except KeyError:
         raise ConfigError("algorithm entry without a 'name' field") from None
-    unknown = set(entry) - _CONFIG_FIELDS
+    unknown = set(entry) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config fields for {name}: {sorted(unknown)}")
+    for key, value in entry.items():
+        annotation = _CONFIG_FIELDS[key]
+        if value is not None or "None" not in annotation:
+            kind = int if annotation.startswith("int") else _NUMBER
+            _check_type(f"bad config for {name}: {key}", value, kind)
     config = AlgorithmConfig(**entry)
     if pop_size is not None:
         config.population_size = pop_size
@@ -55,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--algorithm", action="append", dest="algorithms", metavar="NAME",
                         help=f"algorithm to run (repeatable); one of: {', '.join(sorted(ALGORITHMS))}")
     parser.add_argument("--problem", action="append", dest="problems", metavar="NAME",
-                        help="problem to run on (repeatable); benchmark names or 'grating'")
+                        help=f"problem to run on (repeatable); one of: {', '.join(PROBLEM_NAMES)}")
     parser.add_argument("--runs", type=int, help="independent seeded runs per cell (default 50)")
     parser.add_argument("--evals", type=int, help="fitness evaluation budget per run (default 10000)")
     parser.add_argument("--pop-size", type=int, help="population size for every algorithm (default 50)")
@@ -71,16 +94,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    for key, kind in _FILE_TYPES.items():
+        if key in config:
+            _check_type(f"config field {key!r}", config[key], kind)
+    return config
 
 
 def build_spec(args) -> tuple[ExperimentSpec, list[str], float, int]:
     file_cfg = _load_config_file(args.config) if args.config else {}
 
     algorithms = args.algorithms or file_cfg.get("algorithms") or sorted(ALGORITHMS)
-    problems = args.problems or file_cfg.get("problems") or (sorted(PROBLEM_FACTORIES) + ["grating"])
+    problems = args.problems or file_cfg.get("problems") or PROBLEM_NAMES
     pop_size = args.pop_size
     spec = ExperimentSpec(
         algorithms=[_algorithm_config(a, pop_size) for a in algorithms],

@@ -6,7 +6,9 @@ All genomes are 1-d float ndarrays. Box bounds are given as a (dim, 2)
 array of [lo, hi] rows and every operator clamps its output to them.
 Operators draw from a ``np.random.Generator``. Termination is driven
 solely by :class:`Evaluator`: each objective call consumes exactly one
-evaluation and a run stops the moment the budget is exhausted.
+evaluation and a run stops the moment the budget is exhausted. No child
+is built once the budget is spent, so no operator draws for a child that
+could never be evaluated.
 
 Draw exactness: every published result is a pure function of the run
 seed, so the random requests made here are frozen. A change to an RNG
@@ -51,32 +53,29 @@ class Individual:
 
     genome: np.ndarray
     fitness: float | None = None
-    eval_index: int | None = None
 
     @property
     def evaluated(self) -> bool:
         return self.fitness is not None
 
     def copy(self) -> "Individual":
-        return Individual(self.genome.copy(), self.fitness, self.eval_index)
+        return Individual(self.genome.copy(), self.fitness)
 
 
 class Population:
-    """Ordered, fixed-capacity list of individuals.
+    """Ordered list of individuals whose size never changes: algorithms
+    replace members by index, they never add or remove one.
 
-    The ``(n, dim)`` matrix of member genomes is built on first use and
-    kept in sync by ``pop[i] = ind``, so the survivor-selection steps do
-    not re-stack the genomes on every call. Members' genomes are therefore
+    The ``(n, dim)`` matrix of member genomes is built here and kept in
+    sync by ``pop[i] = ind``, so the survivor-selection steps do not
+    re-stack the genomes on every call. Members' genomes are therefore
     treated as immutable while they sit in a population: replace a member
     instead of editing its genome in place.
     """
 
-    def __init__(self, members, capacity: int | None = None):
+    def __init__(self, members):
         self.members: list[Individual] = list(members)
-        self.capacity = len(self.members) if capacity is None else int(capacity)
-        if self.capacity <= 0:
-            raise ValueError("population capacity must be positive")
-        self._matrix: np.ndarray | None = None
+        self._matrix = np.array([m.genome for m in self.members])
 
     def __len__(self) -> int:
         return len(self.members)
@@ -89,13 +88,10 @@ class Population:
 
     def __setitem__(self, i: int, ind: Individual) -> None:
         self.members[i] = ind
-        if self._matrix is not None:
-            self._matrix[i] = ind.genome
+        self._matrix[i] = ind.genome
 
     def genome_matrix(self) -> np.ndarray:
         """The population's own (n, dim) genome matrix; read it, never write it."""
-        if self._matrix is None:
-            self._matrix = np.array([m.genome for m in self.members])
         return self._matrix
 
     def genomes(self) -> np.ndarray:
@@ -181,7 +177,6 @@ class Evaluator:
         if not math.isfinite(value):
             raise ValueError(f"objective returned non-finite value {value!r} at {ind.genome!r}")
         ind.fitness = value
-        ind.eval_index = self.used
         if self.best is None or is_better(value, self.best, self.direction):
             self.best = value
         return True

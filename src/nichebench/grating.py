@@ -36,7 +36,6 @@ __all__ = [
     "SyntheticRecordingModel",
     "DESIGN_VARIABLE_NAMES",
     "nm_to_mm",
-    "default_params",
     "default_bounds",
     "default_anchor",
     "load_profile",
@@ -124,19 +123,6 @@ class RecordingModel(Protocol):
         ...
 
 
-def default_params() -> GratingParams:
-    """Default recording profile (groove density in lines/mm, lengths in mm)."""
-    return GratingParams(
-        n0=1400.0,
-        b2=8.2453e-4,
-        b3=3.0015e-7,
-        b4=0.0,
-        w0=90.0,
-        lambda0=nm_to_mm(413.1),
-        mirror_radii=(1000.0, 1000.0),
-    )
-
-
 def default_bounds() -> np.ndarray:
     """Design-variable box: angles in [-pi/2, pi/2], distances in [100, 2000] mm."""
     angle = [-math.pi / 2.0, math.pi / 2.0]
@@ -183,8 +169,9 @@ def load_profile(path=None) -> tuple[GratingParams, np.ndarray]:
     except KeyError as exc:
         raise ValueError(f"grating profile is missing field {exc}") from None
     bounds_cfg = raw.get("bounds", {})
-    angle = [float(v) for v in bounds_cfg.get("angle", (-math.pi / 2.0, math.pi / 2.0))]
-    distance = [float(v) for v in bounds_cfg.get("distance", (100.0, 2000.0))]
+    fallback = default_bounds()  # rows 0-3 are the angles, 4-7 the distances
+    angle = [float(v) for v in bounds_cfg.get("angle", fallback[0])]
+    distance = [float(v) for v in bounds_cfg.get("distance", fallback[4])]
     bounds = np.array([angle] * 4 + [distance] * 4)
     return params, bounds
 

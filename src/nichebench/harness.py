@@ -29,6 +29,7 @@ from .stats import TESTS, SampleSet, pairwise_matrix
 
 __all__ = [
     "ConfigError",
+    "PROBLEM_NAMES",
     "ExperimentSpec",
     "ResultTable",
     "resolve_problem",
@@ -41,6 +42,8 @@ __all__ = [
 
 DEFAULT_TESTS = ("mwu", "ks", "t")
 RAW_COLUMNS = ("algorithm", "problem", "run", "seed", "metric", "value")
+# every name resolve_problem accepts: the benchmarks sorted, then the grating
+PROBLEM_NAMES = (*sorted(PROBLEM_FACTORIES), "grating")
 
 
 class ConfigError(ValueError):
@@ -93,8 +96,7 @@ def resolve_problem(name: str, grating_profile: str | None = None) -> BoundedPro
         return make_default_problem(grating_profile)
     if name in PROBLEM_FACTORIES:
         return PROBLEM_FACTORIES[name]()
-    known = ", ".join(sorted(PROBLEM_FACTORIES) + ["grating"])
-    raise ConfigError(f"unknown problem {name!r}; known: {known}")
+    raise ConfigError(f"unknown problem {name!r}; known: {', '.join(PROBLEM_NAMES)}")
 
 
 def validate_tests(tests, n_algorithms: int, runs: int) -> None:

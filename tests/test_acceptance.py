@@ -24,7 +24,6 @@ from nichebench.algorithms import (
 from nichebench.core import Individual, Population
 from nichebench.grating import (
     default_anchor,
-    default_params,
     integrated_square_error,
     load_profile,
     make_default_problem,
@@ -286,7 +285,7 @@ def test_criterion_5_grating_math_and_profile():
         assert params.w0 == 90.0
         assert params.lambda0 == 4.131e-4
         assert params.lambda0 == nm_to_mm(413.1)
-        assert default_params() == params
+        assert params.mirror_radii == (1000.0, 1000.0)
 
         problem = make_default_problem()
         assert problem.objective(default_anchor().to_vector()) < 1e-18

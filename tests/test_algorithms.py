@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nichebench import algorithms
 from nichebench.algorithms import (
     ALGORITHMS,
     AlgorithmConfig,
@@ -282,6 +283,24 @@ class TestEveryAlgorithm:
         r1 = ALGORITHMS[name](problem, small_config(), 200, 1)
         r2 = ALGORITHMS[name](problem, small_config(), 200, 2)
         assert not np.array_equal(r1.final_population.genomes(), r2.final_population.genomes())
+
+    @pytest.mark.parametrize("budget", [57, 81, 100])
+    def test_no_child_built_past_the_budget(self, name, budget, monkeypatch):
+        # gaussian_mutation builds every GA child and de_trial_vector every DE
+        # trial; 57 and 81 run out mid-generation, 100 at a generation's end
+        built = []
+
+        def counted(op):
+            def wrapper(*args, **kwargs):
+                built.append(op.__name__)
+                return op(*args, **kwargs)
+            return wrapper
+
+        for op in (algorithms.gaussian_mutation, algorithms.de_trial_vector):
+            monkeypatch.setattr(algorithms, op.__name__, counted(op))
+        result = ALGORITHMS[name](himmelblau(), small_config(population_size=10), budget, 4)
+        assert result.evals_used == budget
+        assert len(built) == result.evals_used - 10
 
 
 def _slotwise_initial_population(problem, config, seed):

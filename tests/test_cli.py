@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from nichebench.cli import main
 
 
@@ -89,3 +91,23 @@ def test_config_entry_rejects_unknown_fields(tmp_path, capsys):
     code = main(["--config", str(cfg), "--out", str(tmp_path / "r")])
     assert code == 2
     assert "wrong_knob" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (["crowding_de"], "JSON object"),
+    ({"runs": "two"}, "'runs' must be an integer"),
+    ({"algorithms": [{"name": "sde", "population_size": "abc"}]}, "population_size"),
+    ({"algorithms": [{"name": "sde", "population_size": 10.5}]}, "population_size"),
+    ({"problems": "deb1"}, "'problems' must be a list"),
+], ids=["top_level_list", "runs_not_a_number", "population_size_text", "population_size_fraction",
+        "problems_not_a_list"])
+def test_malformed_config_values_exit_2_before_running(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    base = {"problems": ["deb1"], "runs": 2, "max_evals": 60}
+    cfg.write_text(json.dumps(content if isinstance(content, list) else {**base, **content}))
+    out = tmp_path / "r"
+    code = main(["--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (out / "runs.csv").exists()

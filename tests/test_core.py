@@ -68,7 +68,6 @@ class TestEvalBudget:
         ind = Individual(np.array([3.0, 2.0]))
         assert evaluate(ind)
         assert ind.fitness == 0.0
-        assert ind.eval_index == 1
         assert evaluate.used == 1
 
     def test_evaluate_deb1_peak(self):
@@ -91,7 +90,6 @@ class TestEvalBudget:
         ind = Individual(np.array([3.0, 2.0]))
         assert not evaluate(ind)
         assert ind.fitness is None
-        assert ind.eval_index is None
         assert evaluate.used == 0
         assert calls == []
 
@@ -132,7 +130,7 @@ class TestBinaryTournament:
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            binary_tournament(Population([], capacity=1), np.random.default_rng(0), "max")
+            binary_tournament(Population([]), np.random.default_rng(0), "max")
 
 
 BOUNDS_1D = np.array([[0.0, 1.0]])

@@ -22,15 +22,13 @@ import numpy as np
 import pytest
 
 from nichebench.algorithms import ALGORITHMS, AlgorithmConfig
-from nichebench.harness import derive_seed, resolve_problem
-from nichebench.problems import PROBLEM_FACTORIES
+from nichebench.harness import PROBLEM_NAMES, derive_seed, resolve_problem
 
 TABLE = Path(__file__).with_name("fingerprints.json")
 BASE_SEED = 20150801
 MAX_EVALS = 2000
 RUNS = 2
-PROBLEMS = sorted(PROBLEM_FACTORIES) + ["grating"]
-CELLS = [(alg, prob) for alg in sorted(ALGORITHMS) for prob in PROBLEMS]
+CELLS = [(alg, prob) for alg in sorted(ALGORITHMS) for prob in PROBLEM_NAMES]
 
 
 def run_digest(algorithm: str, problem_name: str, seed: int) -> str:

@@ -14,7 +14,6 @@ from nichebench.grating import (
     GratingParams,
     default_anchor,
     default_bounds,
-    default_params,
     grating_problem,
     integrated_square_error,
     load_profile,
@@ -28,14 +27,14 @@ from nichebench.grating import (
 
 class TestResiduals:
     def test_perfect_values_zero_every_residual(self):
-        params = default_params()
+        params = load_profile()[0]
         r = residuals(perfect_recording_values(params), params)
         # algebraically zero; the division leaves float-rounding crumbs
         assert all(abs(v) < 1e-9 for v in r)
         assert r[3] == 0.0  # b4 = 0 keeps the last residual exact
 
     def test_zero_recording_values(self):
-        params = default_params()
+        params = load_profile()[0]
         r1, r2, r3, r4 = residuals((0.0, 0.0, 0.0, 0.0), params)
         assert r1 == -params.n0
         assert r2 == -params.n0 * params.b2
@@ -43,13 +42,13 @@ class TestResiduals:
         assert r4 == -params.n0 * params.b4 == 0.0
 
     def test_b4_zero_profile(self):
-        params = default_params()
+        params = load_profile()[0]
         j40 = 0.123
         _, _, _, r4 = residuals((0.0, 0.0, 0.0, j40), params)
         assert r4 == j40 / (2.0 * params.lambda0)
 
     def test_linearity_in_recording_values(self):
-        params = default_params()
+        params = load_profile()[0]
         rng = np.random.default_rng(7)
         for _ in range(200):
             j1 = tuple(rng.normal(size=4))
@@ -122,9 +121,6 @@ class TestUnitsAndProfiles:
         assert bounds.shape == (8, 2)
         assert np.array_equal(bounds, default_bounds())
 
-    def test_default_params_matches_packaged_profile(self):
-        assert default_params() == load_profile()[0]
-
     def test_custom_profile_roundtrip(self, tmp_path):
         payload = {
             "n0": 900.0, "b2": 1e-3, "b3": 2e-7, "b4": 5e-10,
@@ -139,6 +135,17 @@ class TestUnitsAndProfiles:
         assert params.mirror_radii == (800.0, 1200.0)
         assert np.array_equal(bounds[0], [-1.0, 1.0])
         assert np.array_equal(bounds[7], [200.0, 900.0])
+
+    def test_missing_bounds_fall_back_to_default_box(self, tmp_path):
+        payload = {"n0": 900.0, "b2": 1e-3, "b3": 2e-7, "b4": 0.0, "w0": 45.0, "lambda0": 5e-4}
+        for partial in ({}, {"bounds": {"angle": [-1.0, 1.0]}}):
+            path = tmp_path / "profile.json"
+            path.write_text(json.dumps({**payload, **partial}))
+            _, bounds = load_profile(path)
+            expected = default_bounds()
+            if partial:
+                expected[:4] = [-1.0, 1.0]
+            assert bounds.tobytes() == expected.tobytes()
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -172,7 +179,7 @@ class TestGratingDesign:
 
 class TestSyntheticModel:
     def test_anchor_is_exactly_zero_error(self):
-        params = default_params()
+        params = load_profile()[0]
         model = synthetic_recording_model()
         j = model(default_anchor().to_vector(), params)
         # sin(0) sums vanish exactly, so the anchor reproduces the
@@ -183,7 +190,7 @@ class TestSyntheticModel:
         assert 0.0 <= problem.objective(default_anchor().to_vector()) < 1e-18
 
     def test_deterministic(self):
-        params = default_params()
+        params = load_profile()[0]
         model = synthetic_recording_model()
         x = default_bounds().mean(axis=1)
         assert model(x, params) == model(x, params)
@@ -230,7 +237,7 @@ class TestSyntheticModel:
     def test_negative_error_warns_once(self, caplog, monkeypatch):
         import nichebench.grating as grating_module
 
-        problem = grating_problem(synthetic_recording_model(), default_params())
+        problem = grating_problem(synthetic_recording_model(), load_profile()[0])
         monkeypatch.setattr(grating_module, "integrated_square_error", lambda r, w: -1.0)
         with caplog.at_level("WARNING"):
             v1 = problem.objective(default_anchor().to_vector())

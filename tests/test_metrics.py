@@ -85,7 +85,7 @@ class TestBestFitness:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            best_fitness(Population([], capacity=1), "min")
+            best_fitness(Population([]), "min")
 
 
 def oracle_distinct_peaks(points, fits, threshold, radius, direction):
