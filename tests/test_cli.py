@@ -99,15 +99,29 @@ def test_config_entry_rejects_unknown_fields(tmp_path, capsys):
     ({"algorithms": [{"name": "sde", "population_size": "abc"}]}, "population_size"),
     ({"algorithms": [{"name": "sde", "population_size": 10.5}]}, "population_size"),
     ({"problems": "deb1"}, "'problems' must be a list"),
+    ({"max_evals": 10.5}, "'max_evals' must be an integer"),
+    ({"base_seed": True}, "'base_seed' must be an integer"),
+    ({"tests": "mwu"}, "'tests' must be a list"),
+    ({"alpha": "x"}, "'alpha' must be a number"),
+    ({"jobs": "two"}, "'jobs' must be an integer"),
+    ({"output_dir": 5}, "'output_dir' must be a string"),
+    ({"grating_profile": 3}, "'grating_profile' must be a string"),
+    ({"algorithms": "sde"}, "'algorithms' must be a list"),
 ], ids=["top_level_list", "runs_not_a_number", "population_size_text", "population_size_fraction",
-        "problems_not_a_list"])
-def test_malformed_config_values_exit_2_before_running(tmp_path, capsys, content, message):
+        "problems_not_a_list", "max_evals_fraction", "base_seed_bool", "tests_not_a_list",
+        "alpha_text", "jobs_text", "output_dir_number", "grating_profile_number",
+        "algorithms_not_a_list"])
+def test_malformed_config_values_exit_2_before_running(tmp_path, monkeypatch, capsys,
+                                                       content, message):
+    # the output directory comes from the file, so a bad output_dir is not
+    # overridden by --out; relative directories land under tmp_path
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
-    base = {"problems": ["deb1"], "runs": 2, "max_evals": 60}
-    cfg.write_text(json.dumps(content if isinstance(content, list) else {**base, **content}))
     out = tmp_path / "r"
-    code = main(["--config", str(cfg), "--out", str(out)])
+    base = {"problems": ["deb1"], "runs": 2, "max_evals": 60, "output_dir": str(out)}
+    cfg.write_text(json.dumps(content if isinstance(content, list) else {**base, **content}))
+    code = main(["--config", str(cfg)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
-    assert not (out / "runs.csv").exists()
+    assert not list(tmp_path.rglob("runs.csv"))
