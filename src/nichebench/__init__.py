@@ -23,7 +23,6 @@ from .core import (
     binary_tournament,
     blend_crossover,
     de_trial_vector,
-    euclidean_distance,
     gaussian_mutation,
 )
 from .grating import (

@@ -18,7 +18,8 @@ a strictly better challenger, so equal-fitness duplicates never drift.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,7 +63,8 @@ class AlgorithmConfig:
     """Parameters shared by all algorithms; unused fields are ignored.
 
     ``crowding_factor`` and ``mutation_rate`` default to the population
-    size and 1/dimension when left as None.
+    size and 1/dimension when left as None. :meth:`validate` checks each
+    field's type against its annotation (bools are not numbers), then its range.
     """
 
     population_size: int = 50
@@ -77,24 +79,24 @@ class AlgorithmConfig:
     mutation_sigma: float = 0.1
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and "None" in f.type:
+                continue
+            kind, noun = ((numbers.Integral, "an integer") if f.type.startswith("int")
+                          else (numbers.Real, "a number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        if self.crowding_factor is not None and not (
-            1 <= self.crowding_factor <= self.population_size
-        ):
+        if self.crowding_factor is not None and not 1 <= self.crowding_factor <= self.population_size:
             raise ValueError("crowding_factor must be in [1, population_size]")
-        if self.species_distance <= 0:
-            raise ValueError("species_distance must be positive")
-        if self.sharing_radius <= 0:
-            raise ValueError("sharing_radius must be positive")
-        if self.sharing_alpha <= 0:
-            raise ValueError("sharing_alpha must be positive")
-        if not 0.0 <= self.de_CR <= 1.0:
-            raise ValueError("de_CR must be a probability")
-        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be a probability")
-        if self.mutation_sigma <= 0:
-            raise ValueError("mutation_sigma must be positive")
+        for name in ("species_distance", "sharing_radius", "sharing_alpha", "mutation_sigma"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("de_CR", "mutation_rate"):
+            if getattr(self, name) is not None and not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be a probability")
 
     def effective_crowding_factor(self) -> int:
         return self.population_size if self.crowding_factor is None else self.crowding_factor

@@ -1,8 +1,12 @@
 """Command-line experiment runner.
 
 Experiments can be described in a JSON config file, with flags overriding
-file values. Exit status: 0 on success, 2 on configuration errors, 1 on
-I/O failures.
+file values. The file holds one JSON object whose keys are the
+:class:`~nichebench.harness.ExperimentSpec` fields and ``jobs``; other keys
+are ignored. Values reach the library as they are, and
+:meth:`ExperimentSpec.validate` checks every one, type and range, before
+any run. Exit status: 0 on success, 2 on configuration errors, 1 on I/O
+failures.
 """
 
 from __future__ import annotations
@@ -20,26 +24,10 @@ from .harness import (
     ExperimentSpec,
     emit_reports,
     run_experiment,
-    validate_tests,
 )
 
-_NUMBER = (int, float)
-_TYPE_NAMES = {int: "an integer", _NUMBER: "a number", list: "a list",
-               str: "a string", (str, type(None)): "a string or null"}
-# JSON type of each top-level config-file field; other keys are ignored
-_FILE_TYPES = {
-    "algorithms": list, "problems": list, "tests": list, "runs": int, "max_evals": int,
-    "base_seed": int, "jobs": int, "alpha": _NUMBER, "output_dir": str,
-    "grating_profile": (str, type(None)),
-}
-# AlgorithmConfig field name -> its annotation ("int", "float | None", ...)
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(AlgorithmConfig)}
-
-
-def _check_type(what: str, value, kind) -> None:
-    """Reject a JSON value that is not of ``kind``; true/false are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
+# settings a flag or the config file may give: the spec's fields and jobs
+_SETTINGS = {f.name for f in dataclasses.fields(ExperimentSpec)} | {"jobs"}
 
 
 def _algorithm_config(entry, pop_size: int | None) -> tuple[str, AlgorithmConfig]:
@@ -48,19 +36,13 @@ def _algorithm_config(entry, pop_size: int | None) -> tuple[str, AlgorithmConfig
         entry = {"name": entry}
     if not isinstance(entry, dict):
         raise ConfigError(f"algorithm entry must be a name or an object, got {entry!r}")
+    if "name" not in entry:
+        raise ConfigError("algorithm entry without a 'name' field")
     entry = dict(entry)
-    try:
-        name = entry.pop("name")
-    except KeyError:
-        raise ConfigError("algorithm entry without a 'name' field") from None
-    unknown = set(entry) - set(_CONFIG_FIELDS)
+    name = entry.pop("name")
+    unknown = set(entry) - {f.name for f in dataclasses.fields(AlgorithmConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields for {name}: {sorted(unknown)}")
-    for key, value in entry.items():
-        annotation = _CONFIG_FIELDS[key]
-        if value is not None or "None" not in annotation:
-            kind = int if annotation.startswith("int") else _NUMBER
-            _check_type(f"bad config for {name}: {key}", value, kind)
     config = AlgorithmConfig(**entry)
     if pop_size is not None:
         config.population_size = pop_size
@@ -80,57 +62,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--problem", action="append", dest="problems", metavar="NAME",
                         help=f"problem to run on (repeatable); one of: {', '.join(PROBLEM_NAMES)}")
     parser.add_argument("--runs", type=int, help="independent seeded runs per cell (default 50)")
-    parser.add_argument("--evals", type=int, help="fitness evaluation budget per run (default 10000)")
+    parser.add_argument("--evals", type=int, dest="max_evals",
+                        help="fitness evaluation budget per run (default 10000)")
     parser.add_argument("--pop-size", type=int, help="population size for every algorithm (default 50)")
-    parser.add_argument("--seed", type=int, help="base seed for deriving per-run seeds")
-    parser.add_argument("--out", help="output directory (default: results)")
+    parser.add_argument("--seed", type=int, dest="base_seed",
+                        help="base seed for deriving per-run seeds")
+    parser.add_argument("--out", dest="output_dir", help="output directory (default: results)")
     parser.add_argument("--grating-profile", help="JSON grating parameter profile")
-    parser.add_argument("--tests", help=f"comma-separated significance tests (default {','.join(DEFAULT_TESTS)})")
+    parser.add_argument("--tests", type=lambda text: text.split(","),
+                        help=f"comma-separated significance tests (default {','.join(DEFAULT_TESTS)})")
     parser.add_argument("--alpha", type=float, help="significance level (default 0.05)")
     parser.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
     return parser
 
 
-def _load_config_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    for key, kind in _FILE_TYPES.items():
-        if key in config:
-            _check_type(f"config field {key!r}", config[key], kind)
-    return config
-
-
-def build_spec(args) -> tuple[ExperimentSpec, list[str], float, int]:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-
-    algorithms = args.algorithms or file_cfg.get("algorithms") or sorted(ALGORITHMS)
-    problems = args.problems or file_cfg.get("problems") or PROBLEM_NAMES
-    pop_size = args.pop_size
-    spec = ExperimentSpec(
-        algorithms=[_algorithm_config(a, pop_size) for a in algorithms],
-        problems=list(problems),
-        runs=args.runs if args.runs is not None else int(file_cfg.get("runs", 50)),
-        max_evals=args.evals if args.evals is not None else int(file_cfg.get("max_evals", 10000)),
-        base_seed=args.seed if args.seed is not None else int(file_cfg.get("base_seed", 12345)),
-        output_dir=args.out or file_cfg.get("output_dir", "results"),
-        grating_profile=args.grating_profile or file_cfg.get("grating_profile"),
-    )
-    tests = (args.tests.split(",") if args.tests
-             else list(file_cfg.get("tests", DEFAULT_TESTS)))
-    validate_tests(tests, len(spec.algorithms), spec.runs)  # before any run starts
-    alpha = args.alpha if args.alpha is not None else float(file_cfg.get("alpha", 0.05))
-    jobs = args.jobs if args.jobs else int(file_cfg.get("jobs", 1))
-    return spec, tests, alpha, jobs
+def build_spec(args) -> tuple[ExperimentSpec, int]:
+    """The spec and the worker count: flags over file values over defaults."""
+    file_cfg = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+    settings = {key: value for key, value in file_cfg.items() if key in _SETTINGS}
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _SETTINGS and value is not None)
+    jobs = settings.pop("jobs", 1)
+    algorithms = settings.pop("algorithms", sorted(ALGORITHMS))
+    if not isinstance(algorithms, list):
+        raise ConfigError(f"'algorithms' must be a list of names or objects, got {algorithms!r}")
+    settings.setdefault("problems", PROBLEM_NAMES)
+    spec = ExperimentSpec([_algorithm_config(a, args.pop_size) for a in algorithms], **settings)
+    return spec, jobs
 
 
 def _print_summary(table) -> None:
     width = max(len(a) for a in table.algorithms) + 2
-    for problem in table.problems:
+    for problem in table.spec.problems:
         print(f"\n== {problem} ==")
         for metric in table.metrics_for(problem):
             print(f"  {metric}:")
@@ -143,9 +114,9 @@ def _print_summary(table) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec, tests, alpha, jobs = build_spec(args)
+        spec, jobs = build_spec(args)
         table = run_experiment(spec, jobs=jobs)
-        written = emit_reports(table, tests=tests, alpha=alpha, output_dir=spec.output_dir)
+        written = emit_reports(table, output_dir=spec.output_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

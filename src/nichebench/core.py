@@ -1,5 +1,5 @@
 """Shared EA machinery: individuals, populations, the evaluator that is
-the run clock, distances, and the real-coded variation operators used by
+the run clock, and the real-coded variation operators used by
 every algorithm in this package.
 
 All genomes are 1-d float ndarrays. Box bounds are given as a (dim, 2)
@@ -33,7 +33,6 @@ __all__ = [
     "Individual",
     "Population",
     "is_better",
-    "euclidean_distance",
     "clip_to_bounds",
     "random_genome",
     "binary_tournament",
@@ -124,14 +123,6 @@ def is_better(a: float, b: float, direction: str) -> bool:
     if direction == "min":
         return a < b
     raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
 def clip_to_bounds(genome: np.ndarray, bounds: np.ndarray) -> np.ndarray:

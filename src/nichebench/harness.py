@@ -1,6 +1,10 @@
 """Experiment runner: algorithm x problem grids of seeded, budgeted runs
 with metric aggregation, significance matrices, and CSV/JSON persistence.
 
+:meth:`ExperimentSpec.validate` (with :meth:`AlgorithmConfig.validate`)
+is the one place a setting is checked, type and range; :func:`run_experiment`
+calls it, and checks ``jobs``, before any file is written.
+
 Seeds are derived deterministically from (base_seed, algorithm, problem,
 run index) so any run can be reproduced in isolation, and every run's
 metric rows hit disk, in grid order, before aggregation. With ``jobs > 1``
@@ -15,6 +19,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +40,6 @@ __all__ = [
     "ResultTable",
     "resolve_problem",
     "derive_seed",
-    "validate_tests",
     "run_experiment",
     "emit_reports",
     "DEFAULT_TESTS",
@@ -50,27 +55,62 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; raised before any run starts."""
 
 
+def _require(name: str, value, kind, noun: str) -> None:
+    """Reject ``value`` unless it is a ``kind``; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name!r} must be {noun}, got {value!r}")
+
+
 @dataclass
 class ExperimentSpec:
-    """A full experiment: which algorithms on which problems, how often."""
+    """A full experiment: which algorithms on which problems, how often, and
+    which significance tests (at level ``alpha``) the reports run.
+
+    :meth:`validate` checks every field's type and range, and rejects the
+    t test on one run per cell when two or more algorithms are compared
+    (``welch_t`` needs two values per sample).
+    """
 
     algorithms: list[tuple[str, AlgorithmConfig]]
-    problems: list[str]
+    problems: list[str] | tuple[str, ...]
     runs: int = 50
     max_evals: int = 10000
     base_seed: int = 12345
-    output_dir: str | Path = "results"
-    grating_profile: str | None = None
+    output_dir: str | os.PathLike = "results"
+    grating_profile: str | os.PathLike | None = None
+    tests: list[str] | tuple[str, ...] = DEFAULT_TESTS
+    alpha: float = 0.05
 
     def validate(self) -> None:
+        for name in ("runs", "max_evals", "base_seed"):
+            _require(name, getattr(self, name), numbers.Integral, "an integer")
+        _require("alpha", self.alpha, numbers.Real, "a number")
+        _require("output_dir", self.output_dir, (str, os.PathLike), "a string or a path")
+        _require("grating_profile", self.grating_profile, (str, os.PathLike, type(None)),
+                 "a string, a path or None")
+        for name in ("problems", "tests"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+                raise ConfigError(f"{name!r} must be a list of strings, got {value!r}")
+        _require("algorithms", self.algorithms, (list, tuple),
+                 "a list of (name, AlgorithmConfig) pairs")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
         if not self.problems:
             raise ConfigError("at least one problem is required")
+        if len(set(self.problems)) < len(self.problems):
+            raise ConfigError(f"a problem is listed twice: {list(self.problems)}")
         seen = set()
-        for name, config in self.algorithms:
+        for entry in self.algorithms:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and isinstance(entry[0], str) and isinstance(entry[1], AlgorithmConfig)):
+                raise ConfigError(f"algorithm entry must be a (name, AlgorithmConfig) pair, "
+                                  f"got {entry!r}")
+            name, config = entry
             if name not in ALGORITHMS:
                 known = ", ".join(sorted(ALGORITHMS))
                 raise ConfigError(f"unknown algorithm {name!r}; known: {known}")
@@ -86,6 +126,11 @@ class ExperimentSpec:
                     "max_evals must cover at least the initial population "
                     f"({config.population_size} for {name})"
                 )
+        for test in self.tests:
+            if test not in TESTS:
+                raise ConfigError(f"unknown test {test!r}; known: {sorted(TESTS)}")
+        if "t" in self.tests and len(self.algorithms) >= 2 and self.runs < 2:
+            raise ConfigError("the t test needs runs >= 2 when comparing two or more algorithms")
         for problem in self.problems:
             resolve_problem(problem, self.grating_profile)
 
@@ -97,17 +142,6 @@ def resolve_problem(name: str, grating_profile: str | None = None) -> BoundedPro
     if name in PROBLEM_FACTORIES:
         return PROBLEM_FACTORIES[name]()
     raise ConfigError(f"unknown problem {name!r}; known: {', '.join(PROBLEM_NAMES)}")
-
-
-def validate_tests(tests, n_algorithms: int, runs: int) -> None:
-    """Reject unknown significance tests, and the t test on one run per
-    cell when two or more algorithms are compared (``welch_t`` needs two
-    values per sample)."""
-    for test in tests:
-        if test not in TESTS:
-            raise ConfigError(f"unknown test {test!r}; known: {sorted(TESTS)}")
-    if "t" in tests and n_algorithms >= 2 and runs < 2:
-        raise ConfigError("the t test needs runs >= 2 when comparing two or more algorithms")
 
 
 def derive_seed(base_seed: int, algorithm: str, problem: str, run: int) -> int:
@@ -150,20 +184,18 @@ def _execute_run(task) -> tuple:
 
 @dataclass
 class ResultTable:
-    """Per-(algorithm, problem, metric) raw run values plus run metadata."""
+    """Per-(algorithm, problem, metric) run values and per-run traces of ``spec``."""
 
-    algorithms: list[str]
-    problems: list[str]
-    runs: int
+    spec: ExperimentSpec
     values: dict[tuple[str, str, str], list[float]] = field(default_factory=dict)
     traces: dict[tuple[str, str, int], list[tuple[int, float]]] = field(default_factory=dict)
 
+    @property
+    def algorithms(self) -> list[str]:
+        return [name for name, _ in self.spec.algorithms]
+
     def metrics_for(self, problem: str) -> list[str]:
-        names: list[str] = []
-        for (alg, prob, metric) in self.values:
-            if prob == problem and metric not in names:
-                names.append(metric)
-        return names
+        return list(dict.fromkeys(metric for (_, prob, metric) in self.values if prob == problem))
 
     def raw(self, algorithm: str, problem: str, metric: str) -> list[float]:
         return self.values[(algorithm, problem, metric)]
@@ -173,9 +205,7 @@ class ResultTable:
 
     def stddev(self, algorithm: str, problem: str, metric: str) -> float:
         raw = self.raw(algorithm, problem, metric)
-        if len(raw) < 2:
-            return 0.0
-        return float(np.std(raw, ddof=1))
+        return float(np.std(raw, ddof=1)) if len(raw) >= 2 else 0.0
 
 
 # a grid is cut into about this many chunks per worker: enough to balance
@@ -198,27 +228,22 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     finishes. With ``jobs > 1`` the pool receives the runs in chunks of
     ``_chunksize(len(tasks), jobs)`` and returns them in order, so a crash
     loses at most the runs in flight (one chunk per worker) plus finished
-    chunks waiting for an earlier one.
+    chunks waiting for an earlier one. An integer ``jobs`` <= 1 runs serially.
     """
+    _require("jobs", jobs, numbers.Integral, "an integer")
     spec.validate()
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = []
-    for alg_name, config in spec.algorithms:
-        for problem_name in spec.problems:
-            for run in range(spec.runs):
-                seed = derive_seed(spec.base_seed, alg_name, problem_name, run)
-                tasks.append(
-                    (alg_name, config, problem_name, spec.grating_profile,
-                     spec.max_evals, seed, run)
-                )
+    tasks = [
+        (alg_name, config, problem_name, spec.grating_profile, spec.max_evals,
+         derive_seed(spec.base_seed, alg_name, problem_name, run), run)
+        for alg_name, config in spec.algorithms
+        for problem_name in spec.problems
+        for run in range(spec.runs)
+    ]
 
-    table = ResultTable(
-        algorithms=[name for name, _ in spec.algorithms],
-        problems=list(spec.problems),
-        runs=spec.runs,
-    )
+    table = ResultTable(spec)
 
     raw_path = out_dir / "runs.csv"
     with open(raw_path, "w", newline="", encoding="utf-8") as fh:
@@ -249,20 +274,20 @@ def _float_repr(value: float) -> str:
     return repr(float(value))
 
 
-def emit_reports(table: ResultTable, tests=DEFAULT_TESTS, alpha: float = 0.05,
-                 output_dir: str | Path = "results") -> list[Path]:
+def emit_reports(table: ResultTable, output_dir: str | os.PathLike = "results") -> list[Path]:
     """Write the report files for a finished experiment.
 
     Produces ``summary.csv`` (mean and sample standard deviation per cell,
     algorithms as columns), one JSON significance matrix per (problem,
     metric, test) with the same algorithm order on both axes, and
-    ``traces.csv`` with per-run convergence checkpoints. The raw rows are
-    not rewritten: ``runs.csv`` is the run-major file that
-    :func:`run_experiment` streamed. The tests are checked with
-    :func:`validate_tests` before any file is written. Returns the written
-    paths.
+    ``traces.csv`` with per-run convergence checkpoints. The tests and
+    their level are ``table.spec.tests`` and ``table.spec.alpha``, which
+    :meth:`ExperimentSpec.validate` has checked; nothing is checked here.
+    The raw rows are not rewritten: ``runs.csv`` is the run-major file that
+    :func:`run_experiment` streamed. Returns the written paths.
     """
-    validate_tests(tests, len(table.algorithms), table.runs)
+    spec = table.spec
+    labels = table.algorithms
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -270,29 +295,29 @@ def emit_reports(table: ResultTable, tests=DEFAULT_TESTS, alpha: float = 0.05,
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["problem", "metric", "statistic", *table.algorithms])
-        for problem in table.problems:
+        writer.writerow(["problem", "metric", "statistic", *labels])
+        for problem in spec.problems:
             for metric in table.metrics_for(problem):
-                means = [_float_repr(table.mean(a, problem, metric)) for a in table.algorithms]
-                stds = [_float_repr(table.stddev(a, problem, metric)) for a in table.algorithms]
+                means = [_float_repr(table.mean(a, problem, metric)) for a in labels]
+                stds = [_float_repr(table.stddev(a, problem, metric)) for a in labels]
                 writer.writerow([problem, metric, "mean", *means])
                 writer.writerow([problem, metric, "stddev", *stds])
     written.append(summary_path)
 
-    if len(table.algorithms) >= 2:
-        for problem in table.problems:
+    if len(labels) >= 2:
+        for problem in spec.problems:
             for metric in table.metrics_for(problem):
                 samples = [
                     SampleSet(np.array(table.raw(alg, problem, metric)), label=alg)
-                    for alg in table.algorithms
+                    for alg in labels
                 ]
-                for test in tests:
-                    matrix = pairwise_matrix(samples, test=test, alpha=alpha, metric=metric)
+                for test in spec.tests:
+                    matrix = pairwise_matrix(samples, test=test, alpha=spec.alpha, metric=metric)
                     payload = {
                         "problem": problem,
                         "metric": metric,
                         "test": test,
-                        "alpha": alpha,
+                        "alpha": spec.alpha,
                         "labels": matrix.labels,
                         "significant": matrix.cells.astype(int).tolist(),
                         "p_values": matrix.pvalues.tolist(),

@@ -393,3 +393,18 @@ def test_config_validation():
     cfg.validate()
     assert cfg.effective_crowding_factor() == cfg.population_size
     assert cfg.effective_mutation_rate(8) == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("population_size", 10.5), ("population_size", True), ("population_size", "10"),
+    ("crowding_factor", True), ("crowding_factor", 2.0), ("de_F", "x"), ("de_CR", None),
+    ("mutation_sigma", False), ("species_distance", None),
+])
+def test_config_rejects_values_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an? "):
+        AlgorithmConfig(**{field: value}).validate()
+
+
+def test_config_accepts_ints_for_floats_and_numpy_scalars():
+    AlgorithmConfig(de_F=1, sharing_radius=np.float64(2.5), population_size=np.int64(10),
+                    crowding_factor=None, mutation_rate=None).validate()

@@ -125,3 +125,13 @@ def test_malformed_config_values_exit_2_before_running(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
     assert not list(tmp_path.rglob("runs.csv"))
+
+
+def test_alpha_outside_unit_interval_exits_2_before_running(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["--algorithm", "crowding_de", "--algorithm", "sde", "--problem", "deb1",
+                 "--runs", "2", "--evals", "60", "--pop-size", "6", "--alpha", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert "alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()

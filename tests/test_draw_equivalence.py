@@ -21,7 +21,6 @@ from nichebench.core import (
     blend_crossover,
     clip_to_bounds,
     de_trial_vector,
-    euclidean_distance,
     gaussian_mutation,
     is_better,
     random_genome,
@@ -32,6 +31,16 @@ from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 # ---------------------------------------------------------------------------
 # reference implementations
 # ---------------------------------------------------------------------------
+
+def euclidean_distance(a, b):
+    """The scalar distance the seed scan used before it took arrays; an
+    oracle only (``tests/test_core.py`` checks its metric properties)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return float(np.sqrt(np.sum((a - b) ** 2)))
+
 
 def reference_clip(genome, bounds):
     return np.clip(genome, bounds[:, 0], bounds[:, 1])

@@ -1,6 +1,7 @@
 """Experiment runner: seeding, persistence, aggregation, and reports."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from nichebench.algorithms import AlgorithmConfig
 from nichebench.harness import (
+    DEFAULT_TESTS,
     ConfigError,
     ExperimentSpec,
     ResultTable,
@@ -23,7 +25,7 @@ from nichebench.harness import (
 
 
 def tiny_spec(tmp_path, problems=("deb1",), algorithms=("crowding_de", "sde"),
-              runs=2, max_evals=120):
+              runs=2, max_evals=120, **settings):
     return ExperimentSpec(
         algorithms=[(name, AlgorithmConfig(population_size=10)) for name in algorithms],
         problems=list(problems),
@@ -31,7 +33,15 @@ def tiny_spec(tmp_path, problems=("deb1",), algorithms=("crowding_de", "sde"),
         max_evals=max_evals,
         base_seed=4242,
         output_dir=tmp_path / "out",
+        **settings,
     )
+
+
+def hand_table(labels, runs, tests):
+    """An empty table for labels that need not name real algorithms."""
+    spec = ExperimentSpec(algorithms=[(label, AlgorithmConfig()) for label in labels],
+                          problems=["p"], runs=runs, tests=tests)
+    return ResultTable(spec)
 
 
 class TestSeeds:
@@ -85,13 +95,56 @@ class TestValidation:
         with pytest.raises(ConfigError):
             spec.validate()
 
+    def test_duplicate_problem_rejected(self, tmp_path):
+        # each cell would hold every run twice and the tests would see 2n values
+        spec = tiny_spec(tmp_path, problems=("deb1", "deb1"))
+        with pytest.raises(ConfigError, match="listed twice"):
+            run_experiment(spec)
+        assert not Path(spec.output_dir).exists()
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"algorithms": [("sde", AlgorithmConfig(population_size=10.5))]},
+         "population_size must be an integer"),
+        ({"algorithms": [("sde", AlgorithmConfig(de_F="x"))]}, "de_F must be a number"),
+        ({"algorithms": [("sde", AlgorithmConfig(crowding_factor=True))]},
+         "crowding_factor must be an integer"),
+        ({"runs": 1}, "the t test needs runs >= 2"),
+        ({"runs": 2.5}, "'runs' must be an integer"),
+        ({"runs": "two"}, "'runs' must be an integer"),
+        ({"max_evals": 100.5}, "'max_evals' must be an integer"),
+        ({"base_seed": "x"}, "'base_seed' must be an integer"),
+        ({"problems": "deb1"}, "'problems' must be a list"),
+        ({"alpha": 2.0}, "alpha must be in"),
+    ], ids=["population_size_fraction", "de_F_text", "crowding_factor_bool", "t_test_one_run",
+            "runs_fraction", "runs_text", "max_evals_fraction", "base_seed_text",
+            "problems_string", "alpha_above_1"])
+    def test_malformed_setting_raises_before_any_run(self, tmp_path, settings, message):
+        spec = dataclasses.replace(tiny_spec(tmp_path), **settings)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(spec)
+        assert not (Path(spec.output_dir) / "runs.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["two", 1.5, True])
+    def test_non_integer_jobs_rejected_before_any_run(self, tmp_path, jobs):
+        spec = tiny_spec(tmp_path)
+        with pytest.raises(ConfigError, match="'jobs' must be an integer"):
+            run_experiment(spec, jobs=jobs)
+        assert not (Path(spec.output_dir) / "runs.csv").exists()
+
+    def test_spec_defaults_validate(self, tmp_path):
+        spec = tiny_spec(tmp_path)
+        assert (spec.tests, spec.alpha) == (DEFAULT_TESTS, 0.05)
+        spec.validate()
+        dataclasses.replace(spec, runs=np.int64(3), tests=["ks"], alpha=0.01,
+                            output_dir=str(tmp_path), grating_profile=None).validate()
+
 
 class TestRunExperiment:
     def test_cell_counts_and_determinism(self, tmp_path):
         spec = tiny_spec(tmp_path)
         table = run_experiment(spec)
         for alg in table.algorithms:
-            for problem in table.problems:
+            for problem in table.spec.problems:
                 for metric in table.metrics_for(problem):
                     assert len(table.raw(alg, problem, metric)) == spec.runs
         runs_csv = Path(spec.output_dir) / "runs.csv"
@@ -153,7 +206,7 @@ class TestRunExperiment:
         assert set(table.metrics_for("grating")) == {"best_fitness", "distinct_peaks"}
 
     def test_benchmark_metrics_selection(self, tmp_path):
-        spec = tiny_spec(tmp_path, runs=1)
+        spec = tiny_spec(tmp_path, runs=1, tests=("mwu", "ks"))
         table = run_experiment(spec)
         assert set(table.metrics_for("deb1")) == {"best_fitness", "peak_ratio", "avg_min_distance"}
 
@@ -190,26 +243,27 @@ class TestEmitReports:
             max_evals=60,
             output_dir=tmp_path / "out",
         )
-        table = run_experiment(spec)
         out = Path(spec.output_dir)
         with pytest.raises(ConfigError):
-            emit_reports(table, output_dir=out)
+            run_experiment(spec)
+        assert not (out / "runs.csv").exists()
         assert not (out / "summary.csv").exists()
         assert not list(out.glob("significance_*.json"))
         # without the t test, one run per cell is reportable
-        written = emit_reports(table, tests=("mwu",), output_dir=out)
+        spec.tests = ("mwu",)
+        written = emit_reports(run_experiment(spec), output_dir=out)
         assert (out / "significance_deb1_best_fitness_mwu.json") in written
 
     def test_unknown_test_rejected(self, tmp_path):
-        table = ResultTable(algorithms=["a", "b"], problems=["p"], runs=4)
+        spec = tiny_spec(tmp_path, tests=("nope",))
         with pytest.raises(ConfigError):
-            emit_reports(table, tests=("nope",), output_dir=tmp_path)
+            run_experiment(spec)
         assert not list(tmp_path.iterdir())
 
     def test_significance_matrix_layout(self, tmp_path):
-        spec = tiny_spec(tmp_path)
+        spec = tiny_spec(tmp_path, tests=("mwu",))
         table = run_experiment(spec)
-        emit_reports(table, tests=("mwu",), output_dir=spec.output_dir)
+        emit_reports(table, output_dir=spec.output_dir)
         path = Path(spec.output_dir) / "significance_deb1_best_fitness_mwu.json"
         payload = json.loads(path.read_text())
         k = len(table.algorithms)
@@ -221,11 +275,11 @@ class TestEmitReports:
         assert np.array_equal(grid, grid.T)
 
     def test_identical_values_make_all_false_matrix(self, tmp_path):
-        table = ResultTable(algorithms=["a", "b"], problems=["p"], runs=4)
+        table = hand_table(["a", "b"], runs=4, tests=("mwu", "ks", "t"))
         same = [1.0, 2.0, 3.0, 4.0]
         table.values[("a", "p", "score")] = list(same)
         table.values[("b", "p", "score")] = list(same)
-        emit_reports(table, tests=("mwu", "ks", "t"), output_dir=tmp_path)
+        emit_reports(table, output_dir=tmp_path)
         for test in ("mwu", "ks", "t"):
             payload = json.loads((tmp_path / f"significance_p_score_{test}.json").read_text())
             assert not np.array(payload["significant"]).any()
@@ -233,10 +287,10 @@ class TestEmitReports:
     def test_ten_algorithm_grid(self, tmp_path):
         rng = np.random.default_rng(3)
         labels = [f"alg{i:02d}" for i in range(10)]
-        table = ResultTable(algorithms=labels, problems=["p"], runs=6)
+        table = hand_table(labels, runs=6, tests=("ks",))
         for label in labels:
             table.values[(label, "p", "score")] = list(rng.normal(size=6))
-        emit_reports(table, tests=("ks",), output_dir=tmp_path)
+        emit_reports(table, output_dir=tmp_path)
         payload = json.loads((tmp_path / "significance_p_score_ks.json").read_text())
         assert payload["labels"] == labels
         assert np.array(payload["significant"]).shape == (10, 10)
