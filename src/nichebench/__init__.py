@@ -39,6 +39,7 @@ from .harness import (
     ConfigError,
     ExperimentSpec,
     ResultTable,
+    RunError,
     emit_reports,
     run_experiment,
 )

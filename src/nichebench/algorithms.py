@@ -32,7 +32,6 @@ from .core import (
     de_trial_vector,
     gaussian_mutation,
     is_better,
-    random_genome,
 )
 
 __all__ = [
@@ -49,6 +48,7 @@ __all__ = [
     "determine_species_seeds",
     "conserve_species_seeds",
     "ALGORITHMS",
+    "MIN_POPULATION",
     "get_algorithm",
 ]
 
@@ -56,6 +56,16 @@ logger = logging.getLogger(__name__)
 
 # added to transformed fitness scores so the sharing quotient stays positive
 _SHARING_EPS = 1e-12
+
+# smallest population_size per algorithm where AlgorithmConfig's 2 is too few:
+# DE/rand/1/bin draws three donors besides the target. ExperimentSpec.validate
+# reads it before any run, the algorithms when they start.
+MIN_POPULATION = {"crowding_de": 4, "sharing_de": 4, "sde": 4}
+
+
+def _check_population(name: str, config: AlgorithmConfig) -> None:
+    if config.population_size < MIN_POPULATION[name]:
+        raise ValueError(f"{name} needs a population of at least {MIN_POPULATION[name]}")
 
 
 @dataclass
@@ -134,8 +144,11 @@ class _RunState:
 
     def init_population(self) -> Population:
         """Random members, evaluated in order while the budget lasts."""
-        members = [Individual(random_genome(self.rng, self.bounds))
-                   for _ in range(self.config.population_size)]
+        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
+        # one request for the doubles of population_size random_genome calls,
+        # in the same order: row i is what the i-th call would return
+        genomes = lo + (hi - lo) * self.rng.random((self.config.population_size, lo.shape[0]))
+        members = [Individual(genome) for genome in genomes]
         for ind in members:
             self.evaluate(ind)
         self.evaluate.checkpoint()
@@ -265,8 +278,7 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
     size defaults to the whole population).
     """
     config = config or AlgorithmConfig()
-    if config.population_size < 4:
-        raise ValueError("crowding_de needs a population of at least 4")
+    _check_population("crowding_de", config)
     st = _RunState(problem, config, budget, rng)
     cf = config.effective_crowding_factor()
     pop = st.init_population()
@@ -323,8 +335,7 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
     iff its shared score is strictly higher.
     """
     config = config or AlgorithmConfig()
-    if config.population_size < 4:
-        raise ValueError("sharing_de needs a population of at least 4")
+    _check_population("sharing_de", config)
     st = _RunState(problem, config, budget, rng)
     pop = st.init_population()
     while not st.evaluate.exhausted:
@@ -473,8 +484,7 @@ def sde(problem, config: AlgorithmConfig | None = None,
     own trials strictly beats it.
     """
     config = config or AlgorithmConfig()
-    if config.population_size < 4:
-        raise ValueError("sde needs a population of at least 4")
+    _check_population("sde", config)
     st = _RunState(problem, config, budget, rng)
     pop = st.init_population()
     while not st.evaluate.exhausted:

@@ -5,8 +5,10 @@ file values. The file holds one JSON object whose keys are the
 :class:`~nichebench.harness.ExperimentSpec` fields and ``jobs``; other keys
 are ignored. Values reach the library as they are, and
 :meth:`ExperimentSpec.validate` checks every one, type and range, before
-any run. Exit status: 0 on success, 2 on configuration errors, 1 on I/O
-failures.
+any run. Exit status: 0 on success, 2 on configuration errors, 3 when a
+run raises (the message names its algorithm, problem, run index and seed;
+the rows of earlier runs stay in ``runs.csv`` and no report is written),
+1 on I/O failures.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .harness import (
     PROBLEM_NAMES,
     ConfigError,
     ExperimentSpec,
+    RunError,
     emit_reports,
     run_experiment,
 )
@@ -120,6 +123,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except RunError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

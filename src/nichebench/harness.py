@@ -10,24 +10,29 @@ run index) so any run can be reproduced in isolation, and every run's
 metric rows hit disk, in grid order, before aggregation. With ``jobs > 1``
 runs go to the process pool in chunks of ``max(1, len(tasks) // (32 *
 jobs))`` runs, so a crash loses at most the runs in flight, one chunk per
-worker, plus any finished chunk still waiting for an earlier one. Raw
-rows use the frozen column schema ``algorithm,problem,run,seed,metric,value``.
+worker, plus any finished chunk still waiting for an earlier one. A run
+that raises stops the grid with a :class:`RunError` naming its cell, run
+index and seed; the rows of the runs recorded before it stay in
+``runs.csv``. Raw rows use the frozen column schema
+``algorithm,problem,run,seed,metric,value``. Each report file is written
+to a temporary file beside it and moved into place when complete, so a
+failed write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, AlgorithmConfig, RunResult, get_algorithm
+from .algorithms import ALGORITHMS, MIN_POPULATION, AlgorithmConfig, RunResult, get_algorithm
 from .grating import make_default_problem
 from .metrics import avg_min_distance, best_fitness, distinct_peaks, peak_ratio
 from .problems import PROBLEM_FACTORIES, BoundedProblem
@@ -35,6 +40,7 @@ from .stats import TESTS, SampleSet, pairwise_matrix
 
 __all__ = [
     "ConfigError",
+    "RunError",
     "PROBLEM_NAMES",
     "ExperimentSpec",
     "ResultTable",
@@ -55,6 +61,12 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; raised before any run starts."""
 
 
+class RunError(RuntimeError):
+    """A run raised. The message names the algorithm, problem, run index and
+    seed and ends with the original exception, which is chained as
+    ``__cause__`` (from a worker process, its formatted traceback is)."""
+
+
 def _require(name: str, value, kind, noun: str) -> None:
     """Reject ``value`` unless it is a ``kind``; a bool is not a number."""
     if isinstance(value, bool) or not isinstance(value, kind):
@@ -66,9 +78,10 @@ class ExperimentSpec:
     """A full experiment: which algorithms on which problems, how often, and
     which significance tests (at level ``alpha``) the reports run.
 
-    :meth:`validate` checks every field's type and range, and rejects the
-    t test on one run per cell when two or more algorithms are compared
-    (``welch_t`` needs two values per sample).
+    :meth:`validate` checks every field's type and range, including each
+    algorithm's minimum population (``algorithms.MIN_POPULATION``), and
+    rejects the t test on one run per cell when two or more algorithms are
+    compared (``welch_t`` needs two values per sample).
     """
 
     algorithms: list[tuple[str, AlgorithmConfig]]
@@ -121,6 +134,9 @@ class ExperimentSpec:
                 config.validate()
             except ValueError as exc:
                 raise ConfigError(f"bad config for {name}: {exc}") from None
+            if config.population_size < MIN_POPULATION.get(name, 0):
+                raise ConfigError(f"bad config for {name}: population_size must be at least "
+                                  f"{MIN_POPULATION[name]}")
             if self.max_evals < config.population_size:
                 raise ConfigError(
                     "max_evals must cover at least the initial population "
@@ -170,16 +186,22 @@ def run_metrics(problem: BoundedProblem, result: RunResult) -> dict[str, float]:
 
 
 def _execute_run(task) -> tuple:
-    """Worker: one seeded, budgeted run. Module-level for process pools."""
-    alg_name, config, problem_name, grating_profile, max_evals, seed, _run = task
-    problem = resolve_problem(problem_name, grating_profile)
-    result = get_algorithm(alg_name)(problem, config, max_evals, seed)
-    if result.evals_used > max_evals:
-        raise RuntimeError(
-            f"budget audit failed: {result.evals_used} > {max_evals} "
-            f"({alg_name} on {problem_name})"
-        )
-    return run_metrics(problem, result), result.trace
+    """Worker: one seeded, budgeted run. Module-level for process pools.
+
+    Any exception is re-raised as a :class:`RunError` that names the run;
+    it carries only a message, so it crosses the process boundary even
+    when the original exception cannot be pickled.
+    """
+    alg_name, config, problem_name, grating_profile, max_evals, seed, run = task
+    try:
+        problem = resolve_problem(problem_name, grating_profile)
+        result = get_algorithm(alg_name)(problem, config, max_evals, seed)
+        if result.evals_used > max_evals:
+            raise RuntimeError(f"budget audit failed: {result.evals_used} > {max_evals}")
+        return run_metrics(problem, result), result.trace
+    except Exception as exc:
+        raise RunError(f"{alg_name} on {problem_name}, run {run}, seed {seed}: "
+                       f"{type(exc).__name__}: {exc}") from exc
 
 
 @dataclass
@@ -229,6 +251,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     ``_chunksize(len(tasks), jobs)`` and returns them in order, so a crash
     loses at most the runs in flight (one chunk per worker) plus finished
     chunks waiting for an earlier one. An integer ``jobs`` <= 1 runs serially.
+
+    A run that raises stops the grid with :class:`RunError`; the rows of
+    the runs recorded before it stay in ``runs.csv``.
     """
     _require("jobs", jobs, numbers.Integral, "an integer")
     spec.validate()
@@ -263,6 +288,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
             for task in tasks:
                 record(task, _execute_run(task))
         else:
+            # imported here: a serial grid, or a library user, never pays for it
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 outcomes = pool.map(_execute_run, tasks, chunksize=_chunksize(len(tasks), jobs))
                 for task, outcome in zip(tasks, outcomes):
@@ -274,6 +302,20 @@ def _float_repr(value: float) -> str:
     return repr(float(value))
 
 
+@contextlib.contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """Write ``path`` through a temporary file beside it, moved onto ``path``
+    only once the block completes; on an error the temporary file is
+    removed and ``path`` keeps its previous content."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def emit_reports(table: ResultTable, output_dir: str | os.PathLike = "results") -> list[Path]:
     """Write the report files for a finished experiment.
 
@@ -283,6 +325,8 @@ def emit_reports(table: ResultTable, output_dir: str | os.PathLike = "results") 
     ``traces.csv`` with per-run convergence checkpoints. The tests and
     their level are ``table.spec.tests`` and ``table.spec.alpha``, which
     :meth:`ExperimentSpec.validate` has checked; nothing is checked here.
+    Each file is written to a temporary file and then moved into place, so
+    a write that fails leaves the earlier file, if any, as it was.
     The raw rows are not rewritten: ``runs.csv`` is the run-major file that
     :func:`run_experiment` streamed. Returns the written paths.
     """
@@ -293,7 +337,7 @@ def emit_reports(table: ResultTable, output_dir: str | os.PathLike = "results") 
     written: list[Path] = []
 
     summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(summary_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["problem", "metric", "statistic", *labels])
         for problem in spec.problems:
@@ -323,13 +367,13 @@ def emit_reports(table: ResultTable, output_dir: str | os.PathLike = "results") 
                         "p_values": matrix.pvalues.tolist(),
                     }
                     path = out_dir / f"significance_{problem}_{metric}_{test}.json"
-                    with open(path, "w", encoding="utf-8") as fh:
+                    with _replacing(path) as fh:
                         json.dump(payload, fh, indent=2)
                         fh.write("\n")
                     written.append(path)
 
     traces_path = out_dir / "traces.csv"
-    with open(traces_path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(traces_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "problem", "run", "eval_count", "best_fitness"])
         for (alg, problem, run), trace in sorted(table.traces.items()):

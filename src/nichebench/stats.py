@@ -15,6 +15,10 @@ k and the columns up to the running maximum sum. Samples of equal size
 without ties share one key, so a pairwise grid mostly costs lookups. The
 p-value stays exact: every count is an integer below C(40, 20) < 2^53, so
 the float64 sums are exact and give the same double as a full recount.
+
+SciPy is imported by the first ``welch_t`` call, not with this module:
+``welch_t`` takes its p-value from ``scipy.special.stdtr``, and nothing
+else here needs SciPy, so code that never runs the t test never loads it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 __all__ = [
     "SampleSet",
@@ -253,6 +256,8 @@ def welch_t(a, b) -> tuple[float, float]:
     se2 = var_a / n + var_b / m
     t = (mean_a - mean_b) / math.sqrt(se2)
     df = se2 ** 2 / ((var_a / n) ** 2 / (n - 1) + (var_b / m) ** 2 / (m - 1))
+    from scipy.special import stdtr  # about 0.2 s to load; only this test needs it
+
     p = 2.0 * float(stdtr(df, -abs(t)))
     return t, min(1.0, p)
 

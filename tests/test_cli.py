@@ -1,9 +1,11 @@
 """CLI flags, config files, overrides, and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from nichebench import harness
 from nichebench.cli import main
 
 
@@ -107,10 +109,12 @@ def test_config_entry_rejects_unknown_fields(tmp_path, capsys):
     ({"output_dir": 5}, "'output_dir' must be a string"),
     ({"grating_profile": 3}, "'grating_profile' must be a string"),
     ({"algorithms": "sde"}, "'algorithms' must be a list"),
+    ({"algorithms": [{"name": "crowding_de", "population_size": 3}]},
+     "population_size must be at least 4"),
 ], ids=["top_level_list", "runs_not_a_number", "population_size_text", "population_size_fraction",
         "problems_not_a_list", "max_evals_fraction", "base_seed_bool", "tests_not_a_list",
         "alpha_text", "jobs_text", "output_dir_number", "grating_profile_number",
-        "algorithms_not_a_list"])
+        "algorithms_not_a_list", "de_population_below_4"])
 def test_malformed_config_values_exit_2_before_running(tmp_path, monkeypatch, capsys,
                                                        content, message):
     # the output directory comes from the file, so a bad output_dir is not
@@ -135,3 +139,35 @@ def test_alpha_outside_unit_interval_exits_2_before_running(tmp_path, capsys):
     assert code == 2
     assert "alpha must be in (0, 1)" in capsys.readouterr().err
     assert not (out / "runs.csv").exists()
+
+
+def test_de_population_below_minimum_exits_2_before_running(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["--algorithm", "sde", "--problem", "deb1", "--runs", "2", "--evals", "60",
+                 "--pop-size", "3", "--out", str(out)])
+    assert code == 2
+    assert "sde: population_size must be at least 4" in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_run_exits_3_naming_the_run(tmp_path, monkeypatch, capsys, jobs):
+    def nan_problem():
+        return dataclasses.replace(harness.resolve_problem("himmelblau"), name="nan",
+                                   objective=lambda genome: float("nan"))
+
+    monkeypatch.setitem(harness.PROBLEM_FACTORIES, "nan", nan_problem)
+    out = tmp_path / "r"
+    code = main(["--algorithm", "sde", "--problem", "deb1", "--problem", "nan", "--runs", "2",
+                 "--evals", "60", "--pop-size", "6", "--seed", "7", "--jobs", jobs,
+                 "--out", str(out)])
+    assert code == 3
+    seed = harness.derive_seed(7, "sde", "nan", 0)
+    err = capsys.readouterr().err
+    assert err.startswith(f"run failed: sde on nan, run 0, seed {seed}: ValueError: "
+                          "objective returned non-finite value nan")
+    rows = (out / "runs.csv").read_text().splitlines()
+    assert rows[0] == "algorithm,problem,run,seed,metric,value"
+    assert {tuple(row.split(",")[:3]) for row in rows[1:]} == {("sde", "deb1", "0"),
+                                                              ("sde", "deb1", "1")}
+    assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]  # no reports

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from nichebench.algorithms import (
+    AlgorithmConfig,
+    _RunState,
     conserve_species_seeds,
     crowding_replacement,
     determine_species_seeds,
@@ -25,6 +27,7 @@ from nichebench.core import (
     is_better,
     random_genome,
 )
+from nichebench.harness import resolve_problem
 from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 
 
@@ -48,6 +51,11 @@ def reference_clip(genome, bounds):
 
 def reference_random_genome(rng, bounds):
     return rng.uniform(bounds[:, 0], bounds[:, 1])
+
+
+def reference_init_genomes(rng, bounds, n):
+    """The initial population drawn one genome per call, row by row."""
+    return [reference_random_genome(rng, bounds) for _ in range(n)]
 
 
 def reference_blend_crossover(p1, p2, rng, bounds, alpha=0.5):
@@ -227,6 +235,21 @@ def test_random_genome_draws_match_uniform():
         for _ in range(5):
             assert_bits_equal(random_genome(new, bounds), reference_random_genome(old, bounds))
         assert_same_stream(new, old)
+
+
+@pytest.mark.parametrize("name", ["himmelblau", "deb1", "grating"])
+def test_init_population_draws_match_one_genome_per_call(name):
+    problem = resolve_problem(name)
+    for seed in range(200):
+        n = 2 + seed % 59
+        st = _RunState(problem, AlgorithmConfig(population_size=n), n, seed)
+        pop = st.init_population()
+        old = np.random.default_rng(seed)
+        want = reference_init_genomes(old, problem.bounds, n)
+        assert len(pop) == n
+        for member, genome in zip(pop, want):
+            assert_bits_equal(member.genome, genome)
+        assert_same_stream(st.rng, old)
 
 
 def test_blend_crossover_matches_uniform_draws():

@@ -8,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nichebench import harness
 from nichebench.algorithms import AlgorithmConfig
 from nichebench.harness import (
     DEFAULT_TESTS,
     ConfigError,
     ExperimentSpec,
     ResultTable,
+    RunError,
     _chunksize,
     _execute_run,
     derive_seed,
@@ -115,9 +117,16 @@ class TestValidation:
         ({"base_seed": "x"}, "'base_seed' must be an integer"),
         ({"problems": "deb1"}, "'problems' must be a list"),
         ({"alpha": 2.0}, "alpha must be in"),
+        ({"algorithms": [("crowding_de", AlgorithmConfig(population_size=3))]},
+         "crowding_de: population_size must be at least 4"),
+        ({"algorithms": [("sharing_de", AlgorithmConfig(population_size=3))]},
+         "sharing_de: population_size must be at least 4"),
+        ({"algorithms": [("sde", AlgorithmConfig(population_size=3))]},
+         "sde: population_size must be at least 4"),
     ], ids=["population_size_fraction", "de_F_text", "crowding_factor_bool", "t_test_one_run",
             "runs_fraction", "runs_text", "max_evals_fraction", "base_seed_text",
-            "problems_string", "alpha_above_1"])
+            "problems_string", "alpha_above_1", "crowding_de_population_3",
+            "sharing_de_population_3", "sde_population_3"])
     def test_malformed_setting_raises_before_any_run(self, tmp_path, settings, message):
         spec = dataclasses.replace(tiny_spec(tmp_path), **settings)
         with pytest.raises(ConfigError, match=message):
@@ -211,6 +220,49 @@ class TestRunExperiment:
         assert set(table.metrics_for("deb1")) == {"best_fitness", "peak_ratio", "avg_min_distance"}
 
 
+def _nan_problem():
+    return dataclasses.replace(resolve_problem("himmelblau"), name="nan",
+                               objective=lambda genome: float("nan"))
+
+
+@pytest.fixture
+def nan_problem(monkeypatch):
+    """A problem named 'nan' whose objective returns NaN; forked pool workers
+    inherit the registration."""
+    monkeypatch.setitem(harness.PROBLEM_FACTORIES, "nan", _nan_problem)
+
+
+class TestRunFailure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_run_is_named_and_earlier_rows_kept(self, tmp_path, nan_problem, jobs):
+        spec = tiny_spec(tmp_path / "grid", problems=("deb1", "nan"), algorithms=("crowding_de",))
+        with pytest.raises(RunError) as info:
+            run_experiment(spec, jobs=jobs)
+        seed = derive_seed(spec.base_seed, "crowding_de", "nan", 0)
+        assert str(info.value).startswith(
+            f"crowding_de on nan, run 0, seed {seed}: "
+            "ValueError: objective returned non-finite value nan at array(")
+        # the worker's exception, or its traceback from a pool process
+        assert "objective returned non-finite value nan" in str(info.value.__cause__)
+        # the rows of both deb1 runs, exactly as a grid without the failing cell writes them
+        clean = tiny_spec(tmp_path / "clean", problems=("deb1",), algorithms=("crowding_de",))
+        run_experiment(clean)
+        runs_csv = (Path(spec.output_dir) / "runs.csv").read_bytes()
+        assert runs_csv == (Path(clean.output_dir) / "runs.csv").read_bytes()
+        assert runs_csv.count(b"\n") == 1 + 2 * 3
+
+    def test_budget_audit_failure_names_the_run(self, tmp_path, monkeypatch):
+        def overspending(problem, config, budget, rng):
+            result = harness.get_algorithm("sde")(problem, config, budget, rng)
+            return dataclasses.replace(result, evals_used=budget + 1)
+
+        monkeypatch.setitem(harness.ALGORITHMS, "overspending", overspending)
+        task = ("overspending", AlgorithmConfig(population_size=10), "deb1", None, 60, 17, 4)
+        with pytest.raises(RunError, match=r"^overspending on deb1, run 4, seed 17: "
+                                           r"RuntimeError: budget audit failed: 61 > 60$"):
+            _execute_run(task)
+
+
 class TestEmitReports:
     def test_files_written_and_roundtrip(self, tmp_path):
         spec = tiny_spec(tmp_path)
@@ -295,6 +347,24 @@ class TestEmitReports:
         assert payload["labels"] == labels
         assert np.array(payload["significant"]).shape == (10, 10)
         assert np.array(payload["p_values"]).shape == (10, 10)
+
+    def test_reports_are_replaced_whole(self, tmp_path, monkeypatch):
+        spec = tiny_spec(tmp_path, tests=("mwu", "ks"))
+        table = run_experiment(spec)
+        out = Path(spec.output_dir)
+        emit_reports(table, output_dir=out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert not [name for name in before if name.endswith(".tmp")]
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write('{"problem": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            emit_reports(table, output_dir=out)
+        # every file, the significance file being written included, as it was
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_traces_monotone(self, tmp_path):
         spec = tiny_spec(tmp_path)

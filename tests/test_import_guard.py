@@ -1,0 +1,70 @@
+"""What ``import nichebench`` loads: NumPy, but neither SciPy nor the
+process pool. SciPy comes with the first Welch t p-value and the pool with
+the first grid run at ``jobs > 1``. These checks look at ``sys.modules`` in
+a fresh interpreter, not at import time, so they are deterministic."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import nichebench
+
+SRC = str(Path(nichebench.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter that imports this source tree; it
+    prints one JSON object, returned here."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def heavy(modules) -> list[str]:
+    return [m for m in modules
+            if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures.process"]
+
+
+def test_import_loads_neither_scipy_nor_the_process_pool():
+    out = run_fresh(
+        "import json, sys\n"
+        "import nichebench, nichebench.cli\n"
+        "print(json.dumps({'file': nichebench.__file__, 'modules': sorted(sys.modules)}))\n"
+    )
+    assert Path(out["file"]).resolve() == Path(nichebench.__file__).resolve()
+    assert "numpy" in out["modules"] and "nichebench.cli" in out["modules"]
+    assert heavy(out["modules"]) == []
+
+
+def test_first_welch_t_loads_scipy_and_keeps_every_p_value_bit():
+    # welch_t runs before anything imports SciPy; its p-values are then
+    # recomputed with an eagerly imported stdtr from the same df and t
+    out = run_fresh(
+        "import json, math, sys\n"
+        "import numpy as np\n"
+        "from nichebench.stats import welch_t\n"
+        "before = sorted(sys.modules)\n"
+        "rng = np.random.default_rng(20)\n"
+        "cases = [(rng.normal(0, 1, int(rng.integers(2, 30))),\n"
+        "          rng.normal(rng.normal(0, 2), rng.uniform(0.1, 5), int(rng.integers(2, 30))))\n"
+        "         for _ in range(300)]\n"
+        "got = [welch_t(a, b) for a, b in cases]\n"
+        "from scipy.special import stdtr\n"
+        "want = []\n"
+        "for a, b in cases:\n"
+        "    n, m = a.size, b.size\n"
+        "    var_a, var_b = float(a.var(ddof=1)), float(b.var(ddof=1))\n"
+        "    se2 = var_a / n + var_b / m\n"
+        "    t = (float(a.mean()) - float(b.mean())) / math.sqrt(se2)\n"
+        "    df = se2 ** 2 / ((var_a / n) ** 2 / (n - 1) + (var_b / m) ** 2 / (m - 1))\n"
+        "    want.append((t, min(1.0, 2.0 * float(stdtr(df, -abs(t))))))\n"
+        "print(json.dumps({'before': before, 'after': sorted(sys.modules),\n"
+        "                  'got': [[t.hex(), p.hex()] for t, p in got],\n"
+        "                  'want': [[t.hex(), p.hex()] for t, p in want]}))\n"
+    )
+    assert heavy(out["before"]) == []
+    assert "scipy.special" in out["after"]
+    assert out["got"] == out["want"]
