@@ -4,6 +4,10 @@ sharing (GA and DE), species conservation, and species-partitioned DE.
 Every algorithm has the signature ``(problem, config, budget, rng) ->
 RunResult`` and terminates exactly when the evaluation budget runs out,
 returning the partially updated population if that happens mid-generation.
+:func:`check_run` rejects, before anything is drawn, a run that could not
+start: an invalid config, a population below the algorithm's minimum, or
+a budget below the population size. So every member of every population
+is evaluated.
 Children come from two streams, ``_RunState.ga_children`` (BLX crossover,
 Gaussian mutation) and ``_RunState.de_children`` (DE/rand/1/bin trials),
 the only code that builds, evaluates and budget-checks a child: no child
@@ -49,6 +53,7 @@ __all__ = [
     "conserve_species_seeds",
     "ALGORITHMS",
     "MIN_POPULATION",
+    "check_run",
     "get_algorithm",
 ]
 
@@ -58,14 +63,8 @@ logger = logging.getLogger(__name__)
 _SHARING_EPS = 1e-12
 
 # smallest population_size per algorithm where AlgorithmConfig's 2 is too few:
-# DE/rand/1/bin draws three donors besides the target. ExperimentSpec.validate
-# reads it before any run, the algorithms when they start.
+# DE/rand/1/bin draws three donors besides the target. check_run reads it.
 MIN_POPULATION = {"crowding_de": 4, "sharing_de": 4, "sde": 4}
-
-
-def _check_population(name: str, config: AlgorithmConfig) -> None:
-    if config.population_size < MIN_POPULATION[name]:
-        raise ValueError(f"{name} needs a population of at least {MIN_POPULATION[name]}")
 
 
 @dataclass
@@ -115,6 +114,19 @@ class AlgorithmConfig:
         return 1.0 / dimension if self.mutation_rate is None else self.mutation_rate
 
 
+def check_run(name: str, config: AlgorithmConfig, budget) -> None:
+    """Raise ValueError unless algorithm ``name`` can run ``config`` on
+    ``budget`` evaluations: the config is valid, the population meets the
+    algorithm's minimum, and the budget covers the initial population.
+    Each run and ``ExperimentSpec.validate`` call it before anything else."""
+    config.validate()
+    if config.population_size < MIN_POPULATION.get(name, 0):
+        raise ValueError(f"population_size must be at least {MIN_POPULATION[name]}")
+    if budget < config.population_size:
+        raise ValueError(f"a budget of {budget} evaluations does not cover the initial "
+                         f"population of {config.population_size}")
+
+
 @dataclass
 class RunResult:
     """Final population plus the budget spent and the convergence trace.
@@ -131,10 +143,11 @@ class RunResult:
 class _RunState:
     """Per-run bookkeeping: the evaluator, the RNG, and the two child
     streams, the only code that builds, evaluates and budget-checks a
-    child."""
+    child. ``config`` None means the default :class:`AlgorithmConfig`."""
 
-    def __init__(self, problem, config: AlgorithmConfig, budget, rng):
-        config.validate()
+    def __init__(self, name: str, problem, config: AlgorithmConfig | None, budget, rng):
+        config = config or AlgorithmConfig()
+        check_run(name, config, budget)
         self.config = config
         self.evaluate = Evaluator(problem, budget)
         self.rng = np.random.default_rng(rng)
@@ -143,16 +156,15 @@ class _RunState:
         self.mutation_rate = config.effective_mutation_rate(problem.dimension)
 
     def init_population(self) -> Population:
-        """Random members, evaluated in order while the budget lasts."""
+        """``population_size`` uniform random members, evaluated in order;
+        check_run has made sure the budget covers them all."""
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        # one request for the doubles of population_size random_genome calls,
-        # in the same order: row i is what the i-th call would return
+        # one request for the doubles of population_size rng.uniform(lo, hi)
+        # calls, in the same order: row i is what the i-th call would return
         genomes = lo + (hi - lo) * self.rng.random((self.config.population_size, lo.shape[0]))
-        members = [Individual(genome) for genome in genomes]
-        for ind in members:
-            self.evaluate(ind)
+        pop = Population([self.evaluate(genome) for genome in genomes])
         self.evaluate.checkpoint()
-        return Population(members)
+        return pop
 
     def ga_children(self, p1: Individual, p2: Individual):
         """Evaluated BLX/mutation children of ``p1`` and ``p2``; stops once the
@@ -161,10 +173,8 @@ class _RunState:
         for genome in blend_crossover(p1.genome, p2.genome, self.rng, self.bounds, cfg.blend_alpha):
             if self.evaluate.exhausted:
                 return
-            child = Individual(gaussian_mutation(genome, self.rng, self.bounds,
-                                                 self.mutation_rate, cfg.mutation_sigma))
-            self.evaluate(child)
-            yield child
+            yield self.evaluate(gaussian_mutation(genome, self.rng, self.bounds,
+                                                  self.mutation_rate, cfg.mutation_sigma))
 
     def de_children(self, pop: Population, donor_pools=None):
         """``(target, evaluated trial)`` for each target in order; stops once
@@ -176,10 +186,8 @@ class _RunState:
             if self.evaluate.exhausted:
                 return
             pool = None if donor_pools is None else donor_pools[target]
-            child = Individual(de_trial_vector(target, pop, cfg.de_F, cfg.de_CR,
-                                               self.rng, self.bounds, donor_pool=pool))
-            self.evaluate(child)
-            yield target, child
+            yield target, self.evaluate(de_trial_vector(target, pop, cfg.de_F, cfg.de_CR,
+                                                        self.rng, self.bounds, donor_pool=pool))
 
     def breed(self, pop: Population, select) -> None:
         """Generational GA step: evaluated children of ``select()``-chosen
@@ -207,7 +215,7 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
     Parents are paired by a random permutation each generation; a child
     takes its parent's slot iff strictly better.
     """
-    st = _RunState(problem, config or AlgorithmConfig(), budget, rng)
+    st = _RunState("preselection_ga", problem, config, budget, rng)
     pop = st.init_population()
     while not st.evaluate.exhausted:
         order = st.rng.permutation(len(pop))
@@ -223,12 +231,13 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
 
 
 def crowding_replacement(child: Individual, pop: Population, cf: int,
-                         rng: np.random.Generator, direction: str) -> Population:
+                         rng: np.random.Generator, direction: str) -> bool:
     """Let the child challenge the most similar of ``cf`` sampled members.
 
     Samples ``cf`` members without replacement, finds the sampled member
     nearest to the child (distance ties go to the lowest population
-    index), and replaces it iff the child is strictly better.
+    index), and replaces it iff the child is strictly better. Returns
+    True iff the child took that member's slot.
     """
     if not 1 <= cf <= len(pop):
         raise ValueError("crowding factor must be in [1, len(pop)]")
@@ -242,7 +251,8 @@ def crowding_replacement(child: Individual, pop: Population, cf: int,
         nearest = int(np.min(idxs[dists == dists.min()]))
     if is_better(child.fitness, pop[nearest].fitness, direction):
         pop[nearest] = child
-    return pop
+        return True
+    return False
 
 
 def crowding_ga(problem, config: AlgorithmConfig | None = None,
@@ -253,9 +263,8 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
     child immediately challenges its nearest member among a ``cf``-sized
     sample of the current population.
     """
-    config = config or AlgorithmConfig()
-    st = _RunState(problem, config, budget, rng)
-    cf = config.effective_crowding_factor()
+    st = _RunState("crowding_ga", problem, config, budget, rng)
+    cf = st.config.effective_crowding_factor()
     pop = st.init_population()
     while not st.evaluate.exhausted:
         for _ in range(len(pop) // 2):
@@ -277,10 +286,8 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
     challenges the nearest member of the current population (the sample
     size defaults to the whole population).
     """
-    config = config or AlgorithmConfig()
-    _check_population("crowding_de", config)
-    st = _RunState(problem, config, budget, rng)
-    cf = config.effective_crowding_factor()
+    st = _RunState("crowding_de", problem, config, budget, rng)
+    cf = st.config.effective_crowding_factor()
     pop = st.init_population()
     while not st.evaluate.exhausted:
         for _, child in st.de_children(pop):
@@ -314,8 +321,8 @@ def _score_tournament(scores: np.ndarray, rng: np.random.Generator) -> int:
 def sharing_ga(problem, config: AlgorithmConfig | None = None,
                budget=10000, rng=0) -> RunResult:
     """Generational GA whose parent selection runs on shared fitness."""
-    config = config or AlgorithmConfig()
-    st = _RunState(problem, config, budget, rng)
+    st = _RunState("sharing_ga", problem, config, budget, rng)
+    config = st.config
     pop = st.init_population()
     while not st.evaluate.exhausted:
         scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
@@ -334,9 +341,8 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
     computed once over the pool, and each trial takes its target's slot
     iff its shared score is strictly higher.
     """
-    config = config or AlgorithmConfig()
-    _check_population("sharing_de", config)
-    st = _RunState(problem, config, budget, rng)
+    st = _RunState("sharing_de", problem, config, budget, rng)
+    config = st.config
     pop = st.init_population()
     while not st.evaluate.exhausted:
         # nothing is replaced until every trial is built, so all see the
@@ -360,7 +366,7 @@ def determine_species_seeds(pop: Population, species_distance: float,
     The best individual always seeds the first species; every later
     individual seeds a new species iff it lies at distance >=
     species_distance/2 from all earlier seeds (i.e. outside every existing
-    species region). Returns copies, in discovery order.
+    species region). Returns the seed members, in discovery order.
     """
     if len(pop) == 0:
         raise ValueError("cannot determine seeds of an empty population")
@@ -375,7 +381,7 @@ def determine_species_seeds(pop: Population, species_distance: float,
     seeds: list[Individual] = []
     for idx in order:
         if free[idx]:
-            seeds.append(pop[idx].copy())
+            seeds.append(pop[idx])
             free &= np.sqrt(np.sum((genomes - genomes[idx]) ** 2, axis=1)) >= radius
     return seeds
 
@@ -390,7 +396,7 @@ def _nearest_seed_assignment(genomes: np.ndarray, seed_matrix: np.ndarray):
 
 def conserve_species_seeds(pop: Population, seeds: list[Individual],
                            species_distance: float, direction: str) -> Population:
-    """Copy saved seeds back into a population after variation.
+    """Put saved seeds back into a population after variation.
 
     Members belong to the species of their nearest seed when within
     species_distance/2 of it. A seed whose genome already survived in its
@@ -437,7 +443,7 @@ def conserve_species_seeds(pop: Population, seeds: list[Individual],
                 overflow += 1
                 continue
             slot = max(candidates, key=badness)
-        pop[slot] = seed.copy()
+        pop[slot] = seed
         free[slot] = False
     if overflow:
         logger.warning("%d species seeds could not be conserved: population full", overflow)
@@ -449,18 +455,18 @@ def scga(problem, config: AlgorithmConfig | None = None,
     """Species conserving GA.
 
     Seeds are saved before variation, the population undergoes tournament
-    selection, crossover and mutation, and the seeds are copied back into
+    selection, crossover and mutation, and the seeds are put back into
     the freshly built generation. Conservation is evaluation-free, so it
     also runs when the budget dies mid-generation. ``observer``, when
     given, is called as ``observer(generation, population)`` after
     initialization and after every conservation pass (instrumentation
     hook, e.g. for auditing seed survival).
     """
-    config = config or AlgorithmConfig()
-    st = _RunState(problem, config, budget, rng)
+    st = _RunState("scga", problem, config, budget, rng)
+    config = st.config
     pop = st.init_population()
     generation = 0
-    if observer is not None and pop[-1].evaluated:
+    if observer is not None:
         observer(generation, pop)
     while not st.evaluate.exhausted:
         generation += 1
@@ -483,12 +489,10 @@ def sde(problem, config: AlgorithmConfig | None = None,
     population. One-to-one replacement keeps each seed unless one of its
     own trials strictly beats it.
     """
-    config = config or AlgorithmConfig()
-    _check_population("sde", config)
-    st = _RunState(problem, config, budget, rng)
+    st = _RunState("sde", problem, config, budget, rng)
     pop = st.init_population()
     while not st.evaluate.exhausted:
-        seeds = determine_species_seeds(pop, config.species_distance, st.direction)
+        seeds = determine_species_seeds(pop, st.config.species_distance, st.direction)
         assigned, _ = _nearest_seed_assignment(pop.genome_matrix(),
                                                np.array([s.genome for s in seeds]))
         species: dict[int, list[int]] = {}

@@ -6,9 +6,12 @@ All genomes are 1-d float ndarrays. Box bounds are given as a (dim, 2)
 array of [lo, hi] rows and every operator clamps its output to them.
 Operators draw from a ``np.random.Generator``. Termination is driven
 solely by :class:`Evaluator`: each objective call consumes exactly one
-evaluation and a run stops the moment the budget is exhausted. No child
-is built once the budget is spent, so no operator draws for a child that
-could never be evaluated.
+evaluation and a run stops the moment the budget is exhausted. The
+evaluator is also where individuals come from: it returns each genome it
+evaluates as an :class:`Individual`, so there is no unevaluated
+individual, and none is changed after it is made. No child is built once
+the budget is spent, so no operator draws for a child that could never
+be evaluated.
 
 Draw exactness: every published result is a pure function of the run
 seed, so the random requests made here are frozen. A change to an RNG
@@ -34,7 +37,6 @@ __all__ = [
     "Population",
     "is_better",
     "clip_to_bounds",
-    "random_genome",
     "binary_tournament",
     "blend_crossover",
     "gaussian_mutation",
@@ -44,32 +46,25 @@ __all__ = [
 
 @dataclass
 class Individual:
-    """A real-valued genome with its cached objective value.
+    """A real-valued genome with its objective value.
 
-    ``fitness`` is None until the individual has been evaluated; unevaluated
-    individuals must never be compared by fitness.
+    :class:`Evaluator` makes every individual of a run, so ``fitness`` is
+    always set. Neither field is changed afterwards: the same object may
+    sit in a population and in a list of species seeds at once.
     """
 
     genome: np.ndarray
-    fitness: float | None = None
-
-    @property
-    def evaluated(self) -> bool:
-        return self.fitness is not None
-
-    def copy(self) -> "Individual":
-        return Individual(self.genome.copy(), self.fitness)
+    fitness: float
 
 
 class Population:
-    """Ordered list of individuals whose size never changes: algorithms
-    replace members by index, they never add or remove one.
+    """Ordered list of evaluated individuals whose size never changes:
+    algorithms replace members by index, they never add or remove one.
 
     The ``(n, dim)`` matrix of member genomes is built here and kept in
     sync by ``pop[i] = ind``, so the survivor-selection steps do not
-    re-stack the genomes on every call. Members' genomes are therefore
-    treated as immutable while they sit in a population: replace a member
-    instead of editing its genome in place.
+    re-stack the genomes on every call. Members are never edited in place
+    (an edited genome would leave the matrix stale): a member is replaced.
     """
 
     def __init__(self, members):
@@ -98,19 +93,14 @@ class Population:
         return self.genome_matrix().copy()
 
     def fitnesses(self) -> np.ndarray:
-        """Fitness vector; raises if any member is unevaluated."""
-        values = [m.fitness for m in self.members]
-        if any(v is None for v in values):
-            raise ValueError("population contains unevaluated individuals")
-        return np.asarray(values, dtype=float)
+        return np.asarray([m.fitness for m in self.members], dtype=float)
 
     def best(self, direction: str) -> Individual:
-        """Best evaluated member under the given direction."""
-        evaluated = [m for m in self.members if m.evaluated]
-        if not evaluated:
-            raise ValueError("no evaluated individuals in population")
-        best = evaluated[0]
-        for m in evaluated[1:]:
+        """Best member under the given direction; the first of equals."""
+        if not self.members:
+            raise ValueError("empty population")
+        best = self.members[0]
+        for m in self.members[1:]:
             if is_better(m.fitness, best.fitness, direction):
                 best = m
         return best
@@ -130,14 +120,9 @@ def clip_to_bounds(genome: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(genome, bounds[:, 0]), bounds[:, 1])
 
 
-def random_genome(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
-    lo = bounds[:, 0]
-    # rng.uniform(lo, hi) computes exactly lo + (hi - lo) * next_double
-    return lo + (bounds[:, 1] - lo) * rng.random(lo.shape[0])
-
-
 class Evaluator:
-    """The run clock: evaluates individuals until ``max_evals`` objective
+    """The run clock and the maker of individuals: turns genomes into
+    evaluated :class:`Individual` objects until ``max_evals`` objective
     calls are spent, keeping the best fitness so far and the trace of
     (evaluations used, best fitness) checkpoints."""
 
@@ -155,22 +140,22 @@ class Evaluator:
     def exhausted(self) -> bool:
         return self.used >= self.max_evals
 
-    def __call__(self, ind: Individual) -> bool:
-        """Evaluate ``ind`` in place; False, without calling the objective
-        or touching ``ind``, once the budget is used up.
+    def __call__(self, genome: np.ndarray) -> Individual:
+        """A new individual holding ``genome`` and its objective value.
 
-        Raises ValueError if the objective returns a non-finite value.
+        Raises RuntimeError, without calling the objective, once the budget
+        is used up (callers check :attr:`exhausted` first), and ValueError
+        if the objective returns a non-finite value.
         """
         if self.used >= self.max_evals:
-            return False
+            raise RuntimeError(f"evaluation budget of {self.max_evals} is used up")
         self.used += 1
-        value = float(self.objective(ind.genome))
+        value = float(self.objective(genome))
         if not math.isfinite(value):
-            raise ValueError(f"objective returned non-finite value {value!r} at {ind.genome!r}")
-        ind.fitness = value
+            raise ValueError(f"objective returned non-finite value {value!r} at {genome!r}")
         if self.best is None or is_better(value, self.best, self.direction):
             self.best = value
-        return True
+        return Individual(genome, value)
 
     def checkpoint(self) -> None:
         """Record (evaluations used, best fitness) once anything is evaluated."""

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, MIN_POPULATION, AlgorithmConfig, RunResult, get_algorithm
+from .algorithms import ALGORITHMS, AlgorithmConfig, RunResult, check_run, get_algorithm
 from .grating import make_default_problem
 from .metrics import avg_min_distance, best_fitness, distinct_peaks, peak_ratio
 from .problems import PROBLEM_FACTORIES, BoundedProblem
@@ -78,9 +78,10 @@ class ExperimentSpec:
     """A full experiment: which algorithms on which problems, how often, and
     which significance tests (at level ``alpha``) the reports run.
 
-    :meth:`validate` checks every field's type and range, including each
-    algorithm's minimum population (``algorithms.MIN_POPULATION``), and
-    rejects the t test on one run per cell when two or more algorithms are
+    :meth:`validate` checks every field's type and range, runs
+    ``algorithms.check_run`` for each algorithm (its config, its minimum
+    population, and ``max_evals`` against the population), and rejects
+    the t test on one run per cell when two or more algorithms are
     compared (``welch_t`` needs two values per sample).
     """
 
@@ -131,17 +132,9 @@ class ExperimentSpec:
                 raise ConfigError(f"algorithm {name!r} listed twice")
             seen.add(name)
             try:
-                config.validate()
+                check_run(name, config, self.max_evals)
             except ValueError as exc:
                 raise ConfigError(f"bad config for {name}: {exc}") from None
-            if config.population_size < MIN_POPULATION.get(name, 0):
-                raise ConfigError(f"bad config for {name}: population_size must be at least "
-                                  f"{MIN_POPULATION[name]}")
-            if self.max_evals < config.population_size:
-                raise ConfigError(
-                    "max_evals must cover at least the initial population "
-                    f"({config.population_size} for {name})"
-                )
         for test in self.tests:
             if test not in TESTS:
                 raise ConfigError(f"unknown test {test!r}; known: {sorted(TESTS)}")

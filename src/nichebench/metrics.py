@@ -77,10 +77,7 @@ def distinct_peaks(
         members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
     # free[i]: member i qualifies and lies at distance >= radius from every
     # member counted so far
-    free = np.array([
-        ind.fitness is not None and is_better(ind.fitness, fitness_threshold, direction)
-        for ind in pop
-    ])
+    free = np.array([is_better(ind.fitness, fitness_threshold, direction) for ind in pop])
     counted = 0
     for idx in np.flatnonzero(free).tolist():
         if free[idx]:

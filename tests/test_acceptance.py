@@ -302,7 +302,7 @@ def test_criterion_6_scga_seed_conservation():
         snapshots = []
 
         def observer(generation, population):
-            snapshots.append([m.copy() for m in population])
+            snapshots.append([Individual(m.genome.copy(), m.fitness) for m in population])
 
         budget = 50 + 50 * 50  # initialization plus 50 full generations
         scga(problem, config, budget, derive_seed(6, "scga", "six_hump_camel", 0),

@@ -1,6 +1,7 @@
 """Algorithm behavior: replacement rules, species handling, budgets,
 determinism, and brute-force oracle equivalence for the niching operators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from nichebench.algorithms import (
 )
 from nichebench.core import Individual, Population
 from nichebench.problems import deb1, himmelblau, six_hump_camel
+from test_draw_equivalence import random_genome  # the oracle, not library code
 
 ALL_NAMES = sorted(ALGORITHMS)
 
@@ -36,7 +38,8 @@ class TestCrowdingReplacement:
     def test_replaces_nearest_when_better(self):
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0])
         child = Individual(np.array([0.1, 0.1]), 3.0)
-        crowding_replacement(child, pop, cf=2, rng=np.random.default_rng(0), direction="max")
+        assert crowding_replacement(child, pop, cf=2, rng=np.random.default_rng(0),
+                                    direction="max") is True
         assert pop[0] is child
         assert pop[1].fitness == 2.0
 
@@ -44,7 +47,8 @@ class TestCrowdingReplacement:
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [5.0, 2.0])
         child = Individual(np.array([0.1, 0.1]), 1.0)
         before = [m for m in pop]
-        crowding_replacement(child, pop, cf=2, rng=np.random.default_rng(0), direction="max")
+        assert crowding_replacement(child, pop, cf=2, rng=np.random.default_rng(0),
+                                    direction="max") is False
         assert list(pop) == before
 
     def test_equal_child_changes_nothing(self):
@@ -154,13 +158,6 @@ class TestDetermineSpeciesSeeds:
         seeds = determine_species_seeds(pop, species_distance=1e-12, direction="max")
         assert len(seeds) == 3
 
-    def test_seeds_are_copies(self):
-        pop = make_pop([[0.0]], [1.0])
-        seeds = determine_species_seeds(pop, species_distance=1.0, direction="max")
-        assert seeds[0] is not pop[0]
-        seeds[0].genome[0] = 99.0
-        assert pop[0].genome[0] == 0.0
-
     def test_against_quadratic_oracle(self):
         rng = np.random.default_rng(79)
         for _ in range(1000):
@@ -260,13 +257,24 @@ class TestEveryAlgorithm:
         assert [m.fitness for m in r1.final_population] == [m.fitness for m in r2.final_population]
         assert r1.trace == r2.trace
 
-    def test_zero_budget_returns_unevaluated_population(self, name):
-        problem = deb1()
-        result = ALGORITHMS[name](problem, small_config(), 0, 5)
-        assert result.evals_used == 0
-        assert len(result.final_population) == 8
-        assert all(m.fitness is None for m in result.final_population)
-        assert result.trace == []
+    @pytest.mark.parametrize("config, budget, message", [
+        (AlgorithmConfig(population_size=10), 5, "does not cover the initial population of 10"),
+        (small_config(), 7, "does not cover the initial population of 8"),
+        (small_config(), 0, "does not cover the initial population of 8"),
+        (AlgorithmConfig(population_size="x"), 100, "population_size must be an integer"),
+        (AlgorithmConfig(population_size=True), 100, "population_size must be an integer"),
+    ], ids=["deb1_pop10_budget5", "budget_one_short", "zero_budget", "population_text",
+            "population_bool"])
+    def test_run_that_cannot_start_raises_before_any_call(self, name, config, budget, message):
+        calls = []
+        base = deb1()
+        counted = dataclasses.replace(base, objective=lambda x: calls.append(x) or base.objective(x))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            ALGORITHMS[name](counted, config, budget, rng)
+        assert calls == []
+        assert rng.bit_generator.state == state
 
     def test_trace_is_monotone(self, name):
         problem = six_hump_camel()
@@ -305,8 +313,6 @@ class TestEveryAlgorithm:
 
 def _slotwise_initial_population(problem, config, seed):
     """Replicate the random initial population of a run for slot tracking."""
-    from nichebench.core import random_genome
-
     rng = np.random.default_rng(seed)
     return np.array([random_genome(rng, problem.bounds) for _ in range(config.population_size)])
 
@@ -360,7 +366,7 @@ class TestScga:
         snapshots = []
 
         def observer(generation, population):
-            snapshots.append([m.copy() for m in population])
+            snapshots.append([Individual(m.genome.copy(), m.fitness) for m in population])
 
         ALGORITHMS["scga"](problem, config, 8 + 8 * 12, 13, observer=observer)
         assert len(snapshots) >= 12

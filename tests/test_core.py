@@ -14,10 +14,9 @@ from nichebench.core import (
     blend_crossover,
     de_trial_vector,
     gaussian_mutation,
-    random_genome,
 )
 from nichebench.problems import deb1, himmelblau
-from test_draw_equivalence import euclidean_distance  # the oracle, not library code
+from test_draw_equivalence import euclidean_distance, random_genome  # oracles, not library code
 
 
 def make_pop(genomes, fitnesses):
@@ -55,18 +54,21 @@ class TestEvalBudget:
 
     def test_counts_to_budget_then_returns_false(self):
         evaluate = Evaluator(himmelblau(), 2)
-        assert evaluate(Individual(np.array([0.0, 0.0])))
+        assert evaluate(np.array([0.0, 0.0])).fitness == 170.0
         assert evaluate.used == 1
-        assert evaluate(Individual(np.array([1.0, 1.0])))
+        assert evaluate(np.array([1.0, 1.0])).fitness == 106.0
         assert evaluate.used == 2
         assert evaluate.exhausted
-        assert not evaluate(Individual(np.array([2.0, 2.0])))
+        with pytest.raises(RuntimeError, match="budget"):
+            evaluate(np.array([2.0, 2.0]))
         assert evaluate.used == 2
 
     def test_evaluate_himmelblau_zero(self):
         evaluate = Evaluator(himmelblau(), 10)
-        ind = Individual(np.array([3.0, 2.0]))
-        assert evaluate(ind)
+        genome = np.array([3.0, 2.0])
+        ind = evaluate(genome)
+        assert isinstance(ind, Individual)
+        assert ind.genome is genome
         assert ind.fitness == 0.0
         assert evaluate.used == 1
 
@@ -76,8 +78,7 @@ class TestEvalBudget:
 
         expected = float(mp.sin(5 * mp.pi * mp.mpf("0.1")) ** 6)
         evaluate = Evaluator(deb1(), 1)
-        ind = Individual(np.array([0.1]))
-        assert evaluate(ind)
+        ind = evaluate(np.array([0.1]))
         assert ind.fitness == pytest.approx(expected, abs=1e-12)
         assert ind.fitness == pytest.approx(1.0, abs=1e-12)
         assert evaluate.used == 1
@@ -87,9 +88,8 @@ class TestEvalBudget:
         base = himmelblau()
         counted = dataclasses.replace(base, objective=lambda x: calls.append(x) or base.objective(x))
         evaluate = Evaluator(counted, 0)
-        ind = Individual(np.array([3.0, 2.0]))
-        assert not evaluate(ind)
-        assert ind.fitness is None
+        with pytest.raises(RuntimeError, match="budget"):
+            evaluate(np.array([3.0, 2.0]))
         assert evaluate.used == 0
         assert calls == []
 

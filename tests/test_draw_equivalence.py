@@ -25,7 +25,6 @@ from nichebench.core import (
     de_trial_vector,
     gaussian_mutation,
     is_better,
-    random_genome,
 )
 from nichebench.harness import resolve_problem
 from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
@@ -43,6 +42,15 @@ def euclidean_distance(a, b):
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.sqrt(np.sum((a - b) ** 2)))
+
+
+def random_genome(rng, bounds):
+    """One member's draw as the initial population made it before it took
+    one request for all members; an oracle only (``tests/test_core.py``
+    and ``tests/test_algorithms.py`` draw genomes with it)."""
+    lo = bounds[:, 0]
+    # rng.uniform(lo, hi) computes exactly lo + (hi - lo) * next_double
+    return lo + (bounds[:, 1] - lo) * rng.random(lo.shape[0])
 
 
 def reference_clip(genome, bounds):
@@ -112,7 +120,7 @@ def reference_species_seeds(pop, species_distance, direction):
     for idx in np.argsort(keys, kind="stable"):
         genome = pop[int(idx)].genome
         if all(euclidean_distance(genome, s.genome) >= radius for s in seeds):
-            seeds.append(pop[int(idx)].copy())
+            seeds.append(pop[int(idx)])
     return seeds
 
 
@@ -150,7 +158,7 @@ def reference_conserve(pop, seeds, species_distance, direction):
             if not candidates:
                 continue  # overflow: dropped
             slot = worst_of(candidates)
-        pop[slot] = seed.copy()
+        pop[slot] = seed
         replaced.add(slot)
     return pop
 
@@ -163,7 +171,7 @@ def reference_distinct_peaks(pop, fitness_threshold=1e-4, radius=0.1, direction=
         members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
     counted = []
     for ind, point in zip(pop, members):
-        if ind.fitness is None or not is_better(ind.fitness, fitness_threshold, direction):
+        if not is_better(ind.fitness, fitness_threshold, direction):
             continue
         if all(float(np.sqrt(np.sum((point - q) ** 2))) >= radius for q in counted):
             counted.append(point)
@@ -242,7 +250,7 @@ def test_init_population_draws_match_one_genome_per_call(name):
     problem = resolve_problem(name)
     for seed in range(200):
         n = 2 + seed % 59
-        st = _RunState(problem, AlgorithmConfig(population_size=n), n, seed)
+        st = _RunState("crowding_ga", problem, AlgorithmConfig(population_size=n), n, seed)
         pop = st.init_population()
         old = np.random.default_rng(seed)
         want = reference_init_genomes(old, problem.bounds, n)
@@ -370,8 +378,9 @@ def test_crowding_replacement_matches_restacking(direction):
         for _ in range(5):  # a sequence of challenges on the same population
             child = Individual(rng.integers(-2, 3, size=dim).astype(float),
                                float(rng.integers(0, 5)))
-            crowding_replacement(child, new_pop, cf, new, direction)
+            accepted = crowding_replacement(child, new_pop, cf, new, direction)
             reference_crowding_replacement(child, old_pop, cf, old, direction)
+            assert accepted is any(m is child for m in new_pop.members)
             assert [m is child for m in new_pop] == [m is child for m in old_pop]
             assert snapshot(new_pop) == snapshot(old_pop)
             assert_bits_equal(new_pop.genomes(), old_pop.genomes())
@@ -456,10 +465,7 @@ def test_distinct_peaks_matches_scalar_rescan(direction):
         genomes = rng.uniform(lo, hi, size=(n, dim))
         if n > 3:
             genomes[1] = genomes[0]  # duplicate genomes
-        fits = rng.uniform(0.0, 2.0, size=n)
-        members = [Individual(g, None if i % 7 == 3 else float(f))
-                   for i, (g, f) in enumerate(zip(genomes, fits))]
-        pop = Population(members)
+        pop = population(genomes, rng.uniform(0.0, 2.0, size=n))
         threshold = float(rng.uniform(0.0, 2.0))
         radius = float(rng.uniform(0.01, 0.8))
         got = distinct_peaks(pop, threshold, radius, direction, bounds)
