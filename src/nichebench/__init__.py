@@ -54,8 +54,6 @@ from .problems import (
     six_hump_camel,
 )
 from .stats import (
-    SampleSet,
-    SignificanceMatrix,
     ks_two_sample,
     mann_whitney_u,
     pairwise_matrix,

@@ -117,8 +117,10 @@ class AlgorithmConfig:
 def check_run(name: str, config: AlgorithmConfig, budget) -> None:
     """Raise ValueError unless algorithm ``name`` can run ``config`` on
     ``budget`` evaluations: the config is valid, the population meets the
-    algorithm's minimum, and the budget covers the initial population.
-    Each run and ``ExperimentSpec.validate`` call it before anything else."""
+    algorithm's minimum, and the budget is an integer covering the initial
+    population. Each run and ``ExperimentSpec.validate`` call it first."""
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     config.validate()
     if config.population_size < MIN_POPULATION.get(name, 0):
         raise ValueError(f"population_size must be at least {MIN_POPULATION[name]}")
@@ -129,13 +131,13 @@ def check_run(name: str, config: AlgorithmConfig, budget) -> None:
 
 @dataclass
 class RunResult:
-    """Final population plus the budget spent and the convergence trace.
+    """The final population as the caller's own ``(n, dim)`` genome matrix
+    and ``(n,)`` fitness vector, row for row, plus the budget spent and the
+    ``trace`` of (evaluation count, best fitness so far) checkpoints, one
+    after initialization and one per generation."""
 
-    ``trace`` holds (evaluation count, best fitness so far) checkpoints,
-    one after initialization and one per generation.
-    """
-
-    final_population: Population
+    genomes: np.ndarray
+    fitness: np.ndarray
     evals_used: int
     trace: list[tuple[int, float]] = field(default_factory=list)
 
@@ -203,9 +205,18 @@ class _RunState:
         for slot, child in enumerate(children):
             pop[slot] = child
 
+    def generations(self):
+        """Yield 1, 2, ... while budget is left; the checkpoint of a
+        generation is recorded when the loop body that got it returns."""
+        generation = 0
+        while not self.evaluate.exhausted:
+            generation += 1
+            yield generation
+            self.evaluate.checkpoint()
+
     def result(self, pop: Population) -> RunResult:
-        return RunResult(final_population=pop, evals_used=self.evaluate.used,
-                         trace=self.evaluate.trace)
+        return RunResult(pop.genome_matrix().copy(), pop.fitnesses().copy(),
+                         self.evaluate.used, self.evaluate.trace)
 
 
 def preselection_ga(problem, config: AlgorithmConfig | None = None,
@@ -217,7 +228,7 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
     """
     st = _RunState("preselection_ga", problem, config, budget, rng)
     pop = st.init_population()
-    while not st.evaluate.exhausted:
+    for _ in st.generations():
         order = st.rng.permutation(len(pop))
         for k in range(0, len(pop) - 1, 2):
             if st.evaluate.exhausted:
@@ -226,7 +237,6 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
             for parent_idx, child in zip((i, j), st.ga_children(pop[i], pop[j])):
                 if is_better(child.fitness, pop[parent_idx].fitness, st.direction):
                     pop[parent_idx] = child
-        st.evaluate.checkpoint()
     return st.result(pop)
 
 
@@ -266,15 +276,14 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
     st = _RunState("crowding_ga", problem, config, budget, rng)
     cf = st.config.effective_crowding_factor()
     pop = st.init_population()
-    while not st.evaluate.exhausted:
+    for _ in st.generations():
         for _ in range(len(pop) // 2):
             if st.evaluate.exhausted:
                 break
-            p1 = binary_tournament(pop, st.rng, st.direction)
-            p2 = binary_tournament(pop, st.rng, st.direction)
+            p1 = pop[binary_tournament(pop.fitnesses(), st.rng, st.direction)]
+            p2 = pop[binary_tournament(pop.fitnesses(), st.rng, st.direction)]
             for child in st.ga_children(p1, p2):
                 crowding_replacement(child, pop, cf, st.rng, st.direction)
-        st.evaluate.checkpoint()
     return st.result(pop)
 
 
@@ -289,10 +298,9 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
     st = _RunState("crowding_de", problem, config, budget, rng)
     cf = st.config.effective_crowding_factor()
     pop = st.init_population()
-    while not st.evaluate.exhausted:
+    for _ in st.generations():
         for _, child in st.de_children(pop):
             crowding_replacement(child, pop, cf, st.rng, st.direction)
-        st.evaluate.checkpoint()
     return st.result(pop)
 
 
@@ -310,25 +318,16 @@ def _shared_scores(genomes: np.ndarray, raw: np.ndarray, direction: str,
     return scores / kernel.sum(axis=-1)
 
 
-def _score_tournament(scores: np.ndarray, rng: np.random.Generator) -> int:
-    """Binary tournament on a larger-is-better score vector; ties keep the
-    first drawn index."""
-    i = int(rng.integers(scores.shape[0]))
-    j = int(rng.integers(scores.shape[0]))
-    return j if scores[j] > scores[i] else i
-
-
 def sharing_ga(problem, config: AlgorithmConfig | None = None,
                budget=10000, rng=0) -> RunResult:
     """Generational GA whose parent selection runs on shared fitness."""
     st = _RunState("sharing_ga", problem, config, budget, rng)
     config = st.config
     pop = st.init_population()
-    while not st.evaluate.exhausted:
+    for _ in st.generations():
         scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
                                 config.sharing_radius, config.sharing_alpha)
-        st.breed(pop, lambda: pop[_score_tournament(scores, st.rng)])
-        st.evaluate.checkpoint()
+        st.breed(pop, lambda: pop[binary_tournament(scores, st.rng, "max")])
     return st.result(pop)
 
 
@@ -344,7 +343,7 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
     st = _RunState("sharing_de", problem, config, budget, rng)
     config = st.config
     pop = st.init_population()
-    while not st.evaluate.exhausted:
+    for _ in st.generations():
         # nothing is replaced until every trial is built, so all see the
         # parents; the loop runs only with budget left, so trials is not empty
         trials = [child for _, child in st.de_children(pop)]
@@ -355,7 +354,6 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
         for slot, child in enumerate(trials):
             if scores[len(pop) + slot] > scores[slot]:
                 pop[slot] = child
-        st.evaluate.checkpoint()
     return st.result(pop)
 
 
@@ -465,15 +463,12 @@ def scga(problem, config: AlgorithmConfig | None = None,
     st = _RunState("scga", problem, config, budget, rng)
     config = st.config
     pop = st.init_population()
-    generation = 0
     if observer is not None:
-        observer(generation, pop)
-    while not st.evaluate.exhausted:
-        generation += 1
+        observer(0, pop)
+    for generation in st.generations():
         seeds = determine_species_seeds(pop, config.species_distance, st.direction)
-        st.breed(pop, lambda: binary_tournament(pop, st.rng, st.direction))
+        st.breed(pop, lambda: pop[binary_tournament(pop.fitnesses(), st.rng, st.direction)])
         conserve_species_seeds(pop, seeds, config.species_distance, st.direction)
-        st.evaluate.checkpoint()
         if observer is not None:
             observer(generation, pop)
     return st.result(pop)
@@ -491,7 +486,7 @@ def sde(problem, config: AlgorithmConfig | None = None,
     """
     st = _RunState("sde", problem, config, budget, rng)
     pop = st.init_population()
-    while not st.evaluate.exhausted:
+    for _ in st.generations():
         seeds = determine_species_seeds(pop, st.config.species_distance, st.direction)
         assigned, _ = _nearest_seed_assignment(pop.genome_matrix(),
                                                np.array([s.genome for s in seeds]))
@@ -502,7 +497,6 @@ def sde(problem, config: AlgorithmConfig | None = None,
         for target, child in st.de_children(pop, pools):
             if is_better(child.fitness, pop[target].fitness, st.direction):
                 pop[target] = child
-        st.evaluate.checkpoint()
     return st.result(pop)
 
 

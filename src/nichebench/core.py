@@ -61,15 +61,16 @@ class Population:
     """Ordered list of evaluated individuals whose size never changes:
     algorithms replace members by index, they never add or remove one.
 
-    The ``(n, dim)`` matrix of member genomes is built here and kept in
-    sync by ``pop[i] = ind``, so the survivor-selection steps do not
-    re-stack the genomes on every call. Members are never edited in place
-    (an edited genome would leave the matrix stale): a member is replaced.
+    The ``(n, dim)`` genome matrix and ``(n,)`` fitness vector of the
+    members are built here and kept in sync by ``pop[i] = ind``; callers
+    read them and never write them. Members are never edited in place (an
+    edited genome would leave the matrix stale): a member is replaced.
     """
 
     def __init__(self, members):
         self.members: list[Individual] = list(members)
         self._matrix = np.array([m.genome for m in self.members])
+        self._fitness = np.array([m.fitness for m in self.members], dtype=float)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -83,27 +84,15 @@ class Population:
     def __setitem__(self, i: int, ind: Individual) -> None:
         self.members[i] = ind
         self._matrix[i] = ind.genome
+        self._fitness[i] = ind.fitness
 
     def genome_matrix(self) -> np.ndarray:
         """The population's own (n, dim) genome matrix; read it, never write it."""
         return self._matrix
 
-    def genomes(self) -> np.ndarray:
-        """Member genomes as an (n, dim) array owned by the caller."""
-        return self.genome_matrix().copy()
-
     def fitnesses(self) -> np.ndarray:
-        return np.asarray([m.fitness for m in self.members], dtype=float)
-
-    def best(self, direction: str) -> Individual:
-        """Best member under the given direction; the first of equals."""
-        if not self.members:
-            raise ValueError("empty population")
-        best = self.members[0]
-        for m in self.members[1:]:
-            if is_better(m.fitness, best.fitness, direction):
-                best = m
-        return best
+        """The population's own (n,) fitness vector; read it, never write it."""
+        return self._fitness
 
 
 def is_better(a: float, b: float, direction: str) -> bool:
@@ -163,20 +152,18 @@ class Evaluator:
             self.trace.append((self.used, self.best))
 
 
-def binary_tournament(pop: Population, rng: np.random.Generator, direction: str) -> Individual:
-    """Draw two members uniformly (with replacement), return the better.
+def binary_tournament(fitness: np.ndarray, rng: np.random.Generator, direction: str) -> int:
+    """Draw two indices of ``fitness`` uniformly (with replacement) and
+    return the one whose value is better under ``direction``.
 
-    Ties keep the first drawn member, which makes the outcome a pure
+    Ties keep the first drawn index, which makes the outcome a pure
     function of the RNG state.
     """
-    if len(pop) == 0:
+    if len(fitness) == 0:
         raise ValueError("cannot run a tournament on an empty population")
-    i = int(rng.integers(len(pop)))
-    j = int(rng.integers(len(pop)))
-    first, second = pop[i], pop[j]
-    if is_better(second.fitness, first.fitness, direction):
-        return second
-    return first
+    i = int(rng.integers(len(fitness)))
+    j = int(rng.integers(len(fitness)))
+    return j if is_better(fitness[j], fitness[i], direction) else i
 
 
 def blend_crossover(

@@ -36,7 +36,7 @@ from .algorithms import ALGORITHMS, AlgorithmConfig, RunResult, check_run, get_a
 from .grating import make_default_problem
 from .metrics import avg_min_distance, best_fitness, distinct_peaks, peak_ratio
 from .problems import PROBLEM_FACTORIES, BoundedProblem
-from .stats import TESTS, SampleSet, pairwise_matrix
+from .stats import TESTS, pairwise_matrix
 
 __all__ = [
     "ConfigError",
@@ -166,14 +166,14 @@ def run_metrics(problem: BoundedProblem, result: RunResult) -> dict[str, float]:
     average minimum distance; problems without (the grating) by best
     fitness and the distinct-peak count in normalized coordinates.
     """
-    pop = result.final_population
-    values = {"best_fitness": best_fitness(pop, problem.direction)}
+    genomes, fitness = result.genomes, result.fitness
+    values = {"best_fitness": best_fitness(fitness, problem.direction)}
     if problem.known_peaks:
-        values["peak_ratio"] = peak_ratio(pop, problem.known_peaks)
-        values["avg_min_distance"] = avg_min_distance(pop, problem.known_peaks)
+        values["peak_ratio"] = peak_ratio(genomes, problem.known_peaks)
+        values["avg_min_distance"] = avg_min_distance(genomes, problem.known_peaks)
     else:
         values["distinct_peaks"] = float(
-            distinct_peaks(pop, direction=problem.direction, bounds=problem.bounds)
+            distinct_peaks(genomes, fitness, direction=problem.direction, bounds=problem.bounds)
         )
     return values
 
@@ -344,21 +344,14 @@ def emit_reports(table: ResultTable, output_dir: str | os.PathLike = "results") 
     if len(labels) >= 2:
         for problem in spec.problems:
             for metric in table.metrics_for(problem):
-                samples = [
-                    SampleSet(np.array(table.raw(alg, problem, metric)), label=alg)
-                    for alg in labels
-                ]
+                samples = [np.array(table.raw(alg, problem, metric)) for alg in labels]
                 for test in spec.tests:
-                    matrix = pairwise_matrix(samples, test=test, alpha=spec.alpha, metric=metric)
-                    payload = {
-                        "problem": problem,
-                        "metric": metric,
-                        "test": test,
-                        "alpha": spec.alpha,
-                        "labels": matrix.labels,
-                        "significant": matrix.cells.astype(int).tolist(),
-                        "p_values": matrix.pvalues.tolist(),
-                    }
+                    pvalues = pairwise_matrix(samples, test)
+                    # the diagonal's p of 1.0 is never below an alpha in (0, 1)
+                    payload = {"problem": problem, "metric": metric, "test": test,
+                               "alpha": spec.alpha, "labels": labels,
+                               "significant": (pvalues < spec.alpha).astype(int).tolist(),
+                               "p_values": pvalues.tolist()}
                     path = out_dir / f"significance_{problem}_{metric}_{test}.json"
                     with _replacing(path) as fh:
                         json.dump(payload, fh, indent=2)

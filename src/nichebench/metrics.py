@@ -1,6 +1,7 @@
-"""Performance metrics computed over final populations.
+"""Performance metrics computed over final populations, as the two arrays
+of a ``RunResult``: the ``(n, dim)`` genomes and the ``(n,)`` fitness.
 
-``peak_ratio`` and ``avg_min_distance`` score populations against a list
+``peak_ratio`` and ``avg_min_distance`` score the genomes against a list
 of known optima. ``best_fitness`` and ``distinct_peaks`` need no optima
 list and are the metrics used for objectives whose landscape is unknown;
 ``distinct_peaks`` can measure distances in min-max normalized coordinates
@@ -11,52 +12,56 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Population, is_better
-
 __all__ = ["peak_ratio", "avg_min_distance", "best_fitness", "distinct_peaks"]
 
 
-def _member_matrix(pop: Population) -> np.ndarray:
-    """The population's own genome matrix; the metrics only read it."""
-    if len(pop) == 0:
+def _nonempty(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if len(values) == 0:
         raise ValueError("empty population")
-    return pop.genome_matrix()
+    return values
 
 
-def peak_ratio(pop: Population, peaks, radius: float = 0.1) -> float:
-    """Fraction of peaks with a population member within ``radius``."""
+def _check_direction(direction: str) -> None:
+    if direction not in ("min", "max"):
+        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+
+
+def _nearest_distances(genomes, peaks, metric: str) -> list[float]:
+    """Per peak, in peak order, the distance to the nearest genome row."""
     peaks = [np.asarray(p, dtype=float) for p in peaks]
     if not peaks:
-        raise ValueError("peak_ratio is undefined for an empty peak list")
-    members = _member_matrix(pop)
-    found = 0
-    for peak in peaks:
-        dists = np.sqrt(np.sum((members - peak) ** 2, axis=1))
-        if np.min(dists) <= radius:
-            found += 1
-    return found / len(peaks)
+        raise ValueError(f"{metric} is undefined for an empty peak list")
+    genomes = _nonempty(genomes)
+    return [float(np.min(np.sqrt(np.sum((genomes - peak) ** 2, axis=1)))) for peak in peaks]
 
 
-def avg_min_distance(pop: Population, peaks) -> float:
-    """Mean over peaks of the distance to the nearest population member."""
-    peaks = [np.asarray(p, dtype=float) for p in peaks]
-    if not peaks:
-        raise ValueError("avg_min_distance is undefined for an empty peak list")
-    members = _member_matrix(pop)
+def peak_ratio(genomes, peaks, radius: float = 0.1) -> float:
+    """Fraction of peaks with a genome row within ``radius``."""
+    nearest = _nearest_distances(genomes, peaks, "peak_ratio")
+    return sum(d <= radius for d in nearest) / len(nearest)
+
+
+def avg_min_distance(genomes, peaks) -> float:
+    """Mean over peaks of the distance to the nearest genome row."""
+    nearest = _nearest_distances(genomes, peaks, "avg_min_distance")
     total = 0.0
-    for peak in peaks:
-        dists = np.sqrt(np.sum((members - peak) ** 2, axis=1))
-        total += float(np.min(dists))
-    return total / len(peaks)
+    for d in nearest:  # summed in peak order
+        total += d
+    return total / len(nearest)
 
 
-def best_fitness(pop: Population, direction: str) -> float:
-    """Extremal fitness in the population under the given direction."""
-    return float(pop.best(direction).fitness)
+def best_fitness(fitness, direction: str) -> float:
+    """Extremal value of ``fitness`` under the given direction; the first of
+    equal values, so ``[0.0, -0.0]`` gives ``0.0``."""
+    fitness = _nonempty(fitness)
+    _check_direction(direction)
+    return float(fitness[fitness.argmin() if direction == "min" else fitness.argmax()])
 
 
 def distinct_peaks(
-    pop: Population,
+    genomes,
+    fitness,
     fitness_threshold: float = 1e-4,
     radius: float = 0.1,
     direction: str = "min",
@@ -64,20 +69,22 @@ def distinct_peaks(
 ) -> int:
     """Count members that qualify as distinct peaks.
 
-    A member counts iff its fitness is on the good side of
-    ``fitness_threshold`` (below it when minimizing, above it when
-    maximizing) and it lies at distance >= ``radius`` from every member
-    counted earlier in population order. When ``bounds`` is given,
-    coordinates are min-max normalized to [0, 1] before measuring
-    distances.
+    Member ``i`` is row ``i`` of ``genomes`` with value ``fitness[i]``. It
+    counts iff its fitness is on the good side of ``fitness_threshold``
+    (below it when minimizing, above it when maximizing) and it lies at
+    distance >= ``radius`` from every member counted earlier in row order.
+    When ``bounds`` is given, coordinates are min-max normalized to [0, 1]
+    before measuring distances.
     """
-    members = _member_matrix(pop)
+    members = _nonempty(genomes)
+    fitness = np.asarray(fitness, dtype=float)
+    _check_direction(direction)
+    # free[i]: member i qualifies and lies at distance >= radius from every
+    # member counted so far
+    free = fitness < fitness_threshold if direction == "min" else fitness > fitness_threshold
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=float)
         members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
-    # free[i]: member i qualifies and lies at distance >= radius from every
-    # member counted so far
-    free = np.array([is_better(ind.fitness, fitness_threshold, direction) for ind in pop])
     counted = 0
     for idx in np.flatnonzero(free).tolist():
         if free[idx]:

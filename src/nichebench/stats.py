@@ -4,8 +4,9 @@ Implements the Mann-Whitney U test (exact null distribution for small
 sample products, normal approximation with tie correction otherwise), the
 two-sample Kolmogorov-Smirnov test with the asymptotic Kolmogorov
 distribution, and Welch's unequal-variance t test. All tests are
-two-sided. ``pairwise_matrix`` turns a list of per-algorithm samples into
-the boolean significance grid used by the experiment reports.
+two-sided and takes two nonempty samples (lists or arrays of floats).
+``pairwise_matrix`` turns ``k`` per-algorithm samples into the ``(k, k)``
+array of p-values that the experiment reports compare with their alpha.
 
 The exact Mann-Whitney null distribution depends only on the pool's sorted
 doubled midranks and the smaller sample size k. It is computed once per
@@ -25,13 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SampleSet",
-    "SignificanceMatrix",
     "mann_whitney_u",
     "ks_two_sample",
     "welch_t",
@@ -43,36 +41,7 @@ __all__ = [
 EXACT_MWU_LIMIT = 400
 
 
-@dataclass
-class SampleSet:
-    """One metric value per run for a single algorithm."""
-
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
-        if self.values.size == 0:
-            raise ValueError("SampleSet must be nonempty")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("SampleSet values must be finite")
-
-
-@dataclass
-class SignificanceMatrix:
-    """Pairwise grid of p < alpha outcomes for one metric and one test."""
-
-    labels: list[str]
-    cells: np.ndarray  # bool, True iff p < alpha
-    pvalues: np.ndarray
-    alpha: float
-    test: str
-    metric: str = ""
-
-
 def _as_values(sample) -> np.ndarray:
-    if isinstance(sample, SampleSet):
-        return sample.values
     values = np.asarray(sample, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("sample must be nonempty")
@@ -147,22 +116,10 @@ def _null_rank_sum_counts(weights_key: bytes, k: int) -> tuple[np.ndarray, float
 
 
 def _exact_mwu_pvalue(doubled_ranks: np.ndarray, k: int, dev2_obs: int, nm: int) -> float:
-    """Two-sided exact p from the null distribution of the rank sum.
-
-    Counts, for every achievable doubled rank sum s of a k-subset of the
-    pool, the number of subsets attaining it, and returns the share whose
-    doubled ``|U - nm/2|`` is at least ``dev2_obs``. The distribution
-    depends only on the sorted doubled ranks and ``k``, so it is computed
-    once per ``(np.sort(doubled_ranks).tobytes(), k)`` key and kept in a
-    bounded LRU cache (``_null_rank_sum_counts``), which also trims each
-    knapsack step to the rows and columns that can reach a k-subset sum.
-
-    The p-value is still exact: all counts are integers bounded by
-    C(n+m, k) <= C(40, 20) < 2^53 whenever n*m <= EXACT_MWU_LIMIT, so
-    every float64 sum of them is exact in any order, and the skipped
-    entries are zeros or rows that never reach k. ``favorable / total`` is
-    therefore the same double with or without the cache and the trimming.
-    """
+    """Two-sided exact p: the share of the k-subsets of the pool whose
+    doubled ``|U - nm/2|`` is at least ``dev2_obs``, counted from the cached
+    null distribution of ``_null_rank_sum_counts`` (the module docstring
+    says why the cache and its trimming leave the double unchanged)."""
     weights = np.sort(np.asarray(doubled_ranks, dtype=np.int64))
     counts, total = _null_rank_sum_counts(weights.tobytes(), k)
     dev2 = np.abs(np.arange(counts.size) - k * (k + 1) - nm)  # doubled |U - nm/2|
@@ -269,31 +226,23 @@ TESTS = {
 }
 
 
-def pairwise_matrix(samples: list[SampleSet], test: str = "mwu", alpha: float = 0.05,
-                    metric: str = "") -> SignificanceMatrix:
-    """Boolean grid of pairwise p < alpha outcomes between sample sets.
-
-    Symmetric by construction with a False diagonal; the same label order
-    is used on both axes.
-    """
+def pairwise_matrix(samples, test: str = "mwu") -> np.ndarray:
+    """Symmetric ``(k, k)`` array of the p-values of ``test`` between the
+    ``k`` samples, in their order on both axes; the diagonal is 1.0. Each
+    sample is converted once and checked once, nonempty and finite, before
+    any test runs."""
     if len(samples) < 2:
-        raise ValueError("pairwise_matrix needs at least two sample sets")
+        raise ValueError("pairwise_matrix needs at least two samples")
     if test not in TESTS:
         raise ValueError(f"unknown test {test!r}; choose from {sorted(TESTS)}")
+    values = [_as_values(sample) for sample in samples]
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("pairwise_matrix samples must be finite")
     test_fn = TESTS[test]
-    k = len(samples)
+    k = len(values)
     pvalues = np.ones((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            _, p = test_fn(samples[i], samples[j])
+            _, p = test_fn(values[i], values[j])
             pvalues[i, j] = pvalues[j, i] = p
-    cells = pvalues < alpha
-    np.fill_diagonal(cells, False)
-    return SignificanceMatrix(
-        labels=[s.label for s in samples],
-        cells=cells,
-        pvalues=pvalues,
-        alpha=alpha,
-        test=test,
-        metric=metric,
-    )
+    return pvalues

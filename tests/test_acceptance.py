@@ -32,7 +32,7 @@ from nichebench.grating import (
 from nichebench.harness import ExperimentSpec, derive_seed, run_experiment
 from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 from nichebench.problems import PROBLEM_FACTORIES, six_hump_camel
-from nichebench.stats import SampleSet, ks_two_sample, mann_whitney_u, pairwise_matrix, welch_t
+from nichebench.stats import ks_two_sample, mann_whitney_u, pairwise_matrix, welch_t
 
 JOBS = 2  # worker processes for the 50-run protocol criteria
 COMMITTED_RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -123,7 +123,7 @@ def test_criterion_1_oracle_equivalence():
             peaks = rng.uniform(-3, 3, size=(int(rng.integers(1, 5)), 2))
             members = rng.uniform(-3, 3, size=(int(rng.integers(1, 7)), 2))
             expected = float(np.mean([min(math.dist(p, m) for m in members) for p in peaks]))
-            got = avg_min_distance(make_pop(list(members), [0] * len(members)), peaks)
+            got = avg_min_distance(members, peaks)
             assert got == pytest.approx(expected, abs=1e-12)
 
         for _ in range(1000):  # distinct_peaks vs independent greedy re-scan
@@ -134,7 +134,7 @@ def test_criterion_1_oracle_equivalence():
             for p, f in zip(points, fits):
                 if f < 1e-4 and all(math.dist(p, q) >= 0.1 for q in counted):
                     counted.append(p)
-            assert distinct_peaks(make_pop(list(points), fits)) == len(counted)
+            assert distinct_peaks(points, fits) == len(counted)
 
         for _ in range(1000):  # exact Mann-Whitney branch vs full enumeration
             n = int(rng.integers(2, 6))
@@ -175,12 +175,8 @@ def test_criterion_2_budget_exactness_and_determinism():
                 second = algorithm(problem, AlgorithmConfig(), 10000, seed)
                 assert first.evals_used <= 10000
                 assert first.evals_used == 10000  # these algorithms never stop early
-                assert np.array_equal(
-                    first.final_population.genomes(), second.final_population.genomes()
-                )
-                assert [m.fitness for m in first.final_population] == [
-                    m.fitness for m in second.final_population
-                ]
+                assert np.array_equal(first.genomes, second.genomes)
+                assert first.fitness.tolist() == second.fitness.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +251,8 @@ def test_criterion_4_grating_ordering_crowding_vs_sharing(tmp_path):
         print(f"  mean distinct peaks: crowding_de={mean_crowding:.2f} sharing_de={mean_sharing:.2f}")
         assert mean_crowding > mean_sharing
 
-        matrix = pairwise_matrix(
-            [
-                SampleSet(np.array(crowding_peaks), "crowding_de"),
-                SampleSet(np.array(sharing_peaks), "sharing_de"),
-            ],
-            test="mwu",
-            alpha=0.05,
-            metric="distinct_peaks",
-        )
-        assert matrix.cells[0, 1] and matrix.cells[1, 0]
+        pvalues = pairwise_matrix([crowding_peaks, sharing_peaks], test="mwu")
+        assert pvalues[0, 1] < 0.05 and pvalues[1, 0] < 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -244,8 +244,9 @@ class TestEveryAlgorithm:
         problem = himmelblau()
         result = ALGORITHMS[name](problem, small_config(), 237, 11)
         assert result.evals_used == 237
-        assert len(result.final_population) == 8
-        genomes = result.final_population.genomes()
+        assert result.genomes.shape == (8, problem.dimension)
+        assert result.fitness.shape == (8,)
+        genomes = result.genomes
         assert np.all(genomes >= problem.bounds[:, 0])
         assert np.all(genomes <= problem.bounds[:, 1])
 
@@ -253,8 +254,8 @@ class TestEveryAlgorithm:
         problem = deb1()
         r1 = ALGORITHMS[name](problem, small_config(), 150, 99)
         r2 = ALGORITHMS[name](problem, small_config(), 150, 99)
-        assert np.array_equal(r1.final_population.genomes(), r2.final_population.genomes())
-        assert [m.fitness for m in r1.final_population] == [m.fitness for m in r2.final_population]
+        assert np.array_equal(r1.genomes, r2.genomes)
+        assert r1.fitness.tolist() == r2.fitness.tolist()
         assert r1.trace == r2.trace
 
     @pytest.mark.parametrize("config, budget, message", [
@@ -263,8 +264,11 @@ class TestEveryAlgorithm:
         (small_config(), 0, "does not cover the initial population of 8"),
         (AlgorithmConfig(population_size="x"), 100, "population_size must be an integer"),
         (AlgorithmConfig(population_size=True), 100, "population_size must be an integer"),
+        (AlgorithmConfig(population_size=10), "100", "budget must be an integer, got '100'"),
+        (AlgorithmConfig(population_size=10), 100.7, "budget must be an integer, got 100.7"),
+        (AlgorithmConfig(population_size=10), True, "budget must be an integer, got True"),
     ], ids=["deb1_pop10_budget5", "budget_one_short", "zero_budget", "population_text",
-            "population_bool"])
+            "population_bool", "budget_text", "budget_float", "budget_bool"])
     def test_run_that_cannot_start_raises_before_any_call(self, name, config, budget, message):
         calls = []
         base = deb1()
@@ -275,6 +279,10 @@ class TestEveryAlgorithm:
             ALGORITHMS[name](counted, config, budget, rng)
         assert calls == []
         assert rng.bit_generator.state == state
+
+    def test_numpy_integer_budget_is_accepted(self, name):
+        result = ALGORITHMS[name](deb1(), small_config(), np.int64(40), 3)
+        assert result.evals_used == 40
 
     def test_trace_is_monotone(self, name):
         problem = six_hump_camel()
@@ -290,7 +298,7 @@ class TestEveryAlgorithm:
         problem = himmelblau()
         r1 = ALGORITHMS[name](problem, small_config(), 200, 1)
         r2 = ALGORITHMS[name](problem, small_config(), 200, 2)
-        assert not np.array_equal(r1.final_population.genomes(), r2.final_population.genomes())
+        assert not np.array_equal(r1.genomes, r2.genomes)
 
     @pytest.mark.parametrize("budget", [57, 81, 100])
     def test_no_child_built_past_the_budget(self, name, budget, monkeypatch):
@@ -324,10 +332,9 @@ class TestPreselection:
         config = small_config()
         result = ALGORITHMS["preselection_ga"](problem, config, 400, 31)
         initial = _slotwise_initial_population(problem, config, 31)
-        final = result.final_population
         for slot in range(config.population_size):
             f0 = problem.objective(initial[slot])
-            assert final[slot].fitness >= f0 - 1e-15
+            assert result.fitness[slot] >= f0 - 1e-15
 
 
 class TestCrowdingDe:
@@ -356,7 +363,7 @@ class TestSde:
         initial = _slotwise_initial_population(problem, config, 17)
         for slot in range(config.population_size):
             f0 = problem.objective(initial[slot])
-            assert result.final_population[slot].fitness <= f0 + 1e-15
+            assert result.fitness[slot] <= f0 + 1e-15
 
 
 class TestScga:
@@ -381,7 +388,7 @@ class TestScga:
         problem = himmelblau()
         config = small_config(species_distance=1e6)
         result = ALGORITHMS["scga"](problem, config, 200, 7)
-        pop = result.final_population
+        pop = make_pop(result.genomes, result.fitness)
         seeds = determine_species_seeds(pop, config.species_distance, problem.direction)
         assert len(seeds) == 1
 

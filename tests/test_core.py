@@ -52,7 +52,7 @@ class TestEuclideanDistance:
 class TestEvalBudget:
     """The evaluation budget, as :class:`Evaluator` enforces it."""
 
-    def test_counts_to_budget_then_returns_false(self):
+    def test_counts_to_budget_then_raises(self):
         evaluate = Evaluator(himmelblau(), 2)
         assert evaluate(np.array([0.0, 0.0])).fitness == 170.0
         assert evaluate.used == 1
@@ -83,7 +83,7 @@ class TestEvalBudget:
         assert ind.fitness == pytest.approx(1.0, abs=1e-12)
         assert evaluate.used == 1
 
-    def test_evaluate_after_exhaustion_leaves_individual_untouched(self):
+    def test_evaluate_after_exhaustion_raises_without_calling_the_objective(self):
         calls = []
         base = himmelblau()
         counted = dataclasses.replace(base, objective=lambda x: calls.append(x) or base.objective(x))
@@ -96,41 +96,43 @@ class TestEvalBudget:
 
 class TestBinaryTournament:
     def test_better_of_two_max(self):
-        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
-        rng = np.random.default_rng(0)
-        winners = {binary_tournament(pop, np.random.default_rng(s), "max").fitness for s in range(30)}
-        assert 2.0 in winners
-        # the better individual must win whenever both are drawn
+        fitness = np.array([1.0, 2.0])
+        winners = {binary_tournament(fitness, np.random.default_rng(s), "max") for s in range(30)}
+        assert 1 in winners
+        # the better index must win whenever both are drawn
         for s in range(30):
             replay = np.random.default_rng(s)
             i = int(replay.integers(2))
             j = int(replay.integers(2))
-            got = binary_tournament(pop, np.random.default_rng(s), "max")
-            expected = pop[j] if pop[j].fitness > pop[i].fitness else pop[i]
-            assert got is expected
-        del rng
+            got = binary_tournament(fitness, np.random.default_rng(s), "max")
+            expected = j if fitness[j] > fitness[i] else i
+            assert got == expected
 
     def test_better_of_two_min(self):
-        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
+        fitness = np.array([1.0, 2.0])
         for s in range(30):
             replay = np.random.default_rng(s)
             i = int(replay.integers(2))
             j = int(replay.integers(2))
-            got = binary_tournament(pop, np.random.default_rng(s), "min")
-            expected = pop[j] if pop[j].fitness < pop[i].fitness else pop[i]
-            assert got is expected
+            got = binary_tournament(fitness, np.random.default_rng(s), "min")
+            expected = j if fitness[j] < fitness[i] else i
+            assert got == expected
 
     def test_tie_keeps_first_drawn(self):
-        pop = make_pop([[0.0], [1.0], [2.0]], [5.0, 5.0, 5.0])
+        fitness = np.array([5.0, 5.0, 5.0])
         for s in range(30):
             replay = np.random.default_rng(s)
             i = int(replay.integers(3))
             replay.integers(3)
-            assert binary_tournament(pop, np.random.default_rng(s), "max") is pop[i]
+            assert binary_tournament(fitness, np.random.default_rng(s), "max") == i
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            binary_tournament(Population([]), np.random.default_rng(0), "max")
+            binary_tournament(np.empty(0), np.random.default_rng(0), "max")
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction"):
+            binary_tournament(np.array([1.0, 2.0]), np.random.default_rng(0), "up")
 
 
 BOUNDS_1D = np.array([[0.0, 1.0]])
@@ -251,8 +253,6 @@ def test_int_seed_and_generator_give_identical_runs():
     for name, algorithm in ALGORITHMS.items():
         by_seed = algorithm(problem, config, 100, 7)
         by_generator = algorithm(problem, config, 100, np.random.default_rng(7))
-        assert by_seed.final_population.genomes().tobytes() == \
-            by_generator.final_population.genomes().tobytes(), name
-        assert by_seed.final_population.fitnesses().tobytes() == \
-            by_generator.final_population.fitnesses().tobytes(), name
+        assert by_seed.genomes.tobytes() == by_generator.genomes.tobytes(), name
+        assert by_seed.fitness.tobytes() == by_generator.fitness.tobytes(), name
         assert by_seed.trace == by_generator.trace, name

@@ -16,10 +16,12 @@ from nichebench.algorithms import (
     conserve_species_seeds,
     crowding_replacement,
     determine_species_seeds,
+    scga,
 )
 from nichebench.core import (
     Individual,
     Population,
+    binary_tournament,
     blend_crossover,
     clip_to_bounds,
     de_trial_vector,
@@ -163,15 +165,28 @@ def reference_conserve(pop, seeds, species_distance, direction):
     return pop
 
 
-def reference_distinct_peaks(pop, fitness_threshold=1e-4, radius=0.1, direction="min",
-                             bounds=None):
-    members = pop.genomes()
+def reference_binary_tournament(pop, rng, direction):
+    """The member tournament the GAs ran before tournaments took a fitness vector."""
+    first, second = pop[int(rng.integers(len(pop)))], pop[int(rng.integers(len(pop)))]
+    return second if is_better(second.fitness, first.fitness, direction) else first
+
+
+def reference_score_tournament(scores, rng):
+    """sharing_ga's tournament on larger-is-better shared scores."""
+    i = int(rng.integers(scores.shape[0]))
+    j = int(rng.integers(scores.shape[0]))
+    return j if scores[j] > scores[i] else i
+
+
+def reference_distinct_peaks(genomes, fitness, fitness_threshold=1e-4, radius=0.1,
+                             direction="min", bounds=None):
+    members = np.array(genomes, dtype=float)
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=float)
         members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
     counted = []
-    for ind, point in zip(pop, members):
-        if not is_better(ind.fitness, fitness_threshold, direction):
+    for f, point in zip(fitness, members):
+        if not is_better(f, fitness_threshold, direction):
             continue
         if all(float(np.sqrt(np.sum((point - q) ** 2))) >= radius for q in counted):
             counted.append(point)
@@ -258,6 +273,27 @@ def test_init_population_draws_match_one_genome_per_call(name):
         for member, genome in zip(pop, want):
             assert_bits_equal(member.genome, genome)
         assert_same_stream(st.rng, old)
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_binary_tournament_matches_member_and_score_tournaments(direction):
+    rng = np.random.default_rng(9)
+    for seed in range(300):
+        n = int(rng.integers(1, 12))
+        fits = rng.integers(0, 3, size=n).astype(float)  # many ties
+        if seed % 5 == 0:
+            fits[0], fits[-1] = 0.0, -0.0
+        pop = population(rng.uniform(size=(n, 2)), fits)
+        new, old = twin_streams(seed)
+        for _ in range(5):
+            assert pop[binary_tournament(pop.fitnesses(), new, direction)] is \
+                reference_binary_tournament(pop, old, direction)
+        assert_same_stream(new, old)
+        if direction == "max":
+            new, old = twin_streams(seed)
+            for _ in range(5):
+                assert binary_tournament(fits, new, "max") == reference_score_tournament(fits, old)
+            assert_same_stream(new, old)
 
 
 def test_blend_crossover_matches_uniform_draws():
@@ -383,7 +419,8 @@ def test_crowding_replacement_matches_restacking(direction):
             assert accepted is any(m is child for m in new_pop.members)
             assert [m is child for m in new_pop] == [m is child for m in old_pop]
             assert snapshot(new_pop) == snapshot(old_pop)
-            assert_bits_equal(new_pop.genomes(), old_pop.genomes())
+            assert_bits_equal(new_pop.genome_matrix(), old_pop.genome_matrix())
+            assert_bits_equal(new_pop.fitnesses(), old_pop.fitnesses())
         assert_same_stream(new, old)
 
 
@@ -437,7 +474,8 @@ def test_conservation_matches_list_comprehensions(direction):
         conserve_species_seeds(new_pop, seeds, sigma, direction)
         reference_conserve(old_pop, seeds, sigma, direction)
         assert snapshot(new_pop) == snapshot(old_pop)
-        assert_bits_equal(new_pop.genomes(), np.array([m.genome for m in new_pop]))
+        assert_bits_equal(new_pop.genome_matrix(), np.array([m.genome for m in new_pop]))
+        assert_bits_equal(new_pop.fitnesses(), np.array([m.fitness for m in new_pop]))
 
 
 def test_conservation_seed_at_exactly_half_the_distance_is_outside():
@@ -465,44 +503,57 @@ def test_distinct_peaks_matches_scalar_rescan(direction):
         genomes = rng.uniform(lo, hi, size=(n, dim))
         if n > 3:
             genomes[1] = genomes[0]  # duplicate genomes
-        pop = population(genomes, rng.uniform(0.0, 2.0, size=n))
+        fits = rng.uniform(0.0, 2.0, size=n)
         threshold = float(rng.uniform(0.0, 2.0))
         radius = float(rng.uniform(0.01, 0.8))
-        got = distinct_peaks(pop, threshold, radius, direction, bounds)
-        assert got == reference_distinct_peaks(pop, threshold, radius, direction, bounds)
+        got = distinct_peaks(genomes, fits, threshold, radius, direction, bounds)
+        assert got == reference_distinct_peaks(genomes, fits, threshold, radius, direction, bounds)
 
 
 def test_distinct_peaks_pair_at_exactly_the_radius_counts_twice():
-    pop = population([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]], [0.0, 0.0, 0.0])
-    assert distinct_peaks(pop, 1.0, 0.5) == reference_distinct_peaks(pop, 1.0, 0.5) == 2
+    genomes, fits = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]]), np.zeros(3)
+    assert distinct_peaks(genomes, fits, 1.0, 0.5) == \
+        reference_distinct_peaks(genomes, fits, 1.0, 0.5) == 2
 
 
 def test_metrics_leave_the_genome_matrix_alone():
     rng = np.random.default_rng(17)
-    pop = population(rng.uniform(size=(20, 3)), np.zeros(20))
-    before = pop.genomes()
+    genomes, fits = rng.uniform(size=(20, 3)), np.zeros(20)
+    before = genomes.copy()
     bounds = np.array([[0.0, 2.0]] * 3)
-    distinct_peaks(pop, 1.0, 0.2, "min", bounds)
-    peak_ratio(pop, [np.full(3, 0.5)])
-    avg_min_distance(pop, [np.full(3, 0.5)])
-    assert_bits_equal(pop.genome_matrix(), before)
+    distinct_peaks(genomes, fits, 1.0, 0.2, "min", bounds)
+    peak_ratio(genomes, [np.full(3, 0.5)])
+    avg_min_distance(genomes, [np.full(3, 0.5)])
+    assert_bits_equal(genomes, before)
+    assert_bits_equal(fits, np.zeros(20))
 
 
 # ---------------------------------------------------------------------------
-# the population's genome matrix
+# the population's arrays and the run result's
 # ---------------------------------------------------------------------------
 
-def test_genomes_track_every_setitem_and_belong_to_the_caller():
+def test_genome_matrix_and_fitness_vector_track_every_setitem():
     rng = np.random.default_rng(15)
     pop = population(rng.uniform(size=(10, 3)), rng.uniform(size=10))
-    first = pop.genomes()
-    first[:] = 99.0  # the caller's copy
-    assert_bits_equal(pop.genomes(), np.array([m.genome for m in pop]))
+    assert_bits_equal(pop.genome_matrix(), np.array([m.genome for m in pop]))
+    assert_bits_equal(pop.fitnesses(), np.array([m.fitness for m in pop]))
     for _ in range(50):
         slot = int(rng.integers(10))
         pop[slot] = Individual(rng.uniform(size=3), float(rng.uniform()))
-        genomes = pop.genomes()
-        assert_bits_equal(genomes, np.array([m.genome for m in pop]))
-        genomes[slot] = -1.0
-        assert not np.array_equal(pop.genomes(), genomes)
-    assert not (pop.genomes() == 99.0).any()
+        assert_bits_equal(pop.genome_matrix(), np.array([m.genome for m in pop]))
+        assert_bits_equal(pop.fitnesses(), np.array([m.fitness for m in pop]))
+
+
+def test_run_result_arrays_share_no_memory_with_the_population():
+    seen = []
+    result = scga(resolve_problem("himmelblau"), AlgorithmConfig(population_size=10), 55, 3,
+                  observer=lambda generation, pop: seen.append(pop))
+    pop = seen[-1]  # the run's one population, as it ended
+    assert_bits_equal(result.genomes, pop.genome_matrix())
+    assert_bits_equal(result.fitness, pop.fitnesses())
+    assert not np.shares_memory(result.genomes, pop.genome_matrix())
+    assert not np.shares_memory(result.fitness, pop.fitnesses())
+    result.genomes[:] = 99.0
+    result.fitness[:] = 99.0
+    assert not (pop.genome_matrix() == 99.0).any()
+    assert not (pop.fitnesses() == 99.0).any()

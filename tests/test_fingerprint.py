@@ -35,10 +35,9 @@ def run_digest(algorithm: str, problem_name: str, seed: int) -> str:
     """sha256 over the final genomes, the final fitnesses and the trace."""
     problem = resolve_problem(problem_name)
     result = ALGORITHMS[algorithm](problem, AlgorithmConfig(), MAX_EVALS, seed)
-    pop = result.final_population
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(pop.genomes(), dtype=np.float64).tobytes())
-    h.update(np.array([m.fitness for m in pop], dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(result.genomes, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(result.fitness, dtype=np.float64).tobytes())
     h.update(np.array(result.trace, dtype=np.float64).tobytes())
     h.update(str(result.evals_used).encode())
     return h.hexdigest()

@@ -385,11 +385,9 @@ class TestEmitReports:
 class TestRunMetrics:
     def test_known_peak_problem_metrics(self):
         from nichebench.algorithms import RunResult
-        from nichebench.core import Individual, Population
 
         # a single member sitting exactly on the 0.5 peak of deb1
-        pop = Population([Individual(np.array([0.5]), 1.0)])
-        result = RunResult(final_population=pop, evals_used=10, trace=[])
+        result = RunResult(np.array([[0.5]]), np.array([1.0]), evals_used=10, trace=[])
         problem = resolve_problem("deb1")
         values = run_metrics(problem, result)
         assert values["peak_ratio"] == 0.2

@@ -5,52 +5,54 @@ import math
 import numpy as np
 import pytest
 
-from nichebench.core import Individual, Population
 from nichebench.metrics import avg_min_distance, best_fitness, distinct_peaks, peak_ratio
 from nichebench.problems import deb1
 
 
-def make_pop(genomes, fitnesses=None):
-    genomes = [np.asarray(g, dtype=float) for g in genomes]
-    if fitnesses is None:
-        fitnesses = [0.0] * len(genomes)
-    return Population([Individual(g, float(f)) for g, f in zip(genomes, fitnesses)])
+def as_genomes(rows):
+    return np.array([np.asarray(g, dtype=float) for g in rows])
 
 
 class TestPeakRatio:
     def test_population_contains_all_peaks(self):
         peaks = [[0.0, 0.0], [1.0, 1.0]]
-        assert peak_ratio(make_pop(peaks), peaks) == 1.0
+        assert peak_ratio(as_genomes(peaks), peaks) == 1.0
 
     def test_nothing_found(self):
-        assert peak_ratio(make_pop([[5.0, 5.0]]), [[0.0, 0.0], [1.0, 1.0]]) == 0.0
+        assert peak_ratio(as_genomes([[5.0, 5.0]]), [[0.0, 0.0], [1.0, 1.0]]) == 0.0
 
     def test_deb1_single_member(self):
         # member at 0.95 reaches only the peak at 0.9 within radius 0.1
         peaks = deb1().known_peaks
-        assert peak_ratio(make_pop([[0.95]]), peaks) == pytest.approx(0.2)
+        assert peak_ratio(as_genomes([[0.95]]), peaks) == pytest.approx(0.2)
 
     def test_empty_peaks_rejected(self):
         with pytest.raises(ValueError):
-            peak_ratio(make_pop([[0.0]]), [])
+            peak_ratio(as_genomes([[0.0]]), [])
+
+    def test_empty_population_rejected(self):
+        with pytest.raises(ValueError, match="empty population"):
+            peak_ratio(np.empty((0, 2)), [[0.0, 0.0]])
+        with pytest.raises(ValueError, match="empty population"):
+            avg_min_distance(np.empty((0, 2)), [[0.0, 0.0]])
 
     def test_adding_member_never_decreases(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             peaks = rng.uniform(-1, 1, size=(4, 2))
             members = list(rng.uniform(-1, 1, size=(5, 2)))
-            before = peak_ratio(make_pop(members), peaks)
+            before = peak_ratio(as_genomes(members), peaks)
             members.append(rng.uniform(-1, 1, size=2))
-            assert peak_ratio(make_pop(members), peaks) >= before
+            assert peak_ratio(as_genomes(members), peaks) >= before
 
 
 class TestAvgMinDistance:
     def test_population_covers_peaks(self):
         peaks = [[0.0, 0.0], [1.0, 1.0]]
-        assert avg_min_distance(make_pop(peaks + [[0.3, 0.3]]), peaks) == 0.0
+        assert avg_min_distance(as_genomes(peaks + [[0.3, 0.3]]), peaks) == 0.0
 
     def test_symmetric_point(self):
-        d = avg_min_distance(make_pop([[0.5, 0.5]]), [[0.0, 0.0], [1.0, 1.0]])
+        d = avg_min_distance(as_genomes([[0.5, 0.5]]), [[0.0, 0.0], [1.0, 1.0]])
         assert d == pytest.approx(math.sqrt(0.5))
 
     def test_against_quadratic_scan(self):
@@ -61,7 +63,7 @@ class TestAvgMinDistance:
             expected = np.mean(
                 [min(math.dist(p, m) for m in members) for p in peaks]
             )
-            got = avg_min_distance(make_pop(list(members)), peaks)
+            got = avg_min_distance(as_genomes(list(members)), peaks)
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_adding_member_never_increases(self):
@@ -69,23 +71,35 @@ class TestAvgMinDistance:
         for _ in range(200):
             peaks = rng.uniform(-1, 1, size=(3, 2))
             members = list(rng.uniform(-1, 1, size=(4, 2)))
-            before = avg_min_distance(make_pop(members), peaks)
+            before = avg_min_distance(as_genomes(members), peaks)
             members.append(rng.uniform(-1, 1, size=2))
-            assert avg_min_distance(make_pop(members), peaks) <= before + 1e-15
+            assert avg_min_distance(as_genomes(members), peaks) <= before + 1e-15
 
 
 class TestBestFitness:
     def test_singleton(self):
-        assert best_fitness(make_pop([[0.0]], [7.5]), "min") == 7.5
+        assert best_fitness(np.array([7.5]), "min") == 7.5
 
     def test_min_max(self):
-        pop = make_pop([[0.0], [1.0], [2.0]], [3.0, 1.0, 2.0])
-        assert best_fitness(pop, "min") == 1.0
-        assert best_fitness(pop, "max") == 3.0
+        fitness = np.array([3.0, 1.0, 2.0])
+        assert best_fitness(fitness, "min") == 1.0
+        assert best_fitness(fitness, "max") == 3.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            best_fitness(Population([]), "min")
+        with pytest.raises(ValueError, match="empty population"):
+            best_fitness(np.empty(0), "min")
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction"):
+            best_fitness(np.array([1.0, 2.0]), "up")
+        with pytest.raises(ValueError, match="direction"):
+            best_fitness(np.array([1.0]), "up")
+
+    @pytest.mark.parametrize("direction", ["min", "max"])
+    def test_signed_zero_tie_keeps_the_first(self, direction):
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            got = best_fitness(np.array([first, second]), direction)
+            assert math.copysign(1.0, got) == math.copysign(1.0, first)
 
 
 def oracle_distinct_peaks(points, fits, threshold, radius, direction):
@@ -102,16 +116,24 @@ def oracle_distinct_peaks(points, fits, threshold, radius, direction):
 
 class TestDistinctPeaks:
     def test_all_above_threshold(self):
-        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
-        assert distinct_peaks(pop, fitness_threshold=1e-4) == 0
+        genomes = as_genomes([[0.0], [1.0]])
+        assert distinct_peaks(genomes, [1.0, 2.0], fitness_threshold=1e-4) == 0
 
     def test_exclusion_radius(self):
-        pop = make_pop([[0.0, 0.0], [0.05, 0.0]], [1e-6, 1e-6])
-        assert distinct_peaks(pop) == 1
+        genomes = as_genomes([[0.0, 0.0], [0.05, 0.0]])
+        assert distinct_peaks(genomes, [1e-6, 1e-6]) == 1
 
     def test_direction_max(self):
-        pop = make_pop([[0.0], [0.5]], [0.9, 0.95])
-        assert distinct_peaks(pop, fitness_threshold=0.92, direction="max") == 1
+        genomes = as_genomes([[0.0], [0.5]])
+        assert distinct_peaks(genomes, [0.9, 0.95], fitness_threshold=0.92, direction="max") == 1
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction"):
+            distinct_peaks(as_genomes([[0.0], [0.5]]), [0.9, 0.95], direction="up")
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty population"):
+            distinct_peaks(np.empty((0, 2)), np.empty(0))
 
     def test_against_independent_rescan(self):
         rng = np.random.default_rng(31)
@@ -119,16 +141,15 @@ class TestDistinctPeaks:
             n = rng.integers(1, 12)
             points = rng.uniform(0, 1, size=(n, 2))
             fits = rng.uniform(0, 2e-4, size=n)
-            pop = make_pop(list(points), fits)
             expected = oracle_distinct_peaks(points, fits, 1e-4, 0.1, "min")
-            assert distinct_peaks(pop) == expected
+            assert distinct_peaks(points, fits) == expected
 
     def test_normalized_bounds(self):
         # raw distance 50 but 0.05 after min-max normalization: one peak
         bounds = np.array([[0.0, 1000.0]])
-        pop = make_pop([[100.0], [150.0]], [1e-6, 1e-6])
-        assert distinct_peaks(pop, bounds=bounds) == 1
-        assert distinct_peaks(pop) == 2
+        genomes, fits = as_genomes([[100.0], [150.0]]), [1e-6, 1e-6]
+        assert distinct_peaks(genomes, fits, bounds=bounds) == 1
+        assert distinct_peaks(genomes, fits) == 2
 
     def test_count_stable_for_separated_clusters(self):
         # well-separated clusters: the count ignores population order
@@ -141,6 +162,6 @@ class TestDistinctPeaks:
         counts = set()
         for _ in range(20):
             order = rng.permutation(len(points))
-            pop = make_pop([points[i] for i in order], [fits[i] for i in order])
-            counts.add(distinct_peaks(pop))
+            counts.add(distinct_peaks(as_genomes([points[i] for i in order]),
+                                      [fits[i] for i in order]))
         assert counts == {3}

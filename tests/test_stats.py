@@ -9,7 +9,6 @@ import pytest
 from nichebench import stats
 from nichebench.stats import (
     EXACT_MWU_LIMIT,
-    SampleSet,
     _exact_mwu_pvalue,
     _rank_sum_doubled,
     ks_two_sample,
@@ -308,35 +307,51 @@ class TestWelchT:
 class TestPairwiseMatrix:
     def test_identical_sets_all_false(self):
         values = np.arange(10.0)
-        samples = [SampleSet(values, "a"), SampleSet(values.copy(), "b")]
+        samples = [values, values.copy()]
         for test in ("mwu", "ks", "t"):
-            matrix = pairwise_matrix(samples, test=test)
-            assert not matrix.cells.any()
+            pvalues = pairwise_matrix(samples, test=test)
+            assert not (pvalues < 0.05).any()
 
     def test_separated_sets_significant(self):
         rng = np.random.default_rng(53)
-        a = SampleSet(rng.normal(size=50), "low")
-        b = SampleSet(rng.normal(size=50) + 10.0, "high")
-        matrix = pairwise_matrix([a, b], test="mwu")
-        assert matrix.cells[0, 1] and matrix.cells[1, 0]
+        a = rng.normal(size=50)
+        b = rng.normal(size=50) + 10.0
+        pvalues = pairwise_matrix([a, b], test="mwu")
+        assert pvalues[0, 1] < 0.05 and pvalues[1, 0] < 0.05
 
     def test_diagonal_false_and_symmetric(self):
         rng = np.random.default_rng(59)
-        samples = [SampleSet(rng.normal(size=12), f"s{i}") for i in range(4)]
+        samples = [rng.normal(size=12) for _ in range(4)]
         for test in ("mwu", "ks", "t"):
-            matrix = pairwise_matrix(samples, test=test)
-            assert not matrix.cells.diagonal().any()
-            assert np.array_equal(matrix.cells, matrix.cells.T)
-            assert np.array_equal(matrix.pvalues, matrix.pvalues.T)
-            assert matrix.labels == ["s0", "s1", "s2", "s3"]
+            pvalues = pairwise_matrix(samples, test=test)
+            assert pvalues.shape == (4, 4)
+            assert (pvalues.diagonal() == 1.0).all()
+            assert not (pvalues < 0.05).diagonal().any()
+            assert np.array_equal(pvalues, pvalues.T)
+
+    def test_lists_give_the_same_bits_as_arrays(self):
+        rng = np.random.default_rng(61)
+        samples = [rng.integers(0, 6, size=20).astype(float) for _ in range(3)]
+        for test in ("mwu", "ks", "t"):
+            want = pairwise_matrix(samples, test=test)
+            got = pairwise_matrix([s.tolist() for s in samples], test=test)
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            pairwise_matrix([SampleSet(np.ones(3), "x")])
+            pairwise_matrix([np.ones(3)])
         with pytest.raises(ValueError):
-            pairwise_matrix(
-                [SampleSet(np.ones(3), "x"), SampleSet(np.ones(3), "y")], test="chi2"
-            )
+            pairwise_matrix([np.ones(3), np.ones(3)], test="chi2")
+        with pytest.raises(ValueError, match="nonempty"):
+            pairwise_matrix([np.ones(3), np.empty(0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_sample_before_any_test(self, bad, monkeypatch):
+        calls = []
+        monkeypatch.setitem(stats.TESTS, "mwu", lambda a, b: calls.append(1) or (0.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            pairwise_matrix([np.ones(3), np.ones(3), np.array([1.0, bad])])
+        assert calls == []
 
 
 def test_null_calibration_smoke():
