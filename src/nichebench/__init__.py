@@ -22,8 +22,10 @@ from .core import (
     Population,
     binary_tournament,
     blend_crossover,
+    de_draws,
     de_trial_vector,
     gaussian_mutation,
+    mutation_draws,
 )
 from .grating import (
     GratingDesign,

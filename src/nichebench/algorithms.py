@@ -8,10 +8,14 @@ returning the partially updated population if that happens mid-generation.
 start: an invalid config, a population below the algorithm's minimum, or
 a budget below the population size. So every member of every population
 is evaluated.
-Children come from two streams, ``_RunState.ga_children`` (BLX crossover,
-Gaussian mutation) and ``_RunState.de_children`` (DE/rand/1/bin trials),
-the only code that builds, evaluates and budget-checks a child: no child
-is built once the budget is spent.
+Children come from two streams in ``_RunState``, GA (BLX crossover,
+Gaussian mutation) and DE (DE/rand/1/bin trials), the only code that
+builds, evaluates and budget-checks a child: no child is built once the
+budget is spent. A stream issues its draws child by child in one frozen
+order. ``ga_children``/``de_children`` then build one child at a time, so
+each sees the replacements made before it; ``ga_generation`` and
+``de_generation`` build a generation whose children share their parents
+in one array pass.
 ``budget`` is the number of objective evaluations (an int) and ``rng`` an
 int seed or a ``np.random.Generator``, which is used as is.
 
@@ -33,9 +37,11 @@ from .core import (
     Population,
     binary_tournament,
     blend_crossover,
+    de_draws,
     de_trial_vector,
     gaussian_mutation,
     is_better,
+    mutation_draws,
 )
 
 __all__ = [
@@ -143,9 +149,9 @@ class RunResult:
 
 
 class _RunState:
-    """Per-run bookkeeping: the evaluator, the RNG, and the two child
-    streams, the only code that builds, evaluates and budget-checks a
-    child. ``config`` None means the default :class:`AlgorithmConfig`."""
+    """Per-run bookkeeping: the evaluator, the RNG, and the GA and DE
+    child streams, each either one child at a time or one generation per
+    call. ``config`` None means the default :class:`AlgorithmConfig`."""
 
     def __init__(self, name: str, problem, config: AlgorithmConfig | None, budget, rng):
         config = config or AlgorithmConfig()
@@ -168,42 +174,64 @@ class _RunState:
         self.evaluate.checkpoint()
         return pop
 
-    def ga_children(self, p1: Individual, p2: Individual):
-        """Evaluated BLX/mutation children of ``p1`` and ``p2``; stops once the
-        budget is spent, before mutating a child it could not evaluate."""
-        cfg = self.config
-        for genome in blend_crossover(p1.genome, p2.genome, self.rng, self.bounds, cfg.blend_alpha):
+    def ga_children(self, g1: np.ndarray, g2: np.ndarray):
+        """Evaluated BLX/mutation children of parent genomes ``g1`` and
+        ``g2``, one at a time: a child's mutation is drawn and built only
+        after the caller has handled the child before. Stops once the
+        budget is spent."""
+        cfg, rng, bounds = self.config, self.rng, self.bounds
+        for genome in blend_crossover(g1, g2, rng.random((2, len(bounds))), bounds, cfg.blend_alpha):
             if self.evaluate.exhausted:
                 return
-            yield self.evaluate(gaussian_mutation(genome, self.rng, self.bounds,
-                                                  self.mutation_rate, cfg.mutation_sigma))
+            mask, normals = mutation_draws(rng, len(bounds), self.mutation_rate)
+            yield self.evaluate(gaussian_mutation(genome, mask, normals, bounds, cfg.mutation_sigma))
+
+    def ga_generation(self, pop: Population, count: int, select) -> list[Individual]:
+        """The first ``count`` children of parent pairs ``(select(), select())``
+        (indices into ``pop``), or as many as the budget left allows,
+        evaluated in order. Draws as ga_children would (the pair, its BLX
+        doubles, each child's mutation), then builds them in one pass."""
+        cfg, rng, dim = self.config, self.rng, self.bounds.shape[0]
+        m = min(count, self.evaluate.max_evals - self.evaluate.used)
+        pairs, u, draws = [], [], []
+        for k in range(0, m, 2):
+            pairs.append((select(), select()))
+            u.append(rng.random((2, dim)))
+            draws += [mutation_draws(rng, dim, self.mutation_rate) for _ in range(min(2, m - k))]
+        masks, normals = zip(*draws)
+        genomes = pop.genome_matrix()
+        p1, p2 = np.array(pairs).T
+        crossed = blend_crossover(genomes[p1], genomes[p2], np.array(u), self.bounds,
+                                  cfg.blend_alpha)
+        children = gaussian_mutation(crossed.reshape(-1, dim)[:m], np.array(masks),
+                                     np.concatenate(normals), self.bounds, cfg.mutation_sigma)
+        return [self.evaluate(genome) for genome in children]
 
     def de_children(self, pop: Population, donor_pools=None):
         """``(target, evaluated trial)`` for each target in order; stops once
-        the budget is spent. A trial is built only after the caller has
-        handled the previous one, so it sees the replacements made so far.
-        ``donor_pools[target]`` lists the target's donors (None: everyone)."""
-        cfg = self.config
+        the budget is spent. A trial is drawn and built only after the
+        caller has handled the previous one, so it sees the replacements
+        made so far. ``donor_pools[target]`` lists the target's donors
+        (None: everyone)."""
+        cfg, dim = self.config, self.bounds.shape[0]
         for target in range(len(pop)):
             if self.evaluate.exhausted:
                 return
             pool = None if donor_pools is None else donor_pools[target]
-            yield target, self.evaluate(de_trial_vector(target, pop, cfg.de_F, cfg.de_CR,
-                                                        self.rng, self.bounds, donor_pool=pool))
+            donors, cross = de_draws(self.rng, len(pop), target, dim, cfg.de_CR, pool)
+            yield target, self.evaluate(de_trial_vector(pop.genome_matrix(), target, donors, cross,
+                                                        cfg.de_F, self.bounds))
 
-    def breed(self, pop: Population, select) -> None:
-        """Generational GA step: evaluated children of ``select()``-chosen
-        parent pairs fill the population's slots in order; if the budget
-        runs out first, the remaining slots keep their parents."""
-        children: list[Individual] = []
-        while len(children) < len(pop) and not self.evaluate.exhausted:
-            p1, p2 = select(), select()
-            for child in self.ga_children(p1, p2):
-                children.append(child)
-                if len(children) == len(pop):
-                    break
-        for slot, child in enumerate(children):
-            pop[slot] = child
+    def de_generation(self, pop: Population) -> list[Individual]:
+        """Evaluated trials for targets 0, 1, ... up to the population size
+        or the budget left. Draws as de_children would, then builds them in
+        one pass."""
+        cfg, dim = self.config, self.bounds.shape[0]
+        m = min(len(pop), self.evaluate.max_evals - self.evaluate.used)
+        donors, cross = zip(*[de_draws(self.rng, len(pop), t, dim, cfg.de_CR) for t in range(m)])
+        trials = de_trial_vector(pop.genome_matrix(), np.arange(m), np.array(donors).T,
+                                 np.array(cross), cfg.de_F, self.bounds)
+        return [self.evaluate(genome) for genome in trials]
 
     def generations(self):
         """Yield 1, 2, ... while budget is left; the checkpoint of a
@@ -229,14 +257,12 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
     st = _RunState("preselection_ga", problem, config, budget, rng)
     pop = st.init_population()
     for _ in st.generations():
-        order = st.rng.permutation(len(pop))
-        for k in range(0, len(pop) - 1, 2):
-            if st.evaluate.exhausted:
-                break
-            i, j = int(order[k]), int(order[k + 1])
-            for parent_idx, child in zip((i, j), st.ga_children(pop[i], pop[j])):
-                if is_better(child.fitness, pop[parent_idx].fitness, st.direction):
-                    pop[parent_idx] = child
+        # an odd population's last member in ``order`` sits this generation out
+        order = st.rng.permutation(len(pop)).tolist()
+        children = st.ga_generation(pop, len(pop) - len(pop) % 2, iter(order).__next__)
+        for slot, child in zip(order, children):
+            if is_better(child.fitness, pop[slot].fitness, st.direction):
+                pop[slot] = child
     return st.result(pop)
 
 
@@ -253,12 +279,12 @@ def crowding_replacement(child: Individual, pop: Population, cf: int,
         raise ValueError("crowding factor must be in [1, len(pop)]")
     genomes = pop.genome_matrix()
     if cf == len(pop):
-        dists = np.sqrt(np.sum((genomes - child.genome) ** 2, axis=1))
+        dists = np.sqrt(((genomes - child.genome) ** 2).sum(axis=1))
         nearest = int(dists.argmin())  # first minimum: the lowest index
     else:
         idxs = rng.choice(len(pop), size=cf, replace=False)
-        dists = np.sqrt(np.sum((genomes[idxs] - child.genome) ** 2, axis=1))
-        nearest = int(np.min(idxs[dists == dists.min()]))
+        dists = np.sqrt(((genomes[idxs] - child.genome) ** 2).sum(axis=1))
+        nearest = int(idxs[dists == dists.min()].min())
     if is_better(child.fitness, pop[nearest].fitness, direction):
         pop[nearest] = child
         return True
@@ -280,9 +306,9 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
         for _ in range(len(pop) // 2):
             if st.evaluate.exhausted:
                 break
-            p1 = pop[binary_tournament(pop.fitnesses(), st.rng, st.direction)]
-            p2 = pop[binary_tournament(pop.fitnesses(), st.rng, st.direction)]
-            for child in st.ga_children(p1, p2):
+            p1 = binary_tournament(pop.fitnesses(), st.rng, st.direction)
+            p2 = binary_tournament(pop.fitnesses(), st.rng, st.direction)
+            for child in st.ga_children(*pop.genome_matrix()[[p1, p2]]):
                 crowding_replacement(child, pop, cf, st.rng, st.direction)
     return st.result(pop)
 
@@ -313,7 +339,7 @@ def _shared_scores(genomes: np.ndarray, raw: np.ndarray, direction: str,
     else:
         scores = raw.astype(float)
     diff = genomes[:, None, :] - genomes[None, :, :]
-    dists = np.sqrt(np.sum(diff * diff, axis=2))
+    dists = np.sqrt((diff * diff).sum(axis=2))
     kernel = np.where(dists < radius, 1.0 - (dists / radius) ** alpha, 0.0)
     return scores / kernel.sum(axis=-1)
 
@@ -327,7 +353,9 @@ def sharing_ga(problem, config: AlgorithmConfig | None = None,
     for _ in st.generations():
         scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
                                 config.sharing_radius, config.sharing_alpha)
-        st.breed(pop, lambda: pop[binary_tournament(scores, st.rng, "max")])
+        children = st.ga_generation(pop, len(pop), lambda: binary_tournament(scores, st.rng, "max"))
+        for slot, child in enumerate(children):
+            pop[slot] = child
     return st.result(pop)
 
 
@@ -344,9 +372,8 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
     config = st.config
     pop = st.init_population()
     for _ in st.generations():
-        # nothing is replaced until every trial is built, so all see the
-        # parents; the loop runs only with budget left, so trials is not empty
-        trials = [child for _, child in st.de_children(pop)]
+        # the loop runs only with budget left, so trials is not empty
+        trials = st.de_generation(pop)
         genomes = np.vstack([pop.genome_matrix()] + [t.genome for t in trials])
         raw = np.concatenate([pop.fitnesses(), [t.fitness for t in trials]])
         scores = _shared_scores(genomes, raw, st.direction,
@@ -380,7 +407,7 @@ def determine_species_seeds(pop: Population, species_distance: float,
     for idx in order:
         if free[idx]:
             seeds.append(pop[idx])
-            free &= np.sqrt(np.sum((genomes - genomes[idx]) ** 2, axis=1)) >= radius
+            free &= np.sqrt(((genomes - genomes[idx]) ** 2).sum(axis=1)) >= radius
     return seeds
 
 
@@ -388,7 +415,7 @@ def _nearest_seed_assignment(genomes: np.ndarray, seed_matrix: np.ndarray):
     """Nearest-seed index per member (ties to the earlier seed) and the
     full member-to-seed distance matrix."""
     diff = genomes[:, None, :] - seed_matrix[None, :, :]
-    dists = np.sqrt(np.sum(diff * diff, axis=2))
+    dists = np.sqrt((diff * diff).sum(axis=2))
     return np.argmin(dists, axis=1), dists
 
 
@@ -467,7 +494,10 @@ def scga(problem, config: AlgorithmConfig | None = None,
         observer(0, pop)
     for generation in st.generations():
         seeds = determine_species_seeds(pop, config.species_distance, st.direction)
-        st.breed(pop, lambda: pop[binary_tournament(pop.fitnesses(), st.rng, st.direction)])
+        children = st.ga_generation(
+            pop, len(pop), lambda: binary_tournament(pop.fitnesses(), st.rng, st.direction))
+        for slot, child in enumerate(children):
+            pop[slot] = child
         conserve_species_seeds(pop, seeds, config.species_distance, st.direction)
         if observer is not None:
             observer(generation, pop)

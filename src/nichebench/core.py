@@ -3,15 +3,17 @@ the run clock, and the real-coded variation operators used by
 every algorithm in this package.
 
 All genomes are 1-d float ndarrays. Box bounds are given as a (dim, 2)
-array of [lo, hi] rows and every operator clamps its output to them.
-Operators draw from a ``np.random.Generator``. Termination is driven
+array of [lo, hi] rows and every operator clamps its output to them. The
+operators do not draw: the requests are made child by child
+(``rng.random((2, d))`` per BLX pair, :func:`mutation_draws`,
+:func:`de_draws`) and an operator builds one child, or a stacked batch of
+a generation's children, from the values drawn. Termination is driven
 solely by :class:`Evaluator`: each objective call consumes exactly one
 evaluation and a run stops the moment the budget is exhausted. The
 evaluator is also where individuals come from: it returns each genome it
 evaluates as an :class:`Individual`, so there is no unevaluated
 individual, and none is changed after it is made. No child is built once
-the budget is spent, so no operator draws for a child that could never
-be evaluated.
+the budget is spent, and nothing is drawn for it.
 
 Draw exactness: every published result is a pure function of the run
 seed, so the random requests made here are frozen. A change to an RNG
@@ -39,9 +41,13 @@ __all__ = [
     "clip_to_bounds",
     "binary_tournament",
     "blend_crossover",
+    "mutation_draws",
     "gaussian_mutation",
+    "de_draws",
     "de_trial_vector",
 ]
+
+_NO_NORMALS = np.empty(0)  # mutation_draws' normals when no coordinate mutates
 
 
 @dataclass
@@ -166,89 +172,89 @@ def binary_tournament(fitness: np.ndarray, rng: np.random.Generator, direction: 
     return j if is_better(fitness[j], fitness[i], direction) else i
 
 
-def blend_crossover(
-    p1: np.ndarray,
-    p2: np.ndarray,
-    rng: np.random.Generator,
-    bounds: np.ndarray,
-    alpha: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blend (BLX-alpha) crossover.
+def blend_crossover(p1: np.ndarray, p2: np.ndarray, u: np.ndarray, bounds: np.ndarray,
+                    alpha: float = 0.5) -> np.ndarray:
+    """Blend (BLX-alpha) crossover of one parent pair, or of m pairs given
+    as ``(m, d)`` parent rows.
 
-    Each child coordinate is uniform on [min - alpha*d, max + alpha*d]
-    where d = |p1_i - p2_i|, then clamped to bounds. Equal parents yield
+    ``u`` holds each pair's ``rng.random((2, d))``: shape ``(2, d)``, or
+    ``(m, 2, d)``, which is also the shape of the children returned. A
+    child coordinate is uniform on [min - alpha*d, max + alpha*d] where
+    d = |p1_i - p2_i|, then clamped to bounds. Equal parents yield
     identical children.
     """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
     if p1.shape != p2.shape:
         raise ValueError("parent genomes must have equal length")
     d = np.abs(p1 - p2)
-    lo = np.minimum(p1, p2) - alpha * d
-    hi = np.maximum(p1, p2) + alpha * d
-    # two rng.uniform(lo, hi) calls: c1's doubles, then c2's, each child
-    # lo + (hi - lo) * next_double
-    children = clip_to_bounds(lo + (hi - lo) * rng.random((2, p1.shape[0])), bounds)
-    return children[0], children[1]
+    lo = (np.minimum(p1, p2) - alpha * d)[..., None, :]
+    hi = (np.maximum(p1, p2) + alpha * d)[..., None, :]
+    # two rng.uniform(lo, hi) calls per pair, each lo + (hi - lo) * next_double
+    return clip_to_bounds(lo + (hi - lo) * u, bounds)
 
 
-def gaussian_mutation(
-    genome: np.ndarray,
-    rng: np.random.Generator,
-    bounds: np.ndarray,
-    rate: float,
-    sigma: float,
-) -> np.ndarray:
-    """Perturb each coordinate with probability ``rate`` by a Gaussian whose
-    standard deviation is ``sigma`` times that coordinate's range."""
+def mutation_draws(rng: np.random.Generator, dim: int, rate: float):
+    """One child's Gaussian mutation draws, in their frozen order: the
+    mask ``rng.random(dim) < rate`` of the coordinates to perturb, then a
+    standard normal for each of them (no request when there is none)."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must be in [0, 1]")
+    mask = rng.random(dim) < rate
+    k = np.count_nonzero(mask)
+    return mask, (rng.standard_normal(k) if k else _NO_NORMALS)
+
+
+def gaussian_mutation(genomes: np.ndarray, mask: np.ndarray, normals: np.ndarray,
+                      bounds: np.ndarray, sigma: float) -> np.ndarray:
+    """Perturb the coordinates where ``mask`` is True by a Gaussian whose
+    standard deviation is ``sigma`` times that coordinate's range.
+
+    ``genomes`` is one genome or an ``(m, d)`` batch with ``mask`` of its
+    shape; ``normals`` holds the masked coordinates' standard normals in
+    row order, i.e. the rows' :func:`mutation_draws` concatenated.
+    """
     if sigma <= 0.0:
         raise ValueError("mutation sigma must be positive")
-    out = np.array(genome, dtype=float)
-    mask = rng.random(out.shape[0]) < rate
-    if mask.any():
-        scale = sigma * (bounds[mask, 1] - bounds[mask, 0])
-        # rng.normal(0.0, scale) is 0.0 + scale * standard_normal; the 0.0
-        # turns a -0.0 step into +0.0
-        out[mask] += 0.0 + scale * rng.standard_normal(scale.shape[0])
+    if not normals.size:
+        return clip_to_bounds(genomes, bounds)
+    out = genomes.copy()
+    hit = mask.nonzero()
+    # rng.normal(0.0, scale) is 0.0 + scale * standard_normal; the 0.0
+    # turns a -0.0 step into +0.0
+    out[hit] += 0.0 + sigma * (bounds[hit[-1], 1] - bounds[hit[-1], 0]) * normals
     return clip_to_bounds(out, bounds)
 
 
-def de_trial_vector(
-    target_idx: int,
-    pop: Population,
-    F: float,
-    CR: float,
-    rng: np.random.Generator,
-    bounds: np.ndarray,
-    donor_pool: list[int] | None = None,
-) -> np.ndarray:
-    """DE/rand/1/bin trial vector for the given target.
-
-    Donors a, b, c are drawn without replacement from ``donor_pool``
-    (defaults to the whole population), excluding the target. Binomial
-    crossover keeps at least one mutant coordinate.
-    """
+def de_draws(rng: np.random.Generator, n: int, target: int, dim: int, CR: float,
+             donor_pool: list[int] | None = None):
+    """One DE/rand/1/bin trial's draws, in their frozen order: donors
+    ``(a, b, c)``, distinct and drawn without replacement from
+    ``donor_pool`` (default: all ``n`` members) less the target, then the
+    binomial crossover mask ``rng.random(dim) < CR`` with one coordinate
+    forced, so the trial keeps at least one mutant coordinate."""
     # choice() draws positions from the pool's size alone; a position is
     # mapped to a member index here instead of by indexing a pool array
-    if donor_pool is None:
-        if len(pop) < 4:
-            raise ValueError("DE needs at least 4 individuals in the donor pool (incl. target)")
-        positions = rng.choice(len(pop) - 1, size=3, replace=False).tolist()
-        # range(n) without the target: position p is p, or p + 1 from the target on
-        a, b, c = [p + (p >= target_idx) for p in positions]
-    else:
-        candidates = [i for i in donor_pool if i != target_idx]
-        if len(candidates) < 3:
-            raise ValueError("DE needs at least 4 individuals in the donor pool (incl. target)")
-        positions = rng.choice(len(candidates), size=3, replace=False).tolist()
-        a, b, c = [candidates[p] for p in positions]
-    genomes = pop.genome_matrix()
-    mutant = genomes[a] + F * (genomes[b] - genomes[c])
-    target = genomes[target_idx]
-    dim = target.shape[0]
+    pool = None if donor_pool is None else [i for i in donor_pool if i != target]
+    size = n - 1 if pool is None else len(pool)
+    if size < 3:
+        raise ValueError("DE needs at least 4 individuals in the donor pool (incl. target)")
+    positions = rng.choice(size, size=3, replace=False).tolist()
     cross = rng.random(dim) < CR
     cross[int(rng.integers(dim))] = True
-    trial = np.where(cross, mutant, target)
-    return clip_to_bounds(trial, bounds)
+    # range(n) less the target: position p is member p, or p + 1 from the target on
+    donors = [p + (p >= target) if pool is None else pool[p] for p in positions]
+    return donors, cross
+
+
+def de_trial_vector(genomes: np.ndarray, targets, donors, cross: np.ndarray, F: float,
+                    bounds: np.ndarray) -> np.ndarray:
+    """DE/rand/1/bin trial vectors from the rows of ``genomes``: the
+    mutant ``a + F * (b - c)`` where ``cross`` is True, the target row
+    elsewhere, clamped to bounds.
+
+    ``targets`` is one row index, with ``donors`` ``(a, b, c)`` and a
+    ``(d,)`` ``cross``, or m indices, with ``donors`` a ``(3, m)`` array
+    and an ``(m, d)`` ``cross``: the :func:`de_draws` of each target.
+    """
+    a, b, c = donors
+    mutant = genomes[a] + F * (genomes[b] - genomes[c])
+    return clip_to_bounds(np.where(cross, mutant, genomes[targets]), bounds)

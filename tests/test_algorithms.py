@@ -303,20 +303,22 @@ class TestEveryAlgorithm:
     @pytest.mark.parametrize("budget", [57, 81, 100])
     def test_no_child_built_past_the_budget(self, name, budget, monkeypatch):
         # gaussian_mutation builds every GA child and de_trial_vector every DE
-        # trial; 57 and 81 run out mid-generation, 100 at a generation's end
+        # trial, one child or a generation's batch of rows per call; 57 and 81
+        # run out mid-generation, 100 at a generation's end
         built = []
 
         def counted(op):
             def wrapper(*args, **kwargs):
-                built.append(op.__name__)
-                return op(*args, **kwargs)
+                rows = op(*args, **kwargs)
+                built.append(len(np.atleast_2d(rows)))
+                return rows
             return wrapper
 
         for op in (algorithms.gaussian_mutation, algorithms.de_trial_vector):
             monkeypatch.setattr(algorithms, op.__name__, counted(op))
         result = ALGORITHMS[name](himmelblau(), small_config(population_size=10), budget, 4)
         assert result.evals_used == budget
-        assert len(built) == result.evals_used - 10
+        assert sum(built) == result.evals_used - 10
 
 
 def _slotwise_initial_population(problem, config, seed):

@@ -11,12 +11,11 @@ from nichebench.core import (
     Individual,
     Population,
     binary_tournament,
-    blend_crossover,
-    de_trial_vector,
-    gaussian_mutation,
 )
 from nichebench.problems import deb1, himmelblau
 from test_draw_equivalence import euclidean_distance, random_genome  # oracles, not library code
+# the operators with their draws, one child at a time
+from test_draw_equivalence import per_child_blend, per_child_mutation, per_child_trial
 
 
 def make_pop(genomes, fitnesses):
@@ -141,53 +140,53 @@ BOUNDS_1D = np.array([[0.0, 1.0]])
 class TestBlendCrossover:
     def test_equal_parents_yield_equal_children(self):
         p = np.array([0.3])
-        c1, c2 = blend_crossover(p, p, np.random.default_rng(3), BOUNDS_1D)
+        c1, c2 = per_child_blend(p, p, np.random.default_rng(3), BOUNDS_1D)
         assert c1[0] == 0.3 and c2[0] == 0.3
 
     def test_interval_contract(self):
         wide = np.array([[-10.0, 10.0]])
         for s in range(200):
-            c1, c2 = blend_crossover(np.array([0.0]), np.array([1.0]), np.random.default_rng(s), wide)
+            c1, c2 = per_child_blend(np.array([0.0]), np.array([1.0]), np.random.default_rng(s), wide)
             for c in (c1, c2):
                 assert -0.5 <= c[0] <= 1.5
 
     def test_clamping(self):
         for s in range(200):
-            c1, c2 = blend_crossover(np.array([0.0]), np.array([1.0]), np.random.default_rng(s), BOUNDS_1D)
+            c1, c2 = per_child_blend(np.array([0.0]), np.array([1.0]), np.random.default_rng(s), BOUNDS_1D)
             for c in (c1, c2):
                 assert 0.0 <= c[0] <= 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            blend_crossover(np.array([0.0]), np.array([0.0, 1.0]), np.random.default_rng(0), BOUNDS_1D)
+            per_child_blend(np.array([0.0]), np.array([0.0, 1.0]), np.random.default_rng(0), BOUNDS_1D)
 
 
 class TestGaussianMutation:
     def test_rate_zero_is_identity(self):
         g = np.array([0.2, 0.8])
         bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = gaussian_mutation(g, np.random.default_rng(1), bounds, rate=0.0, sigma=0.1)
+        out = per_child_mutation(g, np.random.default_rng(1), bounds, rate=0.0, sigma=0.1)
         assert np.array_equal(out, g)
 
     def test_tiny_sigma_limit(self):
         g = np.array([0.5, 0.5])
         bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = gaussian_mutation(g, np.random.default_rng(1), bounds, rate=1.0, sigma=1e-13)
+        out = per_child_mutation(g, np.random.default_rng(1), bounds, rate=1.0, sigma=1e-13)
         assert np.allclose(out, g, atol=1e-9)
 
     def test_output_within_bounds(self):
         bounds = np.array([[0.0, 1.0], [-2.0, -1.0]])
         for s in range(300):
             g = random_genome(np.random.default_rng(s), bounds)
-            out = gaussian_mutation(g, np.random.default_rng(s + 1), bounds, rate=1.0, sigma=0.5)
+            out = per_child_mutation(g, np.random.default_rng(s + 1), bounds, rate=1.0, sigma=0.5)
             assert np.all(out >= bounds[:, 0]) and np.all(out <= bounds[:, 1])
 
     def test_invalid_params(self):
         bounds = np.array([[0.0, 1.0]])
         with pytest.raises(ValueError):
-            gaussian_mutation(np.array([0.5]), np.random.default_rng(0), bounds, rate=1.5, sigma=0.1)
+            per_child_mutation(np.array([0.5]), np.random.default_rng(0), bounds, rate=1.5, sigma=0.1)
         with pytest.raises(ValueError):
-            gaussian_mutation(np.array([0.5]), np.random.default_rng(0), bounds, rate=0.5, sigma=0.0)
+            per_child_mutation(np.array([0.5]), np.random.default_rng(0), bounds, rate=0.5, sigma=0.0)
 
 
 class TestDeTrialVector:
@@ -196,7 +195,7 @@ class TestDeTrialVector:
     def test_identical_donors_reproduce_donor(self):
         # all non-target members share one genome, so a + F(b - c) = a
         pop = make_pop([[9.0], [4.0], [4.0], [4.0]], [0, 0, 0, 0])
-        trial = de_trial_vector(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(5), bounds=self.WIDE)
+        trial = per_child_trial(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(5), bounds=self.WIDE)
         assert trial[0] == 4.0
 
     def test_full_crossover_equals_mutant(self):
@@ -207,7 +206,7 @@ class TestDeTrialVector:
             candidates = np.array([1, 2, 3])
             a, b, c = replay.choice(candidates, size=3, replace=False)
             expected = pop[int(a)].genome + 0.5 * (pop[int(b)].genome - pop[int(c)].genome)
-            trial = de_trial_vector(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(s), bounds=self.WIDE)
+            trial = per_child_trial(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(s), bounds=self.WIDE)
             assert trial[0] == expected[0]
 
     def test_arithmetic_case(self):
@@ -215,20 +214,20 @@ class TestDeTrialVector:
         pop = make_pop([[9.0], [0.0], [2.0], [4.0]], [0, 0, 0, 0])
         seen = set()
         for s in range(200):
-            trial = de_trial_vector(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(s), bounds=self.WIDE)
+            trial = per_child_trial(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(s), bounds=self.WIDE)
             seen.add(round(float(trial[0]), 6))
         assert -1.0 in seen  # 0 + 0.5 * (2 - 4)
 
     def test_small_pool_rejected(self):
         pop = make_pop([[0.0], [1.0], [2.0]], [0, 0, 0])
         with pytest.raises(ValueError):
-            de_trial_vector(0, pop, 0.5, 0.9, np.random.default_rng(0), self.WIDE)
+            per_child_trial(0, pop, 0.5, 0.9, np.random.default_rng(0), self.WIDE)
 
     def test_clamped(self):
         bounds = np.array([[0.0, 1.0]])
         pop = make_pop([[0.1], [0.0], [0.9], [1.0]], [0, 0, 0, 0])
         for s in range(100):
-            trial = de_trial_vector(0, pop, F=2.0, CR=1.0, rng=np.random.default_rng(s), bounds=bounds)
+            trial = per_child_trial(0, pop, F=2.0, CR=1.0, rng=np.random.default_rng(s), bounds=bounds)
             assert 0.0 <= trial[0] <= 1.0
 
 
@@ -237,9 +236,9 @@ def test_operator_chains_never_escape_bounds():
     rng = np.random.default_rng(99)
     pop = make_pop([random_genome(rng, bounds) for _ in range(6)], range(6))
     for step in range(500):
-        c1, c2 = blend_crossover(pop[step % 6].genome, pop[(step + 1) % 6].genome, rng, bounds)
-        m = gaussian_mutation(c1, rng, bounds, rate=0.5, sigma=0.3)
-        t = de_trial_vector(step % 6, pop, F=0.9, CR=0.9, rng=rng, bounds=bounds)
+        c1, c2 = per_child_blend(pop[step % 6].genome, pop[(step + 1) % 6].genome, rng, bounds)
+        m = per_child_mutation(c1, rng, bounds, rate=0.5, sigma=0.3)
+        t = per_child_trial(step % 6, pop, F=0.9, CR=0.9, rng=rng, bounds=bounds)
         for g in (c1, c2, m, t):
             assert np.all(g >= bounds[:, 0]) and np.all(g <= bounds[:, 1])
         pop[step % 6] = Individual(t, float(step))

@@ -1,10 +1,11 @@
 """The fast operators against the implementations they replaced.
 
 Each ``reference_*`` function below is the earlier, straightforward form
-of an operator or metric. The current one must return bit-identical values
-and leave the random stream in the identical state, on random inputs and on
-the edge cases named in each test. Together with the fingerprint table
-this is what lets the hot path change without moving a published number.
+of an operator, a child stream, an algorithm or a metric. The current one
+must return bit-identical values and leave the random stream in the
+identical state, on random inputs and on the edge cases named in each
+test. Together with the fingerprint table this is what lets the hot path
+change without moving a published number.
 """
 
 import numpy as np
@@ -13,10 +14,14 @@ import pytest
 from nichebench.algorithms import (
     AlgorithmConfig,
     _RunState,
+    _shared_scores,
     conserve_species_seeds,
     crowding_replacement,
     determine_species_seeds,
+    preselection_ga,
     scga,
+    sharing_de,
+    sharing_ga,
 )
 from nichebench.core import (
     Individual,
@@ -24,9 +29,11 @@ from nichebench.core import (
     binary_tournament,
     blend_crossover,
     clip_to_bounds,
+    de_draws,
     de_trial_vector,
     gaussian_mutation,
     is_better,
+    mutation_draws,
 )
 from nichebench.harness import resolve_problem
 from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
@@ -193,6 +200,90 @@ def reference_distinct_peaks(genomes, fitness, fitness_threshold=1e-4, radius=0.
     return len(counted)
 
 
+# the child streams and the four generation-batched algorithms as they were
+# when every child was drawn for and built on its own
+
+def reference_ga_children(st, p1, p2):
+    cfg = st.config
+    for genome in reference_blend_crossover(p1.genome, p2.genome, st.rng, st.bounds,
+                                            cfg.blend_alpha):
+        if st.evaluate.exhausted:
+            return
+        yield st.evaluate(reference_gaussian_mutation(genome, st.rng, st.bounds,
+                                                      st.mutation_rate, cfg.mutation_sigma))
+
+
+def reference_de_children(st, pop):
+    cfg = st.config
+    for target in range(len(pop)):
+        if st.evaluate.exhausted:
+            return
+        yield target, st.evaluate(reference_de_trial_vector(target, pop, cfg.de_F, cfg.de_CR,
+                                                             st.rng, st.bounds))
+
+
+def reference_breed(st, pop, select):
+    children = []
+    while len(children) < len(pop) and not st.evaluate.exhausted:
+        p1, p2 = select(), select()
+        for child in reference_ga_children(st, p1, p2):
+            children.append(child)
+            if len(children) == len(pop):
+                break
+    for slot, child in enumerate(children):
+        pop[slot] = child
+
+
+def reference_preselection_ga(problem, config, budget, rng):
+    st = _RunState("preselection_ga", problem, config, budget, rng)
+    pop = st.init_population()
+    for _ in st.generations():
+        order = st.rng.permutation(len(pop))
+        for k in range(0, len(pop) - 1, 2):
+            if st.evaluate.exhausted:
+                break
+            i, j = int(order[k]), int(order[k + 1])
+            for parent_idx, child in zip((i, j), reference_ga_children(st, pop[i], pop[j])):
+                if is_better(child.fitness, pop[parent_idx].fitness, st.direction):
+                    pop[parent_idx] = child
+    return st.result(pop)
+
+
+def reference_sharing_ga(problem, config, budget, rng):
+    st = _RunState("sharing_ga", problem, config, budget, rng)
+    pop = st.init_population()
+    for _ in st.generations():
+        scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
+                                config.sharing_radius, config.sharing_alpha)
+        reference_breed(st, pop, lambda: pop[reference_score_tournament(scores, st.rng)])
+    return st.result(pop)
+
+
+def reference_sharing_de(problem, config, budget, rng):
+    st = _RunState("sharing_de", problem, config, budget, rng)
+    pop = st.init_population()
+    for _ in st.generations():
+        trials = [child for _, child in reference_de_children(st, pop)]
+        genomes = np.vstack([pop.genome_matrix()] + [t.genome for t in trials])
+        raw = np.concatenate([pop.fitnesses(), [t.fitness for t in trials]])
+        scores = _shared_scores(genomes, raw, st.direction,
+                                config.sharing_radius, config.sharing_alpha)
+        for slot, child in enumerate(trials):
+            if scores[len(pop) + slot] > scores[slot]:
+                pop[slot] = child
+    return st.result(pop)
+
+
+def reference_scga(problem, config, budget, rng):
+    st = _RunState("scga", problem, config, budget, rng)
+    pop = st.init_population()
+    for _ in st.generations():
+        seeds = determine_species_seeds(pop, config.species_distance, st.direction)
+        reference_breed(st, pop, lambda: reference_binary_tournament(pop, st.rng, st.direction))
+        conserve_species_seeds(pop, seeds, config.species_distance, st.direction)
+    return st.result(pop)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -223,6 +314,24 @@ def population(genomes, fitnesses):
 
 def snapshot(pop):
     return [(m.genome.tobytes(), m.fitness) for m in pop]
+
+
+def per_child_blend(p1, p2, rng, bounds, alpha=0.5):
+    """One pair's BLX children, drawn for and built as ga_children does."""
+    return blend_crossover(p1, p2, rng.random((2, p1.shape[0])), bounds, alpha)
+
+
+def per_child_mutation(genome, rng, bounds, rate, sigma):
+    """One child's mutation, drawn for and built as ga_children does."""
+    mask, normals = mutation_draws(rng, genome.shape[0], rate)
+    return gaussian_mutation(genome, mask, normals, bounds, sigma)
+
+
+def per_child_trial(target, pop, F, CR, rng, bounds, donor_pool=None):
+    """One DE trial, drawn for and built as de_children does."""
+    genomes = pop.genome_matrix()
+    donors, cross = de_draws(rng, len(pop), target, genomes.shape[1], CR, donor_pool)
+    return de_trial_vector(genomes, target, donors, cross, F, bounds)
 
 
 DIMS = (1, 2, 3, 8)
@@ -309,7 +418,7 @@ def test_blend_crossover_matches_uniform_draws():
             p2[0] = p1[0]  # one zero-width coordinate
         alpha = float(rng.choice([0.0, 0.5, 1.0]))
         new, old = twin_streams(seed)
-        got = blend_crossover(p1, p2, new, bounds, alpha=alpha)
+        got = per_child_blend(p1, p2, new, bounds, alpha=alpha)
         want = reference_blend_crossover(p1, p2, old, bounds, alpha=alpha)
         for g, w in zip(got, want):
             assert_bits_equal(g, w)
@@ -319,7 +428,7 @@ def test_blend_crossover_matches_uniform_draws():
 def test_blend_crossover_equal_parents_give_parent():
     bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
     p = np.array([0.25, 0.75])
-    c1, c2 = blend_crossover(p, p.copy(), np.random.default_rng(1), bounds)
+    c1, c2 = per_child_blend(p, p.copy(), np.random.default_rng(1), bounds)
     assert_bits_equal(c1, p)
     assert_bits_equal(c2, p)
 
@@ -335,7 +444,7 @@ def test_gaussian_mutation_matches_normal_draws(rate):
             genome[0] = -0.0
         sigma = float(rng.choice([0.01, 0.1, 2.0]))
         new, old = twin_streams(seed)
-        got = gaussian_mutation(genome, new, bounds, rate=rate, sigma=sigma)
+        got = per_child_mutation(genome, new, bounds, rate=rate, sigma=sigma)
         want = reference_gaussian_mutation(genome, old, bounds, rate=rate, sigma=sigma)
         assert_bits_equal(got, want)
         assert_same_stream(new, old)
@@ -344,7 +453,7 @@ def test_gaussian_mutation_matches_normal_draws(rate):
 def test_gaussian_mutation_leaves_input_alone():
     genome = np.array([0.5, 0.5])
     bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-    gaussian_mutation(genome, np.random.default_rng(3), bounds, rate=1.0, sigma=0.5)
+    per_child_mutation(genome, np.random.default_rng(3), bounds, rate=1.0, sigma=0.5)
     assert genome.tolist() == [0.5, 0.5]
 
 
@@ -364,7 +473,7 @@ def test_de_trial_vector_matches_candidate_choice():
         F = float(rng.uniform(0.1, 1.0))
         CR = float(rng.choice([0.0, 0.5, 0.9, 1.0]))
         new, old = twin_streams(seed)
-        got = de_trial_vector(target, pop, F, CR, new, bounds)
+        got = per_child_trial(target, pop, F, CR, new, bounds)
         want = reference_de_trial_vector(target, pop, F, CR, old, bounds)
         assert_bits_equal(got, want)
         assert_same_stream(new, old)
@@ -380,7 +489,7 @@ def test_de_trial_vector_with_explicit_donor_pool():
         # mostly a target inside its pool (as in sde), sometimes one outside it
         target = outside[0] if outside and seed % 4 == 0 else pool[seed % len(pool)]
         new, old = twin_streams(seed)
-        got = de_trial_vector(target, pop, 0.5, 0.9, new, bounds, donor_pool=pool)
+        got = per_child_trial(target, pop, 0.5, 0.9, new, bounds, donor_pool=pool)
         want = reference_de_trial_vector(target, pop, 0.5, 0.9, old, bounds, donor_pool=pool)
         assert_bits_equal(got, want)
         assert_same_stream(new, old)
@@ -390,10 +499,42 @@ def test_de_trial_vector_still_rejects_small_pools():
     rng = np.random.default_rng(11)
     pop, bounds = _de_case(rng, 3, 2)
     with pytest.raises(ValueError, match="at least 4"):
-        de_trial_vector(0, pop, 0.5, 0.9, np.random.default_rng(0), bounds)
+        per_child_trial(0, pop, 0.5, 0.9, np.random.default_rng(0), bounds)
     pop, bounds = _de_case(rng, 10, 2)
     with pytest.raises(ValueError, match="at least 4"):
-        de_trial_vector(0, pop, 0.5, 0.9, np.random.default_rng(0), bounds, donor_pool=[0, 1, 2])
+        per_child_trial(0, pop, 0.5, 0.9, np.random.default_rng(0), bounds, donor_pool=[0, 1, 2])
+
+
+def test_a_batch_is_its_rows_built_one_at_a_time():
+    # the generation-batched streams pass each operator the draws of m
+    # children at once; row i must be what child i alone would get
+    rng = np.random.default_rng(18)
+    for seed in range(200):
+        m = int(rng.integers(1, 12))
+        dim = int(rng.choice(DIMS))
+        pop, bounds = _de_case(rng, int(rng.integers(4, 20)), dim)
+        genomes = pop.genome_matrix()
+        p1, p2 = (rng.integers(len(pop), size=m) for _ in range(2))
+        if seed % 5 == 0:
+            p2 = p1  # equal parents
+        u = rng.random((m, 2, dim))
+        crossed = blend_crossover(genomes[p1], genomes[p2], u, bounds)
+        for i in range(m):
+            assert_bits_equal(crossed[i], blend_crossover(genomes[p1[i]], genomes[p2[i]], u[i], bounds))
+        draws = np.random.default_rng(seed)
+        rate = float(rng.choice([0.0, 0.5, 1.0]))
+        masks, normals = zip(*[mutation_draws(draws, dim, rate) for _ in range(m)])
+        mutated = gaussian_mutation(crossed[:, 0], np.array(masks), np.concatenate(normals),
+                                    bounds, 0.1)
+        for i in range(m):
+            assert_bits_equal(mutated[i], gaussian_mutation(crossed[i, 0], masks[i], normals[i],
+                                                            bounds, 0.1))
+        targets = rng.integers(len(pop), size=m)
+        donors, cross = zip(*[de_draws(draws, len(pop), int(t), dim, 0.5) for t in targets])
+        trials = de_trial_vector(genomes, targets, np.array(donors).T, np.array(cross), 0.7, bounds)
+        for i in range(m):
+            assert_bits_equal(trials[i], de_trial_vector(genomes, targets[i], donors[i], cross[i],
+                                                         0.7, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -557,3 +698,41 @@ def test_run_result_arrays_share_no_memory_with_the_population():
     result.fitness[:] = 99.0
     assert not (pop.genome_matrix() == 99.0).any()
     assert not (pop.fitnesses() == 99.0).any()
+
+
+# ---------------------------------------------------------------------------
+# generation-batched algorithms
+# ---------------------------------------------------------------------------
+
+BATCHED = {
+    "preselection_ga": (preselection_ga, reference_preselection_ga),
+    "sharing_ga": (sharing_ga, reference_sharing_ga),
+    "sharing_de": (sharing_de, reference_sharing_de),
+    "scga": (scga, reference_scga),
+}
+
+
+@pytest.mark.parametrize("problem_name", ["deb1", "himmelblau", "grating"])
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_batched_generations_match_per_child_streams(name, problem_name):
+    algorithm, reference = BATCHED[name]
+    problem = resolve_problem(problem_name)
+    bounds = problem.bounds
+    diagonal = float(np.sqrt(((bounds[:, 1] - bounds[:, 0]) ** 2).sum()))
+    for seed in range(50):
+        n = (5, 7, 10)[seed % 3]  # odd sizes leave one member unpaired in preselection
+        # budgets ending after a pair's first child, between pairs mid-generation,
+        # at a generation's end and a few generations in
+        budget = n + (1, 2, 3, n - 1, n, n + 1, 2 * n + 3)[seed % 7]
+        rate = (0.0, 1.0, None)[seed // 3 % 3]  # no normals, all normals, the 1/d default
+        distance = (0.2 * diagonal, 1000.0)[seed // 9 % 2]
+        config = AlgorithmConfig(population_size=n, mutation_rate=rate,
+                                 species_distance=distance, sharing_radius=distance)
+        new, old = twin_streams(seed)
+        got = algorithm(problem, config, budget, new)
+        want = reference(problem, config, budget, old)
+        assert_bits_equal(got.genomes, want.genomes)
+        assert_bits_equal(got.fitness, want.fitness)
+        assert got.trace == want.trace
+        assert got.evals_used == want.evals_used == budget
+        assert_same_stream(new, old)
