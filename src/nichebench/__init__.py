@@ -23,6 +23,7 @@ from .core import (
     binary_tournament,
     blend_crossover,
     de_draws,
+    de_generation_draws,
     de_trial_vector,
     gaussian_mutation,
     mutation_draws,

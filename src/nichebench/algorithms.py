@@ -11,11 +11,14 @@ is evaluated.
 Children come from two streams in ``_RunState``, GA (BLX crossover,
 Gaussian mutation) and DE (DE/rand/1/bin trials), the only code that
 builds, evaluates and budget-checks a child: no child is built once the
-budget is spent. A stream issues its draws child by child in one frozen
-order. ``ga_children``/``de_children`` then build one child at a time, so
-each sees the replacements made before it; ``ga_generation`` and
-``de_generation`` build a generation whose children share their parents
-in one array pass.
+budget is spent. A stream's draws follow one frozen order, child by
+child. The GA stream makes them child by child; the DE stream makes a
+whole generation's at its start (``core.de_generation_draws``), except
+for ``crowding_de`` with a crowding factor below the population size,
+whose replacement step draws between trials. ``ga_children`` and
+``de_children`` then build one child at a time, so each sees the
+replacements made before it; ``ga_generation`` and ``de_generation``
+build a generation whose children share their parents in one array pass.
 ``budget`` is the number of objective evaluations (an int) and ``rng`` an
 int seed or a ``np.random.Generator``, which is used as is.
 
@@ -38,6 +41,7 @@ from .core import (
     binary_tournament,
     blend_crossover,
     de_draws,
+    de_generation_draws,
     de_trial_vector,
     gaussian_mutation,
     is_better,
@@ -207,30 +211,34 @@ class _RunState:
                                      np.concatenate(normals), self.bounds, cfg.mutation_sigma)
         return [self.evaluate(genome) for genome in children]
 
-    def de_children(self, pop: Population, donor_pools=None):
-        """``(target, evaluated trial)`` for each target in order; stops once
-        the budget is spent. A trial is drawn and built only after the
-        caller has handled the previous one, so it sees the replacements
-        made so far. ``donor_pools[target]`` lists the target's donors
-        (None: everyone)."""
+    def de_children(self, pop: Population, pools=None, caller_draws: bool = False):
+        """``(target, evaluated trial)`` for targets 0, 1, ... up to the
+        population size or the budget left. Each trial is built only after
+        the caller has handled the previous one, so it sees the
+        replacements made so far. The draws of the whole generation are
+        made at its start (:func:`de_generation_draws`, donors from
+        ``pools``), which is draw-exact only if the caller draws nothing
+        between trials; with ``caller_draws`` each trial's draws are made
+        just before it is built instead (``pools`` must then be None)."""
         cfg, dim = self.config, self.bounds.shape[0]
-        for target in range(len(pop)):
-            if self.evaluate.exhausted:
-                return
-            pool = None if donor_pools is None else donor_pools[target]
-            donors, cross = de_draws(self.rng, len(pop), target, dim, cfg.de_CR, pool)
+        m = min(len(pop), self.evaluate.max_evals - self.evaluate.used)
+        if caller_draws:  # lazily: trial t's draws when the loop reaches it
+            draws = (de_draws(self.rng, len(pop), t, dim, cfg.de_CR) for t in range(m))
+        else:
+            donors, cross = de_generation_draws(self.rng, len(pop), m, dim, cfg.de_CR, pools)
+            draws = zip(donors.T.tolist(), cross)
+        for target, (donors, cross) in enumerate(draws):
             yield target, self.evaluate(de_trial_vector(pop.genome_matrix(), target, donors, cross,
                                                         cfg.de_F, self.bounds))
 
     def de_generation(self, pop: Population) -> list[Individual]:
         """Evaluated trials for targets 0, 1, ... up to the population size
-        or the budget left. Draws as de_children would, then builds them in
-        one pass."""
+        or the budget left, all built from ``pop`` as it is, in one pass."""
         cfg, dim = self.config, self.bounds.shape[0]
         m = min(len(pop), self.evaluate.max_evals - self.evaluate.used)
-        donors, cross = zip(*[de_draws(self.rng, len(pop), t, dim, cfg.de_CR) for t in range(m)])
-        trials = de_trial_vector(pop.genome_matrix(), np.arange(m), np.array(donors).T,
-                                 np.array(cross), cfg.de_F, self.bounds)
+        donors, cross = de_generation_draws(self.rng, len(pop), m, dim, cfg.de_CR)
+        trials = de_trial_vector(pop.genome_matrix(), np.arange(m), donors, cross, cfg.de_F,
+                                 self.bounds)
         return [self.evaluate(genome) for genome in trials]
 
     def generations(self):
@@ -325,7 +333,8 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
     cf = st.config.effective_crowding_factor()
     pop = st.init_population()
     for _ in st.generations():
-        for _, child in st.de_children(pop):
+        # crowding's sample of cf < n members is drawn between trials
+        for _, child in st.de_children(pop, caller_draws=cf < len(pop)):
             crowding_replacement(child, pop, cf, st.rng, st.direction)
     return st.result(pop)
 
@@ -520,10 +529,8 @@ def sde(problem, config: AlgorithmConfig | None = None,
         seeds = determine_species_seeds(pop, st.config.species_distance, st.direction)
         assigned, _ = _nearest_seed_assignment(pop.genome_matrix(),
                                                np.array([s.genome for s in seeds]))
-        species: dict[int, list[int]] = {}
-        for i, k in enumerate(assigned.tolist()):
-            species.setdefault(k, []).append(i)
-        pools = [species[k] if len(species[k]) >= 4 else None for k in assigned.tolist()]
+        # a species below 4 members borrows donors from everyone: label -1
+        pools = np.where(np.bincount(assigned)[assigned] >= 4, assigned, -1)
         for target, child in st.de_children(pop, pools):
             if is_better(child.fitness, pop[target].fitness, st.direction):
                 pop[target] = child

@@ -11,15 +11,19 @@ change without moving a published number.
 import numpy as np
 import pytest
 
+from nichebench import core
 from nichebench.algorithms import (
     AlgorithmConfig,
     _RunState,
     _shared_scores,
+    _nearest_seed_assignment,
     conserve_species_seeds,
+    crowding_de,
     crowding_replacement,
     determine_species_seeds,
     preselection_ga,
     scga,
+    sde,
     sharing_de,
     sharing_ga,
 )
@@ -30,6 +34,7 @@ from nichebench.core import (
     blend_crossover,
     clip_to_bounds,
     de_draws,
+    de_generation_draws,
     de_trial_vector,
     gaussian_mutation,
     is_better,
@@ -213,13 +218,14 @@ def reference_ga_children(st, p1, p2):
                                                       st.mutation_rate, cfg.mutation_sigma))
 
 
-def reference_de_children(st, pop):
+def reference_de_children(st, pop, donor_pools=None):
     cfg = st.config
     for target in range(len(pop)):
         if st.evaluate.exhausted:
             return
+        pool = None if donor_pools is None else donor_pools[target]
         yield target, st.evaluate(reference_de_trial_vector(target, pop, cfg.de_F, cfg.de_CR,
-                                                             st.rng, st.bounds))
+                                                             st.rng, st.bounds, pool))
 
 
 def reference_breed(st, pop, select):
@@ -274,6 +280,37 @@ def reference_sharing_de(problem, config, budget, rng):
     return st.result(pop)
 
 
+def reference_crowding_de(problem, config, budget, rng):
+    st = _RunState("crowding_de", problem, config, budget, rng)
+    cf = config.effective_crowding_factor()
+    pop = st.init_population()
+    for _ in st.generations():
+        for _, child in reference_de_children(st, pop):
+            reference_crowding_replacement(child, pop, cf, st.rng, st.direction)
+    return st.result(pop)
+
+
+def reference_sde(problem, config, budget, rng, species_sizes=None):
+    """sde with a species list per member; ``species_sizes`` collects the
+    size of every species seen."""
+    st = _RunState("sde", problem, config, budget, rng)
+    pop = st.init_population()
+    for _ in st.generations():
+        seeds = reference_species_seeds(pop, config.species_distance, st.direction)
+        assigned, _ = _nearest_seed_assignment(pop.genome_matrix(),
+                                               np.array([s.genome for s in seeds]))
+        species = {}
+        for i, k in enumerate(assigned.tolist()):
+            species.setdefault(k, []).append(i)
+        if species_sizes is not None:
+            species_sizes.update(len(members) for members in species.values())
+        pools = [species[k] if len(species[k]) >= 4 else None for k in assigned.tolist()]
+        for target, child in reference_de_children(st, pop, pools):
+            if is_better(child.fitness, pop[target].fitness, st.direction):
+                pop[target] = child
+    return st.result(pop)
+
+
 def reference_scga(problem, config, budget, rng):
     st = _RunState("scga", problem, config, budget, rng)
     pop = st.init_population()
@@ -292,8 +329,15 @@ def twin_streams(seed):
     return np.random.default_rng(seed), np.random.default_rng(seed)
 
 
+def same_state(a, b):
+    """Equal bit generator states; MT19937's holds an array."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 def assert_same_stream(a, b):
-    assert a.bit_generator.state == b.bit_generator.state
+    assert same_state(a.bit_generator.state, b.bit_generator.state)
 
 
 def assert_bits_equal(x, y):
@@ -503,6 +547,140 @@ def test_de_trial_vector_still_rejects_small_pools():
     pop, bounds = _de_case(rng, 10, 2)
     with pytest.raises(ValueError, match="at least 4"):
         per_child_trial(0, pop, 0.5, 0.9, np.random.default_rng(0), bounds, donor_pool=[0, 1, 2])
+    # a generation fails before its first draw, even when earlier targets could draw
+    for n, pools in ((3, None), (10, np.array([0, 0, 0, 0, 1, 1, 1, -1, -1, -1])),
+                     (5, np.array([-1, 2, 2, 2, -1]))):
+        for stream in (np.random.default_rng(0), np.random.Generator(np.random.MT19937(0))):
+            before = stream.bit_generator.state
+            with pytest.raises(ValueError, match="at least 4"):
+                de_generation_draws(stream, n, n, 2, 0.9, pools)
+            assert same_state(stream.bit_generator.state, before)
+
+
+# ---------------------------------------------------------------------------
+# a DE generation's draws, decoded from raw words
+# ---------------------------------------------------------------------------
+
+def sequential_de_draws(rng, n, m, dim, CR, pools=None):
+    """m de_draws calls for targets 0..m-1, with de_generation_draws' pool labels."""
+    donors, cross = [], []
+    for target in range(m):
+        pool = (None if pools is None or pools[target] < 0
+                else [i for i in range(n) if pools[i] == pools[target]])
+        trial_donors, trial_cross = de_draws(rng, n, target, dim, CR, pool)
+        donors.append(trial_donors)
+        cross.append(trial_cross)
+    return np.array(donors, np.intp).reshape(m, 3).T, np.array(cross, bool).reshape(m, dim)
+
+
+def species_labels(rng, n):
+    """sde's pools: random species, those below 4 members labelled -1 (everyone)."""
+    labels = rng.integers(max(1, n // 4), size=n)
+    return np.where(np.bincount(labels)[labels] >= 4, labels, -1)
+
+
+def generation_case(seed, held):
+    """Twin streams, both holding back a 32-bit half when ``held``."""
+    new, old = twin_streams(seed)
+    if held:
+        new.integers(7), old.integers(7)
+        assert new.bit_generator.state["has_uint32"] == 1
+    return new, old
+
+
+def assert_same_draws(got, want, new, old):
+    assert_bits_equal(got[0], want[0])
+    assert_bits_equal(got[1], want[1])
+    assert_same_stream(new, old)
+    assert new.random() == old.random()
+
+
+@pytest.fixture
+def decoding(monkeypatch):
+    """Every DE generation on a PCG64 stream must be decoded: the probe
+    passed, and the per-trial path fails the test."""
+    assert core._decoder_works()
+
+    def no_per_trial(*args):
+        raise AssertionError("took the per-trial path")
+
+    monkeypatch.setattr(core, "_real_de_draws", no_per_trial)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 10, 50])
+def test_generation_draws_match_sequential_de_draws(n, decoding):
+    rng = np.random.default_rng(30 + n)
+    for seed in range(300):
+        dim = int(rng.choice(DIMS))
+        m = n if seed % 3 else int(rng.integers(1, n))  # full and partial generations
+        pools = species_labels(rng, n) if seed % 2 else None
+        CR = float(rng.choice([0.0, 0.5, 0.9, 1.0]))
+        new, old = generation_case(seed, held=rng.random() < 0.5)
+        assert_same_draws(de_generation_draws(new, n, m, dim, CR, pools),
+                          sequential_de_draws(old, n, m, dim, CR, pools), new, old)
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("dim", DIMS)
+def test_generation_draws_with_a_species_of_four(dim, held, decoding):
+    # targets 0-3 draw from 3 members: choice() skips Floyd's j = 0 draw,
+    # which flips the half-word parity for the trials after them
+    pools = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, -1, 2, 2, 2, 2])
+    for seed in range(40):
+        m = (14, 3, 9)[seed % 3]
+        new, old = generation_case(seed, held)
+        assert_same_draws(de_generation_draws(new, 14, m, dim, 0.9, pools),
+                          sequential_de_draws(old, 14, m, dim, 0.9, pools), new, old)
+
+
+def test_a_possible_redraw_restores_the_stream_for_the_per_trial_path(monkeypatch):
+    assert core._decoder_works()  # probed with the real predicate
+    consulted, entry_states = [], []
+    monkeypatch.setattr(core, "_may_redraw", lambda low, span: consulted.append(1) or True)
+    real_draws = core._real_de_draws
+
+    def per_trial(rng, *args):
+        entry_states.append(rng.bit_generator.state)
+        return real_draws(rng, *args)
+
+    monkeypatch.setattr(core, "_real_de_draws", per_trial)
+    rng = np.random.default_rng(40)
+    for seed in range(60):
+        n, dim = int(rng.choice([4, 7, 50])), int(rng.choice(DIMS))
+        pools = species_labels(rng, n) if seed % 2 else None
+        new, old = generation_case(seed, held=seed % 4 >= 2)
+        start = new.bit_generator.state
+        got = de_generation_draws(new, n, n, dim, 0.9, pools)
+        assert entry_states.pop() == start
+        assert_same_draws(got, sequential_de_draws(old, n, n, dim, 0.9, pools), new, old)
+    assert len(consulted) == 60
+
+
+def _no_decoding(*args):
+    raise AssertionError("decoded where the per-trial path was due")
+
+
+def test_other_bit_generators_take_the_per_trial_path(monkeypatch):
+    monkeypatch.setattr(core, "_decode_de", _no_decoding)
+    for seed in range(20):
+        n, dim = (5, 10, 50)[seed % 3], DIMS[seed % 4]
+        pools = species_labels(np.random.default_rng(seed), n) if seed % 2 else None
+        new, old = (np.random.Generator(np.random.MT19937(seed)) for _ in range(2))
+        assert_same_draws(de_generation_draws(new, n, n, dim, 0.9, pools),
+                          sequential_de_draws(old, n, n, dim, 0.9, pools), new, old)
+
+
+def test_a_failed_probe_takes_the_per_trial_path(monkeypatch):
+    assert core._decoder_probe()
+    # a decoder that misreads choice()'s shuffle fails the probe
+    monkeypatch.setattr(core, "_SHUFFLED", core._SHUFFLED[::-1])
+    assert not core._decoder_probe()
+    monkeypatch.setattr(core, "_decodes", False)
+    monkeypatch.setattr(core, "_decode_de", _no_decoding)
+    for seed in range(10):
+        new, old = generation_case(seed, held=seed % 2 == 1)
+        assert_same_draws(de_generation_draws(new, 10, 10, 2, 0.9),
+                          sequential_de_draws(old, 10, 10, 2, 0.9), new, old)
 
 
 def test_a_batch_is_its_rows_built_one_at_a_time():
@@ -736,3 +914,42 @@ def test_batched_generations_match_per_child_streams(name, problem_name):
         assert got.trace == want.trace
         assert got.evals_used == want.evals_used == budget
         assert_same_stream(new, old)
+
+
+SEQUENTIAL = {
+    "crowding_de": (crowding_de, reference_crowding_de),
+    "sde": (sde, reference_sde),
+}
+
+
+@pytest.mark.parametrize("problem_name", ["deb1", "himmelblau", "grating"])
+@pytest.mark.parametrize("name", sorted(SEQUENTIAL))
+def test_sequential_de_matches_per_trial_streams(name, problem_name, decoding):
+    algorithm, reference = SEQUENTIAL[name]
+    problem = resolve_problem(problem_name)
+    bounds = problem.bounds
+    diagonal = float(np.sqrt(((bounds[:, 1] - bounds[:, 0]) ** 2).sum()))
+    species_sizes = set()
+    for seed in range(60):
+        n = (4, 5, 7, 10, 20)[seed % 5]
+        # budgets ending mid-generation, at a generation's end and a few generations in
+        budget = n + (1, n - 1, n, n + 2, 3 * n + 1)[seed // 5 % 5]
+        # crowding_de: the whole population (draws at generation start) or a
+        # sample drawn between trials; sde: species of 4, of fewer and of more
+        crowding_factor = (None, 1, n - 1)[seed % 3]
+        distance = (0.15, 0.3, 0.6)[seed % 3] * diagonal
+        config = AlgorithmConfig(population_size=n, crowding_factor=crowding_factor,
+                                 species_distance=distance)
+        new, old = twin_streams(seed)
+        got = algorithm(problem, config, budget, new)
+        if name == "sde":
+            want = reference(problem, config, budget, old, species_sizes)
+        else:
+            want = reference(problem, config, budget, old)
+        assert_bits_equal(got.genomes, want.genomes)
+        assert_bits_equal(got.fitness, want.fitness)
+        assert got.trace == want.trace
+        assert got.evals_used == want.evals_used == budget
+        assert_same_stream(new, old)
+    if name == "sde":
+        assert 4 in species_sizes and min(species_sizes) < 4, species_sizes

@@ -68,3 +68,29 @@ def test_first_welch_t_loads_scipy_and_keeps_every_p_value_bit():
     assert heavy(out["before"]) == []
     assert "scipy.special" in out["after"]
     assert out["got"] == out["want"]
+
+
+def test_import_runs_no_probe_and_the_first_de_generation_runs_it_once():
+    # the DE decoder's probe and layouts wait for the first DE generation;
+    # default_rng is wrapped before the import to see whether anything draws
+    out = run_fresh(
+        "import json\n"
+        "import numpy as np\n"
+        "made = []\n"
+        "default_rng = np.random.default_rng\n"
+        "np.random.default_rng = lambda *a: made.append(a) or default_rng(*a)\n"
+        "import nichebench, nichebench.cli\n"
+        "from nichebench import core\n"
+        "at_import = {'generators': len(made), 'decodes': core._decodes,\n"
+        "             'layouts': core._de_layout.cache_info().currsize}\n"
+        "probes = []\n"
+        "probe = core._decoder_probe\n"
+        "core._decoder_probe = lambda: probes.append(1) or probe()\n"
+        "config = nichebench.AlgorithmConfig(population_size=10)\n"
+        "for run in (nichebench.sharing_de, nichebench.sde, nichebench.crowding_de):\n"
+        "    run(nichebench.himmelblau(), config, budget=40, rng=1)\n"
+        "print(json.dumps({'at_import': at_import, 'probes': len(probes),\n"
+        "                  'decodes': core._decodes}))\n"
+    )
+    assert out["at_import"] == {"generators": 0, "decodes": None, "layouts": 0}
+    assert out["probes"] == 1 and out["decodes"] is True
