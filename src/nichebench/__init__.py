@@ -29,14 +29,12 @@ from .core import (
     mutation_draws,
 )
 from .grating import (
-    GratingDesign,
     GratingParams,
     SyntheticRecordingModel,
     grating_problem,
     integrated_square_error,
     make_default_problem,
     residuals,
-    synthetic_recording_model,
 )
 from .harness import (
     ConfigError,

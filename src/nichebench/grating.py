@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Protocol
 
@@ -31,18 +32,15 @@ from .problems import BoundedProblem
 
 __all__ = [
     "GratingParams",
-    "GratingDesign",
     "RecordingModel",
     "SyntheticRecordingModel",
     "DESIGN_VARIABLE_NAMES",
-    "nm_to_mm",
     "default_bounds",
     "default_anchor",
     "load_profile",
     "residuals",
     "integrated_square_error",
     "perfect_recording_values",
-    "synthetic_recording_model",
     "grating_problem",
     "make_default_problem",
 ]
@@ -52,11 +50,7 @@ logger = logging.getLogger(__name__)
 DESIGN_VARIABLE_NAMES = (
     "gamma", "eta_c", "delta", "eta_d", "p_c", "q_c", "p_d", "q_d",
 )
-
-
-def nm_to_mm(value_nm: float) -> float:
-    """Convert nanometres to millimetres (1 nm = 1e-6 mm)."""
-    return value_nm * 1e-6
+_PARAM_FIELDS = ("n0", "b2", "b3", "b4", "w0", "lambda0")
 
 
 @dataclass(frozen=True)
@@ -78,41 +72,13 @@ class GratingParams:
     mirror_radii: tuple[float, float] = (1000.0, 1000.0)
 
     def __post_init__(self):
-        if self.n0 <= 0 or self.w0 <= 0 or self.lambda0 <= 0:
-            raise ValueError("n0, w0 and lambda0 must be positive")
-        if any(r <= 0 for r in self.mirror_radii):
-            raise ValueError("mirror radii must be positive")
-        for name in ("b2", "b3", "b4"):
+        for name in _PARAM_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
-class GratingDesign:
-    """The eight recording design variables (angles in rad, distances in mm)."""
-
-    gamma: float
-    eta_c: float
-    delta: float
-    eta_d: float
-    p_c: float
-    q_c: float
-    p_d: float
-    q_d: float
-
-    def __post_init__(self):
-        if min(self.p_c, self.q_c, self.p_d, self.q_d) <= 0:
-            raise ValueError("distances must be positive")
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in DESIGN_VARIABLE_NAMES])
-
-    @classmethod
-    def from_vector(cls, vector: np.ndarray) -> "GratingDesign":
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (len(DESIGN_VARIABLE_NAMES),):
-            raise ValueError(f"design vector must have length {len(DESIGN_VARIABLE_NAMES)}")
-        return cls(**dict(zip(DESIGN_VARIABLE_NAMES, map(float, vector))))
+        if self.n0 <= 0 or self.w0 <= 0 or self.lambda0 <= 0:
+            raise ValueError("n0, w0 and lambda0 must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in self.mirror_radii):
+            raise ValueError("mirror radii must be positive and finite")
 
 
 class RecordingModel(Protocol):
@@ -130,12 +96,25 @@ def default_bounds() -> np.ndarray:
     return np.array([angle] * 4 + [distance] * 4)
 
 
-def default_anchor() -> GratingDesign:
-    """The zero-error design the synthetic model is anchored at."""
-    return GratingDesign(
-        gamma=0.35, eta_c=-0.20, delta=0.12, eta_d=-0.40,
-        p_c=850.0, q_c=1150.0, p_d=700.0, q_d=1250.0,
-    )
+def default_anchor() -> np.ndarray:
+    """The zero-error design the synthetic model is anchored at, in
+    DESIGN_VARIABLE_NAMES order: gamma=0.35, eta_c=-0.20, delta=0.12,
+    eta_d=-0.40 rad; p_c=850, q_c=1150, p_d=700, q_d=1250 mm."""
+    return np.array([0.35, -0.20, 0.12, -0.40, 850.0, 1150.0, 700.0, 1250.0])
+
+
+def _number(name: str, value) -> float:
+    """A JSON number as a float, or a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _pair(name: str, value) -> list[float]:
+    """A JSON list of two numbers as floats, or a ValueError naming ``name``."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{name} must be a list of two numbers, got {value!r}")
+    return [_number(name, v) for v in value]
 
 
 def load_profile(path=None) -> tuple[GratingParams, np.ndarray]:
@@ -156,22 +135,17 @@ def load_profile(path=None) -> tuple[GratingParams, np.ndarray]:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     raw = json.loads(text)
-    try:
-        params = GratingParams(
-            n0=float(raw["n0"]),
-            b2=float(raw["b2"]),
-            b3=float(raw["b3"]),
-            b4=float(raw["b4"]),
-            w0=float(raw["w0"]),
-            lambda0=float(raw["lambda0"]),
-            mirror_radii=tuple(float(r) for r in raw.get("mirror_radii", (1000.0, 1000.0))),
-        )
-    except KeyError as exc:
-        raise ValueError(f"grating profile is missing field {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"the profile must be a JSON object, got {type(raw).__name__}")
+    values = {name: _number(name, raw.get(name)) for name in _PARAM_FIELDS}
+    radii = _pair("mirror_radii", raw.get("mirror_radii", [1000.0, 1000.0]))
+    params = GratingParams(**values, mirror_radii=tuple(radii))
     bounds_cfg = raw.get("bounds", {})
+    if not isinstance(bounds_cfg, dict):
+        raise ValueError(f"bounds must be an object of [lo, hi] pairs, got {bounds_cfg!r}")
     fallback = default_bounds()  # rows 0-3 are the angles, 4-7 the distances
-    angle = [float(v) for v in bounds_cfg.get("angle", fallback[0])]
-    distance = [float(v) for v in bounds_cfg.get("distance", fallback[4])]
+    angle = _pair("bounds.angle", bounds_cfg.get("angle", fallback[0].tolist()))
+    distance = _pair("bounds.distance", bounds_cfg.get("distance", fallback[4].tolist()))
     bounds = np.array([angle] * 4 + [distance] * 4)
     return params, bounds
 
@@ -251,9 +225,9 @@ class SyntheticRecordingModel:
     is a test double and has no physical meaning.
     """
 
-    anchor: np.ndarray
-    amplitudes: np.ndarray
-    frequencies: np.ndarray
+    anchor: np.ndarray = field(default_factory=default_anchor)
+    amplitudes: np.ndarray = field(default_factory=SYNTHETIC_AMPLITUDES.copy)
+    frequencies: np.ndarray = field(default_factory=SYNTHETIC_FREQUENCIES.copy)
 
     def __call__(self, design: np.ndarray, params: GratingParams) -> tuple[float, float, float, float]:
         x = np.asarray(design, dtype=float)
@@ -264,20 +238,6 @@ class SyntheticRecordingModel:
         perfect = np.array(perfect_recording_values(params))
         j = perfect * factors
         return float(j[0]), float(j[1]), float(j[2]), float(j[3])
-
-
-def synthetic_recording_model(
-        anchor: GratingDesign | np.ndarray | None = None) -> SyntheticRecordingModel:
-    """Build the synthetic model, anchored at ``anchor`` (default anchor
-    otherwise)."""
-    if anchor is None:
-        anchor = default_anchor()
-    vector = anchor.to_vector() if isinstance(anchor, GratingDesign) else np.asarray(anchor, dtype=float)
-    return SyntheticRecordingModel(
-        anchor=vector,
-        amplitudes=SYNTHETIC_AMPLITUDES.copy(),
-        frequencies=SYNTHETIC_FREQUENCIES.copy(),
-    )
 
 
 class _GratingObjective:
@@ -312,7 +272,6 @@ def grating_problem(model: RecordingModel, params: GratingParams,
         bounds = default_bounds()
     return BoundedProblem(
         name="grating",
-        dimension=len(DESIGN_VARIABLE_NAMES),
         bounds=np.asarray(bounds, dtype=float),
         direction="min",
         objective=_GratingObjective(model, params),
@@ -324,5 +283,4 @@ def make_default_problem(profile_path=None) -> BoundedProblem:
     """Grating problem with the default (or given) profile and the synthetic
     recording model anchored at the default design."""
     params, bounds = load_profile(profile_path)
-    model = synthetic_recording_model()
-    return grating_problem(model, params, bounds)
+    return grating_problem(SyntheticRecordingModel(), params, bounds)

@@ -2,8 +2,9 @@
 with metric aggregation, significance matrices, and CSV/JSON persistence.
 
 :meth:`ExperimentSpec.validate` (with :meth:`AlgorithmConfig.validate`)
-is the one place a setting is checked, type and range; :func:`run_experiment`
-calls it, and checks ``jobs``, before any file is written.
+is the one place a setting is checked, type and range, the content of the
+grating profile included; :func:`run_experiment` calls it, and checks
+``jobs``, before any file is written.
 
 Seeds are derived deterministically from (base_seed, algorithm, problem,
 run index) so any run can be reproduced in isolation, and every run's
@@ -80,9 +81,10 @@ class ExperimentSpec:
 
     :meth:`validate` checks every field's type and range, runs
     ``algorithms.check_run`` for each algorithm (its config, its minimum
-    population, and ``max_evals`` against the population), and rejects
-    the t test on one run per cell when two or more algorithms are
-    compared (``welch_t`` needs two values per sample).
+    population, and ``max_evals`` against the population), rejects a name
+    listed twice and the t test on one run per cell when two or more
+    algorithms are compared (``welch_t`` needs two values per sample), and
+    builds every problem, so a bad grating profile fails here too.
     """
 
     algorithms: list[tuple[str, AlgorithmConfig]]
@@ -106,6 +108,8 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
                 raise ConfigError(f"{name!r} must be a list of strings, got {value!r}")
+            if len(set(value)) < len(value):
+                raise ConfigError(f"a {name[:-1]} is listed twice: {list(value)}")
         _require("algorithms", self.algorithms, (list, tuple),
                  "a list of (name, AlgorithmConfig) pairs")
         if self.runs < 1:
@@ -116,8 +120,6 @@ class ExperimentSpec:
             raise ConfigError("at least one algorithm is required")
         if not self.problems:
             raise ConfigError("at least one problem is required")
-        if len(set(self.problems)) < len(self.problems):
-            raise ConfigError(f"a problem is listed twice: {list(self.problems)}")
         seen = set()
         for entry in self.algorithms:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2
@@ -145,9 +147,12 @@ class ExperimentSpec:
 
 
 def resolve_problem(name: str, grating_profile: str | None = None) -> BoundedProblem:
-    """Build a problem by name; 'grating' uses the synthetic recording model."""
+    """Build a problem by name, or raise ConfigError; 'grating' uses the synthetic recording model."""
     if name == "grating":
-        return make_default_problem(grating_profile)
+        try:
+            return make_default_problem(grating_profile)
+        except ValueError as exc:  # the profile's content, JSON syntax included
+            raise ConfigError(f"grating profile {grating_profile}: {exc}") from None
     if name in PROBLEM_FACTORIES:
         return PROBLEM_FACTORIES[name]()
     raise ConfigError(f"unknown problem {name!r}; known: {', '.join(PROBLEM_NAMES)}")

@@ -30,18 +30,21 @@ class BoundedProblem:
     """A box-bounded objective with optimization direction and known optima."""
 
     name: str
-    dimension: int
     bounds: np.ndarray  # shape (dimension, 2), rows [lo, hi]
     direction: str  # "min" | "max"
     objective: Callable[[np.ndarray], float]
     known_peaks: tuple = ()
 
+    @property
+    def dimension(self) -> int:
+        return len(self.bounds)
+
     def __post_init__(self):
         bounds = np.asarray(self.bounds, dtype=float)
-        if bounds.shape != (self.dimension, 2):
-            raise ValueError(f"bounds must have shape ({self.dimension}, 2)")
-        if np.any(bounds[:, 0] >= bounds[:, 1]):
-            raise ValueError("every bound must satisfy lo < hi")
+        if bounds.ndim != 2 or bounds.shape[1] != 2 or len(bounds) == 0:
+            raise ValueError(f"bounds must have shape (dimension, 2), got {bounds.shape}")
+        if not (np.all(np.isfinite(bounds)) and np.all(bounds[:, 0] < bounds[:, 1])):
+            raise ValueError("every bound must be finite and satisfy lo < hi")
         if self.direction not in ("min", "max"):
             raise ValueError("direction must be 'min' or 'max'")
         object.__setattr__(self, "bounds", bounds)
@@ -49,7 +52,8 @@ class BoundedProblem:
         for p in peaks:
             if p.shape != (self.dimension,):
                 raise ValueError("known peak with wrong dimension")
-            if np.any(p < bounds[:, 0]) or np.any(p > bounds[:, 1]):
+            # written so that a NaN coordinate fails too
+            if not (np.all(p >= bounds[:, 0]) and np.all(p <= bounds[:, 1])):
                 raise ValueError(f"known peak {p} outside bounds")
         object.__setattr__(self, "known_peaks", peaks)
 
@@ -96,7 +100,6 @@ def deb1() -> BoundedProblem:
     """f(x) = sin^6(5 pi x) on [0, 1], maximized; five evenly spaced peaks."""
     return BoundedProblem(
         name="deb1",
-        dimension=1,
         bounds=np.array([[0.0, 1.0]]),
         direction="max",
         objective=_deb1_objective,
@@ -108,7 +111,6 @@ def himmelblau() -> BoundedProblem:
     """(x^2+y-11)^2 + (x+y^2-7)^2 on [-6, 6]^2; four global minima at zero."""
     return BoundedProblem(
         name="himmelblau",
-        dimension=2,
         bounds=np.array([[-6.0, 6.0], [-6.0, 6.0]]),
         direction="min",
         objective=_himmelblau_objective,
@@ -129,7 +131,6 @@ def six_hump_camel() -> BoundedProblem:
     """
     return BoundedProblem(
         name="six_hump_camel",
-        dimension=2,
         bounds=np.array([[-1.9, 1.9], [-1.1, 1.1]]),
         direction="min",
         objective=_six_hump_objective,
@@ -152,7 +153,6 @@ def branin() -> BoundedProblem:
     """
     return BoundedProblem(
         name="branin",
-        dimension=2,
         bounds=np.array([[-5.0, 10.0], [0.0, 15.0]]),
         direction="min",
         objective=_branin_objective,
@@ -168,7 +168,6 @@ def rosenbrock() -> BoundedProblem:
     """(1-x)^2 + 100 (y-x^2)^2 on [-2, 2]^2; single optimum at (1, 1)."""
     return BoundedProblem(
         name="rosenbrock",
-        dimension=2,
         bounds=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
         direction="min",
         objective=_rosenbrock_objective,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -148,6 +149,50 @@ def test_de_population_below_minimum_exits_2_before_running(tmp_path, capsys):
     assert code == 2
     assert "sde: population_size must be at least 4" in capsys.readouterr().err
     assert not (out / "runs.csv").exists()
+
+
+PROFILE = {"n0": 1400.0, "b2": 8.2453e-4, "b3": 3.0015e-7, "b4": 0.0, "w0": 90.0,
+           "lambda0": 4.131e-4}
+
+
+def grating_main(tmp_path, profile) -> int:
+    return main(["--algorithm", "sde", "--problem", "grating", "--grating-profile", str(profile),
+                 "--runs", "2", "--evals", "60", "--pop-size", "6", "--out", str(tmp_path / "r")])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "Expecting property name"),
+    ("[1, 2]", "must be a JSON object, got list"),
+    (json.dumps({**PROFILE, "bounds": [1, 2]}), "bounds must be an object of [lo, hi] pairs"),
+    (json.dumps({**PROFILE, "bounds": {"angle": [1]}}), "bounds.angle must be a list of two"),
+    (json.dumps({**PROFILE, "n0": "abc"}), "n0 must be a number, got 'abc'"),
+    (json.dumps({**PROFILE, "w0": None}), "w0 must be a number, got None"),
+    (json.dumps({k: v for k, v in PROFILE.items() if k != "b3"}), "b3 must be a number"),
+    (json.dumps({**PROFILE, "n0": -5}), "n0, w0 and lambda0 must be positive"),
+    (json.dumps({**PROFILE, "mirror_radii": [1000.0, "x"]}), "mirror_radii must be a number"),
+    (json.dumps({**PROFILE, "bounds": {"angle": [1, 0]}}), "lo < hi"),
+    (json.dumps({**PROFILE, "n0": math.nan, "bounds": {"angle": [-1, math.nan]}}),
+     "n0 must be finite"),
+    (json.dumps({**PROFILE, "lambda0": math.inf}), "lambda0 must be finite"),
+    (json.dumps({**PROFILE, "bounds": {"angle": [-1, math.nan]}}), "every bound must be finite"),
+    (json.dumps({**PROFILE, "bounds": {"distance": [100, math.inf]}}),
+     "every bound must be finite"),
+], ids=["invalid_json", "top_level_list", "bounds_list", "angle_one_value", "n0_text", "w0_null",
+        "b3_missing", "n0_negative", "radius_text", "angle_reversed", "n0_and_angle_nan",
+        "lambda0_inf", "angle_nan", "distance_inf"])
+def test_malformed_grating_profile_exits_2_before_running(tmp_path, capsys, text, message):
+    profile = tmp_path / "profile.json"
+    profile.write_text(text)
+    assert grating_main(tmp_path, profile) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: grating profile {profile}: ") and message in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_missing_grating_profile_exits_1_before_running(tmp_path, capsys):
+    assert grating_main(tmp_path, tmp_path / "absent.json") == 1
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -10,18 +10,18 @@ from scipy.optimize import minimize
 
 from nichebench.grating import (
     DESIGN_VARIABLE_NAMES,
-    GratingDesign,
+    SYNTHETIC_AMPLITUDES,
+    SYNTHETIC_FREQUENCIES,
     GratingParams,
+    SyntheticRecordingModel,
     default_anchor,
     default_bounds,
     grating_problem,
     integrated_square_error,
     load_profile,
     make_default_problem,
-    nm_to_mm,
     perfect_recording_values,
     residuals,
-    synthetic_recording_model,
 )
 
 
@@ -106,9 +106,6 @@ class TestIntegratedSquareError:
 
 
 class TestUnitsAndProfiles:
-    def test_wavelength_roundtrip_is_exact(self):
-        assert nm_to_mm(413.1) == 4.131e-4
-
     def test_default_profile_values(self):
         params, bounds = load_profile()
         assert params.n0 == 1400.0
@@ -154,46 +151,54 @@ class TestUnitsAndProfiles:
             load_profile(path)
 
     def test_params_validation(self):
+        base = dict(n0=1.0, b2=0.0, b3=0.0, b4=0.0, w0=90.0, lambda0=1e-4)
         with pytest.raises(ValueError):
-            GratingParams(n0=-1.0, b2=0.0, b3=0.0, b4=0.0, w0=90.0, lambda0=1e-4)
-        with pytest.raises(ValueError):
-            GratingParams(n0=1.0, b2=math.nan, b3=0.0, b4=0.0, w0=90.0, lambda0=1e-4)
+            GratingParams(**{**base, "n0": -1.0})
+        # every number is checked; NaN would slip past the n0 <= 0 test
+        for name in base:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    GratingParams(**{**base, name: bad})
+        for radii in ((math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)):
+            with pytest.raises(ValueError, match="mirror radii"):
+                GratingParams(**base, mirror_radii=radii)
 
 
-class TestGratingDesign:
-    def test_vector_roundtrip(self):
-        design = default_anchor()
-        again = GratingDesign.from_vector(design.to_vector())
-        assert again == design
-
+class TestDesignVector:
     def test_vector_order(self):
-        design = default_anchor()
-        vec = design.to_vector()
-        for i, name in enumerate(DESIGN_VARIABLE_NAMES):
-            assert vec[i] == getattr(design, name)
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ValueError):
-            GratingDesign(0.0, 0.0, 0.0, 0.0, -1.0, 1.0, 1.0, 1.0)
+        documented = {"gamma": 0.35, "eta_c": -0.20, "delta": 0.12, "eta_d": -0.40,
+                      "p_c": 850.0, "q_c": 1150.0, "p_d": 700.0, "q_d": 1250.0}
+        anchor = default_anchor()
+        assert anchor.dtype == np.float64
+        assert anchor.tolist() == [documented[name] for name in DESIGN_VARIABLE_NAMES]
 
 
 class TestSyntheticModel:
     def test_anchor_is_exactly_zero_error(self):
         params = load_profile()[0]
-        model = synthetic_recording_model()
-        j = model(default_anchor().to_vector(), params)
+        model = SyntheticRecordingModel()
+        j = model(default_anchor(), params)
         # sin(0) sums vanish exactly, so the anchor reproduces the
         # zero-residual recording values bit for bit
         assert j == perfect_recording_values(params)
         problem = grating_problem(model, params)
         # the residual division leaves rounding crumbs of ~1e-13 lines/mm
-        assert 0.0 <= problem.objective(default_anchor().to_vector()) < 1e-18
+        assert 0.0 <= problem.objective(default_anchor()) < 1e-18
 
     def test_deterministic(self):
         params = load_profile()[0]
-        model = synthetic_recording_model()
+        model = SyntheticRecordingModel()
         x = default_bounds().mean(axis=1)
         assert model(x, params) == model(x, params)
+        # each default model owns its arrays: none is shared with another
+        # model or with the module constants
+        other = SyntheticRecordingModel()
+        for mine, theirs, constant in zip(
+                (model.anchor, model.amplitudes, model.frequencies),
+                (other.anchor, other.amplitudes, other.frequencies),
+                (default_anchor(), SYNTHETIC_AMPLITUDES, SYNTHETIC_FREQUENCIES)):
+            assert np.array_equal(mine, constant)
+            assert not np.shares_memory(mine, theirs) and not np.shares_memory(mine, constant)
 
     def test_problem_shape(self):
         problem = make_default_problem()
@@ -237,11 +242,11 @@ class TestSyntheticModel:
     def test_negative_error_warns_once(self, caplog, monkeypatch):
         import nichebench.grating as grating_module
 
-        problem = grating_problem(synthetic_recording_model(), load_profile()[0])
+        problem = grating_problem(SyntheticRecordingModel(), load_profile()[0])
         monkeypatch.setattr(grating_module, "integrated_square_error", lambda r, w: -1.0)
         with caplog.at_level("WARNING"):
-            v1 = problem.objective(default_anchor().to_vector())
-            v2 = problem.objective(default_anchor().to_vector())
+            v1 = problem.objective(default_anchor())
+            v2 = problem.objective(default_anchor())
         assert v1 == v2 == -1.0
         warnings = [r for r in caplog.records if "negative" in r.message]
         assert len(warnings) == 1

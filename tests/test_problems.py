@@ -1,5 +1,7 @@
 """Benchmark definitions: frozen values, peak lists, and local optimality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -8,6 +10,7 @@ from nichebench.core import is_better
 from nichebench.harness import ConfigError, resolve_problem
 from nichebench.problems import (
     PROBLEM_FACTORIES,
+    BoundedProblem,
     branin,
     deb1,
     himmelblau,
@@ -59,6 +62,28 @@ class TestFrozenValues:
         assert np.array_equal(six_hump_camel().bounds, [[-1.9, 1.9], [-1.1, 1.1]])
         assert np.array_equal(branin().bounds, [[-5.0, 10.0], [0.0, 15.0]])
         assert np.array_equal(rosenbrock().bounds, [[-2.0, 2.0], [-2.0, 2.0]])
+
+    def test_dimension_is_the_number_of_bounds(self):
+        assert [p.dimension for p in ALL_PROBLEMS] == [1, 2, 2, 2, 2]
+        assert dataclasses.replace(himmelblau(), objective=abs).dimension == 2
+
+
+@pytest.mark.parametrize("bounds, peaks, message", [
+    ([[0.0, 1.0], [1.0, 1.0]], (), "lo < hi"),
+    ([[0.0, np.nan]], (), "finite"),
+    ([[np.nan, 1.0]], (), "finite"),
+    ([[-np.inf, 1.0]], (), "finite"),
+    ([[0.0, np.inf]], (), "finite"),
+    ([0.0, 1.0], (), "shape"),
+    (np.empty((0, 2)), (), "shape"),
+    ([[0.0, 1.0]], ([0.5, 0.5],), "wrong dimension"),
+    ([[0.0, 1.0]], ([np.nan],), "outside bounds"),
+    ([[0.0, 1.0]], ([1.5],), "outside bounds"),
+], ids=["lo_equals_hi", "nan_hi", "nan_lo", "minus_inf_lo", "inf_hi", "flat_bounds",
+        "no_bounds", "peak_dimension", "nan_peak", "peak_outside"])
+def test_bounded_problem_rejects_bad_bounds_and_peaks(bounds, peaks, message):
+    with pytest.raises(ValueError, match=message):
+        BoundedProblem("p", np.array(bounds), "min", lambda x: 0.0, peaks)
 
 
 @pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.name)
