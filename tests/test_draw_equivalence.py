@@ -19,6 +19,7 @@ from nichebench.algorithms import (
     _nearest_seed_assignment,
     conserve_species_seeds,
     crowding_de,
+    crowding_ga,
     crowding_replacement,
     determine_species_seeds,
     preselection_ga,
@@ -205,8 +206,8 @@ def reference_distinct_peaks(genomes, fitness, fitness_threshold=1e-4, radius=0.
     return len(counted)
 
 
-# the child streams and the four generation-batched algorithms as they were
-# when every child was drawn for and built on its own
+# the child streams and the algorithms as they were when every child was
+# drawn for and built on its own
 
 def reference_ga_children(st, p1, p2):
     cfg = st.config
@@ -277,6 +278,21 @@ def reference_sharing_de(problem, config, budget, rng):
         for slot, child in enumerate(trials):
             if scores[len(pop) + slot] > scores[slot]:
                 pop[slot] = child
+    return st.result(pop)
+
+
+def reference_crowding_ga(problem, config, budget, rng):
+    st = _RunState("crowding_ga", problem, config, budget, rng)
+    cf = config.effective_crowding_factor()
+    pop = st.init_population()
+    for _ in st.generations():
+        for _ in range(len(pop) // 2):
+            if st.evaluate.exhausted:
+                break
+            p1 = reference_binary_tournament(pop, st.rng, st.direction)
+            p2 = reference_binary_tournament(pop, st.rng, st.direction)
+            for child in reference_ga_children(st, p1, p2):
+                reference_crowding_replacement(child, pop, cf, st.rng, st.direction)
     return st.result(pop)
 
 
@@ -917,6 +933,7 @@ def test_batched_generations_match_per_child_streams(name, problem_name):
 
 
 SEQUENTIAL = {
+    "crowding_ga": (crowding_ga, reference_crowding_ga),
     "crowding_de": (crowding_de, reference_crowding_de),
     "sde": (sde, reference_sde),
 }
@@ -924,7 +941,7 @@ SEQUENTIAL = {
 
 @pytest.mark.parametrize("problem_name", ["deb1", "himmelblau", "grating"])
 @pytest.mark.parametrize("name", sorted(SEQUENTIAL))
-def test_sequential_de_matches_per_trial_streams(name, problem_name, decoding):
+def test_sequential_algorithms_match_per_child_streams(name, problem_name, decoding):
     algorithm, reference = SEQUENTIAL[name]
     problem = resolve_problem(problem_name)
     bounds = problem.bounds
@@ -932,14 +949,17 @@ def test_sequential_de_matches_per_trial_streams(name, problem_name, decoding):
     species_sizes = set()
     for seed in range(60):
         n = (4, 5, 7, 10, 20)[seed % 5]
-        # budgets ending mid-generation, at a generation's end and a few generations in
+        # budgets ending mid-generation, at a generation's end and a few
+        # generations in; a crowding_ga generation is n // 2 pairs, so these
+        # also end mid-pair, between pairs (n + 2, even n) and at its end
         budget = n + (1, n - 1, n, n + 2, 3 * n + 1)[seed // 5 % 5]
-        # crowding_de: the whole population (draws at generation start) or a
-        # sample drawn between trials; sde: species of 4, of fewer and of more
+        # the whole population (crowding_de draws at generation start) or a
+        # sample drawn between children; sde: species of 4, of fewer and of more
         crowding_factor = (None, 1, n - 1)[seed % 3]
         distance = (0.15, 0.3, 0.6)[seed % 3] * diagonal
+        rate = (0.0, 1.0, None)[seed // 15 % 3]  # no normals, all normals, the 1/d default
         config = AlgorithmConfig(population_size=n, crowding_factor=crowding_factor,
-                                 species_distance=distance)
+                                 species_distance=distance, mutation_rate=rate)
         new, old = twin_streams(seed)
         got = algorithm(problem, config, budget, new)
         if name == "sde":
