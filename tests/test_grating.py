@@ -144,6 +144,21 @@ class TestUnitsAndProfiles:
                 expected[:4] = [-1.0, 1.0]
             assert bounds.tobytes() == expected.tobytes()
 
+    def test_unknown_keys_rejected_and_packaged_profile_loads(self, tmp_path):
+        # a misspelt key would otherwise fall back to a default unnoticed
+        payload = {"n0": 900.0, "b2": 1e-3, "b3": 2e-7, "b4": 0.0, "w0": 45.0, "lambda0": 5e-4}
+        misspelt = {k: v for k, v in payload.items() if k != "lambda0"}
+        path = tmp_path / "profile.json"
+        for profile, message in (({**misspelt, "lamda0": 5e-4}, "unknown profile key 'lamda0'"),
+                                 ({**payload, "lamda0": 5e-4}, "unknown profile key 'lamda0'"),
+                                 ({**payload, "bounds": {"angel": [-1.0, 1.0]}},
+                                  "unknown bounds key 'angel'")):
+            path.write_text(json.dumps(profile))
+            with pytest.raises(ValueError, match=message):
+                load_profile(path)
+        params, bounds = load_profile()
+        assert params.lambda0 == 4.131e-4 and np.array_equal(bounds, default_bounds())
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"n0": 1.0}))
