@@ -8,26 +8,26 @@ returning the partially updated population if that happens mid-generation.
 start: an invalid config, a population below the algorithm's minimum, or
 a budget below the population size. So every member of every population
 is evaluated.
-Children come from two streams in ``_RunState``, GA (BLX crossover,
-Gaussian mutation) and DE (DE/rand/1/bin trials), the only code that
-builds, evaluates and budget-checks a child: no child is built once the
-budget is spent. A stream's draws follow one frozen order, child by
-child, and every request in it has a size fixed before the generation
-starts, so a stream makes a whole generation's draws first, up to the
-budget left: the GA's in one loop of real calls, the DE's decoded from
-one request (``core.de_generation_draws``), or in one loop of real calls
-for ``crowding_de`` with a crowding factor below the population size.
-It then builds the generation's children from the population as it is
-in one array pass. ``preselection_ga``, ``sharing_ga``, ``scga`` and
-``sharing_de`` replace members only after the whole generation, so that
-pass is final. ``crowding_ga``, ``crowding_de`` and ``sde`` let each
-child replace a member before the next is evaluated, so they walk the
-children in order and build a child again, from the population as the
-replacements before it left it, if it read a replaced slot (a DE donor
-or target, a tournament whose winner changed, or a winner's genome);
-crowding reads each child's nearest member from a block of
-child-to-member distances whose column is refreshed on each
-replacement. Every child is evaluated once, in order, in its final form.
+Children come from two streams in ``_RunState``: GA (BLX crossover,
+Gaussian mutation) and DE (DE/rand/1/bin trials). A stream's draws
+follow one frozen order, child by child, and every request has a size
+fixed before the generation starts, so a generation's draws are made
+first, capped at the evaluations left (:meth:`_RunState.budgeted`): no
+child is drawn for, built or evaluated once the budget is spent. The
+GA's draws are real calls made in one loop; the DE's are decoded from
+one request (``core.de_generation_draws``), or are real calls made in one
+loop for ``crowding_de`` with a crowding factor below the population
+size. The generation's children are then built from the population as
+it is in one array pass. ``preselection_ga``, ``sharing_ga``, ``scga``
+and ``sharing_de`` replace members only after the whole generation, so
+that pass is final. ``crowding_ga``, ``crowding_de`` and ``sde`` let
+each child replace a member before the next is evaluated: they walk the
+children in order and build a child again if it read a slot replaced
+earlier in the generation (a DE donor or target, a tournament whose
+winner changed, or a winner's genome); crowding reads each child's
+nearest member from a child-to-member distance block whose column is
+refreshed on each replacement. Every child is evaluated once, in order,
+in its final form.
 ``budget`` is the number of objective evaluations (an int) and ``rng`` an
 int seed or a ``np.random.Generator``, which is used as is.
 

@@ -40,8 +40,7 @@ class TestCrowdingReplacement:
     def test_replaces_nearest_when_better(self):
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0])
         child = Individual(np.array([0.1, 0.1]), 3.0)
-        assert challenge(child, pop, cf=2, rng=np.random.default_rng(0),
-                                    direction="max") is True
+        assert challenge(child, pop, cf=2, rng=np.random.default_rng(0), direction="max") is True
         assert pop[0] is child
         assert pop[1].fitness == 2.0
 
@@ -49,8 +48,7 @@ class TestCrowdingReplacement:
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [5.0, 2.0])
         child = Individual(np.array([0.1, 0.1]), 1.0)
         before = [m for m in pop]
-        assert challenge(child, pop, cf=2, rng=np.random.default_rng(0),
-                                    direction="max") is False
+        assert challenge(child, pop, cf=2, rng=np.random.default_rng(0), direction="max") is False
         assert list(pop) == before
 
     def test_equal_child_changes_nothing(self):
