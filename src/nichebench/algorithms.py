@@ -165,8 +165,12 @@ class _RunState:
     """Per-run bookkeeping: the evaluator, the RNG, and the GA and DE
     child streams, which make a generation's draws first (:meth:`draw_ga`,
     :meth:`draw_de`) and build its children in one array pass
-    (:meth:`ga_build`, :func:`de_trial_vector`). ``config`` None means the
-    default :class:`AlgorithmConfig`."""
+    (:meth:`ga_build`, :func:`de_trial_vector`). A batch whose rows are all
+    final (the initial population, :meth:`ga_generation`,
+    :meth:`de_generation`) is evaluated in one ``Evaluator.many`` call; the
+    speculative walks of ``crowding_ga``, ``crowding_de`` and ``sde``
+    evaluate child by child. ``config`` None means the default
+    :class:`AlgorithmConfig`."""
 
     def __init__(self, name: str, problem, config: AlgorithmConfig | None, budget, rng):
         config = config or AlgorithmConfig()
@@ -179,13 +183,13 @@ class _RunState:
         self.mutation_rate = config.effective_mutation_rate(problem.dimension)
 
     def init_population(self) -> Population:
-        """``population_size`` uniform random members, evaluated in order;
-        check_run has made sure the budget covers them all."""
+        """``population_size`` uniform random members, evaluated as one
+        batch; check_run has made sure the budget covers them all."""
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
         # one request for the doubles of population_size rng.uniform(lo, hi)
         # calls, in the same order: row i is what the i-th call would return
         genomes = lo + (hi - lo) * self.rng.random((self.config.population_size, lo.shape[0]))
-        pop = Population([self.evaluate(genome) for genome in genomes])
+        pop = Population(self.evaluate.many(genomes))
         self.evaluate.checkpoint()
         return pop
 
@@ -231,7 +235,7 @@ class _RunState:
     def ga_generation(self, pop: Population, count: int, fitness=None, direction: str = "max",
                       order=None) -> list[Individual]:
         """The first ``count`` children, or as many as the budget left
-        allows, built in one pass and evaluated in order. Parent pairs are
+        allows, built in one pass and evaluated as one batch. Parent pairs are
         consecutive entries of the index list ``order`` or, without one,
         two binary tournaments on ``fitness`` under ``direction``."""
         m = self.budgeted(count)
@@ -241,8 +245,7 @@ class _RunState:
                                        direction).T
         else:
             p1, p2 = order[0:2 * len(u):2], order[1:2 * len(u):2]
-        return [self.evaluate(genome)
-                for genome in self.ga_build(pop.genome_matrix(), p1, p2, u, masks, normals)]
+        return self.evaluate.many(self.ga_build(pop.genome_matrix(), p1, p2, u, masks, normals))
 
     def draw_de(self, n: int, pools=None, cf: int | None = None):
         """A generation's DE draws for targets 0, 1, ... up to ``n`` or the
@@ -264,11 +267,12 @@ class _RunState:
 
     def de_generation(self, pop: Population) -> list[Individual]:
         """Evaluated trials for targets 0, 1, ... up to the population size
-        or the budget left, all built from ``pop`` as it is, in one pass."""
+        or the budget left, all built from ``pop`` as it is, in one pass,
+        and evaluated as one batch."""
         donors, cross, _ = self.draw_de(len(pop))
         trials = de_trial_vector(pop.genome_matrix(), np.arange(len(cross)), donors, cross,
                                  self.config.de_F, self.bounds)
-        return [self.evaluate(genome) for genome in trials]
+        return self.evaluate.many(trials)
 
     def generations(self):
         """Yield 1, 2, ... while budget is left; the checkpoint of a

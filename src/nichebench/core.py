@@ -13,8 +13,9 @@ pre-drawn candidates, and :func:`blend_crossover`,
 :func:`gaussian_mutation` and :func:`de_trial_vector` build one child,
 or a stacked batch of a generation's children, from the values drawn
 (as ``algorithms.crowding_replacement`` takes a pre-drawn sample).
-Termination is driven solely by :class:`Evaluator`: each objective call
-consumes exactly one evaluation and a run stops the moment the budget is
+Termination is driven solely by :class:`Evaluator`: each row evaluated
+consumes exactly one evaluation, whether the objective sees it alone or in
+a batch (:meth:`Evaluator.many`), and a run stops the moment the budget is
 exhausted. The evaluator is also where individuals come from: it returns
 each genome it evaluates as an :class:`Individual`, so there is no
 unevaluated individual, and none is changed after it is made. No child is built once
@@ -128,15 +129,20 @@ def clip_to_bounds(genome: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 class Evaluator:
     """The run clock and the maker of individuals: turns genomes into
-    evaluated :class:`Individual` objects until ``max_evals`` objective
-    calls are spent, keeping the best fitness so far and the trace of
-    (evaluations used, best fitness) checkpoints."""
+    evaluated :class:`Individual` objects until ``max_evals`` evaluations,
+    one per genome, are spent, keeping the best fitness so far and the
+    trace of (evaluations used, best fitness) checkpoints.
+
+    An objective with a ``many(rows) -> (m,) values`` method, whose
+    values are the same bits as one call per row, is called once per
+    batch by :meth:`many`; any other objective is called row by row."""
 
     def __init__(self, problem, max_evals: int):
         self.max_evals = int(max_evals)
         if self.max_evals < 0:
             raise ValueError("max_evals must be >= 0")
         self.objective = problem.objective
+        self._batch = getattr(self.objective, "many", None)
         self.direction = problem.direction
         self.used = 0
         self.best: float | None = None
@@ -162,6 +168,35 @@ class Evaluator:
         if self.best is None or is_better(value, self.best, self.direction):
             self.best = value
         return Individual(genome, value)
+
+    def many(self, genomes) -> list[Individual]:
+        """New individuals for the rows of ``genomes``, in order: the same
+        individuals, count, best fitness and errors as one call per row.
+
+        Raises RuntimeError, before any objective call, if the rows exceed
+        the evaluations left. On the first row with a non-finite value it
+        raises that call's ValueError, with ``used`` and ``best`` as the
+        calls up to that row leave them.
+        """
+        m = len(genomes)
+        if m > self.max_evals - self.used:
+            raise RuntimeError(f"{m} evaluations exceed the {self.max_evals - self.used} "
+                               f"left of the budget of {self.max_evals}")
+        if self._batch is None or not m:
+            return [self(genome) for genome in genomes]
+        values = np.asarray(self._batch(genomes), dtype=float).tolist()
+        if len(values) != m:
+            raise ValueError(f"objective returned {len(values)} values for {m} rows")
+        best, direction = self.best, self.direction
+        for i, value in enumerate(values):
+            if not math.isfinite(value):
+                self.used, self.best = self.used + i + 1, best
+                raise ValueError(f"objective returned non-finite value {value!r} "
+                                 f"at {genomes[i]!r}")
+            if best is None or is_better(value, best, direction):
+                best = value
+        self.used, self.best = self.used + m, best
+        return [Individual(genome, value) for genome, value in zip(genomes, values)]
 
     def checkpoint(self) -> None:
         """Record (evaluations used, best fitness) once anything is evaluated."""

@@ -83,7 +83,14 @@ class GratingParams:
 
 class RecordingModel(Protocol):
     """Pure mapping from a design vector and recording constants to
-    (j10, j20, j30, j40)."""
+    (j10, j20, j30, j40).
+
+    A model may also have ``many(designs, params)``, mapping ``(m, 8)``
+    design rows to the ``(m, 4)`` array of their recording values, each
+    row the same bits as ``__call__`` gives for that design; the grating
+    objective then evaluates a batch of rows in one call. A model
+    without it is evaluated row by row.
+    """
 
     def __call__(self, design: np.ndarray, params: GratingParams) -> tuple[float, float, float, float]:
         ...
@@ -236,7 +243,8 @@ class SyntheticRecordingModel:
     ``1 + amplitude_i * sum_k sin(freq_ik * (x_k - anchor_k))``, so the
     anchor design reproduces the zero-residual values exactly while the
     sine sums create further zero-error designs across the box. This model
-    is a test double and has no physical meaning.
+    is a test double and has no physical meaning. :meth:`many` is the
+    same expression broadcast over rows of designs.
     """
 
     anchor: np.ndarray = field(default_factory=default_anchor)
@@ -248,15 +256,31 @@ class SyntheticRecordingModel:
         if x.shape != self.anchor.shape:
             raise ValueError("design vector has wrong dimension")
         waves = self.frequencies * (x - self.anchor)
-        factors = 1.0 + self.amplitudes * np.sin(waves).sum(axis=1)
-        perfect = np.array(perfect_recording_values(params))
-        j = perfect * factors
-        return float(j[0]), float(j[1]), float(j[2]), float(j[3])
+        # the four sine sums in NumPy, the rest in Python floats: the same
+        # IEEE operations as :meth:`many`'s arrays, without their call overhead
+        s1, s2, s3, s4 = np.sin(waves).sum(axis=1).tolist()
+        a1, a2, a3, a4 = self.amplitudes.tolist()
+        p1, p2, p3, p4 = perfect_recording_values(params)
+        return (p1 * (1.0 + a1 * s1), p2 * (1.0 + a2 * s2),
+                p3 * (1.0 + a3 * s3), p4 * (1.0 + a4 * s4))
+
+    def many(self, designs: np.ndarray, params: GratingParams) -> np.ndarray:
+        """The ``(m, 4)`` recording values of ``(m, 8)`` design rows."""
+        x = np.asarray(designs, dtype=float)
+        if x.ndim != 2 or x.shape[1:] != self.anchor.shape:
+            raise ValueError("design vector has wrong dimension")
+        # (m, 4, 8): each row sums its 8 sines as the scalar call does, so
+        # every value keeps its bits
+        waves = self.frequencies * (x - self.anchor)[:, None, :]
+        factors = 1.0 + self.amplitudes * np.sin(waves).sum(axis=2)
+        return np.array(perfect_recording_values(params)) * factors
 
 
 class _GratingObjective:
-    """Picklable objective: error of the recorded design. Logs one warning
-    if floating-point cancellation ever produces a negative value."""
+    """Picklable objective: error of the recorded design, one design per
+    call or a batch of rows through :meth:`many`. Logs one warning, on
+    either path, if floating-point cancellation ever produces a negative
+    value."""
 
     def __init__(self, model: RecordingModel, params: GratingParams):
         self.model = model
@@ -266,13 +290,31 @@ class _GratingObjective:
     def __call__(self, design: np.ndarray) -> float:
         j = self.model(design, self.params)
         value = integrated_square_error(residuals(j, self.params), self.params.w0)
-        if value < 0.0 and not self._warned:
+        if value < 0.0:
+            self._warn_negative(value)
+        return value
+
+    def many(self, designs: np.ndarray) -> np.ndarray:
+        """The ``(m,)`` errors of ``(m, 8)`` design rows, the same bits as
+        one call per row: the model's ``many``, then the residual and error
+        arithmetic on arrays; one call per row for a model without it."""
+        batch = getattr(self.model, "many", None)
+        if batch is None:
+            return np.array([self(design) for design in designs], dtype=float)
+        j = batch(designs, self.params)
+        values = integrated_square_error(residuals(j.T, self.params), self.params.w0)
+        negative = values[values < 0.0]
+        if negative.size:
+            self._warn_negative(negative[0])
+        return values
+
+    def _warn_negative(self, value: float) -> None:
+        if not self._warned:
             self._warned = True
             logger.warning(
                 "grating error came out negative (%.3e); the recording model "
                 "is numerically inconsistent with the squared-error form", value
             )
-        return value
 
 
 def grating_problem(model: RecordingModel, params: GratingParams,

@@ -17,12 +17,14 @@ from nichebench.algorithms import (
     determine_species_seeds,
 )
 from nichebench.core import Individual, Population
+from nichebench.grating import make_default_problem
 from nichebench.problems import deb1, himmelblau, six_hump_camel
 from test_draw_equivalence import random_genome  # the oracle, not library code
 # one crowding step drawn and made as the per-child loop made it
 from test_draw_equivalence import per_child_crowding as challenge
 
 ALL_NAMES = sorted(ALGORITHMS)
+SEQUENTIAL = ("crowding_ga", "crowding_de", "sde")
 
 
 def make_pop(genomes, fitnesses):
@@ -326,8 +328,48 @@ class TestEveryAlgorithm:
         result = ALGORITHMS[name](problem, small_config(population_size=10), budget, 4)
         assert result.evals_used == len(calls) == budget
         assert sum(built) >= result.evals_used - 10
-        if name not in ("crowding_ga", "crowding_de", "sde"):
+        if name not in SEQUENTIAL:
             assert sum(built) == result.evals_used - 10
+
+    def test_grating_batches_match_per_row_calls(self, name):
+        # the grating objective evaluates a batch of rows in one call; a
+        # plain function around it (as the bench tracer wraps objectives) is
+        # called row by row, and must give the same run bit for bit, also
+        # when the budget ends mid-generation. crowding_ga, crowding_de and
+        # sde evaluate child by child, so only their initial population is
+        # a batch
+        problem = make_default_problem()
+        for n, seed in ((10, 12345), (7, 777)):
+            config, budget = AlgorithmConfig(population_size=n), 4 * n + 3
+            counted = _CountedBatches(problem.objective)
+            results = [ALGORITHMS[name](p, config, budget, seed) for p in (
+                problem,
+                dataclasses.replace(problem, objective=lambda g: problem.objective(g)),
+                dataclasses.replace(problem, objective=counted))]
+            first = results[0]
+            for result in results[1:]:
+                assert result.genomes.tobytes() == first.genomes.tobytes()
+                assert result.fitness.tobytes() == first.fitness.tobytes()
+                assert result.trace == first.trace
+                assert result.evals_used == first.evals_used == budget
+            if name in SEQUENTIAL:
+                assert counted.batches == [n]
+            else:
+                assert sum(counted.batches) == budget
+
+
+class _CountedBatches:
+    """An objective that records the size of each batch it is given."""
+
+    def __init__(self, objective):
+        self.objective, self.batches = objective, []
+
+    def __call__(self, genome):
+        return self.objective(genome)
+
+    def many(self, rows):
+        self.batches.append(len(rows))
+        return self.objective.many(rows)
 
 
 def _slotwise_initial_population(problem, config, seed):

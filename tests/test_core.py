@@ -94,6 +94,102 @@ class TestEvalBudget:
         assert calls == []
 
 
+class _Batched:
+    """An objective with a batch method; both paths are recorded."""
+
+    def __init__(self, objective):
+        self.objective, self.calls, self.batches = objective, [], []
+
+    def __call__(self, genome):
+        self.calls.append(genome)
+        return self.objective(genome)
+
+    def many(self, rows):
+        self.batches.append(rows)
+        return np.array([self.objective(row) for row in rows])
+
+
+def nan_at(k, objective):
+    """``objective`` that returns NaN for the row whose first coordinate is ``k``."""
+    return lambda genome: math.nan if genome[0] == k else objective(genome)
+
+
+class TestEvaluatorMany:
+    """:meth:`Evaluator.many` against one :class:`Evaluator` call per row."""
+
+    def rows(self, m):
+        return np.column_stack((np.arange(m, dtype=float), np.linspace(-2.0, 3.0, m)))
+
+    def test_empty_batch_calls_nothing(self):
+        batched = _Batched(lambda g: 1 / 0)
+        for objective in (batched, lambda g: 1 / 0):
+            evaluate = Evaluator(dataclasses.replace(himmelblau(), objective=objective), 3)
+            assert evaluate.many(np.empty((0, 2))) == []
+            assert evaluate.many([]) == []
+            assert evaluate.used == 0 and evaluate.best is None
+        assert batched.calls == batched.batches == []
+
+    def test_rows_beyond_the_budget_left_raise_before_any_call(self):
+        calls, base = [], himmelblau().objective
+
+        def recorded(genome):
+            calls.append(genome)
+            return base(genome)
+
+        for objective in (_Batched(recorded), recorded):
+            evaluate = Evaluator(dataclasses.replace(himmelblau(), objective=objective), 5)
+            evaluate.many(self.rows(2))
+            calls.clear()
+            with pytest.raises(RuntimeError, match="budget"):
+                evaluate.many(self.rows(4))
+            assert evaluate.used == 2 and calls == []
+            assert len(evaluate.many(self.rows(3))) == 3 and evaluate.exhausted
+
+    def test_non_finite_row_leaves_used_and_best_as_the_row_loop(self):
+        base = himmelblau().objective
+        for m in (1, 2, 5):
+            for k in range(m):
+                objective = nan_at(k, base)
+                batched = Evaluator(dataclasses.replace(himmelblau(), objective=_Batched(objective)),
+                                    10)
+                per_row = Evaluator(dataclasses.replace(himmelblau(), objective=objective), 10)
+                rows = self.rows(m)
+                for evaluate in (batched, per_row):
+                    evaluate(np.array([9.0, 9.0]))
+                    with pytest.raises(ValueError, match="non-finite value nan") as error:
+                        evaluate.many(rows)
+                    assert str(error.value).endswith(f" at {rows[k]!r}")
+                assert batched.used == per_row.used == k + 2
+                assert batched.best == per_row.best
+
+    def test_individuals_hold_the_callers_rows(self):
+        rows = self.rows(4)
+        listed = list(rows)
+        for objective in (_Batched(himmelblau().objective), himmelblau().objective):
+            evaluate = Evaluator(dataclasses.replace(himmelblau(), objective=objective), 8)
+            for ind, row in zip(evaluate.many(rows), rows):
+                assert isinstance(ind, Individual)
+                assert ind.genome.base is rows and np.array_equal(ind.genome, row)
+            assert all(ind.genome is row for ind, row in zip(evaluate.many(listed), listed))
+
+    def test_batch_and_row_loop_agree(self):
+        rng = np.random.default_rng(3)
+        for problem in (himmelblau(), deb1()):
+            lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+            evaluators = [Evaluator(dataclasses.replace(problem, objective=o), 40)
+                          for o in (_Batched(problem.objective), problem.objective)]
+            for m in (1, 3, 7, 20):
+                rows = lo + (hi - lo) * rng.random((m, problem.dimension))
+                got, want = (evaluate.many(rows) for evaluate in evaluators)
+                assert [i.fitness for i in got] == [i.fitness for i in want]
+                for evaluate in evaluators:
+                    evaluate.checkpoint()
+            batched, per_row = evaluators
+            assert batched.used == per_row.used == 31
+            assert batched.best == per_row.best and batched.trace == per_row.trace
+            assert len(batched.objective.batches) == 4 and batched.objective.calls == []
+
+
 class TestBinaryTournament:
     def test_better_of_two_max(self):
         fitness = np.array([1.0, 2.0])

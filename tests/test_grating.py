@@ -1,6 +1,7 @@
-"""Grating objective: residual algebra, error combination, profiles, and
-the synthetic recording model's landscape."""
+"""Grating objective: residual algebra, error combination, profiles, the
+synthetic recording model's landscape, and the batch objective's bits."""
 
+import itertools
 import json
 import math
 
@@ -257,11 +258,74 @@ class TestSyntheticModel:
     def test_negative_error_warns_once(self, caplog, monkeypatch):
         import nichebench.grating as grating_module
 
-        problem = grating_problem(SyntheticRecordingModel(), load_profile()[0])
-        monkeypatch.setattr(grating_module, "integrated_square_error", lambda r, w: -1.0)
-        with caplog.at_level("WARNING"):
-            v1 = problem.objective(default_anchor())
-            v2 = problem.objective(default_anchor())
-        assert v1 == v2 == -1.0
-        warnings = [r for r in caplog.records if "negative" in r.message]
-        assert len(warnings) == 1
+        # -1 for every design, as a float for one design or an array for a batch
+        monkeypatch.setattr(grating_module, "integrated_square_error", lambda r, w: r[0] * 0.0 - 1.0)
+        rows = np.array([default_anchor()] * 3)
+        for calls in ("scalar", "batch", "scalar then batch"):
+            problem = grating_problem(SyntheticRecordingModel(), load_profile()[0])
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                if "scalar" in calls:
+                    assert problem.objective(default_anchor()) == -1.0
+                    assert problem.objective(default_anchor()) == -1.0
+                if "batch" in calls:
+                    assert problem.objective.many(rows).tolist() == [-1.0] * 3
+                    assert problem.objective.many(rows).tolist() == [-1.0] * 3
+            warnings = [r for r in caplog.records if "negative" in r.message]
+            assert len(warnings) == 1, calls
+
+
+def assert_batch_matches_scalar(objective, rows):
+    """``objective.many(rows)`` against one call per row, bit for bit
+    (signed zeros and NaN payloads included)."""
+    got = objective.many(rows)
+    want = np.array([objective(row) for row in rows])
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == (len(rows),)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBatchObjective:
+    def test_random_rows_match_scalar_calls(self):
+        objective = make_default_problem().objective
+        bounds = default_bounds()
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        rng = np.random.default_rng(2024)
+        for m in (1, 2, 3, 7, 50, 101):
+            for _ in range(4000 // m):
+                assert_batch_matches_scalar(objective, lo + (hi - lo) * rng.random((m, 8)))
+
+    def test_box_corners_and_anchor_match_scalar_calls(self):
+        objective = make_default_problem().objective
+        corners = np.array(list(itertools.product(*default_bounds().tolist())))
+        assert corners.shape == (256, 8)
+        assert_batch_matches_scalar(objective, corners)
+        anchor = default_anchor()
+        assert_batch_matches_scalar(objective, anchor[None, :])
+        # the zero-error design keeps its rounding crumb on both paths
+        error = objective(anchor)
+        assert 0.0 < error < 1e-24
+        assert objective.many(np.array([anchor, anchor])).tolist() == [error, error]
+
+    def test_rows_of_the_wrong_width_rejected(self):
+        objective = make_default_problem().objective
+        for rows in (np.zeros((3, 7)), np.zeros((1, 9)), np.zeros(8), np.zeros((2, 2, 8))):
+            with pytest.raises(ValueError, match="wrong dimension"):
+                objective.many(rows)
+        with pytest.raises(ValueError, match="wrong dimension"):
+            objective(np.zeros(7))
+
+    def test_model_without_many_is_evaluated_row_by_row(self):
+        calls = []
+
+        def model(design, params):
+            calls.append(design)
+            return SyntheticRecordingModel()(design, params)
+
+        params = load_profile()[0]
+        objective = grating_problem(model, params).objective
+        rows = default_bounds().mean(axis=1) + np.zeros((5, 8))
+        rows[:, 0] += np.linspace(-0.5, 0.5, 5)
+        got = objective.many(rows)
+        assert len(calls) == 5
+        want = make_default_problem().objective.many(rows)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
