@@ -12,13 +12,14 @@ Children come from two streams in ``_RunState``: GA (BLX crossover,
 Gaussian mutation) and DE (DE/rand/1/bin trials). A stream's draws
 follow one frozen order, child by child, and every request has a size
 fixed before the generation starts, so a generation's draws are made
-first, capped at the evaluations left (:meth:`_RunState.budgeted`): no
-child is drawn for, built or evaluated once the budget is spent. The
-GA's draws are real calls made in one loop; the DE's are decoded from
-one request (``core.de_generation_draws``), or are real calls made in one
-loop for ``crowding_de`` with a crowding factor below the population
-size. The generation's children are then built from the population as
-it is in one array pass. ``preselection_ga``, ``sharing_ga``, ``scga``
+first, capped at the evaluations left: no child is drawn for, built or
+evaluated once the budget is spent. The GA's draws are real calls made
+in one loop. All three DE algorithms make a generation with one method,
+``_RunState.de_trials``: its draws are decoded from one request
+(``core.de_generation_draws``), or are real calls made in one loop for
+``crowding_de`` with a crowding factor below the population size. The
+children are then built from the population as it is in one array
+pass. ``preselection_ga``, ``sharing_ga``, ``scga``
 and ``sharing_de`` replace members only after the whole generation, so
 that pass is final. ``crowding_ga``, ``crowding_de`` and ``sde`` let
 each child replace a member before the next is evaluated: they walk the
@@ -49,12 +50,16 @@ from .core import (
     Population,
     binary_tournament,
     blend_crossover,
+    check_direction,
+    check_integer,
     de_draws,
     de_generation_draws,
     de_trial_vector,
     gaussian_mutation,
     is_better,
+    leader_scan,
     mutation_draws,
+    row_distances,
 )
 
 __all__ = [
@@ -138,8 +143,7 @@ def check_run(name: str, config: AlgorithmConfig, budget) -> None:
     ``budget`` evaluations: the config is valid, the population meets the
     algorithm's minimum, and the budget is an integer covering the initial
     population. Each run and ``ExperimentSpec.validate`` call it first."""
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
-        raise ValueError(f"budget must be an integer, got {budget!r}")
+    check_integer("budget", budget)
     config.validate()
     if config.population_size < MIN_POPULATION.get(name, 0):
         raise ValueError(f"population_size must be at least {MIN_POPULATION[name]}")
@@ -163,14 +167,14 @@ class RunResult:
 
 class _RunState:
     """Per-run bookkeeping: the evaluator, the RNG, and the GA and DE
-    child streams, which make a generation's draws first (:meth:`draw_ga`,
-    :meth:`draw_de`) and build its children in one array pass
-    (:meth:`ga_build`, :func:`de_trial_vector`). A batch whose rows are all
-    final (the initial population, :meth:`ga_generation`,
-    :meth:`de_generation`) is evaluated in one ``Evaluator.many`` call; the
-    speculative walks of ``crowding_ga``, ``crowding_de`` and ``sde``
-    evaluate child by child. ``config`` None means the default
-    :class:`AlgorithmConfig`."""
+    child streams, which make a generation's draws first, capped at the
+    evaluations left, and build its children in one array pass: the GA's
+    :meth:`draw_ga` then :meth:`ga_build`, the DE's :meth:`de_trials`,
+    which serves all three DE algorithms. A batch whose rows are all final
+    (the initial population, :meth:`ga_generation`, ``sharing_de``'s
+    trials) is evaluated in one ``Evaluator.many`` call; the speculative
+    walks of ``crowding_ga``, ``crowding_de`` and ``sde`` evaluate child by
+    child. ``config`` None means the default :class:`AlgorithmConfig`."""
 
     def __init__(self, name: str, problem, config: AlgorithmConfig | None, budget, rng):
         config = config or AlgorithmConfig()
@@ -198,16 +202,17 @@ class _RunState:
         return min(count, self.evaluate.max_evals - self.evaluate.used)
 
     def draw_ga(self, m: int, tournaments: bool, cf: int | None = None):
-        """The draws of a generation's first ``m`` GA children, made in
-        their frozen order pair by pair: with ``tournaments``, the pair's
-        two binary tournaments as one ``integers(n, size=4)`` request; its
-        BLX doubles; then for each of its children the
-        :func:`mutation_draws` and, for a crowding factor ``cf`` below the
-        population size ``n``, the crowding sample ``choice(n, cf)``.
-        Returns the ``(p, 4)`` candidates (or None), the ``(p, 2, d)`` BLX
-        doubles, the ``(m, d)`` masks, and each child's normals and sample
-        (or None) in lists."""
+        """The draws of a generation's first ``m`` GA children, or as many
+        as the budget left allows, made in their frozen order pair by pair:
+        with ``tournaments``, the pair's two binary tournaments as one
+        ``integers(n, size=4)`` request; its BLX doubles; then for each of
+        its children the :func:`mutation_draws` and, for a crowding factor
+        ``cf`` below the population size ``n``, the crowding sample
+        ``choice(n, cf)``. Returns the ``(p, 4)`` candidates (or None), the
+        ``(p, 2, d)`` BLX doubles, the masks of the children drawn for,
+        and each child's normals and sample (or None) in lists."""
         rng, n, dim = self.rng, self.config.population_size, self.bounds.shape[0]
+        m = self.budgeted(m)
         sampled = cf is not None and cf < n
         candidates, u, masks, normals, samples = [], [], [], [], []
         for k in range(0, m, 2):
@@ -238,8 +243,7 @@ class _RunState:
         allows, built in one pass and evaluated as one batch. Parent pairs are
         consecutive entries of the index list ``order`` or, without one,
         two binary tournaments on ``fitness`` under ``direction``."""
-        m = self.budgeted(count)
-        candidates, u, masks, normals, _ = self.draw_ga(m, tournaments=order is None)
+        candidates, u, masks, normals, _ = self.draw_ga(count, tournaments=order is None)
         if order is None:
             p1, p2 = binary_tournament(fitness, candidates[:, 0::2], candidates[:, 1::2],
                                        direction).T
@@ -247,32 +251,27 @@ class _RunState:
             p1, p2 = order[0:2 * len(u):2], order[1:2 * len(u):2]
         return self.evaluate.many(self.ga_build(pop.genome_matrix(), p1, p2, u, masks, normals))
 
-    def draw_de(self, n: int, pools=None, cf: int | None = None):
-        """A generation's DE draws for targets 0, 1, ... up to ``n`` or the
-        budget left, in their frozen order: the ``(3, m)`` donors and
-        ``(m, d)`` crossover masks of :func:`de_generation_draws` (donors
-        from ``pools``) and None or, for a crowding factor ``cf`` below
-        ``n``, each trial's :func:`de_draws` followed by its crowding sample
-        ``choice(n, cf)``, the samples in a list."""
-        cfg, rng, dim = self.config, self.rng, self.bounds.shape[0]
-        m = self.budgeted(n)
+    def de_trials(self, genomes: np.ndarray, pools=None, cf: int | None = None):
+        """A generation's DE trials for targets 0, 1, ... up to the
+        population size ``n`` or the budget left, built from the rows of
+        ``genomes`` in one :func:`de_trial_vector` pass. Returns the
+        ``(3, m)`` donors, ``(m, d)`` masks, crowding samples and ``(m, d)``
+        trials: the draws of :func:`de_generation_draws` (donors from
+        ``pools``) and samples None or, for a crowding factor ``cf`` below
+        ``n``, each trial's :func:`de_draws` then its ``choice(n, cf)``."""
+        cfg, rng, (n, dim) = self.config, self.rng, genomes.shape
+        m, samples = self.budgeted(n), None
         if cf is None or cf == n:
-            return (*de_generation_draws(rng, n, m, dim, cfg.de_CR, pools), None)
-        draws, samples = [], []
-        for target in range(m):
-            draws.append(de_draws(rng, n, target, dim, cfg.de_CR))
-            samples.append(rng.choice(n, size=cf, replace=False))
-        donors, cross = zip(*draws)
-        return np.array(donors, np.intp).T, np.array(cross), samples
-
-    def de_generation(self, pop: Population) -> list[Individual]:
-        """Evaluated trials for targets 0, 1, ... up to the population size
-        or the budget left, all built from ``pop`` as it is, in one pass,
-        and evaluated as one batch."""
-        donors, cross, _ = self.draw_de(len(pop))
-        trials = de_trial_vector(pop.genome_matrix(), np.arange(len(cross)), donors, cross,
-                                 self.config.de_F, self.bounds)
-        return self.evaluate.many(trials)
+            donors, cross = de_generation_draws(rng, n, m, dim, cfg.de_CR, pools)
+        else:
+            draws, samples = [], []
+            for target in range(m):
+                draws.append(de_draws(rng, n, target, dim, cfg.de_CR))
+                samples.append(rng.choice(n, size=cf, replace=False))
+            donors, cross = zip(*draws)
+            donors, cross = np.array(donors, np.intp).T, np.array(cross)
+        trials = de_trial_vector(genomes, np.arange(m), donors, cross, cfg.de_F, self.bounds)
+        return donors, cross, samples, trials
 
     def generations(self):
         """Yield 1, 2, ... while budget is left; the checkpoint of a
@@ -307,12 +306,6 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
     return st.result(pop)
 
 
-def _distances(points: np.ndarray, genomes: np.ndarray) -> np.ndarray:
-    """Euclidean distances between ``points`` and ``genomes`` (``(..., d)``
-    arrays, broadcast against each other), summed over the last axis."""
-    return np.sqrt(((points - genomes) ** 2).sum(axis=-1))
-
-
 def _nearest(dists: np.ndarray, sample) -> int:
     """The member with the least of ``dists`` among ``sample`` (all members
     when None); distance ties go to the lowest population index."""
@@ -334,6 +327,8 @@ def crowding_replacement(child: Individual, pop: Population, dists: np.ndarray, 
     iff the child is strictly better. Returns True iff the child took
     that member's slot.
     """
+    if len(dists) != len(pop):
+        raise ValueError("dists holds one distance per member")
     if sample is not None and not 1 <= len(sample) <= len(pop):
         raise ValueError("a crowding sample holds 1 to len(pop) members")
     nearest = _nearest(dists, sample)
@@ -354,13 +349,13 @@ class _Crowding:
 
     def __init__(self, st: _RunState, pop: Population, children: np.ndarray, samples):
         self.st, self.pop, self.children, self.samples = st, pop, children, samples
-        self.dists = _distances(children[:, None, :], pop.genome_matrix())
+        self.dists = row_distances(children[:, None, :], pop.genome_matrix())
         self.replaced = [False] * len(pop)
 
     def rebuild(self, rows, genomes: np.ndarray) -> None:
         """The children of ``rows``, a row index or a slice, are now ``genomes``."""
         self.children[rows] = genomes
-        self.dists[rows] = _distances(self.children[rows][..., None, :], self.pop.genome_matrix())
+        self.dists[rows] = row_distances(genomes[..., None, :], self.pop.genome_matrix())
 
     def challenge(self, row: int) -> None:
         child = self.st.evaluate(self.children[row])
@@ -368,7 +363,7 @@ class _Crowding:
         if crowding_replacement(child, self.pop, dists, sample, self.st.direction):
             slot = _nearest(dists, sample)
             self.replaced[slot] = True
-            self.dists[row + 1:, slot] = _distances(self.children[row + 1:], child.genome)
+            self.dists[row + 1:, slot] = row_distances(self.children[row + 1:], child.genome)
 
 
 def crowding_ga(problem, config: AlgorithmConfig | None = None,
@@ -385,8 +380,8 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
     pop = st.init_population()
     n, fitness, genomes = len(pop), pop.fitnesses(), pop.genome_matrix()
     for _ in st.generations():
-        m = st.budgeted(n - n % 2)
-        candidates, u, masks, normals, samples = st.draw_ga(m, tournaments=True, cf=cf)
+        candidates, u, masks, normals, samples = st.draw_ga(n - n % 2, tournaments=True, cf=cf)
+        m = len(masks)
         winners = binary_tournament(fitness, candidates[:, 0::2], candidates[:, 1::2],
                                     st.direction)
         crowd = _Crowding(st, pop, st.ga_build(genomes, *winners.T, u, masks, normals), samples)
@@ -419,8 +414,7 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
     pop = st.init_population()
     genomes = pop.genome_matrix()
     for _ in st.generations():
-        donors, cross, samples = st.draw_de(len(pop), cf=cf)
-        trials = de_trial_vector(genomes, np.arange(len(cross)), donors, cross, F, st.bounds)
+        donors, cross, samples, trials = st.de_trials(genomes, cf=cf)
         crowd = _Crowding(st, pop, trials, samples)
         replaced = crowd.replaced
         # a trial is built again if it reads a replaced slot; a trial whose
@@ -443,7 +437,7 @@ def _shared_scores(genomes: np.ndarray, raw: np.ndarray, direction: str,
         scores = raw.max() - raw + _SHARING_EPS
     else:
         scores = raw.astype(float)
-    dists = _distances(genomes[:, None, :], genomes)
+    dists = row_distances(genomes[:, None, :], genomes)
     kernel = np.where(dists < radius, 1.0 - (dists / radius) ** alpha, 0.0)
     return scores / kernel.sum(axis=-1)
 
@@ -477,7 +471,8 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
     pop = st.init_population()
     for _ in st.generations():
         # the loop runs only with budget left, so trials is not empty
-        trials = st.de_generation(pop)
+        *_, rows = st.de_trials(pop.genome_matrix())
+        trials = st.evaluate.many(rows)
         genomes = np.vstack([pop.genome_matrix()] + [t.genome for t in trials])
         raw = np.concatenate([pop.fitnesses(), [t.fitness for t in trials]])
         scores = _shared_scores(genomes, raw, st.direction,
@@ -499,26 +494,17 @@ def determine_species_seeds(pop: Population, species_distance: float,
     """
     if len(pop) == 0:
         raise ValueError("cannot determine seeds of an empty population")
-    radius = species_distance / 2.0
     keys = pop.fitnesses()
     if direction == "max":
         keys = -keys
     order = np.argsort(keys, kind="stable").tolist()
-    genomes = pop.genome_matrix()
-    # free[i]: member i lies at distance >= radius from every seed so far
-    free = np.ones(len(pop), dtype=bool)
-    seeds: list[Individual] = []
-    for idx in order:
-        if free[idx]:
-            seeds.append(pop[idx])
-            free &= _distances(genomes, genomes[idx]) >= radius
-    return seeds
+    return [pop[i] for i in leader_scan(pop.genome_matrix(), order, species_distance / 2.0)]
 
 
 def _nearest_seed_assignment(genomes: np.ndarray, seed_matrix: np.ndarray):
     """Nearest-seed index per member (ties to the earlier seed) and the
     full member-to-seed distance matrix."""
-    dists = _distances(genomes[:, None, :], seed_matrix)
+    dists = row_distances(genomes[:, None, :], seed_matrix)
     return np.argmin(dists, axis=1), dists
 
 
@@ -544,11 +530,10 @@ def conserve_species_seeds(pop: Population, seeds: list[Individual],
     in_region = dists[np.arange(len(pop)), assigned] < radius
     # as lists, == is np.array_equal on one member row and one seed row
     rows, seed_rows = genomes.tolist(), seed_matrix.tolist()
+    check_direction(direction)
     fitness = pop.fitnesses()
     if direction == "max":
         fitness = -fitness
-    elif direction != "min":
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
     # max() keeps the first of equal maxima: the lowest-index worst member
     badness = fitness.tolist().__getitem__
     species: list[list[int]] = [[] for _ in seeds]
@@ -625,8 +610,7 @@ def sde(problem, config: AlgorithmConfig | None = None,
         assigned, _ = _nearest_seed_assignment(genomes, np.array([s.genome for s in seeds]))
         # a species below 4 members borrows donors from everyone: label -1
         pools = np.where(np.bincount(assigned)[assigned] >= 4, assigned, -1)
-        donors, cross, _ = st.draw_de(len(pop), pools)
-        trials = de_trial_vector(genomes, np.arange(len(cross)), donors, cross, F, st.bounds)
+        donors, cross, _, trials = st.de_trials(genomes, pools)
         replaced = [False] * len(pop)
         for target, (a, b, c) in enumerate(donors.T.tolist()):
             # a trial whose donors were replaced is built again; its target

@@ -2,8 +2,8 @@
 
 Experiments can be described in a JSON config file, with flags overriding
 file values. The file holds one JSON object whose keys are the
-:class:`~nichebench.harness.ExperimentSpec` fields and ``jobs``; other keys
-are ignored. Values reach the library as they are, and
+:class:`~nichebench.harness.ExperimentSpec` fields and ``jobs``; any other
+key is a configuration error. Values reach the library as they are, and
 :meth:`ExperimentSpec.validate` checks every one, type and range, before
 any run. Exit status: 0 on success, 2 on configuration errors, 3 when a
 run raises (the message names its algorithm, problem, run index and seed;
@@ -90,7 +90,10 @@ def build_spec(args) -> tuple[ExperimentSpec, int]:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-    settings = {key: value for key, value in file_cfg.items() if key in _SETTINGS}
+    unknown = sorted(set(file_cfg) - _SETTINGS)
+    if unknown:
+        raise ConfigError(f"unknown keys in config file {args.config}: {unknown}")
+    settings = dict(file_cfg)
     settings.update((key, value) for key, value in vars(args).items()
                     if key in _SETTINGS and value is not None)
     jobs = settings.pop("jobs", 1)

@@ -1,6 +1,6 @@
 """Shared EA machinery: individuals, populations, the evaluator that is
-the run clock, and the real-coded variation operators used by
-every algorithm in this package.
+the run clock, the real-coded variation operators of every algorithm in
+this package, and the row distances and leader scan the metrics share.
 
 All genomes are 1-d float ndarrays. Box bounds are given as a (dim, 2)
 array of [lo, hi] rows and every operator clamps its output to them. The
@@ -16,10 +16,11 @@ or a stacked batch of a generation's children, from the values drawn
 Termination is driven solely by :class:`Evaluator`: each row evaluated
 consumes exactly one evaluation, whether the objective sees it alone or in
 a batch (:meth:`Evaluator.many`), and a run stops the moment the budget is
-exhausted. The evaluator is also where individuals come from: it returns
-each genome it evaluates as an :class:`Individual`, so there is no
-unevaluated individual, and none is changed after it is made. No child is built once
-the budget is spent, and nothing is drawn for it.
+exhausted. Either way a row takes the same step: it is counted, checked
+to be finite, compared with the best so far and returned as a new
+:class:`Individual`, so there is no unevaluated individual, and none is
+changed after it is made. No child is built once the budget is spent,
+and nothing is drawn for it.
 
 Draw exactness: every published result is a pure function of the run
 seed, so the random requests made here are frozen. The rule is word-level:
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +50,11 @@ __all__ = [
     "Individual",
     "Population",
     "is_better",
+    "check_direction",
+    "check_integer",
     "clip_to_bounds",
+    "row_distances",
+    "leader_scan",
     "binary_tournament",
     "blend_crossover",
     "mutation_draws",
@@ -122,9 +128,40 @@ def is_better(a: float, b: float, direction: str) -> bool:
     raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
 
 
+def check_direction(direction: str) -> None:
+    """Raise ValueError unless ``direction`` is 'min' or 'max'."""
+    if direction not in ("min", "max"):
+        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def clip_to_bounds(genome: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     # same values as np.clip (signed zeros and NaN included), at half the cost
     return np.minimum(np.maximum(genome, bounds[:, 0]), bounds[:, 1])
+
+
+def row_distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Euclidean distances between ``points`` and ``rows`` (``(..., d)``
+    arrays, broadcast against each other), summed over the last axis."""
+    return np.sqrt(((points - rows) ** 2).sum(axis=-1))
+
+
+def leader_scan(rows: np.ndarray, order, radius: float) -> list[int]:
+    """Greedy leader scan: visit the row indices of ``order`` in turn and
+    take a row iff it lies at distance >= ``radius`` from every row taken
+    so far. Returns the taken indices in the order they were taken."""
+    free = np.ones(len(rows), dtype=bool)
+    taken = []
+    for i in order:
+        if free[i]:
+            taken.append(i)
+            free &= row_distances(rows, rows[i]) >= radius
+    return taken
 
 
 class Evaluator:
@@ -138,9 +175,10 @@ class Evaluator:
     batch by :meth:`many`; any other objective is called row by row."""
 
     def __init__(self, problem, max_evals: int):
-        self.max_evals = int(max_evals)
-        if self.max_evals < 0:
+        check_integer("max_evals", max_evals)
+        if max_evals < 0:
             raise ValueError("max_evals must be >= 0")
+        self.max_evals = int(max_evals)
         self.objective = problem.objective
         self._batch = getattr(self.objective, "many", None)
         self.direction = problem.direction
@@ -161,13 +199,7 @@ class Evaluator:
         """
         if self.used >= self.max_evals:
             raise RuntimeError(f"evaluation budget of {self.max_evals} is used up")
-        self.used += 1
-        value = float(self.objective(genome))
-        if not math.isfinite(value):
-            raise ValueError(f"objective returned non-finite value {value!r} at {genome!r}")
-        if self.best is None or is_better(value, self.best, self.direction):
-            self.best = value
-        return Individual(genome, value)
+        return self._record(genome, float(self.objective(genome)))
 
     def many(self, genomes) -> list[Individual]:
         """New individuals for the rows of ``genomes``, in order: the same
@@ -187,16 +219,18 @@ class Evaluator:
         values = np.asarray(self._batch(genomes), dtype=float).tolist()
         if len(values) != m:
             raise ValueError(f"objective returned {len(values)} values for {m} rows")
-        best, direction = self.best, self.direction
-        for i, value in enumerate(values):
-            if not math.isfinite(value):
-                self.used, self.best = self.used + i + 1, best
-                raise ValueError(f"objective returned non-finite value {value!r} "
-                                 f"at {genomes[i]!r}")
-            if best is None or is_better(value, best, direction):
-                best = value
-        self.used, self.best = self.used + m, best
-        return [Individual(genome, value) for genome, value in zip(genomes, values)]
+        return [self._record(genome, value) for genome, value in zip(genomes, values)]
+
+    def _record(self, genome: np.ndarray, value: float) -> Individual:
+        """The step every evaluated row takes, alone or in a batch: count
+        the evaluation, reject a non-finite value, keep the best so far and
+        make the individual."""
+        self.used += 1
+        if not math.isfinite(value):
+            raise ValueError(f"objective returned non-finite value {value!r} at {genome!r}")
+        if self.best is None or is_better(value, self.best, self.direction):
+            self.best = value
+        return Individual(genome, value)
 
     def checkpoint(self) -> None:
         """Record (evaluations used, best fitness) once anything is evaluated."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_direction, leader_scan, row_distances
+
 __all__ = ["peak_ratio", "avg_min_distance", "best_fitness", "distinct_peaks"]
 
 
@@ -22,18 +24,13 @@ def _nonempty(values) -> np.ndarray:
     return values
 
 
-def _check_direction(direction: str) -> None:
-    if direction not in ("min", "max"):
-        raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-
-
 def _nearest_distances(genomes, peaks, metric: str) -> list[float]:
     """Per peak, in peak order, the distance to the nearest genome row."""
     peaks = [np.asarray(p, dtype=float) for p in peaks]
     if not peaks:
         raise ValueError(f"{metric} is undefined for an empty peak list")
     genomes = _nonempty(genomes)
-    return [float(np.min(np.sqrt(np.sum((genomes - peak) ** 2, axis=1)))) for peak in peaks]
+    return [float(row_distances(genomes, peak).min()) for peak in peaks]
 
 
 def peak_ratio(genomes, peaks, radius: float = 0.1) -> float:
@@ -55,7 +52,7 @@ def best_fitness(fitness, direction: str) -> float:
     """Extremal value of ``fitness`` under the given direction; the first of
     equal values, so ``[0.0, -0.0]`` gives ``0.0``."""
     fitness = _nonempty(fitness)
-    _check_direction(direction)
+    check_direction(direction)
     return float(fitness[fitness.argmin() if direction == "min" else fitness.argmax()])
 
 
@@ -78,16 +75,9 @@ def distinct_peaks(
     """
     members = _nonempty(genomes)
     fitness = np.asarray(fitness, dtype=float)
-    _check_direction(direction)
-    # free[i]: member i qualifies and lies at distance >= radius from every
-    # member counted so far
-    free = fitness < fitness_threshold if direction == "min" else fitness > fitness_threshold
+    check_direction(direction)
+    qualifies = fitness < fitness_threshold if direction == "min" else fitness > fitness_threshold
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=float)
         members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
-    counted = 0
-    for idx in np.flatnonzero(free).tolist():
-        if free[idx]:
-            counted += 1
-            free &= np.sqrt(np.sum((members - members[idx]) ** 2, axis=1)) >= radius
-    return counted
+    return len(leader_scan(members, np.flatnonzero(qualifies).tolist(), radius))

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import check_direction
+
 __all__ = [
     "BoundedProblem",
     "deb1",
@@ -45,8 +47,7 @@ class BoundedProblem:
             raise ValueError(f"bounds must have shape (dimension, 2), got {bounds.shape}")
         if not (np.all(np.isfinite(bounds)) and np.all(bounds[:, 0] < bounds[:, 1])):
             raise ValueError("every bound must be finite and satisfy lo < hi")
-        if self.direction not in ("min", "max"):
-            raise ValueError("direction must be 'min' or 'max'")
+        check_direction(self.direction)
         object.__setattr__(self, "bounds", bounds)
         peaks = tuple(np.asarray(p, dtype=float) for p in self.known_peaks)
         for p in peaks:

@@ -102,6 +102,11 @@ class TestCrowdingReplacement:
             with pytest.raises(ValueError):
                 crowding_replacement(Individual(np.array([0.0]), 1.0), pop, np.zeros(1), sample,
                                      direction="max")
+        pop = make_pop([[0.0], [1.0]], [0.0, 0.0])
+        with pytest.raises(ValueError, match="one distance per member"):
+            crowding_replacement(Individual(np.array([0.0]), 1.0), pop, np.zeros(5), None,
+                                 direction="max")
+        assert pop.fitnesses().tolist() == [0.0, 0.0]
 
 
 def shared_scores(pop, sharing_radius):
@@ -155,6 +160,10 @@ class TestDetermineSpeciesSeeds:
         seeds = determine_species_seeds(pop, species_distance=10.0, direction="max")
         assert len(seeds) == 1
         assert seeds[0].fitness == 3.0
+
+    def test_empty_population_raises(self):
+        with pytest.raises(ValueError, match="empty population"):
+            determine_species_seeds(make_pop([], []), species_distance=1.0, direction="max")
 
     def test_vanishing_distance_makes_everyone_a_seed(self):
         pop = make_pop([[0.0], [0.5], [1.0]], [1.0, 2.0, 3.0])
@@ -231,6 +240,18 @@ class TestConserveSpeciesSeeds:
             for s in seeds:
                 assert s.genome.tolist() in genome_list
             assert len(varied) == n
+
+    def test_no_seeds_leave_the_population_alone(self):
+        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
+        members = list(pop)
+        assert conserve_species_seeds(pop, [], species_distance=0.5, direction="max") is pop
+        assert all(m is o for m, o in zip(pop, members))
+
+    def test_bad_direction_raises(self):
+        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
+        seed = Individual(np.array([5.0]), 10.0)
+        with pytest.raises(ValueError, match="direction must be 'min' or 'max'"):
+            conserve_species_seeds(pop, [seed], species_distance=0.5, direction="up")
 
     def test_seed_overflow_logged_and_bounded(self, caplog):
         pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
@@ -455,6 +476,8 @@ def test_config_validation():
         AlgorithmConfig(species_distance=0.0).validate()
     with pytest.raises(ValueError):
         AlgorithmConfig(sharing_radius=-1.0).validate()
+    with pytest.raises(ValueError, match="de_CR must be a probability"):
+        AlgorithmConfig(de_CR=1.5).validate()
     cfg = AlgorithmConfig()
     cfg.validate()
     assert cfg.effective_crowding_factor() == cfg.population_size
@@ -469,6 +492,12 @@ def test_config_validation():
 def test_config_rejects_values_of_the_wrong_type(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an? "):
         AlgorithmConfig(**{field: value}).validate()
+
+
+def test_get_algorithm_names_the_known_algorithms():
+    assert algorithms.get_algorithm("sde") is algorithms.sde
+    with pytest.raises(KeyError, match="unknown algorithm 'foo'; known algorithms: crowding_de"):
+        algorithms.get_algorithm("foo")
 
 
 def test_config_accepts_ints_for_floats_and_numpy_scalars():

@@ -112,10 +112,14 @@ def test_config_entry_rejects_unknown_fields(tmp_path, capsys):
     ({"algorithms": "sde"}, "'algorithms' must be a list"),
     ({"algorithms": [{"name": "crowding_de", "population_size": 3}]},
      "population_size must be at least 4"),
+    ({"max_eval": 500}, "cfg.json: ['max_eval']"),
+    ({"algorithms": [5]}, "algorithm entry must be a name or an object"),
+    ({"algorithms": [{"population_size": 10}]}, "without a 'name' field"),
 ], ids=["top_level_list", "runs_not_a_number", "population_size_text", "population_size_fraction",
         "problems_not_a_list", "max_evals_fraction", "base_seed_bool", "tests_not_a_list",
         "alpha_text", "jobs_text", "output_dir_number", "grating_profile_number",
-        "algorithms_not_a_list", "de_population_below_4"])
+        "algorithms_not_a_list", "de_population_below_4", "unknown_top_level_key",
+        "entry_not_a_name_or_object", "entry_without_name"])
 def test_malformed_config_values_exit_2_before_running(tmp_path, monkeypatch, capsys,
                                                        content, message):
     # the output directory comes from the file, so a bad output_dir is not

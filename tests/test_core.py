@@ -93,6 +93,16 @@ class TestEvalBudget:
         assert evaluate.used == 0
         assert calls == []
 
+    @pytest.mark.parametrize("max_evals, message", [
+        (-1, "max_evals must be >= 0"),
+        (2.7, "max_evals must be an integer"),
+        (True, "max_evals must be an integer"),
+        ("5", "max_evals must be an integer"),
+    ])
+    def test_budget_that_is_not_a_count_raises(self, max_evals, message):
+        with pytest.raises(ValueError, match=message):
+            Evaluator(himmelblau(), max_evals)
+
 
 class _Batched:
     """An objective with a batch method; both paths are recorded."""
@@ -171,6 +181,13 @@ class TestEvaluatorMany:
                 assert isinstance(ind, Individual)
                 assert ind.genome.base is rows and np.array_equal(ind.genome, row)
             assert all(ind.genome is row for ind, row in zip(evaluate.many(listed), listed))
+
+    def test_batch_of_the_wrong_length_raises(self):
+        objective = _Batched(himmelblau().objective)
+        objective.many = lambda rows: np.zeros(len(rows) + 1)
+        evaluate = Evaluator(dataclasses.replace(himmelblau(), objective=objective), 5)
+        with pytest.raises(ValueError, match="returned 4 values for 3 rows"):
+            evaluate.many(self.rows(3))
 
     def test_batch_and_row_loop_agree(self):
         rng = np.random.default_rng(3)

@@ -124,10 +124,14 @@ class TestValidation:
         ({"algorithms": [("sde", AlgorithmConfig(population_size=3))]},
          "sde: population_size must be at least 4"),
         ({"tests": ["mwu", "mwu"]}, "a test is listed twice"),
+        ({"algorithms": []}, "at least one algorithm"),
+        ({"problems": []}, "at least one problem"),
+        ({"algorithms": [("sde", {"population_size": 10})]}, "algorithm entry must be a"),
     ], ids=["population_size_fraction", "de_F_text", "crowding_factor_bool", "t_test_one_run",
             "runs_fraction", "runs_text", "max_evals_fraction", "base_seed_text",
             "problems_string", "alpha_above_1", "crowding_de_population_3",
-            "sharing_de_population_3", "sde_population_3", "test_listed_twice"])
+            "sharing_de_population_3", "sde_population_3", "test_listed_twice",
+            "no_algorithms", "no_problems", "entry_not_a_pair"])
     def test_malformed_setting_raises_before_any_run(self, tmp_path, settings, message):
         spec = dataclasses.replace(tiny_spec(tmp_path), **settings)
         with pytest.raises(ConfigError, match=message):

@@ -86,6 +86,11 @@ def test_bounded_problem_rejects_bad_bounds_and_peaks(bounds, peaks, message):
         BoundedProblem("p", np.array(bounds), "min", lambda x: 0.0, peaks)
 
 
+def test_bounded_problem_rejects_an_unknown_direction():
+    with pytest.raises(ValueError, match="direction must be 'min' or 'max', got 'up'"):
+        BoundedProblem("p", np.array([[0.0, 1.0]]), "up", lambda x: 0.0)
+
+
 @pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.name)
 def test_known_peaks_are_local_optima(problem):
     rng = np.random.default_rng(7)
