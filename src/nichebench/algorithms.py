@@ -39,8 +39,7 @@ a strictly better challenger, so equal-fitness duplicates never drift.
 from __future__ import annotations
 
 import logging
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from .core import (
     blend_crossover,
     check_direction,
     check_integer,
+    check_real,
     de_draws,
     de_generation_draws,
     de_trial_vector,
@@ -97,7 +97,8 @@ class AlgorithmConfig:
 
     ``crowding_factor`` and ``mutation_rate`` default to the population
     size and 1/dimension when left as None. :meth:`validate` checks each
-    field's type against its annotation (bools are not numbers), then its range.
+    field's type, by ``core.check_integer`` or ``core.check_real`` (a bool
+    is not a number, a real must be finite), then its range.
     """
 
     population_size: int = 50
@@ -112,14 +113,14 @@ class AlgorithmConfig:
     mutation_sigma: float = 0.1
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and "None" in f.type:
-                continue
-            kind, noun = ((numbers.Integral, "an integer") if f.type.startswith("int")
-                          else (numbers.Real, "a number"))
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        check_integer("population_size", self.population_size)
+        for name in ("species_distance", "sharing_radius", "sharing_alpha", "de_F", "de_CR",
+                     "blend_alpha", "mutation_sigma"):
+            check_real(name, getattr(self, name))
+        if self.crowding_factor is not None:
+            check_integer("crowding_factor", self.crowding_factor)
+        if self.mutation_rate is not None:
+            check_real("mutation_rate", self.mutation_rate)
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.crowding_factor is not None and not 1 <= self.crowding_factor <= self.population_size:

@@ -52,6 +52,7 @@ __all__ = [
     "is_better",
     "check_direction",
     "check_integer",
+    "check_real",
     "clip_to_bounds",
     "row_distances",
     "leader_scan",
@@ -125,7 +126,7 @@ def is_better(a: float, b: float, direction: str) -> bool:
         return a > b
     if direction == "min":
         return a < b
-    raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
+    check_direction(direction)
 
 
 def check_direction(direction: str) -> None:
@@ -136,8 +137,24 @@ def check_direction(direction: str) -> None:
 
 def check_integer(name: str, value) -> None:
     """Raise ValueError unless ``value`` is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_kind(name, value, numbers.Integral, "an integer")
+
+
+def check_real(name: str, value, finite: bool = True) -> float:
+    """``value`` as a float; ValueError unless a real (not a bool), finite if ``finite``."""
+    _check_kind(name, value, numbers.Real, "a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _check_kind(name: str, value, kind, noun: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
 def clip_to_bounds(genome: np.ndarray, bounds: np.ndarray) -> np.ndarray:

@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Protocol
 
 import numpy as np
 
+from .core import check_real
 from .problems import BoundedProblem
 
 __all__ = [
@@ -60,7 +60,7 @@ class GratingParams:
     ``n0`` is the central groove density (lines/mm), ``b2``/``b3``/``b4``
     the higher-order density coefficients (1/mm, 1/mm^2, 1/mm^3), ``w0``
     the grating half-width (mm) and ``lambda0`` the recording wavelength
-    (mm).
+    (mm); each is stored as a float and must be finite (``core.check_real``).
     """
 
     n0: float
@@ -73,8 +73,7 @@ class GratingParams:
 
     def __post_init__(self):
         for name in _PARAM_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.n0 <= 0 or self.w0 <= 0 or self.lambda0 <= 0:
             raise ValueError("n0, w0 and lambda0 must be positive")
         if not all(math.isfinite(r) and r > 0 for r in self.mirror_radii):
@@ -110,18 +109,12 @@ def default_anchor() -> np.ndarray:
     return np.array([0.35, -0.20, 0.12, -0.40, 850.0, 1150.0, 700.0, 1250.0])
 
 
-def _number(name: str, value) -> float:
-    """A JSON number as a float, or a ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _pair(name: str, value) -> list[float]:
-    """A JSON list of two numbers as floats, or a ValueError naming ``name``."""
+    """A JSON list of two numbers, finite or not (the caller checks the
+    range), as floats, or a ValueError naming ``name``."""
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"{name} must be a list of two numbers, got {value!r}")
-    return [_number(name, v) for v in value]
+    return [check_real(name, v, finite=False) for v in value]
 
 
 def _known_keys(name: str, mapping: dict, known) -> None:
@@ -157,9 +150,8 @@ def load_profile(path=None) -> tuple[GratingParams, np.ndarray]:
     if not isinstance(raw, dict):
         raise ValueError(f"the profile must be a JSON object, got {type(raw).__name__}")
     _known_keys("profile", raw, _PARAM_FIELDS + ("mirror_radii", "bounds"))
-    values = {name: _number(name, raw.get(name)) for name in _PARAM_FIELDS}
-    radii = _pair("mirror_radii", raw.get("mirror_radii", [1000.0, 1000.0]))
-    params = GratingParams(**values, mirror_radii=tuple(radii))
+    radii = tuple(_pair("mirror_radii", raw.get("mirror_radii", [1000.0, 1000.0])))
+    params = GratingParams(**{name: raw.get(name) for name in _PARAM_FIELDS}, mirror_radii=radii)
     bounds_cfg = raw.get("bounds", {})
     if not isinstance(bounds_cfg, dict):
         raise ValueError(f"bounds must be an object of [lo, hi] pairs, got {bounds_cfg!r}")

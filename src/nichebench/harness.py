@@ -3,8 +3,10 @@ with metric aggregation, significance matrices, and CSV/JSON persistence.
 
 :meth:`ExperimentSpec.validate` (with :meth:`AlgorithmConfig.validate`)
 is the one place a setting is checked, type and range, the content of the
-grating profile included; :func:`run_experiment` calls it, and checks
-``jobs``, before any file is written.
+grating profile included; every number goes through ``core.check_integer``
+or ``core.check_real`` (a bool is not a number, and a real must be
+finite). :func:`run_experiment` calls it, and checks ``jobs``, before any
+file is written.
 
 Seeds are derived deterministically from (base_seed, algorithm, problem,
 run index) so any run can be reproduced in isolation, and every run's
@@ -26,7 +28,6 @@ import contextlib
 import csv
 import hashlib
 import json
-import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import ALGORITHMS, AlgorithmConfig, RunResult, check_run, get_algorithm
+from .core import check_integer, check_real
 from .grating import make_default_problem
 from .metrics import avg_min_distance, best_fitness, distinct_peaks, peak_ratio
 from .problems import PROBLEM_FACTORIES, BoundedProblem
@@ -68,12 +70,6 @@ class RunError(RuntimeError):
     ``__cause__`` (from a worker process, its formatted traceback is)."""
 
 
-def _require(name: str, value, kind, noun: str) -> None:
-    """Reject ``value`` unless it is a ``kind``; a bool is not a number."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{name!r} must be {noun}, got {value!r}")
-
-
 @dataclass
 class ExperimentSpec:
     """A full experiment: which algorithms on which problems, how often, and
@@ -98,20 +94,26 @@ class ExperimentSpec:
     alpha: float = 0.05
 
     def validate(self) -> None:
-        for name in ("runs", "max_evals", "base_seed"):
-            _require(name, getattr(self, name), numbers.Integral, "an integer")
-        _require("alpha", self.alpha, numbers.Real, "a number")
-        _require("output_dir", self.output_dir, (str, os.PathLike), "a string or a path")
-        _require("grating_profile", self.grating_profile, (str, os.PathLike, type(None)),
-                 "a string, a path or None")
+        try:
+            for name in ("runs", "max_evals", "base_seed"):
+                check_integer(repr(name), getattr(self, name))
+            check_real("'alpha'", self.alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"'output_dir' must be a string or a path, got {self.output_dir!r}")
+        if not isinstance(self.grating_profile, (str, os.PathLike, type(None))):
+            raise ConfigError(f"'grating_profile' must be a string, a path or None, "
+                              f"got {self.grating_profile!r}")
         for name in ("problems", "tests"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
                 raise ConfigError(f"{name!r} must be a list of strings, got {value!r}")
             if len(set(value)) < len(value):
                 raise ConfigError(f"a {name[:-1]} is listed twice: {list(value)}")
-        _require("algorithms", self.algorithms, (list, tuple),
-                 "a list of (name, AlgorithmConfig) pairs")
+        if not isinstance(self.algorithms, (list, tuple)):
+            raise ConfigError(f"'algorithms' must be a list of (name, AlgorithmConfig) pairs, "
+                              f"got {self.algorithms!r}")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
         if not 0.0 < self.alpha < 1.0:
@@ -253,7 +255,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     A run that raises stops the grid with :class:`RunError`; the rows of
     the runs recorded before it stay in ``runs.csv``.
     """
-    _require("jobs", jobs, numbers.Integral, "an integer")
+    try:
+        check_integer("'jobs'", jobs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     spec.validate()
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

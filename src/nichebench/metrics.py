@@ -6,6 +6,7 @@ of known optima. ``best_fitness`` and ``distinct_peaks`` need no optima
 list and are the metrics used for objectives whose landscape is unknown;
 ``distinct_peaks`` can measure distances in min-max normalized coordinates
 so that heterogeneous units (radians next to millimetres) do not dominate.
+A peak or ``bounds`` of another width than the genomes' raises ValueError.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ def _nearest_distances(genomes, peaks, metric: str) -> list[float]:
     if not peaks:
         raise ValueError(f"{metric} is undefined for an empty peak list")
     genomes = _nonempty(genomes)
+    if any(peak.shape != genomes.shape[1:] for peak in peaks):
+        raise ValueError(f"{metric}: a peak is not as wide as the genomes {genomes.shape}")
     return [float(row_distances(genomes, peak).min()) for peak in peaks]
 
 
@@ -79,5 +82,7 @@ def distinct_peaks(
     qualifies = fitness < fitness_threshold if direction == "min" else fitness > fitness_threshold
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=float)
+        if bounds.shape != (*members.shape[1:], 2):
+            raise ValueError(f"bounds of shape {bounds.shape} for genomes {members.shape}")
         members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
     return len(leader_scan(members, np.flatnonzero(qualifies).tolist(), radius))

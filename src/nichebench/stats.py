@@ -4,7 +4,7 @@ Implements the Mann-Whitney U test (exact null distribution for small
 sample products, normal approximation with tie correction otherwise), the
 two-sample Kolmogorov-Smirnov test with the asymptotic Kolmogorov
 distribution, and Welch's unequal-variance t test. All tests are
-two-sided and takes two nonempty samples (lists or arrays of floats).
+two-sided and take two nonempty samples (lists or arrays of floats).
 ``pairwise_matrix`` turns ``k`` per-algorithm samples into the ``(k, k)``
 array of p-values that the experiment reports compare with their alpha.
 

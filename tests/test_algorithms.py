@@ -487,7 +487,7 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("population_size", 10.5), ("population_size", True), ("population_size", "10"),
     ("crowding_factor", True), ("crowding_factor", 2.0), ("de_F", "x"), ("de_CR", None),
-    ("mutation_sigma", False), ("species_distance", None),
+    ("mutation_sigma", False), ("species_distance", None), ("de_F", True),
 ])
 def test_config_rejects_values_of_the_wrong_type(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an? "):
@@ -503,3 +503,4 @@ def test_get_algorithm_names_the_known_algorithms():
 def test_config_accepts_ints_for_floats_and_numpy_scalars():
     AlgorithmConfig(de_F=1, sharing_radius=np.float64(2.5), population_size=np.int64(10),
                     crowding_factor=None, mutation_rate=None).validate()
+    AlgorithmConfig(de_F=np.float64(0.7), crowding_factor=np.int64(5)).validate()

@@ -115,11 +115,18 @@ def test_config_entry_rejects_unknown_fields(tmp_path, capsys):
     ({"max_eval": 500}, "cfg.json: ['max_eval']"),
     ({"algorithms": [5]}, "algorithm entry must be a name or an object"),
     ({"algorithms": [{"population_size": 10}]}, "without a 'name' field"),
+    ({"algorithms": [{"name": "sharing_ga", "mutation_sigma": math.nan}]},
+     "sharing_ga: mutation_sigma must be finite"),
+    ({"algorithms": [{"name": "sde", "de_F": math.nan}]}, "sde: de_F must be finite"),
+    ({"algorithms": [{"name": "scga", "species_distance": math.inf}]},
+     "scga: species_distance must be finite"),
+    ({"algorithms": [{"name": "sde", "de_F": 10 ** 400}]}, "sde: de_F must be finite"),
 ], ids=["top_level_list", "runs_not_a_number", "population_size_text", "population_size_fraction",
         "problems_not_a_list", "max_evals_fraction", "base_seed_bool", "tests_not_a_list",
         "alpha_text", "jobs_text", "output_dir_number", "grating_profile_number",
         "algorithms_not_a_list", "de_population_below_4", "unknown_top_level_key",
-        "entry_not_a_name_or_object", "entry_without_name"])
+        "entry_not_a_name_or_object", "entry_without_name", "mutation_sigma_nan", "de_F_nan",
+        "species_distance_infinity", "de_F_beyond_float_range"])
 def test_malformed_config_values_exit_2_before_running(tmp_path, monkeypatch, capsys,
                                                        content, message):
     # the output directory comes from the file, so a bad output_dir is not
@@ -179,6 +186,7 @@ def grating_main(tmp_path, profile) -> int:
     (json.dumps({**PROFILE, "n0": math.nan, "bounds": {"angle": [-1, math.nan]}}),
      "n0 must be finite"),
     (json.dumps({**PROFILE, "lambda0": math.inf}), "lambda0 must be finite"),
+    (json.dumps({**PROFILE, "n0": 10 ** 400}), "n0 must be finite"),
     (json.dumps({**PROFILE, "bounds": {"angle": [-1, math.nan]}}), "every bound must be finite"),
     (json.dumps({**PROFILE, "bounds": {"distance": [100, math.inf]}}),
      "every bound must be finite"),
@@ -186,7 +194,7 @@ def grating_main(tmp_path, profile) -> int:
     (json.dumps({**PROFILE, "bounds": {"angel": [-1.0, 1.0]}}), "unknown bounds key 'angel'"),
 ], ids=["invalid_json", "top_level_list", "bounds_list", "angle_one_value", "n0_text", "w0_null",
         "b3_missing", "n0_negative", "radius_text", "angle_reversed", "n0_and_angle_nan",
-        "lambda0_inf", "angle_nan", "distance_inf", "lambda0_misspelt", "angle_misspelt"])
+        "lambda0_inf", "n0_beyond_float_range", "angle_nan", "distance_inf", "lambda0_misspelt", "angle_misspelt"])
 def test_malformed_grating_profile_exits_2_before_running(tmp_path, capsys, text, message):
     profile = tmp_path / "profile.json"
     profile.write_text(text)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -127,11 +128,20 @@ class TestValidation:
         ({"algorithms": []}, "at least one algorithm"),
         ({"problems": []}, "at least one problem"),
         ({"algorithms": [("sde", {"population_size": 10})]}, "algorithm entry must be a"),
+        ({"algorithms": [("sharing_ga", AlgorithmConfig(mutation_sigma=math.nan))]},
+         "sharing_ga: mutation_sigma must be finite"),
+        ({"algorithms": [("sde", AlgorithmConfig(de_F=math.nan))]}, "sde: de_F must be finite"),
+        ({"algorithms": [("scga", AlgorithmConfig(species_distance=math.inf))]},
+         "scga: species_distance must be finite"),
+        ({"runs": True}, "'runs' must be an integer, got True"),
+        ({"alpha": True}, "'alpha' must be a number, got True"),
+        ({"algorithms": [("sde", AlgorithmConfig(de_F=True))]}, "de_F must be a number, got True"),
     ], ids=["population_size_fraction", "de_F_text", "crowding_factor_bool", "t_test_one_run",
             "runs_fraction", "runs_text", "max_evals_fraction", "base_seed_text",
             "problems_string", "alpha_above_1", "crowding_de_population_3",
             "sharing_de_population_3", "sde_population_3", "test_listed_twice",
-            "no_algorithms", "no_problems", "entry_not_a_pair"])
+            "no_algorithms", "no_problems", "entry_not_a_pair", "mutation_sigma_nan", "de_F_nan",
+            "species_distance_infinity", "runs_bool", "alpha_bool", "de_F_bool"])
     def test_malformed_setting_raises_before_any_run(self, tmp_path, settings, message):
         spec = dataclasses.replace(tiny_spec(tmp_path), **settings)
         with pytest.raises(ConfigError, match=message):
@@ -151,6 +161,10 @@ class TestValidation:
         spec.validate()
         dataclasses.replace(spec, runs=np.int64(3), tests=["ks"], alpha=0.01,
                             output_dir=str(tmp_path), grating_profile=None).validate()
+        # NumPy scalars are numbers wherever a setting is checked
+        numpy_config = AlgorithmConfig(population_size=np.int64(10), de_F=np.float64(0.7))
+        dataclasses.replace(spec, algorithms=[("sde", numpy_config)], max_evals=np.int64(120),
+                            alpha=np.float64(0.01)).validate()
 
 
 class TestRunExperiment:

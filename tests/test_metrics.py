@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nichebench import metrics
 from nichebench.metrics import avg_min_distance, best_fitness, distinct_peaks, peak_ratio
 from nichebench.problems import deb1
 
@@ -35,6 +36,14 @@ class TestPeakRatio:
             peak_ratio(np.empty((0, 2)), [[0.0, 0.0]])
         with pytest.raises(ValueError, match="empty population"):
             avg_min_distance(np.empty((0, 2)), [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("metric", [peak_ratio, avg_min_distance])
+    def test_peak_of_another_width_rejected_before_any_distance(self, metric, monkeypatch):
+        # a 1-wide peak would broadcast against the 2-wide genomes
+        monkeypatch.setattr(metrics, "row_distances", None)
+        genomes = as_genomes([[0.5, 0.5], [3.0, 3.0]])
+        with pytest.raises(ValueError, match=r"a peak is not as wide as the genomes \(2, 2\)"):
+            metric(genomes, [[0.5]])
 
     def test_adding_member_never_decreases(self):
         rng = np.random.default_rng(5)
@@ -130,6 +139,13 @@ class TestDistinctPeaks:
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError, match="direction"):
             distinct_peaks(as_genomes([[0.0], [0.5]]), [0.9, 0.95], direction="up")
+
+    def test_bounds_of_another_width_rejected_before_any_distance(self, monkeypatch):
+        # one bounds row would broadcast over both coordinates
+        monkeypatch.setattr(metrics, "leader_scan", None)
+        genomes = as_genomes([[0.5, 0.5], [3.0, 3.0]])
+        with pytest.raises(ValueError, match=r"bounds of shape \(1, 2\) for genomes \(2, 2\)"):
+            distinct_peaks(genomes, [1e-6, 1e-6], bounds=[[0, 1]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty population"):
