@@ -31,10 +31,12 @@ RUNS = 2
 CELLS = [(alg, prob) for alg in sorted(ALGORITHMS) for prob in PROBLEM_NAMES]
 
 
-def run_digest(algorithm: str, problem_name: str, seed: int) -> str:
-    """sha256 over the final genomes, the final fitnesses and the trace."""
+def run_digest(algorithm: str, problem_name: str, seed, config=None) -> str:
+    """sha256 over the final genomes, the final fitnesses and the trace of
+    a run with ``config`` (default ``AlgorithmConfig()``); ``seed`` is the
+    run's ``rng``, an int or a Generator."""
     problem = resolve_problem(problem_name)
-    result = ALGORITHMS[algorithm](problem, AlgorithmConfig(), MAX_EVALS, seed)
+    result = ALGORITHMS[algorithm](problem, config or AlgorithmConfig(), MAX_EVALS, seed)
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(result.genomes, dtype=np.float64).tobytes())
     h.update(np.ascontiguousarray(result.fitness, dtype=np.float64).tobytes())
