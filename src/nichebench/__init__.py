@@ -22,12 +22,10 @@ from .core import (
     Population,
     binary_tournament,
     blend_crossover,
-    de_draws,
-    de_generation_draws,
     de_trial_vector,
     gaussian_mutation,
-    mutation_draws,
 )
+from .draws import de_draws, de_generation_draws, mutation_draws
 from .grating import (
     GratingParams,
     SyntheticRecordingModel,

@@ -2,38 +2,28 @@
 sharing (GA and DE), species conservation, and species-partitioned DE.
 
 Every algorithm has the signature ``(problem, config, budget, rng) ->
-RunResult`` and terminates exactly when the evaluation budget runs out,
-returning the partially updated population if that happens mid-generation.
-:func:`check_run` rejects, before anything is drawn, a run that could not
-start: an invalid config, a population below the algorithm's minimum, or
-a budget below the population size. So every member of every population
-is evaluated.
-Children come from two streams in ``_RunState``: GA (BLX crossover,
-Gaussian mutation) and DE (DE/rand/1/bin trials). A stream's draws
-follow one frozen order, child by child, and every request has a size
-fixed before the generation starts, so a generation's draws are made
-first, capped at the evaluations left: no child is drawn for, built or
-evaluated once the budget is spent. The GA's draws are real calls made
-in one loop. All three DE algorithms make a generation with one method,
-``_RunState.de_trials``: its draws are decoded from one request
-(``core.de_generation_draws``), or are real calls made in one loop for
-``crowding_de`` with a crowding factor below the population size. The
-children are then built from the population as it is in one array
-pass. ``preselection_ga``, ``sharing_ga``, ``scga``
-and ``sharing_de`` replace members only after the whole generation, so
-that pass is final. ``crowding_ga``, ``crowding_de`` and ``sde`` let
-each child replace a member before the next is evaluated: they walk the
-children in order and build a child again if it read a slot replaced
-earlier in the generation (a DE donor or target, a tournament whose
-winner changed, or a winner's genome); crowding reads each child's
-nearest member from a child-to-member distance block whose column is
-refreshed on each replacement. Every child is evaluated once, in order,
-in its final form.
-``budget`` is the number of objective evaluations (an int) and ``rng`` an
-int seed or a ``np.random.Generator``, which is used as is.
+RunResult``, where ``budget`` is the number of objective evaluations (an
+int) and ``rng`` an int seed or a ``np.random.Generator``, used as is. It
+terminates exactly when the budget runs out, returning the partially
+updated population if that happens mid-generation. :func:`check_run`
+rejects, before anything is drawn, a run that could not start: an invalid
+config, a population below the algorithm's minimum, or a budget below the
+population size. So every member of every population is evaluated.
 
-Replacement rules are uniformly strict: an incumbent is only displaced by
-a strictly better challenger, so equal-fitness duplicates never drift.
+Children come from two streams in ``_RunState``: GA (BLX crossover,
+Gaussian mutation) and DE (DE/rand/1/bin trials). Each takes a
+generation's draws from ``nichebench.draws`` first, capped at the
+evaluations left, then builds the children from the population as it is
+in one array pass. ``preselection_ga``, ``sharing_ga``, ``scga`` and
+``sharing_de`` replace members only after the whole generation, so that
+pass is final. ``crowding_ga``, ``crowding_de`` and ``sde`` walk the
+children in order, each evaluated once in its final form, and build a
+child again if it read a slot replaced earlier in the generation (a DE
+donor or target, a tournament whose winner changed, or a winner's
+genome); crowding reads each child's nearest member from a
+child-to-member distance block whose column is refreshed on each
+replacement. Replacement is strict: an incumbent is only displaced by a
+strictly better challenger, so equal-fitness duplicates never drift.
 """
 
 from __future__ import annotations
@@ -52,15 +42,13 @@ from .core import (
     check_direction,
     check_integer,
     check_real,
-    de_draws,
-    de_generation_draws,
     de_trial_vector,
     gaussian_mutation,
     is_better,
     leader_scan,
-    mutation_draws,
     row_distances,
 )
+from .draws import de_generation_draws, ga_generation_draws, initial_genomes
 
 __all__ = [
     "AlgorithmConfig",
@@ -167,15 +155,12 @@ class RunResult:
 
 
 class _RunState:
-    """Per-run bookkeeping: the evaluator, the RNG, and the GA and DE
-    child streams, which make a generation's draws first, capped at the
-    evaluations left, and build its children in one array pass: the GA's
-    :meth:`draw_ga` then :meth:`ga_build`, the DE's :meth:`de_trials`,
-    which serves all three DE algorithms. A batch whose rows are all final
-    (the initial population, :meth:`ga_generation`, ``sharing_de``'s
-    trials) is evaluated in one ``Evaluator.many`` call; the speculative
-    walks of ``crowding_ga``, ``crowding_de`` and ``sde`` evaluate child by
-    child. ``config`` None means the default :class:`AlgorithmConfig`."""
+    """Per-run bookkeeping: the evaluator, the RNG, and the builders of the
+    GA and DE child streams, :meth:`ga_build` and :meth:`de_trials`. A
+    batch whose rows are all final (the initial population,
+    :meth:`ga_generation`, ``sharing_de``'s trials) is evaluated in one
+    ``Evaluator.many`` call; the speculative walks evaluate child by child.
+    ``config`` None means the default :class:`AlgorithmConfig`."""
 
     def __init__(self, name: str, problem, config: AlgorithmConfig | None, budget, rng):
         config = config or AlgorithmConfig()
@@ -185,15 +170,13 @@ class _RunState:
         self.rng = np.random.default_rng(rng)
         self.direction = problem.direction
         self.bounds = problem.bounds
-        self.mutation_rate = config.effective_mutation_rate(problem.dimension)
+        self.dim = problem.dimension
+        self.mutation_rate = config.effective_mutation_rate(self.dim)
 
     def init_population(self) -> Population:
         """``population_size`` uniform random members, evaluated as one
         batch; check_run has made sure the budget covers them all."""
-        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        # one request for the doubles of population_size rng.uniform(lo, hi)
-        # calls, in the same order: row i is what the i-th call would return
-        genomes = lo + (hi - lo) * self.rng.random((self.config.population_size, lo.shape[0]))
+        genomes = initial_genomes(self.rng, self.bounds, self.config.population_size)
         pop = Population(self.evaluate.many(genomes))
         self.evaluate.checkpoint()
         return pop
@@ -202,75 +185,38 @@ class _RunState:
         """``count``, or the evaluations left if fewer."""
         return min(count, self.evaluate.max_evals - self.evaluate.used)
 
-    def draw_ga(self, m: int, tournaments: bool, cf: int | None = None):
-        """The draws of a generation's first ``m`` GA children, or as many
-        as the budget left allows, made in their frozen order pair by pair:
-        with ``tournaments``, the pair's two binary tournaments as one
-        ``integers(n, size=4)`` request; its BLX doubles; then for each of
-        its children the :func:`mutation_draws` and, for a crowding factor
-        ``cf`` below the population size ``n``, the crowding sample
-        ``choice(n, cf)``. Returns the ``(p, 4)`` candidates (or None), the
-        ``(p, 2, d)`` BLX doubles, the masks of the children drawn for,
-        and each child's normals and sample (or None) in lists."""
-        rng, n, dim = self.rng, self.config.population_size, self.bounds.shape[0]
-        m = self.budgeted(m)
-        sampled = cf is not None and cf < n
-        candidates, u, masks, normals, samples = [], [], [], [], []
-        for k in range(0, m, 2):
-            if tournaments:
-                candidates.append(rng.integers(n, size=4))
-            u.append(rng.random((2, dim)))
-            for _ in range(min(2, m - k)):
-                mask, normal = mutation_draws(rng, dim, self.mutation_rate)
-                masks.append(mask)
-                normals.append(normal)
-                if sampled:
-                    samples.append(rng.choice(n, size=cf, replace=False))
-        return (np.array(candidates) if tournaments else None, np.array(u), np.array(masks),
-                normals, samples if sampled else None)
-
     def ga_build(self, genomes: np.ndarray, p1, p2, u, masks, normals) -> np.ndarray:
         """The ``len(masks)`` children, in one array pass, of parent rows
         ``p1`` and ``p2`` of ``genomes`` (one pair or a batch) from their
-        :meth:`draw_ga` draws."""
+        ``draws.ga_generation_draws``."""
         cfg, bounds = self.config, self.bounds
         crossed = blend_crossover(genomes[p1], genomes[p2], u, bounds, cfg.blend_alpha)
-        return gaussian_mutation(crossed.reshape(-1, bounds.shape[0])[:len(masks)], masks,
+        return gaussian_mutation(crossed.reshape(-1, self.dim)[:len(masks)], masks,
                                  np.concatenate(normals), bounds, cfg.mutation_sigma)
 
-    def ga_generation(self, pop: Population, count: int, fitness=None, direction: str = "max",
-                      order=None) -> list[Individual]:
-        """The first ``count`` children, or as many as the budget left
-        allows, built in one pass and evaluated as one batch. Parent pairs are
-        consecutive entries of the index list ``order`` or, without one,
-        two binary tournaments on ``fitness`` under ``direction``."""
-        candidates, u, masks, normals, _ = self.draw_ga(count, tournaments=order is None)
-        if order is None:
-            p1, p2 = binary_tournament(fitness, candidates[:, 0::2], candidates[:, 1::2],
-                                       direction).T
+    def ga_generation(self, pop: Population, count: int, fitness=None, direction: str = "max"):
+        """The parents' picks and the first ``count`` children, or as many
+        as the budget left allows, built in one pass and evaluated as one
+        batch. Parent pairs are two binary tournaments on ``fitness`` under
+        ``direction`` or, without it, consecutive entries of a permutation."""
+        tournaments = fitness is not None
+        picks, u, masks, normals, _ = ga_generation_draws(
+            self.rng, len(pop), self.budgeted(count), self.dim, self.mutation_rate, tournaments)
+        if tournaments:
+            p1, p2 = binary_tournament(fitness, picks[:, 0::2], picks[:, 1::2], direction).T
         else:
-            p1, p2 = order[0:2 * len(u):2], order[1:2 * len(u):2]
-        return self.evaluate.many(self.ga_build(pop.genome_matrix(), p1, p2, u, masks, normals))
+            p1, p2 = picks[0:2 * len(u):2], picks[1:2 * len(u):2]
+        return picks, self.evaluate.many(self.ga_build(pop.genome_matrix(), p1, p2, u, masks,
+                                                       normals))
 
     def de_trials(self, genomes: np.ndarray, pools=None, cf: int | None = None):
-        """A generation's DE trials for targets 0, 1, ... up to the
-        population size ``n`` or the budget left, built from the rows of
-        ``genomes`` in one :func:`de_trial_vector` pass. Returns the
-        ``(3, m)`` donors, ``(m, d)`` masks, crowding samples and ``(m, d)``
-        trials: the draws of :func:`de_generation_draws` (donors from
-        ``pools``) and samples None or, for a crowding factor ``cf`` below
-        ``n``, each trial's :func:`de_draws` then its ``choice(n, cf)``."""
-        cfg, rng, (n, dim) = self.config, self.rng, genomes.shape
-        m, samples = self.budgeted(n), None
-        if cf is None or cf == n:
-            donors, cross = de_generation_draws(rng, n, m, dim, cfg.de_CR, pools)
-        else:
-            draws, samples = [], []
-            for target in range(m):
-                draws.append(de_draws(rng, n, target, dim, cfg.de_CR))
-                samples.append(rng.choice(n, size=cf, replace=False))
-            donors, cross = zip(*draws)
-            donors, cross = np.array(donors, np.intp).T, np.array(cross)
+        """The donors, masks and samples of ``draws.de_generation_draws``
+        for targets 0, 1, ... up to ``n`` or the budget left, then their
+        ``(m, d)`` trials, built from ``genomes`` in one array pass."""
+        cfg, n = self.config, len(genomes)
+        m = self.budgeted(n)
+        donors, cross, samples = de_generation_draws(self.rng, n, m, self.dim, cfg.de_CR,
+                                                     pools, cf)
         trials = de_trial_vector(genomes, np.arange(m), donors, cross, cfg.de_F, self.bounds)
         return donors, cross, samples, trials
 
@@ -299,9 +245,8 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
     pop = st.init_population()
     for _ in st.generations():
         # an odd population's last member in ``order`` sits this generation out
-        order = st.rng.permutation(len(pop)).tolist()
-        children = st.ga_generation(pop, len(pop) - len(pop) % 2, order=order)
-        for slot, child in zip(order, children):
+        order, children = st.ga_generation(pop, len(pop) - len(pop) % 2)
+        for slot, child in zip(order.tolist(), children):
             if is_better(child.fitness, pop[slot].fitness, st.direction):
                 pop[slot] = child
     return st.result(pop)
@@ -322,8 +267,8 @@ def crowding_replacement(child: Individual, pop: Population, dists: np.ndarray, 
 
     ``dists`` holds the child's distance to each member of ``pop``, row for
     row, and ``sample`` the member indices a crowding factor cf below the
-    population size drew, ``rng.choice(len(pop), cf, replace=False)``, or
-    None for the whole population. The sampled member nearest to the
+    population size drew (see ``nichebench.draws``), or None for the
+    whole population. The sampled member nearest to the
     child (distance ties go to the lowest population index) is replaced
     iff the child is strictly better. Returns True iff the child took
     that member's slot.
@@ -381,7 +326,8 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
     pop = st.init_population()
     n, fitness, genomes = len(pop), pop.fitnesses(), pop.genome_matrix()
     for _ in st.generations():
-        candidates, u, masks, normals, samples = st.draw_ga(n - n % 2, tournaments=True, cf=cf)
+        candidates, u, masks, normals, samples = ga_generation_draws(
+            st.rng, n, st.budgeted(n - n % 2), st.dim, st.mutation_rate, cf=cf)
         m = len(masks)
         winners = binary_tournament(fitness, candidates[:, 0::2], candidates[:, 1::2],
                                     st.direction)
@@ -452,7 +398,7 @@ def sharing_ga(problem, config: AlgorithmConfig | None = None,
     for _ in st.generations():
         scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
                                 config.sharing_radius, config.sharing_alpha)
-        children = st.ga_generation(pop, len(pop), scores, "max")
+        _, children = st.ga_generation(pop, len(pop), scores, "max")
         for slot, child in enumerate(children):
             pop[slot] = child
     return st.result(pop)
@@ -583,7 +529,7 @@ def scga(problem, config: AlgorithmConfig | None = None,
         observer(0, pop)
     for generation in st.generations():
         seeds = determine_species_seeds(pop, config.species_distance, st.direction)
-        children = st.ga_generation(pop, len(pop), pop.fitnesses(), st.direction)
+        _, children = st.ga_generation(pop, len(pop), pop.fitnesses(), st.direction)
         for slot, child in enumerate(children):
             pop[slot] = child
         conserve_species_seeds(pop, seeds, config.species_distance, st.direction)

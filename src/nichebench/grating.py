@@ -60,7 +60,8 @@ class GratingParams:
     ``n0`` is the central groove density (lines/mm), ``b2``/``b3``/``b4``
     the higher-order density coefficients (1/mm, 1/mm^2, 1/mm^3), ``w0``
     the grating half-width (mm) and ``lambda0`` the recording wavelength
-    (mm); each is stored as a float and must be finite (``core.check_real``).
+    (mm); each is stored as a float and must be finite (``core.check_real``),
+    as must the two ``mirror_radii``, which must also be positive.
     """
 
     n0: float
@@ -76,8 +77,10 @@ class GratingParams:
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.n0 <= 0 or self.w0 <= 0 or self.lambda0 <= 0:
             raise ValueError("n0, w0 and lambda0 must be positive")
-        if not all(math.isfinite(r) and r > 0 for r in self.mirror_radii):
+        radii = tuple(check_real("mirror_radii", r, finite=False) for r in self.mirror_radii)
+        if not all(math.isfinite(r) and r > 0 for r in radii):
             raise ValueError("mirror radii must be positive and finite")
+        object.__setattr__(self, "mirror_radii", radii)
 
 
 class RecordingModel(Protocol):

@@ -12,11 +12,12 @@ Seeds are derived deterministically from (base_seed, algorithm, problem,
 run index) so any run can be reproduced in isolation, and every run's
 metric rows hit disk, in grid order, before aggregation. With ``jobs > 1``
 runs go to the process pool in chunks of ``max(1, len(tasks) // (32 *
-jobs))`` runs, so a crash loses at most the runs in flight, one chunk per
-worker, plus any finished chunk still waiting for an earlier one. A run
-that raises stops the grid with a :class:`RunError` naming its cell, run
-index and seed; the rows of the runs recorded before it stay in
-``runs.csv``. Raw rows use the frozen column schema
+jobs))`` runs, so a crash loses at most the ``runs.csv`` rows of the runs
+in flight, one chunk per worker, plus any finished chunk still waiting
+for an earlier one; it loses every trace, as traces stay in memory until
+:func:`emit_reports` writes them. A run that raises stops the grid with a
+:class:`RunError` naming its cell, run index and seed; the rows of the
+runs recorded before it stay in ``runs.csv``. Raw rows use the frozen schema
 ``algorithm,problem,run,seed,metric,value``. Each report file is written
 to a temporary file beside it and moved into place when complete, so a
 failed write leaves the previous file intact.
@@ -248,9 +249,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     do not depend on execution order or parallelism. Raw metric rows are
     appended (and flushed) to ``runs.csv`` in grid order as each run
     finishes. With ``jobs > 1`` the pool receives the runs in chunks of
-    ``_chunksize(len(tasks), jobs)`` and returns them in order, so a crash
-    loses at most the runs in flight (one chunk per worker) plus finished
-    chunks waiting for an earlier one. An integer ``jobs`` <= 1 runs serially.
+    ``_chunksize(len(tasks), jobs)`` and returns them in order. An integer
+    ``jobs`` <= 1 runs serially. What a crash loses is in the module
+    docstring: the runs in flight, and every trace.
 
     A run that raises stops the grid with :class:`RunError`; the rows of
     the runs recorded before it stay in ``runs.csv``.

@@ -4,7 +4,8 @@ Implements the Mann-Whitney U test (exact null distribution for small
 sample products, normal approximation with tie correction otherwise), the
 two-sample Kolmogorov-Smirnov test with the asymptotic Kolmogorov
 distribution, and Welch's unequal-variance t test. All tests are
-two-sided and take two nonempty samples (lists or arrays of floats).
+two-sided and take two nonempty samples of finite floats (lists or
+arrays); an empty sample, NaN or +-inf raises ValueError.
 ``pairwise_matrix`` turns ``k`` per-algorithm samples into the ``(k, k)``
 array of p-values that the experiment reports compare with their alpha.
 
@@ -45,6 +46,8 @@ def _as_values(sample) -> np.ndarray:
     values = np.asarray(sample, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("sample must be nonempty")
+    if not np.isfinite(values).all():
+        raise ValueError("sample must be finite")
     return values
 
 
@@ -228,16 +231,13 @@ TESTS = {
 
 def pairwise_matrix(samples, test: str = "mwu") -> np.ndarray:
     """Symmetric ``(k, k)`` array of the p-values of ``test`` between the
-    ``k`` samples, in their order on both axes; the diagonal is 1.0. Each
-    sample is converted once and checked once, nonempty and finite, before
-    any test runs."""
+    ``k`` samples, in their order on both axes; the diagonal is 1.0. Every
+    sample is checked, nonempty and finite, before any test runs."""
     if len(samples) < 2:
         raise ValueError("pairwise_matrix needs at least two samples")
     if test not in TESTS:
         raise ValueError(f"unknown test {test!r}; choose from {sorted(TESTS)}")
     values = [_as_values(sample) for sample in samples]
-    if not all(np.isfinite(v).all() for v in values):
-        raise ValueError("pairwise_matrix samples must be finite")
     test_fn = TESTS[test]
     k = len(values)
     pvalues = np.ones((k, k))

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nichebench import core
+from nichebench import draws
 from nichebench.algorithms import (
     AlgorithmConfig,
     _RunState,
@@ -36,13 +36,11 @@ from nichebench.core import (
     binary_tournament,
     blend_crossover,
     clip_to_bounds,
-    de_draws,
-    de_generation_draws,
     de_trial_vector,
     gaussian_mutation,
     is_better,
-    mutation_draws,
 )
+from nichebench.draws import de_draws, de_generation_draws, mutation_draws
 from nichebench.harness import resolve_problem
 from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 
@@ -661,13 +659,17 @@ def assert_same_draws(got, want, new, old):
 @pytest.fixture
 def decoding(monkeypatch):
     """Every DE generation on a PCG64 stream must be decoded: the probe
-    passed, and the per-trial path fails the test."""
-    assert core._decoder_works()
+    passed, and the per-trial path fails the test unless it draws crowding
+    samples, which only real calls make."""
+    assert draws._decoder_works()
+    real_draws = draws._real_de_draws
 
-    def no_per_trial(*args):
-        raise AssertionError("took the per-trial path")
+    def no_per_trial(rng, n, m, dim, CR, pools, cf=None):
+        if cf is None:
+            raise AssertionError("took the per-trial path")
+        return real_draws(rng, n, m, dim, CR, pools, cf)
 
-    monkeypatch.setattr(core, "_real_de_draws", no_per_trial)
+    monkeypatch.setattr(draws, "_real_de_draws", no_per_trial)
 
 
 @pytest.mark.parametrize("n", [4, 5, 7, 10, 50])
@@ -697,16 +699,16 @@ def test_generation_draws_with_a_species_of_four(dim, held, decoding):
 
 
 def test_a_possible_redraw_restores_the_stream_for_the_per_trial_path(monkeypatch):
-    assert core._decoder_works()  # probed with the real predicate
+    assert draws._decoder_works()  # probed with the real predicate
     consulted, entry_states = [], []
-    monkeypatch.setattr(core, "_may_redraw", lambda low, span: consulted.append(1) or True)
-    real_draws = core._real_de_draws
+    monkeypatch.setattr(draws, "_may_redraw", lambda low, span: consulted.append(1) or True)
+    real_draws = draws._real_de_draws
 
     def per_trial(rng, *args):
         entry_states.append(rng.bit_generator.state)
         return real_draws(rng, *args)
 
-    monkeypatch.setattr(core, "_real_de_draws", per_trial)
+    monkeypatch.setattr(draws, "_real_de_draws", per_trial)
     rng = np.random.default_rng(40)
     for seed in range(60):
         n, dim = int(rng.choice([4, 7, 50])), int(rng.choice(DIMS))
@@ -724,7 +726,7 @@ def _no_decoding(*args):
 
 
 def test_other_bit_generators_take_the_per_trial_path(monkeypatch):
-    monkeypatch.setattr(core, "_decode_de", _no_decoding)
+    monkeypatch.setattr(draws, "_decode_de", _no_decoding)
     for seed in range(20):
         n, dim = (5, 10, 50)[seed % 3], DIMS[seed % 4]
         pools = species_labels(np.random.default_rng(seed), n) if seed % 2 else None
@@ -734,12 +736,12 @@ def test_other_bit_generators_take_the_per_trial_path(monkeypatch):
 
 
 def test_a_failed_probe_takes_the_per_trial_path(monkeypatch):
-    assert core._decoder_probe()
+    assert draws._decoder_probe()
     # a decoder that misreads choice()'s shuffle fails the probe
-    monkeypatch.setattr(core, "_SHUFFLED", core._SHUFFLED[::-1])
-    assert not core._decoder_probe()
-    monkeypatch.setattr(core, "_decodes", False)
-    monkeypatch.setattr(core, "_decode_de", _no_decoding)
+    monkeypatch.setattr(draws, "_SHUFFLED", draws._SHUFFLED[::-1])
+    assert not draws._decoder_probe()
+    monkeypatch.setattr(draws, "_decodes", False)
+    monkeypatch.setattr(draws, "_decode_de", _no_decoding)
     for seed in range(10):
         new, old = generation_case(seed, held=seed % 2 == 1)
         assert_same_draws(de_generation_draws(new, 10, 10, 2, 0.9),

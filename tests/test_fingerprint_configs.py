@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nichebench import core
+from nichebench import draws
 from nichebench.algorithms import ALGORITHMS, AlgorithmConfig
 from test_fingerprint import TABLE as DEFAULT_TABLE
 from test_fingerprint import cell_seeds, run_digest
@@ -94,7 +94,7 @@ def test_config_fingerprint(table, algorithm, problem_name, setting):
 
 @pytest.mark.parametrize("algorithm,problem_name", DE_CELLS)
 def test_real_de_draws_reproduce_the_default_fingerprints(monkeypatch, algorithm, problem_name):
-    monkeypatch.setattr(core, "_decodes", False)
+    monkeypatch.setattr(draws, "_decodes", False)
     want = json.loads(DEFAULT_TABLE.read_text())[f"{algorithm}/{problem_name}"]
     for seed in cell_seeds(algorithm, problem_name):
         assert run_digest(algorithm, problem_name, seed) == want[str(seed)]

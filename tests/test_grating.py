@@ -175,9 +175,14 @@ class TestUnitsAndProfiles:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     GratingParams(**{**base, name: bad})
-        for radii in ((math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)):
-            with pytest.raises(ValueError, match="mirror radii"):
+        for radii in ((math.nan, 1.0), (1.0, math.inf), (0.0, 1.0), (10**400, 1.0)):
+            with pytest.raises(ValueError, match="mirror radii must be positive and finite"):
                 GratingParams(**base, mirror_radii=radii)
+        for radii in ((True, 1.0), ("a", 1.0)):
+            with pytest.raises(ValueError, match="mirror_radii must be a number"):
+                GratingParams(**base, mirror_radii=radii)
+        radii = GratingParams(**base, mirror_radii=(np.int64(500), 2)).mirror_radii
+        assert radii == (500.0, 2.0) and all(type(r) is float for r in radii)
 
 
 class TestDesignVector:

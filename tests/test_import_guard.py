@@ -1,8 +1,10 @@
 """What ``import nichebench`` loads: NumPy, but neither SciPy nor the
 process pool. SciPy comes with the first Welch t p-value and the pool with
 the first grid run at ``jobs > 1``. These checks look at ``sys.modules`` in
-a fresh interpreter, not at import time, so they are deterministic."""
+a fresh interpreter, not at import time, so they are deterministic. A
+last check reads the source: only ``nichebench.draws`` calls a Generator."""
 
+import ast
 import json
 import os
 import subprocess
@@ -80,17 +82,38 @@ def test_import_runs_no_probe_and_the_first_de_generation_runs_it_once():
         "default_rng = np.random.default_rng\n"
         "np.random.default_rng = lambda *a: made.append(a) or default_rng(*a)\n"
         "import nichebench, nichebench.cli\n"
-        "from nichebench import core\n"
-        "at_import = {'generators': len(made), 'decodes': core._decodes,\n"
-        "             'layouts': core._de_layout.cache_info().currsize}\n"
+        "from nichebench import draws\n"
+        "at_import = {'generators': len(made), 'decodes': draws._decodes,\n"
+        "             'layouts': draws._de_layout.cache_info().currsize}\n"
         "probes = []\n"
-        "probe = core._decoder_probe\n"
-        "core._decoder_probe = lambda: probes.append(1) or probe()\n"
+        "probe = draws._decoder_probe\n"
+        "draws._decoder_probe = lambda: probes.append(1) or probe()\n"
         "config = nichebench.AlgorithmConfig(population_size=10)\n"
         "for run in (nichebench.sharing_de, nichebench.sde, nichebench.crowding_de):\n"
         "    run(nichebench.himmelblau(), config, budget=40, rng=1)\n"
         "print(json.dumps({'at_import': at_import, 'probes': len(probes),\n"
-        "                  'decodes': core._decodes}))\n"
+        "                  'decodes': draws._decodes}))\n"
     )
     assert out["at_import"] == {"generators": 0, "decodes": None, "layouts": 0}
     assert out["probes"] == 1 and out["decodes"] is True
+
+
+def generator_calls(path: Path) -> list[int]:
+    """Lines of ``path`` that call a Generator or bit-generator method: an
+    attribute call on ``rng`` or ``*.rng``, on ``bit_generator``, or of
+    ``random_raw``. ``np.random.default_rng`` is none of these."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name in ("rng", "bit_generator") or node.func.attr == "random_raw":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_draws_module_calls_a_generator():
+    modules = sorted(Path(nichebench.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    calls = {path.name: generator_calls(path) for path in modules if path.name != "draws.py"}
+    assert {name: lines for name, lines in calls.items() if lines} == {}

@@ -354,6 +354,14 @@ class TestPairwiseMatrix:
         assert calls == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("test", [mann_whitney_u, ks_two_sample, welch_t])
+def test_each_test_rejects_a_non_finite_sample(test, bad):
+    for a, b in (([1.0, bad, 3.0], [2.0, 4.0, 5.0]), ([2.0, 4.0, 5.0], [1.0, bad, 3.0])):
+        with pytest.raises(ValueError, match="sample must be finite"):
+            test(a, b)
+
+
 def test_null_calibration_smoke():
     # loose, fast version of the calibration gate (the acceptance suite
     # runs the full 10^4-trial check)
