@@ -250,8 +250,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     appended (and flushed) to ``runs.csv`` in grid order as each run
     finishes. With ``jobs > 1`` the pool receives the runs in chunks of
     ``_chunksize(len(tasks), jobs)`` and returns them in order. An integer
-    ``jobs`` <= 1 runs serially. What a crash loses is in the module
-    docstring: the runs in flight, and every trace.
+    ``jobs`` <= 1 runs serially. A crash loses the ``runs.csv`` rows of the
+    runs in flight (see the module docstring) and every trace.
 
     A run that raises stops the grid with :class:`RunError`; the rows of
     the runs recorded before it stay in ``runs.csv``.
