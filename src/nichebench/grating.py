@@ -61,7 +61,8 @@ class GratingParams:
     the higher-order density coefficients (1/mm, 1/mm^2, 1/mm^3), ``w0``
     the grating half-width (mm) and ``lambda0`` the recording wavelength
     (mm); each is stored as a float and must be finite (``core.check_real``),
-    as must the two ``mirror_radii``, which must also be positive.
+    as must the two ``mirror_radii`` (exactly two), which must also be
+    positive.
     """
 
     n0: float
@@ -77,7 +78,13 @@ class GratingParams:
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.n0 <= 0 or self.w0 <= 0 or self.lambda0 <= 0:
             raise ValueError("n0, w0 and lambda0 must be positive")
-        radii = tuple(check_real("mirror_radii", r, finite=False) for r in self.mirror_radii)
+        try:
+            radii = tuple(self.mirror_radii)
+        except TypeError:  # a scalar
+            radii = ()
+        if len(radii) != 2:
+            raise ValueError(f"mirror_radii must be two numbers, got {self.mirror_radii!r}")
+        radii = tuple(check_real("mirror_radii", r, finite=False) for r in radii)
         if not all(math.isfinite(r) and r > 0 for r in radii):
             raise ValueError("mirror radii must be positive and finite")
         object.__setattr__(self, "mirror_radii", radii)

@@ -10,11 +10,12 @@ file is written.
 
 Seeds are derived deterministically from (base_seed, algorithm, problem,
 run index) so any run can be reproduced in isolation, and every run's
-metric rows hit disk, in grid order, before aggregation. With ``jobs > 1``
-runs go to the process pool in chunks of ``max(1, len(tasks) // (32 *
-jobs))`` runs, so a crash loses at most the ``runs.csv`` rows of the runs
-in flight, one chunk per worker, plus any finished chunk still waiting
-for an earlier one; it loses every trace, as traces stay in memory until
+metric rows hit disk, in grid order, before aggregation. The process pool
+gets ``workers = min(jobs, len(tasks))`` processes; with ``workers > 1``
+runs go to it in chunks of ``max(1, len(tasks) // (32 * workers))`` runs,
+so a crash loses at most the ``runs.csv`` rows of the runs in flight, one
+chunk per worker, plus any finished chunk still waiting for an earlier
+one; it loses every trace, as traces stay in memory until
 :func:`emit_reports` writes them. A run that raises stops the grid with a
 :class:`RunError` naming its cell, run index and seed; the rows of the
 runs recorded before it stay in ``runs.csv``. Raw rows use the frozen schema
@@ -236,9 +237,9 @@ class ResultTable:
 _CHUNKS_PER_WORKER = 32
 
 
-def _chunksize(n_tasks: int, jobs: int) -> int:
+def _chunksize(n_tasks: int, workers: int) -> int:
     """Runs per process-pool task for a grid of ``n_tasks`` runs."""
-    return max(1, n_tasks // (_CHUNKS_PER_WORKER * jobs))
+    return max(1, n_tasks // (_CHUNKS_PER_WORKER * workers))
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
@@ -248,10 +249,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     ``derive_seed(base_seed, algorithm, problem, r)``, so per-run results
     do not depend on execution order or parallelism. Raw metric rows are
     appended (and flushed) to ``runs.csv`` in grid order as each run
-    finishes. With ``jobs > 1`` the pool receives the runs in chunks of
-    ``_chunksize(len(tasks), jobs)`` and returns them in order. An integer
-    ``jobs`` <= 1 runs serially. A crash loses the ``runs.csv`` rows of the
-    runs in flight (see the module docstring) and every trace.
+    finishes. The pool has ``workers = min(jobs, len(tasks))`` processes,
+    receives the runs in chunks of ``_chunksize(len(tasks), workers)`` and
+    returns them in order. An integer ``jobs`` <= 1, or a one-run grid,
+    runs serially; the outputs do not depend on ``jobs``. A crash loses the
+    ``runs.csv`` rows of the runs in flight (see the module docstring) and
+    every trace.
 
     A run that raises stops the grid with :class:`RunError`; the rows of
     the runs recorded before it stay in ``runs.csv``.
@@ -288,15 +291,18 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
             fh.flush()
             table.traces[(alg_name, problem_name, run)] = trace
 
-        if jobs <= 1:
+        # a fork pool starts all its workers at the first submit, so never
+        # ask for more than there are runs
+        workers = min(jobs, len(tasks))
+        if workers <= 1:
             for task in tasks:
                 record(task, _execute_run(task))
         else:
             # imported here: a serial grid, or a library user, never pays for it
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = pool.map(_execute_run, tasks, chunksize=_chunksize(len(tasks), jobs))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = pool.map(_execute_run, tasks, chunksize=_chunksize(len(tasks), workers))
                 for task, outcome in zip(tasks, outcomes):
                     record(task, outcome)
     return table

@@ -6,7 +6,8 @@ of known optima. ``best_fitness`` and ``distinct_peaks`` need no optima
 list and are the metrics used for objectives whose landscape is unknown;
 ``distinct_peaks`` can measure distances in min-max normalized coordinates
 so that heterogeneous units (radians next to millimetres) do not dominate.
-A peak or ``bounds`` of another width than the genomes' raises ValueError.
+A peak or ``bounds`` of another width than the genomes', or a ``fitness``
+that is not one value per genome row, raises ValueError.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ def distinct_peaks(
     """
     members = _nonempty(genomes)
     fitness = np.asarray(fitness, dtype=float)
+    if fitness.shape != members.shape[:1]:
+        raise ValueError(f"fitness of shape {fitness.shape} for genomes {members.shape}")
     check_direction(direction)
     qualifies = fitness < fitness_threshold if direction == "min" else fitness > fitness_threshold
     if bounds is not None:

@@ -9,14 +9,17 @@ arrays); an empty sample, NaN or +-inf raises ValueError.
 ``pairwise_matrix`` turns ``k`` per-algorithm samples into the ``(k, k)``
 array of p-values that the experiment reports compare with their alpha.
 
-The exact Mann-Whitney null distribution depends only on the pool's sorted
-doubled midranks and the smaller sample size k. It is computed once per
-``(np.sort(doubled).tobytes(), k)`` key and kept in a 64-entry LRU cache,
-and each step of its knapsack touches only the rows that can still reach
-k and the columns up to the running maximum sum. Samples of equal size
-without ties share one key, so a pairwise grid mostly costs lookups. The
-p-value stays exact: every count is an integer below C(40, 20) < 2^53, so
-the float64 sums are exact and give the same double as a full recount.
+The Mann-Whitney test finds the pool's tie groups in one ``np.unique``
+pass, which gives the doubled midranks (integers), the group sizes of the
+normal path's tie term, and the ascending doubled midranks that alone,
+with the smaller sample size k, fix the exact null distribution. That is
+computed once per ``(ascending_doubled.tobytes(), k)`` key and kept in a
+64-entry LRU cache, and each step of its knapsack touches only the rows
+that can still reach k and the columns up to the running maximum sum.
+Samples of equal size without ties share one key, so a pairwise grid
+mostly costs lookups. The p-value stays exact: every count is an integer
+below C(40, 20) < 2^53, so the float64 sums are exact and give the same
+double as a full recount.
 
 SciPy is imported by the first ``welch_t`` call, not with this module:
 ``welch_t`` takes its p-value from ``scipy.special.stdtr``, and nothing
@@ -51,32 +54,17 @@ def _as_values(sample) -> np.ndarray:
     return values
 
 
-def _doubled_midranks(pooled_sorted: np.ndarray) -> np.ndarray:
-    """Midranks of an already-sorted pool, doubled so ties stay integral.
+def _tie_groups(a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Tie groups of the pool ``a`` + ``b``, found by one ``np.unique``.
 
-    A tie group occupying 0-based positions i..j gets midrank (i+j+2)/2,
-    so its doubled midrank is the integer i + j + 2.
+    Returns the doubled midrank sum of ``a``, the pool's doubled midranks
+    in ascending order as int64, and the tie-group sizes in value order. A
+    group of ``c`` values ending at 1-based position ``e`` has midrank
+    (2e - c + 1)/2, so every doubled midrank is an integer.
     """
-    n = pooled_sorted.size
-    doubled = np.empty(n, dtype=np.int64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and pooled_sorted[j + 1] == pooled_sorted[i]:
-            j += 1
-        doubled[i : j + 1] = i + j + 2
-        i = j + 1
-    return doubled
-
-
-def _rank_sum_doubled(a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
-    """Doubled midrank sum of sample ``a`` within the pooled sample."""
-    pooled = np.concatenate([a, b])
-    order = np.argsort(pooled, kind="stable")
-    doubled = _doubled_midranks(pooled[order])
-    ranks = np.empty(pooled.size, dtype=np.int64)
-    ranks[order] = doubled
-    return int(ranks[: a.size].sum()), doubled
+    _, group, sizes = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
+    doubled = 2 * np.cumsum(sizes) - sizes + 1
+    return int(doubled[group[: a.size]].sum()), np.repeat(doubled, sizes).astype(np.int64), sizes
 
 
 # distinct null distributions kept by _null_rank_sum_counts; within
@@ -118,13 +106,13 @@ def _null_rank_sum_counts(weights_key: bytes, k: int) -> tuple[np.ndarray, float
     return row, float(row.sum())
 
 
-def _exact_mwu_pvalue(doubled_ranks: np.ndarray, k: int, dev2_obs: int, nm: int) -> float:
+def _exact_mwu_pvalue(sorted_doubled: np.ndarray, k: int, dev2_obs: int, nm: int) -> float:
     """Two-sided exact p: the share of the k-subsets of the pool whose
     doubled ``|U - nm/2|`` is at least ``dev2_obs``, counted from the cached
-    null distribution of ``_null_rank_sum_counts`` (the module docstring
-    says why the cache and its trimming leave the double unchanged)."""
-    weights = np.sort(np.asarray(doubled_ranks, dtype=np.int64))
-    counts, total = _null_rank_sum_counts(weights.tobytes(), k)
+    null distribution of ``_null_rank_sum_counts`` for the pool's ascending
+    int64 doubled midranks ``sorted_doubled`` (the module docstring says
+    why the cache and its trimming leave the double unchanged)."""
+    counts, total = _null_rank_sum_counts(sorted_doubled.tobytes(), k)
     dev2 = np.abs(np.arange(counts.size) - k * (k + 1) - nm)  # doubled |U - nm/2|
     favorable = counts[dev2 >= dev2_obs].sum()
     return float(favorable / total)
@@ -141,18 +129,17 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
     a = _as_values(a)
     b = _as_values(b)
     n, m = a.size, b.size
-    rank2_a, doubled = _rank_sum_doubled(a, b)
+    rank2_a, sorted_doubled, group_sizes = _tie_groups(a, b)
     u_a = (rank2_a - n * (n + 1)) / 2.0
 
     dev2_obs = abs(rank2_a - n * (n + 1) - n * m)  # doubled |U_a - nm/2|
     if n * m <= EXACT_MWU_LIMIT:
         # enumerate over the smaller side; |U - nm/2| is the same for both
         k = min(n, m)
-        p = _exact_mwu_pvalue(doubled, k, dev2_obs, n * m)
+        p = _exact_mwu_pvalue(sorted_doubled, k, dev2_obs, n * m)
         return u_a, min(1.0, p)
 
     N = n + m
-    _, group_sizes = np.unique(np.concatenate([a, b]), return_counts=True)
     tie_term = float(np.sum(group_sizes.astype(float) ** 3 - group_sizes))
     var = (n * m / 12.0) * ((N + 1) - tie_term / (N * (N - 1.0)))
     if var <= 0.0:

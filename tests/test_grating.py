@@ -181,6 +181,9 @@ class TestUnitsAndProfiles:
         for radii in ((True, 1.0), ("a", 1.0)):
             with pytest.raises(ValueError, match="mirror_radii must be a number"):
                 GratingParams(**base, mirror_radii=radii)
+        for radii in ((), (1.0,), (1.0, 2.0, 3.0), 5.0):
+            with pytest.raises(ValueError, match="mirror_radii must be two numbers"):
+                GratingParams(**base, mirror_radii=radii)
         radii = GratingParams(**base, mirror_radii=(np.int64(500), 2)).mirror_radii
         assert radii == (500.0, 2.0) and all(type(r) is float for r in radii)
 

@@ -210,6 +210,25 @@ class TestRunExperiment:
         parallel = run_experiment(tiny_spec(tmp_path), jobs=2)
         assert sequential.values == parallel.values
 
+    def test_pool_never_gets_more_workers_than_runs(self, tmp_path, monkeypatch):
+        # a thread pool stands in for the process pool, so no process starts
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        sequential = run_experiment(tiny_spec(tmp_path / "serial", algorithms=("sde",)))
+        capped = run_experiment(tiny_spec(tmp_path / "capped", algorithms=("sde",)), jobs=10**6)
+        assert asked == [2]
+        assert capped.values == sequential.values
+        run_experiment(tiny_spec(tmp_path / "one", algorithms=("sde",), runs=1), jobs=10**6)
+        assert asked == [2]  # a one-run grid runs serially
+
     def test_chunked_parallel_dispatch_matches_sequential_bytes(self, tmp_path):
         # 2 algorithms x 64 runs = 128 tasks: two runs per chunk at jobs=2
         assert _chunksize(128, 2) == 2

@@ -151,6 +151,15 @@ class TestDistinctPeaks:
         with pytest.raises(ValueError, match="empty population"):
             distinct_peaks(np.empty((0, 2)), np.empty(0))
 
+    @pytest.mark.parametrize("fitness", [[1e-6, 1e-6], [[0.0, 0.0, 0.0]], [1e-6] * 5,
+                                         [[1e-6], [1e-6], [1e-6]], 1e-6])
+    def test_fitness_not_one_value_per_row_rejected_before_any_distance(
+            self, fitness, monkeypatch):
+        monkeypatch.setattr(metrics, "leader_scan", None)
+        genomes = as_genomes([[0.0], [0.5], [1.0]])
+        with pytest.raises(ValueError, match=r"fitness of shape .* for genomes \(3, 1\)"):
+            distinct_peaks(genomes, fitness)
+
     def test_against_independent_rescan(self):
         rng = np.random.default_rng(31)
         for _ in range(1000):

@@ -10,7 +10,7 @@ from nichebench import stats
 from nichebench.stats import (
     EXACT_MWU_LIMIT,
     _exact_mwu_pvalue,
-    _rank_sum_doubled,
+    _tie_groups,
     ks_two_sample,
     mann_whitney_u,
     pairwise_matrix,
@@ -113,6 +113,46 @@ class TestMannWhitneyU:
         assert p == 1.0
 
 
+def brute_tie_groups(a, b):
+    """_tie_groups by definition: a value's doubled midrank is
+    2 * #less + #equal + 1, counted over the whole pool."""
+    pooled = list(a) + list(b)
+    doubled = [2 * sum(y < x for y in pooled) + sum(y == x for y in pooled) + 1 for x in pooled]
+    sizes = [sum(y == x for y in pooled) for x in sorted(set(pooled))]
+    return sum(doubled[: len(a)]), sorted(doubled), sizes
+
+
+class TestTieGroups:
+    @staticmethod
+    def check(a, b):
+        rank2_a, sorted_doubled, sizes = _tie_groups(np.asarray(a, float), np.asarray(b, float))
+        want_rank2, want_sorted, want_sizes = brute_tie_groups(a, b)
+        assert type(rank2_a) is int and rank2_a == want_rank2
+        assert sorted_doubled.dtype == np.int64 and sorted_doubled.tolist() == want_sorted
+        assert sizes.tolist() == want_sizes
+
+    def test_against_the_definition(self):
+        rng = np.random.default_rng(67)
+        for _ in range(2000):
+            n = int(rng.integers(1, 12))
+            m = int(rng.integers(1, 12))
+            kind = rng.random()
+            if kind < 0.4:  # heavy ties
+                values = rng.integers(0, int(rng.integers(1, 5)), size=n + m).astype(float)
+            elif kind < 0.6:  # signed zeros tie with each other
+                values = rng.choice([0.0, -0.0, 1.0, -1.0], size=n + m)
+            else:
+                values = rng.normal(size=n + m)
+            self.check(values[:n].tolist(), values[n:].tolist())
+
+    def test_all_tied_signed_zero_and_single_element_sides(self):
+        for a, b in (([2.0] * 20, [2.0] * 20), ([1.0], [1.0] * 19), ([1.0], [2.0]),
+                     ([0.0, -0.0], [-0.0]), ([-0.0], [0.0, 1.0, -1.0]), ([3.0], [1.0]),
+                     (list(np.arange(20.0)), [7.5])):
+            self.check(a, b)
+            self.check(b, a)
+
+
 def reference_exact_mwu_pvalue(doubled_ranks, k, dev2_obs, nm):
     """The full rank-sum DP, recomputed on every call, without a cache."""
     weights = np.sort(doubled_ranks)
@@ -132,8 +172,8 @@ def reference_exact_mwu_pvalue(doubled_ranks, k, dev2_obs, nm):
 def exact_case(a, b):
     """The arguments mann_whitney_u passes to the exact path for (a, b)."""
     n, m = len(a), len(b)
-    rank2_a, doubled = _rank_sum_doubled(np.asarray(a, float), np.asarray(b, float))
-    return doubled, min(n, m), abs(rank2_a - n * (n + 1) - n * m), n * m
+    rank2_a, sorted_doubled, _ = _tie_groups(np.asarray(a, float), np.asarray(b, float))
+    return sorted_doubled, min(n, m), abs(rank2_a - n * (n + 1) - n * m), n * m
 
 
 class TestExactMwuCache:
