@@ -10,20 +10,23 @@ rejects, before anything is drawn, a run that could not start: an invalid
 config, a population below the algorithm's minimum, or a budget below the
 population size. So every member of every population is evaluated.
 
-Children come from two streams in ``_RunState``: GA (BLX crossover,
-Gaussian mutation) and DE (DE/rand/1/bin trials). Each takes a
-generation's draws from ``nichebench.draws`` first, capped at the
-evaluations left, then builds the children from the population as it is
-in one array pass. ``preselection_ga``, ``sharing_ga``, ``scga`` and
-``sharing_de`` replace members only after the whole generation, so that
-pass is final. ``crowding_ga``, ``crowding_de`` and ``sde`` walk the
+Children come from two streams in ``_RunState``, the only code that draws
+for a generation or caps it: ``ga_children`` (BLX crossover, Gaussian
+mutation) for ``preselection_ga``, ``crowding_ga``, ``sharing_ga`` and
+``scga``, and ``de_trials`` (DE/rand/1/bin trials) for ``crowding_de``,
+``sharing_de`` and ``sde``. Each takes a generation's draws from
+``nichebench.draws``, capped at the evaluations left, then builds the
+children from the population as it is in one array pass, unevaluated.
+``preselection_ga``, ``sharing_ga``, ``scga`` and ``sharing_de`` evaluate
+them as one batch and replace members only after the whole generation, so
+that pass is final. ``crowding_ga``, ``crowding_de`` and ``sde`` walk the
 children in order, each evaluated once in its final form, and build a
 child again if it read a slot replaced earlier in the generation (a DE
-donor or target, a tournament whose winner changed, or a winner's
-genome); crowding reads each child's nearest member from a
-child-to-member distance block whose column is refreshed on each
-replacement. Replacement is strict: an incumbent is only displaced by a
-strictly better challenger, so equal-fitness duplicates never drift.
+donor or target, a tournament whose winner changed, or a winner's genome);
+crowding reads each child's nearest member from a child-to-member distance
+block whose column is refreshed on each replacement. Replacement is
+strict: an incumbent is only displaced by a strictly better challenger, so
+equal-fitness duplicates never drift.
 """
 
 from __future__ import annotations
@@ -155,12 +158,11 @@ class RunResult:
 
 
 class _RunState:
-    """Per-run bookkeeping: the evaluator, the RNG, and the builders of the
-    GA and DE child streams, :meth:`ga_build` and :meth:`de_trials`. A
-    batch whose rows are all final (the initial population,
-    :meth:`ga_generation`, ``sharing_de``'s trials) is evaluated in one
-    ``Evaluator.many`` call; the speculative walks evaluate child by child.
-    ``config`` None means the default :class:`AlgorithmConfig`."""
+    """Per-run bookkeeping: the evaluator, the RNG and the two child
+    streams, :meth:`ga_children` and :meth:`de_trials`; nothing outside
+    this class reads the RNG or caps a generation. Final batches are
+    evaluated in one ``Evaluator.many`` call, the speculative walks child
+    by child. ``config`` None means the default :class:`AlgorithmConfig`."""
 
     def __init__(self, name: str, problem, config: AlgorithmConfig | None, budget, rng):
         config = config or AlgorithmConfig()
@@ -194,20 +196,19 @@ class _RunState:
         return gaussian_mutation(crossed.reshape(-1, self.dim)[:len(masks)], masks,
                                  np.concatenate(normals), bounds, cfg.mutation_sigma)
 
-    def ga_generation(self, pop: Population, count: int, fitness=None, direction: str = "max"):
-        """The parents' picks and the first ``count`` children, or as many
-        as the budget left allows, built in one pass and evaluated as one
-        batch. Parent pairs are two binary tournaments on ``fitness`` under
-        ``direction`` or, without it, consecutive entries of a permutation."""
-        tournaments = fitness is not None
-        picks, u, masks, normals, _ = ga_generation_draws(
-            self.rng, len(pop), self.budgeted(count), self.dim, self.mutation_rate, tournaments)
-        if tournaments:
-            p1, p2 = binary_tournament(fitness, picks[:, 0::2], picks[:, 1::2], direction).T
-        else:
-            p1, p2 = picks[0:2 * len(u):2], picks[1:2 * len(u):2]
-        return picks, self.evaluate.many(self.ga_build(pop.genome_matrix(), p1, p2, u, masks,
-                                                       normals))
+    def ga_children(self, genomes: np.ndarray, count: int, fitness=None, direction="max", cf=None):
+        """The first ``count`` children, or as many as the budget allows,
+        built unevaluated from ``genomes`` in one pass after their
+        ``draws.ga_generation_draws``: the picks, the ``(p, 2)`` parent pairs
+        (tournaments on ``fitness`` under ``direction``, else permutation
+        pairs), the draws ``(u, masks, normals, samples)``, the children."""
+        picks, u, masks, normals, samples = ga_generation_draws(
+            self.rng, len(genomes), self.budgeted(count), self.dim, self.mutation_rate,
+            fitness is not None, cf)
+        pairs = (picks[:2 * len(u)].reshape(-1, 2) if fitness is None
+                 else binary_tournament(fitness, picks[:, 0::2], picks[:, 1::2], direction))
+        children = self.ga_build(genomes, *pairs.T, u, masks, normals)
+        return picks, pairs, (u, masks, normals, samples), children
 
     def de_trials(self, genomes: np.ndarray, pools=None, cf: int | None = None):
         """The donors, masks and samples of ``draws.de_generation_draws``
@@ -245,8 +246,8 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
     pop = st.init_population()
     for _ in st.generations():
         # an odd population's last member in ``order`` sits this generation out
-        order, children = st.ga_generation(pop, len(pop) - len(pop) % 2)
-        for slot, child in zip(order.tolist(), children):
+        order, *_, children = st.ga_children(pop.genome_matrix(), len(pop) - len(pop) % 2)
+        for slot, child in zip(order.tolist(), st.evaluate.many(children)):
             if is_better(child.fitness, pop[slot].fitness, st.direction):
                 pop[slot] = child
     return st.result(pop)
@@ -326,13 +327,10 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
     pop = st.init_population()
     n, fitness, genomes = len(pop), pop.fitnesses(), pop.genome_matrix()
     for _ in st.generations():
-        candidates, u, masks, normals, samples = ga_generation_draws(
-            st.rng, n, st.budgeted(n - n % 2), st.dim, st.mutation_rate, cf=cf)
-        m = len(masks)
-        winners = binary_tournament(fitness, candidates[:, 0::2], candidates[:, 1::2],
-                                    st.direction)
-        crowd = _Crowding(st, pop, st.ga_build(genomes, *winners.T, u, masks, normals), samples)
-        replaced = crowd.replaced
+        candidates, winners, (u, masks, normals, samples), children = st.ga_children(
+            genomes, n - n % 2, fitness, st.direction, cf)
+        crowd = _Crowding(st, pop, children, samples)
+        replaced, m = crowd.replaced, len(children)
         for k, ((i1, j1, i2, j2), won) in enumerate(zip(candidates.tolist(), winners.tolist())):
             rows = slice(2 * k, min(2 * k + 2, m))
             # a pair is built again if a replacement changed a winner or its genome
@@ -398,8 +396,8 @@ def sharing_ga(problem, config: AlgorithmConfig | None = None,
     for _ in st.generations():
         scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
                                 config.sharing_radius, config.sharing_alpha)
-        _, children = st.ga_generation(pop, len(pop), scores, "max")
-        for slot, child in enumerate(children):
+        *_, children = st.ga_children(pop.genome_matrix(), len(pop), scores, "max")
+        for slot, child in enumerate(st.evaluate.many(children)):
             pop[slot] = child
     return st.result(pop)
 
@@ -420,7 +418,7 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
         # the loop runs only with budget left, so trials is not empty
         *_, rows = st.de_trials(pop.genome_matrix())
         trials = st.evaluate.many(rows)
-        genomes = np.vstack([pop.genome_matrix()] + [t.genome for t in trials])
+        genomes = np.vstack([pop.genome_matrix(), rows])
         raw = np.concatenate([pop.fitnesses(), [t.fitness for t in trials]])
         scores = _shared_scores(genomes, raw, st.direction,
                                 config.sharing_radius, config.sharing_alpha)
@@ -439,6 +437,7 @@ def determine_species_seeds(pop: Population, species_distance: float,
     species_distance/2 from all earlier seeds (i.e. outside every existing
     species region). Returns the seed members, in discovery order.
     """
+    check_direction(direction)
     if len(pop) == 0:
         raise ValueError("cannot determine seeds of an empty population")
     keys = pop.fitnesses()
@@ -529,8 +528,8 @@ def scga(problem, config: AlgorithmConfig | None = None,
         observer(0, pop)
     for generation in st.generations():
         seeds = determine_species_seeds(pop, config.species_distance, st.direction)
-        _, children = st.ga_generation(pop, len(pop), pop.fitnesses(), st.direction)
-        for slot, child in enumerate(children):
+        *_, children = st.ga_children(pop.genome_matrix(), len(pop), pop.fitnesses(), st.direction)
+        for slot, child in enumerate(st.evaluate.many(children)):
             pop[slot] = child
         conserve_species_seeds(pop, seeds, config.species_distance, st.direction)
         if observer is not None:

@@ -60,11 +60,13 @@ def _tie_groups(a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray, np.ndarr
     Returns the doubled midrank sum of ``a``, the pool's doubled midranks
     in ascending order as int64, and the tie-group sizes in value order. A
     group of ``c`` values ending at 1-based position ``e`` has midrank
-    (2e - c + 1)/2, so every doubled midrank is an integer.
+    (2e - c + 1)/2, so every doubled midrank is an integer; each value of
+    ``a`` finds its group by a binary search of the distinct values.
     """
-    _, group, sizes = np.unique(np.concatenate([a, b]), return_inverse=True, return_counts=True)
+    values, sizes = np.unique(np.concatenate([a, b]), return_counts=True)
     doubled = 2 * np.cumsum(sizes) - sizes + 1
-    return int(doubled[group[: a.size]].sum()), np.repeat(doubled, sizes).astype(np.int64), sizes
+    rank2_a = int(doubled[np.searchsorted(values, a)].sum())
+    return rank2_a, np.repeat(doubled, sizes).astype(np.int64), sizes
 
 
 # distinct null distributions kept by _null_rank_sum_counts; within
@@ -149,9 +151,16 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
     return u_a, min(1.0, p)
 
 
+# below this lambda the series' 100th term, 2 exp(-2 * 100^2 lambda^2), is
+# still above its 1e-16 stop, while 1 - Q(lambda) < exp(-650): Q is 1.0
+_KS_SERIES_MIN = math.sqrt(math.log(2e16) / 2e4)  # about 0.04332
+
+
 def _kolmogorov_sf(lam: float) -> float:
-    """Survival function of the Kolmogorov distribution, Q(lambda)."""
-    if lam <= 1e-8:
+    """Survival function of the Kolmogorov distribution, Q(lambda): 1.0
+    below ``_KS_SERIES_MIN``, else the alternating series
+    2 sum (-1)^(k-1) exp(-2 k^2 lambda^2) up to 100 terms."""
+    if lam < _KS_SERIES_MIN:
         return 1.0
     total = 0.0
     for k in range(1, 101):

@@ -165,6 +165,12 @@ class TestDetermineSpeciesSeeds:
         with pytest.raises(ValueError, match="empty population"):
             determine_species_seeds(make_pop([], []), species_distance=1.0, direction="max")
 
+    @pytest.mark.parametrize("direction", ["up", "MAX", None])
+    def test_unknown_direction_raises(self, direction):
+        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="direction must be 'min' or 'max'"):
+            determine_species_seeds(pop, species_distance=1.0, direction=direction)
+
     def test_vanishing_distance_makes_everyone_a_seed(self):
         pop = make_pop([[0.0], [0.5], [1.0]], [1.0, 2.0, 3.0])
         seeds = determine_species_seeds(pop, species_distance=1e-12, direction="max")

@@ -1,8 +1,10 @@
 """What ``import nichebench`` loads: NumPy, but neither SciPy nor the
 process pool. SciPy comes with the first Welch t p-value and the pool with
 the first grid run at ``jobs > 1``. These checks look at ``sys.modules`` in
-a fresh interpreter, not at import time, so they are deterministic. A
-last check reads the source: only ``nichebench.draws`` calls a Generator."""
+a fresh interpreter, not at import time, so they are deterministic. Two
+last checks read the source: only ``nichebench.draws`` calls a Generator,
+and in ``nichebench.algorithms`` only ``_RunState`` draws for a
+generation, caps it at the budget left or reads the run's RNG."""
 
 import ast
 import json
@@ -117,3 +119,28 @@ def test_only_the_draws_module_calls_a_generator():
     assert len(modules) > 5
     calls = {path.name: generator_calls(path) for path in modules if path.name != "draws.py"}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+# what only the two child streams of algorithms._RunState may call
+STREAM_ONLY = ("ga_generation_draws", "de_generation_draws", "budgeted")
+
+
+def stream_reads_outside_run_state(path: Path) -> dict[str, list[int]]:
+    """Per top-level definition of ``path`` but ``class _RunState``, the
+    lines that name a function of ``STREAM_ONLY`` (``budgeted`` or
+    ``st.budgeted``) or read an ``rng`` attribute (``st.rng``)."""
+    found = {}
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.ClassDef) and top.name == "_RunState":
+            continue
+        lines = {node.lineno for node in ast.walk(top)
+                 if isinstance(node, ast.Name) and node.id in STREAM_ONLY
+                 or isinstance(node, ast.Attribute) and node.attr in STREAM_ONLY + ("rng",)}
+        if lines:
+            found[getattr(top, "name", f"line {top.lineno}")] = sorted(lines)
+    return found
+
+
+def test_only_the_run_state_draws_for_or_caps_a_generation():
+    path = Path(nichebench.__file__).parent / "algorithms.py"
+    assert stream_reads_outside_run_state(path) == {}

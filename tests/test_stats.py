@@ -291,6 +291,40 @@ class TestKsTwoSample:
         _, p = ks_two_sample(a, b)
         assert p < 1e-9
 
+    def test_kolmogorov_sf_against_theta_series(self):
+        import mpmath as mp
+
+        def oracle(lam):
+            # Q = 1 - sqrt(2 pi)/lam * sum_k exp(-(2k-1)^2 pi^2 / (8 lam^2)),
+            # whose terms vanish fast for lam <= 0.5
+            with mp.workdps(40):
+                lam = mp.mpf(lam)
+                tail = sum(mp.exp(-(2 * k - 1) ** 2 * mp.pi ** 2 / (8 * lam ** 2))
+                           for k in range(1, 9))
+                return float(1 - mp.sqrt(2 * mp.pi) / lam * tail)
+
+        cutoff = stats._KS_SERIES_MIN
+        lams = np.concatenate([np.linspace(0.0, 0.5, 1001)[1:], [1e-300, 1e-9, 0.005, 0.01, 0.02],
+                               cutoff * np.array([1 - 1e-12, 1.0, 1 + 1e-12])])
+        for lam in lams.tolist():
+            assert abs(stats._kolmogorov_sf(lam) - oracle(lam)) <= 1e-12, lam
+            if lam < cutoff:
+                assert stats._kolmogorov_sf(lam) == 1.0, lam
+
+    def test_kolmogorov_sf_keeps_its_bits_from_the_cutoff_up(self):
+        # the 100-term series, unchanged at and above the cutoff, pinned to the bit
+        cases = {stats._KS_SERIES_MIN: "0x1.ffffffffffffcp-1", 0.05: "0x1.ffffffffffffcp-1",
+                 0.1: "0x1.0000000000000p+0", 0.25: "0x1.ffffff1995d18p-1",
+                 0.5: "0x1.ed8a3b2159ccbp-1", 1.0: "0x1.147acb3f23d09p-2",
+                 1.5: "0x1.6c04e3b49728bp-6", 3.0: "0x1.05a628c699fa1p-25"}
+        assert {lam: stats._kolmogorov_sf(lam).hex() for lam in cases} == cases
+
+    def test_large_nearly_equal_samples_give_p_one(self):
+        # D = 0.0005 and sqrt(ne) D = 0.0158: a truncated series gave p = 0.9936
+        d, p = ks_two_sample(np.arange(2000.0), np.arange(2000.0) + 0.5)
+        assert d == pytest.approx(0.0005, abs=1e-15)
+        assert p == 1.0
+
 
 class TestWelchT:
     def test_identical_samples(self):
