@@ -86,7 +86,7 @@ def build_spec(args) -> tuple[ExperimentSpec, int]:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSON syntax, UTF-8 decoding or an oversized integer
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")

@@ -282,7 +282,9 @@ class _GratingObjective:
     """Picklable objective: error of the recorded design, one design per
     call or a batch of rows through :meth:`many`. Logs one warning, on
     either path, if floating-point cancellation ever produces a negative
-    value."""
+    value: once per objective object, and the harness builds one per grid
+    and sends a copy with each pool chunk, so once per serial grid or per
+    pool chunk."""
 
     def __init__(self, model: RecordingModel, params: GratingParams):
         self.model = model

@@ -8,6 +8,12 @@ or ``core.check_real`` (a bool is not a number, and a real must be
 finite). :func:`run_experiment` calls it, and checks ``jobs``, before any
 file is written.
 
+Each problem is built once per grid, by :meth:`ExperimentSpec.validate`,
+and every run of it gets that object in its task: a run reads no module
+state, so a pool started by fork, spawn or forkserver writes the same
+bytes. A problem sent to a pool must therefore pickle, as every built-in
+problem and the grating do; the runs in one process share its objective.
+
 Seeds are derived deterministically from (base_seed, algorithm, problem,
 run index) so any run can be reproduced in isolation, and every run's
 metric rows hit disk, in grid order, before aggregation. The process pool
@@ -82,7 +88,9 @@ class ExperimentSpec:
     population, and ``max_evals`` against the population), rejects a name
     listed twice and the t test on one run per cell when two or more
     algorithms are compared (``welch_t`` needs two values per sample), and
-    builds every problem, so a bad grating profile fails here too.
+    builds every problem, so a bad grating profile fails here too. It
+    returns the built problems as ``{name: BoundedProblem}`` in the order
+    of ``problems``.
     """
 
     algorithms: list[tuple[str, AlgorithmConfig]]
@@ -95,7 +103,7 @@ class ExperimentSpec:
     tests: list[str] | tuple[str, ...] = DEFAULT_TESTS
     alpha: float = 0.05
 
-    def validate(self) -> None:
+    def validate(self) -> dict[str, BoundedProblem]:
         try:
             for name in ("runs", "max_evals", "base_seed"):
                 check_integer(repr(name), getattr(self, name))
@@ -146,8 +154,7 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown test {test!r}; known: {sorted(TESTS)}")
         if "t" in self.tests and len(self.algorithms) >= 2 and self.runs < 2:
             raise ConfigError("the t test needs runs >= 2 when comparing two or more algorithms")
-        for problem in self.problems:
-            resolve_problem(problem, self.grating_profile)
+        return {name: resolve_problem(name, self.grating_profile) for name in self.problems}
 
 
 def resolve_problem(name: str, grating_profile: str | None = None) -> BoundedProblem:
@@ -188,21 +195,21 @@ def run_metrics(problem: BoundedProblem, result: RunResult) -> dict[str, float]:
 
 
 def _execute_run(task) -> tuple:
-    """Worker: one seeded, budgeted run. Module-level for process pools.
+    """Worker: one seeded, budgeted run of the task's built problem.
+    Module-level for process pools, and a function of its task alone.
 
     Any exception is re-raised as a :class:`RunError` that names the run;
     it carries only a message, so it crosses the process boundary even
     when the original exception cannot be pickled.
     """
-    alg_name, config, problem_name, grating_profile, max_evals, seed, run = task
+    alg_name, config, problem, max_evals, seed, run = task
     try:
-        problem = resolve_problem(problem_name, grating_profile)
         result = get_algorithm(alg_name)(problem, config, max_evals, seed)
         if result.evals_used > max_evals:
             raise RuntimeError(f"budget audit failed: {result.evals_used} > {max_evals}")
         return run_metrics(problem, result), result.trace
     except Exception as exc:
-        raise RunError(f"{alg_name} on {problem_name}, run {run}, seed {seed}: "
+        raise RunError(f"{alg_name} on {problem.name}, run {run}, seed {seed}: "
                        f"{type(exc).__name__}: {exc}") from exc
 
 
@@ -252,9 +259,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     finishes. The pool has ``workers = min(jobs, len(tasks))`` processes,
     receives the runs in chunks of ``_chunksize(len(tasks), workers)`` and
     returns them in order. An integer ``jobs`` <= 1, or a one-run grid,
-    runs serially; the outputs do not depend on ``jobs``. A crash loses the
-    ``runs.csv`` rows of the runs in flight (see the module docstring) and
-    every trace.
+    runs serially. Each problem is built once, by ``spec.validate()``, and
+    sent to its runs in the task, so it must pickle to reach a pool; the
+    outputs depend neither on ``jobs`` nor on the pool's start method. A
+    crash loses the ``runs.csv`` rows of the runs in flight (see the module
+    docstring) and every trace.
 
     A run that raises stops the grid with :class:`RunError`; the rows of
     the runs recorded before it stay in ``runs.csv``.
@@ -263,15 +272,15 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
         check_integer("'jobs'", jobs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    spec.validate()
+    problems = spec.validate()
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = [
-        (alg_name, config, problem_name, spec.grating_profile, spec.max_evals,
-         derive_seed(spec.base_seed, alg_name, problem_name, run), run)
+        (alg_name, config, problem, spec.max_evals,
+         derive_seed(spec.base_seed, alg_name, problem.name, run), run)
         for alg_name, config in spec.algorithms
-        for problem_name in spec.problems
+        for problem in problems.values()
         for run in range(spec.runs)
     ]
 
@@ -283,13 +292,13 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
         writer.writerow(RAW_COLUMNS)
 
         def record(task, outcome):
-            alg_name, _, problem_name, _, _, seed, run = task
+            alg_name, _, problem, _, seed, run = task
             metric_values, trace = outcome
             for metric, value in metric_values.items():
-                table.values.setdefault((alg_name, problem_name, metric), []).append(value)
-                writer.writerow([alg_name, problem_name, run, seed, metric, _float_repr(value)])
+                table.values.setdefault((alg_name, problem.name, metric), []).append(value)
+                writer.writerow([alg_name, problem.name, run, seed, metric, _float_repr(value)])
             fh.flush()
-            table.traces[(alg_name, problem_name, run)] = trace
+            table.traces[(alg_name, problem.name, run)] = trace
 
         # a fork pool starts all its workers at the first submit, so never
         # ask for more than there are runs

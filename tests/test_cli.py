@@ -1,6 +1,5 @@
 """CLI flags, config files, overrides, and exit codes."""
 
-import dataclasses
 import json
 import math
 
@@ -143,6 +142,22 @@ def test_malformed_config_values_exit_2_before_running(tmp_path, monkeypatch, ca
     assert not list(tmp_path.rglob("runs.csv"))
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"runs": 2, "x": "\xff"}', "can't decode byte 0xff"),
+    (b'{"runs": 2,}', "Expecting property name"),
+    (b'{"runs": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+], ids=["not_utf8", "invalid_json", "integer_too_long"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config file {cfg} is not valid JSON: ")
+    assert message in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_alpha_outside_unit_interval_exits_2_before_running(tmp_path, capsys):
     out = tmp_path / "r"
     code = main(["--algorithm", "crowding_de", "--algorithm", "sde", "--problem", "deb1",
@@ -211,12 +226,7 @@ def test_missing_grating_profile_exits_1_before_running(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_failed_run_exits_3_naming_the_run(tmp_path, monkeypatch, capsys, jobs):
-    def nan_problem():
-        return dataclasses.replace(harness.resolve_problem("himmelblau"), name="nan",
-                                   objective=lambda genome: float("nan"))
-
-    monkeypatch.setitem(harness.PROBLEM_FACTORIES, "nan", nan_problem)
+def test_failed_run_exits_3_naming_the_run(tmp_path, capsys, nan_problem, jobs):
     out = tmp_path / "r"
     code = main(["--algorithm", "sde", "--problem", "deb1", "--problem", "nan", "--runs", "2",
                  "--evals", "60", "--pop-size", "6", "--seed", "7", "--jobs", jobs,

@@ -3,7 +3,8 @@
 The grid is all 7 algorithms x 6 problems, 3 runs of 200 evaluations at
 population 10, with all three significance tests. ``golden_grid.json``
 holds its argv and the sha256 of each file ``cli.main`` writes; the grid
-must reproduce those bytes at ``--jobs 1`` and at ``--jobs 2``.
+must reproduce those bytes at ``--jobs 1`` and at ``--jobs 2``, whether the
+pool starts its workers by fork, spawn or forkserver.
 
 Regenerate the file (only for a deliberate, versioned change of the
 published numbers) with ``PYTHONPATH=src python tests/test_golden_grid.py``.
@@ -14,8 +15,6 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 from nichebench.cli import main
 
@@ -30,11 +29,10 @@ def grid_digests(out_dir: Path, jobs: int) -> dict[str, str]:
             for path in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_golden_grid_bytes(tmp_path, capsys, jobs):
+def test_golden_grid_bytes(tmp_path, capsys, pool_jobs):
     golden = json.loads(GOLDEN.read_text())
     assert golden["argv"] == ARGV
-    assert grid_digests(tmp_path / "out", jobs) == golden["files"]
+    assert grid_digests(tmp_path / "out", pool_jobs) == golden["files"]
 
 
 if __name__ == "__main__":

@@ -128,6 +128,8 @@ class TestValidation:
         ({"algorithms": []}, "at least one algorithm"),
         ({"problems": []}, "at least one problem"),
         ({"algorithms": [("sde", {"population_size": 10})]}, "algorithm entry must be a"),
+        ({"algorithms": "sde"}, "'algorithms' must be a list of"),
+        ({"algorithms": {"sde": AlgorithmConfig()}}, "'algorithms' must be a list of"),
         ({"algorithms": [("sharing_ga", AlgorithmConfig(mutation_sigma=math.nan))]},
          "sharing_ga: mutation_sigma must be finite"),
         ({"algorithms": [("sde", AlgorithmConfig(de_F=math.nan))]}, "sde: de_F must be finite"),
@@ -140,7 +142,8 @@ class TestValidation:
             "runs_fraction", "runs_text", "max_evals_fraction", "base_seed_text",
             "problems_string", "alpha_above_1", "crowding_de_population_3",
             "sharing_de_population_3", "sde_population_3", "test_listed_twice",
-            "no_algorithms", "no_problems", "entry_not_a_pair", "mutation_sigma_nan", "de_F_nan",
+            "no_algorithms", "no_problems", "entry_not_a_pair", "algorithms_string",
+            "algorithms_dict", "mutation_sigma_nan", "de_F_nan",
             "species_distance_infinity", "runs_bool", "alpha_bool", "de_F_bool"])
     def test_malformed_setting_raises_before_any_run(self, tmp_path, settings, message):
         spec = dataclasses.replace(tiny_spec(tmp_path), **settings)
@@ -159,6 +162,10 @@ class TestValidation:
         spec = tiny_spec(tmp_path)
         assert (spec.tests, spec.alpha) == (DEFAULT_TESTS, 0.05)
         spec.validate()
+        # the built problems, keyed by name in the order of spec.problems
+        built = dataclasses.replace(spec, problems=["grating", "deb1"]).validate()
+        assert [(name, p.name, p.dimension) for name, p in built.items()] == [
+            ("grating", "grating", 8), ("deb1", "deb1", 1)]
         dataclasses.replace(spec, runs=np.int64(3), tests=["ks"], alpha=0.01,
                             output_dir=str(tmp_path), grating_profile=None).validate()
         # NumPy scalars are numbers wherever a setting is checked
@@ -200,7 +207,7 @@ class TestRunExperiment:
         table = run_experiment(spec)
         alg, config = spec.algorithms[1]
         seed = derive_seed(spec.base_seed, alg, "deb1", 1)
-        metrics, _ = _execute_run((alg, config, "deb1", None, spec.max_evals, seed, 1))
+        metrics, _ = _execute_run((alg, config, resolve_problem("deb1"), spec.max_evals, seed, 1))
         for metric, value in metrics.items():
             assert table.raw(alg, "deb1", metric)[1] == value
 
@@ -229,7 +236,7 @@ class TestRunExperiment:
         run_experiment(tiny_spec(tmp_path / "one", algorithms=("sde",), runs=1), jobs=10**6)
         assert asked == [2]  # a one-run grid runs serially
 
-    def test_chunked_parallel_dispatch_matches_sequential_bytes(self, tmp_path):
+    def test_chunked_parallel_dispatch_matches_sequential_bytes(self, tmp_path, start_method):
         # 2 algorithms x 64 runs = 128 tasks: two runs per chunk at jobs=2
         assert _chunksize(128, 2) == 2
         outputs = {}
@@ -240,6 +247,23 @@ class TestRunExperiment:
             written = emit_reports(table, output_dir=out)
             outputs[jobs] = {p.name: p.read_bytes() for p in [out / "runs.csv", *written]}
         assert outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("pool_jobs", [(1, None), (2, "fork")], ids=["1", "2"], indirect=True)
+    def test_each_problem_is_built_once_per_grid(self, tmp_path, monkeypatch, pool_jobs):
+        # a file, not a list: a forked worker that built a problem would
+        # inherit the wrapper and append its line here too
+        calls = tmp_path / "calls"
+        resolve = harness.resolve_problem
+
+        def counting(name, grating_profile=None):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{name}\n")
+            return resolve(name, grating_profile)
+
+        monkeypatch.setattr(harness, "resolve_problem", counting)
+        run_experiment(tiny_spec(tmp_path, problems=("deb1", "grating"), max_evals=60),
+                       jobs=pool_jobs)
+        assert calls.read_text(encoding="utf-8").split() == ["deb1", "grating"]
 
     def test_chunk_rule_keeps_small_grids_at_one_run_per_task(self):
         for n_tasks in (14, 50, 100):
@@ -258,24 +282,11 @@ class TestRunExperiment:
         assert set(table.metrics_for("deb1")) == {"best_fitness", "peak_ratio", "avg_min_distance"}
 
 
-def _nan_problem():
-    return dataclasses.replace(resolve_problem("himmelblau"), name="nan",
-                               objective=lambda genome: float("nan"))
-
-
-@pytest.fixture
-def nan_problem(monkeypatch):
-    """A problem named 'nan' whose objective returns NaN; forked pool workers
-    inherit the registration."""
-    monkeypatch.setitem(harness.PROBLEM_FACTORIES, "nan", _nan_problem)
-
-
 class TestRunFailure:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failed_run_is_named_and_earlier_rows_kept(self, tmp_path, nan_problem, jobs):
+    def test_failed_run_is_named_and_earlier_rows_kept(self, tmp_path, nan_problem, pool_jobs):
         spec = tiny_spec(tmp_path / "grid", problems=("deb1", "nan"), algorithms=("crowding_de",))
         with pytest.raises(RunError) as info:
-            run_experiment(spec, jobs=jobs)
+            run_experiment(spec, jobs=pool_jobs)
         seed = derive_seed(spec.base_seed, "crowding_de", "nan", 0)
         assert str(info.value).startswith(
             f"crowding_de on nan, run 0, seed {seed}: "
@@ -295,7 +306,8 @@ class TestRunFailure:
             return dataclasses.replace(result, evals_used=budget + 1)
 
         monkeypatch.setitem(harness.ALGORITHMS, "overspending", overspending)
-        task = ("overspending", AlgorithmConfig(population_size=10), "deb1", None, 60, 17, 4)
+        task = ("overspending", AlgorithmConfig(population_size=10), resolve_problem("deb1"),
+                60, 17, 4)
         with pytest.raises(RunError, match=r"^overspending on deb1, run 4, seed 17: "
                                            r"RuntimeError: budget audit failed: 61 > 60$"):
             _execute_run(task)
