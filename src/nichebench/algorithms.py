@@ -428,6 +428,12 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
     return st.result(pop)
 
 
+def _badness(fitness: np.ndarray, direction: str) -> np.ndarray:
+    """Fitness as a best-first key: lower is better in either direction."""
+    check_direction(direction)
+    return -fitness if direction == "max" else fitness
+
+
 def determine_species_seeds(pop: Population, species_distance: float,
                             direction: str) -> list[Individual]:
     """Pick species seeds by scanning the population best-first.
@@ -437,13 +443,9 @@ def determine_species_seeds(pop: Population, species_distance: float,
     species_distance/2 from all earlier seeds (i.e. outside every existing
     species region). Returns the seed members, in discovery order.
     """
-    check_direction(direction)
-    if len(pop) == 0:
+    order = np.argsort(_badness(pop.fitnesses(), direction), kind="stable").tolist()
+    if not order:
         raise ValueError("cannot determine seeds of an empty population")
-    keys = pop.fitnesses()
-    if direction == "max":
-        keys = -keys
-    order = np.argsort(keys, kind="stable").tolist()
     return [pop[i] for i in leader_scan(pop.genome_matrix(), order, species_distance / 2.0)]
 
 
@@ -459,50 +461,36 @@ def conserve_species_seeds(pop: Population, seeds: list[Individual],
     """Put saved seeds back into a population after variation.
 
     Members belong to the species of their nearest seed when within
-    species_distance/2 of it. A seed whose genome already survived in its
-    species leaves the population alone; otherwise it overwrites the
-    worst member of its species, or the globally worst not-yet-replaced
-    member when the species came out empty. No slot is replaced twice; if
-    the seeds outnumber the slots the overflow is logged and dropped.
+    species_distance/2 of it. In seed order, each seed takes one slot no
+    earlier seed took: its first surviving copy, left as it is; else the
+    worst member of its species, else the worst of the population (lowest
+    index on ties), which it overwrites. So a seed whose species came out
+    empty may take a later species' slot. Seeds left without one are
+    logged and dropped.
     """
+    badness = _badness(pop.fitnesses(), direction).tolist().__getitem__
     if not seeds:
         return pop
-    radius = species_distance / 2.0
-    # only slots still free are read or written below, so the genomes and
-    # fitnesses taken here stay current for every slot the loop looks at
-    genomes = pop.genome_matrix()
-    seed_matrix = np.array([s.genome for s in seeds])
+    # the walk reads and writes free slots only, so genomes and badness stay current
+    genomes, seed_matrix = pop.genome_matrix(), np.array([s.genome for s in seeds])
     assigned, dists = _nearest_seed_assignment(genomes, seed_matrix)
-    in_region = dists[np.arange(len(pop)), assigned] < radius
-    # as lists, == is np.array_equal on one member row and one seed row
-    rows, seed_rows = genomes.tolist(), seed_matrix.tolist()
-    check_direction(direction)
-    fitness = pop.fitnesses()
-    if direction == "max":
-        fitness = -fitness
-    # max() keeps the first of equal maxima: the lowest-index worst member
-    badness = fitness.tolist().__getitem__
+    in_region = dists[np.arange(len(pop)), assigned] < species_distance / 2.0
+    # == counts -0.0 and 0.0 as equal, as np.array_equal does
+    survives = (in_region & (genomes == seed_matrix[assigned]).all(axis=1)).tolist()
     species: list[list[int]] = [[] for _ in seeds]
     for i in np.flatnonzero(in_region).tolist():
         species[assigned[i]].append(i)
-    free = [True] * len(pop)
-    overflow = 0
-
+    free, overflow = [True] * len(pop), 0
     for k, seed in enumerate(seeds):
         members = [i for i in species[k] if free[i]]
-        if members:
-            surviving = [i for i in members if rows[i] == seed_rows[k]]
-            if surviving:
-                free[surviving[0]] = False
-                continue
-            slot = max(members, key=badness)
-        else:
-            candidates = [i for i in range(len(pop)) if free[i]]
-            if not candidates:
-                overflow += 1
-                continue
-            slot = max(candidates, key=badness)
-        pop[slot] = seed
+        pool = members or [i for i, f in enumerate(free) if f]
+        if not pool:
+            overflow += 1
+            continue
+        kept = [i for i in members if survives[i]]
+        slot = kept[0] if kept else max(pool, key=badness)
+        if not kept:
+            pop[slot] = seed
         free[slot] = False
     if overflow:
         logger.warning("%d species seeds could not be conserved: population full", overflow)

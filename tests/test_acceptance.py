@@ -32,6 +32,7 @@ from nichebench.harness import ExperimentSpec, derive_seed, run_experiment
 from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 from nichebench.problems import PROBLEM_FACTORIES, six_hump_camel
 from nichebench.stats import ks_two_sample, mann_whitney_u, pairwise_matrix, welch_t
+from test_draw_equivalence import population as make_pop
 
 JOBS = 2  # worker processes for the 50-run protocol criteria
 COMMITTED_RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -52,12 +53,6 @@ def criterion(number, title):
         print(f"[criterion {number}] {title}: FAIL")
         raise
     print(f"[criterion {number}] {title}: PASS")
-
-
-def make_pop(genomes, fitnesses):
-    return Population(
-        [Individual(np.asarray(g, dtype=float), float(f)) for g, f in zip(genomes, fitnesses)]
-    )
 
 
 # ---------------------------------------------------------------------------

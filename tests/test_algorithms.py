@@ -19,17 +19,13 @@ from nichebench.algorithms import (
 from nichebench.core import Individual, Population
 from nichebench.grating import make_default_problem
 from nichebench.problems import deb1, himmelblau, six_hump_camel
+from test_draw_equivalence import population as make_pop
 from test_draw_equivalence import random_genome  # the oracle, not library code
 # one crowding step drawn and made as the per-child loop made it
 from test_draw_equivalence import per_child_crowding as challenge
 
 ALL_NAMES = sorted(ALGORITHMS)
 SEQUENTIAL = ("crowding_ga", "crowding_de", "sde")
-
-
-def make_pop(genomes, fitnesses):
-    members = [Individual(np.asarray(g, dtype=float), float(f)) for g, f in zip(genomes, fitnesses)]
-    return Population(members)
 
 
 def small_config(**overrides):
@@ -256,8 +252,9 @@ class TestConserveSpeciesSeeds:
     def test_bad_direction_raises(self):
         pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
         seed = Individual(np.array([5.0]), 10.0)
-        with pytest.raises(ValueError, match="direction must be 'min' or 'max'"):
-            conserve_species_seeds(pop, [seed], species_distance=0.5, direction="up")
+        for seeds in ([seed], []):
+            with pytest.raises(ValueError, match="direction must be 'min' or 'max'"):
+                conserve_species_seeds(pop, seeds, species_distance=0.5, direction="up")
 
     def test_seed_overflow_logged_and_bounded(self, caplog):
         pop = make_pop([[0.0], [1.0]], [1.0, 2.0])

@@ -9,7 +9,6 @@ import pytest
 from nichebench.core import (
     Evaluator,
     Individual,
-    Population,
     binary_tournament,
 )
 from nichebench.problems import deb1, himmelblau
@@ -17,11 +16,7 @@ from test_draw_equivalence import euclidean_distance, random_genome  # oracles, 
 # the operators with their draws, one child at a time
 from test_draw_equivalence import per_child_blend, per_child_mutation, per_child_trial
 from test_draw_equivalence import per_child_tournament as tournament
-
-
-def make_pop(genomes, fitnesses):
-    members = [Individual(np.asarray(g, dtype=float), float(f)) for g, f in zip(genomes, fitnesses)]
-    return Population(members)
+from test_draw_equivalence import population as make_pop
 
 
 class TestEuclideanDistance:

@@ -842,8 +842,10 @@ def test_conservation_matches_list_comprehensions(direction):
         n = int(rng.integers(1, 30))
         dim = int(rng.choice((1, 2, 3)))
         sigma = float(rng.uniform(0.1, 2.0))
-        parents = population(rng.uniform(-1, 1, size=(n, dim)),
-                             rng.integers(0, 4, size=n).astype(float))
+        parent_genomes = rng.uniform(-1, 1, size=(n, dim))
+        if trial % 3 == 1:
+            parent_genomes[:, 0] = 0.0  # seeds with a zero coordinate
+        parents = population(parent_genomes, rng.integers(0, 4, size=n).astype(float))
         seeds = determine_species_seeds(parents, sigma, direction)
         if trial % 5 == 0:  # more seeds than slots: overflow
             seeds = seeds + [Individual(rng.uniform(5, 9, size=dim), 9.0) for _ in range(n)]
@@ -852,6 +854,8 @@ def test_conservation_matches_list_comprehensions(direction):
         if n > 2:
             genomes[0] = genomes[1]  # duplicate genomes
             genomes[2] = seeds[0].genome  # one seed survived variation
+            if trial % 3 == 1:
+                genomes[2, 0] = -0.0  # with its zero's sign flipped: still the seed
         if trial % 4 == 0 and n > 3:
             genomes[3] = seeds[0].genome  # and a clone of it
         new_pop, old_pop = population(genomes, fits), population(genomes, fits)
