@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Individual:
     """A real-valued genome with its objective value.
 
@@ -134,8 +134,69 @@ def clip_to_bounds(genome: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 def row_distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Euclidean distances between ``points`` and ``rows`` (``(..., d)``
-    arrays, broadcast against each other), summed over the last axis."""
+    arrays, broadcast against each other), summed over the last axis.
+
+    The bits are those of ``np.sqrt(((points - rows) ** 2).sum(axis=-1))``.
+    A block (a broadcast of 3 or more dimensions, e.g. ``(m, 1, d)``
+    points against ``(n, d)`` rows) with 1 <= d < 16 gets them without the
+    ``(..., d)`` temporary: from one plane of squares per coordinate,
+    added in the order NumPy's pairwise sum adds a short contiguous axis
+    (:func:`_square_sum`), once a first-use probe has found that order in
+    this NumPy (:func:`_sums_in_order`). Vectors, d >= 16 and a failed
+    probe take ``.sum``.
+    """
+    d = points.shape[-1]
+    if ((points.ndim >= 3 or rows.ndim >= 3) and 1 <= d < 16 and rows.shape[-1] == d
+            and _sums_in_order()):
+        return np.sqrt(_square_sum(points, rows, d))
     return np.sqrt(((points - rows) ** 2).sum(axis=-1))
+
+
+def _square_sum(points: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
+    """``((points - rows) ** 2).sum(axis=-1)`` for d < 16, plane by plane:
+    in order below 8 terms; from 8 terms, the first eight as
+    ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)), then the rest in order."""
+    planes = []
+    for j in range(d):
+        x = points[..., j] - rows[..., j]
+        planes.append(np.multiply(x, x, out=x))
+    if d >= 8:
+        s0, s1, s2, s3, s4, s5, s6, s7 = planes[:8]
+        planes[:8] = [((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))]
+    total = planes[0]
+    for plane in planes[1:]:
+        total += plane
+    return total
+
+
+# whether _square_sum adds as .sum(axis=-1) does in this NumPy; None until
+# the first block of the process runs the probe
+_in_order: bool | None = None
+
+
+def _sums_in_order() -> bool:
+    """Run :func:`_sum_order_probe` once per process and keep its answer."""
+    global _in_order
+    if _in_order is None:
+        _in_order = _sum_order_probe()
+    return _in_order
+
+
+def _sum_order_probe() -> bool:
+    """Whether :func:`_square_sum` gives the bits of ``.sum(axis=-1)`` on
+    small blocks for every d from 1 to 15: magnitudes from 1e-3 to 1e3,
+    exact zeros, signed zeros and a row equal to a point."""
+    for d in range(1, 16):
+        k = np.arange(9 * d, dtype=float)
+        values = np.sin(k * 12.9898) * 10.0 ** (k % 7 - 3)
+        values[::5] = 0.0
+        values[1::11] = -0.0
+        points, rows = values[:4 * d].reshape(4, 1, d), values[4 * d:].reshape(5, d)
+        rows[0] = points[1, 0]
+        want = ((points - rows) ** 2).sum(axis=-1)
+        if _square_sum(points, rows, d).tobytes() != want.tobytes():
+            return False
+    return True
 
 
 def leader_scan(rows: np.ndarray, order, radius: float) -> list[int]:
@@ -155,7 +216,8 @@ class Evaluator:
     """The run clock and the maker of individuals: turns genomes into
     evaluated :class:`Individual` objects until ``max_evals`` evaluations,
     one per genome, are spent, keeping the best fitness so far and the
-    trace of (evaluations used, best fitness) checkpoints.
+    trace of (evaluations used, best fitness) checkpoints. The problem's
+    direction must be 'min' or 'max' (ValueError otherwise).
 
     An objective with a ``many(rows) -> (m,) values`` method, whose
     values are the same bits as one call per row, is called once per
@@ -168,7 +230,9 @@ class Evaluator:
         self.max_evals = int(max_evals)
         self.objective = problem.objective
         self._batch = getattr(self.objective, "many", None)
+        check_direction(problem.direction)
         self.direction = problem.direction
+        self._maximize = problem.direction == "max"
         self.used = 0
         self.best: float | None = None
         self.trace: list[tuple[int, float]] = []
@@ -201,8 +265,11 @@ class Evaluator:
         if m > self.max_evals - self.used:
             raise RuntimeError(f"{m} evaluations exceed the {self.max_evals - self.used} "
                                f"left of the budget of {self.max_evals}")
-        if self._batch is None or not m:
-            return [self(genome) for genome in genomes]
+        if not m:
+            return []
+        if self._batch is None:
+            objective, record = self.objective, self._record
+            return [record(genome, float(objective(genome))) for genome in genomes]
         values = np.asarray(self._batch(genomes), dtype=float).tolist()
         if len(values) != m:
             raise ValueError(f"objective returned {len(values)} values for {m} rows")
@@ -215,7 +282,8 @@ class Evaluator:
         self.used += 1
         if not math.isfinite(value):
             raise ValueError(f"objective returned non-finite value {value!r} at {genome!r}")
-        if self.best is None or is_better(value, self.best, self.direction):
+        best = self.best
+        if best is None or (value > best if self._maximize else value < best):
             self.best = value
         return Individual(genome, value)
 

@@ -1,15 +1,19 @@
-"""Core machinery: the evaluator and variation operators, and the distance oracle."""
+"""Core machinery: the evaluator and variation operators, the row
+distances, and the distance oracle."""
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
+from nichebench import core
 from nichebench.core import (
     Evaluator,
     Individual,
     binary_tournament,
+    row_distances,
 )
 from nichebench.problems import deb1, himmelblau
 from test_draw_equivalence import euclidean_distance, random_genome  # oracles, not library code
@@ -97,6 +101,14 @@ class TestEvalBudget:
     def test_budget_that_is_not_a_count_raises(self, max_evals, message):
         with pytest.raises(ValueError, match=message):
             Evaluator(himmelblau(), max_evals)
+
+    def test_unknown_direction_raises_before_any_evaluation(self):
+        calls = []
+        problem = types.SimpleNamespace(objective=lambda x: calls.append(x) or 1.0,
+                                        direction="sideways")
+        with pytest.raises(ValueError, match="direction"):
+            Evaluator(problem, 5)
+        assert calls == []
 
 
 class _Batched:
@@ -241,6 +253,64 @@ class TestBinaryTournament:
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError, match="direction"):
             binary_tournament(np.array([1.0, 2.0]), 0, 1, "up")
+
+
+def summed_distances(points, rows):
+    """The distances as ``row_distances`` summed them before blocks were
+    built plane by plane."""
+    return np.sqrt(((points - rows) ** 2).sum(axis=-1))
+
+
+def block_case(rng, m, n, d):
+    """``(m, d)`` points and ``(n, d)`` rows at magnitudes from 1e-3 to 1e3,
+    with exact zeros, signed zeros and rows equal to points."""
+    scale = 10.0 ** rng.uniform(-3, 3, size=d)
+    points, rows = rng.normal(size=(m, d)) * scale, rng.normal(size=(n, d)) * scale
+    points[rng.random((m, d)) < 0.15] = 0.0
+    rows[rng.random((n, d)) < 0.15] = -0.0
+    rows[rng.random(n) < 0.2] = points[0]
+    points[rng.random(m) < 0.2] = -rows[-1]
+    return points, rows
+
+
+class TestRowDistanceBlocks:
+    """Blocks summed plane by plane against ``.sum(axis=-1)``, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_blocks_match_the_sum_over_the_last_axis(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(40):
+            m, n = (int(k) for k in rng.integers(1, 14, size=2))
+            points, rows = block_case(rng, m, n, d)
+            for p, r in ((points[:, None, :], rows), (rows[:, None, :], points),
+                         (points[:, None, :], np.stack((rows, -rows))[:, None])):
+                assert row_distances(p, r).tobytes() == summed_distances(p, r).tobytes()
+            for p, r in ((points, rows[0]), (points[0], rows)):  # vectors
+                assert row_distances(p, r).tobytes() == summed_distances(p, r).tobytes()
+
+    def test_only_blocks_below_16_terms_are_built_plane_by_plane(self, monkeypatch):
+        built = []
+        square_sum = core._square_sum
+        monkeypatch.setattr(core, "_square_sum", lambda p, r, d: built.append(d) or square_sum(p, r, d))
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 8, 15, 16, 20):
+            points, rows = block_case(rng, 5, 6, d)
+            row_distances(points[:, None, :], rows)
+            row_distances(points, rows[0])
+        assert built == [1, 2, 8, 15]
+
+    def test_a_failed_probe_takes_the_sum(self, monkeypatch):
+        # a plane-by-plane sum in the wrong order fails the probe; every
+        # block then takes .sum and keeps its bits
+        monkeypatch.setattr(core, "_square_sum", lambda p, r, d: ((p - r) ** 2)[..., ::-1].sum(-1))
+        assert not core._sum_order_probe()
+        monkeypatch.setattr(core, "_in_order", None)
+        rng = np.random.default_rng(8)
+        for d in range(1, 16):
+            points, rows = block_case(rng, 9, 7, d)
+            got = row_distances(points[:, None, :], rows)
+            assert got.tobytes() == summed_distances(points[:, None, :], rows).tobytes()
+        assert core._in_order is False
 
 
 BOUNDS_1D = np.array([[0.0, 1.0]])

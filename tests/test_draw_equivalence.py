@@ -9,11 +9,16 @@ change without moving a published number.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nichebench import draws
+from nichebench import core, draws
 from nichebench.algorithms import (
     AlgorithmConfig,
     _RunState,
@@ -40,7 +45,7 @@ from nichebench.core import (
     gaussian_mutation,
     is_better,
 )
-from nichebench.draws import de_draws, de_generation_draws, mutation_draws
+from nichebench.draws import de_draws, de_generation_draws, ga_generation_draws, mutation_draws
 from nichebench.harness import resolve_problem
 from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 
@@ -746,6 +751,218 @@ def test_a_failed_probe_takes_the_per_trial_path(monkeypatch):
         new, old = generation_case(seed, held=seed % 2 == 1)
         assert_same_draws(de_generation_draws(new, 10, 10, 2, 0.9),
                           sequential_de_draws(old, 10, 10, 2, 0.9), new, old)
+
+
+# ---------------------------------------------------------------------------
+# a GA generation's draws, decoded from raw words
+# ---------------------------------------------------------------------------
+
+def sequential_ga_draws(rng, n, m, dim, rate, tournaments=True, cf=None):
+    """A GA generation's requests made one at a time in the frozen order:
+    per pair its four tournament draws, its BLX doubles, then per child
+    the mask doubles, the normals and, for ``cf``, the crowding sample."""
+    order = None if tournaments else rng.permutation(n)
+    candidates, u, masks, normals, samples = [], [], [], [], []
+    for k in range(0, m, 2):
+        if tournaments:
+            candidates.append([rng.integers(n) for _ in range(4)])
+        u.append(rng.random((2, dim)))
+        for _ in range(min(2, m - k)):
+            masks.append(rng.random(dim) < rate)
+            mutated = int(masks[-1].sum())
+            normals.append(rng.standard_normal(mutated) if mutated else np.empty(0))
+            if cf is not None:
+                samples.append(rng.choice(n, size=cf, replace=False))
+    picks = np.array(candidates, np.int64).reshape(-1, 4) if tournaments else order
+    return (picks, np.array(u).reshape(-1, 2, dim), np.array(masks).reshape(-1, dim), normals,
+            None if cf is None else samples)
+
+
+def assert_same_ga_draws(got, want, new, old):
+    """Bit-equal draws, and the same state: the held half and NumPy's stale
+    ``uinteger`` included."""
+    for g, w in zip(got[:3], want[:3]):
+        assert_bits_equal(g, w)
+    assert len(got[3]) == len(want[3])
+    for g, w in zip(got[3], want[3]):
+        assert_bits_equal(g, w)
+    if want[4] is None:
+        assert got[4] is None
+    else:
+        assert_bits_equal(got[4], want[4])
+    assert_same_stream(new, old)
+    assert new.random() == old.random()
+
+
+@pytest.fixture
+def ga_decoding(monkeypatch):
+    """Every GA generation on a PCG64 stream must be decoded: the probe
+    passed, and the real-call path fails the test unless it draws crowding
+    samples, which only real calls make."""
+    assert draws._ga_decoder_works()
+    real_draws = draws._real_ga_draws
+
+    def no_real_calls(rng, n, m, dim, rate, tournaments=True, cf=None):
+        if cf is None:
+            raise AssertionError("took the real-call path")
+        return real_draws(rng, n, m, dim, rate, tournaments, cf)
+
+    monkeypatch.setattr(draws, "_real_ga_draws", no_real_calls)
+
+
+def ga_case(rng, dim, seed):
+    """A population size, a child count (full, odd or cut short by the
+    budget) and a rate of 0, 1, 1/d or 0.5."""
+    n = int(rng.choice([2, 3, 7, 10, 11, 50]))
+    m = n if seed % 3 else int(rng.integers(1, n + 1))
+    return n, m, (0.0, 1.0, 1.0 / dim, 0.5)[seed % 4]
+
+
+@pytest.mark.parametrize("tournaments", [True, False])
+@pytest.mark.parametrize("dim", DIMS)
+def test_ga_generation_draws_match_sequential_calls(dim, tournaments, ga_decoding):
+    rng = np.random.default_rng(50 + dim)
+    for seed in range(160):
+        n, m, rate = ga_case(rng, dim, seed)
+        new, old = generation_case(seed, held=seed % 8 >= 4)
+        assert_same_ga_draws(ga_generation_draws(new, n, m, dim, rate, tournaments),
+                             sequential_ga_draws(old, n, m, dim, rate, tournaments), new, old)
+
+
+def slow_path_words(seed, held, n, m, dim, rate):
+    """How many more words a tournament generation's real calls read than
+    one per normal: above 0 iff a normal took NumPy's slow path."""
+    rng, twin = generation_case(seed, held)
+    ahead = twin.bit_generator.random_raw(m * (3 * dim + 2) + 64)
+    normals = sequential_ga_draws(rng, n, m, dim, rate)[3]
+    fast = (m + 1) // 2 * (2 + 2 * dim) + m * dim + sum(len(x) for x in normals)
+    return int(np.flatnonzero(ahead == rng.bit_generator.random_raw())[0]) - fast
+
+
+def test_a_slow_path_normal_mid_generation_comes_from_a_real_call(ga_decoding):
+    # seeds whose first 48 children already hold a slow-path normal; the
+    # decoder gets it from one real call and must find where the walk goes on
+    n, dim, rate = 50, 2, 1.0
+    seeds = [seed for seed in range(40) if slow_path_words(seed, seed % 2 == 1, n, 48, dim, rate)]
+    assert len(seeds) >= 10
+    for seed in seeds:
+        new, old = generation_case(seed, held=seed % 2 == 1)
+        assert_same_ga_draws(ga_generation_draws(new, n, n, dim, rate),
+                             sequential_ga_draws(old, n, n, dim, rate), new, old)
+
+
+def test_crowding_samples_take_the_real_call_path(ga_decoding):
+    for seed in range(30):
+        n, dim = (5, 10, 50)[seed % 3], DIMS[seed % 4]
+        new, old = generation_case(seed, held=seed % 2 == 1)
+        assert_same_ga_draws(ga_generation_draws(new, n, n - 1, dim, 0.5, cf=3),
+                             sequential_ga_draws(old, n, n - 1, dim, 0.5, cf=3), new, old)
+
+
+def _no_ga_decoding(*args):
+    raise AssertionError("decoded where the real-call path was due")
+
+
+def test_other_bit_generators_take_the_real_call_path(monkeypatch):
+    monkeypatch.setattr(draws, "_decode_ga", _no_ga_decoding)
+    for seed in range(20):
+        n, dim = (5, 10, 50)[seed % 3], DIMS[seed % 4]
+        new, old = (np.random.Generator(np.random.MT19937(seed)) for _ in range(2))
+        assert_same_ga_draws(ga_generation_draws(new, n, n, dim, 0.5, seed % 2 == 0),
+                             sequential_ga_draws(old, n, n, dim, 0.5, seed % 2 == 0), new, old)
+
+
+def test_a_rate_outside_the_unit_interval_raises_where_the_real_calls_do(monkeypatch):
+    monkeypatch.setattr(draws, "_decode_ga", _no_ga_decoding)
+    for rate in (-0.1, 1.5, float("nan")):
+        new, old = twin_streams(3)
+        with pytest.raises(ValueError, match="mutation rate"):
+            ga_generation_draws(new, 10, 10, 2, rate)
+        with pytest.raises(ValueError, match="mutation rate"):
+            draws._real_ga_draws(old, 10, 10, 2, rate)
+        assert_same_stream(new, old)
+
+
+@pytest.mark.parametrize("cause", ["redraw", "short request"])
+def test_a_generation_that_cannot_be_decoded_restores_the_stream(monkeypatch, cause):
+    assert draws._ga_decoder_works()  # probed with the real predicate and request size
+    if cause == "redraw":
+        monkeypatch.setattr(draws, "_may_redraw", lambda low, span: True)
+    else:
+        monkeypatch.setattr(draws, "_SPARE", -60)
+    entry_states = []
+    real_draws = draws._real_ga_draws
+
+    def real_calls(rng, *args):
+        entry_states.append(rng.bit_generator.state)
+        return real_draws(rng, *args)
+
+    monkeypatch.setattr(draws, "_real_ga_draws", real_calls)
+    for seed in range(40):
+        # only tournaments make Lemire draws; a short request can come with either
+        dim, tournaments = DIMS[seed % 4], cause == "redraw" or seed % 2 == 1
+        new, old = generation_case(seed, held=seed % 4 >= 2)
+        start = new.bit_generator.state
+        got = ga_generation_draws(new, 50, 49, dim, 1.0, tournaments)
+        assert entry_states.pop() == start
+        assert_same_ga_draws(got, sequential_ga_draws(old, 50, 49, dim, 1.0, tournaments),
+                             new, old)
+    assert entry_states == []
+
+
+def test_a_failed_ga_probe_takes_the_real_call_path(monkeypatch):
+    assert draws._ga_decoder_probe()
+    # a decoder that forgets the held half fails the probe
+    leave = draws._leave
+    monkeypatch.setattr(draws, "_leave", lambda bitgen, held, *rest: leave(bitgen, False, *rest))
+    assert not draws._ga_decoder_probe()
+    monkeypatch.setattr(draws, "_ga_decodes", False)
+    monkeypatch.setattr(draws, "_decode_ga", _no_ga_decoding)
+    for seed in range(10):
+        new, old = generation_case(seed, held=seed % 2 == 1)
+        assert_same_ga_draws(ga_generation_draws(new, 10, 10, 2, 0.5),
+                             sequential_ga_draws(old, 10, 10, 2, 0.5), new, old)
+
+
+def test_ga_decoding_in_a_fresh_process_with_the_probe_limits():
+    # earlier tests have raised this process's limits; a fresh process
+    # decodes with what the probe proved, so more normals are real calls
+    code = (
+        "import json\n"
+        "import numpy as np\n"
+        "from nichebench import draws\n"
+        "from test_draw_equivalence import generation_case, same_state, sequential_ga_draws\n"
+        "assert draws._ga_decoder_works()\n"
+        "left, mismatches = draws._normal_limit.copy(), 0\n"
+        "rng = np.random.default_rng(60)\n"
+        "for seed in range(200):\n"
+        "    draws._normal_limit[:] = left\n"
+        "    dim, tournaments = (1, 2, 3, 8)[seed % 4], seed % 3 > 0\n"
+        "    n = int(rng.choice([3, 10, 50])); m = n - seed % 2\n"
+        "    rate = (1.0, 0.5, 1.0 / dim)[seed % 3]\n"
+        "    new, old = generation_case(seed, held=seed % 2 == 0)\n"
+        "    got = draws.ga_generation_draws(new, n, m, dim, rate, tournaments)\n"
+        "    want = sequential_ga_draws(old, n, m, dim, rate, tournaments)\n"
+        "    same = all(g.tobytes() == w.tobytes() for g, w in\n"
+        "               zip(got[:3] + tuple(got[3]), want[:3] + tuple(want[3])))\n"
+        "    same = same and same_state(new.bit_generator.state, old.bit_generator.state)\n"
+        "    mismatches += not (same and new.random() == old.random())\n"
+        "print(json.dumps({'decodes': draws._ga_decodes, 'mismatches': mismatches}))\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(draws.__file__).resolve().parents[1]), str(here)]
+                           + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == {"decodes": True, "mismatches": 0}
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="the decoders are certified at NumPy 2.4.6")
+def test_decoders_are_on_at_the_pinned_numpy():
+    # a probe that fails keeps every bit but loses the speed: catch it here
+    assert draws._decoder_probe()
+    assert draws._ga_decoder_probe()
+    assert core._sum_order_probe()
 
 
 def test_a_batch_is_its_rows_built_one_at_a_time():

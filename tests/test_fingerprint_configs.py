@@ -15,7 +15,9 @@ take:
 The default cells of the three DE algorithms run twice more: with the
 DE decoder forced off, where every generation takes the real-call path
 and must give the digests of ``fingerprints.json``, and on an MT19937
-generator, against their own digests here.
+generator, against their own digests here. The default cells of the
+four GAs run once more, with the GA decoder forced off, against
+``fingerprints.json``.
 
 The table must only be regenerated for a deliberate, documented change
 of results::
@@ -51,6 +53,7 @@ SETTINGS = {
 CASES = [(alg, prob, setting) for setting, (algs, _) in SETTINGS.items()
          for alg in algs for prob in PROBLEMS]
 DE_CELLS = [(alg, prob) for alg in DES for prob in PROBLEMS]
+GA_CELLS = [(alg, prob) for alg in GAS for prob in PROBLEMS]
 
 
 def mt19937(seed: int) -> np.random.Generator:
@@ -95,6 +98,14 @@ def test_config_fingerprint(table, algorithm, problem_name, setting):
 @pytest.mark.parametrize("algorithm,problem_name", DE_CELLS)
 def test_real_de_draws_reproduce_the_default_fingerprints(monkeypatch, algorithm, problem_name):
     monkeypatch.setattr(draws, "_decodes", False)
+    want = json.loads(DEFAULT_TABLE.read_text())[f"{algorithm}/{problem_name}"]
+    for seed in cell_seeds(algorithm, problem_name):
+        assert run_digest(algorithm, problem_name, seed) == want[str(seed)]
+
+
+@pytest.mark.parametrize("algorithm,problem_name", GA_CELLS)
+def test_real_ga_draws_reproduce_the_default_fingerprints(monkeypatch, algorithm, problem_name):
+    monkeypatch.setattr(draws, "_ga_decodes", False)
     want = json.loads(DEFAULT_TABLE.read_text())[f"{algorithm}/{problem_name}"]
     for seed in cell_seeds(algorithm, problem_name):
         assert run_digest(algorithm, problem_name, seed) == want[str(seed)]

@@ -1,7 +1,9 @@
-"""What ``import nichebench`` loads: NumPy, but neither SciPy nor the
-process pool. SciPy comes with the first Welch t p-value and the pool with
-the first grid run at ``jobs > 1``. These checks look at ``sys.modules`` in
-a fresh interpreter, not at import time, so they are deterministic. Two
+"""What ``import nichebench`` loads and runs: NumPy, but neither SciPy, the
+process pool nor a first-use probe. SciPy comes with the first Welch t
+p-value, the pool with the first grid run at ``jobs > 1``, and each probe
+with the first DE generation, GA generation or distance block. These
+checks look at ``sys.modules`` and the probe outcomes in a fresh
+interpreter, not at import time, so they are deterministic. Two
 last checks read the source: only ``nichebench.draws`` calls a Generator,
 and in ``nichebench.algorithms`` only ``_RunState`` draws for a
 generation, caps it at the budget left or reads the run's RNG."""
@@ -98,6 +100,30 @@ def test_import_runs_no_probe_and_the_first_de_generation_runs_it_once():
     )
     assert out["at_import"] == {"generators": 0, "decodes": None, "layouts": 0}
     assert out["probes"] == 1 and out["decodes"] is True
+
+
+def test_import_runs_no_ga_or_sum_probe_and_the_first_ga_generation_runs_it_once():
+    # the GA decoder's probe and normal layers wait for the first GA
+    # generation, and the sum-order probe for the first distance block
+    out = run_fresh(
+        "import json\n"
+        "import numpy as np\n"
+        "import nichebench, nichebench.cli\n"
+        "from nichebench import core, draws\n"
+        "at_import = {'ga': draws._ga_decodes, 'sums': core._in_order,\n"
+        "             'layers': int((~np.isnan(draws._normal_scale)).sum())}\n"
+        "probes = []\n"
+        "probe = draws._ga_decoder_probe\n"
+        "draws._ga_decoder_probe = lambda: probes.append(1) or probe()\n"
+        "config = nichebench.AlgorithmConfig(population_size=10)\n"
+        "for run in (nichebench.crowding_ga, nichebench.scga, nichebench.preselection_ga,\n"
+        "            nichebench.sharing_ga):\n"
+        "    run(nichebench.himmelblau(), config, budget=40, rng=1)\n"
+        "print(json.dumps({'at_import': at_import, 'probes': len(probes),\n"
+        "                  'ga': draws._ga_decodes, 'sums': core._in_order}))\n"
+    )
+    assert out["at_import"] == {"ga": None, "sums": None, "layers": 0}
+    assert out["probes"] == 1 and out["ga"] is True and out["sums"] is True
 
 
 def generator_calls(path: Path) -> list[int]:
