@@ -9,10 +9,6 @@ change without moving a published number.
 """
 
 import dataclasses
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +44,7 @@ from nichebench.core import (
 from nichebench.draws import de_draws, de_generation_draws, ga_generation_draws, mutation_draws
 from nichebench.harness import resolve_problem
 from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
+from test_import_guard import run_fresh
 
 
 # ---------------------------------------------------------------------------
@@ -927,8 +924,9 @@ def test_a_failed_ga_probe_takes_the_real_call_path(monkeypatch):
 def test_ga_decoding_in_a_fresh_process_with_the_probe_limits():
     # earlier tests have raised this process's limits; a fresh process
     # decodes with what the probe proved, so more normals are real calls
-    code = (
-        "import json\n"
+    out = run_fresh(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
         "import numpy as np\n"
         "from nichebench import draws\n"
         "from test_draw_equivalence import generation_case, same_state, sequential_ga_draws\n"
@@ -949,12 +947,7 @@ def test_ga_decoding_in_a_fresh_process_with_the_probe_limits():
         "    mismatches += not (same and new.random() == old.random())\n"
         "print(json.dumps({'decodes': draws._ga_decodes, 'mismatches': mismatches}))\n"
     )
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(Path(draws.__file__).resolve().parents[1]), str(here)]
-                           + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ))
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(proc.stdout) == {"decodes": True, "mismatches": 0}
+    assert out == {"decodes": True, "mismatches": 0}
 
 
 @pytest.mark.skipif(np.__version__ != "2.4.6", reason="the decoders are certified at NumPy 2.4.6")
