@@ -5,8 +5,9 @@ only. This table pins, at the same 2000 evaluations and 2 derived seeds
 per cell, on deb1, himmelblau and grating, the paths the defaults never
 take:
 
-- a crowding factor of 3, below the population size (crowding_ga and
-  crowding_de draw a crowding sample per child);
+- crowding factors of 1, 3 and 49, below the population size of 50
+  (crowding_ga and crowding_de draw a crowding sample per child; 1 and
+  49 are the two ends of its range);
 - mutation rates 0 and 1 (the four GAs: no normals, all normals);
 - an odd population of 11 (all seven);
 - ``species_distance = sharing_radius = 0.05`` (scga, sde, sharing_ga and
@@ -43,7 +44,9 @@ GAS = ["crowding_ga", "preselection_ga", "scga", "sharing_ga"]
 DES = ["crowding_de", "sde", "sharing_de"]
 # setting name -> (algorithms, AlgorithmConfig fields)
 SETTINGS = {
+    "crowding_factor=1": (["crowding_de", "crowding_ga"], {"crowding_factor": 1}),
     "crowding_factor=3": (["crowding_de", "crowding_ga"], {"crowding_factor": 3}),
+    "crowding_factor=49": (["crowding_de", "crowding_ga"], {"crowding_factor": 49}),
     "mutation_rate=0": (GAS, {"mutation_rate": 0.0}),
     "mutation_rate=1": (GAS, {"mutation_rate": 1.0}),
     "population_size=11": (sorted(ALGORITHMS), {"population_size": 11}),
@@ -86,7 +89,7 @@ def table():
 def test_table_covers_every_case(table):
     assert sorted(table) == sorted([f"{alg}/{prob}/{setting}" for alg, prob, setting in CASES]
                                    + [f"{alg}/{prob}/mt19937" for alg, prob in DE_CELLS])
-    assert len(CASES) == 63
+    assert len(CASES) == 75
 
 
 @pytest.mark.parametrize("algorithm,problem_name,setting", CASES)
