@@ -20,20 +20,26 @@ it. The requests come in this frozen order:
 Nothing else draws; the operators in ``core`` use the values drawn here.
 
 Draw exactness: every published result is a pure function of the run
-seed, so these requests are frozen. The rule is word-level: a change to
-an RNG request (a cheaper call, a merged or split draw, a decoding of raw
-words) is allowed only if it consumes the same 64-bit words and 32-bit
-halves of the bit generator's stream, in the same order, yields
-bit-identical values and leaves the same ``bit_generator.state``, held-back
-half included; e.g. ``lo + (hi - lo) * rng.random(d)`` is what
-``rng.uniform(lo, hi)`` computes, and :func:`de_generation_draws` and
-:func:`ga_generation_draws` decode what a generation of real calls would
-read from one ``random_raw`` request of a PCG64 stream. Each decoder is
-checked against the real calls by a probe on its first use in a process
-(never at import); the real calls stay, as the reference and for what is
-not decoded. The fingerprint tables pin whole runs, and
-``tests/test_draw_equivalence.py`` checks each such rewrite against the
-call it replaced.
+seed, so these requests are frozen. A change to an RNG request (a cheaper
+call, a merged or split draw, a decoding of raw words) is allowed only if
+it consumes the same 64-bit words and 32-bit halves of the stream, in the
+same order, yields bit-identical values and leaves the same
+``bit_generator.state``, held-back half included; e.g. ``lo + (hi - lo) *
+rng.random(d)`` is what ``rng.uniform(lo, hi)`` computes.
+:func:`de_generation_draws` and :func:`ga_generation_draws` decode what a
+generation of real calls reads from one ``random_raw`` request of a PCG64
+stream. Every ``choice(size, k, replace=False)`` there, DE donors (k = 3)
+and crowding samples alike, is NumPy's Floyd algorithm, decoded by one
+rule (:func:`_floyd`): for j = size - k ... size - 1 one bounded draw of
+range j + 1 (none for j = 0), a value already picked replaced by j, then
+for i = k - 1 ... 1 a swap of position i with one bounded draw of range
+i + 1. For size above 10000 with k above size // 50 NumPy shuffles a tail
+of ``arange(size)`` instead; such samples are real calls. A probe checks
+each decoder against the real calls on its first use in a process (never
+at import); the real calls stay, as the reference and for what is not
+decoded. The fingerprint tables pin whole runs, and
+``tests/test_draw_equivalence.py`` checks each rewrite against the call
+it replaced.
 """
 
 from __future__ import annotations
@@ -42,13 +48,8 @@ import functools
 
 import numpy as np
 
-__all__ = [
-    "initial_genomes",
-    "ga_generation_draws",
-    "mutation_draws",
-    "de_draws",
-    "de_generation_draws",
-]
+__all__ = ["initial_genomes", "ga_generation_draws", "mutation_draws", "de_draws",
+           "de_generation_draws"]
 
 _NO_NORMALS = np.empty(0)  # mutation_draws' normals when no coordinate mutates
 _PROBE_SEED = 20150101  # the stream the GA probe proves standard_normal's layers on
@@ -66,42 +67,39 @@ def ga_generation_draws(rng: np.random.Generator, n: int, m: int, dim: int, rate
     """The draws of a generation's first ``m`` GA children in a population
     of ``n``: the parents' picks (the p pairs' ``(p, 4)`` tournament
     candidates or, without ``tournaments``, the ``(n,)`` permutation), the
-    ``(p, 2, d)`` BLX doubles, the ``(m, d)`` mutation masks, and lists of
-    each child's normals and, for ``cf`` below ``n``, samples (else None).
+    ``(p, 2, d)`` BLX doubles, the ``(m, d)`` masks, a list of each child's
+    normals and, for ``cf`` below ``n``, the ``(m, cf)`` samples (or None).
 
-    Without samples, a PCG64 stream is decoded from one ``random_raw``
-    request (see :func:`_decode_ga`). The real calls are made instead
-    (:func:`_real_ga_draws`) for crowding samples, any other bit
-    generator, a failed first-use probe, a rate outside [0, 1] (which
-    raises where the real calls do) and a generation where Lemire's
-    method might have redrawn or the request ran short (the stream is
-    then restored first).
+    A PCG64 stream is decoded (:func:`_decode_ga`). The real calls
+    (:func:`_real_ga_draws`) serve any other bit generator, a failed
+    probe, a rate outside [0, 1] (which raises where they do), tail-shuffle
+    samples, and a generation where Lemire's method might have redrawn or
+    the request ran short (the stream is then restored first).
     """
-    sampled = cf is not None and cf < n
-    if (m and 2 <= n <= _HALF_RANGE and 0.0 <= rate <= 1.0 and _decodable(rng, sampled)
-            and _ga_decoder_works()):
-        decoded = _decode_ga(rng, n, m, dim, rate, tournaments)
-        if decoded is not None:
-            return (*decoded, None)
-    return _real_ga_draws(rng, n, m, dim, rate, tournaments, cf if sampled else None)
+    cf = None if cf is None or cf >= n else cf
+    decoded = (m and n >= 2 and 0.0 <= rate <= 1.0 and _decodable(rng, n, cf)
+               and _works("_ga_decodes", _ga_decoder_probe)
+               and _decode_ga(rng, n, m, dim, rate, tournaments, cf))
+    return decoded or _real_ga_draws(rng, n, m, dim, rate, tournaments, cf)
 
 
 def _real_ga_draws(rng, n, m, dim, rate, tournaments=True, cf=None):
     """:func:`ga_generation_draws` made by real calls, pair by pair."""
     order = None if tournaments else rng.permutation(n)
-    candidates, u, masks, normals, samples = [], [], [], [], []
+    candidates, u, masks, normals = [], [], [], []
+    samples = None if cf is None else np.empty((m, cf), np.int64)
     for k in range(0, m, 2):
         if tournaments:
             candidates.append(rng.integers(n, size=4))
         u.append(rng.random((2, dim)))
-        for _ in range(min(2, m - k)):
+        for child in range(k, min(k + 2, m)):
             mask, normal = mutation_draws(rng, dim, rate)
             masks.append(mask)
             normals.append(normal)
             if cf is not None:
-                samples.append(rng.choice(n, size=cf, replace=False))
+                samples[child] = rng.choice(n, size=cf, replace=False)
     return (np.array(candidates) if tournaments else order, np.array(u), np.array(masks),
-            normals, None if cf is None else samples)
+            normals, samples)
 
 
 def mutation_draws(rng: np.random.Generator, dim: int, rate: float):
@@ -139,36 +137,33 @@ def de_draws(rng: np.random.Generator, n: int, target: int, dim: int, CR: float,
 def de_generation_draws(rng: np.random.Generator, n: int, m: int, dim: int, CR: float,
                         pools: np.ndarray | None = None, cf: int | None = None):
     """The draws of DE targets 0 to ``m`` - 1: the ``(3, m)`` donors and
-    ``(m, dim)`` masks of their :func:`de_draws` calls and, for a crowding
-    factor ``cf`` below ``n``, the list of their crowding samples (else None).
+    ``(m, dim)`` masks of their :func:`de_draws` calls and, for ``cf`` below
+    ``n``, their ``(m, cf)`` crowding samples (or None).
 
-    ``pools`` is None (every target draws from all ``n`` members) or an
-    ``(n,)`` array of pool labels: a target draws from the members that
-    share its label, in index order, less itself, or from all ``n`` for a
-    negative label. A pool below 3 besides the target raises de_draws'
-    ValueError before anything is drawn.
+    ``pools`` is None (all draw from all ``n`` members) or ``(n,)`` pool
+    labels: a target draws from the members that share its label, in index
+    order, less itself, or from all ``n`` for a negative label. A pool
+    below 3 besides the target raises de_draws' error before any draw.
 
-    Without samples, a PCG64 stream is decoded from one ``random_raw``
-    request (see :func:`_de_layout`). The real calls are made instead
-    (:func:`_real_de_draws`) for crowding samples, any other bit generator,
-    a failed first-use probe, and a generation where Lemire's method might
-    have redrawn (the stream is then restored first).
+    A PCG64 stream is decoded (:func:`_decode_de`). The real calls
+    (:func:`_real_de_draws`) serve any other bit generator, a failed
+    probe, tail-shuffle samples, and a generation where Lemire's method
+    might have redrawn (the stream is then restored first).
     """
-    if pools is None:
-        pools = np.full(n, -1)
-    pool_map = _pool_map(n, m, pools)
-    sampled = cf is not None and cf < n
-    if _decodable(rng, sampled) and _decoder_works():
-        decoded = _decode_de(rng.bit_generator, pool_map, dim, CR)
-        if decoded is not None:
-            return (*decoded, None)
-    return _real_de_draws(rng, n, m, dim, CR, pools, cf if sampled else None)
+    pools = np.full(n, -1, np.intp) if pools is None else np.asarray(pools, np.intp)
+    cf = None if cf is None or cf >= n else cf
+    decoded = (_decodable(rng, n, cf) and _works("_decodes", _decoder_probe)
+               and _decode_de(rng, n, m, dim, CR, pools, cf))
+    return decoded or _real_de_draws(rng, n, m, dim, CR, pools, cf)
 
 
-def _pool_map(n: int, m: int, pools: np.ndarray):
-    """Pool size less the target ``sizes`` of each of targets 0..m-1, and
-    the arrays that map its pool position p to a member:
-    ``lookup[base + p + (p >= rank)]``. Raises for a pool below 3."""
+@functools.lru_cache(maxsize=64)
+def _pool_map(n: int, m: int, labels: bytes):
+    """Each of targets 0..m-1's pool size less itself under the pool
+    ``labels`` (an ``(n,)`` intp array's bytes), the arrays that map a pool
+    position p to a member, ``lookup[base + p + (p >= rank)]``, and its
+    donors' bounded draws' ranges. Raises for a pool below 3."""
+    pools = np.frombuffer(labels, np.intp)
     # each pool's members in index order, then all n members for a negative label
     order = np.argsort(pools, kind="stable")
     lookup = np.concatenate((order, np.arange(n)))
@@ -178,82 +173,76 @@ def _pool_map(n: int, m: int, pools: np.ndarray):
     sizes = np.where(whole, n, np.searchsorted(labels, own, "right") - start) - 1
     if (sizes < 3).any():
         raise ValueError(_SMALL_POOL)
-    where = np.empty(n, np.intp)
-    where[order] = np.arange(n)
     base = np.where(whole, n, start)
-    rank = np.where(whole, np.arange(m), where[:m] - start)
-    return sizes, lookup, base[:, None], rank[:, None]
+    rank = np.where(whole, np.arange(m), np.argsort(order)[:m] - start)
+    span = _floyd_span(sizes[:, None], 3)
+    sizes.flags.writeable = lookup.flags.writeable = span.flags.writeable = False
+    return sizes, lookup, base, rank, span
 
 
 def _real_de_draws(rng, n, m, dim, CR, pools, cf=None):
     """:func:`de_generation_draws` made by real calls: per target, its
     :func:`de_draws` then, for ``cf``, its crowding sample."""
+    _pool_map(n, m, pools.tobytes())  # a pool below 3 raises before anything is drawn
     donors, cross = np.empty((3, m), np.intp), np.empty((m, dim), bool)
-    samples = None if cf is None else []
+    samples = None if cf is None else np.empty((m, cf), np.int64)
     for t in range(m):
         pool = None if pools[t] < 0 else np.flatnonzero(pools == pools[t]).tolist()
         donors[:, t], cross[t] = de_draws(rng, n, t, dim, CR, pool)
         if cf is not None:
-            samples.append(rng.choice(n, size=cf, replace=False))
+            samples[t] = rng.choice(n, size=cf, replace=False)
     return donors, cross, samples
 
 
-# A draw that NumPy skips (Floyd's j = 0 for a pool of 3, integers(1)) reads
-# half-table entry 0, which Lemire's method with a range of 1 maps to 0 and
-# never redraws.
-_NO_DRAW = 0
-# choice()'s two-step shuffle of its three picks: row 2 * r + s, for its
-# bounded draws r < 3 and s < 2, lists the pick that lands in each slot
-_SHUFFLED = np.array([[1, 2, 0], [2, 1, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [0, 1, 2]])
-# whether this NumPy's Generator reads PCG64 words as _decode_de and
-# _decode_ga do; None until the first DE or GA generation of the process
-# runs that decoder's probe
+# whether this NumPy reads PCG64 words as _decode_de and _decode_ga do;
+# None until a process's first DE or GA generation probes it (_works)
 _decodes: bool | None = None
 _ga_decodes: bool | None = None
 # the largest n for which integers(n) is a Lemire draw on a 32-bit half
 _HALF_RANGE = 2 ** 32 - 1
 
 
-@functools.lru_cache(maxsize=64)
-def _de_layout(small: bytes, dim: int, held: bool):
-    """Where ``len(small)`` consecutive :func:`de_draws` calls read a PCG64
-    stream. ``small[t]`` is 1 when trial t's pool less its target has 3
-    members, and ``held`` tells whether the stream starts with a 32-bit
-    half held back.
+def _decodable(rng: np.random.Generator, n: int, cf: int | None) -> bool:
+    """Whether a generation's draws may be decoded from raw words: a PCG64
+    stream, bounded draws on 32-bit halves, and no crowding sample that
+    NumPy draws by its tail shuffle."""
+    return (type(rng.bit_generator) is np.random.PCG64 and n <= _HALF_RANGE
+            and (cf is None or n <= 10000 or cf <= n // 50))
 
-    A trial makes, in order: choice()'s bounded draws for Floyd's j =
-    size-3, size-2, size-1 (none for j = 0) and its shuffle's two, then
-    ``dim`` doubles, then ``integers(dim)``'s bounded draw (none for dim
-    1). A double reads a new 64-bit word. A bounded draw is Lemire's
-    method on 32 bits: the held half if there is one, else the low half
-    of a new word, whose high half is then held. Positions index the half
-    table of :func:`_decode_de`: 0 is the no-draw entry, 1 the half held
-    at the start, ``2 + 2w`` and ``3 + 2w`` the low and high half of word
-    w. Returns each trial's six bounded-draw positions ``(m, 6)``, its
-    double words ``(m, dim)``, the number of words read, the position of
-    the half in NumPy's ``uinteger`` at the end, and whether it is held.
-    """
-    words, last = 0, 1
 
-    def half():
-        nonlocal words, held, last
-        if held:
-            held = False
-            return last
-        words += 1
-        held, last = True, 2 * words + 1
-        return 2 * words
+def _works(flag: str, probe) -> bool:
+    """Whether the decoder that ``probe`` checks may run: the probe runs on
+    first use in a process, and the module global ``flag`` keeps its answer."""
+    if globals()[flag] is None:
+        globals()[flag] = probe()
+    return globals()[flag]
 
-    halves, doubles = [], []
-    for pool_of_3 in small:
-        halves.append([_NO_DRAW if pool_of_3 else half(), half(), half(), half(), half()])
-        doubles.append(range(words, words + dim))
-        words += dim
-        halves[-1].append(half() if dim > 1 else _NO_DRAW)
-    halves = np.array(halves, np.intp).reshape(-1, 6)
-    doubles = np.array(doubles, np.intp).reshape(-1, dim)
-    halves.flags.writeable = doubles.flags.writeable = False  # shared by every caller
-    return halves, doubles, words, last, held
+
+def _halves(count: int, held: bool):
+    """How many new words ``count`` bounded draws read, and whether a half
+    is held after them: a bounded draw reads the held 32-bit half if there
+    is one, else the low half of a new 64-bit word and holds its high half."""
+    return (count - held + 1) // 2, (count - held) % 2 == 1
+
+
+def _bounded(raw: np.ndarray, words, state: dict, index: np.ndarray, span, count: int):
+    """The values of ``count`` bounded draws, Lemire's method on 32-bit
+    halves: in order, they read the half held in ``state``, if any, then
+    both halves of each of ``raw[words]``, low first. ``index`` places
+    each by its number (-1 for a draw NumPy skips, of range 1), ``span``
+    gives its range. Returns them, whether a half is held after them and
+    NumPy's ``uinteger`` then; None if one might have been redrawn."""
+    held = int(state["has_uint32"])
+    if not count:  # no draw: the held half, or the stale one, stays
+        return index, bool(held), state["uinteger"]
+    halves = np.empty(2 * len(words) + 2, np.uint32)
+    halves[0], halves[-1] = state["uinteger"], 0xFFFFFFFF  # the held half, a skipped draw's
+    halves[1:-1] = raw[words].view(np.uint32)  # low half first on a little-endian host
+    product = halves[1 - held:][index] * span
+    if _may_redraw(product & 0xFFFFFFFF, span):
+        return None
+    fresh = count - held  # the halves of new words read; a last word's high half is kept
+    return (product >> 32).astype(np.intp), fresh % 2 == 1, halves[fresh + fresh % 2]
 
 
 def _may_redraw(low: np.ndarray, span: np.ndarray) -> bool:
@@ -263,19 +252,59 @@ def _may_redraw(low: np.ndarray, span: np.ndarray) -> bool:
     return bool((low < span).any())
 
 
-def _lemire(halves: np.ndarray, span):
-    """The values of Lemire draws on the 32-bit ``halves`` with ranges
-    ``span`` (a bound + 1), or None if any might have been redrawn."""
-    product = halves * span
-    if _may_redraw(product & 0xFFFFFFFF, span):
-        return None
-    return product >> 32
+def _floyd_span(size, k: int) -> np.ndarray:
+    """The ranges of ``choice(size, k, replace=False)``'s 2k - 1 bounded
+    draws (see :func:`_floyd`)."""
+    col = np.arange(2 * k - 1)
+    return np.where(col < k, size - k + 1 + col, 2 * k - col).astype(np.uint64)
 
 
-def _decodable(rng: np.random.Generator, sampled: bool) -> bool:
-    """Whether a generation's draws may be decoded from raw words: a PCG64
-    stream and no crowding samples, which only real calls make."""
-    return not sampled and type(rng.bit_generator) is np.random.PCG64
+def _floyd(value: np.ndarray, size, k: int) -> np.ndarray:
+    """``choice(size, k, replace=False)`` for each row of ``value``, by
+    the module's Floyd rule, from the values of its bounded draws
+    ``value[:, :2k - 1]``, as the columns of a ``(k, m)`` array."""
+    picks = value[:, :k].T.copy()
+    for j in range(1, k):
+        np.copyto(picks[j], size - k + j, where=(picks[:j] == picks[j]).any(axis=0))
+    flat, rows = picks.ravel(), np.arange(len(value))
+    for i in range(k - 1, 0, -1):  # position i is final once swapped
+        swap = value[:, 2 * k - 1 - i] * len(value) + rows
+        taken = flat[swap]
+        flat[swap] = picks[i]
+        picks[i] = taken
+    return picks
+
+
+@functools.lru_cache(maxsize=64)
+def _de_layout(small: bytes, dim: int, n: int, cf: int, held: bool):
+    """Where ``len(small)`` :func:`de_draws` calls, each then with a sample
+    of ``cf`` if ``cf``, read a PCG64 stream with a half ``held`` or not
+    (``small[t]`` is 1 when trial t's pool less its target has 3 members):
+    choice()'s bounded draws for the donors, ``dim`` doubles, each a new
+    word, ``integers(dim)``'s bounded draw (none for dim 1), the sample's.
+    Returns each trial's bounded draws ``(m, 6 + 2cf - 1)`` numbered in
+    order (-1 where NumPy skips one), the ranges of all but the donors',
+    its double words ``(m, dim)``, the words bounded draws read, in order,
+    and how many bounded draws and words there are."""
+    word, made, index, doubles, bounded = 0, 0, [], [], []
+
+    def run(count: int, skipped: bool):  # a skipped draw, then count bounded draws
+        nonlocal word, made, held
+        read, held = _halves(count, held)
+        bounded.extend(range(word, word + read))
+        word, made = word + read, made + count
+        return [-1] * skipped + list(range(made - count, made))
+
+    for pool_of_3 in small:
+        donors = run(5 - pool_of_3, pool_of_3)
+        doubles.append(range(word, word + dim))
+        word += dim
+        index.append(donors + run((dim > 1) + max(2 * cf - 1, 0), dim == 1))
+    index, doubles = np.array(index, np.intp), np.array(doubles, np.intp).reshape(-1, dim)
+    span = np.tile(np.append(np.uint64(dim), _floyd_span(n, cf)), (len(small), 1))
+    bounded = np.array(bounded, np.intp)
+    index.flags.writeable = span.flags.writeable = doubles.flags.writeable = False
+    return index, span, doubles, bounded, made, word
 
 
 def _leave(bitgen, held: bool, half, rewind: int = 0) -> None:
@@ -289,89 +318,75 @@ def _leave(bitgen, held: bool, half, rewind: int = 0) -> None:
     bitgen.state = state
 
 
-def _decode_de(bitgen, pool_map, dim: int, CR: float):
-    """The donors and masks of :func:`de_generation_draws` for the targets
-    of ``pool_map`` (see :func:`_pool_map`), decoded from one
-    ``random_raw`` request and the held half; the state is then set as the
-    real calls leave it. None, with the state restored, if a draw might
-    have been redrawn."""
-    sizes, lookup, base, rank = pool_map
-    m = len(sizes)
+def _decode_de(rng, n: int, m: int, dim: int, CR: float, pools: np.ndarray, cf: int | None):
+    """The draws of :func:`de_generation_draws` (``pools`` an intp array),
+    decoded from one ``random_raw`` request, the state then set as the real
+    calls leave it; None, with it restored, if a draw might have redrawn."""
+    sizes, lookup, base, rank, donor_span = _pool_map(n, m, pools.tobytes())
+    bitgen, k = rng.bit_generator, cf or 0
     state = bitgen.state
-    halves, doubles, words, last, held = _de_layout((sizes == 3).tobytes(), dim,
-                                                     bool(state["has_uint32"]))
+    index, span, doubles, bounded, count, words = _de_layout(
+        (sizes == 3).tobytes(), dim, n, k, bool(state["has_uint32"]))
     raw = bitgen.random_raw(words)
-    table = np.empty(2 * words + 2, np.uint64)
-    table[_NO_DRAW] = 0xFFFFFFFF
-    table[1] = state["uinteger"]
-    table[2::2] = raw & 0xFFFFFFFF
-    table[3::2] = raw >> 32
-    span = np.empty((m, 6), np.uint64)  # each bounded draw's range: its bound + 1
-    span[:, :3] = sizes[:, None] + np.arange(-2, 1)
-    span[:, 3:] = 3, 2, dim
-    value = _lemire(table[halves], span)
-    if value is None:
+    drawn = _bounded(raw, bounded, state, index, np.hstack((donor_span, span)), count)
+    if drawn is None:
         bitgen.state = state
         return None
-    value = value.astype(np.intp)
-    # Floyd: a value already picked is replaced by that step's j
-    first, second, third = value[:, 0], value[:, 1], value[:, 2]
-    second = np.where(second == first, sizes - 2, second)
-    third = np.where((third == first) | (third == second), sizes - 1, third)
-    picks = np.column_stack((first, second, third))
-    rows = np.arange(m)
-    positions = picks[rows[:, None], _SHUFFLED[2 * value[:, 3] + value[:, 4]]]
-    donors = lookup[base + positions + (positions >= rank)]
+    value, held, half = drawn
+    positions = _floyd(value, sizes, 3)
     cross = (raw[doubles] >> 11) * 2.0 ** -53 < CR
-    cross[rows, value[:, 5]] = True
-    _leave(bitgen, held, table[last])
-    return donors.T, cross
-
-
-def _decoder_works() -> bool:
-    """Run :func:`_decoder_probe` once per process and keep its answer."""
-    global _decodes
-    if _decodes is None:
-        _decodes = _decoder_probe()
-    return _decodes
+    cross[np.arange(m), value[:, 5]] = True
+    _leave(bitgen, held, half)
+    return (lookup[base + positions + (positions >= rank)], cross,
+            _floyd(value[:, 6:], n, k).T if k else None)
 
 
 def _decoder_probe() -> bool:
-    """Whether decoding matches real :func:`de_draws` calls on a few seeds:
-    pools of 3 and more, dim 1 and more, with and without a held half.
-    NumPy does not promise that a Generator reads its words the same way
-    in every version."""
-    cases = [(1, 10, 3, [-1] * 10), (2, 4, 1, [-1] * 4), (3, 12, 8, [-1] * 50),
-             (4, 9, 2, [0, 1, 0, 1, 0, 1, 0, 1, -1])]
-    for seed, m, dim, labels in cases:
-        pools, n = np.array(labels), len(labels)
-        for hold in (False, True):
-            decoded, real = np.random.default_rng(seed), np.random.default_rng(seed)
-            if hold:  # a bounded draw leaves a half held
-                decoded.integers(5), real.integers(5)
-            got = _decode_de(decoded.bit_generator, _pool_map(n, m, pools), dim, 0.5)
-            want = _real_de_draws(real, n, m, dim, 0.5, pools)[:2]
-            if (got is None or not all(np.array_equal(g, w) for g, w in zip(got, want))
-                    or decoded.bit_generator.state != real.bit_generator.state
-                    or decoded.random() != real.random()):
-                return False
+    """Whether decoding matches the real calls (:func:`_probe`) for pools
+    of 3 and more, dim 1 and more and a sample of 5 from 12."""
+    cases = [(seed, hold, n, m, dim, 0.5, np.array(labels, np.intp), cf)
+             for seed, n, m, dim, labels, cf in [
+                 (1, 10, 10, 3, [-1] * 10, None), (2, 4, 4, 1, [-1] * 4, None),
+                 (3, 50, 12, 8, [-1] * 50, None), (4, 9, 9, 2, [0, 1] * 4 + [-1], None),
+                 (5, 12, 11, 2, [-1] * 12, 5)]
+             for hold in (False, True)]
+    return _probe(_decode_de, _real_de_draws, cases)
+
+
+def _probe(decode, real, cases) -> bool:
+    """Whether ``decode(rng, *case)`` gives the arrays, bit for bit, the
+    state and the next ``random()`` of ``real(rng, *case)`` for each
+    ``(seed, hold, *case)``, on the PCG64 stream of ``seed`` with a half
+    held back first for ``hold``. NumPy does not promise to read its words
+    the same way in every version."""
+    for seed, hold, *case in cases:
+        decoded, called = np.random.default_rng(seed), np.random.default_rng(seed)
+        if hold:  # a bounded draw leaves a half held
+            decoded.integers(5), called.integers(5)
+        got, want = decode(decoded, *case), real(called, *case)
+        if got is None or decoded.bit_generator.state != called.bit_generator.state:
+            return False
+        # every array, lists unpacked and None left out, by dtype, shape and bytes
+        got, want = ([(a.dtype, a.shape, a.tobytes()) for part in draws if part is not None
+                      for a in (part if isinstance(part, list) else [part])]
+                     for draws in (got, want))
+        if got != want or decoded.random() != called.random():
+            return False
     return True
 
 
 # standard_normal's ziggurat as this process has proven it (_learn_normals).
-# A value on the fast path reads one word w: magnitude (w >> 9) & _MAGNITUDE
-# times its layer's scale, where the layer is w & 0xFF and bit 8 the sign;
-# it is taken iff the magnitude is below a layer bound that NumPy does not
-# expose. Both tables are indexed by w & 0x1FF, layer and sign: the scale
-# (negated for bit 8; NaN until proven) and the limit, the largest
-# magnitude a real call proved to be a fast-path value (-1 while the scale
-# is unproven). A word is decoded only at or below its limit.
+# A fast-path value reads one word w: magnitude (w >> 9) & _MAGNITUDE times
+# its layer's scale (layer w & 0xFF, sign bit 8), taken iff the magnitude is
+# below a bound NumPy does not expose. Both tables are indexed by w & 0x1FF:
+# the scale (negated for bit 8; NaN until proven) and the limit, the largest
+# magnitude a real call proved fast (-1 while unproven). A word is decoded
+# only at or below its limit.
 _MAGNITUDE = 2 ** 52 - 1
 _normal_scale = np.full(512, np.nan)
 _normal_limit = np.full(512, -1.0)
 # words a GA request reads beyond its fast-path need, for slow-path normals
 _SPARE = 16
-_PAIR = np.arange(2)  # a pair's two tournament words
 
 
 def _normal_words(words: np.ndarray):
@@ -390,12 +405,11 @@ def _prove_fast(words: np.ndarray) -> None:
 
 def _learn_normals(values: int = 4096, chunk: int = 32) -> None:
     """Prove the scale and limit of standard_normal's layers from real
-    calls on a fixed PCG64 stream. A call of ``chunk`` values that reads
-    exactly ``chunk`` words (the next raw word is found right after them)
-    took the fast path for each value. A layer's scale is the one double
-    that reproduces every such value of the layer, found by intersecting
-    the candidates of each (|x| / magnitude and its 3 neighbours either
-    side); its limit is the largest of their magnitudes."""
+    calls on a fixed PCG64 stream. A call of ``chunk`` values that read
+    ``chunk`` words (the next raw word comes right after them) took the
+    fast path for each. A layer's scale is the one double that reproduces
+    every such value of the layer, among the candidates |x| / magnitude
+    and 3 neighbours either side; its limit is their largest magnitude."""
     bitgen = np.random.PCG64(_PROBE_SEED)
     rng = np.random.Generator(bitgen)
     start = bitgen.state
@@ -409,12 +423,9 @@ def _learn_normals(values: int = 4096, chunk: int = 32) -> None:
             normals.append(drawn)
             at += chunk + 1
             continue
-        # a slow-path value read a few more words: look near first
-        hit = np.flatnonzero(raw[at + chunk:at + 2 * chunk] == word)
+        hit = np.flatnonzero(raw[at + chunk:] == word)  # a slow-path value read more words
         if not hit.size:
-            hit = np.flatnonzero(raw[at + chunk:] == word)
-            if not hit.size:
-                break
+            break
         at += chunk + int(hit[0]) + 1
     if not words:
         return
@@ -442,30 +453,53 @@ def _learn_normals(values: int = 4096, chunk: int = 32) -> None:
     _prove_fast(words)
 
 
-def _decode_ga(rng: np.random.Generator, n: int, m: int, dim: int, rate: float,
-               tournaments: bool):
-    """The draws of :func:`ga_generation_draws` without samples, decoded
-    from one ``random_raw`` request (the permutation is a real call); the
-    state is then set as the real calls leave it. None, with the stream
-    restored, if a tournament draw might have been redrawn or the request
-    ran short.
+@functools.lru_cache(maxsize=64)
+def _ga_layout(n: int, m: int, head: int, cf: int, tournaments: bool, held: bool):
+    """Where the bounded draws of ``m`` GA children read a PCG64 stream
+    (:func:`_decode_ga`), from the children's first mask words: a pair's
+    tournaments read the 2 words at its head, ``head`` words before its
+    first child's, a sample those just before the next child's head or
+    mask. Returns per child its head's words (or 0) and its sample's; each
+    word the p pairs' bounded draws read, in order, as a child ``(p, w)``
+    and an offset ``(w,)``; the pairs' tournament draws then the samples'
+    numbered in order, their ranges, and how many are tournament draws."""
+    sample = max(2 * cf - 1, 0)
+    spend = _halves(sample, held)[0], _halves(sample, not held)[0]
+    child = np.repeat([0, 1, 2], (2 * tournaments, *spend)) + 2 * np.arange((m + 1) // 2)[:, None]
+    offset = np.concatenate((np.arange(2 * tournaments) - head, np.arange(spend[0]) - spend[0],
+                             np.arange(spend[1]) - spend[1] - head))
+    pair = 2 * child.shape[1] * np.arange(len(child))[:, None]  # a pair's first draw
+    picks = (pair + np.arange(4 * tournaments)).ravel()
+    draw = np.append(picks, (pair + 4 * tournaments + np.arange(2 * sample)).ravel()[:m * sample])
+    span = np.append(np.full(picks.size, n, np.uint64), np.tile(_floyd_span(n, cf), m))
+    child.flags.writeable = offset.flags.writeable = draw.flags.writeable = False
+    steps = tuple((head * (1 - kid % 2), spend[kid % 2]) for kid in range(m))
+    return steps, child, offset, draw, span, picks.size
 
-    A pair reads, in order: with tournaments, 2 words for its four Lemire
-    draws on 32-bit halves (a half held at entry is the first, and the
-    last is held again, so whether one is held carries through); its 2d
-    BLX doubles; then per child d mask doubles and one word per fast-path
-    normal. The mask count at every word offset comes from one array pass,
-    and the chain of child offsets is walked in Python. A child with a
+
+def _decode_ga(rng, n: int, m: int, dim: int, rate: float, tournaments: bool, cf: int | None):
+    """The draws of :func:`ga_generation_draws`, decoded from one
+    ``random_raw`` request (the permutation is a real call), the state then
+    set as the real calls leave it; None, with the stream restored, if a
+    bounded draw might have been redrawn or the request ran short.
+
+    A pair reads: with tournaments, 2 words for its four bounded draws;
+    its 2d BLX doubles; then per child d mask doubles, one word per
+    fast-path normal and the words of its sample's 2cf - 1 bounded draws
+    (:func:`_halves`). The mask count at every word comes from one array
+    pass, and the chain of children is walked in Python. A child with a
     normal that is not a certain fast-path value gets its normals from one
-    real ``standard_normal(k)`` call made at its offset; the next raw word,
-    found in the request, tells where the walk goes on.
+    real ``standard_normal(k)`` call; the next raw word, found in the
+    request, tells where the walk goes on.
     """
     bitgen = rng.bit_generator
     entry = bitgen.state
     order = None if tournaments else rng.permutation(n)
     state = entry if tournaments else bitgen.state
-    head = 2 * dim + 2 * tournaments  # a pair's words before its first mask
-    size = (m + 1) // 2 * head + 2 * m * dim + _SPARE + m * dim // 8
+    k, head = cf or 0, 2 * dim + 2 * tournaments  # head: a pair's words before its first mask
+    steps, child, offset, draw, span, split = _ga_layout(n, m, head, k, tournaments,
+                                                        bool(state["has_uint32"]))
+    size = (m + 1) // 2 * head + 2 * m * dim + _SPARE + m * dim // 8 + m * k
     raw = bitgen.random_raw(size)
     doubles = (raw >> 11) * 2.0 ** -53
     index, magnitude = _normal_words(raw)
@@ -484,79 +518,45 @@ def _decode_ga(rng: np.random.Generator, n: int, m: int, dim: int, rate: float,
     after = np.where(unsure[end] == unsure[dim:dim + starts], end, -1).tolist()
     at, normals, pos, cursor = [], [], 0, size  # cursor: the stream's offset
     try:
-        for child in range(m):
-            if not child & 1:
-                pos += head
+        for lead, sampled in steps:
+            pos += lead
             at.append(pos)
             first, next_pos = pos + dim, after[pos]
             if next_pos >= 0:
                 normals.append(value[first:next_pos] if next_pos > first else _NO_NORMALS)
             else:
-                k = int(count[pos])
+                mutated = int(count[pos])
                 bitgen.advance(first - cursor)
-                normals.append(rng.standard_normal(k))
-                hit = np.flatnonzero(raw[first + k:] == bitgen.random_raw())
-                next_pos = first + k + int(hit[0])
+                normals.append(rng.standard_normal(mutated))
+                hit = np.flatnonzero(raw[first + mutated:] == bitgen.random_raw())
+                next_pos = first + mutated + int(hit[0])
                 cursor = next_pos + 1
-                if next_pos == first + k:
+                if next_pos == first + mutated:
                     _prove_fast(raw[first:next_pos])
-            pos = next_pos
+            pos = next_pos + sampled
+        # and where a next child, and for odd m one more, would start
+        at = np.array(at + [pos + head * (1 - m % 2), pos + head])
+        drawn = _bounded(raw, (at[child] + offset).ravel(), state, draw, span, draw.size)
     except IndexError:  # the request ran short
+        drawn = None
+    if drawn is None:
         bitgen.state = entry
         return None
-    at = np.array(at)
-    heads = at[::2] - head
-    picks, held, half = order, state["has_uint32"], state["uinteger"]
-    if tournaments:
-        # the halves in the order they are read: a held one, then each
-        # pair's two words low half first; with one held, every pair reads
-        # the half before its own four and holds its last
-        words = raw[heads[:, None] + _PAIR]
-        halves = np.empty(4 * len(heads) + 1, np.uint64)
-        halves[0] = half
-        halves[1::2], halves[2::2] = (words & 0xFFFFFFFF).ravel(), (words >> 32).ravel()
-        picks, half = _lemire((halves[:-1] if held else halves[1:]).reshape(-1, 4), n), halves[-1]
-        if picks is None:
-            bitgen.state = entry
-            return None
-        picks = picks.astype(np.int64)
+    value, held, half = drawn
     _leave(bitgen, held, half, cursor - pos)
-    u = doubles[(heads + (head - 2 * dim))[:, None] + np.arange(2 * dim)].reshape(-1, 2, dim)
-    masks = hits[at[:, None] + np.arange(dim)]
-    return picks, u, masks, normals
-
-
-def _ga_decoder_works() -> bool:
-    """Run :func:`_ga_decoder_probe` once per process and keep its answer."""
-    global _ga_decodes
-    if _ga_decodes is None:
-        _ga_decodes = _ga_decoder_probe()
-    return _ga_decodes
+    u = doubles[at[:m:2, None] + np.arange(-2 * dim, 0)].reshape(-1, 2, dim)
+    picks, samples = value[:split].reshape(-1, 4), value[split:].reshape(m, -1)
+    return (picks if tournaments else order, u, hits[at[:m, None] + np.arange(dim)], normals,
+            _floyd(samples, n, k).T if k else None)
 
 
 def _ga_decoder_probe() -> bool:
     """Prove the normal layers (:func:`_learn_normals`), then whether
-    decoding matches real :func:`ga_generation_draws` calls on a few seeds:
-    with and without tournaments and a held half, odd and even m, dim 1
-    to 3, rates 0.5 and 1 (the second case makes a slow-path child)."""
+    decoding matches the real calls (:func:`_probe`) with and without
+    tournaments, held halves and samples, odd and even m, dim 1 to 3 and
+    rates 0.5 and 1 (the second case makes a slow-path child)."""
     _learn_normals()
-    cases = [(1, 10, 5, 2, 0.5, True, False), (2, 9, 7, 3, 1.0, True, True),
-             (3, 10, 4, 1, 1.0, False, True)]
-    for seed, n, m, dim, rate, tournaments, hold in cases:
-        decoded, real = np.random.default_rng(seed), np.random.default_rng(seed)
-        if hold:  # a bounded draw leaves a half held
-            decoded.integers(5), real.integers(5)
-        got = _decode_ga(decoded, n, m, dim, rate, tournaments)
-        want = _real_ga_draws(real, n, m, dim, rate, tournaments)
-        if (got is None or not _same_bits(got[:3] + tuple(got[3]), want[:3] + tuple(want[3]))
-                or decoded.bit_generator.state != real.bit_generator.state
-                or decoded.random() != real.random()):
-            return False
-    return True
-
-
-def _same_bits(got, want) -> bool:
-    """Whether two sequences of arrays hold the same dtypes, shapes and bytes."""
-    return len(got) == len(want) and all(
-        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-        for g, w in zip(got, want))
+    cases = [(1, False, 10, 5, 2, 0.5, True, None), (2, True, 9, 7, 3, 1.0, True, None),
+             (3, True, 10, 4, 1, 1.0, False, None), (4, True, 12, 9, 2, 0.5, True, 4),
+             (5, False, 12, 8, 1, 0.5, True, 3)]
+    return _probe(_decode_ga, _real_ga_draws, cases)

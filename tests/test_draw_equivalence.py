@@ -624,16 +624,20 @@ def test_de_trial_vector_still_rejects_small_pools():
 # a DE generation's draws, decoded from raw words
 # ---------------------------------------------------------------------------
 
-def sequential_de_draws(rng, n, m, dim, CR, pools=None):
-    """m de_draws calls for targets 0..m-1, with de_generation_draws' pool labels."""
-    donors, cross = [], []
+def sequential_de_draws(rng, n, m, dim, CR, pools=None, cf=None):
+    """m de_draws calls for targets 0..m-1, with de_generation_draws' pool
+    labels, each followed, for ``cf``, by its crowding sample."""
+    donors, cross, samples = [], [], []
     for target in range(m):
         pool = (None if pools is None or pools[target] < 0
                 else [i for i in range(n) if pools[i] == pools[target]])
         trial_donors, trial_cross = de_draws(rng, n, target, dim, CR, pool)
         donors.append(trial_donors)
         cross.append(trial_cross)
-    return np.array(donors, np.intp).reshape(m, 3).T, np.array(cross, bool).reshape(m, dim)
+        if cf is not None:
+            samples.append(rng.choice(n, size=cf, replace=False))
+    return (np.array(donors, np.intp).reshape(m, 3).T, np.array(cross, bool).reshape(m, dim),
+            None if cf is None else samples)
 
 
 def species_labels(rng, n):
@@ -654,24 +658,35 @@ def generation_case(seed, held):
 def assert_same_draws(got, want, new, old):
     assert_bits_equal(got[0], want[0])
     assert_bits_equal(got[1], want[1])
+    if want[2] is None:
+        assert got[2] is None
+    else:
+        assert_bits_equal(got[2], want[2])
     assert_same_stream(new, old)
     assert new.random() == old.random()
 
 
+def de_decodes():
+    """Whether DE generations are decoded in this process (probed once)."""
+    return draws._works("_decodes", draws._decoder_probe)
+
+
+def ga_decodes():
+    """Whether GA generations are decoded in this process (probed once)."""
+    return draws._works("_ga_decodes", draws._ga_decoder_probe)
+
+
+def _no_real_calls(*args):
+    raise AssertionError("took the real-call path")
+
+
 @pytest.fixture
 def decoding(monkeypatch):
-    """Every DE generation on a PCG64 stream must be decoded: the probe
-    passed, and the per-trial path fails the test unless it draws crowding
-    samples, which only real calls make."""
-    assert draws._decoder_works()
-    real_draws = draws._real_de_draws
-
-    def no_per_trial(rng, n, m, dim, CR, pools, cf=None):
-        if cf is None:
-            raise AssertionError("took the per-trial path")
-        return real_draws(rng, n, m, dim, CR, pools, cf)
-
-    monkeypatch.setattr(draws, "_real_de_draws", no_per_trial)
+    """Every DE generation on a PCG64 stream must be decoded, crowding
+    samples included: the probe passed, and the per-trial path fails the
+    test."""
+    assert de_decodes()
+    monkeypatch.setattr(draws, "_real_de_draws", _no_real_calls)
 
 
 @pytest.mark.parametrize("n", [4, 5, 7, 10, 50])
@@ -701,7 +716,7 @@ def test_generation_draws_with_a_species_of_four(dim, held, decoding):
 
 
 def test_a_possible_redraw_restores_the_stream_for_the_per_trial_path(monkeypatch):
-    assert draws._decoder_works()  # probed with the real predicate
+    assert de_decodes()  # probed with the real predicate
     consulted, entry_states = [], []
     monkeypatch.setattr(draws, "_may_redraw", lambda low, span: consulted.append(1) or True)
     real_draws = draws._real_de_draws
@@ -715,11 +730,12 @@ def test_a_possible_redraw_restores_the_stream_for_the_per_trial_path(monkeypatc
     for seed in range(60):
         n, dim = int(rng.choice([4, 7, 50])), int(rng.choice(DIMS))
         pools = species_labels(rng, n) if seed % 2 else None
+        cf = (None, 1, 3)[seed % 3]  # with and without crowding samples
         new, old = generation_case(seed, held=seed % 4 >= 2)
         start = new.bit_generator.state
-        got = de_generation_draws(new, n, n, dim, 0.9, pools)
+        got = de_generation_draws(new, n, n, dim, 0.9, pools, cf)
         assert entry_states.pop() == start
-        assert_same_draws(got, sequential_de_draws(old, n, n, dim, 0.9, pools), new, old)
+        assert_same_draws(got, sequential_de_draws(old, n, n, dim, 0.9, pools, cf), new, old)
     assert len(consulted) == 60
 
 
@@ -740,7 +756,8 @@ def test_other_bit_generators_take_the_per_trial_path(monkeypatch):
 def test_a_failed_probe_takes_the_per_trial_path(monkeypatch):
     assert draws._decoder_probe()
     # a decoder that misreads choice()'s shuffle fails the probe
-    monkeypatch.setattr(draws, "_SHUFFLED", draws._SHUFFLED[::-1])
+    floyd = draws._floyd
+    monkeypatch.setattr(draws, "_floyd", lambda *args: floyd(*args)[:, ::-1])
     assert not draws._decoder_probe()
     monkeypatch.setattr(draws, "_decodes", False)
     monkeypatch.setattr(draws, "_decode_de", _no_decoding)
@@ -793,18 +810,11 @@ def assert_same_ga_draws(got, want, new, old):
 
 @pytest.fixture
 def ga_decoding(monkeypatch):
-    """Every GA generation on a PCG64 stream must be decoded: the probe
-    passed, and the real-call path fails the test unless it draws crowding
-    samples, which only real calls make."""
-    assert draws._ga_decoder_works()
-    real_draws = draws._real_ga_draws
-
-    def no_real_calls(rng, n, m, dim, rate, tournaments=True, cf=None):
-        if cf is None:
-            raise AssertionError("took the real-call path")
-        return real_draws(rng, n, m, dim, rate, tournaments, cf)
-
-    monkeypatch.setattr(draws, "_real_ga_draws", no_real_calls)
+    """Every GA generation on a PCG64 stream must be decoded, crowding
+    samples included: the probe passed, and the real-call path fails the
+    test."""
+    assert ga_decodes()
+    monkeypatch.setattr(draws, "_real_ga_draws", _no_real_calls)
 
 
 def ga_case(rng, dim, seed):
@@ -848,12 +858,58 @@ def test_a_slow_path_normal_mid_generation_comes_from_a_real_call(ga_decoding):
                              sequential_ga_draws(old, n, n, dim, rate), new, old)
 
 
-def test_crowding_samples_take_the_real_call_path(ga_decoding):
-    for seed in range(30):
-        n, dim = (5, 10, 50)[seed % 3], DIMS[seed % 4]
-        new, old = generation_case(seed, held=seed % 2 == 1)
-        assert_same_ga_draws(ga_generation_draws(new, n, n - 1, dim, 0.5, cf=3),
-                             sequential_ga_draws(old, n, n - 1, dim, 0.5, cf=3), new, old)
+SAMPLE_DIMS = (1, 2, 8)
+
+
+def sample_sizes(n):
+    """The crowding factors below ``n`` that the sample tests cover."""
+    return sorted({cf for cf in (1, 2, 3, n - 1) if cf < n})
+
+
+@pytest.mark.parametrize("tournaments", [True, False])
+@pytest.mark.parametrize("dim", SAMPLE_DIMS)
+def test_ga_crowding_samples_are_decoded(dim, tournaments, ga_decoding):
+    rng = np.random.default_rng(70 + dim)
+    for seed in range(40):
+        n = (3, 5, 10, 11, 50)[seed % 5]
+        m = n if seed % 2 else n - 1 + n % 2  # full and odd child counts
+        for cf in sample_sizes(n):
+            rate = float(rng.choice([0.0, 0.5, 1.0]))
+            new, old = generation_case(seed, held=seed % 4 >= 2)
+            assert_same_ga_draws(ga_generation_draws(new, n, m, dim, rate, tournaments, cf),
+                                 sequential_ga_draws(old, n, m, dim, rate, tournaments, cf),
+                                 new, old)
+
+
+@pytest.mark.parametrize("dim", SAMPLE_DIMS)
+def test_de_crowding_samples_are_decoded(dim, decoding):
+    rng = np.random.default_rng(80 + dim)
+    for seed in range(40):
+        n = (5, 7, 10, 11, 50)[seed % 5]
+        m = n - (seed % 3 == 0)  # full and partial generations, odd m among them
+        pools = species_labels(rng, n) if seed % 2 else None
+        for cf in sample_sizes(n):
+            new, old = generation_case(seed, held=seed % 4 >= 2)
+            assert_same_draws(de_generation_draws(new, n, m, dim, 0.9, pools, cf),
+                              sequential_de_draws(old, n, m, dim, 0.9, pools, cf), new, old)
+
+
+def test_samples_that_numpy_draws_by_its_tail_shuffle_take_the_real_call_path(monkeypatch):
+    # choice() shuffles the tail of arange(n) for n above 10000 with cf
+    # above n // 50, and uses Floyd's algorithm up to n // 50
+    assert de_decodes() and ga_decodes()
+    real = []
+    for name in ("_real_ga_draws", "_real_de_draws"):
+        monkeypatch.setattr(draws, name, lambda *args, calls=getattr(draws, name):
+                            real.append(args[-1]) or calls(*args))
+    for seed, cf in ((1, 200), (2, 201), (3, 200), (4, 201)):
+        new, old = generation_case(seed, held=seed > 2)
+        assert_same_ga_draws(ga_generation_draws(new, 10001, 3, 2, 0.5, cf=cf),
+                             sequential_ga_draws(old, 10001, 3, 2, 0.5, cf=cf), new, old)
+        new, old = generation_case(seed, held=seed > 2)
+        assert_same_draws(de_generation_draws(new, 10001, 3, 2, 0.9, cf=cf),
+                          sequential_de_draws(old, 10001, 3, 2, 0.9, cf=cf), new, old)
+    assert real == [201] * 4
 
 
 def _no_ga_decoding(*args):
@@ -882,11 +938,11 @@ def test_a_rate_outside_the_unit_interval_raises_where_the_real_calls_do(monkeyp
 
 @pytest.mark.parametrize("cause", ["redraw", "short request"])
 def test_a_generation_that_cannot_be_decoded_restores_the_stream(monkeypatch, cause):
-    assert draws._ga_decoder_works()  # probed with the real predicate and request size
+    assert ga_decodes()  # probed with the real predicate and request size
     if cause == "redraw":
         monkeypatch.setattr(draws, "_may_redraw", lambda low, span: True)
     else:
-        monkeypatch.setattr(draws, "_SPARE", -60)
+        monkeypatch.setattr(draws, "_SPARE", -100)  # short whatever the samples add
     entry_states = []
     real_draws = draws._real_ga_draws
 
@@ -896,13 +952,16 @@ def test_a_generation_that_cannot_be_decoded_restores_the_stream(monkeypatch, ca
 
     monkeypatch.setattr(draws, "_real_ga_draws", real_calls)
     for seed in range(40):
-        # only tournaments make Lemire draws; a short request can come with either
-        dim, tournaments = DIMS[seed % 4], cause == "redraw" or seed % 2 == 1
+        # tournaments and crowding samples make Lemire draws; a short
+        # request can come with either or neither
+        dim, tournaments, cf = DIMS[seed % 4], seed % 2 == 1, (None, 3, 49)[seed % 3]
+        if cause == "redraw" and not tournaments and cf is None:
+            cf = 2
         new, old = generation_case(seed, held=seed % 4 >= 2)
         start = new.bit_generator.state
-        got = ga_generation_draws(new, 50, 49, dim, 1.0, tournaments)
+        got = ga_generation_draws(new, 50, 49, dim, 1.0, tournaments, cf)
         assert entry_states.pop() == start
-        assert_same_ga_draws(got, sequential_ga_draws(old, 50, 49, dim, 1.0, tournaments),
+        assert_same_ga_draws(got, sequential_ga_draws(old, 50, 49, dim, 1.0, tournaments, cf),
                              new, old)
     assert entry_states == []
 
@@ -930,7 +989,7 @@ def test_ga_decoding_in_a_fresh_process_with_the_probe_limits():
         "import numpy as np\n"
         "from nichebench import draws\n"
         "from test_draw_equivalence import generation_case, same_state, sequential_ga_draws\n"
-        "assert draws._ga_decoder_works()\n"
+        "assert draws._works('_ga_decodes', draws._ga_decoder_probe)\n"
         "left, mismatches = draws._normal_limit.copy(), 0\n"
         "rng = np.random.default_rng(60)\n"
         "for seed in range(200):\n"
