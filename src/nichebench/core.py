@@ -257,9 +257,10 @@ class Evaluator:
         individuals, count, best fitness and errors as one call per row.
 
         Raises RuntimeError, before any objective call, if the rows exceed
-        the evaluations left. On the first row with a non-finite value it
-        raises that call's ValueError, with ``used`` and ``best`` as the
-        calls up to that row leave them.
+        the evaluations left, and ValueError, before any is counted, if the
+        objective's ``many`` returns other than shape ``(m,)``. On the first
+        row with a non-finite value it raises that call's ValueError, with
+        ``used`` and ``best`` as the calls up to that row leave them.
         """
         m = len(genomes)
         if m > self.max_evals - self.used:
@@ -270,10 +271,11 @@ class Evaluator:
         if self._batch is None:
             objective, record = self.objective, self._record
             return [record(genome, float(objective(genome))) for genome in genomes]
-        values = np.asarray(self._batch(genomes), dtype=float).tolist()
-        if len(values) != m:
-            raise ValueError(f"objective returned {len(values)} values for {m} rows")
-        return [self._record(genome, value) for genome, value in zip(genomes, values)]
+        values = np.asarray(self._batch(genomes), dtype=float)
+        if values.shape != (m,):
+            raise ValueError(f"objective returned {values.size} values for {m} rows "
+                             f"in shape {values.shape}, not ({m},)")
+        return [self._record(genome, value) for genome, value in zip(genomes, values.tolist())]
 
     def _record(self, genome: np.ndarray, value: float) -> Individual:
         """The step every evaluated row takes, alone or in a batch: count

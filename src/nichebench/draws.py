@@ -6,8 +6,7 @@ it. The requests come in this frozen order:
 1. The initial population, :func:`initial_genomes`: one ``random((n, d))``
    request, whose row i holds the i-th ``uniform(lo, hi)`` call's doubles.
 2. Each generation's children, drawn for before any is built and capped
-   at the evaluations left, so nothing is drawn for a child that would
-   not be evaluated. GA (:func:`ga_generation_draws`): without
+   at the evaluations left. GA (:func:`ga_generation_draws`): without
    tournaments the pairing ``permutation(n)`` first; then pair by pair,
    with tournaments, ``integers(n, size=4)`` for the pair's two binary
    tournaments, ``(first, second)`` of the first parent then of the
@@ -37,9 +36,8 @@ i + 1. For size above 10000 with k above size // 50 NumPy shuffles a tail
 of ``arange(size)`` instead; such samples are real calls. A probe checks
 each decoder against the real calls on its first use in a process (never
 at import); the real calls stay, as the reference and for what is not
-decoded. The fingerprint tables pin whole runs, and
-``tests/test_draw_equivalence.py`` checks each rewrite against the call
-it replaced.
+decoded. The fingerprint tables pin whole runs, and the draw-equivalence
+tests check each rewrite against the call it replaced.
 """
 
 from __future__ import annotations
@@ -181,8 +179,7 @@ def _pool_map(n: int, m: int, labels: bytes):
 
 
 def _real_de_draws(rng, n, m, dim, CR, pools, cf=None):
-    """:func:`de_generation_draws` made by real calls: per target, its
-    :func:`de_draws` then, for ``cf``, its crowding sample."""
+    """:func:`de_generation_draws` by real calls: per target :func:`de_draws`, then a sample."""
     _pool_map(n, m, pools.tobytes())  # a pool below 3 raises before anything is drawn
     donors, cross = np.empty((3, m), np.intp), np.empty((m, dim), bool)
     samples = None if cf is None else np.empty((m, cf), np.int64)
@@ -194,8 +191,7 @@ def _real_de_draws(rng, n, m, dim, CR, pools, cf=None):
     return donors, cross, samples
 
 
-# whether this NumPy reads PCG64 words as _decode_de and _decode_ga do;
-# None until a process's first DE or GA generation probes it (_works)
+# whether this NumPy reads PCG64 words as _decode_de and _decode_ga do (_works)
 _decodes: bool | None = None
 _ga_decodes: bool | None = None
 # the largest n for which integers(n) is a Lemire draw on a 32-bit half
@@ -354,11 +350,10 @@ def _decoder_probe() -> bool:
 
 
 def _probe(decode, real, cases) -> bool:
-    """Whether ``decode(rng, *case)`` gives the arrays, bit for bit, the
-    state and the next ``random()`` of ``real(rng, *case)`` for each
-    ``(seed, hold, *case)``, on the PCG64 stream of ``seed`` with a half
-    held back first for ``hold``. NumPy does not promise to read its words
-    the same way in every version."""
+    """Whether ``decode(rng, *case)`` gives the arrays, bit for bit, state
+    and next ``random()`` of ``real(rng, *case)`` on the PCG64 stream of
+    each ``(seed, hold, *case)``, a half held back first for ``hold``:
+    NumPy does not promise to read its words alike in every version."""
     for seed, hold, *case in cases:
         decoded, called = np.random.default_rng(seed), np.random.default_rng(seed)
         if hold:  # a bounded draw leaves a half held
@@ -406,10 +401,10 @@ def _prove_fast(words: np.ndarray) -> None:
 def _learn_normals(values: int = 4096, chunk: int = 32) -> None:
     """Prove the scale and limit of standard_normal's layers from real
     calls on a fixed PCG64 stream. A call of ``chunk`` values that read
-    ``chunk`` words (the next raw word comes right after them) took the
-    fast path for each. A layer's scale is the one double that reproduces
-    every such value of the layer, among the candidates |x| / magnitude
-    and 3 neighbours either side; its limit is their largest magnitude."""
+    ``chunk`` words took the fast path for each. A layer's scale is the one
+    double that reproduces all such values of the layer, of the candidates
+    |x| / magnitude and 3 neighbours either side; its limit is their
+    largest magnitude."""
     bitgen = np.random.PCG64(_PROBE_SEED)
     rng = np.random.Generator(bitgen)
     start = bitgen.state
@@ -455,14 +450,13 @@ def _learn_normals(values: int = 4096, chunk: int = 32) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _ga_layout(n: int, m: int, head: int, cf: int, tournaments: bool, held: bool):
-    """Where the bounded draws of ``m`` GA children read a PCG64 stream
-    (:func:`_decode_ga`), from the children's first mask words: a pair's
-    tournaments read the 2 words at its head, ``head`` words before its
-    first child's, a sample those just before the next child's head or
-    mask. Returns per child its head's words (or 0) and its sample's; each
-    word the p pairs' bounded draws read, in order, as a child ``(p, w)``
-    and an offset ``(w,)``; the pairs' tournament draws then the samples'
-    numbered in order, their ranges, and how many are tournament draws."""
+    """Where the bounded draws of ``m`` GA children read a PCG64 stream,
+    from the children's first mask words: a pair's tournaments read the 2
+    words at its head, ``head`` words before its first child's, a sample
+    those just before the next child's head or mask. Returns per child its
+    head's words (or 0) and its sample's; each word the p pairs' bounded
+    draws read, in order, as a child ``(p, w)`` and an offset ``(w,)``; the
+    tournament then sample draws' numbers and ranges; the former's count."""
     sample = max(2 * cf - 1, 0)
     spend = _halves(sample, held)[0], _halves(sample, not held)[0]
     child = np.repeat([0, 1, 2], (2 * tournaments, *spend)) + 2 * np.arange((m + 1) // 2)[:, None]
@@ -484,13 +478,12 @@ def _decode_ga(rng, n: int, m: int, dim: int, rate: float, tournaments: bool, cf
     bounded draw might have been redrawn or the request ran short.
 
     A pair reads: with tournaments, 2 words for its four bounded draws;
-    its 2d BLX doubles; then per child d mask doubles, one word per
-    fast-path normal and the words of its sample's 2cf - 1 bounded draws
-    (:func:`_halves`). The mask count at every word comes from one array
-    pass, and the chain of children is walked in Python. A child with a
-    normal that is not a certain fast-path value gets its normals from one
-    real ``standard_normal(k)`` call; the next raw word, found in the
-    request, tells where the walk goes on.
+    its 2d BLX doubles; per child d mask doubles, one word per fast-path
+    normal and its sample's words (:func:`_ga_layout`). The mask count at
+    every word comes from one array pass, and the chain of children is
+    walked in Python. A child with a normal that is not a certain
+    fast-path value gets them from one real ``standard_normal(k)`` call;
+    the next raw word, found in the request, tells where the walk goes on.
     """
     bitgen = rng.bit_generator
     entry = bitgen.state

@@ -195,7 +195,8 @@ def welch_t(a, b) -> tuple[float, float]:
 
     Degrees of freedom follow Welch-Satterthwaite. When both samples have
     zero variance the test degenerates: p = 1 for equal means, p = 0
-    otherwise.
+    otherwise. Samples whose variances' squares underflow are scaled by a
+    power of two, which changes neither t nor p.
     """
     a = _as_values(a)
     b = _as_values(b)
@@ -209,9 +210,13 @@ def welch_t(a, b) -> tuple[float, float]:
         if mean_a == mean_b:
             return 0.0, 1.0
         return math.copysign(math.inf, mean_a - mean_b), 0.0
+    spread = (var_a / n) ** 2 / (n - 1) + (var_b / m) ** 2 / (m - 1)
+    if spread == 0.0:  # the squares underflowed: the same test on samples scaled to about 1
+        exponent = math.frexp(max(float(np.abs(a).max()), float(np.abs(b).max())))[1]
+        return welch_t(np.ldexp(a, -exponent), np.ldexp(b, -exponent))
     se2 = var_a / n + var_b / m
     t = (mean_a - mean_b) / math.sqrt(se2)
-    df = se2 ** 2 / ((var_a / n) ** 2 / (n - 1) + (var_b / m) ** 2 / (m - 1))
+    df = se2 ** 2 / spread
     from scipy.special import stdtr  # about 0.2 s to load; only this test needs it
 
     p = 2.0 * float(stdtr(df, -abs(t)))

@@ -196,6 +196,18 @@ class TestEvaluatorMany:
         with pytest.raises(ValueError, match="returned 4 values for 3 rows"):
             evaluate.many(self.rows(3))
 
+    @pytest.mark.parametrize("batch", [lambda rows: rows.sum(axis=1, keepdims=True),
+                                       lambda rows: rows.sum(axis=1)[None, :],
+                                       lambda rows: np.float64(1.0)])
+    def test_batch_of_the_wrong_shape_raises_before_counting(self, batch):
+        # (m, 1) values pass a length check, then failed in the row step with used already 1
+        objective = _Batched(himmelblau().objective)
+        objective.many = batch
+        evaluate = Evaluator(dataclasses.replace(himmelblau(), objective=objective), 5)
+        with pytest.raises(ValueError, match=r"for 3 rows in shape .*, not \(3,\)"):
+            evaluate.many(self.rows(3))
+        assert evaluate.used == 0 and evaluate.best is None
+
     def test_batch_and_row_loop_agree(self):
         rng = np.random.default_rng(3)
         for problem in (himmelblau(), deb1()):

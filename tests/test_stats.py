@@ -342,6 +342,20 @@ class TestWelchT:
         with pytest.raises(ValueError):
             welch_t([1.0], [1.0, 2.0])
 
+    def test_variances_whose_squares_underflow(self):
+        # (var / n) ** 2 underflows to 0.0, which once divided by zero; a
+        # power-of-two scaling is exact, so the result is the scaled test's
+        for a, b in (([0.0, 1e-85], [0.0, 2e-85]), ([1e-100, 2e-100, 4e-100], [3e-100, 0.0]),
+                     ([1e-160, 0.0], [0.0, -3e-160, 2e-160])):
+            a, b = np.array(a), np.array(b)
+            t, p = welch_t(a, b)
+            assert math.isfinite(t) and 0.0 <= p <= 1.0
+            exponent = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+            for shift in (-exponent, 40 - exponent):
+                assert (t, p) == welch_t(np.ldexp(a, shift), np.ldexp(b, shift))
+        matrix = stats.pairwise_matrix([[0.0, 1e-85], [0.0, 2e-85]], "t")
+        assert matrix[0, 1] == welch_t([0.0, 1e-85], [0.0, 2e-85])[1]
+
     def test_against_quadrature_oracle(self):
         import mpmath as mp
 
