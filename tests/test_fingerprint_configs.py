@@ -13,12 +13,13 @@ take:
 - ``species_distance = sharing_radius = 0.05`` (scga, sde, sharing_ga and
   sharing_de), which gives sde species of fewer than 4.
 
-The default cells of the three DE algorithms run twice more: with the
-DE decoder forced off, where every generation takes the real-call path
-and must give the digests of ``fingerprints.json``, and on an MT19937
-generator, against their own digests here. The default cells of the
-four GAs run once more, with the GA decoder forced off, against
-``fingerprints.json``.
+The crowding-factor cells run once more with both decoders forced off,
+on the real calls that wrote them. The default cells of the three DE
+algorithms run twice more: with the DE decoder forced off, where every
+generation takes the real-call path and must give the digests of
+``fingerprints.json``, and on an MT19937 generator, against their own
+digests here. The default cells of the four GAs run once more, with the
+GA decoder forced off, against ``fingerprints.json``.
 
 The table must only be regenerated for a deliberate, documented change
 of results::
@@ -55,6 +56,7 @@ SETTINGS = {
 }
 CASES = [(alg, prob, setting) for setting, (algs, _) in SETTINGS.items()
          for alg in algs for prob in PROBLEMS]
+CROWDING_CASES = [case for case in CASES if case[2].startswith("crowding_factor")]
 DE_CELLS = [(alg, prob) for alg in DES for prob in PROBLEMS]
 GA_CELLS = [(alg, prob) for alg in GAS for prob in PROBLEMS]
 
@@ -94,6 +96,16 @@ def test_table_covers_every_case(table):
 
 @pytest.mark.parametrize("algorithm,problem_name,setting", CASES)
 def test_config_fingerprint(table, algorithm, problem_name, setting):
+    assert config_digests(algorithm, problem_name, setting) == \
+        table[f"{algorithm}/{problem_name}/{setting}"]
+
+
+@pytest.mark.parametrize("algorithm,problem_name,setting", CROWDING_CASES)
+def test_real_calls_reproduce_the_crowding_factor_rows(table, monkeypatch, algorithm,
+                                                       problem_name, setting):
+    # the rows were written on the real-call path; the decoders must give them too
+    monkeypatch.setattr(draws, "_decodes", False)
+    monkeypatch.setattr(draws, "_ga_decodes", False)
     assert config_digests(algorithm, problem_name, setting) == \
         table[f"{algorithm}/{problem_name}/{setting}"]
 
