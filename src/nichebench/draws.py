@@ -46,8 +46,13 @@ import functools
 
 import numpy as np
 
-__all__ = ["initial_genomes", "ga_generation_draws", "mutation_draws", "de_draws",
-           "de_generation_draws"]
+__all__ = [
+    "initial_genomes",
+    "ga_generation_draws",
+    "mutation_draws",
+    "de_draws",
+    "de_generation_draws",
+]
 
 _NO_NORMALS = np.empty(0)  # mutation_draws' normals when no coordinate mutates
 _PROBE_SEED = 20150101  # the stream the GA probe proves standard_normal's layers on
@@ -194,15 +199,12 @@ def _real_de_draws(rng, n, m, dim, CR, pools, cf=None):
 # whether this NumPy reads PCG64 words as _decode_de and _decode_ga do (_works)
 _decodes: bool | None = None
 _ga_decodes: bool | None = None
-# the largest n for which integers(n) is a Lemire draw on a 32-bit half
-_HALF_RANGE = 2 ** 32 - 1
 
 
 def _decodable(rng: np.random.Generator, n: int, cf: int | None) -> bool:
-    """Whether a generation's draws may be decoded from raw words: a PCG64
-    stream, bounded draws on 32-bit halves, and no crowding sample that
-    NumPy draws by its tail shuffle."""
-    return (type(rng.bit_generator) is np.random.PCG64 and n <= _HALF_RANGE
+    """Whether a generation's draws may be decoded: a PCG64 stream, bounded
+    draws on 32-bit halves, and no sample that NumPy draws by tail shuffle."""
+    return (type(rng.bit_generator) is np.random.PCG64 and n < 2 ** 32
             and (cf is None or n <= 10000 or cf <= n // 50))
 
 
@@ -222,12 +224,11 @@ def _halves(count: int, held: bool):
 
 
 def _bounded(raw: np.ndarray, words, state: dict, index: np.ndarray, span, count: int):
-    """The values of ``count`` bounded draws, Lemire's method on 32-bit
-    halves: in order, they read the half held in ``state``, if any, then
-    both halves of each of ``raw[words]``, low first. ``index`` places
-    each by its number (-1 for a draw NumPy skips, of range 1), ``span``
-    gives its range. Returns them, whether a half is held after them and
-    NumPy's ``uinteger`` then; None if one might have been redrawn."""
+    """Lemire's method on 32-bit halves for ``count`` bounded draws, which
+    read, in order, the half held in ``state`` if any, then both halves of
+    each of ``raw[words]``, low first; ``index`` places each by number (-1
+    for one NumPy skips), ``span`` gives ranges. Returns their values and
+    the held flag and ``uinteger`` after them; None if one might redraw."""
     held = int(state["has_uint32"])
     if not count:  # no draw: the held half, or the stale one, stays
         return index, bool(held), state["uinteger"]
@@ -249,8 +250,7 @@ def _may_redraw(low: np.ndarray, span: np.ndarray) -> bool:
 
 
 def _floyd_span(size, k: int) -> np.ndarray:
-    """The ranges of ``choice(size, k, replace=False)``'s 2k - 1 bounded
-    draws (see :func:`_floyd`)."""
+    """The ranges of ``choice(size, k, replace=False)``'s 2k - 1 bounded draws."""
     col = np.arange(2 * k - 1)
     return np.where(col < k, size - k + 1 + col, 2 * k - col).astype(np.uint64)
 
@@ -265,23 +265,20 @@ def _floyd(value: np.ndarray, size, k: int) -> np.ndarray:
     flat, rows = picks.ravel(), np.arange(len(value))
     for i in range(k - 1, 0, -1):  # position i is final once swapped
         swap = value[:, 2 * k - 1 - i] * len(value) + rows
-        taken = flat[swap]
-        flat[swap] = picks[i]
-        picks[i] = taken
+        flat[swap], picks[i] = picks[i], flat[swap]
     return picks
 
 
 @functools.lru_cache(maxsize=64)
 def _de_layout(small: bytes, dim: int, n: int, cf: int, held: bool):
-    """Where ``len(small)`` :func:`de_draws` calls, each then with a sample
-    of ``cf`` if ``cf``, read a PCG64 stream with a half ``held`` or not
-    (``small[t]`` is 1 when trial t's pool less its target has 3 members):
-    choice()'s bounded draws for the donors, ``dim`` doubles, each a new
-    word, ``integers(dim)``'s bounded draw (none for dim 1), the sample's.
-    Returns each trial's bounded draws ``(m, 6 + 2cf - 1)`` numbered in
-    order (-1 where NumPy skips one), the ranges of all but the donors',
-    its double words ``(m, dim)``, the words bounded draws read, in order,
-    and how many bounded draws and words there are."""
+    """Where ``len(small)`` :func:`de_draws` calls (``small[t]`` 1 for a
+    pool of 3 besides trial t), each then with a sample of ``cf`` if
+    ``cf``, read a PCG64 stream with a half ``held`` or not: the donors'
+    bounded draws, ``dim`` doubles, ``integers(dim)``'s and the sample's
+    bounded draws. Returns each trial's bounded draws numbered in order
+    (-1 where NumPy skips one), the ranges of all but the donors', its
+    double words, the words bounded draws read, and how many bounded draws
+    and words there are."""
     word, made, index, doubles, bounded = 0, 0, [], [], []
 
     def run(count: int, skipped: bool):  # a skipped draw, then count bounded draws
@@ -299,7 +296,8 @@ def _de_layout(small: bytes, dim: int, n: int, cf: int, held: bool):
     index, doubles = np.array(index, np.intp), np.array(doubles, np.intp).reshape(-1, dim)
     span = np.tile(np.append(np.uint64(dim), _floyd_span(n, cf)), (len(small), 1))
     bounded = np.array(bounded, np.intp)
-    index.flags.writeable = span.flags.writeable = doubles.flags.writeable = False
+    for shared in (index, span, doubles, bounded):
+        shared.flags.writeable = False
     return index, span, doubles, bounded, made, word
 
 
@@ -450,13 +448,12 @@ def _learn_normals(values: int = 4096, chunk: int = 32) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _ga_layout(n: int, m: int, head: int, cf: int, tournaments: bool, held: bool):
-    """Where the bounded draws of ``m`` GA children read a PCG64 stream,
-    from the children's first mask words: a pair's tournaments read the 2
-    words at its head, ``head`` words before its first child's, a sample
-    those just before the next child's head or mask. Returns per child its
-    head's words (or 0) and its sample's; each word the p pairs' bounded
-    draws read, in order, as a child ``(p, w)`` and an offset ``(w,)``; the
-    tournament then sample draws' numbers and ranges; the former's count."""
+    """Where the bounded draws of ``m`` GA children read a PCG64 stream, from
+    the children's first mask words: a pair's tournaments read 2 words
+    ``head`` before its first child's, a sample those just before the next
+    child's head or mask. Returns per child its head's words (or 0) and its
+    sample's; the words p pairs' bounded draws read, in order, as a child
+    ``(p, w)`` and offset ``(w,)``; draw numbers, ranges, tournament count."""
     sample = max(2 * cf - 1, 0)
     spend = _halves(sample, held)[0], _halves(sample, not held)[0]
     child = np.repeat([0, 1, 2], (2 * tournaments, *spend)) + 2 * np.arange((m + 1) // 2)[:, None]
@@ -466,7 +463,8 @@ def _ga_layout(n: int, m: int, head: int, cf: int, tournaments: bool, held: bool
     picks = (pair + np.arange(4 * tournaments)).ravel()
     draw = np.append(picks, (pair + 4 * tournaments + np.arange(2 * sample)).ravel()[:m * sample])
     span = np.append(np.full(picks.size, n, np.uint64), np.tile(_floyd_span(n, cf), m))
-    child.flags.writeable = offset.flags.writeable = draw.flags.writeable = False
+    for shared in (child, offset, draw, span):
+        shared.flags.writeable = False
     steps = tuple((head * (1 - kid % 2), spend[kid % 2]) for kid in range(m))
     return steps, child, offset, draw, span, picks.size
 

@@ -757,7 +757,7 @@ def test_a_failed_probe_takes_the_per_trial_path(monkeypatch):
     assert draws._decoder_probe()
     # a decoder that misreads choice()'s shuffle fails the probe
     floyd = draws._floyd
-    monkeypatch.setattr(draws, "_floyd", lambda *args: floyd(*args)[:, ::-1])
+    monkeypatch.setattr(draws, "_floyd", lambda *args: floyd(*args)[::-1])
     assert not draws._decoder_probe()
     monkeypatch.setattr(draws, "_decodes", False)
     monkeypatch.setattr(draws, "_decode_de", _no_decoding)
