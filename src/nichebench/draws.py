@@ -536,9 +536,9 @@ def _decode_ga(rng, n: int, m: int, dim: int, rate: float, tournaments: bool, cf
     value, held, half = drawn
     _leave(bitgen, held, half, cursor - pos)
     u = doubles[at[:m:2, None] + np.arange(-2 * dim, 0)].reshape(-1, 2, dim)
-    picks, samples = value[:split].reshape(-1, 4), value[split:].reshape(m, -1)
-    return (picks if tournaments else order, u, hits[at[:m, None] + np.arange(dim)], normals,
-            _floyd(samples, n, k).T if k else None)
+    return (value[:split].reshape(-1, 4) if tournaments else order, u,
+            hits[at[:m, None] + np.arange(dim)], normals,
+            _floyd(value[split:].reshape(m, -1), n, k).T if k else None)
 
 
 def _ga_decoder_probe() -> bool:
