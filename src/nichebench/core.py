@@ -15,6 +15,7 @@ the moment the budget is exhausted; no child is built once it is spent.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -142,12 +143,12 @@ def row_distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     ``(..., d)`` temporary: from one plane of squares per coordinate,
     added in the order NumPy's pairwise sum adds a short contiguous axis
     (:func:`_square_sum`), once a first-use probe has found that order in
-    this NumPy (:func:`_sums_in_order`). Vectors, d >= 16 and a failed
-    probe take ``.sum``.
+    this NumPy (:func:`_sum_order_probe`, run once per process). Vectors,
+    d >= 16 and a failed probe take ``.sum``.
     """
     d = points.shape[-1]
     if ((points.ndim >= 3 or rows.ndim >= 3) and 1 <= d < 16 and rows.shape[-1] == d
-            and _sums_in_order()):
+            and _sum_order_probe()):
         return np.sqrt(_square_sum(points, rows, d))
     return np.sqrt(((points - rows) ** 2).sum(axis=-1))
 
@@ -169,23 +170,12 @@ def _square_sum(points: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
     return total
 
 
-# whether _square_sum adds as .sum(axis=-1) does in this NumPy; None until
-# the first block of the process runs the probe
-_in_order: bool | None = None
-
-
-def _sums_in_order() -> bool:
-    """Run :func:`_sum_order_probe` once per process and keep its answer."""
-    global _in_order
-    if _in_order is None:
-        _in_order = _sum_order_probe()
-    return _in_order
-
-
+@functools.cache
 def _sum_order_probe() -> bool:
     """Whether :func:`_square_sum` gives the bits of ``.sum(axis=-1)`` on
     small blocks for every d from 1 to 15: magnitudes from 1e-3 to 1e3,
-    exact zeros, signed zeros and a row equal to a point."""
+    exact zeros, signed zeros and a row equal to a point. Cached: the first
+    block of a process runs it, never the import."""
     for d in range(1, 16):
         k = np.arange(9 * d, dtype=float)
         values = np.sin(k * 12.9898) * 10.0 ** (k % 7 - 3)

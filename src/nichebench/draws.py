@@ -81,7 +81,7 @@ def ga_generation_draws(rng: np.random.Generator, n: int, m: int, dim: int, rate
     """
     cf = None if cf is None or cf >= n else cf
     decoded = (m and n >= 2 and 0.0 <= rate <= 1.0 and _decodable(rng, n, cf)
-               and _works("_ga_decodes", _ga_decoder_probe)
+               and _ga_decoder_probe()
                and _decode_ga(rng, n, m, dim, rate, tournaments, cf))
     return decoded or _real_ga_draws(rng, n, m, dim, rate, tournaments, cf)
 
@@ -155,7 +155,7 @@ def de_generation_draws(rng: np.random.Generator, n: int, m: int, dim: int, CR: 
     """
     pools = np.full(n, -1, np.intp) if pools is None else np.asarray(pools, np.intp)
     cf = None if cf is None or cf >= n else cf
-    decoded = (_decodable(rng, n, cf) and _works("_decodes", _decoder_probe)
+    decoded = (_decodable(rng, n, cf) and _decoder_probe()
                and _decode_de(rng, n, m, dim, CR, pools, cf))
     return decoded or _real_de_draws(rng, n, m, dim, CR, pools, cf)
 
@@ -196,24 +196,11 @@ def _real_de_draws(rng, n, m, dim, CR, pools, cf=None):
     return donors, cross, samples
 
 
-# whether this NumPy reads PCG64 words as _decode_de and _decode_ga do (_works)
-_decodes: bool | None = None
-_ga_decodes: bool | None = None
-
-
 def _decodable(rng: np.random.Generator, n: int, cf: int | None) -> bool:
     """Whether a generation's draws may be decoded: a PCG64 stream, bounded
     draws on 32-bit halves, and no sample that NumPy draws by tail shuffle."""
     return (type(rng.bit_generator) is np.random.PCG64 and n < 2 ** 32
             and (cf is None or n <= 10000 or cf <= n // 50))
-
-
-def _works(flag: str, probe) -> bool:
-    """Whether the decoder that ``probe`` checks may run: the probe runs on
-    first use in a process, and the module global ``flag`` keeps its answer."""
-    if globals()[flag] is None:
-        globals()[flag] = probe()
-    return globals()[flag]
 
 
 def _halves(count: int, held: bool):
@@ -335,6 +322,7 @@ def _decode_de(rng, n: int, m: int, dim: int, CR: float, pools: np.ndarray, cf: 
             _floyd(value[:, 6:], n, k).T if k else None)
 
 
+@functools.cache
 def _decoder_probe() -> bool:
     """Whether decoding matches the real calls (:func:`_probe`) for pools
     of 3 and more, dim 1 and more and a sample of 5 from 12."""
@@ -396,20 +384,20 @@ def _prove_fast(words: np.ndarray) -> None:
     _normal_limit[256:] = _normal_limit[:256]
 
 
-def _learn_normals(values: int = 4096, chunk: int = 32) -> None:
+def _learn_normals() -> None:
     """Prove the scale and limit of standard_normal's layers from real
-    calls on a fixed PCG64 stream. A call of ``chunk`` values that read
-    ``chunk`` words took the fast path for each. A layer's scale is the one
-    double that reproduces all such values of the layer, of the candidates
-    |x| / magnitude and 3 neighbours either side; its limit is their
-    largest magnitude."""
+    calls on a fixed PCG64 stream: up to 128 calls of 32 values, within
+    8192 words. A call whose 32 values read 32 words took the fast path for
+    each. A layer's scale is the one double that reproduces all such values
+    of the layer, of the candidates |x| / magnitude and 3 neighbours either
+    side; its limit is their largest magnitude."""
     bitgen = np.random.PCG64(_PROBE_SEED)
     rng = np.random.Generator(bitgen)
     start = bitgen.state
-    raw = bitgen.random_raw(2 * values)
+    raw = bitgen.random_raw(8192)
     bitgen.state = start
-    at, words, normals = 0, [], []
-    while len(words) * chunk < values and at + chunk < len(raw):
+    at, words, normals, chunk = 0, [], [], 32
+    while len(words) < 128 and at + chunk < len(raw):
         drawn, word = rng.standard_normal(chunk), bitgen.random_raw()
         if raw[at + chunk] == word:
             words.append(raw[at:at + chunk])
@@ -541,6 +529,7 @@ def _decode_ga(rng, n: int, m: int, dim: int, rate: float, tournaments: bool, cf
             _floyd(value[split:].reshape(m, -1), n, k).T if k else None)
 
 
+@functools.cache
 def _ga_decoder_probe() -> bool:
     """Prove the normal layers (:func:`_learn_normals`), then whether
     decoding matches the real calls (:func:`_probe`) with and without

@@ -301,6 +301,7 @@ class TestRowDistanceBlocks:
                 assert row_distances(p, r).tobytes() == summed_distances(p, r).tobytes()
 
     def test_only_blocks_below_16_terms_are_built_plane_by_plane(self, monkeypatch):
+        assert core._sum_order_probe()  # probed before the count: its blocks are not counted
         built = []
         square_sum = core._square_sum
         monkeypatch.setattr(core, "_square_sum", lambda p, r, d: built.append(d) or square_sum(p, r, d))
@@ -312,17 +313,17 @@ class TestRowDistanceBlocks:
         assert built == [1, 2, 8, 15]
 
     def test_a_failed_probe_takes_the_sum(self, monkeypatch):
-        # a plane-by-plane sum in the wrong order fails the probe; every
-        # block then takes .sum and keeps its bits
+        # a plane-by-plane sum in the wrong order fails the probe, run
+        # uncached; with the probe's answer False every block takes .sum
+        # and keeps its bits, which the wrong order would not
         monkeypatch.setattr(core, "_square_sum", lambda p, r, d: ((p - r) ** 2)[..., ::-1].sum(-1))
-        assert not core._sum_order_probe()
-        monkeypatch.setattr(core, "_in_order", None)
+        assert not core._sum_order_probe.__wrapped__()
+        monkeypatch.setattr(core, "_sum_order_probe", lambda: False)
         rng = np.random.default_rng(8)
         for d in range(1, 16):
             points, rows = block_case(rng, 9, 7, d)
             got = row_distances(points[:, None, :], rows)
             assert got.tobytes() == summed_distances(points[:, None, :], rows).tobytes()
-        assert core._in_order is False
 
 
 BOUNDS_1D = np.array([[0.0, 1.0]])

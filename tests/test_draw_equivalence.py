@@ -666,16 +666,6 @@ def assert_same_draws(got, want, new, old):
     assert new.random() == old.random()
 
 
-def de_decodes():
-    """Whether DE generations are decoded in this process (probed once)."""
-    return draws._works("_decodes", draws._decoder_probe)
-
-
-def ga_decodes():
-    """Whether GA generations are decoded in this process (probed once)."""
-    return draws._works("_ga_decodes", draws._ga_decoder_probe)
-
-
 def _no_real_calls(*args):
     raise AssertionError("took the real-call path")
 
@@ -685,7 +675,7 @@ def decoding(monkeypatch):
     """Every DE generation on a PCG64 stream must be decoded, crowding
     samples included: the probe passed, and the per-trial path fails the
     test."""
-    assert de_decodes()
+    assert draws._decoder_probe()
     monkeypatch.setattr(draws, "_real_de_draws", _no_real_calls)
 
 
@@ -716,7 +706,7 @@ def test_generation_draws_with_a_species_of_four(dim, held, decoding):
 
 
 def test_a_possible_redraw_restores_the_stream_for_the_per_trial_path(monkeypatch):
-    assert de_decodes()  # probed with the real predicate
+    assert draws._decoder_probe()  # probed with the real predicate
     consulted, entry_states = [], []
     monkeypatch.setattr(draws, "_may_redraw", lambda low, span: consulted.append(1) or True)
     real_draws = draws._real_de_draws
@@ -754,12 +744,12 @@ def test_other_bit_generators_take_the_per_trial_path(monkeypatch):
 
 
 def test_a_failed_probe_takes_the_per_trial_path(monkeypatch):
-    assert draws._decoder_probe()
-    # a decoder that misreads choice()'s shuffle fails the probe
+    assert draws._decoder_probe.__wrapped__()
+    # a decoder that misreads choice()'s shuffle fails the probe, run uncached
     floyd = draws._floyd
     monkeypatch.setattr(draws, "_floyd", lambda *args: floyd(*args)[::-1])
-    assert not draws._decoder_probe()
-    monkeypatch.setattr(draws, "_decodes", False)
+    assert not draws._decoder_probe.__wrapped__()
+    monkeypatch.setattr(draws, "_decoder_probe", lambda: False)
     monkeypatch.setattr(draws, "_decode_de", _no_decoding)
     for seed in range(10):
         new, old = generation_case(seed, held=seed % 2 == 1)
@@ -813,7 +803,7 @@ def ga_decoding(monkeypatch):
     """Every GA generation on a PCG64 stream must be decoded, crowding
     samples included: the probe passed, and the real-call path fails the
     test."""
-    assert ga_decodes()
+    assert draws._ga_decoder_probe()
     monkeypatch.setattr(draws, "_real_ga_draws", _no_real_calls)
 
 
@@ -897,7 +887,7 @@ def test_de_crowding_samples_are_decoded(dim, decoding):
 def test_samples_that_numpy_draws_by_its_tail_shuffle_take_the_real_call_path(monkeypatch):
     # choice() shuffles the tail of arange(n) for n above 10000 with cf
     # above n // 50, and uses Floyd's algorithm up to n // 50
-    assert de_decodes() and ga_decodes()
+    assert draws._decoder_probe() and draws._ga_decoder_probe()
     real = []
     for name in ("_real_ga_draws", "_real_de_draws"):
         monkeypatch.setattr(draws, name, lambda *args, calls=getattr(draws, name):
@@ -938,7 +928,7 @@ def test_a_rate_outside_the_unit_interval_raises_where_the_real_calls_do(monkeyp
 
 @pytest.mark.parametrize("cause", ["redraw", "short request"])
 def test_a_generation_that_cannot_be_decoded_restores_the_stream(monkeypatch, cause):
-    assert ga_decodes()  # probed with the real predicate and request size
+    assert draws._ga_decoder_probe()  # probed with the real predicate and request size
     if cause == "redraw":
         monkeypatch.setattr(draws, "_may_redraw", lambda low, span: True)
     else:
@@ -967,12 +957,12 @@ def test_a_generation_that_cannot_be_decoded_restores_the_stream(monkeypatch, ca
 
 
 def test_a_failed_ga_probe_takes_the_real_call_path(monkeypatch):
-    assert draws._ga_decoder_probe()
-    # a decoder that forgets the held half fails the probe
+    assert draws._ga_decoder_probe.__wrapped__()
+    # a decoder that forgets the held half fails the probe, run uncached
     leave = draws._leave
     monkeypatch.setattr(draws, "_leave", lambda bitgen, held, *rest: leave(bitgen, False, *rest))
-    assert not draws._ga_decoder_probe()
-    monkeypatch.setattr(draws, "_ga_decodes", False)
+    assert not draws._ga_decoder_probe.__wrapped__()
+    monkeypatch.setattr(draws, "_ga_decoder_probe", lambda: False)
     monkeypatch.setattr(draws, "_decode_ga", _no_ga_decoding)
     for seed in range(10):
         new, old = generation_case(seed, held=seed % 2 == 1)
@@ -989,7 +979,7 @@ def test_ga_decoding_in_a_fresh_process_with_the_probe_limits():
         "import numpy as np\n"
         "from nichebench import draws\n"
         "from test_draw_equivalence import generation_case, same_state, sequential_ga_draws\n"
-        "assert draws._works('_ga_decodes', draws._ga_decoder_probe)\n"
+        "assert draws._ga_decoder_probe()\n"
         "left, mismatches = draws._normal_limit.copy(), 0\n"
         "rng = np.random.default_rng(60)\n"
         "for seed in range(200):\n"
@@ -1004,7 +994,7 @@ def test_ga_decoding_in_a_fresh_process_with_the_probe_limits():
         "               zip(got[:3] + tuple(got[3]), want[:3] + tuple(want[3])))\n"
         "    same = same and same_state(new.bit_generator.state, old.bit_generator.state)\n"
         "    mismatches += not (same and new.random() == old.random())\n"
-        "print(json.dumps({'decodes': draws._ga_decodes, 'mismatches': mismatches}))\n"
+        "print(json.dumps({'decodes': draws._ga_decoder_probe(), 'mismatches': mismatches}))\n"
     )
     assert out == {"decodes": True, "mismatches": 0}
 

@@ -13,8 +13,9 @@ take:
 - ``species_distance = sharing_radius = 0.05`` (scga, sde, sharing_ga and
   sharing_de), which gives sde species of fewer than 4.
 
-The crowding-factor cells run once more with both decoders forced off,
-on the real calls that wrote them. The default cells of the three DE
+A first-use probe is forced off by patching it to answer False. The
+crowding-factor cells run once more with both decoders forced off, on
+the real calls that wrote them. The default cells of the three DE
 algorithms run twice more: with the DE decoder forced off, where every
 generation takes the real-call path and must give the digests of
 ``fingerprints.json``, and on an MT19937 generator, against their own
@@ -83,6 +84,13 @@ def compute_table() -> dict[str, dict[str, str]]:
     return table
 
 
+def assert_default_digests(algorithm: str, problem_name: str) -> None:
+    """The cell's runs give their digests in ``fingerprints.json``."""
+    want = json.loads(DEFAULT_TABLE.read_text())[f"{algorithm}/{problem_name}"]
+    for seed in cell_seeds(algorithm, problem_name):
+        assert run_digest(algorithm, problem_name, seed) == want[str(seed)]
+
+
 @pytest.fixture(scope="module")
 def table():
     return json.loads(TABLE.read_text())
@@ -104,26 +112,22 @@ def test_config_fingerprint(table, algorithm, problem_name, setting):
 def test_real_calls_reproduce_the_crowding_factor_rows(table, monkeypatch, algorithm,
                                                        problem_name, setting):
     # the rows were written on the real-call path; the decoders must give them too
-    monkeypatch.setattr(draws, "_decodes", False)
-    monkeypatch.setattr(draws, "_ga_decodes", False)
+    monkeypatch.setattr(draws, "_decoder_probe", lambda: False)
+    monkeypatch.setattr(draws, "_ga_decoder_probe", lambda: False)
     assert config_digests(algorithm, problem_name, setting) == \
         table[f"{algorithm}/{problem_name}/{setting}"]
 
 
 @pytest.mark.parametrize("algorithm,problem_name", DE_CELLS)
 def test_real_de_draws_reproduce_the_default_fingerprints(monkeypatch, algorithm, problem_name):
-    monkeypatch.setattr(draws, "_decodes", False)
-    want = json.loads(DEFAULT_TABLE.read_text())[f"{algorithm}/{problem_name}"]
-    for seed in cell_seeds(algorithm, problem_name):
-        assert run_digest(algorithm, problem_name, seed) == want[str(seed)]
+    monkeypatch.setattr(draws, "_decoder_probe", lambda: False)
+    assert_default_digests(algorithm, problem_name)
 
 
 @pytest.mark.parametrize("algorithm,problem_name", GA_CELLS)
 def test_real_ga_draws_reproduce_the_default_fingerprints(monkeypatch, algorithm, problem_name):
-    monkeypatch.setattr(draws, "_ga_decodes", False)
-    want = json.loads(DEFAULT_TABLE.read_text())[f"{algorithm}/{problem_name}"]
-    for seed in cell_seeds(algorithm, problem_name):
-        assert run_digest(algorithm, problem_name, seed) == want[str(seed)]
+    monkeypatch.setattr(draws, "_ga_decoder_probe", lambda: False)
+    assert_default_digests(algorithm, problem_name)
 
 
 @pytest.mark.parametrize("algorithm,problem_name", DE_CELLS)

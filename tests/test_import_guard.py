@@ -78,7 +78,8 @@ def test_first_welch_t_loads_scipy_and_keeps_every_p_value_bit():
 
 def test_import_runs_no_probe_and_the_first_de_generation_runs_it_once():
     # the DE decoder's probe and layouts wait for the first DE generation;
-    # default_rng is wrapped before the import to see whether anything draws
+    # default_rng is wrapped before the import to see whether anything draws.
+    # The probe's cache counts its runs as misses and later calls as hits.
     out = run_fresh(
         "import json\n"
         "import numpy as np\n"
@@ -87,19 +88,21 @@ def test_import_runs_no_probe_and_the_first_de_generation_runs_it_once():
         "np.random.default_rng = lambda *a: made.append(a) or default_rng(*a)\n"
         "import nichebench, nichebench.cli\n"
         "from nichebench import draws\n"
-        "at_import = {'generators': len(made), 'decodes': draws._decodes,\n"
+        "probe = draws._decoder_probe.cache_info\n"
+        "at_import = {'generators': len(made), 'runs': probe().misses,\n"
         "             'layouts': draws._de_layout.cache_info().currsize}\n"
-        "probes = []\n"
-        "probe = draws._decoder_probe\n"
-        "draws._decoder_probe = lambda: probes.append(1) or probe()\n"
         "config = nichebench.AlgorithmConfig(population_size=10)\n"
+        "nichebench.crowding_de(nichebench.himmelblau(), config, budget=20, rng=1)\n"
+        "first = probe().misses  # after one generation\n"
         "for run in (nichebench.sharing_de, nichebench.sde, nichebench.crowding_de):\n"
         "    run(nichebench.himmelblau(), config, budget=40, rng=1)\n"
-        "print(json.dumps({'at_import': at_import, 'probes': len(probes),\n"
-        "                  'decodes': draws._decodes}))\n"
+        "print(json.dumps({'at_import': at_import, 'first': first, 'after': probe()[:2],\n"
+        "                  'decodes': draws._decoder_probe()}))\n"
     )
-    assert out["at_import"] == {"generators": 0, "decodes": None, "layouts": 0}
-    assert out["probes"] == 1 and out["decodes"] is True
+    assert out["at_import"] == {"generators": 0, "runs": 0, "layouts": 0}
+    assert out["first"] == 1
+    hits, misses = out["after"]
+    assert misses == 1 and hits > 0 and out["decodes"] is True
 
 
 def test_import_runs_no_ga_or_sum_probe_and_the_first_ga_generation_runs_it_once():
@@ -110,20 +113,23 @@ def test_import_runs_no_ga_or_sum_probe_and_the_first_ga_generation_runs_it_once
         "import numpy as np\n"
         "import nichebench, nichebench.cli\n"
         "from nichebench import core, draws\n"
-        "at_import = {'ga': draws._ga_decodes, 'sums': core._in_order,\n"
-        "             'layers': int((~np.isnan(draws._normal_scale)).sum())}\n"
-        "probes = []\n"
-        "probe = draws._ga_decoder_probe\n"
-        "draws._ga_decoder_probe = lambda: probes.append(1) or probe()\n"
+        "probes = (draws._ga_decoder_probe, core._sum_order_probe)\n"
+        "runs = lambda: [probe.cache_info().misses for probe in probes]\n"
+        "at_import = {'runs': runs(), 'layers': int((~np.isnan(draws._normal_scale)).sum())}\n"
         "config = nichebench.AlgorithmConfig(population_size=10)\n"
+        "nichebench.crowding_ga(nichebench.himmelblau(), config, budget=20, rng=1)\n"
+        "first = runs()  # after one generation\n"
         "for run in (nichebench.crowding_ga, nichebench.scga, nichebench.preselection_ga,\n"
         "            nichebench.sharing_ga):\n"
         "    run(nichebench.himmelblau(), config, budget=40, rng=1)\n"
-        "print(json.dumps({'at_import': at_import, 'probes': len(probes),\n"
-        "                  'ga': draws._ga_decodes, 'sums': core._in_order}))\n"
+        "print(json.dumps({'at_import': at_import, 'first': first,\n"
+        "                  'after': [probe.cache_info()[:2] for probe in probes],\n"
+        "                  'answers': [probe() for probe in probes]}))\n"
     )
-    assert out["at_import"] == {"ga": None, "sums": None, "layers": 0}
-    assert out["probes"] == 1 and out["ga"] is True and out["sums"] is True
+    assert out["at_import"] == {"runs": [0, 0], "layers": 0}
+    assert out["first"] == [1, 1]
+    assert all(misses == 1 and hits > 0 for hits, misses in out["after"])
+    assert out["answers"] == [True, True]
 
 
 def generator_calls(path: Path) -> list[int]:
