@@ -20,7 +20,10 @@ algorithms run twice more: with the DE decoder forced off, where every
 generation takes the real-call path and must give the digests of
 ``fingerprints.json``, and on an MT19937 generator, against their own
 digests here. The default cells of the four GAs run once more, with the
-GA decoder forced off, against ``fingerprints.json``.
+GA decoder forced off, against ``fingerprints.json``. The default cells
+of all seven run once more with the sum-order probe forced off, where
+every distance block is summed by ``.sum``, against
+``fingerprints.json``.
 
 The table must only be regenerated for a deliberate, documented change
 of results::
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nichebench import draws
+from nichebench import core, draws
 from nichebench.algorithms import ALGORITHMS, AlgorithmConfig
 from test_fingerprint import TABLE as DEFAULT_TABLE
 from test_fingerprint import cell_seeds, run_digest
@@ -127,6 +130,13 @@ def test_real_de_draws_reproduce_the_default_fingerprints(monkeypatch, algorithm
 @pytest.mark.parametrize("algorithm,problem_name", GA_CELLS)
 def test_real_ga_draws_reproduce_the_default_fingerprints(monkeypatch, algorithm, problem_name):
     monkeypatch.setattr(draws, "_ga_decoder_probe", lambda: False)
+    assert_default_digests(algorithm, problem_name)
+
+
+@pytest.mark.parametrize("algorithm,problem_name", DE_CELLS + GA_CELLS)
+def test_summed_distances_reproduce_the_default_fingerprints(monkeypatch, algorithm,
+                                                             problem_name):
+    monkeypatch.setattr(core, "_sum_order_probe", lambda: False)
     assert_default_digests(algorithm, problem_name)
 
 
