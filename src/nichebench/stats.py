@@ -193,30 +193,38 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 def welch_t(a, b) -> tuple[float, float]:
     """Welch's unequal-variance t statistic and two-sided p-value.
 
-    Degrees of freedom follow Welch-Satterthwaite. When both samples have
-    zero variance the test degenerates: p = 1 for equal means, p = 0
-    otherwise. Samples whose variances' squares underflow are scaled by a
-    power of two, which changes neither t nor p.
+    Degrees of freedom follow Welch-Satterthwaite. Samples whose terms
+    under- or overflow are first scaled once by a power of two, which
+    changes neither t nor p. When both samples have zero variance (or,
+    scaled, variances whose squares underflow) the test degenerates: p = 1
+    for equal means, p = 0 otherwise.
     """
     a = _as_values(a)
     b = _as_values(b)
     n, m = a.size, b.size
     if n < 2 or m < 2:
         raise ValueError("welch_t needs at least 2 values per sample")
+    for scaled in (False, True):  # at most one scaling
+        with np.errstate(over="ignore"):  # a variance beyond the float range is inf
+            var_a, var_b = float(a.var(ddof=1)), float(b.var(ddof=1))
+        se2 = var_a / n + var_b / m
+        try:
+            spread = (var_a / n) ** 2 / (n - 1) + (var_b / m) ** 2 / (m - 1)
+            top = se2 ** 2
+        except OverflowError:  # float ** raises where * gives inf
+            spread = top = math.inf
+        if scaled or (0.0 < spread and top < math.inf):
+            break
+        # the terms are not finite and positive: the same test on samples scaled to about 1
+        exponent = math.frexp(max(float(np.abs(a).max()), float(np.abs(b).max())))[1]
+        a, b = np.ldexp(a, -exponent), np.ldexp(b, -exponent)
     mean_a, mean_b = float(a.mean()), float(b.mean())
-    var_a = float(a.var(ddof=1))
-    var_b = float(b.var(ddof=1))
-    if var_a == 0.0 and var_b == 0.0:
+    if spread == 0.0:
         if mean_a == mean_b:
             return 0.0, 1.0
         return math.copysign(math.inf, mean_a - mean_b), 0.0
-    spread = (var_a / n) ** 2 / (n - 1) + (var_b / m) ** 2 / (m - 1)
-    if spread == 0.0:  # the squares underflowed: the same test on samples scaled to about 1
-        exponent = math.frexp(max(float(np.abs(a).max()), float(np.abs(b).max())))[1]
-        return welch_t(np.ldexp(a, -exponent), np.ldexp(b, -exponent))
-    se2 = var_a / n + var_b / m
     t = (mean_a - mean_b) / math.sqrt(se2)
-    df = se2 ** 2 / spread
+    df = top / spread
     from scipy.special import stdtr  # about 0.2 s to load; only this test needs it
 
     p = 2.0 * float(stdtr(df, -abs(t)))

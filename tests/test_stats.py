@@ -356,6 +356,31 @@ class TestWelchT:
         matrix = stats.pairwise_matrix([[0.0, 1e-85], [0.0, 2e-85]], "t")
         assert matrix[0, 1] == welch_t([0.0, 1e-85], [0.0, 2e-85])[1]
 
+    def test_variances_that_underflow_or_whose_squares_overflow(self):
+        # variances that underflow to 0.0 once took the zero-variance branch
+        # (-inf, 0.0); (var / n) ** 2 beyond the float range once raised
+        # OverflowError, and a variance beyond it gave (0.0, 1.0). Each is
+        # now the test on the samples scaled by a power of two, which is exact
+        for a, b, shift, want in (
+                ([0.0, 1e-170], [0.0, 2e-170], 560, (-0.44721359549995787, 0.7117227912336697)),
+                ([0.0, 1e80], [0.0, 2e80], -300, (-0.4472135954999579, 0.7117227912336697)),
+                ([0.0, 1e200, 3e199], [-1e200, 2e200], -700, None),
+                ([4e153, 0.0, 1e153], [-2e153, 1e153, 3e153], -500, None)):
+            a, b = np.array(a), np.array(b)
+            got = welch_t(a, b)
+            assert got == welch_t(np.ldexp(a, shift), np.ldexp(b, shift))
+            assert math.isfinite(got[0]) and 0.0 < got[1] < 1.0
+            if want is not None:
+                assert got == want
+        matrix = stats.pairwise_matrix([[0.0, 1e80], [0.0, 2e80]], "t")
+        assert matrix[0, 1] == 0.7117227912336697
+
+    def test_variances_that_vanish_beside_the_largest_value_are_zero(self):
+        # scaled once, and no more: a variance that still underflows beside
+        # a constant sample degenerates as a zero variance does
+        assert welch_t([0.0, 1e-170], [5.0, 5.0]) == (-math.inf, 0.0)
+        assert welch_t([1.0, 1.0], [0.0, 1e-90]) == (math.inf, 0.0)
+
     def test_against_quadrature_oracle(self):
         import mpmath as mp
 
