@@ -6,8 +6,9 @@ of known optima. ``best_fitness`` and ``distinct_peaks`` need no optima
 list and are the metrics used for objectives whose landscape is unknown;
 ``distinct_peaks`` can measure distances in min-max normalized coordinates
 so that heterogeneous units (radians next to millimetres) do not dominate.
-A peak or ``bounds`` of another width than the genomes', or a ``fitness``
-that is not one value per genome row, raises ValueError.
+A peak or ``bounds`` of another width than the genomes', a ``bounds`` row
+that is not finite with lo < hi, or a ``fitness`` that is not one value
+per genome row, raises ValueError.
 """
 
 from __future__ import annotations
@@ -87,5 +88,7 @@ def distinct_peaks(
         bounds = np.asarray(bounds, dtype=float)
         if bounds.shape != (*members.shape[1:], 2):
             raise ValueError(f"bounds of shape {bounds.shape} for genomes {members.shape}")
+        if not (np.isfinite(bounds).all() and (bounds[:, 0] < bounds[:, 1]).all()):
+            raise ValueError(f"bounds rows must be finite with lo < hi, got {bounds.tolist()}")
         members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
     return len(leader_scan(members, np.flatnonzero(qualifies).tolist(), radius))

@@ -147,6 +147,16 @@ class TestDistinctPeaks:
         with pytest.raises(ValueError, match=r"bounds of shape \(1, 2\) for genomes \(2, 2\)"):
             distinct_peaks(genomes, [1e-6, 1e-6], bounds=[[0, 1]])
 
+    @pytest.mark.parametrize("row", [[0.0, 0.0], [1.0, 0.0], [0.0, math.nan], [-math.inf, 1.0]])
+    def test_bounds_rows_not_finite_with_lo_below_hi_rejected_before_any_distance(
+            self, row, monkeypatch):
+        # a zero-width or NaN row once counted 1 where valid bounds count 2
+        genomes = as_genomes([[0.0, 0.0], [0.5, 0.0]])
+        assert distinct_peaks(genomes, [0.0, 0.0], bounds=[[0.0, 1.0], [0.0, 1.0]]) == 2
+        monkeypatch.setattr(metrics, "leader_scan", None)
+        with pytest.raises(ValueError, match="finite with lo < hi"):
+            distinct_peaks(genomes, [0.0, 0.0], bounds=[[0.0, 1.0], row])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty population"):
             distinct_peaks(np.empty((0, 2)), np.empty(0))
