@@ -23,8 +23,8 @@ that pass is final. ``crowding_ga``, ``crowding_de`` and ``sde`` walk the
 children in order, each evaluated once in its final form, and build a
 child again if it read a slot replaced earlier in the generation (a DE
 donor or target, a tournament whose winner changed, or a winner's genome);
-crowding reads each child's nearest member from a child-to-member distance
-block whose column is refreshed on each replacement. Replacement is
+crowding picks each child's nearest member once, from a child-to-member
+distance block whose column is refreshed on each replacement. Replacement is
 strict: an incumbent is only displaced by a strictly better challenger, so
 equal-fitness duplicates never drift.
 """
@@ -254,33 +254,22 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
 
 
 def _nearest(dists: np.ndarray, sample) -> int:
-    """The member with the least of ``dists`` among ``sample`` (all members
-    when None); distance ties go to the lowest population index."""
-    if sample is None:
-        return int(dists.argmin())  # first minimum: the lowest index
-    near = dists[sample]
-    return int(sample[near == near.min()].min())
+    """The member with the least of ``dists`` among ``sample``, sorted
+    ascending (all members when None): the first minimum, so distance
+    ties go to the lowest population index."""
+    return int(dists.argmin() if sample is None else sample[dists[sample].argmin()])
 
 
-def crowding_replacement(child: Individual, pop: Population, dists: np.ndarray, sample,
+def crowding_replacement(child: Individual, pop: Population, slot: int,
                          direction: str) -> bool:
-    """Let the child challenge the most similar of its sampled members.
-
-    ``dists`` holds the child's distance to each member of ``pop``, row for
-    row, and ``sample`` the member indices a crowding factor cf below the
-    population size drew (see ``nichebench.draws``), or None for the
-    whole population. The sampled member nearest to the
-    child (distance ties go to the lowest population index) is replaced
-    iff the child is strictly better. Returns True iff the child took
-    that member's slot.
-    """
-    if len(dists) != len(pop):
-        raise ValueError("dists holds one distance per member")
-    if sample is not None and not 1 <= len(sample) <= len(pop):
-        raise ValueError("a crowding sample holds 1 to len(pop) members")
-    nearest = _nearest(dists, sample)
-    if is_better(child.fitness, pop[nearest].fitness, direction):
-        pop[nearest] = child
+    """Let the child challenge the member in ``slot``, the most similar of
+    its sampled members (``_Crowding`` picks it): the child takes the slot
+    iff it is strictly better. Returns True iff it did; a slot outside
+    ``pop`` raises ValueError."""
+    if not 0 <= slot < len(pop):
+        raise ValueError(f"slot {slot} is outside a population of {len(pop)}")
+    if is_better(child.fitness, pop[slot].fitness, direction):
+        pop[slot] = child
         return True
     return False
 
@@ -288,14 +277,16 @@ def crowding_replacement(child: Individual, pop: Population, dists: np.ndarray, 
 class _Crowding:
     """A generation's crowding walk over children built speculatively from
     the population at its start. Each child, in order, is evaluated and
-    challenges its nearest sampled member, read from the ``(m, n)`` block
-    of child-to-member distances; a replacement marks its slot in
-    ``replaced`` and refreshes the slot's column for the later children.
-    Before a child's turn the caller rebuilds it, with its distances, if
-    it read a replaced slot."""
+    challenges its nearest sampled member, picked once from the ``(m, n)``
+    block of child-to-member distances and the ``(m, cf)`` samples (or
+    None), sorted here; a replacement marks its slot in ``replaced`` and
+    refreshes the slot's column for the later children. Before a child's
+    turn the caller rebuilds it, with its distances, if it read a replaced
+    slot."""
 
     def __init__(self, st: _RunState, pop: Population, children: np.ndarray, samples):
-        self.st, self.pop, self.children, self.samples = st, pop, children, samples
+        self.st, self.pop, self.children = st, pop, children
+        self.samples = None if samples is None else np.sort(samples, axis=1)
         self.dists = row_distances(children[:, None, :], pop.genome_matrix())
         self.replaced = [False] * len(pop)
 
@@ -306,9 +297,8 @@ class _Crowding:
 
     def challenge(self, row: int) -> None:
         child = self.st.evaluate(self.children[row])
-        dists, sample = self.dists[row], None if self.samples is None else self.samples[row]
-        if crowding_replacement(child, self.pop, dists, sample, self.st.direction):
-            slot = _nearest(dists, sample)
+        slot = _nearest(self.dists[row], None if self.samples is None else self.samples[row])
+        if crowding_replacement(child, self.pop, slot, self.st.direction):
             self.replaced[slot] = True
             self.dists[row + 1:, slot] = row_distances(self.children[row + 1:], child.genome)
 

@@ -17,6 +17,7 @@ import pytest
 from nichebench.algorithms import (
     ALGORITHMS,
     AlgorithmConfig,
+    _nearest,
     crowding_replacement,
     determine_species_seeds,
     scga,
@@ -93,7 +94,7 @@ def test_criterion_1_oracle_equivalence():
             child = Individual(rng.uniform(-1, 1, size=dim), float(rng.integers(0, 4)))
             pop = make_pop(list(genomes), fits)
             row = np.sqrt(((genomes - child.genome) ** 2).sum(axis=1))  # the whole population
-            crowding_replacement(child, pop, row, None, direction="max")
+            crowding_replacement(child, pop, _nearest(row, None), direction="max")
             dists = [math.dist(child.genome, g) for g in genomes]
             nearest = min(range(n), key=lambda i: (dists[i], i))
             if child.fitness > fits[nearest]:

@@ -92,16 +92,13 @@ class TestCrowdingReplacement:
         challenge(child, pop, cf=3, rng=np.random.default_rng(0), direction="max")
         assert pop[0] is child
 
-    def test_invalid_sample(self):
-        pop = make_pop([[0.0]], [0.0])
-        for sample in (np.array([0, 0]), np.array([], dtype=int)):  # cf 2 and 0 of one member
-            with pytest.raises(ValueError):
-                crowding_replacement(Individual(np.array([0.0]), 1.0), pop, np.zeros(1), sample,
-                                     direction="max")
+    @pytest.mark.parametrize("slot", [-1, 2])
+    def test_slot_outside_the_population_raises(self, slot):
         pop = make_pop([[0.0], [1.0]], [0.0, 0.0])
-        with pytest.raises(ValueError, match="one distance per member"):
-            crowding_replacement(Individual(np.array([0.0]), 1.0), pop, np.zeros(5), None,
-                                 direction="max")
+        members = list(pop)
+        with pytest.raises(ValueError, match="outside a population of 2"):
+            crowding_replacement(Individual(np.array([0.0]), 1.0), pop, slot, direction="max")
+        assert all(m is o for m, o in zip(pop, members))
         assert pop.fitnesses().tolist() == [0.0, 0.0]
 
 

@@ -17,7 +17,9 @@ import pytest
 from nichebench import core, draws
 from nichebench.algorithms import (
     AlgorithmConfig,
+    _Crowding,
     _RunState,
+    _nearest,
     _shared_scores,
     _nearest_seed_assignment,
     conserve_species_seeds,
@@ -44,6 +46,7 @@ from nichebench.core import (
 from nichebench.draws import de_draws, de_generation_draws, ga_generation_draws, mutation_draws
 from nichebench.harness import resolve_problem
 from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
+from nichebench.problems import BoundedProblem
 from test_import_guard import run_fresh
 
 
@@ -402,11 +405,12 @@ def per_child_tournament(fitness, rng, direction):
 def per_child_crowding(child, pop, cf, rng, direction):
     """One crowding step as the per-child loop made it: the sample of cf
     < n members drawn, the child's distances to the whole population
-    restacked, then the challenge."""
+    restacked, its nearest sampled member picked as ``_Crowding`` picks
+    it, then the challenge."""
     n = len(pop)
-    sample = None if cf == n else rng.choice(n, size=cf, replace=False)
+    sample = None if cf == n else np.sort(rng.choice(n, size=cf, replace=False))
     dists = np.sqrt(((pop.genome_matrix() - child.genome) ** 2).sum(axis=1))
-    return crowding_replacement(child, pop, dists, sample, direction)
+    return crowding_replacement(child, pop, _nearest(dists, sample), direction)
 
 
 def per_child_trial(target, pop, F, CR, rng, bounds, donor_pool=None):
@@ -1065,6 +1069,43 @@ def test_crowding_replacement_matches_restacking(direction):
             assert_bits_equal(new_pop.genome_matrix(), old_pop.genome_matrix())
             assert_bits_equal(new_pop.fitnesses(), old_pop.fitnesses())
         assert_same_stream(new, old)
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_crowding_walk_picks_the_reference_slot(direction):
+    """A generation's walk, its samples sorted once and each slot picked
+    once, against the reference's restacked pick, child by child."""
+    rng = np.random.default_rng(14)
+    for seed in range(300):
+        n = int(rng.integers(2, 20))
+        dim = int(rng.choice(DIMS))
+        cf = n if seed % 2 else int(rng.integers(1, n))
+        # integer grids: duplicate members, exact distance and fitness ties
+        genomes = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        fits = rng.integers(0, 4, size=n).astype(float)
+        children = rng.integers(-2, 3, size=(5, dim)).astype(float)
+        problem = BoundedProblem("grid", np.tile([-2.0, 2.0], (dim, 1)), direction,
+                                 lambda x: float(x.sum() % 5))
+        st = _RunState("crowding_ga", problem, AlgorithmConfig(population_size=n), n + 5, 0)
+        new_pop, old_pop = population(genomes, fits), population(genomes, fits)
+        originals = list(new_pop)
+        new, old = twin_streams(seed)
+        samples = (None if cf == n
+                   else np.array([new.choice(n, size=cf, replace=False) for _ in children]))
+        drawn = None if samples is None else samples.copy()
+        crowd = _Crowding(st, new_pop, children.copy(), samples)
+        for row, genome in enumerate(children):
+            before = list(new_pop)
+            crowd.challenge(row)
+            child = Individual(genome, problem.objective(genome))
+            reference_crowding_replacement(child, old_pop, cf, old, direction)
+            assert snapshot(new_pop) == snapshot(old_pop)
+            assert [m is not b for m, b in zip(new_pop, before)] == [
+                m is child for m in old_pop]
+        assert crowd.replaced == [m is not o for m, o in zip(new_pop, originals)]
+        assert_same_stream(new, old)
+        if samples is not None:
+            assert_bits_equal(samples, drawn)  # the walk sorts a copy
 
 
 @pytest.mark.parametrize("direction", ["max", "min"])
