@@ -381,11 +381,10 @@ def sharing_ga(problem, config: AlgorithmConfig | None = None,
                budget=10000, rng=0) -> RunResult:
     """Generational GA whose parent selection runs on shared fitness."""
     st = _RunState("sharing_ga", problem, config, budget, rng)
-    config = st.config
     pop = st.init_population()
     for _ in st.generations():
         scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
-                                config.sharing_radius, config.sharing_alpha)
+                                st.config.sharing_radius, st.config.sharing_alpha)
         *_, children = st.ga_children(pop.genome_matrix(), len(pop), scores, "max")
         for slot, child in enumerate(st.evaluate.many(children)):
             pop[slot] = child
@@ -402,7 +401,6 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
     iff its shared score is strictly higher.
     """
     st = _RunState("sharing_de", problem, config, budget, rng)
-    config = st.config
     pop = st.init_population()
     for _ in st.generations():
         # the loop runs only with budget left, so trials is not empty
@@ -411,16 +409,21 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
         genomes = np.vstack([pop.genome_matrix(), rows])
         raw = np.concatenate([pop.fitnesses(), [t.fitness for t in trials]])
         scores = _shared_scores(genomes, raw, st.direction,
-                                config.sharing_radius, config.sharing_alpha)
+                                st.config.sharing_radius, st.config.sharing_alpha)
         for slot, child in enumerate(trials):
             if scores[len(pop) + slot] > scores[slot]:
                 pop[slot] = child
     return st.result(pop)
 
 
-def _badness(fitness: np.ndarray, direction: str) -> np.ndarray:
-    """Fitness as a best-first key: lower is better in either direction."""
+def _badness(fitness: np.ndarray, direction: str, species_distance) -> np.ndarray:
+    """Fitness as a best-first key: lower is better in either direction.
+    Both species functions call it first, so it checks the arguments they
+    share before any distance: the direction and a positive real
+    ``species_distance``."""
     check_direction(direction)
+    if not check_real("species_distance", species_distance) > 0.0:
+        raise ValueError("species_distance must be positive")
     return -fitness if direction == "max" else fitness
 
 
@@ -433,7 +436,8 @@ def determine_species_seeds(pop: Population, species_distance: float,
     species_distance/2 from all earlier seeds (i.e. outside every existing
     species region). Returns the seed members, in discovery order.
     """
-    order = np.argsort(_badness(pop.fitnesses(), direction), kind="stable").tolist()
+    order = np.argsort(_badness(pop.fitnesses(), direction, species_distance),
+                       kind="stable").tolist()
     if not order:
         raise ValueError("cannot determine seeds of an empty population")
     return [pop[i] for i in leader_scan(pop.genome_matrix(), order, species_distance / 2.0)]
@@ -458,7 +462,7 @@ def conserve_species_seeds(pop: Population, seeds: list[Individual],
     empty may take a later species' slot. Seeds left without one are
     logged and dropped.
     """
-    badness = _badness(pop.fitnesses(), direction).tolist().__getitem__
+    badness = _badness(pop.fitnesses(), direction, species_distance).tolist().__getitem__
     if not seeds:
         return pop
     # the walk reads and writes free slots only, so genomes and badness stay current
@@ -500,16 +504,15 @@ def scga(problem, config: AlgorithmConfig | None = None,
     hook, e.g. for auditing seed survival).
     """
     st = _RunState("scga", problem, config, budget, rng)
-    config = st.config
     pop = st.init_population()
     if observer is not None:
         observer(0, pop)
     for generation in st.generations():
-        seeds = determine_species_seeds(pop, config.species_distance, st.direction)
+        seeds = determine_species_seeds(pop, st.config.species_distance, st.direction)
         *_, children = st.ga_children(pop.genome_matrix(), len(pop), pop.fitnesses(), st.direction)
         for slot, child in enumerate(st.evaluate.many(children)):
             pop[slot] = child
-        conserve_species_seeds(pop, seeds, config.species_distance, st.direction)
+        conserve_species_seeds(pop, seeds, st.config.species_distance, st.direction)
         if observer is not None:
             observer(generation, pop)
     return st.result(pop)

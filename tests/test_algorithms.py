@@ -164,6 +164,12 @@ class TestDetermineSpeciesSeeds:
         with pytest.raises(ValueError, match="direction must be 'min' or 'max'"):
             determine_species_seeds(pop, species_distance=1.0, direction=direction)
 
+    @pytest.mark.parametrize("distance", [-1.0, 0.0, -0.0, math.nan, math.inf, True, "1"])
+    def test_species_distance_must_be_a_positive_real(self, distance):
+        pop = make_pop([[0.0], [0.5], [1.0]], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="species_distance must be"):
+            determine_species_seeds(pop, species_distance=distance, direction="max")
+
     def test_vanishing_distance_makes_everyone_a_seed(self):
         pop = make_pop([[0.0], [0.5], [1.0]], [1.0, 2.0, 3.0])
         seeds = determine_species_seeds(pop, species_distance=1e-12, direction="max")
@@ -252,6 +258,17 @@ class TestConserveSpeciesSeeds:
         for seeds in ([seed], []):
             with pytest.raises(ValueError, match="direction must be 'min' or 'max'"):
                 conserve_species_seeds(pop, seeds, species_distance=0.5, direction="up")
+
+    @pytest.mark.parametrize("distance", [-1.0, 0.0, math.nan, math.inf])
+    def test_species_distance_must_be_a_positive_real(self, distance):
+        # checked before any distance and before the return with no seeds
+        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
+        members = list(pop)
+        seed = Individual(np.array([5.0]), 10.0)
+        for seeds in ([seed], []):
+            with pytest.raises(ValueError, match="species_distance must be"):
+                conserve_species_seeds(pop, seeds, species_distance=distance, direction="max")
+        assert all(m is o for m, o in zip(pop, members))
 
     def test_seed_overflow_logged_and_bounded(self, caplog):
         pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
