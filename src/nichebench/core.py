@@ -332,7 +332,7 @@ def gaussian_mutation(genomes: np.ndarray, mask: np.ndarray, normals: np.ndarray
     shape; ``normals`` holds the masked coordinates' standard normals in
     row order, i.e. the rows' ``draws.mutation_draws`` concatenated.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:  # written so that NaN fails too
         raise ValueError("mutation sigma must be positive")
     if not normals.size:
         return clip_to_bounds(genomes, bounds)
