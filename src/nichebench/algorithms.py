@@ -5,7 +5,10 @@ Every algorithm has the signature ``(problem, config, budget, rng) ->
 RunResult``, where ``budget`` is the number of objective evaluations (an
 int) and ``rng`` an int seed or a ``np.random.Generator``, used as is. It
 terminates exactly when the budget runs out, returning the partially
-updated population if that happens mid-generation. :func:`check_run`
+updated population if that happens mid-generation. A population is an
+``(n, d)`` genome matrix and its ``(n,)`` fitness vector, changed in
+place row by row; only the crowding walk keeps it as a ``Population`` of
+``Individual`` members. :func:`check_run`
 rejects, before anything is drawn, a run that could not start: an invalid
 config, a population below the algorithm's minimum, or a budget below the
 population size. So every member of every population is evaluated.
@@ -175,13 +178,14 @@ class _RunState:
         self.dim = problem.dimension
         self.mutation_rate = config.effective_mutation_rate(self.dim)
 
-    def init_population(self) -> Population:
-        """``population_size`` uniform random members, evaluated as one
-        batch; check_run has made sure the budget covers them all."""
+    def init_population(self) -> tuple[np.ndarray, np.ndarray]:
+        """The genomes and fitness of ``population_size`` uniform random
+        members, evaluated as one batch; check_run has made sure the budget
+        covers them all."""
         genomes = initial_genomes(self.rng, self.bounds, self.config.population_size)
-        pop = Population(self.evaluate.many(genomes))
+        fitness = self.evaluate.many(genomes)
         self.evaluate.checkpoint()
-        return pop
+        return genomes, fitness
 
     def budgeted(self, count: int) -> int:
         """``count``, or the evaluations left if fewer."""
@@ -230,9 +234,8 @@ class _RunState:
             yield generation
             self.evaluate.checkpoint()
 
-    def result(self, pop: Population) -> RunResult:
-        return RunResult(pop.genome_matrix().copy(), pop.fitnesses().copy(),
-                         self.evaluate.used, self.evaluate.trace)
+    def result(self, genomes: np.ndarray, fitness: np.ndarray) -> RunResult:
+        return RunResult(genomes.copy(), fitness.copy(), self.evaluate.used, self.evaluate.trace)
 
 
 def preselection_ga(problem, config: AlgorithmConfig | None = None,
@@ -243,14 +246,15 @@ def preselection_ga(problem, config: AlgorithmConfig | None = None,
     takes its parent's slot iff strictly better.
     """
     st = _RunState("preselection_ga", problem, config, budget, rng)
-    pop = st.init_population()
+    genomes, fitness = st.init_population()
     for _ in st.generations():
         # an odd population's last member in ``order`` sits this generation out
-        order, *_, children = st.ga_children(pop.genome_matrix(), len(pop) - len(pop) % 2)
-        for slot, child in zip(order.tolist(), st.evaluate.many(children)):
-            if is_better(child.fitness, pop[slot].fitness, st.direction):
-                pop[slot] = child
-    return st.result(pop)
+        order, *_, children = st.ga_children(genomes, len(genomes) - len(genomes) % 2)
+        values = st.evaluate.many(children)
+        slots = order[:len(values)]
+        won = is_better(values, fitness[slots], st.direction)
+        genomes[slots[won]], fitness[slots[won]] = children[won], values[won]
+    return st.result(genomes, fitness)
 
 
 def _nearest(dists: np.ndarray, sample) -> int:
@@ -296,7 +300,8 @@ class _Crowding:
         self.dists[rows] = row_distances(genomes[..., None, :], self.pop.genome_matrix())
 
     def challenge(self, row: int) -> None:
-        child = self.st.evaluate(self.children[row])
+        genome = self.children[row]
+        child = Individual(genome, self.st.evaluate(genome))
         slot = _nearest(self.dists[row], None if self.samples is None else self.samples[row])
         if crowding_replacement(child, self.pop, slot, self.st.direction):
             self.replaced[slot] = True
@@ -314,7 +319,7 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
     """
     st = _RunState("crowding_ga", problem, config, budget, rng)
     cf = st.config.effective_crowding_factor()
-    pop = st.init_population()
+    pop = Population(*st.init_population())
     n, fitness, genomes = len(pop), pop.fitnesses(), pop.genome_matrix()
     for _ in st.generations():
         candidates, winners, (u, masks, normals, samples), children = st.ga_children(
@@ -332,7 +337,7 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
                                                     normals[rows]))
             for row in range(rows.start, rows.stop):
                 crowd.challenge(row)
-    return st.result(pop)
+    return st.result(pop.genome_matrix(), pop.fitnesses())
 
 
 def crowding_de(problem, config: AlgorithmConfig | None = None,
@@ -346,7 +351,7 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
     """
     st = _RunState("crowding_de", problem, config, budget, rng)
     cf, F = st.config.effective_crowding_factor(), st.config.de_F
-    pop = st.init_population()
+    pop = Population(*st.init_population())
     genomes = pop.genome_matrix()
     for _ in st.generations():
         donors, cross, samples, trials = st.de_trials(genomes, cf=cf)
@@ -361,7 +366,7 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
                 crowd.rebuild(target, de_trial_vector(genomes, target, (a, b, c), cross[target],
                                                       F, st.bounds))
             crowd.challenge(target)
-    return st.result(pop)
+    return st.result(pop.genome_matrix(), pop.fitnesses())
 
 
 def _shared_scores(genomes: np.ndarray, raw: np.ndarray, direction: str,
@@ -381,14 +386,14 @@ def sharing_ga(problem, config: AlgorithmConfig | None = None,
                budget=10000, rng=0) -> RunResult:
     """Generational GA whose parent selection runs on shared fitness."""
     st = _RunState("sharing_ga", problem, config, budget, rng)
-    pop = st.init_population()
+    genomes, fitness = st.init_population()
     for _ in st.generations():
-        scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
+        scores = _shared_scores(genomes, fitness, st.direction,
                                 st.config.sharing_radius, st.config.sharing_alpha)
-        *_, children = st.ga_children(pop.genome_matrix(), len(pop), scores, "max")
-        for slot, child in enumerate(st.evaluate.many(children)):
-            pop[slot] = child
-    return st.result(pop)
+        *_, children = st.ga_children(genomes, len(genomes), scores, "max")
+        m = len(children)
+        genomes[:m], fitness[:m] = children, st.evaluate.many(children)
+    return st.result(genomes, fitness)
 
 
 def sharing_de(problem, config: AlgorithmConfig | None = None,
@@ -401,19 +406,15 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
     iff its shared score is strictly higher.
     """
     st = _RunState("sharing_de", problem, config, budget, rng)
-    pop = st.init_population()
+    genomes, fitness = st.init_population()
     for _ in st.generations():
-        # the loop runs only with budget left, so trials is not empty
-        *_, rows = st.de_trials(pop.genome_matrix())
-        trials = st.evaluate.many(rows)
-        genomes = np.vstack([pop.genome_matrix(), rows])
-        raw = np.concatenate([pop.fitnesses(), [t.fitness for t in trials]])
-        scores = _shared_scores(genomes, raw, st.direction,
-                                st.config.sharing_radius, st.config.sharing_alpha)
-        for slot, child in enumerate(trials):
-            if scores[len(pop) + slot] > scores[slot]:
-                pop[slot] = child
-    return st.result(pop)
+        *_, trials = st.de_trials(genomes)
+        values = st.evaluate.many(trials)
+        scores = _shared_scores(np.vstack([genomes, trials]), np.concatenate([fitness, values]),
+                                st.direction, st.config.sharing_radius, st.config.sharing_alpha)
+        won = np.flatnonzero(scores[len(genomes):] > scores[:len(values)])
+        genomes[won], fitness[won] = trials[won], values[won]
+    return st.result(genomes, fitness)
 
 
 def _badness(fitness: np.ndarray, direction: str, species_distance) -> np.ndarray:
@@ -427,20 +428,19 @@ def _badness(fitness: np.ndarray, direction: str, species_distance) -> np.ndarra
     return -fitness if direction == "max" else fitness
 
 
-def determine_species_seeds(pop: Population, species_distance: float,
-                            direction: str) -> list[Individual]:
+def determine_species_seeds(genomes: np.ndarray, fitness: np.ndarray, species_distance: float,
+                            direction: str) -> list[int]:
     """Pick species seeds by scanning the population best-first.
 
-    The best individual always seeds the first species; every later
-    individual seeds a new species iff it lies at distance >=
-    species_distance/2 from all earlier seeds (i.e. outside every existing
-    species region). Returns the seed members, in discovery order.
+    The best member always seeds the first species; every later member
+    seeds a new species iff it lies at distance >= species_distance/2 from
+    all earlier seeds (i.e. outside every existing species region).
+    Returns the seeds' row indices, in discovery order.
     """
-    order = np.argsort(_badness(pop.fitnesses(), direction, species_distance),
-                       kind="stable").tolist()
+    order = np.argsort(_badness(fitness, direction, species_distance), kind="stable").tolist()
     if not order:
         raise ValueError("cannot determine seeds of an empty population")
-    return [pop[i] for i in leader_scan(pop.genome_matrix(), order, species_distance / 2.0)]
+    return leader_scan(genomes, order, species_distance / 2.0)
 
 
 def _nearest_seed_assignment(genomes: np.ndarray, seed_matrix: np.ndarray):
@@ -450,9 +450,12 @@ def _nearest_seed_assignment(genomes: np.ndarray, seed_matrix: np.ndarray):
     return np.argmin(dists, axis=1), dists
 
 
-def conserve_species_seeds(pop: Population, seeds: list[Individual],
-                           species_distance: float, direction: str) -> Population:
-    """Put saved seeds back into a population after variation.
+def conserve_species_seeds(genomes: np.ndarray, fitness: np.ndarray, seed_genomes: np.ndarray,
+                           seed_fitness: np.ndarray, species_distance: float,
+                           direction: str) -> None:
+    """Put saved seeds, rows of ``seed_genomes`` with ``seed_fitness``, back
+    into a population after variation, writing ``genomes`` and ``fitness``
+    in place.
 
     Members belong to the species of their nearest seed when within
     species_distance/2 of it. In seed order, each seed takes one slot no
@@ -462,20 +465,19 @@ def conserve_species_seeds(pop: Population, seeds: list[Individual],
     empty may take a later species' slot. Seeds left without one are
     logged and dropped.
     """
-    badness = _badness(pop.fitnesses(), direction, species_distance).tolist().__getitem__
-    if not seeds:
-        return pop
+    badness = _badness(fitness, direction, species_distance).tolist().__getitem__
+    if not len(seed_genomes):
+        return
     # the walk reads and writes free slots only, so genomes and badness stay current
-    genomes, seed_matrix = pop.genome_matrix(), np.array([s.genome for s in seeds])
-    assigned, dists = _nearest_seed_assignment(genomes, seed_matrix)
-    in_region = dists[np.arange(len(pop)), assigned] < species_distance / 2.0
+    assigned, dists = _nearest_seed_assignment(genomes, seed_genomes)
+    in_region = dists[np.arange(len(genomes)), assigned] < species_distance / 2.0
     # == counts -0.0 and 0.0 as equal, as np.array_equal does
-    survives = (in_region & (genomes == seed_matrix[assigned]).all(axis=1)).tolist()
-    species: list[list[int]] = [[] for _ in seeds]
+    survives = (in_region & (genomes == seed_genomes[assigned]).all(axis=1)).tolist()
+    species: list[list[int]] = [[] for _ in seed_genomes]
     for i in np.flatnonzero(in_region).tolist():
         species[assigned[i]].append(i)
-    free, overflow = [True] * len(pop), 0
-    for k, seed in enumerate(seeds):
+    free, overflow = [True] * len(genomes), 0
+    for k in range(len(seed_genomes)):
         members = [i for i in species[k] if free[i]]
         pool = members or [i for i, f in enumerate(free) if f]
         if not pool:
@@ -484,11 +486,10 @@ def conserve_species_seeds(pop: Population, seeds: list[Individual],
         kept = [i for i in members if survives[i]]
         slot = kept[0] if kept else max(pool, key=badness)
         if not kept:
-            pop[slot] = seed
+            genomes[slot], fitness[slot] = seed_genomes[k], seed_fitness[k]
         free[slot] = False
     if overflow:
         logger.warning("%d species seeds could not be conserved: population full", overflow)
-    return pop
 
 
 def scga(problem, config: AlgorithmConfig | None = None,
@@ -499,23 +500,28 @@ def scga(problem, config: AlgorithmConfig | None = None,
     selection, crossover and mutation, and the seeds are put back into
     the freshly built generation. Conservation is evaluation-free, so it
     also runs when the budget dies mid-generation. ``observer``, when
-    given, is called as ``observer(generation, population)`` after
+    given, is called as ``observer(generation, genomes, fitness)`` after
     initialization and after every conservation pass (instrumentation
-    hook, e.g. for auditing seed survival).
+    hook, e.g. for auditing seed survival). ``genomes`` and ``fitness``
+    are read-only views of the run's population arrays, which the run
+    goes on to change: copy what is to be kept.
     """
     st = _RunState("scga", problem, config, budget, rng)
-    pop = st.init_population()
+    genomes, fitness = st.init_population()
+    views = [np.broadcast_to(a, a.shape) for a in (genomes, fitness)]  # read-only
     if observer is not None:
-        observer(0, pop)
+        observer(0, *views)
+    sigma = st.config.species_distance
     for generation in st.generations():
-        seeds = determine_species_seeds(pop, st.config.species_distance, st.direction)
-        *_, children = st.ga_children(pop.genome_matrix(), len(pop), pop.fitnesses(), st.direction)
-        for slot, child in enumerate(st.evaluate.many(children)):
-            pop[slot] = child
-        conserve_species_seeds(pop, seeds, st.config.species_distance, st.direction)
+        seeds = determine_species_seeds(genomes, fitness, sigma, st.direction)
+        seed_genomes, seed_fitness = genomes[seeds], fitness[seeds]
+        *_, children = st.ga_children(genomes, len(genomes), fitness, st.direction)
+        m = len(children)
+        genomes[:m], fitness[:m] = children, st.evaluate.many(children)
+        conserve_species_seeds(genomes, fitness, seed_genomes, seed_fitness, sigma, st.direction)
         if observer is not None:
-            observer(generation, pop)
-    return st.result(pop)
+            observer(generation, *views)
+    return st.result(genomes, fitness)
 
 
 def sde(problem, config: AlgorithmConfig | None = None,
@@ -530,26 +536,25 @@ def sde(problem, config: AlgorithmConfig | None = None,
     """
     st = _RunState("sde", problem, config, budget, rng)
     F = st.config.de_F
-    pop = st.init_population()
-    genomes = pop.genome_matrix()
+    genomes, fitness = st.init_population()
     for _ in st.generations():
-        seeds = determine_species_seeds(pop, st.config.species_distance, st.direction)
-        assigned, _ = _nearest_seed_assignment(genomes, np.array([s.genome for s in seeds]))
+        seeds = determine_species_seeds(genomes, fitness, st.config.species_distance, st.direction)
+        assigned, _ = _nearest_seed_assignment(genomes, genomes[seeds])
         # a species below 4 members borrows donors from everyone: label -1
         pools = np.where(np.bincount(assigned)[assigned] >= 4, assigned, -1)
         donors, cross, _, trials = st.de_trials(genomes, pools)
-        replaced = [False] * len(pop)
+        replaced = [False] * len(genomes)
         for target, (a, b, c) in enumerate(donors.T.tolist()):
             # a trial whose donors were replaced is built again; its target
             # is replaced by no trial before its own
             if replaced[a] or replaced[b] or replaced[c]:
                 trials[target] = de_trial_vector(genomes, target, (a, b, c), cross[target], F,
                                                  st.bounds)
-            child = st.evaluate(trials[target])
-            if is_better(child.fitness, pop[target].fitness, st.direction):
-                pop[target] = child
+            value = st.evaluate(trials[target])
+            if is_better(value, fitness[target], st.direction):
+                genomes[target], fitness[target] = trials[target], value
                 replaced[target] = True
-    return st.result(pop)
+    return st.result(genomes, fitness)
 
 
 ALGORITHMS = {

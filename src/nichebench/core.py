@@ -1,16 +1,17 @@
-"""Shared EA machinery: individuals, populations, the evaluator that is
-the run clock, the real-coded variation operators of every algorithm in
-this package, the row distances and leader scan the metrics share, and
-the input checks. Nothing here draws: the operators do the arithmetic on
-values ``nichebench.draws`` drew, whose docstring states the draw order.
+"""Shared EA machinery: the evaluator that is the run clock, crowding's
+individuals and population, the real-coded variation operators of every
+algorithm in this package, the row distances and leader scan the metrics
+share, and the input checks. Nothing here draws: the operators do the
+arithmetic on values ``nichebench.draws`` drew, whose docstring states
+the draw order.
 
-All genomes are 1-d float ndarrays. Box bounds are given as a (dim, 2)
-array of [lo, hi] rows and every operator clamps its output to them. An
-operator builds one child, or a stacked batch of a generation's children.
-Termination is driven solely by :class:`Evaluator`: each row evaluated,
-alone or in a batch, consumes exactly one evaluation and becomes a new
-:class:`Individual`, which is never changed afterwards, and a run stops
-the moment the budget is exhausted; no child is built once it is spent.
+A population is an ``(n, d)`` float genome matrix with its ``(n,)``
+fitness vector. Box bounds are given as a (dim, 2) array of [lo, hi]
+rows and every operator clamps its output to them. An operator builds
+one child, or a stacked batch of a generation's children. Termination is
+driven solely by :class:`Evaluator`: each row evaluated, alone or in a
+batch, consumes exactly one evaluation, and a run stops the moment the
+budget is exhausted; no child is built once it is spent.
 """
 
 from __future__ import annotations
@@ -42,37 +43,31 @@ __all__ = [
 
 @dataclass(slots=True)
 class Individual:
-    """A real-valued genome with its objective value.
-
-    :class:`Evaluator` makes every individual of a run, so ``fitness`` is
-    always set. Neither field is changed afterwards: the same object may
-    sit in a population and in a list of species seeds at once.
-    """
+    """A crowding member or challenger: a genome with its objective value.
+    Neither field is changed afterwards."""
 
     genome: np.ndarray
     fitness: float
 
 
 class Population:
-    """Ordered list of evaluated individuals whose size never changes:
-    algorithms replace members by index, they never add or remove one.
+    """The crowding walk's population: evaluated individuals whose number
+    never changes, as crowding replaces members by index.
 
-    The ``(n, dim)`` genome matrix and ``(n,)`` fitness vector of the
-    members are built here and kept in sync by ``pop[i] = ind``; callers
-    read them and never write them. Members are never edited in place (an
-    edited genome would leave the matrix stale): a member is replaced.
+    Built from a genome matrix and its fitness vector, row for row. It
+    keeps its own copies of both, kept in sync by ``pop[i] = ind``;
+    callers read them and never write them. A member is replaced, never
+    edited in place (an edited genome would leave the matrix stale).
     """
 
-    def __init__(self, members):
-        self.members: list[Individual] = list(members)
-        self._matrix = np.array([m.genome for m in self.members])
-        self._fitness = np.array([m.fitness for m in self.members], dtype=float)
+    def __init__(self, genomes: np.ndarray, fitness: np.ndarray):
+        self._matrix = np.array(genomes, dtype=float)
+        self._fitness = np.array(fitness, dtype=float)
+        self.members: list[Individual] = [
+            Individual(g, f) for g, f in zip(self._matrix.copy(), self._fitness.tolist())]
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
     def __getitem__(self, i: int) -> Individual:
         return self.members[i]
@@ -92,7 +87,7 @@ class Population:
 
 
 def is_better(a: float, b: float, direction: str) -> bool:
-    """True iff fitness ``a`` is strictly better than ``b``."""
+    """True iff fitness ``a`` is strictly better than ``b``; elementwise for arrays."""
     if direction == "max":
         return a > b
     if direction == "min":
@@ -203,11 +198,11 @@ def leader_scan(rows: np.ndarray, order, radius: float) -> list[int]:
 
 
 class Evaluator:
-    """The run clock and the maker of individuals: turns genomes into
-    evaluated :class:`Individual` objects until ``max_evals`` evaluations,
-    one per genome, are spent, keeping the best fitness so far and the
-    trace of (evaluations used, best fitness) checkpoints. The problem's
-    direction must be 'min' or 'max' (ValueError otherwise).
+    """The run clock: returns the objective values of genomes until
+    ``max_evals`` evaluations, one per genome, are spent, keeping the best
+    fitness so far and the trace of (evaluations used, best fitness)
+    checkpoints. The problem's direction must be 'min' or 'max'
+    (ValueError otherwise).
 
     An objective with a ``many(rows) -> (m,) values`` method, whose
     values are the same bits as one call per row, is called once per
@@ -231,8 +226,8 @@ class Evaluator:
     def exhausted(self) -> bool:
         return self.used >= self.max_evals
 
-    def __call__(self, genome: np.ndarray) -> Individual:
-        """A new individual holding ``genome`` and its objective value.
+    def __call__(self, genome: np.ndarray) -> float:
+        """The objective value of ``genome``.
 
         Raises RuntimeError, without calling the objective, once the budget
         is used up (callers check :attr:`exhausted` first), and ValueError
@@ -242,9 +237,10 @@ class Evaluator:
             raise RuntimeError(f"evaluation budget of {self.max_evals} is used up")
         return self._record(genome, float(self.objective(genome)))
 
-    def many(self, genomes) -> list[Individual]:
-        """New individuals for the rows of ``genomes``, in order: the same
-        individuals, count, best fitness and errors as one call per row.
+    def many(self, genomes) -> np.ndarray:
+        """The ``(m,)`` objective values of the ``m`` rows of ``genomes``, in
+        order: the same values, count, best fitness and errors as one call
+        per row. An empty batch calls nothing.
 
         Raises RuntimeError, before any objective call, if the rows exceed
         the evaluations left, and ValueError, before any is counted, if the
@@ -256,28 +252,27 @@ class Evaluator:
         if m > self.max_evals - self.used:
             raise RuntimeError(f"{m} evaluations exceed the {self.max_evals - self.used} "
                                f"left of the budget of {self.max_evals}")
-        if not m:
-            return []
-        if self._batch is None:
-            objective, record = self.objective, self._record
-            return [record(genome, float(objective(genome))) for genome in genomes]
-        values = np.asarray(self._batch(genomes), dtype=float)
-        if values.shape != (m,):
-            raise ValueError(f"objective returned {values.size} values for {m} rows "
-                             f"in shape {values.shape}, not ({m},)")
-        return [self._record(genome, value) for genome, value in zip(genomes, values.tolist())]
+        if self._batch is None or not m:
+            # lazy: no row after one with a non-finite value is evaluated
+            values = (float(self.objective(genome)) for genome in genomes)
+        else:
+            values = np.asarray(self._batch(genomes), dtype=float)
+            if values.shape != (m,):
+                raise ValueError(f"objective returned {values.size} values for {m} rows "
+                                 f"in shape {values.shape}, not ({m},)")
+            values = values.tolist()
+        return np.array([self._record(genome, value) for genome, value in zip(genomes, values)])
 
-    def _record(self, genome: np.ndarray, value: float) -> Individual:
+    def _record(self, genome: np.ndarray, value: float) -> float:
         """The step every evaluated row takes, alone or in a batch: count
-        the evaluation, reject a non-finite value, keep the best so far and
-        make the individual."""
+        the evaluation, reject a non-finite value and keep the best so far."""
         self.used += 1
         if not math.isfinite(value):
             raise ValueError(f"objective returned non-finite value {value!r} at {genome!r}")
         best = self.best
         if best is None or (value > best if self._maximize else value < best):
             self.best = value
-        return Individual(genome, value)
+        return value
 
     def checkpoint(self) -> None:
         """Record (evaluations used, best fitness) once anything is evaluated."""

@@ -22,7 +22,7 @@ from nichebench.algorithms import (
     determine_species_seeds,
     scga,
 )
-from nichebench.core import Individual, Population
+from nichebench.core import Individual
 from nichebench.grating import (
     default_anchor,
     integrated_square_error,
@@ -107,13 +107,13 @@ def test_criterion_1_oracle_equivalence():
             genomes = rng.uniform(-1, 1, size=(n, 2))
             fits = rng.integers(0, 5, size=n).astype(float)
             sigma = float(rng.uniform(0.05, 2.0))
-            seeds = determine_species_seeds(make_pop(list(genomes), fits), sigma, "max")
+            seeds = determine_species_seeds(genomes, fits, sigma, "max")
             order = sorted(range(n), key=lambda i: (-fits[i], i))
             expected = []
             for i in order:
                 if all(math.dist(genomes[i], genomes[j]) >= sigma / 2 for j in expected):
                     expected.append(i)
-            assert [s.genome.tolist() for s in seeds] == [genomes[i].tolist() for i in expected]
+            assert seeds == expected
 
         for _ in range(1000):  # avg_min_distance vs double loop
             peaks = rng.uniform(-3, 3, size=(int(rng.integers(1, 5)), 2))
@@ -284,8 +284,8 @@ def test_criterion_6_scga_seed_conservation():
         config = AlgorithmConfig(population_size=50, species_distance=1.0)
         snapshots = []
 
-        def observer(generation, population):
-            snapshots.append([Individual(m.genome.copy(), m.fitness) for m in population])
+        def observer(generation, genomes, fitness):
+            snapshots.append((genomes.copy(), fitness.copy()))
 
         budget = 50 + 50 * 50  # initialization plus 50 full generations
         scga(problem, config, budget, derive_seed(6, "scga", "six_hump_camel", 0),
@@ -293,12 +293,10 @@ def test_criterion_6_scga_seed_conservation():
         assert len(snapshots) >= 51
         violations = 0
         for before, after in zip(snapshots[:51], snapshots[1:51]):
-            seeds = determine_species_seeds(
-                Population(before), config.species_distance, problem.direction
-            )
-            after_genomes = {tuple(m.genome) for m in after}
-            for seed in seeds:
-                violations += tuple(seed.genome) not in after_genomes
+            seeds = determine_species_seeds(*before, config.species_distance, problem.direction)
+            after_genomes = {tuple(genome) for genome in after[0]}
+            for i in seeds:
+                violations += tuple(before[0][i]) not in after_genomes
         print(f"  generations checked: {min(len(snapshots) - 1, 50)}, violations: {violations}")
         assert violations == 0
 

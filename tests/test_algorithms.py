@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nichebench import algorithms
+from nichebench import algorithms, core
 from nichebench.algorithms import (
     ALGORITHMS,
     AlgorithmConfig,
@@ -16,7 +16,7 @@ from nichebench.algorithms import (
     _shared_scores,
     determine_species_seeds,
 )
-from nichebench.core import Individual, Population
+from nichebench.core import Individual
 from nichebench.grating import make_default_problem
 from nichebench.problems import deb1, himmelblau, six_hump_camel
 from test_draw_equivalence import population as make_pop
@@ -26,6 +26,11 @@ from test_draw_equivalence import per_child_crowding as challenge
 
 ALL_NAMES = sorted(ALGORITHMS)
 SEQUENTIAL = ("crowding_ga", "crowding_de", "sde")
+
+
+def arrays(genomes, fitness):
+    """A population as the array algorithms hold it: genome rows, fitness."""
+    return np.array(genomes, dtype=float), np.array(fitness, dtype=float)
 
 
 def small_config(**overrides):
@@ -45,9 +50,9 @@ class TestCrowdingReplacement:
     def test_worse_child_changes_nothing(self):
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [5.0, 2.0])
         child = Individual(np.array([0.1, 0.1]), 1.0)
-        before = [m for m in pop]
+        before = list(pop.members)
         assert challenge(child, pop, cf=2, rng=np.random.default_rng(0), direction="max") is False
-        assert list(pop) == before
+        assert pop.members == before
 
     def test_equal_child_changes_nothing(self):
         pop = make_pop([[0.0]], [5.0])
@@ -95,30 +100,31 @@ class TestCrowdingReplacement:
     @pytest.mark.parametrize("slot", [-1, 2])
     def test_slot_outside_the_population_raises(self, slot):
         pop = make_pop([[0.0], [1.0]], [0.0, 0.0])
-        members = list(pop)
+        members = list(pop.members)
         with pytest.raises(ValueError, match="outside a population of 2"):
             crowding_replacement(Individual(np.array([0.0]), 1.0), pop, slot, direction="max")
-        assert all(m is o for m, o in zip(pop, members))
+        assert all(m is o for m, o in zip(pop.members, members))
         assert pop.fitnesses().tolist() == [0.0, 0.0]
 
 
 def shared_scores(pop, sharing_radius):
     """Shared scores of a larger-is-better population, sharing exponent 1."""
-    return _shared_scores(pop.genome_matrix(), pop.fitnesses(), "max", sharing_radius, 1.0)
+    genomes, fitness = pop
+    return _shared_scores(genomes, fitness, "max", sharing_radius, 1.0)
 
 
 class TestSharedFitness:
     def test_singleton_is_raw(self):
-        pop = make_pop([[0.0]], [4.0])
+        pop = arrays([[0.0]], [4.0])
         assert shared_scores(pop, sharing_radius=1.0)[0] == 4.0
 
     def test_two_identical_split_in_half(self):
-        pop = make_pop([[0.0], [0.0]], [4.0, 4.0])
+        pop = arrays([[0.0], [0.0]], [4.0, 4.0])
         assert shared_scores(pop, sharing_radius=1.0)[0] == 2.0
         assert shared_scores(pop, sharing_radius=1.0)[1] == 2.0
 
     def test_distant_members_share_nothing(self):
-        pop = make_pop([[0.0], [10.0], [20.0]], [4.0, 6.0, 8.0])
+        pop = arrays([[0.0], [10.0], [20.0]], [4.0, 6.0, 8.0])
         for i, raw in enumerate((4.0, 6.0, 8.0)):
             assert shared_scores(pop, sharing_radius=1.0)[i] == raw
 
@@ -126,15 +132,15 @@ class TestSharedFitness:
         rng = np.random.default_rng(73)
         for _ in range(300):
             n = int(rng.integers(1, 8))
-            pop = make_pop(list(rng.uniform(-1, 1, size=(n, 2))), rng.uniform(1, 2, size=n))
+            pop = rng.uniform(-1, 1, size=(n, 2)), rng.uniform(1, 2, size=n)
             for i in range(n):
-                assert shared_scores(pop, sharing_radius=0.7)[i] <= pop[i].fitness + 1e-12
+                assert shared_scores(pop, sharing_radius=0.7)[i] <= pop[1][i] + 1e-12
 
     def test_smallest_cluster_wins_at_equal_raw_fitness(self):
         # duplicate clusters separated beyond the radius: the member with
         # the fewest neighbors gets the highest shared fitness
         genomes = [[0.0]] * 4 + [[10.0]] * 2 + [[20.0]]
-        pop = make_pop(genomes, [5.0] * 7)
+        pop = arrays(genomes, [5.0] * 7)
         values = shared_scores(pop, sharing_radius=1.0).tolist()
         assert int(np.argmax(values)) == 6
         assert values[6] == 5.0
@@ -144,35 +150,37 @@ class TestSharedFitness:
 
 class TestDetermineSpeciesSeeds:
     def test_scan_example(self):
-        pop = make_pop([[0.0], [0.2], [1.0]], [5.0, 4.0, 3.0])
-        seeds = determine_species_seeds(pop, species_distance=0.6, direction="max")
-        assert [s.genome[0] for s in seeds] == [0.0, 1.0]
+        genomes, fits = arrays([[0.0], [0.2], [1.0]], [5.0, 4.0, 3.0])
+        seeds = determine_species_seeds(genomes, fits, species_distance=0.6, direction="max")
+        assert seeds == [0, 2]
+        assert [genomes[i, 0] for i in seeds] == [0.0, 1.0]
 
     def test_single_region_single_seed(self):
-        pop = make_pop([[0.0], [0.01], [0.02]], [1.0, 2.0, 3.0])
-        seeds = determine_species_seeds(pop, species_distance=10.0, direction="max")
+        genomes, fits = arrays([[0.0], [0.01], [0.02]], [1.0, 2.0, 3.0])
+        seeds = determine_species_seeds(genomes, fits, species_distance=10.0, direction="max")
         assert len(seeds) == 1
-        assert seeds[0].fitness == 3.0
+        assert fits[seeds[0]] == 3.0
 
     def test_empty_population_raises(self):
         with pytest.raises(ValueError, match="empty population"):
-            determine_species_seeds(make_pop([], []), species_distance=1.0, direction="max")
+            determine_species_seeds(np.empty((0, 1)), np.empty(0), species_distance=1.0,
+                                    direction="max")
 
     @pytest.mark.parametrize("direction", ["up", "MAX", None])
     def test_unknown_direction_raises(self, direction):
-        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
+        pop = arrays([[0.0], [1.0]], [1.0, 2.0])
         with pytest.raises(ValueError, match="direction must be 'min' or 'max'"):
-            determine_species_seeds(pop, species_distance=1.0, direction=direction)
+            determine_species_seeds(*pop, species_distance=1.0, direction=direction)
 
     @pytest.mark.parametrize("distance", [-1.0, 0.0, -0.0, math.nan, math.inf, True, "1"])
     def test_species_distance_must_be_a_positive_real(self, distance):
-        pop = make_pop([[0.0], [0.5], [1.0]], [1.0, 2.0, 3.0])
+        pop = arrays([[0.0], [0.5], [1.0]], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="species_distance must be"):
-            determine_species_seeds(pop, species_distance=distance, direction="max")
+            determine_species_seeds(*pop, species_distance=distance, direction="max")
 
     def test_vanishing_distance_makes_everyone_a_seed(self):
-        pop = make_pop([[0.0], [0.5], [1.0]], [1.0, 2.0, 3.0])
-        seeds = determine_species_seeds(pop, species_distance=1e-12, direction="max")
+        pop = arrays([[0.0], [0.5], [1.0]], [1.0, 2.0, 3.0])
+        seeds = determine_species_seeds(*pop, species_distance=1e-12, direction="max")
         assert len(seeds) == 3
 
     def test_against_quadratic_oracle(self):
@@ -184,8 +192,7 @@ class TestDetermineSpeciesSeeds:
             fits = rng.integers(0, 5, size=n).astype(float)
             direction = "max" if rng.random() < 0.5 else "min"
             sigma = float(rng.uniform(0.05, 2.0))
-            pop = make_pop(list(genomes), fits)
-            seeds = determine_species_seeds(pop, sigma, direction)
+            seeds = determine_species_seeds(genomes, fits, sigma, direction)
 
             # oracle: explicit stable sort then quadratic scan
             sign = -1.0 if direction == "max" else 1.0
@@ -194,40 +201,40 @@ class TestDetermineSpeciesSeeds:
             for i in order:
                 if all(math.dist(genomes[i], genomes[j]) >= sigma / 2 for j in expected):
                     expected.append(i)
-            assert [s.genome.tolist() for s in seeds] == [genomes[i].tolist() for i in expected]
+            assert seeds == expected
             # invariants: best-first and pairwise separation
             best = max(fits) if direction == "max" else min(fits)
-            assert seeds[0].fitness == best
+            assert fits[seeds[0]] == best
             for x in range(len(seeds)):
                 for y in range(x + 1, len(seeds)):
-                    assert math.dist(seeds[x].genome, seeds[y].genome) >= sigma / 2
+                    assert math.dist(genomes[seeds[x]], genomes[seeds[y]]) >= sigma / 2
 
 
 class TestConserveSpeciesSeeds:
     def test_population_already_contains_seeds(self):
-        genomes = [[0.0], [0.05], [1.0], [1.05]]
-        fits = [5.0, 1.0, 4.0, 2.0]
-        pop = make_pop(genomes, fits)
-        seeds = determine_species_seeds(pop, species_distance=0.5, direction="max")
-        conserve_species_seeds(pop, seeds, species_distance=0.5, direction="max")
-        assert sorted(m.genome[0] for m in pop) == sorted(g[0] for g in genomes)
-        assert sorted(m.fitness for m in pop) == sorted(fits)
+        genomes, fits = arrays([[0.0], [0.05], [1.0], [1.05]], [5.0, 1.0, 4.0, 2.0])
+        before = genomes.copy(), fits.copy()
+        seeds = determine_species_seeds(genomes, fits, species_distance=0.5, direction="max")
+        conserve_species_seeds(genomes, fits, genomes[seeds], fits[seeds], species_distance=0.5,
+                               direction="max")
+        assert sorted(genomes[:, 0]) == sorted(before[0][:, 0])
+        assert sorted(fits) == sorted(before[1])
 
     def test_emptied_species_replaces_global_worst(self):
-        seed = Individual(np.array([5.0]), 10.0)
-        pop = make_pop([[0.0], [0.1], [0.2]], [3.0, 1.0, 2.0])
-        conserve_species_seeds(pop, [seed], species_distance=0.5, direction="max")
+        genomes, fits = arrays([[0.0], [0.1], [0.2]], [3.0, 1.0, 2.0])
+        conserve_species_seeds(genomes, fits, *arrays([[5.0]], [10.0]), species_distance=0.5,
+                               direction="max")
         # no member within 0.25 of the seed: the worst (fitness 1.0) dies
-        assert pop[1].genome[0] == 5.0
-        assert pop[0].fitness == 3.0 and pop[2].fitness == 2.0
+        assert genomes[1, 0] == 5.0 and fits[1] == 10.0
+        assert fits[0] == 3.0 and fits[2] == 2.0
 
     def test_worst_clone_replaced(self):
-        seed = Individual(np.array([0.0]), 10.0)
-        pop = make_pop([[0.01], [0.02], [0.03]], [2.0, 2.0, 2.0])
-        conserve_species_seeds(pop, [seed], species_distance=1.0, direction="max")
+        genomes, fits = arrays([[0.01], [0.02], [0.03]], [2.0, 2.0, 2.0])
+        conserve_species_seeds(genomes, fits, *arrays([[0.0]], [10.0]), species_distance=1.0,
+                               direction="max")
         # brute-force choice: equal fitness ties resolve to the lowest index
-        assert pop[0].genome[0] == 0.0 and pop[0].fitness == 10.0
-        assert pop[1].fitness == 2.0 and pop[2].fitness == 2.0
+        assert genomes[0, 0] == 0.0 and fits[0] == 10.0
+        assert fits[1] == 2.0 and fits[2] == 2.0
 
     def test_every_seed_present_and_no_slot_replaced_twice(self):
         rng = np.random.default_rng(83)
@@ -235,47 +242,44 @@ class TestConserveSpeciesSeeds:
             n = int(rng.integers(2, 10))
             genomes = rng.uniform(-1, 1, size=(n, 2))
             fits = rng.uniform(0, 1, size=n)
-            pop = make_pop(list(genomes), fits)
             sigma = float(rng.uniform(0.1, 2.0))
-            seeds = determine_species_seeds(pop, sigma, "max")
+            seeds = determine_species_seeds(genomes, fits, sigma, "max")
             # vary the population afterwards, keeping size
-            varied = make_pop(list(rng.uniform(-1, 1, size=(n, 2))), rng.uniform(0, 1, size=n))
-            conserve_species_seeds(varied, seeds, sigma, "max")
-            genome_list = [m.genome.tolist() for m in varied]
-            for s in seeds:
-                assert s.genome.tolist() in genome_list
-            assert len(varied) == n
+            varied = rng.uniform(-1, 1, size=(n, 2)), rng.uniform(0, 1, size=n)
+            conserve_species_seeds(*varied, genomes[seeds], fits[seeds], sigma, "max")
+            genome_list = varied[0].tolist()
+            for i in seeds:
+                assert genomes[i].tolist() in genome_list
+            assert varied[0].shape == (n, 2) and varied[1].shape == (n,)
 
     def test_no_seeds_leave_the_population_alone(self):
-        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
-        members = list(pop)
-        assert conserve_species_seeds(pop, [], species_distance=0.5, direction="max") is pop
-        assert all(m is o for m, o in zip(pop, members))
+        genomes, fits = arrays([[0.0], [1.0]], [1.0, 2.0])
+        assert conserve_species_seeds(genomes, fits, np.empty((0, 1)), np.empty(0),
+                                      species_distance=0.5, direction="max") is None
+        assert genomes.tolist() == [[0.0], [1.0]] and fits.tolist() == [1.0, 2.0]
 
     def test_bad_direction_raises(self):
-        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
-        seed = Individual(np.array([5.0]), 10.0)
-        for seeds in ([seed], []):
+        pop = arrays([[0.0], [1.0]], [1.0, 2.0])
+        for seeds in (arrays([[5.0]], [10.0]), arrays(np.empty((0, 1)), [])):
             with pytest.raises(ValueError, match="direction must be 'min' or 'max'"):
-                conserve_species_seeds(pop, seeds, species_distance=0.5, direction="up")
+                conserve_species_seeds(*pop, *seeds, species_distance=0.5, direction="up")
 
     @pytest.mark.parametrize("distance", [-1.0, 0.0, math.nan, math.inf])
     def test_species_distance_must_be_a_positive_real(self, distance):
         # checked before any distance and before the return with no seeds
-        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
-        members = list(pop)
-        seed = Individual(np.array([5.0]), 10.0)
-        for seeds in ([seed], []):
+        genomes, fits = arrays([[0.0], [1.0]], [1.0, 2.0])
+        for seeds in (arrays([[5.0]], [10.0]), arrays(np.empty((0, 1)), [])):
             with pytest.raises(ValueError, match="species_distance must be"):
-                conserve_species_seeds(pop, seeds, species_distance=distance, direction="max")
-        assert all(m is o for m, o in zip(pop, members))
+                conserve_species_seeds(genomes, fits, *seeds, species_distance=distance,
+                                       direction="max")
+        assert genomes.tolist() == [[0.0], [1.0]] and fits.tolist() == [1.0, 2.0]
 
     def test_seed_overflow_logged_and_bounded(self, caplog):
-        pop = make_pop([[0.0], [1.0]], [1.0, 2.0])
-        seeds = [Individual(np.array([float(10 + i)]), 5.0 + i) for i in range(4)]
+        genomes, fits = arrays([[0.0], [1.0]], [1.0, 2.0])
+        seeds = arrays([[float(10 + i)] for i in range(4)], [5.0 + i for i in range(4)])
         with caplog.at_level("WARNING"):
-            conserve_species_seeds(pop, seeds, species_distance=0.5, direction="max")
-        assert len(pop) == 2
+            conserve_species_seeds(genomes, fits, *seeds, species_distance=0.5, direction="max")
+        assert genomes.shape == (2, 1) and fits.shape == (2,)
         assert any("conserved" in r.message for r in caplog.records)
 
 
@@ -410,6 +414,25 @@ class _CountedBatches:
         return self.objective.many(rows)
 
 
+def test_only_crowding_keeps_individuals_and_a_population(monkeypatch):
+    # the five other algorithms hold a genome matrix and a fitness vector;
+    # crowding's walk builds one Population, one member per row and one
+    # Individual per child it evaluates
+    built = {}
+    for cls in (core.Population, core.Individual):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    for name in ALL_NAMES:
+        built.clear()
+        ALGORITHMS[name](himmelblau(), small_config(), 100, 5)
+        if name in ("crowding_ga", "crowding_de"):
+            assert built == {"Population": 1, "Individual": 100}, name
+        else:
+            assert built == {}, name
+
+
 def _slotwise_initial_population(problem, config, seed):
     """Replicate the random initial population of a run for slot tracking."""
     rng = np.random.default_rng(seed)
@@ -463,24 +486,41 @@ class TestScga:
         config = small_config(species_distance=1.0)
         snapshots = []
 
-        def observer(generation, population):
-            snapshots.append([Individual(m.genome.copy(), m.fitness) for m in population])
+        def observer(generation, genomes, fitness):
+            snapshots.append((genomes.copy(), fitness.copy()))
 
         ALGORITHMS["scga"](problem, config, 8 + 8 * 12, 13, observer=observer)
         assert len(snapshots) >= 12
         for before, after in zip(snapshots, snapshots[1:]):
-            seeds = determine_species_seeds(Population(before), config.species_distance,
-                                            problem.direction)
-            after_genomes = [m.genome.tolist() for m in after]
-            for seed in seeds:
-                assert seed.genome.tolist() in after_genomes
+            seeds = determine_species_seeds(*before, config.species_distance, problem.direction)
+            after_genomes = after[0].tolist()
+            for i in seeds:
+                assert before[0][i].tolist() in after_genomes
+
+    def test_observer_gets_read_only_views_of_the_run(self):
+        problem, config = himmelblau(), small_config()
+        seen = []
+
+        def observer(generation, genomes, fitness):
+            seen.append(generation)
+            for array in (genomes, fitness):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+            assert genomes.shape == (8, problem.dimension) and fitness.shape == (8,)
+
+        result = ALGORITHMS["scga"](problem, config, 8 + 8 * 3, 13, observer=observer)
+        again = ALGORITHMS["scga"](problem, config, 8 + 8 * 3, 13)
+        assert seen == [0, 1, 2, 3]
+        assert result.genomes.tobytes() == again.genomes.tobytes()
+        assert result.fitness.tobytes() == again.fitness.tobytes()
 
     def test_huge_species_distance_preserves_best_only(self):
         problem = himmelblau()
         config = small_config(species_distance=1e6)
         result = ALGORITHMS["scga"](problem, config, 200, 7)
-        pop = make_pop(result.genomes, result.fitness)
-        seeds = determine_species_seeds(pop, config.species_distance, problem.direction)
+        seeds = determine_species_seeds(result.genomes, result.fitness, config.species_distance,
+                                        problem.direction)
         assert len(seeds) == 1
 
 

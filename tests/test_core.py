@@ -11,7 +11,6 @@ import pytest
 from nichebench import core
 from nichebench.core import (
     Evaluator,
-    Individual,
     binary_tournament,
     row_distances,
 )
@@ -20,7 +19,6 @@ from test_draw_equivalence import euclidean_distance, random_genome  # oracles, 
 # the operators with their draws, one child at a time
 from test_draw_equivalence import per_child_blend, per_child_mutation, per_child_trial
 from test_draw_equivalence import per_child_tournament as tournament
-from test_draw_equivalence import population as make_pop
 
 
 class TestEuclideanDistance:
@@ -53,9 +51,9 @@ class TestEvalBudget:
 
     def test_counts_to_budget_then_raises(self):
         evaluate = Evaluator(himmelblau(), 2)
-        assert evaluate(np.array([0.0, 0.0])).fitness == 170.0
+        assert evaluate(np.array([0.0, 0.0])) == 170.0
         assert evaluate.used == 1
-        assert evaluate(np.array([1.0, 1.0])).fitness == 106.0
+        assert evaluate(np.array([1.0, 1.0])) == 106.0
         assert evaluate.used == 2
         assert evaluate.exhausted
         with pytest.raises(RuntimeError, match="budget"):
@@ -65,11 +63,11 @@ class TestEvalBudget:
     def test_evaluate_himmelblau_zero(self):
         evaluate = Evaluator(himmelblau(), 10)
         genome = np.array([3.0, 2.0])
-        ind = evaluate(genome)
-        assert isinstance(ind, Individual)
-        assert ind.genome is genome
-        assert ind.fitness == 0.0
-        assert evaluate.used == 1
+        value = evaluate(genome)
+        assert type(value) is float
+        assert value == 0.0
+        assert genome.tolist() == [3.0, 2.0]
+        assert evaluate.used == 1 and evaluate.best == 0.0
 
     def test_evaluate_deb1_peak(self):
         # independent high-precision value: sin(pi/2)^6 = 1
@@ -77,9 +75,9 @@ class TestEvalBudget:
 
         expected = float(mp.sin(5 * mp.pi * mp.mpf("0.1")) ** 6)
         evaluate = Evaluator(deb1(), 1)
-        ind = evaluate(np.array([0.1]))
-        assert ind.fitness == pytest.approx(expected, abs=1e-12)
-        assert ind.fitness == pytest.approx(1.0, abs=1e-12)
+        value = evaluate(np.array([0.1]))
+        assert value == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(1.0, abs=1e-12)
         assert evaluate.used == 1
 
     def test_evaluate_after_exhaustion_raises_without_calling_the_objective(self):
@@ -141,8 +139,9 @@ class TestEvaluatorMany:
         batched = _Batched(lambda g: 1 / 0)
         for objective in (batched, lambda g: 1 / 0):
             evaluate = Evaluator(dataclasses.replace(himmelblau(), objective=objective), 3)
-            assert evaluate.many(np.empty((0, 2))) == []
-            assert evaluate.many([]) == []
+            for rows in (np.empty((0, 2)), []):
+                values = evaluate.many(rows)
+                assert values.shape == (0,) and values.dtype == np.float64
             assert evaluate.used == 0 and evaluate.best is None
         assert batched.calls == batched.batches == []
 
@@ -179,15 +178,20 @@ class TestEvaluatorMany:
                 assert batched.used == per_row.used == k + 2
                 assert batched.best == per_row.best
 
-    def test_individuals_hold_the_callers_rows(self):
+    def test_values_are_a_new_array_of_the_rows_values(self):
         rows = self.rows(4)
-        listed = list(rows)
-        for objective in (_Batched(himmelblau().objective), himmelblau().objective):
+        want = [himmelblau().objective(row) for row in rows]
+        batched = _Batched(himmelblau().objective)
+        kept = np.array(want)
+        batched.many = lambda rows: kept  # the objective's own array
+        for objective in (batched, himmelblau().objective):
             evaluate = Evaluator(dataclasses.replace(himmelblau(), objective=objective), 8)
-            for ind, row in zip(evaluate.many(rows), rows):
-                assert isinstance(ind, Individual)
-                assert ind.genome.base is rows and np.array_equal(ind.genome, row)
-            assert all(ind.genome is row for ind, row in zip(evaluate.many(listed), listed))
+            for given in (rows, list(rows)):
+                values = evaluate.many(given)
+                assert values.dtype == np.float64 and values.tolist() == want
+                assert not np.shares_memory(values, kept) and not np.shares_memory(values, rows)
+                values[:] = 0.0
+            assert kept.tolist() == want
 
     def test_batch_of_the_wrong_length_raises(self):
         objective = _Batched(himmelblau().objective)
@@ -217,7 +221,7 @@ class TestEvaluatorMany:
             for m in (1, 3, 7, 20):
                 rows = lo + (hi - lo) * rng.random((m, problem.dimension))
                 got, want = (evaluate.many(rows) for evaluate in evaluators)
-                assert [i.fitness for i in got] == [i.fitness for i in want]
+                assert got.shape == want.shape == (m,) and got.tobytes() == want.tobytes()
                 for evaluate in evaluators:
                     evaluate.checkpoint()
             batched, per_row = evaluators
@@ -388,54 +392,54 @@ class TestDeTrialVector:
 
     def test_identical_donors_reproduce_donor(self):
         # all non-target members share one genome, so a + F(b - c) = a
-        pop = make_pop([[9.0], [4.0], [4.0], [4.0]], [0, 0, 0, 0])
-        trial = per_child_trial(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(5), bounds=self.WIDE)
+        genomes = np.array([[9.0], [4.0], [4.0], [4.0]])
+        trial = per_child_trial(0, genomes, F=0.5, CR=1.0, rng=np.random.default_rng(5), bounds=self.WIDE)
         assert trial[0] == 4.0
 
     def test_full_crossover_equals_mutant(self):
         # replay the draws to reconstruct the expected mutant
-        pop = make_pop([[9.0], [0.0], [2.0], [4.0]], [0, 0, 0, 0])
+        genomes = np.array([[9.0], [0.0], [2.0], [4.0]])
         for s in range(100):
             replay = np.random.default_rng(s)
             candidates = np.array([1, 2, 3])
             a, b, c = replay.choice(candidates, size=3, replace=False)
-            expected = pop[int(a)].genome + 0.5 * (pop[int(b)].genome - pop[int(c)].genome)
-            trial = per_child_trial(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(s), bounds=self.WIDE)
+            expected = genomes[a] + 0.5 * (genomes[b] - genomes[c])
+            trial = per_child_trial(0, genomes, F=0.5, CR=1.0, rng=np.random.default_rng(s), bounds=self.WIDE)
             assert trial[0] == expected[0]
 
     def test_arithmetic_case(self):
         # donors (0), (2), (4) with F=0.5 must be able to produce -1
-        pop = make_pop([[9.0], [0.0], [2.0], [4.0]], [0, 0, 0, 0])
+        genomes = np.array([[9.0], [0.0], [2.0], [4.0]])
         seen = set()
         for s in range(200):
-            trial = per_child_trial(0, pop, F=0.5, CR=1.0, rng=np.random.default_rng(s), bounds=self.WIDE)
+            trial = per_child_trial(0, genomes, F=0.5, CR=1.0, rng=np.random.default_rng(s), bounds=self.WIDE)
             seen.add(round(float(trial[0]), 6))
         assert -1.0 in seen  # 0 + 0.5 * (2 - 4)
 
     def test_small_pool_rejected(self):
-        pop = make_pop([[0.0], [1.0], [2.0]], [0, 0, 0])
+        genomes = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError):
-            per_child_trial(0, pop, 0.5, 0.9, np.random.default_rng(0), self.WIDE)
+            per_child_trial(0, genomes, 0.5, 0.9, np.random.default_rng(0), self.WIDE)
 
     def test_clamped(self):
         bounds = np.array([[0.0, 1.0]])
-        pop = make_pop([[0.1], [0.0], [0.9], [1.0]], [0, 0, 0, 0])
+        genomes = np.array([[0.1], [0.0], [0.9], [1.0]])
         for s in range(100):
-            trial = per_child_trial(0, pop, F=2.0, CR=1.0, rng=np.random.default_rng(s), bounds=bounds)
+            trial = per_child_trial(0, genomes, F=2.0, CR=1.0, rng=np.random.default_rng(s), bounds=bounds)
             assert 0.0 <= trial[0] <= 1.0
 
 
 def test_operator_chains_never_escape_bounds():
     bounds = np.array([[0.0, 1.0], [-5.0, 5.0], [100.0, 200.0]])
     rng = np.random.default_rng(99)
-    pop = make_pop([random_genome(rng, bounds) for _ in range(6)], range(6))
+    genomes = np.array([random_genome(rng, bounds) for _ in range(6)])
     for step in range(500):
-        c1, c2 = per_child_blend(pop[step % 6].genome, pop[(step + 1) % 6].genome, rng, bounds)
+        c1, c2 = per_child_blend(genomes[step % 6], genomes[(step + 1) % 6], rng, bounds)
         m = per_child_mutation(c1, rng, bounds, rate=0.5, sigma=0.3)
-        t = per_child_trial(step % 6, pop, F=0.9, CR=0.9, rng=rng, bounds=bounds)
+        t = per_child_trial(step % 6, genomes, F=0.9, CR=0.9, rng=rng, bounds=bounds)
         for g in (c1, c2, m, t):
             assert np.all(g >= bounds[:, 0]) and np.all(g <= bounds[:, 1])
-        pop[step % 6] = Individual(t, float(step))
+        genomes[step % 6] = t
 
 
 def test_int_seed_and_generator_give_identical_runs():

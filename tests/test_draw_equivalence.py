@@ -131,16 +131,13 @@ def reference_crowding_replacement(child, pop, cf, rng, direction):
     return pop
 
 
-def reference_species_seeds(pop, species_distance, direction):
+def reference_species_seeds(genomes, fitness, species_distance, direction):
     radius = species_distance / 2.0
-    keys = pop.fitnesses()
-    if direction == "max":
-        keys = -keys
+    keys = -fitness if direction == "max" else fitness
     seeds = []
-    for idx in np.argsort(keys, kind="stable"):
-        genome = pop[int(idx)].genome
-        if all(euclidean_distance(genome, s.genome) >= radius for s in seeds):
-            seeds.append(pop[int(idx)])
+    for idx in np.argsort(keys, kind="stable").tolist():
+        if all(euclidean_distance(genomes[idx], genomes[s]) >= radius for s in seeds):
+            seeds.append(idx)
     return seeds
 
 
@@ -212,7 +209,20 @@ def reference_distinct_peaks(genomes, fitness, fitness_threshold=1e-4, radius=0.
 
 
 # the child streams and the algorithms as they were when every child was
-# drawn for and built on its own
+# drawn for and built on its own, and each run kept a population of
+# individuals
+
+def evaluated(st, genome):
+    return Individual(genome, st.evaluate(genome))
+
+
+def initial_population(st):
+    return Population(*st.init_population())
+
+
+def reference_result(st, pop):
+    return st.result(pop.genome_matrix(), pop.fitnesses())
+
 
 def reference_ga_children(st, p1, p2):
     cfg = st.config
@@ -220,8 +230,8 @@ def reference_ga_children(st, p1, p2):
                                             cfg.blend_alpha):
         if st.evaluate.exhausted:
             return
-        yield st.evaluate(reference_gaussian_mutation(genome, st.rng, st.bounds,
-                                                      st.mutation_rate, cfg.mutation_sigma))
+        yield evaluated(st, reference_gaussian_mutation(genome, st.rng, st.bounds,
+                                                        st.mutation_rate, cfg.mutation_sigma))
 
 
 def reference_de_children(st, pop, donor_pools=None):
@@ -230,8 +240,8 @@ def reference_de_children(st, pop, donor_pools=None):
         if st.evaluate.exhausted:
             return
         pool = None if donor_pools is None else donor_pools[target]
-        yield target, st.evaluate(reference_de_trial_vector(target, pop, cfg.de_F, cfg.de_CR,
-                                                             st.rng, st.bounds, pool))
+        yield target, evaluated(st, reference_de_trial_vector(target, pop, cfg.de_F, cfg.de_CR,
+                                                              st.rng, st.bounds, pool))
 
 
 def reference_breed(st, pop, select):
@@ -248,7 +258,7 @@ def reference_breed(st, pop, select):
 
 def reference_preselection_ga(problem, config, budget, rng):
     st = _RunState("preselection_ga", problem, config, budget, rng)
-    pop = st.init_population()
+    pop = initial_population(st)
     for _ in st.generations():
         order = st.rng.permutation(len(pop))
         for k in range(0, len(pop) - 1, 2):
@@ -258,22 +268,22 @@ def reference_preselection_ga(problem, config, budget, rng):
             for parent_idx, child in zip((i, j), reference_ga_children(st, pop[i], pop[j])):
                 if is_better(child.fitness, pop[parent_idx].fitness, st.direction):
                     pop[parent_idx] = child
-    return st.result(pop)
+    return reference_result(st, pop)
 
 
 def reference_sharing_ga(problem, config, budget, rng):
     st = _RunState("sharing_ga", problem, config, budget, rng)
-    pop = st.init_population()
+    pop = initial_population(st)
     for _ in st.generations():
         scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
                                 config.sharing_radius, config.sharing_alpha)
         reference_breed(st, pop, lambda: pop[reference_score_tournament(scores, st.rng)])
-    return st.result(pop)
+    return reference_result(st, pop)
 
 
 def reference_sharing_de(problem, config, budget, rng):
     st = _RunState("sharing_de", problem, config, budget, rng)
-    pop = st.init_population()
+    pop = initial_population(st)
     for _ in st.generations():
         trials = [child for _, child in reference_de_children(st, pop)]
         genomes = np.vstack([pop.genome_matrix()] + [t.genome for t in trials])
@@ -283,13 +293,13 @@ def reference_sharing_de(problem, config, budget, rng):
         for slot, child in enumerate(trials):
             if scores[len(pop) + slot] > scores[slot]:
                 pop[slot] = child
-    return st.result(pop)
+    return reference_result(st, pop)
 
 
 def reference_crowding_ga(problem, config, budget, rng):
     st = _RunState("crowding_ga", problem, config, budget, rng)
     cf = config.effective_crowding_factor()
-    pop = st.init_population()
+    pop = initial_population(st)
     for _ in st.generations():
         for _ in range(len(pop) // 2):
             if st.evaluate.exhausted:
@@ -298,28 +308,29 @@ def reference_crowding_ga(problem, config, budget, rng):
             p2 = reference_binary_tournament(pop, st.rng, st.direction)
             for child in reference_ga_children(st, p1, p2):
                 reference_crowding_replacement(child, pop, cf, st.rng, st.direction)
-    return st.result(pop)
+    return reference_result(st, pop)
 
 
 def reference_crowding_de(problem, config, budget, rng):
     st = _RunState("crowding_de", problem, config, budget, rng)
     cf = config.effective_crowding_factor()
-    pop = st.init_population()
+    pop = initial_population(st)
     for _ in st.generations():
         for _, child in reference_de_children(st, pop):
             reference_crowding_replacement(child, pop, cf, st.rng, st.direction)
-    return st.result(pop)
+    return reference_result(st, pop)
 
 
 def reference_sde(problem, config, budget, rng, species_sizes=None):
     """sde with a species list per member; ``species_sizes`` collects the
     size of every species seen."""
     st = _RunState("sde", problem, config, budget, rng)
-    pop = st.init_population()
+    pop = initial_population(st)
     for _ in st.generations():
-        seeds = reference_species_seeds(pop, config.species_distance, st.direction)
+        seeds = reference_species_seeds(pop.genome_matrix(), pop.fitnesses(),
+                                        config.species_distance, st.direction)
         assigned, _ = _nearest_seed_assignment(pop.genome_matrix(),
-                                               np.array([s.genome for s in seeds]))
+                                               np.array([pop[i].genome for i in seeds]))
         species = {}
         for i, k in enumerate(assigned.tolist()):
             species.setdefault(k, []).append(i)
@@ -329,17 +340,18 @@ def reference_sde(problem, config, budget, rng, species_sizes=None):
         for target, child in reference_de_children(st, pop, pools):
             if is_better(child.fitness, pop[target].fitness, st.direction):
                 pop[target] = child
-    return st.result(pop)
+    return reference_result(st, pop)
 
 
 def reference_scga(problem, config, budget, rng):
     st = _RunState("scga", problem, config, budget, rng)
-    pop = st.init_population()
+    pop = initial_population(st)
     for _ in st.generations():
-        seeds = determine_species_seeds(pop, config.species_distance, st.direction)
+        seeds = [pop[i] for i in reference_species_seeds(pop.genome_matrix(), pop.fitnesses(),
+                                                         config.species_distance, st.direction)]
         reference_breed(st, pop, lambda: reference_binary_tournament(pop, st.rng, st.direction))
-        conserve_species_seeds(pop, seeds, config.species_distance, st.direction)
-    return st.result(pop)
+        reference_conserve(pop, seeds, config.species_distance, st.direction)
+    return reference_result(st, pop)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +389,11 @@ def random_bounds(rng, dim):
 
 
 def population(genomes, fitnesses):
-    return Population([Individual(np.array(g, dtype=float), float(f))
-                       for g, f in zip(genomes, fitnesses)])
+    return Population(np.array(genomes, dtype=float), np.array(fitnesses, dtype=float))
 
 
 def snapshot(pop):
-    return [(m.genome.tobytes(), m.fitness) for m in pop]
+    return [(m.genome.tobytes(), m.fitness) for m in pop.members]
 
 
 def per_child_blend(p1, p2, rng, bounds, alpha=0.5):
@@ -413,10 +424,9 @@ def per_child_crowding(child, pop, cf, rng, direction):
     return crowding_replacement(child, pop, _nearest(dists, sample), direction)
 
 
-def per_child_trial(target, pop, F, CR, rng, bounds, donor_pool=None):
-    """One DE trial, drawn for and built on its own."""
-    genomes = pop.genome_matrix()
-    donors, cross = de_draws(rng, len(pop), target, genomes.shape[1], CR, donor_pool)
+def per_child_trial(target, genomes, F, CR, rng, bounds, donor_pool=None):
+    """One DE trial from the rows of ``genomes``, drawn for and built on its own."""
+    donors, cross = de_draws(rng, len(genomes), target, genomes.shape[1], CR, donor_pool)
     return de_trial_vector(genomes, target, donors, cross, F, bounds)
 
 
@@ -461,12 +471,12 @@ def test_init_population_draws_match_one_genome_per_call(name):
     for seed in range(200):
         n = 2 + seed % 59
         st = _RunState("crowding_ga", problem, AlgorithmConfig(population_size=n), n, seed)
-        pop = st.init_population()
+        genomes, fitness = st.init_population()
         old = np.random.default_rng(seed)
         want = reference_init_genomes(old, problem.bounds, n)
-        assert len(pop) == n
-        for member, genome in zip(pop, want):
-            assert_bits_equal(member.genome, genome)
+        assert genomes.shape == (n, problem.dimension) and fitness.shape == (n,)
+        for row, genome in zip(genomes, want):
+            assert_bits_equal(row, genome)
         assert_same_stream(st.rng, old)
 
 
@@ -584,7 +594,7 @@ def test_de_trial_vector_matches_candidate_choice():
         F = float(rng.uniform(0.1, 1.0))
         CR = float(rng.choice([0.0, 0.5, 0.9, 1.0]))
         new, old = twin_streams(seed)
-        got = per_child_trial(target, pop, F, CR, new, bounds)
+        got = per_child_trial(target, pop.genome_matrix(), F, CR, new, bounds)
         want = reference_de_trial_vector(target, pop, F, CR, old, bounds)
         assert_bits_equal(got, want)
         assert_same_stream(new, old)
@@ -600,7 +610,7 @@ def test_de_trial_vector_with_explicit_donor_pool():
         # mostly a target inside its pool (as in sde), sometimes one outside it
         target = outside[0] if outside and seed % 4 == 0 else pool[seed % len(pool)]
         new, old = twin_streams(seed)
-        got = per_child_trial(target, pop, 0.5, 0.9, new, bounds, donor_pool=pool)
+        got = per_child_trial(target, pop.genome_matrix(), 0.5, 0.9, new, bounds, donor_pool=pool)
         want = reference_de_trial_vector(target, pop, 0.5, 0.9, old, bounds, donor_pool=pool)
         assert_bits_equal(got, want)
         assert_same_stream(new, old)
@@ -610,10 +620,11 @@ def test_de_trial_vector_still_rejects_small_pools():
     rng = np.random.default_rng(11)
     pop, bounds = _de_case(rng, 3, 2)
     with pytest.raises(ValueError, match="at least 4"):
-        per_child_trial(0, pop, 0.5, 0.9, np.random.default_rng(0), bounds)
+        per_child_trial(0, pop.genome_matrix(), 0.5, 0.9, np.random.default_rng(0), bounds)
     pop, bounds = _de_case(rng, 10, 2)
     with pytest.raises(ValueError, match="at least 4"):
-        per_child_trial(0, pop, 0.5, 0.9, np.random.default_rng(0), bounds, donor_pool=[0, 1, 2])
+        per_child_trial(0, pop.genome_matrix(), 0.5, 0.9, np.random.default_rng(0), bounds,
+                        donor_pool=[0, 1, 2])
     # a generation fails before its first draw, even when earlier targets could draw
     for n, pools in ((3, None), (10, np.array([0, 0, 0, 0, 1, 1, 1, -1, -1, -1])),
                      (5, np.array([-1, 2, 2, 2, -1]))):
@@ -1064,7 +1075,7 @@ def test_crowding_replacement_matches_restacking(direction):
             accepted = per_child_crowding(child, new_pop, cf, new, direction)
             reference_crowding_replacement(child, old_pop, cf, old, direction)
             assert accepted is any(m is child for m in new_pop.members)
-            assert [m is child for m in new_pop] == [m is child for m in old_pop]
+            assert [m is child for m in new_pop.members] == [m is child for m in old_pop.members]
             assert snapshot(new_pop) == snapshot(old_pop)
             assert_bits_equal(new_pop.genome_matrix(), old_pop.genome_matrix())
             assert_bits_equal(new_pop.fitnesses(), old_pop.fitnesses())
@@ -1088,21 +1099,21 @@ def test_crowding_walk_picks_the_reference_slot(direction):
                                  lambda x: float(x.sum() % 5))
         st = _RunState("crowding_ga", problem, AlgorithmConfig(population_size=n), n + 5, 0)
         new_pop, old_pop = population(genomes, fits), population(genomes, fits)
-        originals = list(new_pop)
+        originals = list(new_pop.members)
         new, old = twin_streams(seed)
         samples = (None if cf == n
                    else np.array([new.choice(n, size=cf, replace=False) for _ in children]))
         drawn = None if samples is None else samples.copy()
         crowd = _Crowding(st, new_pop, children.copy(), samples)
         for row, genome in enumerate(children):
-            before = list(new_pop)
+            before = list(new_pop.members)
             crowd.challenge(row)
             child = Individual(genome, problem.objective(genome))
             reference_crowding_replacement(child, old_pop, cf, old, direction)
             assert snapshot(new_pop) == snapshot(old_pop)
-            assert [m is not b for m, b in zip(new_pop, before)] == [
-                m is child for m in old_pop]
-        assert crowd.replaced == [m is not o for m, o in zip(new_pop, originals)]
+            assert [m is not b for m, b in zip(new_pop.members, before)] == [
+                m is child for m in old_pop.members]
+        assert crowd.replaced == [m is not o for m, o in zip(new_pop.members, originals)]
         assert_same_stream(new, old)
         if samples is not None:
             assert_bits_equal(samples, drawn)  # the walk sorts a copy
@@ -1119,20 +1130,15 @@ def test_species_seed_scan_matches_scalar_distances(direction):
             genomes[1] = genomes[0]  # duplicate genomes
         fits = rng.integers(0, 5, size=n).astype(float)
         sigma = float(rng.uniform(0.05, 3.0))
-        pop = population(genomes, fits)
-        got = determine_species_seeds(pop, sigma, direction)
-        want = reference_species_seeds(pop, sigma, direction)
-        assert [(s.genome.tobytes(), s.fitness) for s in got] == \
-            [(s.genome.tobytes(), s.fitness) for s in want]
+        got = determine_species_seeds(genomes, fits, sigma, direction)
+        assert got == reference_species_seeds(genomes, fits, sigma, direction)
 
 
 def test_species_seed_scan_pair_at_exactly_half_the_distance():
     # 0.5 apart with species_distance 1.0: distance == radius, so both seed
-    pop = population([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]], [3.0, 2.0, 1.0])
-    got = determine_species_seeds(pop, 1.0, "max")
-    want = reference_species_seeds(pop, 1.0, "max")
-    assert [s.genome.tolist() for s in got] == [[0.0, 0.0], [0.5, 0.0]]
-    assert [s.genome.tolist() for s in got] == [s.genome.tolist() for s in want]
+    genomes, fits = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]]), np.array([3.0, 2.0, 1.0])
+    got = determine_species_seeds(genomes, fits, 1.0, "max")
+    assert got == reference_species_seeds(genomes, fits, 1.0, "max") == [0, 1]
 
 
 @pytest.mark.parametrize("direction", ["max", "min"])
@@ -1145,35 +1151,38 @@ def test_conservation_matches_list_comprehensions(direction):
         parent_genomes = rng.uniform(-1, 1, size=(n, dim))
         if trial % 3 == 1:
             parent_genomes[:, 0] = 0.0  # seeds with a zero coordinate
-        parents = population(parent_genomes, rng.integers(0, 4, size=n).astype(float))
-        seeds = determine_species_seeds(parents, sigma, direction)
+        parent_fits = rng.integers(0, 4, size=n).astype(float)
+        seeds = determine_species_seeds(parent_genomes, parent_fits, sigma, direction)
+        seed_genomes, seed_fits = parent_genomes[seeds], parent_fits[seeds]
         if trial % 5 == 0:  # more seeds than slots: overflow
-            seeds = seeds + [Individual(rng.uniform(5, 9, size=dim), 9.0) for _ in range(n)]
+            seed_genomes = np.vstack([seed_genomes, rng.uniform(5, 9, size=(n, dim))])
+            seed_fits = np.concatenate([seed_fits, np.full(n, 9.0)])
         genomes = rng.uniform(-1, 1, size=(n, dim))
         fits = rng.integers(0, 4, size=n).astype(float)
         if n > 2:
             genomes[0] = genomes[1]  # duplicate genomes
-            genomes[2] = seeds[0].genome  # one seed survived variation
+            genomes[2] = seed_genomes[0]  # one seed survived variation
             if trial % 3 == 1:
                 genomes[2, 0] = -0.0  # with its zero's sign flipped: still the seed
         if trial % 4 == 0 and n > 3:
-            genomes[3] = seeds[0].genome  # and a clone of it
-        new_pop, old_pop = population(genomes, fits), population(genomes, fits)
-        conserve_species_seeds(new_pop, seeds, sigma, direction)
-        reference_conserve(old_pop, seeds, sigma, direction)
-        assert snapshot(new_pop) == snapshot(old_pop)
-        assert_bits_equal(new_pop.genome_matrix(), np.array([m.genome for m in new_pop]))
-        assert_bits_equal(new_pop.fitnesses(), np.array([m.fitness for m in new_pop]))
+            genomes[3] = seed_genomes[0]  # and a clone of it
+        old_pop = population(genomes, fits)
+        reference_conserve(old_pop, [Individual(g, f) for g, f in zip(seed_genomes, seed_fits)],
+                           sigma, direction)
+        conserve_species_seeds(genomes, fits, seed_genomes, seed_fits, sigma, direction)
+        assert_bits_equal(genomes, np.array([m.genome for m in old_pop.members]))
+        assert_bits_equal(fits, np.array([m.fitness for m in old_pop.members]))
 
 
 def test_conservation_seed_at_exactly_half_the_distance_is_outside():
     # the member sits exactly on the region's edge, so the species is empty
     # and the globally worst member gives way
-    seed = Individual(np.array([0.0]), 5.0)
-    for conserve in (conserve_species_seeds, reference_conserve):
-        pop = population([[0.5], [3.0], [4.0]], [1.0, 0.0, 2.0])
-        conserve(pop, [seed], 1.0, "max")
-        assert [m.genome[0] for m in pop] == [0.5, 0.0, 4.0]
+    genomes, fits = np.array([[0.5], [3.0], [4.0]]), np.array([1.0, 0.0, 2.0])
+    pop = population(genomes, fits)
+    reference_conserve(pop, [Individual(np.array([0.0]), 5.0)], 1.0, "max")
+    conserve_species_seeds(genomes, fits, np.array([[0.0]]), np.array([5.0]), 1.0, "max")
+    assert [m.genome[0] for m in pop.members] == genomes[:, 0].tolist() == [0.5, 0.0, 4.0]
+    assert [m.fitness for m in pop.members] == fits.tolist() == [1.0, 5.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -1223,28 +1232,42 @@ def test_metrics_leave_the_genome_matrix_alone():
 def test_genome_matrix_and_fitness_vector_track_every_setitem():
     rng = np.random.default_rng(15)
     pop = population(rng.uniform(size=(10, 3)), rng.uniform(size=10))
-    assert_bits_equal(pop.genome_matrix(), np.array([m.genome for m in pop]))
-    assert_bits_equal(pop.fitnesses(), np.array([m.fitness for m in pop]))
+    assert_bits_equal(pop.genome_matrix(), np.array([m.genome for m in pop.members]))
+    assert_bits_equal(pop.fitnesses(), np.array([m.fitness for m in pop.members]))
     for _ in range(50):
         slot = int(rng.integers(10))
         pop[slot] = Individual(rng.uniform(size=3), float(rng.uniform()))
-        assert_bits_equal(pop.genome_matrix(), np.array([m.genome for m in pop]))
-        assert_bits_equal(pop.fitnesses(), np.array([m.fitness for m in pop]))
+        assert_bits_equal(pop.genome_matrix(), np.array([m.genome for m in pop.members]))
+        assert_bits_equal(pop.fitnesses(), np.array([m.fitness for m in pop.members]))
+
+
+def test_population_members_alias_neither_its_arrays_nor_the_callers():
+    rng = np.random.default_rng(19)
+    genomes, fits = rng.uniform(size=(6, 2)), rng.uniform(size=6)
+    pop = Population(genomes, fits)
+    assert snapshot(pop) == [(g.tobytes(), f) for g, f in zip(genomes, fits.tolist())]
+    first, kept = pop.members[0], genomes[0].copy()
+    pop[0] = Individual(np.full(2, 7.0), 7.0)  # writes row 0 of the population's matrix
+    assert_bits_equal(first.genome, kept)
+    assert_bits_equal(genomes[0], kept)
+    genomes[1], fits[1] = 8.0, 8.0  # the caller's arrays stay the caller's
+    assert 8.0 not in pop.genome_matrix() and 8.0 not in pop.fitnesses()
+    assert 8.0 not in pop.members[1].genome
 
 
 def test_run_result_arrays_share_no_memory_with_the_population():
     seen = []
     result = scga(resolve_problem("himmelblau"), AlgorithmConfig(population_size=10), 55, 3,
-                  observer=lambda generation, pop: seen.append(pop))
-    pop = seen[-1]  # the run's one population, as it ended
-    assert_bits_equal(result.genomes, pop.genome_matrix())
-    assert_bits_equal(result.fitness, pop.fitnesses())
-    assert not np.shares_memory(result.genomes, pop.genome_matrix())
-    assert not np.shares_memory(result.fitness, pop.fitnesses())
+                  observer=lambda generation, genomes, fitness: seen.append((genomes, fitness)))
+    genomes, fitness = seen[-1]  # views of the run's one population, as it ended
+    assert_bits_equal(result.genomes, genomes)
+    assert_bits_equal(result.fitness, fitness)
+    assert not np.shares_memory(result.genomes, genomes)
+    assert not np.shares_memory(result.fitness, fitness)
     result.genomes[:] = 99.0
     result.fitness[:] = 99.0
-    assert not (pop.genome_matrix() == 99.0).any()
-    assert not (pop.fitnesses() == 99.0).any()
+    assert not (genomes == 99.0).any()
+    assert not (fitness == 99.0).any()
 
 
 # ---------------------------------------------------------------------------
