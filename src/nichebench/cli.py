@@ -8,7 +8,8 @@ key is a configuration error. Values reach the library as they are, and
 any run. Exit status: 0 on success, 2 on configuration errors, 3 when a
 run raises (the message names its algorithm, problem, run index and seed;
 the rows of earlier runs stay in ``runs.csv`` and no report is written),
-1 on I/O failures.
+1 on I/O failures, 130 when interrupted (Ctrl-C: one line on stderr, the
+rows of the runs finished stay in ``runs.csv``, no report is written).
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted: the rows of the runs finished are in runs.csv", file=sys.stderr)
+        return 130
     _print_summary(table)
     print(f"\nwrote {len(written)} report files to {spec.output_dir}")
     return 0

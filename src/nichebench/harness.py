@@ -266,7 +266,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     docstring) and every trace.
 
     A run that raises stops the grid with :class:`RunError`; the rows of
-    the runs recorded before it stay in ``runs.csv``.
+    the runs recorded before it stay in ``runs.csv``. A ``KeyboardInterrupt``
+    (Ctrl-C) stops it too: pool workers ignore SIGINT, the chunks not
+    started are cancelled, and once the workers' chunks are done the
+    interrupt is raised again; ``runs.csv`` keeps the rows recorded.
     """
     try:
         check_integer("'jobs'", jobs)
@@ -308,12 +311,20 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
                 record(task, _execute_run(task))
         else:
             # imported here: a serial grid, or a library user, never pays for it
+            import signal
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # Ctrl-C signals the whole process group: the workers leave it to
+            # this process, which starts no other chunk and waits for theirs
+            with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                                     initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
                 outcomes = pool.map(_execute_run, tasks, chunksize=_chunksize(len(tasks), workers))
-                for task, outcome in zip(tasks, outcomes):
-                    record(task, outcome)
+                try:
+                    for task, outcome in zip(tasks, outcomes):
+                        record(task, outcome)
+                except KeyboardInterrupt:
+                    pool.shutdown(cancel_futures=True)
+                    raise
     return table
 
 

@@ -2,11 +2,19 @@
 
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from nichebench import harness
+from nichebench.algorithms import AlgorithmConfig
 from nichebench.cli import main
+from nichebench.harness import ExperimentSpec, run_experiment
+from test_import_guard import SRC
 
 
 def test_basic_run_writes_reports(tmp_path, capsys):
@@ -241,3 +249,57 @@ def test_failed_run_exits_3_naming_the_run(tmp_path, capsys, nan_problem, jobs):
     assert {tuple(row.split(",")[:3]) for row in rows[1:]} == {("sde", "deb1", "0"),
                                                               ("sde", "deb1", "1")}
     assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]  # no reports
+
+
+def _wait_for(condition, what, seconds=60.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.02)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupt_exits_130_keeping_a_prefix_of_the_rows(tmp_path, jobs):
+    # Ctrl-C sends SIGINT to the foreground process group: the CLI and its
+    # pool workers. The grid runs in a session of its own, so the signal
+    # reaches that group and not the test's
+    out = tmp_path / "r"
+    grid = ["--algorithm", "crowding_de", "--problem", "himmelblau", "--runs", "400",
+            "--seed", "5", "--jobs", str(jobs), "--out", str(out)]
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "nichebench.cli", *grid],
+                            env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        runs_csv = out / "runs.csv"
+        # the header and one run's three metric rows
+        _wait_for(lambda: proc.poll() is not None or runs_csv.exists()
+                  and runs_csv.read_text().count("\n") >= 4, "the first run's rows")
+        assert proc.poll() is None, proc.stderr.read()
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert err.splitlines() == ["interrupted: the rows of the runs finished are in runs.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]  # no reports
+
+    def group_is_empty():
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+    _wait_for(group_is_empty, "the workers to exit", seconds=10.0)
+
+    rows = runs_csv.read_text().splitlines()
+    assert 4 <= len(rows) < 1 + 3 * 400
+    # the same grid left to finish, up to the run the interrupted file reached
+    whole = tmp_path / "whole"
+    spec = ExperimentSpec([("crowding_de", AlgorithmConfig())], ["himmelblau"],
+                          runs=int(rows[-1].split(",")[2]) + 1, base_seed=5, output_dir=whole)
+    run_experiment(spec)
+    assert (whole / "runs.csv").read_text().splitlines()[:len(rows)] == rows

@@ -224,7 +224,8 @@ class TestRunExperiment:
         asked = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **worker_setup):
+                # worker_setup sets SIGINT in a worker process; threads keep the process's
                 asked.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
