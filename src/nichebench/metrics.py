@@ -7,24 +7,36 @@ list and are the metrics used for objectives whose landscape is unknown;
 ``distinct_peaks`` can measure distances in min-max normalized coordinates
 so that heterogeneous units (radians next to millimetres) do not dominate.
 A peak or ``bounds`` of another width than the genomes', a ``bounds`` row
-that is not finite with lo < hi, or a ``fitness`` that is not one value
-per genome row, raises ValueError.
+that is not finite with lo < hi, a ``fitness`` that is not one value per
+genome row, a genome or fitness value that is not finite, a ``radius``
+that is not a positive real or a ``fitness_threshold`` that is not a real
+(checked by ``core.check_real``: finite, and not a bool) raises ValueError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import check_direction, leader_scan, row_distances
+from .core import check_direction, check_real, leader_scan, row_distances
 
 __all__ = ["peak_ratio", "avg_min_distance", "best_fitness", "distinct_peaks"]
 
 
-def _nonempty(values) -> np.ndarray:
+def _population(values, name: str) -> np.ndarray:
+    """``values`` as a float array: nonempty, and finite as ``stats`` samples are."""
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ValueError("empty population")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
     return values
+
+
+def _radius(radius) -> float:
+    radius = check_real("radius", radius)
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
+    return radius
 
 
 def _nearest_distances(genomes, peaks, metric: str) -> list[float]:
@@ -32,7 +44,7 @@ def _nearest_distances(genomes, peaks, metric: str) -> list[float]:
     peaks = [np.asarray(p, dtype=float) for p in peaks]
     if not peaks:
         raise ValueError(f"{metric} is undefined for an empty peak list")
-    genomes = _nonempty(genomes)
+    genomes = _population(genomes, "genomes")
     if any(peak.shape != genomes.shape[1:] for peak in peaks):
         raise ValueError(f"{metric}: a peak is not as wide as the genomes {genomes.shape}")
     return [float(row_distances(genomes, peak).min()) for peak in peaks]
@@ -40,6 +52,7 @@ def _nearest_distances(genomes, peaks, metric: str) -> list[float]:
 
 def peak_ratio(genomes, peaks, radius: float = 0.1) -> float:
     """Fraction of peaks with a genome row within ``radius``."""
+    radius = _radius(radius)
     nearest = _nearest_distances(genomes, peaks, "peak_ratio")
     return sum(d <= radius for d in nearest) / len(nearest)
 
@@ -56,7 +69,7 @@ def avg_min_distance(genomes, peaks) -> float:
 def best_fitness(fitness, direction: str) -> float:
     """Extremal value of ``fitness`` under the given direction; the first of
     equal values, so ``[0.0, -0.0]`` gives ``0.0``."""
-    fitness = _nonempty(fitness)
+    fitness = _population(fitness, "fitness")
     check_direction(direction)
     return float(fitness[fitness.argmin() if direction == "min" else fitness.argmax()])
 
@@ -78,11 +91,14 @@ def distinct_peaks(
     When ``bounds`` is given, coordinates are min-max normalized to [0, 1]
     before measuring distances.
     """
-    members = _nonempty(genomes)
+    members = _population(genomes, "genomes")
     fitness = np.asarray(fitness, dtype=float)
     if fitness.shape != members.shape[:1]:
         raise ValueError(f"fitness of shape {fitness.shape} for genomes {members.shape}")
+    fitness = _population(fitness, "fitness")
     check_direction(direction)
+    fitness_threshold = check_real("fitness_threshold", fitness_threshold)
+    radius = _radius(radius)
     qualifies = fitness < fitness_threshold if direction == "min" else fitness > fitness_threshold
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=float)

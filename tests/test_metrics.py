@@ -111,6 +111,60 @@ class TestBestFitness:
             assert math.copysign(1.0, got) == math.copysign(1.0, first)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("score, name", [
+    # a NaN row once hid the hit of the row beside it: 0.0
+    (lambda: peak_ratio(as_genomes([[NAN], [0.3]]), [[0.1], [0.3]]), "genomes"),
+    (lambda: peak_ratio(as_genomes([[INF], [0.3]]), [[0.3]]), "genomes"),
+    (lambda: avg_min_distance(as_genomes([[NAN], [0.3]]), [[0.3]]), "genomes"),  # once nan
+    (lambda: best_fitness(np.array([NAN, 1.0]), "min"), "fitness"),  # once nan
+    (lambda: best_fitness(np.array([-INF, 1.0]), "min"), "fitness"),
+    (lambda: distinct_peaks(as_genomes([[NAN], [0.3]]), [0.0, 0.0]), "genomes"),
+    (lambda: distinct_peaks(as_genomes([[0.0], [0.3]]), [NAN, 0.0]), "fitness"),
+    (lambda: distinct_peaks(as_genomes([[0.0], [0.3]]), [-INF, 0.0]), "fitness"),
+], ids=["peak_ratio_nan", "peak_ratio_inf", "avg_min_distance_nan", "best_fitness_nan",
+        "best_fitness_inf", "distinct_peaks_nan_genome", "distinct_peaks_nan_fitness",
+        "distinct_peaks_inf_fitness"])
+def test_non_finite_population_rejected(score, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        score()
+
+
+@pytest.mark.parametrize("radius, message", [
+    (NAN, "radius must be finite"),  # peak_ratio once scored 0.0, distinct_peaks 1
+    (-1.0, "radius must be positive"),  # distinct_peaks once counted duplicates too
+    (0.0, "radius must be positive"),
+    (INF, "radius must be finite"),
+    (True, "radius must be a number"),
+    ("0.1", "radius must be a number"),
+])
+def test_radius_must_be_a_positive_real(radius, message):
+    genomes = as_genomes([[0.3], [0.3], [0.5]])
+    with pytest.raises(ValueError, match=message):
+        peak_ratio(genomes, [[0.3]], radius=radius)
+    with pytest.raises(ValueError, match=message):
+        distinct_peaks(genomes, [0.0, 0.0, 0.0], radius=radius)
+
+
+@pytest.mark.parametrize("threshold, message", [
+    (NAN, "fitness_threshold must be finite"),  # once counted 0
+    (INF, "fitness_threshold must be finite"),
+    (False, "fitness_threshold must be a number"),
+    (None, "fitness_threshold must be a number"),
+])
+def test_fitness_threshold_must_be_a_real(threshold, message):
+    with pytest.raises(ValueError, match=message):
+        distinct_peaks(as_genomes([[0.0], [0.5]]), [0.0, 0.0], fitness_threshold=threshold)
+
+
+def test_numpy_scalars_and_integers_pass_for_radius_and_threshold():
+    genomes = as_genomes([[0.0], [0.5], [2.0]])
+    assert distinct_peaks(genomes, [0, 0, 0], np.float64(1e-4), 1, "min") == 2
+    assert peak_ratio(genomes, [[0.4], [1.5]], radius=np.float64(0.1)) == 0.5
+
+
 def oracle_distinct_peaks(points, fits, threshold, radius, direction):
     """Independent greedy re-scan."""
     counted = []
