@@ -7,11 +7,12 @@ int) and ``rng`` an int seed or a ``np.random.Generator``, used as is. It
 terminates exactly when the budget runs out, returning the partially
 updated population if that happens mid-generation. A population is an
 ``(n, d)`` genome matrix and its ``(n,)`` fitness vector, changed in
-place row by row; only the crowding walk keeps it as a ``Population`` of
-``Individual`` members. :func:`check_run`
-rejects, before anything is drawn, a run that could not start: an invalid
-config, a population below the algorithm's minimum, or a budget below the
-population size. So every member of every population is evaluated.
+place row by row; the crowding walk indexes it with a ``Population`` of
+``Individual`` members, which writes through to the two arrays.
+:func:`check_run` rejects, before anything is drawn, a run that could not
+start: an invalid config, a population below the algorithm's minimum, or
+a budget below the population size. So every member of every population
+is evaluated.
 
 Children come from two streams in ``_RunState``, the only code that draws
 for a generation or caps it: ``ga_children`` (BLX crossover, Gaussian
@@ -270,9 +271,9 @@ def crowding_replacement(child: Individual, pop: Population, slot: int,
     its sampled members (``_Crowding`` picks it): the child takes the slot
     iff it is strictly better. Returns True iff it did; a slot outside
     ``pop`` raises ValueError."""
-    if not 0 <= slot < len(pop):
-        raise ValueError(f"slot {slot} is outside a population of {len(pop)}")
-    if is_better(child.fitness, pop[slot].fitness, direction):
+    if not 0 <= slot < len(pop.members):
+        raise ValueError(f"slot {slot} is outside a population of {len(pop.members)}")
+    if is_better(child.fitness, pop.fitness[slot], direction):
         pop[slot] = child
         return True
     return False
@@ -291,13 +292,13 @@ class _Crowding:
     def __init__(self, st: _RunState, pop: Population, children: np.ndarray, samples):
         self.st, self.pop, self.children = st, pop, children
         self.samples = None if samples is None else np.sort(samples, axis=1)
-        self.dists = row_distances(children[:, None, :], pop.genome_matrix())
-        self.replaced = [False] * len(pop)
+        self.dists = row_distances(children[:, None, :], pop.genomes)
+        self.replaced = [False] * len(pop.members)
 
     def rebuild(self, rows, genomes: np.ndarray) -> None:
         """The children of ``rows``, a row index or a slice, are now ``genomes``."""
         self.children[rows] = genomes
-        self.dists[rows] = row_distances(genomes[..., None, :], self.pop.genome_matrix())
+        self.dists[rows] = row_distances(genomes[..., None, :], self.pop.genomes)
 
     def challenge(self, row: int) -> None:
         genome = self.children[row]
@@ -319,8 +320,8 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
     """
     st = _RunState("crowding_ga", problem, config, budget, rng)
     cf = st.config.effective_crowding_factor()
-    pop = Population(*st.init_population())
-    n, fitness, genomes = len(pop), pop.fitnesses(), pop.genome_matrix()
+    genomes, fitness = st.init_population()
+    pop, n = Population(genomes, fitness), len(genomes)
     for _ in st.generations():
         candidates, winners, (u, masks, normals, samples), children = st.ga_children(
             genomes, n - n % 2, fitness, st.direction, cf)
@@ -337,7 +338,7 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
                                                     normals[rows]))
             for row in range(rows.start, rows.stop):
                 crowd.challenge(row)
-    return st.result(pop.genome_matrix(), pop.fitnesses())
+    return st.result(genomes, fitness)
 
 
 def crowding_de(problem, config: AlgorithmConfig | None = None,
@@ -351,8 +352,8 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
     """
     st = _RunState("crowding_de", problem, config, budget, rng)
     cf, F = st.config.effective_crowding_factor(), st.config.de_F
-    pop = Population(*st.init_population())
-    genomes = pop.genome_matrix()
+    genomes, fitness = st.init_population()
+    pop = Population(genomes, fitness)
     for _ in st.generations():
         donors, cross, samples, trials = st.de_trials(genomes, cf=cf)
         crowd = _Crowding(st, pop, trials, samples)
@@ -366,7 +367,7 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
                 crowd.rebuild(target, de_trial_vector(genomes, target, (a, b, c), cross[target],
                                                       F, st.bounds))
             crowd.challenge(target)
-    return st.result(pop.genome_matrix(), pop.fitnesses())
+    return st.result(genomes, fitness)
 
 
 def _shared_scores(genomes: np.ndarray, raw: np.ndarray, direction: str,

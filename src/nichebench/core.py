@@ -1,9 +1,9 @@
 """Shared EA machinery: the evaluator that is the run clock, crowding's
-individuals and population, the real-coded variation operators of every
-algorithm in this package, the row distances and leader scan the metrics
-share, and the input checks. Nothing here draws: the operators do the
-arithmetic on values ``nichebench.draws`` drew, whose docstring states
-the draw order.
+member index over the run's population arrays, the real-coded variation
+operators of every algorithm in this package, the row distances and
+leader scan the metrics share, and the input checks. Nothing here draws:
+the operators do the arithmetic on values ``nichebench.draws`` drew,
+whose docstring states the draw order.
 
 A population is an ``(n, d)`` float genome matrix with its ``(n,)``
 fitness vector. Box bounds are given as a (dim, 2) array of [lo, hi]
@@ -51,39 +51,24 @@ class Individual:
 
 
 class Population:
-    """The crowding walk's population: evaluated individuals whose number
-    never changes, as crowding replaces members by index.
-
-    Built from a genome matrix and its fitness vector, row for row. It
-    keeps its own copies of both, kept in sync by ``pop[i] = ind``;
-    callers read them and never write them. A member is replaced, never
-    edited in place (an edited genome would leave the matrix stale).
+    """The crowding walk's member index over the run's ``(n, d)`` genomes
+    and ``(n,)`` fitness, held as given: neither copied nor converted.
+    ``members[i]`` is row i as an :class:`Individual`, built from a copy so
+    that no member's genome aliases a row. ``pop[i] = ind`` is the one
+    write path: it replaces member i and writes row i of both arrays. A
+    member is replaced, never edited in place (an edited genome would leave
+    its row stale).
     """
 
     def __init__(self, genomes: np.ndarray, fitness: np.ndarray):
-        self._matrix = np.array(genomes, dtype=float)
-        self._fitness = np.array(fitness, dtype=float)
+        self.genomes, self.fitness = genomes, fitness
         self.members: list[Individual] = [
-            Individual(g, f) for g, f in zip(self._matrix.copy(), self._fitness.tolist())]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, i: int) -> Individual:
-        return self.members[i]
+            Individual(g, f) for g, f in zip(genomes.copy(), fitness.tolist())]
 
     def __setitem__(self, i: int, ind: Individual) -> None:
         self.members[i] = ind
-        self._matrix[i] = ind.genome
-        self._fitness[i] = ind.fitness
-
-    def genome_matrix(self) -> np.ndarray:
-        """The population's own (n, dim) genome matrix; read it, never write it."""
-        return self._matrix
-
-    def fitnesses(self) -> np.ndarray:
-        """The population's own (n,) fitness vector; read it, never write it."""
-        return self._fitness
+        self.genomes[i] = ind.genome
+        self.fitness[i] = ind.fitness
 
 
 def is_better(a: float, b: float, direction: str) -> bool:

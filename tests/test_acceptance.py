@@ -98,9 +98,9 @@ def test_criterion_1_oracle_equivalence():
             dists = [math.dist(child.genome, g) for g in genomes]
             nearest = min(range(n), key=lambda i: (dists[i], i))
             if child.fitness > fits[nearest]:
-                assert pop[nearest] is child
+                assert pop.members[nearest] is child
             else:
-                assert all(pop[i].fitness == fits[i] for i in range(n))
+                assert all(pop.members[i].fitness == fits[i] for i in range(n))
 
         for _ in range(1000):  # species seed scan vs quadratic oracle
             n = int(rng.integers(1, 10))

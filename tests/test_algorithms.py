@@ -44,8 +44,8 @@ class TestCrowdingReplacement:
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0])
         child = Individual(np.array([0.1, 0.1]), 3.0)
         assert challenge(child, pop, cf=2, rng=np.random.default_rng(0), direction="max") is True
-        assert pop[0] is child
-        assert pop[1].fitness == 2.0
+        assert pop.members[0] is child
+        assert pop.members[1].fitness == 2.0
 
     def test_worse_child_changes_nothing(self):
         pop = make_pop([[0.0, 0.0], [1.0, 1.0]], [5.0, 2.0])
@@ -58,7 +58,7 @@ class TestCrowdingReplacement:
         pop = make_pop([[0.0]], [5.0])
         child = Individual(np.array([0.2]), 5.0)
         challenge(child, pop, cf=1, rng=np.random.default_rng(0), direction="max")
-        assert pop[0] is not child
+        assert pop.members[0] is not child
 
     def test_cf_one_compares_single_sampled_member(self):
         pop = make_pop([[0.0], [10.0], [20.0]], [1.0, 1.0, 1.0])
@@ -68,7 +68,7 @@ class TestCrowdingReplacement:
             pop2 = make_pop([[0.0], [10.0], [20.0]], [1.0, 1.0, 1.0])
             child = Individual(np.array([0.1]), 2.0)
             challenge(child, pop2, cf=1, rng=np.random.default_rng(seed), direction="max")
-            assert pop2[sampled] is child
+            assert pop2.members[sampled] is child
 
     def test_full_cf_against_brute_force(self):
         rng = np.random.default_rng(71)
@@ -85,17 +85,17 @@ class TestCrowdingReplacement:
             dists = [math.dist(child.genome, g) for g in genomes]
             nearest = min(range(n), key=lambda i: (dists[i], i))
             if child.fitness > fits[nearest]:
-                assert pop[nearest] is child
-                changed = [i for i in range(n) if pop[i] is child]
+                assert pop.members[nearest] is child
+                changed = [i for i in range(n) if pop.members[i] is child]
                 assert changed == [nearest]
             else:
-                assert all(pop[i].fitness == fits[i] for i in range(n))
+                assert all(pop.members[i].fitness == fits[i] for i in range(n))
 
     def test_distance_tie_prefers_lowest_index(self):
         pop = make_pop([[1.0], [-1.0], [3.0]], [0.0, 0.0, 0.0])
         child = Individual(np.array([0.0]), 1.0)  # equidistant from 0 and 1
         challenge(child, pop, cf=3, rng=np.random.default_rng(0), direction="max")
-        assert pop[0] is child
+        assert pop.members[0] is child
 
     @pytest.mark.parametrize("slot", [-1, 2])
     def test_slot_outside_the_population_raises(self, slot):
@@ -104,7 +104,7 @@ class TestCrowdingReplacement:
         with pytest.raises(ValueError, match="outside a population of 2"):
             crowding_replacement(Individual(np.array([0.0]), 1.0), pop, slot, direction="max")
         assert all(m is o for m, o in zip(pop.members, members))
-        assert pop.fitnesses().tolist() == [0.0, 0.0]
+        assert pop.fitness.tolist() == [0.0, 0.0]
 
 
 def shared_scores(pop, sharing_radius):

@@ -107,11 +107,12 @@ def reference_gaussian_mutation(genome, rng, bounds, rate, sigma):
 
 
 def reference_de_trial_vector(target_idx, pop, F, CR, rng, bounds, donor_pool=None):
-    pool = list(range(len(pop))) if donor_pool is None else list(donor_pool)
+    members = pop.members
+    pool = list(range(len(members))) if donor_pool is None else list(donor_pool)
     candidates = np.array([i for i in pool if i != target_idx], dtype=int)
     a, b, c = rng.choice(candidates, size=3, replace=False)
-    mutant = pop[int(a)].genome + F * (pop[int(b)].genome - pop[int(c)].genome)
-    target = pop[target_idx].genome
+    mutant = members[int(a)].genome + F * (members[int(b)].genome - members[int(c)].genome)
+    target = members[target_idx].genome
     dim = target.shape[0]
     cross = rng.random(dim) < CR
     cross[int(rng.integers(dim))] = True
@@ -119,14 +120,14 @@ def reference_de_trial_vector(target_idx, pop, F, CR, rng, bounds, donor_pool=No
 
 
 def reference_crowding_replacement(child, pop, cf, rng, direction):
-    if cf == len(pop):
-        idxs = np.arange(len(pop))
+    if cf == len(pop.members):
+        idxs = np.arange(len(pop.members))
     else:
-        idxs = rng.choice(len(pop), size=cf, replace=False)
-    genomes = np.array([pop[int(i)].genome for i in idxs])
+        idxs = rng.choice(len(pop.members), size=cf, replace=False)
+    genomes = np.array([pop.members[int(i)].genome for i in idxs])
     dists = np.sqrt(np.sum((genomes - child.genome) ** 2, axis=1))
     nearest = int(np.min(idxs[dists == dists.min()]))
-    if is_better(child.fitness, pop[nearest].fitness, direction):
+    if is_better(child.fitness, pop.members[nearest].fitness, direction):
         pop[nearest] = child
     return pop
 
@@ -145,7 +146,7 @@ def reference_conserve(pop, seeds, species_distance, direction):
     if not seeds:
         return pop
     radius = species_distance / 2.0
-    genomes = np.array([m.genome for m in pop])
+    genomes = np.array([m.genome for m in pop.members])
     seed_matrix = np.array([s.genome for s in seeds])
     diff = genomes[:, None, :] - seed_matrix[None, :, :]
     dists = np.sqrt(np.sum(diff * diff, axis=2))
@@ -155,23 +156,23 @@ def reference_conserve(pop, seeds, species_distance, direction):
     def worst_of(indices):
         worst = indices[0]
         for i in indices[1:]:
-            if is_better(pop[worst].fitness, pop[i].fitness, direction):
+            if is_better(pop.members[worst].fitness, pop.members[i].fitness, direction):
                 worst = i
         return worst
 
     for k, seed in enumerate(seeds):
         members = [
-            i for i in range(len(pop))
+            i for i in range(len(pop.members))
             if i not in replaced and assigned[i] == k and dists[i, k] < radius
         ]
         if members:
-            surviving = [i for i in members if np.array_equal(pop[i].genome, seed.genome)]
+            surviving = [i for i in members if np.array_equal(pop.members[i].genome, seed.genome)]
             if surviving:
                 replaced.add(surviving[0])
                 continue
             slot = worst_of(members)
         else:
-            candidates = [i for i in range(len(pop)) if i not in replaced]
+            candidates = [i for i in range(len(pop.members)) if i not in replaced]
             if not candidates:
                 continue  # overflow: dropped
             slot = worst_of(candidates)
@@ -182,7 +183,9 @@ def reference_conserve(pop, seeds, species_distance, direction):
 
 def reference_binary_tournament(pop, rng, direction):
     """The member tournament the GAs ran before tournaments took a fitness vector."""
-    first, second = pop[int(rng.integers(len(pop)))], pop[int(rng.integers(len(pop)))]
+    members = pop.members
+    first = members[int(rng.integers(len(members)))]
+    second = members[int(rng.integers(len(members)))]
     return second if is_better(second.fitness, first.fitness, direction) else first
 
 
@@ -221,7 +224,7 @@ def initial_population(st):
 
 
 def reference_result(st, pop):
-    return st.result(pop.genome_matrix(), pop.fitnesses())
+    return st.result(pop.genomes, pop.fitness)
 
 
 def reference_ga_children(st, p1, p2):
@@ -236,7 +239,7 @@ def reference_ga_children(st, p1, p2):
 
 def reference_de_children(st, pop, donor_pools=None):
     cfg = st.config
-    for target in range(len(pop)):
+    for target in range(len(pop.members)):
         if st.evaluate.exhausted:
             return
         pool = None if donor_pools is None else donor_pools[target]
@@ -246,11 +249,11 @@ def reference_de_children(st, pop, donor_pools=None):
 
 def reference_breed(st, pop, select):
     children = []
-    while len(children) < len(pop) and not st.evaluate.exhausted:
+    while len(children) < len(pop.members) and not st.evaluate.exhausted:
         p1, p2 = select(), select()
         for child in reference_ga_children(st, p1, p2):
             children.append(child)
-            if len(children) == len(pop):
+            if len(children) == len(pop.members):
                 break
     for slot, child in enumerate(children):
         pop[slot] = child
@@ -260,13 +263,14 @@ def reference_preselection_ga(problem, config, budget, rng):
     st = _RunState("preselection_ga", problem, config, budget, rng)
     pop = initial_population(st)
     for _ in st.generations():
-        order = st.rng.permutation(len(pop))
-        for k in range(0, len(pop) - 1, 2):
+        order = st.rng.permutation(len(pop.members))
+        for k in range(0, len(pop.members) - 1, 2):
             if st.evaluate.exhausted:
                 break
             i, j = int(order[k]), int(order[k + 1])
-            for parent_idx, child in zip((i, j), reference_ga_children(st, pop[i], pop[j])):
-                if is_better(child.fitness, pop[parent_idx].fitness, st.direction):
+            parents = pop.members[i], pop.members[j]
+            for parent_idx, child in zip((i, j), reference_ga_children(st, *parents)):
+                if is_better(child.fitness, pop.members[parent_idx].fitness, st.direction):
                     pop[parent_idx] = child
     return reference_result(st, pop)
 
@@ -275,9 +279,9 @@ def reference_sharing_ga(problem, config, budget, rng):
     st = _RunState("sharing_ga", problem, config, budget, rng)
     pop = initial_population(st)
     for _ in st.generations():
-        scores = _shared_scores(pop.genome_matrix(), pop.fitnesses(), st.direction,
+        scores = _shared_scores(pop.genomes, pop.fitness, st.direction,
                                 config.sharing_radius, config.sharing_alpha)
-        reference_breed(st, pop, lambda: pop[reference_score_tournament(scores, st.rng)])
+        reference_breed(st, pop, lambda: pop.members[reference_score_tournament(scores, st.rng)])
     return reference_result(st, pop)
 
 
@@ -286,12 +290,12 @@ def reference_sharing_de(problem, config, budget, rng):
     pop = initial_population(st)
     for _ in st.generations():
         trials = [child for _, child in reference_de_children(st, pop)]
-        genomes = np.vstack([pop.genome_matrix()] + [t.genome for t in trials])
-        raw = np.concatenate([pop.fitnesses(), [t.fitness for t in trials]])
+        genomes = np.vstack([pop.genomes] + [t.genome for t in trials])
+        raw = np.concatenate([pop.fitness, [t.fitness for t in trials]])
         scores = _shared_scores(genomes, raw, st.direction,
                                 config.sharing_radius, config.sharing_alpha)
         for slot, child in enumerate(trials):
-            if scores[len(pop) + slot] > scores[slot]:
+            if scores[len(pop.members) + slot] > scores[slot]:
                 pop[slot] = child
     return reference_result(st, pop)
 
@@ -301,7 +305,7 @@ def reference_crowding_ga(problem, config, budget, rng):
     cf = config.effective_crowding_factor()
     pop = initial_population(st)
     for _ in st.generations():
-        for _ in range(len(pop) // 2):
+        for _ in range(len(pop.members) // 2):
             if st.evaluate.exhausted:
                 break
             p1 = reference_binary_tournament(pop, st.rng, st.direction)
@@ -327,10 +331,10 @@ def reference_sde(problem, config, budget, rng, species_sizes=None):
     st = _RunState("sde", problem, config, budget, rng)
     pop = initial_population(st)
     for _ in st.generations():
-        seeds = reference_species_seeds(pop.genome_matrix(), pop.fitnesses(),
+        seeds = reference_species_seeds(pop.genomes, pop.fitness,
                                         config.species_distance, st.direction)
-        assigned, _ = _nearest_seed_assignment(pop.genome_matrix(),
-                                               np.array([pop[i].genome for i in seeds]))
+        assigned, _ = _nearest_seed_assignment(pop.genomes,
+                                               np.array([pop.members[i].genome for i in seeds]))
         species = {}
         for i, k in enumerate(assigned.tolist()):
             species.setdefault(k, []).append(i)
@@ -338,7 +342,7 @@ def reference_sde(problem, config, budget, rng, species_sizes=None):
             species_sizes.update(len(members) for members in species.values())
         pools = [species[k] if len(species[k]) >= 4 else None for k in assigned.tolist()]
         for target, child in reference_de_children(st, pop, pools):
-            if is_better(child.fitness, pop[target].fitness, st.direction):
+            if is_better(child.fitness, pop.members[target].fitness, st.direction):
                 pop[target] = child
     return reference_result(st, pop)
 
@@ -347,7 +351,7 @@ def reference_scga(problem, config, budget, rng):
     st = _RunState("scga", problem, config, budget, rng)
     pop = initial_population(st)
     for _ in st.generations():
-        seeds = [pop[i] for i in reference_species_seeds(pop.genome_matrix(), pop.fitnesses(),
+        seeds = [pop.members[i] for i in reference_species_seeds(pop.genomes, pop.fitness,
                                                          config.species_distance, st.direction)]
         reference_breed(st, pop, lambda: reference_binary_tournament(pop, st.rng, st.direction))
         reference_conserve(pop, seeds, config.species_distance, st.direction)
@@ -418,9 +422,9 @@ def per_child_crowding(child, pop, cf, rng, direction):
     < n members drawn, the child's distances to the whole population
     restacked, its nearest sampled member picked as ``_Crowding`` picks
     it, then the challenge."""
-    n = len(pop)
+    n = len(pop.members)
     sample = None if cf == n else np.sort(rng.choice(n, size=cf, replace=False))
-    dists = np.sqrt(((pop.genome_matrix() - child.genome) ** 2).sum(axis=1))
+    dists = np.sqrt(((pop.genomes - child.genome) ** 2).sum(axis=1))
     return crowding_replacement(child, pop, _nearest(dists, sample), direction)
 
 
@@ -491,14 +495,14 @@ def test_binary_tournament_matches_member_and_score_tournaments(direction):
         pop = population(rng.uniform(size=(n, 2)), fits)
         new, old = twin_streams(seed)
         for _ in range(5):
-            assert pop[per_child_tournament(pop.fitnesses(), new, direction)] is \
+            assert pop.members[per_child_tournament(pop.fitness, new, direction)] is \
                 reference_binary_tournament(pop, old, direction)
         assert_same_stream(new, old)
         new, old = twin_streams(seed)
         for _ in range(5):  # a pair's two tournaments, drawn and run as the GAs do
             candidates = new.integers(n, size=4)
-            pair = binary_tournament(pop.fitnesses(), candidates[0::2], candidates[1::2], direction)
-            assert [pop[w] for w in pair.tolist()] == \
+            pair = binary_tournament(pop.fitness, candidates[0::2], candidates[1::2], direction)
+            assert [pop.members[w] for w in pair.tolist()] == \
                 [reference_binary_tournament(pop, old, direction) for _ in range(2)]
         assert_same_stream(new, old)
         if direction == "max":
@@ -594,7 +598,7 @@ def test_de_trial_vector_matches_candidate_choice():
         F = float(rng.uniform(0.1, 1.0))
         CR = float(rng.choice([0.0, 0.5, 0.9, 1.0]))
         new, old = twin_streams(seed)
-        got = per_child_trial(target, pop.genome_matrix(), F, CR, new, bounds)
+        got = per_child_trial(target, pop.genomes, F, CR, new, bounds)
         want = reference_de_trial_vector(target, pop, F, CR, old, bounds)
         assert_bits_equal(got, want)
         assert_same_stream(new, old)
@@ -610,7 +614,7 @@ def test_de_trial_vector_with_explicit_donor_pool():
         # mostly a target inside its pool (as in sde), sometimes one outside it
         target = outside[0] if outside and seed % 4 == 0 else pool[seed % len(pool)]
         new, old = twin_streams(seed)
-        got = per_child_trial(target, pop.genome_matrix(), 0.5, 0.9, new, bounds, donor_pool=pool)
+        got = per_child_trial(target, pop.genomes, 0.5, 0.9, new, bounds, donor_pool=pool)
         want = reference_de_trial_vector(target, pop, 0.5, 0.9, old, bounds, donor_pool=pool)
         assert_bits_equal(got, want)
         assert_same_stream(new, old)
@@ -620,10 +624,10 @@ def test_de_trial_vector_still_rejects_small_pools():
     rng = np.random.default_rng(11)
     pop, bounds = _de_case(rng, 3, 2)
     with pytest.raises(ValueError, match="at least 4"):
-        per_child_trial(0, pop.genome_matrix(), 0.5, 0.9, np.random.default_rng(0), bounds)
+        per_child_trial(0, pop.genomes, 0.5, 0.9, np.random.default_rng(0), bounds)
     pop, bounds = _de_case(rng, 10, 2)
     with pytest.raises(ValueError, match="at least 4"):
-        per_child_trial(0, pop.genome_matrix(), 0.5, 0.9, np.random.default_rng(0), bounds,
+        per_child_trial(0, pop.genomes, 0.5, 0.9, np.random.default_rng(0), bounds,
                         donor_pool=[0, 1, 2])
     # a generation fails before its first draw, even when earlier targets could draw
     for n, pools in ((3, None), (10, np.array([0, 0, 0, 0, 1, 1, 1, -1, -1, -1])),
@@ -1030,8 +1034,8 @@ def test_a_batch_is_its_rows_built_one_at_a_time():
         m = int(rng.integers(1, 12))
         dim = int(rng.choice(DIMS))
         pop, bounds = _de_case(rng, int(rng.integers(4, 20)), dim)
-        genomes = pop.genome_matrix()
-        p1, p2 = (rng.integers(len(pop), size=m) for _ in range(2))
+        genomes = pop.genomes
+        p1, p2 = (rng.integers(len(pop.members), size=m) for _ in range(2))
         if seed % 5 == 0:
             p2 = p1  # equal parents
         u = rng.random((m, 2, dim))
@@ -1046,8 +1050,8 @@ def test_a_batch_is_its_rows_built_one_at_a_time():
         for i in range(m):
             assert_bits_equal(mutated[i], gaussian_mutation(crossed[i, 0], masks[i], normals[i],
                                                             bounds, 0.1))
-        targets = rng.integers(len(pop), size=m)
-        donors, cross = zip(*[de_draws(draws, len(pop), int(t), dim, 0.5) for t in targets])
+        targets = rng.integers(len(pop.members), size=m)
+        donors, cross = zip(*[de_draws(draws, len(pop.members), int(t), dim, 0.5) for t in targets])
         trials = de_trial_vector(genomes, targets, np.array(donors).T, np.array(cross), 0.7, bounds)
         for i in range(m):
             assert_bits_equal(trials[i], de_trial_vector(genomes, targets[i], donors[i], cross[i],
@@ -1077,8 +1081,8 @@ def test_crowding_replacement_matches_restacking(direction):
             assert accepted is any(m is child for m in new_pop.members)
             assert [m is child for m in new_pop.members] == [m is child for m in old_pop.members]
             assert snapshot(new_pop) == snapshot(old_pop)
-            assert_bits_equal(new_pop.genome_matrix(), old_pop.genome_matrix())
-            assert_bits_equal(new_pop.fitnesses(), old_pop.fitnesses())
+            assert_bits_equal(new_pop.genomes, old_pop.genomes)
+            assert_bits_equal(new_pop.fitness, old_pop.fitness)
         assert_same_stream(new, old)
 
 
@@ -1232,27 +1236,29 @@ def test_metrics_leave_the_genome_matrix_alone():
 def test_genome_matrix_and_fitness_vector_track_every_setitem():
     rng = np.random.default_rng(15)
     pop = population(rng.uniform(size=(10, 3)), rng.uniform(size=10))
-    assert_bits_equal(pop.genome_matrix(), np.array([m.genome for m in pop.members]))
-    assert_bits_equal(pop.fitnesses(), np.array([m.fitness for m in pop.members]))
+    assert_bits_equal(pop.genomes, np.array([m.genome for m in pop.members]))
+    assert_bits_equal(pop.fitness, np.array([m.fitness for m in pop.members]))
     for _ in range(50):
         slot = int(rng.integers(10))
         pop[slot] = Individual(rng.uniform(size=3), float(rng.uniform()))
-        assert_bits_equal(pop.genome_matrix(), np.array([m.genome for m in pop.members]))
-        assert_bits_equal(pop.fitnesses(), np.array([m.fitness for m in pop.members]))
+        assert_bits_equal(pop.genomes, np.array([m.genome for m in pop.members]))
+        assert_bits_equal(pop.fitness, np.array([m.fitness for m in pop.members]))
 
 
 def test_population_members_alias_neither_its_arrays_nor_the_callers():
     rng = np.random.default_rng(19)
     genomes, fits = rng.uniform(size=(6, 2)), rng.uniform(size=6)
     pop = Population(genomes, fits)
+    assert pop.genomes is genomes and pop.fitness is fits  # held as given, not copied
     assert snapshot(pop) == [(g.tobytes(), f) for g, f in zip(genomes, fits.tolist())]
+    assert not any(np.shares_memory(m.genome, genomes) for m in pop.members)
     first, kept = pop.members[0], genomes[0].copy()
-    pop[0] = Individual(np.full(2, 7.0), 7.0)  # writes row 0 of the population's matrix
-    assert_bits_equal(first.genome, kept)
-    assert_bits_equal(genomes[0], kept)
-    genomes[1], fits[1] = 8.0, 8.0  # the caller's arrays stay the caller's
-    assert 8.0 not in pop.genome_matrix() and 8.0 not in pop.fitnesses()
-    assert 8.0 not in pop.members[1].genome
+    pop[0] = Individual(np.full(2, 7.0), 7.0)  # writes row 0 of the caller's arrays
+    assert genomes[0].tolist() == [7.0, 7.0] and fits[0] == 7.0
+    assert_bits_equal(first.genome, kept)  # the replaced member is left as it was
+    assert not np.shares_memory(pop.members[0].genome, genomes)
+    genomes[1], fits[1] = 8.0, 8.0  # a row written past pop[i] = ind moves no member
+    assert 8.0 not in pop.members[1].genome and pop.members[1].fitness != 8.0
 
 
 def test_run_result_arrays_share_no_memory_with_the_population():

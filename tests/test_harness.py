@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from nichebench import harness
-from nichebench.algorithms import AlgorithmConfig
+from nichebench.algorithms import AlgorithmConfig, _RunState
 from nichebench.harness import (
     DEFAULT_TESTS,
     ConfigError,
@@ -301,17 +302,28 @@ class TestRunFailure:
         assert runs_csv == (Path(clean.output_dir) / "runs.csv").read_bytes()
         assert runs_csv.count(b"\n") == 1 + 2 * 3
 
-    def test_budget_audit_failure_names_the_run(self, tmp_path, monkeypatch):
+    def test_run_past_its_budget_fails_in_the_evaluator_naming_the_run(self, monkeypatch):
+        # the Evaluator is the one budget guard: a run asking for an evaluation
+        # past its budget gets its RuntimeError before the objective is called
+        deb1, calls = resolve_problem("deb1"), []
+
+        def counted(genome):
+            calls.append(genome)
+            return deb1.objective(genome)
+
         def overspending(problem, config, budget, rng):
-            result = harness.get_algorithm("sde")(problem, config, budget, rng)
-            return dataclasses.replace(result, evals_used=budget + 1)
+            st = _RunState("sde", problem, config, budget, rng)
+            genomes, _ = st.init_population()
+            for row in itertools.cycle(genomes):
+                st.evaluate(row)
 
         monkeypatch.setitem(harness.ALGORITHMS, "overspending", overspending)
-        task = ("overspending", AlgorithmConfig(population_size=10), resolve_problem("deb1"),
-                60, 17, 4)
-        with pytest.raises(RunError, match=r"^overspending on deb1, run 4, seed 17: "
-                                           r"RuntimeError: budget audit failed: 61 > 60$"):
+        task = ("overspending", AlgorithmConfig(population_size=10),
+                dataclasses.replace(deb1, objective=counted), 60, 17, 4)
+        with pytest.raises(RunError, match=r"^overspending on deb1, run 4, seed 17: RuntimeError: "
+                                           r"evaluation budget of 60 is used up$"):
             _execute_run(task)
+        assert len(calls) == 60
 
 
 class TestEmitReports:
