@@ -49,6 +49,7 @@ from .core import (
     check_direction,
     check_integer,
     check_real,
+    check_rows,
     de_trial_vector,
     gaussian_mutation,
     is_better,
@@ -418,14 +419,16 @@ def sharing_de(problem, config: AlgorithmConfig | None = None,
     return st.result(genomes, fitness)
 
 
-def _badness(fitness: np.ndarray, direction: str, species_distance) -> np.ndarray:
+def _badness(genomes: np.ndarray, fitness: np.ndarray, direction: str,
+             species_distance) -> np.ndarray:
     """Fitness as a best-first key: lower is better in either direction.
     Both species functions call it first, so it checks the arguments they
-    share before any distance: the direction and a positive real
-    ``species_distance``."""
+    share before any distance: the direction, a positive real
+    ``species_distance`` and one fitness value per genome row."""
     check_direction(direction)
     if not check_real("species_distance", species_distance) > 0.0:
         raise ValueError("species_distance must be positive")
+    check_rows(genomes, fitness)
     return -fitness if direction == "max" else fitness
 
 
@@ -436,9 +439,11 @@ def determine_species_seeds(genomes: np.ndarray, fitness: np.ndarray, species_di
     The best member always seeds the first species; every later member
     seeds a new species iff it lies at distance >= species_distance/2 from
     all earlier seeds (i.e. outside every existing species region).
-    Returns the seeds' row indices, in discovery order.
+    Returns the seeds' row indices, in discovery order. A ``fitness`` that
+    is not one value per genome row raises ValueError.
     """
-    order = np.argsort(_badness(fitness, direction, species_distance), kind="stable").tolist()
+    order = np.argsort(_badness(genomes, fitness, direction, species_distance),
+                       kind="stable").tolist()
     if not order:
         raise ValueError("cannot determine seeds of an empty population")
     return leader_scan(genomes, order, species_distance / 2.0)
@@ -464,9 +469,11 @@ def conserve_species_seeds(genomes: np.ndarray, fitness: np.ndarray, seed_genome
     worst member of its species, else the worst of the population (lowest
     index on ties), which it overwrites. So a seed whose species came out
     empty may take a later species' slot. Seeds left without one are
-    logged and dropped.
+    logged and dropped. A ``fitness`` or ``seed_fitness`` that is not one
+    value per row raises ValueError before anything is written.
     """
-    badness = _badness(fitness, direction, species_distance).tolist().__getitem__
+    badness = _badness(genomes, fitness, direction, species_distance).tolist().__getitem__
+    check_rows(seed_genomes, seed_fitness, "seed_")
     if not len(seed_genomes):
         return
     # the walk reads and writes free slots only, so genomes and badness stay current

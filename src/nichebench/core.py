@@ -31,6 +31,7 @@ __all__ = [
     "check_direction",
     "check_integer",
     "check_real",
+    "check_rows",
     "clip_to_bounds",
     "row_distances",
     "leader_scan",
@@ -101,6 +102,13 @@ def check_real(name: str, value, finite: bool = True) -> float:
     if finite and not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
     return value
+
+
+def check_rows(genomes: np.ndarray, fitness: np.ndarray, prefix: str = "") -> None:
+    """Raise ValueError unless ``fitness`` holds one value per row of ``genomes``."""
+    if fitness.shape != (len(genomes),):
+        raise ValueError(f"{prefix}fitness of shape {fitness.shape} for {prefix}genomes "
+                         f"{genomes.shape}")
 
 
 def _check_kind(name: str, value, kind, noun: str) -> None:

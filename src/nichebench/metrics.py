@@ -8,7 +8,7 @@ list and are the metrics used for objectives whose landscape is unknown;
 so that heterogeneous units (radians next to millimetres) do not dominate.
 A peak or ``bounds`` of another width than the genomes', a ``bounds`` row
 that is not finite with lo < hi, a ``fitness`` that is not one value per
-genome row, a genome or fitness value that is not finite, a ``radius``
+genome row, a genome, peak or fitness value that is not finite, a ``radius``
 that is not a positive real or a ``fitness_threshold`` that is not a real
 (checked by ``core.check_real``: finite, and not a bool) raises ValueError.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import check_direction, check_real, leader_scan, row_distances
+from .core import check_direction, check_real, check_rows, leader_scan, row_distances
 
 __all__ = ["peak_ratio", "avg_min_distance", "best_fitness", "distinct_peaks"]
 
@@ -47,6 +47,7 @@ def _nearest_distances(genomes, peaks, metric: str) -> list[float]:
     genomes = _population(genomes, "genomes")
     if any(peak.shape != genomes.shape[1:] for peak in peaks):
         raise ValueError(f"{metric}: a peak is not as wide as the genomes {genomes.shape}")
+    _population(peaks, "peaks")  # one row per peak, all as wide as the genomes
     return [float(row_distances(genomes, peak).min()) for peak in peaks]
 
 
@@ -93,8 +94,7 @@ def distinct_peaks(
     """
     members = _population(genomes, "genomes")
     fitness = np.asarray(fitness, dtype=float)
-    if fitness.shape != members.shape[:1]:
-        raise ValueError(f"fitness of shape {fitness.shape} for genomes {members.shape}")
+    check_rows(members, fitness)
     fitness = _population(fitness, "fitness")
     check_direction(direction)
     fitness_threshold = check_real("fitness_threshold", fitness_threshold)

@@ -178,6 +178,13 @@ class TestDetermineSpeciesSeeds:
         with pytest.raises(ValueError, match="species_distance must be"):
             determine_species_seeds(*pop, species_distance=distance, direction="max")
 
+    @pytest.mark.parametrize("fits", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
+    def test_fitness_must_be_one_value_per_row(self, fits):
+        # two values for three rows once gave seeds [1, 0] and never read row 2
+        genomes = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match=r"^fitness of shape \(.*\) for genomes \(3, 1\)$"):
+            determine_species_seeds(genomes, np.array(fits), species_distance=1.0, direction="max")
+
     def test_vanishing_distance_makes_everyone_a_seed(self):
         pop = arrays([[0.0], [0.5], [1.0]], [1.0, 2.0, 3.0])
         seeds = determine_species_seeds(*pop, species_distance=1e-12, direction="max")
@@ -273,6 +280,23 @@ class TestConserveSpeciesSeeds:
                 conserve_species_seeds(genomes, fits, *seeds, species_distance=distance,
                                        direction="max")
         assert genomes.tolist() == [[0.0], [1.0]] and fits.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("fits, seed_fits, message", [
+        ([1.0, 2.0], [10.0, 11.0], r"fitness of shape \(2,\) for genomes \(3, 1\)"),
+        # one value for two seed rows once wrote the first seed, then raised IndexError
+        ([1.0, 2.0, 3.0], [10.0], r"seed_fitness of shape \(1,\) for seed_genomes \(2, 1\)"),
+        # three values for two seed rows once passed
+        ([1.0, 2.0, 3.0], [10.0, 11.0, 12.0],
+         r"seed_fitness of shape \(3,\) for seed_genomes \(2, 1\)"),
+    ], ids=["fitness", "fewer_seed_fitness", "more_seed_fitness"])
+    def test_fitness_must_be_one_value_per_row(self, fits, seed_fits, message):
+        # checked before any distance or write, so the population is left whole
+        genomes, fits = arrays([[0.0], [1.0], [2.0]], fits)
+        before = genomes.copy(), fits.copy()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            conserve_species_seeds(genomes, fits, *arrays([[5.0], [6.0]], seed_fits),
+                                   species_distance=0.5, direction="max")
+        assert genomes.tolist() == before[0].tolist() and fits.tolist() == before[1].tolist()
 
     def test_seed_overflow_logged_and_bounded(self, caplog):
         genomes, fits = arrays([[0.0], [1.0]], [1.0, 2.0])

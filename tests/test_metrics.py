@@ -124,9 +124,13 @@ NAN, INF = math.nan, math.inf
     (lambda: distinct_peaks(as_genomes([[NAN], [0.3]]), [0.0, 0.0]), "genomes"),
     (lambda: distinct_peaks(as_genomes([[0.0], [0.3]]), [NAN, 0.0]), "fitness"),
     (lambda: distinct_peaks(as_genomes([[0.0], [0.3]]), [-INF, 0.0]), "fitness"),
+    (lambda: peak_ratio(as_genomes([[0.1], [0.3]]), [[NAN], [0.3]]), "peaks"),  # once 0.5
+    (lambda: peak_ratio(as_genomes([[0.1]]), [[INF]]), "peaks"),  # once 0.0
+    (lambda: avg_min_distance(as_genomes([[0.1], [0.3]]), [[NAN], [0.3]]), "peaks"),  # once nan
 ], ids=["peak_ratio_nan", "peak_ratio_inf", "avg_min_distance_nan", "best_fitness_nan",
         "best_fitness_inf", "distinct_peaks_nan_genome", "distinct_peaks_nan_fitness",
-        "distinct_peaks_inf_fitness"])
+        "distinct_peaks_inf_fitness", "peak_ratio_nan_peak", "peak_ratio_inf_peak",
+        "avg_min_distance_nan_peak"])
 def test_non_finite_population_rejected(score, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         score()
