@@ -48,6 +48,7 @@ from .core import (
     blend_crossover,
     check_direction,
     check_integer,
+    check_positive,
     check_real,
     check_rows,
     de_trial_vector,
@@ -93,8 +94,8 @@ class AlgorithmConfig:
 
     ``crowding_factor`` and ``mutation_rate`` default to the population
     size and 1/dimension when left as None. :meth:`validate` checks each
-    field's type, by ``core.check_integer`` or ``core.check_real`` (a bool
-    is not a number, a real must be finite), then its range.
+    field by ``core.check_integer``, ``check_real`` or ``check_positive``
+    (a bool is not a number, a real must be finite), then its range.
     """
 
     population_size: int = 50
@@ -110,8 +111,9 @@ class AlgorithmConfig:
 
     def validate(self) -> None:
         check_integer("population_size", self.population_size)
-        for name in ("species_distance", "sharing_radius", "sharing_alpha", "de_F", "de_CR",
-                     "blend_alpha", "mutation_sigma"):
+        for name in ("species_distance", "sharing_radius", "sharing_alpha", "mutation_sigma"):
+            check_positive(name, getattr(self, name))
+        for name in ("de_F", "de_CR", "blend_alpha"):
             check_real(name, getattr(self, name))
         if self.crowding_factor is not None:
             check_integer("crowding_factor", self.crowding_factor)
@@ -121,9 +123,6 @@ class AlgorithmConfig:
             raise ValueError("population_size must be at least 2")
         if self.crowding_factor is not None and not 1 <= self.crowding_factor <= self.population_size:
             raise ValueError("crowding_factor must be in [1, population_size]")
-        for name in ("species_distance", "sharing_radius", "sharing_alpha", "mutation_sigma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         for name in ("de_CR", "mutation_rate"):
             if getattr(self, name) is not None and not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be a probability")
@@ -424,10 +423,9 @@ def _badness(genomes: np.ndarray, fitness: np.ndarray, direction: str,
     """Fitness as a best-first key: lower is better in either direction.
     Both species functions call it first, so it checks the arguments they
     share before any distance: the direction, a positive real
-    ``species_distance`` and one fitness value per genome row."""
+    ``species_distance`` and a nonempty ``(n, d)`` matrix, one fitness per row."""
     check_direction(direction)
-    if not check_real("species_distance", species_distance) > 0.0:
-        raise ValueError("species_distance must be positive")
+    check_positive("species_distance", species_distance)
     check_rows(genomes, fitness)
     return -fitness if direction == "max" else fitness
 
@@ -439,13 +437,11 @@ def determine_species_seeds(genomes: np.ndarray, fitness: np.ndarray, species_di
     The best member always seeds the first species; every later member
     seeds a new species iff it lies at distance >= species_distance/2 from
     all earlier seeds (i.e. outside every existing species region).
-    Returns the seeds' row indices, in discovery order. A ``fitness`` that
-    is not one value per genome row raises ValueError.
+    Returns the seeds' row indices, in discovery order. Arguments that
+    break ``_badness``'s checks raise ValueError.
     """
     order = np.argsort(_badness(genomes, fitness, direction, species_distance),
                        kind="stable").tolist()
-    if not order:
-        raise ValueError("cannot determine seeds of an empty population")
     return leader_scan(genomes, order, species_distance / 2.0)
 
 
@@ -469,11 +465,11 @@ def conserve_species_seeds(genomes: np.ndarray, fitness: np.ndarray, seed_genome
     worst member of its species, else the worst of the population (lowest
     index on ties), which it overwrites. So a seed whose species came out
     empty may take a later species' slot. Seeds left without one are
-    logged and dropped. A ``fitness`` or ``seed_fitness`` that is not one
-    value per row raises ValueError before anything is written.
+    logged and dropped. The seeds are an ``(m, d)`` matrix as wide as the
+    genomes; bad arguments raise ValueError before anything is written.
     """
     badness = _badness(genomes, fitness, direction, species_distance).tolist().__getitem__
-    check_rows(seed_genomes, seed_fitness, "seed_")
+    check_rows(seed_genomes, seed_fitness, genomes.shape[1], "seed_", nonempty=False)
     if not len(seed_genomes):
         return
     # the walk reads and writes free slots only, so genomes and badness stay current

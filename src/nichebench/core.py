@@ -1,9 +1,9 @@
 """Shared EA machinery: the evaluator that is the run clock, crowding's
 member index over the run's population arrays, the real-coded variation
 operators of every algorithm in this package, the row distances and
-leader scan the metrics share, and the input checks. Nothing here draws:
-the operators do the arithmetic on values ``nichebench.draws`` drew,
-whose docstring states the draw order.
+leader scan the metrics share, and the one owner of each input rule.
+Nothing here draws: the operators do the arithmetic on values
+``nichebench.draws`` drew, whose docstring states the draw order.
 
 A population is an ``(n, d)`` float genome matrix with its ``(n,)``
 fitness vector. Box bounds are given as a (dim, 2) array of [lo, hi]
@@ -31,7 +31,10 @@ __all__ = [
     "check_direction",
     "check_integer",
     "check_real",
+    "check_positive",
+    "check_finite",
     "check_rows",
+    "check_bounds",
     "clip_to_bounds",
     "row_distances",
     "leader_scan",
@@ -104,11 +107,47 @@ def check_real(name: str, value, finite: bool = True) -> float:
     return value
 
 
-def check_rows(genomes: np.ndarray, fitness: np.ndarray, prefix: str = "") -> None:
-    """Raise ValueError unless ``fitness`` holds one value per row of ``genomes``."""
-    if fitness.shape != (len(genomes),):
+def check_positive(name: str, value) -> float:
+    """``value`` as a float; ValueError unless a finite real (:func:`check_real`) above 0."""
+    value = check_real(name, value)
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def check_finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ValueError unless nonempty and finite."""
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        raise ValueError(f"{name} must be nonempty")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
+def check_rows(genomes: np.ndarray, fitness: np.ndarray | None = None, width: int | None = None,
+               prefix: str = "", nonempty: bool = True) -> None:
+    """Raise ValueError unless ``genomes`` is an ``(n, d)`` matrix, n >= 1
+    if ``nonempty``, d == ``width`` if given, and ``fitness``, if given,
+    holds one value per row. ``prefix`` names the pair, as in ``seed_``."""
+    if genomes.ndim != 2 or width not in (None, genomes.shape[1]):
+        raise ValueError(f"{prefix}genomes must be an (n, {width or 'd'}) matrix, "
+                         f"got shape {genomes.shape}")
+    if nonempty and not len(genomes):
+        raise ValueError(f"{prefix}genomes must be nonempty")
+    if fitness is not None and fitness.shape != (len(genomes),):
         raise ValueError(f"{prefix}fitness of shape {fitness.shape} for {prefix}genomes "
                          f"{genomes.shape}")
+
+
+def check_bounds(bounds, dim: int | None = None) -> np.ndarray:
+    """``bounds`` as floats; ValueError unless ``(dim, 2)`` finite rows with lo < hi."""
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.ndim != 2 or bounds.shape[1] != 2 or dim not in (None, len(bounds)) or not len(bounds):
+        raise ValueError(f"bounds must have shape ({dim or 'dimension'}, 2), got {bounds.shape}")
+    if not (np.isfinite(bounds).all() and (bounds[:, 0] < bounds[:, 1]).all()):
+        raise ValueError(f"bounds rows must be finite with lo < hi, got {bounds.tolist()}")
+    return bounds
 
 
 def _check_kind(name: str, value, kind, noun: str) -> None:
@@ -209,7 +248,6 @@ class Evaluator:
         self.objective = problem.objective
         self._batch = getattr(self.objective, "many", None)
         check_direction(problem.direction)
-        self.direction = problem.direction
         self._maximize = problem.direction == "max"
         self.used = 0
         self.best: float | None = None

@@ -27,7 +27,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import check_real
+from .core import check_positive, check_real
 from .problems import BoundedProblem
 
 __all__ = [
@@ -60,9 +60,9 @@ class GratingParams:
     ``n0`` is the central groove density (lines/mm), ``b2``/``b3``/``b4``
     the higher-order density coefficients (1/mm, 1/mm^2, 1/mm^3), ``w0``
     the grating half-width (mm) and ``lambda0`` the recording wavelength
-    (mm); each is stored as a float and must be finite (``core.check_real``),
-    as must the two ``mirror_radii`` (exactly two), which must also be
-    positive.
+    (mm); each is stored as a float and must be finite (``core.check_real``);
+    ``n0``, ``w0``, ``lambda0`` and the two ``mirror_radii`` (exactly two)
+    must also be positive (``core.check_positive``).
     """
 
     n0: float
@@ -75,19 +75,16 @@ class GratingParams:
 
     def __post_init__(self):
         for name in _PARAM_FIELDS:
-            object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        if self.n0 <= 0 or self.w0 <= 0 or self.lambda0 <= 0:
-            raise ValueError("n0, w0 and lambda0 must be positive")
+            check = check_positive if name in ("n0", "w0", "lambda0") else check_real
+            object.__setattr__(self, name, check(name, getattr(self, name)))
         try:
             radii = tuple(self.mirror_radii)
         except TypeError:  # a scalar
             radii = ()
         if len(radii) != 2:
             raise ValueError(f"mirror_radii must be two numbers, got {self.mirror_radii!r}")
-        radii = tuple(check_real("mirror_radii", r, finite=False) for r in radii)
-        if not all(math.isfinite(r) and r > 0 for r in radii):
-            raise ValueError("mirror radii must be positive and finite")
-        object.__setattr__(self, "mirror_radii", radii)
+        object.__setattr__(self, "mirror_radii", tuple(check_positive("mirror_radii", r)
+                                                       for r in radii))
 
 
 class RecordingModel(Protocol):

@@ -6,61 +6,41 @@ of known optima. ``best_fitness`` and ``distinct_peaks`` need no optima
 list and are the metrics used for objectives whose landscape is unknown;
 ``distinct_peaks`` can measure distances in min-max normalized coordinates
 so that heterogeneous units (radians next to millimetres) do not dominate.
-A peak or ``bounds`` of another width than the genomes', a ``bounds`` row
-that is not finite with lo < hi, a ``fitness`` that is not one value per
-genome row, a genome, peak or fitness value that is not finite, a ``radius``
-that is not a positive real or a ``fitness_threshold`` that is not a real
-(checked by ``core.check_real``: finite, and not a bool) raises ValueError.
+Genomes are an ``(n, d)`` matrix (a 1-D or 3-D array is rejected), peaks a
+``(k, d)`` matrix and fitness one value per row, all nonempty and finite;
+``bounds`` is a ``(d, 2)`` box, ``radius`` a positive real and ``fitness_threshold``
+a real; else ``core``'s checks raise ValueError before any distance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import check_direction, check_real, check_rows, leader_scan, row_distances
+from .core import (check_bounds, check_direction, check_finite, check_positive, check_real,
+                   check_rows, leader_scan, row_distances)
 
 __all__ = ["peak_ratio", "avg_min_distance", "best_fitness", "distinct_peaks"]
 
 
-def _population(values, name: str) -> np.ndarray:
-    """``values`` as a float array: nonempty, and finite as ``stats`` samples are."""
-    values = np.asarray(values, dtype=float)
-    if len(values) == 0:
-        raise ValueError("empty population")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-    return values
-
-
-def _radius(radius) -> float:
-    radius = check_real("radius", radius)
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    return radius
-
-
-def _nearest_distances(genomes, peaks, metric: str) -> list[float]:
+def _nearest_distances(genomes, peaks) -> list[float]:
     """Per peak, in peak order, the distance to the nearest genome row."""
-    peaks = [np.asarray(p, dtype=float) for p in peaks]
-    if not peaks:
-        raise ValueError(f"{metric} is undefined for an empty peak list")
-    genomes = _population(genomes, "genomes")
-    if any(peak.shape != genomes.shape[1:] for peak in peaks):
-        raise ValueError(f"{metric}: a peak is not as wide as the genomes {genomes.shape}")
-    _population(peaks, "peaks")  # one row per peak, all as wide as the genomes
+    genomes = check_finite("genomes", genomes)
+    check_rows(genomes)
+    peaks = check_finite("peaks", peaks)
+    check_rows(peaks, width=genomes.shape[1], prefix="peak_")
     return [float(row_distances(genomes, peak).min()) for peak in peaks]
 
 
 def peak_ratio(genomes, peaks, radius: float = 0.1) -> float:
     """Fraction of peaks with a genome row within ``radius``."""
-    radius = _radius(radius)
-    nearest = _nearest_distances(genomes, peaks, "peak_ratio")
+    radius = check_positive("radius", radius)
+    nearest = _nearest_distances(genomes, peaks)
     return sum(d <= radius for d in nearest) / len(nearest)
 
 
 def avg_min_distance(genomes, peaks) -> float:
     """Mean over peaks of the distance to the nearest genome row."""
-    nearest = _nearest_distances(genomes, peaks, "avg_min_distance")
+    nearest = _nearest_distances(genomes, peaks)
     total = 0.0
     for d in nearest:  # summed in peak order
         total += d
@@ -70,7 +50,7 @@ def avg_min_distance(genomes, peaks) -> float:
 def best_fitness(fitness, direction: str) -> float:
     """Extremal value of ``fitness`` under the given direction; the first of
     equal values, so ``[0.0, -0.0]`` gives ``0.0``."""
-    fitness = _population(fitness, "fitness")
+    fitness = check_finite("fitness", fitness)
     check_direction(direction)
     return float(fitness[fitness.argmin() if direction == "min" else fitness.argmax()])
 
@@ -92,19 +72,15 @@ def distinct_peaks(
     When ``bounds`` is given, coordinates are min-max normalized to [0, 1]
     before measuring distances.
     """
-    members = _population(genomes, "genomes")
+    members = check_finite("genomes", genomes)
     fitness = np.asarray(fitness, dtype=float)
     check_rows(members, fitness)
-    fitness = _population(fitness, "fitness")
+    fitness = check_finite("fitness", fitness)
     check_direction(direction)
     fitness_threshold = check_real("fitness_threshold", fitness_threshold)
-    radius = _radius(radius)
+    radius = check_positive("radius", radius)
     qualifies = fitness < fitness_threshold if direction == "min" else fitness > fitness_threshold
     if bounds is not None:
-        bounds = np.asarray(bounds, dtype=float)
-        if bounds.shape != (*members.shape[1:], 2):
-            raise ValueError(f"bounds of shape {bounds.shape} for genomes {members.shape}")
-        if not (np.isfinite(bounds).all() and (bounds[:, 0] < bounds[:, 1]).all()):
-            raise ValueError(f"bounds rows must be finite with lo < hi, got {bounds.tolist()}")
+        bounds = check_bounds(bounds, members.shape[1])
         members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
     return len(leader_scan(members, np.flatnonzero(qualifies).tolist(), radius))

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import check_direction
+from .core import check_bounds, check_direction
 
 __all__ = [
     "BoundedProblem",
@@ -42,11 +42,7 @@ class BoundedProblem:
         return len(self.bounds)
 
     def __post_init__(self):
-        bounds = np.asarray(self.bounds, dtype=float)
-        if bounds.ndim != 2 or bounds.shape[1] != 2 or len(bounds) == 0:
-            raise ValueError(f"bounds must have shape (dimension, 2), got {bounds.shape}")
-        if not (np.all(np.isfinite(bounds)) and np.all(bounds[:, 0] < bounds[:, 1])):
-            raise ValueError("every bound must be finite and satisfy lo < hi")
+        bounds = check_bounds(self.bounds)
         check_direction(self.direction)
         object.__setattr__(self, "bounds", bounds)
         peaks = tuple(np.asarray(p, dtype=float) for p in self.known_peaks)

@@ -33,6 +33,8 @@ import math
 
 import numpy as np
 
+from .core import check_finite
+
 __all__ = [
     "mann_whitney_u",
     "ks_two_sample",
@@ -46,12 +48,7 @@ EXACT_MWU_LIMIT = 400
 
 
 def _as_values(sample) -> np.ndarray:
-    values = np.asarray(sample, dtype=float).ravel()
-    if values.size == 0:
-        raise ValueError("sample must be nonempty")
-    if not np.isfinite(values).all():
-        raise ValueError("sample must be finite")
-    return values
+    return check_finite("sample", sample).ravel()
 
 
 def _tie_groups(a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:

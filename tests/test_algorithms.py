@@ -161,11 +161,6 @@ class TestDetermineSpeciesSeeds:
         assert len(seeds) == 1
         assert fits[seeds[0]] == 3.0
 
-    def test_empty_population_raises(self):
-        with pytest.raises(ValueError, match="empty population"):
-            determine_species_seeds(np.empty((0, 1)), np.empty(0), species_distance=1.0,
-                                    direction="max")
-
     @pytest.mark.parametrize("direction", ["up", "MAX", None])
     def test_unknown_direction_raises(self, direction):
         pop = arrays([[0.0], [1.0]], [1.0, 2.0])

@@ -203,16 +203,17 @@ def grating_main(tmp_path, profile) -> int:
     (json.dumps({**PROFILE, "n0": "abc"}), "n0 must be a number, got 'abc'"),
     (json.dumps({**PROFILE, "w0": None}), "w0 must be a number, got None"),
     (json.dumps({k: v for k, v in PROFILE.items() if k != "b3"}), "b3 must be a number"),
-    (json.dumps({**PROFILE, "n0": -5}), "n0, w0 and lambda0 must be positive"),
+    (json.dumps({**PROFILE, "n0": -5}), "n0 must be positive, got -5.0"),
     (json.dumps({**PROFILE, "mirror_radii": [1000.0, "x"]}), "mirror_radii must be a number"),
     (json.dumps({**PROFILE, "bounds": {"angle": [1, 0]}}), "lo < hi"),
     (json.dumps({**PROFILE, "n0": math.nan, "bounds": {"angle": [-1, math.nan]}}),
      "n0 must be finite"),
     (json.dumps({**PROFILE, "lambda0": math.inf}), "lambda0 must be finite"),
     (json.dumps({**PROFILE, "n0": 10 ** 400}), "n0 must be finite"),
-    (json.dumps({**PROFILE, "bounds": {"angle": [-1, math.nan]}}), "every bound must be finite"),
+    (json.dumps({**PROFILE, "bounds": {"angle": [-1, math.nan]}}),
+     "bounds rows must be finite with lo < hi"),
     (json.dumps({**PROFILE, "bounds": {"distance": [100, math.inf]}}),
-     "every bound must be finite"),
+     "bounds rows must be finite with lo < hi"),
     (json.dumps({**MISSPELT, "lamda0": 4.131e-4}), "unknown profile key 'lamda0'"),
     (json.dumps({**PROFILE, "bounds": {"angel": [-1.0, 1.0]}}), "unknown bounds key 'angel'"),
 ], ids=["invalid_json", "top_level_list", "bounds_list", "angle_one_value", "n0_text", "w0_null",

@@ -168,15 +168,18 @@ class TestUnitsAndProfiles:
 
     def test_params_validation(self):
         base = dict(n0=1.0, b2=0.0, b3=0.0, b4=0.0, w0=90.0, lambda0=1e-4)
-        with pytest.raises(ValueError):
-            GratingParams(**{**base, "n0": -1.0})
+        for name in ("n0", "w0", "lambda0"):
+            for bad in (-1.0, 0.0):
+                with pytest.raises(ValueError, match=f"^{name} must be positive, got {bad!r}$"):
+                    GratingParams(**{**base, name: bad})
         # every number is checked; NaN would slip past the n0 <= 0 test
         for name in base:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     GratingParams(**{**base, name: bad})
-        for radii in ((math.nan, 1.0), (1.0, math.inf), (0.0, 1.0), (10**400, 1.0)):
-            with pytest.raises(ValueError, match="mirror radii must be positive and finite"):
+        for radii, message in (((math.nan, 1.0), "finite"), ((1.0, math.inf), "finite"),
+                               ((0.0, 1.0), "positive, got 0.0"), ((10**400, 1.0), "finite")):
+            with pytest.raises(ValueError, match=f"^mirror_radii must be {message}$"):
                 GratingParams(**base, mirror_radii=radii)
         for radii in ((True, 1.0), ("a", 1.0)):
             with pytest.raises(ValueError, match="mirror_radii must be a number"):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nichebench import metrics
+from nichebench import algorithms, core, metrics
+from nichebench.algorithms import conserve_species_seeds, determine_species_seeds
 from nichebench.metrics import avg_min_distance, best_fitness, distinct_peaks, peak_ratio
 from nichebench.problems import deb1
 
@@ -30,20 +31,6 @@ class TestPeakRatio:
     def test_empty_peaks_rejected(self):
         with pytest.raises(ValueError):
             peak_ratio(as_genomes([[0.0]]), [])
-
-    def test_empty_population_rejected(self):
-        with pytest.raises(ValueError, match="empty population"):
-            peak_ratio(np.empty((0, 2)), [[0.0, 0.0]])
-        with pytest.raises(ValueError, match="empty population"):
-            avg_min_distance(np.empty((0, 2)), [[0.0, 0.0]])
-
-    @pytest.mark.parametrize("metric", [peak_ratio, avg_min_distance])
-    def test_peak_of_another_width_rejected_before_any_distance(self, metric, monkeypatch):
-        # a 1-wide peak would broadcast against the 2-wide genomes
-        monkeypatch.setattr(metrics, "row_distances", None)
-        genomes = as_genomes([[0.5, 0.5], [3.0, 3.0]])
-        with pytest.raises(ValueError, match=r"a peak is not as wide as the genomes \(2, 2\)"):
-            metric(genomes, [[0.5]])
 
     def test_adding_member_never_decreases(self):
         rng = np.random.default_rng(5)
@@ -95,7 +82,7 @@ class TestBestFitness:
         assert best_fitness(fitness, "max") == 3.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty population"):
+        with pytest.raises(ValueError, match="^fitness must be nonempty$"):
             best_fitness(np.empty(0), "min")
 
     def test_unknown_direction_rejected(self):
@@ -114,25 +101,105 @@ class TestBestFitness:
 NAN, INF = math.nan, math.inf
 
 
-@pytest.mark.parametrize("score, name", [
+def determine(genomes, fitness=None):
+    """``determine_species_seeds`` on array arguments, zero fitness by default."""
+    genomes = np.asarray(genomes, dtype=float)
+    fitness = np.zeros(len(genomes)) if fitness is None else np.asarray(fitness, dtype=float)
+    return determine_species_seeds(genomes, fitness, 0.5, "max")
+
+
+def conserve(genomes, fitness=None, seeds=((5.0,),)):
+    """``conserve_species_seeds`` on array arguments, zero fitness by default."""
+    genomes = np.asarray(genomes, dtype=float)
+    fitness = np.zeros(len(genomes)) if fitness is None else np.asarray(fitness, dtype=float)
+    seeds = np.asarray(seeds, dtype=float)
+    conserve_species_seeds(genomes, fitness, seeds, np.ones(len(seeds)), 0.5, "max")
+
+
+G1D, G3D, EMPTY = [0.1, 0.12, 0.9], np.zeros((3, 1, 1)), np.empty((0, 1))
+G2 = [[0.1, 0.1], [0.12, 0.1], [0.9, 0.1]]
+ONE_D = r"^genomes must be an \(n, d\) matrix, got shape \(3,\)$"
+THREE_D = r"^genomes must be an \(n, d\) matrix, got shape \(3, 1, 1\)$"
+NONEMPTY = "^genomes must be nonempty$"
+PER_ROW = r"^fitness of shape \(2,\) for genomes \(3, 1\)$"
+
+
+@pytest.mark.parametrize("score, message", [
+    # 1-D genomes were read as one member of n coordinates: peak_ratio 0.0 where
+    # the column gives 1.0, distinct_peaks 3 where it gives 2, seeds [0, 1, 2]
+    # where it gives [0, 2]; with bounds, or in conserve, an IndexError
+    pytest.param(lambda: peak_ratio(G1D, [0.1, 0.9]), ONE_D, id="peak_ratio_1d"),
+    pytest.param(lambda: avg_min_distance(G1D, [0.1, 0.9]), ONE_D, id="avg_min_distance_1d"),
+    pytest.param(lambda: distinct_peaks(G1D, [0, 0, 0]), ONE_D, id="distinct_peaks_1d"),
+    pytest.param(lambda: distinct_peaks(G1D, [0, 0, 0], bounds=[[0, 1]]), ONE_D,
+                 id="distinct_peaks_1d_bounds"),
+    pytest.param(lambda: determine(G1D, [3.0, 2.0, 1.0]), ONE_D, id="determine_seeds_1d"),
+    pytest.param(lambda: conserve(G1D), ONE_D, id="conserve_seeds_1d"),
+    # a 3-D array once scored peak_ratio 1.0
+    pytest.param(lambda: peak_ratio(G3D, [[[0.0]]]), THREE_D, id="peak_ratio_3d"),
+    pytest.param(lambda: avg_min_distance(G3D, [[[0.0]]]), THREE_D, id="avg_min_distance_3d"),
+    pytest.param(lambda: distinct_peaks(G3D, [0, 0, 0]), THREE_D, id="distinct_peaks_3d"),
+    pytest.param(lambda: determine(G3D), THREE_D, id="determine_seeds_3d"),
+    pytest.param(lambda: conserve(G3D), THREE_D, id="conserve_seeds_3d"),
+    pytest.param(lambda: peak_ratio(EMPTY, [[0.0]]), NONEMPTY, id="peak_ratio_empty"),
+    pytest.param(lambda: avg_min_distance(EMPTY, [[0.0]]), NONEMPTY, id="avg_min_distance_empty"),
+    pytest.param(lambda: distinct_peaks(EMPTY, []), NONEMPTY, id="distinct_peaks_empty"),
+    pytest.param(lambda: determine(EMPTY), NONEMPTY, id="determine_seeds_empty"),
+    pytest.param(lambda: conserve(EMPTY), NONEMPTY, id="conserve_seeds_empty"),
     # a NaN row once hid the hit of the row beside it: 0.0
-    (lambda: peak_ratio(as_genomes([[NAN], [0.3]]), [[0.1], [0.3]]), "genomes"),
-    (lambda: peak_ratio(as_genomes([[INF], [0.3]]), [[0.3]]), "genomes"),
-    (lambda: avg_min_distance(as_genomes([[NAN], [0.3]]), [[0.3]]), "genomes"),  # once nan
-    (lambda: best_fitness(np.array([NAN, 1.0]), "min"), "fitness"),  # once nan
-    (lambda: best_fitness(np.array([-INF, 1.0]), "min"), "fitness"),
-    (lambda: distinct_peaks(as_genomes([[NAN], [0.3]]), [0.0, 0.0]), "genomes"),
-    (lambda: distinct_peaks(as_genomes([[0.0], [0.3]]), [NAN, 0.0]), "fitness"),
-    (lambda: distinct_peaks(as_genomes([[0.0], [0.3]]), [-INF, 0.0]), "fitness"),
-    (lambda: peak_ratio(as_genomes([[0.1], [0.3]]), [[NAN], [0.3]]), "peaks"),  # once 0.5
-    (lambda: peak_ratio(as_genomes([[0.1]]), [[INF]]), "peaks"),  # once 0.0
-    (lambda: avg_min_distance(as_genomes([[0.1], [0.3]]), [[NAN], [0.3]]), "peaks"),  # once nan
-], ids=["peak_ratio_nan", "peak_ratio_inf", "avg_min_distance_nan", "best_fitness_nan",
-        "best_fitness_inf", "distinct_peaks_nan_genome", "distinct_peaks_nan_fitness",
-        "distinct_peaks_inf_fitness", "peak_ratio_nan_peak", "peak_ratio_inf_peak",
-        "avg_min_distance_nan_peak"])
-def test_non_finite_population_rejected(score, name):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    pytest.param(lambda: peak_ratio(as_genomes([[NAN], [0.3]]), [[0.1], [0.3]]),
+                 "^genomes must be finite$", id="peak_ratio_nan"),
+    pytest.param(lambda: peak_ratio(as_genomes([[INF], [0.3]]), [[0.3]]),
+                 "^genomes must be finite$", id="peak_ratio_inf"),
+    pytest.param(lambda: avg_min_distance(as_genomes([[NAN], [0.3]]), [[0.3]]),  # once nan
+                 "^genomes must be finite$", id="avg_min_distance_nan"),
+    pytest.param(lambda: best_fitness(np.array([NAN, 1.0]), "min"),  # once nan
+                 "^fitness must be finite$", id="best_fitness_nan"),
+    pytest.param(lambda: best_fitness(np.array([-INF, 1.0]), "min"),
+                 "^fitness must be finite$", id="best_fitness_inf"),
+    pytest.param(lambda: distinct_peaks(as_genomes([[NAN], [0.3]]), [0.0, 0.0]),
+                 "^genomes must be finite$", id="distinct_peaks_nan_genome"),
+    pytest.param(lambda: distinct_peaks(as_genomes([[0.0], [0.3]]), [NAN, 0.0]),
+                 "^fitness must be finite$", id="distinct_peaks_nan_fitness"),
+    pytest.param(lambda: distinct_peaks(as_genomes([[0.0], [0.3]]), [-INF, 0.0]),
+                 "^fitness must be finite$", id="distinct_peaks_inf_fitness"),
+    pytest.param(lambda: peak_ratio(as_genomes([[0.1], [0.3]]), [[NAN], [0.3]]),  # once 0.5
+                 "^peaks must be finite$", id="peak_ratio_nan_peak"),
+    pytest.param(lambda: peak_ratio(as_genomes([[0.1]]), [[INF]]),  # once 0.0
+                 "^peaks must be finite$", id="peak_ratio_inf_peak"),
+    pytest.param(lambda: avg_min_distance(as_genomes([[0.1], [0.3]]), [[NAN], [0.3]]),
+                 "^peaks must be finite$", id="avg_min_distance_nan_peak"),  # once nan
+    pytest.param(lambda: distinct_peaks(as_genomes([[0.0], [0.3], [0.5]]), [0.0, 0.0]), PER_ROW,
+                 id="distinct_peaks_fitness_per_row"),
+    pytest.param(lambda: determine([[0.0], [0.3], [0.5]], [0.0, 0.0]), PER_ROW,
+                 id="determine_seeds_fitness_per_row"),
+    pytest.param(lambda: conserve([[0.0], [0.3], [0.5]], [0.0, 0.0]), PER_ROW,
+                 id="conserve_seeds_fitness_per_row"),
+    # one column broadcast over both: the seed [[5.0]] was written as [5.0, 5.0]
+    pytest.param(lambda: peak_ratio(G2, [[0.1]]),
+                 r"^peak_genomes must be an \(n, 2\) matrix, got shape \(1, 1\)$",
+                 id="peak_ratio_narrow_peak"),
+    pytest.param(lambda: avg_min_distance(G2, [[0.1]]),
+                 r"^peak_genomes must be an \(n, 2\) matrix, got shape \(1, 1\)$",
+                 id="avg_min_distance_narrow_peak"),
+    pytest.param(lambda: distinct_peaks(G2, [0, 0, 0], bounds=[[0, 1]]),
+                 r"^bounds must have shape \(2, 2\), got \(1, 2\)$", id="distinct_peaks_narrow_bounds"),
+    pytest.param(lambda: conserve(G2, seeds=[[5.0]]),
+                 r"^seed_genomes must be an \(n, 2\) matrix, got shape \(1, 1\)$",
+                 id="conserve_seeds_narrow_seed"),
+    pytest.param(lambda: conserve(G2, seeds=[[5.0, 5.0, 5.0]]),
+                 r"^seed_genomes must be an \(n, 2\) matrix, got shape \(1, 3\)$",
+                 id="conserve_seeds_wide_seed"),
+])
+def test_malformed_population_rejected_before_any_distance(score, message, monkeypatch):
+    # every entry point that takes a population raises its rule's ValueError
+    # (core.check_rows, check_finite or check_bounds) before any distance
+    def no_distance(*args):
+        raise AssertionError("a distance was computed")
+
+    for module in (core, metrics, algorithms):
+        monkeypatch.setattr(module, "row_distances", no_distance)
+    with pytest.raises(ValueError, match=message):
         score()
 
 
@@ -198,13 +265,6 @@ class TestDistinctPeaks:
         with pytest.raises(ValueError, match="direction"):
             distinct_peaks(as_genomes([[0.0], [0.5]]), [0.9, 0.95], direction="up")
 
-    def test_bounds_of_another_width_rejected_before_any_distance(self, monkeypatch):
-        # one bounds row would broadcast over both coordinates
-        monkeypatch.setattr(metrics, "leader_scan", None)
-        genomes = as_genomes([[0.5, 0.5], [3.0, 3.0]])
-        with pytest.raises(ValueError, match=r"bounds of shape \(1, 2\) for genomes \(2, 2\)"):
-            distinct_peaks(genomes, [1e-6, 1e-6], bounds=[[0, 1]])
-
     @pytest.mark.parametrize("row", [[0.0, 0.0], [1.0, 0.0], [0.0, math.nan], [-math.inf, 1.0]])
     def test_bounds_rows_not_finite_with_lo_below_hi_rejected_before_any_distance(
             self, row, monkeypatch):
@@ -214,10 +274,6 @@ class TestDistinctPeaks:
         monkeypatch.setattr(metrics, "leader_scan", None)
         with pytest.raises(ValueError, match="finite with lo < hi"):
             distinct_peaks(genomes, [0.0, 0.0], bounds=[[0.0, 1.0], row])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty population"):
-            distinct_peaks(np.empty((0, 2)), np.empty(0))
 
     @pytest.mark.parametrize("fitness", [[1e-6, 1e-6], [[0.0, 0.0, 0.0]], [1e-6] * 5,
                                          [[1e-6], [1e-6], [1e-6]], 1e-6])
