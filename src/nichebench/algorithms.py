@@ -47,6 +47,7 @@ from .core import (
     binary_tournament,
     blend_crossover,
     check_direction,
+    check_finite,
     check_integer,
     check_positive,
     check_real,
@@ -92,10 +93,12 @@ MIN_POPULATION = {"crowding_de": 4, "sharing_de": 4, "sde": 4}
 class AlgorithmConfig:
     """Parameters shared by all algorithms; unused fields are ignored.
 
-    ``crowding_factor`` and ``mutation_rate`` default to the population
-    size and 1/dimension when left as None. :meth:`validate` checks each
-    field by ``core.check_integer``, ``check_real`` or ``check_positive``
-    (a bool is not a number, a real must be finite), then its range.
+    ``crowding_factor`` None means n, the whole population: the draws
+    take no crowding sample for it, nor for cf = n. ``mutation_rate``
+    None means 1/dimension, resolved when a run starts. :meth:`validate`
+    checks each field by ``core.check_integer``, ``check_real`` or
+    ``check_positive`` (a bool is not a number, a real must be finite),
+    then its range.
     """
 
     population_size: int = 50
@@ -126,12 +129,6 @@ class AlgorithmConfig:
         for name in ("de_CR", "mutation_rate"):
             if getattr(self, name) is not None and not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be a probability")
-
-    def effective_crowding_factor(self) -> int:
-        return self.population_size if self.crowding_factor is None else self.crowding_factor
-
-    def effective_mutation_rate(self, dimension: int) -> float:
-        return 1.0 / dimension if self.mutation_rate is None else self.mutation_rate
 
 
 def check_run(name: str, config: AlgorithmConfig, budget) -> None:
@@ -177,7 +174,7 @@ class _RunState:
         self.direction = problem.direction
         self.bounds = problem.bounds
         self.dim = problem.dimension
-        self.mutation_rate = config.effective_mutation_rate(self.dim)
+        self.mutation_rate = 1.0 / self.dim if config.mutation_rate is None else config.mutation_rate
 
     def init_population(self) -> tuple[np.ndarray, np.ndarray]:
         """The genomes and fitness of ``population_size`` uniform random
@@ -319,12 +316,11 @@ def crowding_ga(problem, config: AlgorithmConfig | None = None,
     replacements made before it.
     """
     st = _RunState("crowding_ga", problem, config, budget, rng)
-    cf = st.config.effective_crowding_factor()
     genomes, fitness = st.init_population()
     pop, n = Population(genomes, fitness), len(genomes)
     for _ in st.generations():
         candidates, winners, (u, masks, normals, samples), children = st.ga_children(
-            genomes, n - n % 2, fitness, st.direction, cf)
+            genomes, n - n % 2, fitness, st.direction, st.config.crowding_factor)
         crowd = _Crowding(st, pop, children, samples)
         replaced, m = crowd.replaced, len(children)
         for k, ((i1, j1, i2, j2), won) in enumerate(zip(candidates.tolist(), winners.tolist())):
@@ -351,11 +347,11 @@ def crowding_de(problem, config: AlgorithmConfig | None = None,
     target as the replacements before it left them.
     """
     st = _RunState("crowding_de", problem, config, budget, rng)
-    cf, F = st.config.effective_crowding_factor(), st.config.de_F
+    F = st.config.de_F
     genomes, fitness = st.init_population()
     pop = Population(genomes, fitness)
     for _ in st.generations():
-        donors, cross, samples, trials = st.de_trials(genomes, cf=cf)
+        donors, cross, samples, trials = st.de_trials(genomes, cf=st.config.crowding_factor)
         crowd = _Crowding(st, pop, trials, samples)
         replaced = crowd.replaced
         # a trial is built again if it reads a replaced slot; a trial whose
@@ -423,10 +419,13 @@ def _badness(genomes: np.ndarray, fitness: np.ndarray, direction: str,
     """Fitness as a best-first key: lower is better in either direction.
     Both species functions call it first, so it checks the arguments they
     share before any distance: the direction, a positive real
-    ``species_distance`` and a nonempty ``(n, d)`` matrix, one fitness per row."""
+    ``species_distance`` and a nonempty finite ``(n, d)`` matrix, one finite
+    fitness per row."""
     check_direction(direction)
     check_positive("species_distance", species_distance)
     check_rows(genomes, fitness)
+    check_finite("genomes", genomes)
+    check_finite("fitness", fitness)
     return -fitness if direction == "max" else fitness
 
 
@@ -445,13 +444,6 @@ def determine_species_seeds(genomes: np.ndarray, fitness: np.ndarray, species_di
     return leader_scan(genomes, order, species_distance / 2.0)
 
 
-def _nearest_seed_assignment(genomes: np.ndarray, seed_matrix: np.ndarray):
-    """Nearest-seed index per member (ties to the earlier seed) and the
-    full member-to-seed distance matrix."""
-    dists = row_distances(genomes[:, None, :], seed_matrix)
-    return np.argmin(dists, axis=1), dists
-
-
 def conserve_species_seeds(genomes: np.ndarray, fitness: np.ndarray, seed_genomes: np.ndarray,
                            seed_fitness: np.ndarray, species_distance: float,
                            direction: str) -> None:
@@ -465,15 +457,19 @@ def conserve_species_seeds(genomes: np.ndarray, fitness: np.ndarray, seed_genome
     worst member of its species, else the worst of the population (lowest
     index on ties), which it overwrites. So a seed whose species came out
     empty may take a later species' slot. Seeds left without one are
-    logged and dropped. The seeds are an ``(m, d)`` matrix as wide as the
-    genomes; bad arguments raise ValueError before anything is written.
+    logged and dropped. The seeds are a finite ``(m, d)`` matrix as wide
+    as the genomes; bad arguments raise ValueError before anything is
+    written.
     """
     badness = _badness(genomes, fitness, direction, species_distance).tolist().__getitem__
     check_rows(seed_genomes, seed_fitness, genomes.shape[1], "seed_", nonempty=False)
     if not len(seed_genomes):
         return
+    check_finite("seed_genomes", seed_genomes)
+    check_finite("seed_fitness", seed_fitness)
     # the walk reads and writes free slots only, so genomes and badness stay current
-    assigned, dists = _nearest_seed_assignment(genomes, seed_genomes)
+    dists = row_distances(genomes[:, None, :], seed_genomes)
+    assigned = dists.argmin(axis=1)  # ties to the earlier seed
     in_region = dists[np.arange(len(genomes)), assigned] < species_distance / 2.0
     # == counts -0.0 and 0.0 as equal, as np.array_equal does
     survives = (in_region & (genomes == seed_genomes[assigned]).all(axis=1)).tolist()
@@ -543,7 +539,7 @@ def sde(problem, config: AlgorithmConfig | None = None,
     genomes, fitness = st.init_population()
     for _ in st.generations():
         seeds = determine_species_seeds(genomes, fitness, st.config.species_distance, st.direction)
-        assigned, _ = _nearest_seed_assignment(genomes, genomes[seeds])
+        assigned = row_distances(genomes[:, None, :], genomes[seeds]).argmin(axis=1)
         # a species below 4 members borrows donors from everyone: label -1
         pools = np.where(np.bincount(assigned)[assigned] >= 4, assigned, -1)
         donors, cross, _, trials = st.de_trials(genomes, pools)

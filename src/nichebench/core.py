@@ -284,15 +284,13 @@ class Evaluator:
             raise RuntimeError(f"{m} evaluations exceed the {self.max_evals - self.used} "
                                f"left of the budget of {self.max_evals}")
         if self._batch is None or not m:
-            # lazy: no row after one with a non-finite value is evaluated
-            values = (float(self.objective(genome)) for genome in genomes)
-        else:
-            values = np.asarray(self._batch(genomes), dtype=float)
-            if values.shape != (m,):
-                raise ValueError(f"objective returned {values.size} values for {m} rows "
-                                 f"in shape {values.shape}, not ({m},)")
-            values = values.tolist()
-        return np.array([self._record(genome, value) for genome, value in zip(genomes, values)])
+            return np.array([self(genome) for genome in genomes], dtype=float)
+        values = np.asarray(self._batch(genomes), dtype=float)
+        if values.shape != (m,):
+            raise ValueError(f"objective returned {values.size} values for {m} rows "
+                             f"in shape {values.shape}, not ({m},)")
+        return np.array([self._record(genome, value)
+                         for genome, value in zip(genomes, values.tolist())])
 
     def _record(self, genome: np.ndarray, value: float) -> float:
         """The step every evaluated row takes, alone or in a batch: count
@@ -360,8 +358,6 @@ def gaussian_mutation(genomes: np.ndarray, mask: np.ndarray, normals: np.ndarray
     """
     if not sigma > 0.0:  # written so that NaN fails too
         raise ValueError("mutation sigma must be positive")
-    if not normals.size:
-        return clip_to_bounds(genomes, bounds)
     out = genomes.copy()
     hit = mask.nonzero()
     # rng.normal(0.0, scale) is 0.0 + scale * standard_normal; the 0.0

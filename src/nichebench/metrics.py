@@ -51,6 +51,8 @@ def best_fitness(fitness, direction: str) -> float:
     """Extremal value of ``fitness`` under the given direction; the first of
     equal values, so ``[0.0, -0.0]`` gives ``0.0``."""
     fitness = check_finite("fitness", fitness)
+    if fitness.ndim != 1:
+        raise ValueError(f"fitness must be an (n,) vector, got shape {fitness.shape}")
     check_direction(direction)
     return float(fitness[fitness.argmin() if direction == "min" else fitness.argmax()])
 

@@ -556,8 +556,14 @@ def test_config_validation():
         AlgorithmConfig(de_CR=1.5).validate()
     cfg = AlgorithmConfig()
     cfg.validate()
-    assert cfg.effective_crowding_factor() == cfg.population_size
-    assert cfg.effective_mutation_rate(8) == pytest.approx(0.125)
+    # None means the whole population as the crowding sample, and 1/d as the rate
+    whole = dataclasses.replace(cfg, crowding_factor=cfg.population_size)
+    for name in ("crowding_ga", "crowding_de"):
+        got, want = (ALGORITHMS[name](himmelblau(), c, 120, 3) for c in (cfg, whole))
+        assert got.genomes.tobytes() == want.genomes.tobytes()
+        assert got.fitness.tobytes() == want.fitness.tobytes()
+    st = algorithms._RunState("sde", make_default_problem(), cfg, cfg.population_size, 0)
+    assert st.mutation_rate == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize("field, value", [

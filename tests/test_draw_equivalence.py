@@ -21,7 +21,6 @@ from nichebench.algorithms import (
     _RunState,
     _nearest,
     _shared_scores,
-    _nearest_seed_assignment,
     conserve_species_seeds,
     crowding_de,
     crowding_ga,
@@ -302,7 +301,7 @@ def reference_sharing_de(problem, config, budget, rng):
 
 def reference_crowding_ga(problem, config, budget, rng):
     st = _RunState("crowding_ga", problem, config, budget, rng)
-    cf = config.effective_crowding_factor()
+    cf = config.population_size if config.crowding_factor is None else config.crowding_factor
     pop = initial_population(st)
     for _ in st.generations():
         for _ in range(len(pop.members) // 2):
@@ -317,7 +316,7 @@ def reference_crowding_ga(problem, config, budget, rng):
 
 def reference_crowding_de(problem, config, budget, rng):
     st = _RunState("crowding_de", problem, config, budget, rng)
-    cf = config.effective_crowding_factor()
+    cf = config.population_size if config.crowding_factor is None else config.crowding_factor
     pop = initial_population(st)
     for _ in st.generations():
         for _, child in reference_de_children(st, pop):
@@ -333,8 +332,8 @@ def reference_sde(problem, config, budget, rng, species_sizes=None):
     for _ in st.generations():
         seeds = reference_species_seeds(pop.genomes, pop.fitness,
                                         config.species_distance, st.direction)
-        assigned, _ = _nearest_seed_assignment(pop.genomes,
-                                               np.array([pop.members[i].genome for i in seeds]))
+        seed_matrix = np.array([pop.members[i].genome for i in seeds])
+        assigned = core.row_distances(pop.genomes[:, None, :], seed_matrix).argmin(axis=1)
         species = {}
         for i, k in enumerate(assigned.tolist()):
             species.setdefault(k, []).append(i)

@@ -108,12 +108,14 @@ def determine(genomes, fitness=None):
     return determine_species_seeds(genomes, fitness, 0.5, "max")
 
 
-def conserve(genomes, fitness=None, seeds=((5.0,),)):
-    """``conserve_species_seeds`` on array arguments, zero fitness by default."""
+def conserve(genomes, fitness=None, seeds=((5.0,),), seed_fitness=None):
+    """``conserve_species_seeds`` on array arguments, zero fitness and seed
+    fitness one by default."""
     genomes = np.asarray(genomes, dtype=float)
     fitness = np.zeros(len(genomes)) if fitness is None else np.asarray(fitness, dtype=float)
     seeds = np.asarray(seeds, dtype=float)
-    conserve_species_seeds(genomes, fitness, seeds, np.ones(len(seeds)), 0.5, "max")
+    seed_fitness = np.ones(len(seeds)) if seed_fitness is None else np.asarray(seed_fitness, float)
+    conserve_species_seeds(genomes, fitness, seeds, seed_fitness, 0.5, "max")
 
 
 G1D, G3D, EMPTY = [0.1, 0.12, 0.9], np.zeros((3, 1, 1)), np.empty((0, 1))
@@ -157,6 +159,26 @@ PER_ROW = r"^fitness of shape \(2,\) for genomes \(3, 1\)$"
                  "^fitness must be finite$", id="best_fitness_nan"),
     pytest.param(lambda: best_fitness(np.array([-INF, 1.0]), "min"),
                  "^fitness must be finite$", id="best_fitness_inf"),
+    # a 2-D fitness once raised IndexError, or read a 1-element array as a float
+    pytest.param(lambda: best_fitness(np.array([[3.0, 1.0]]), "min"),
+                 r"^fitness must be an \(n,\) vector, got shape \(1, 2\)$",
+                 id="best_fitness_row"),
+    pytest.param(lambda: best_fitness(np.array([[3.0], [1.0]]), "min"),
+                 r"^fitness must be an \(n,\) vector, got shape \(2, 1\)$",
+                 id="best_fitness_column"),
+    # a NaN seed once claimed every member: seeds [0] where [[0.5], ...] gives [0, 1, 2]
+    pytest.param(lambda: determine([[NAN], [0.1], [0.9]], [3.0, 2.0, 1.0]),
+                 "^genomes must be finite$", id="determine_seeds_nan_genome"),
+    pytest.param(lambda: determine([[0.5], [0.1], [0.9]], [NAN, 2.0, 1.0]),
+                 "^fitness must be finite$", id="determine_seeds_nan_fitness"),
+    pytest.param(lambda: conserve([[INF], [0.1], [0.9]]), "^genomes must be finite$",
+                 id="conserve_seeds_inf_genome"),
+    pytest.param(lambda: conserve([[0.5], [0.1], [0.9]], [0.0, NAN, 0.0]),
+                 "^fitness must be finite$", id="conserve_seeds_nan_fitness"),
+    pytest.param(lambda: conserve([[0.5], [0.1], [0.9]], seeds=[[NAN]]),
+                 "^seed_genomes must be finite$", id="conserve_seeds_nan_seed"),
+    pytest.param(lambda: conserve([[0.5], [0.1], [0.9]], seed_fitness=[-INF]),
+                 "^seed_fitness must be finite$", id="conserve_seeds_inf_seed_fitness"),
     pytest.param(lambda: distinct_peaks(as_genomes([[NAN], [0.3]]), [0.0, 0.0]),
                  "^genomes must be finite$", id="distinct_peaks_nan_genome"),
     pytest.param(lambda: distinct_peaks(as_genomes([[0.0], [0.3]]), [NAN, 0.0]),
