@@ -6,10 +6,12 @@ file values. The file holds one JSON object whose keys are the
 key is a configuration error. Values reach the library as they are, and
 :meth:`ExperimentSpec.validate` checks every one, type and range, before
 any run. Exit status: 0 on success, 2 on configuration errors, 3 when a
-run raises (the message names its algorithm, problem, run index and seed;
-the rows of earlier runs stay in ``runs.csv`` and no report is written),
-1 on I/O failures, 130 when interrupted (Ctrl-C: one line on stderr, the
-rows of the runs finished stay in ``runs.csv``, no report is written).
+run raises or a pool worker dies (one line on stderr naming the
+algorithm, problem, run index and seed of that run, or of the first run
+not recorded; the rows of earlier runs stay in ``runs.csv`` and no report
+is written), 1 on I/O failures, 130 when interrupted (Ctrl-C: one line on
+stderr, the rows of the runs finished stay in ``runs.csv``, no report is
+written).
 """
 
 from __future__ import annotations

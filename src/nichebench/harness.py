@@ -23,8 +23,10 @@ so a crash loses at most the ``runs.csv`` rows of the runs in flight, one
 chunk per worker, plus any finished chunk still waiting for an earlier
 one; it loses every trace, as traces stay in memory until
 :func:`emit_reports` writes them. A run that raises stops the grid with a
-:class:`RunError` naming its cell, run index and seed; the rows of the
-runs recorded before it stay in ``runs.csv``. Raw rows use the frozen schema
+:class:`RunError` naming its cell, run index and seed; so does a pool
+worker that dies (killed, say, by the OOM killer), the error naming the
+first run not yet recorded. The rows of the runs recorded before it stay
+in ``runs.csv``. Raw rows use the frozen schema
 ``algorithm,problem,run,seed,metric,value``. Each report file is written
 to a temporary file beside it and moved into place when complete, so a
 failed write leaves the previous file intact.
@@ -73,9 +75,10 @@ class ConfigError(ValueError):
 
 
 class RunError(RuntimeError):
-    """A run raised. The message names the algorithm, problem, run index and
-    seed and ends with the original exception, which is chained as
-    ``__cause__`` (from a worker process, its formatted traceback is)."""
+    """A run raised, or the pool worker running it died. The message names
+    the algorithm, problem, run index and seed and ends with the original
+    exception, which is chained as ``__cause__`` (from a worker process,
+    its formatted traceback is)."""
 
 
 @dataclass
@@ -263,7 +266,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     crash loses the ``runs.csv`` rows of the runs in flight (see the module
     docstring) and every trace.
 
-    A run that raises stops the grid with :class:`RunError`; the rows of
+    A run that raises stops the grid with :class:`RunError`, and so does a
+    pool worker that dies, naming the first run not recorded; the rows of
     the runs recorded before it stay in ``runs.csv``. A ``KeyboardInterrupt``
     (Ctrl-C) stops it too: pool workers ignore SIGINT, the chunks not
     started are cancelled, and once the workers' chunks are done the
@@ -310,7 +314,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
         else:
             # imported here: a serial grid, or a library user, never pays for it
             import signal
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
             # Ctrl-C signals the whole process group: the workers leave it to
             # this process, which starts no other chunk and waits for theirs
@@ -323,6 +327,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
                 except KeyboardInterrupt:
                     pool.shutdown(cancel_futures=True)
                     raise
+                except BrokenExecutor as exc:
+                    alg_name, _, problem, _, seed, run = tasks[len(table.traces)]
+                    raise RunError(f"{alg_name} on {problem.name}, run {run}, seed {seed}: a pool "
+                                   f"worker died ({type(exc).__name__}: {exc})") from exc
     return table
 
 

@@ -1,10 +1,13 @@
 """Fixtures shared by the harness and CLI tests: a problem whose runs fail,
-and the worker count with the pool's start method."""
+one whose pool workers die, and the worker count with the pool's start
+method."""
 
 import concurrent.futures
 import dataclasses
 import functools
 import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -26,6 +29,38 @@ def nan_problem(monkeypatch):
                                    objective=_nan_objective)
 
     monkeypatch.setitem(harness.PROBLEM_FACTORIES, "nan", build)
+
+
+KILL_AT = 3000  # a worker's calls: 1000 into its second run of 2000 evaluations
+_calls = 0
+
+
+def _objective_that_kills_its_worker(genome):
+    """himmelblau's objective, except that the ``KILL_AT``-th call in a
+    pool worker kills that worker by SIGKILL, as the OOM killer would. A
+    call in the test's own process never kills."""
+    global _calls
+    _calls += 1
+    if _calls == KILL_AT and multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return harness.resolve_problem("himmelblau").objective(genome)
+
+
+@pytest.fixture
+def doomed_problem(monkeypatch):
+    """A problem named 'doomed': himmelblau, whose objective kills its pool
+    worker at the worker's ``KILL_AT``-th call (module-level, so that every
+    start method can unpickle it). Returns a function that makes 'doomed'
+    plain himmelblau again, for the grid the workers would have run."""
+    def build(objective):
+        return dataclasses.replace(harness.resolve_problem("himmelblau"), name="doomed",
+                                   objective=objective)
+
+    monkeypatch.setitem(harness.PROBLEM_FACTORIES, "doomed",
+                        lambda: build(_objective_that_kills_its_worker))
+    himmelblau = harness.resolve_problem("himmelblau").objective
+    return lambda: monkeypatch.setitem(harness.PROBLEM_FACTORIES, "doomed",
+                                       lambda: build(himmelblau))
 
 
 def _start_pools_by(monkeypatch, method):

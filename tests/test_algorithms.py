@@ -19,7 +19,9 @@ from nichebench.algorithms import (
 from nichebench.core import Individual
 from nichebench.grating import make_default_problem
 from nichebench.problems import deb1, himmelblau, six_hump_camel
+import spec
 from test_draw_equivalence import population as make_pop
+from test_draw_equivalence import spec_pop
 from test_draw_equivalence import random_genome  # the oracle, not library code
 # one crowding step drawn and made as the per-child loop made it
 from test_draw_equivalence import per_child_crowding as challenge
@@ -122,6 +124,10 @@ class TestSharedFitness:
         pop = arrays([[0.0], [0.0]], [4.0, 4.0])
         assert shared_scores(pop, sharing_radius=1.0)[0] == 2.0
         assert shared_scores(pop, sharing_radius=1.0)[1] == 2.0
+
+    def test_pair_at_exactly_the_radius_shares_nothing(self):
+        pop = arrays([[0.0], [1.0]], [4.0, 6.0])
+        assert shared_scores(pop, sharing_radius=1.0).tolist() == [4.0, 6.0]
 
     def test_distant_members_share_nothing(self):
         pop = arrays([[0.0], [10.0], [20.0]], [4.0, 6.0, 8.0])
@@ -229,6 +235,16 @@ class TestConserveSpeciesSeeds:
         # no member within 0.25 of the seed: the worst (fitness 1.0) dies
         assert genomes[1, 0] == 5.0 and fits[1] == 10.0
         assert fits[0] == 3.0 and fits[2] == 2.0
+
+    def test_member_equidistant_from_two_seeds_joins_the_earlier(self):
+        # 0.5 lies 0.5 from both seeds: the species of seed 0.0 holds it,
+        # seed 1.0's holds 1.5, and each seed replaces its own species' member
+        genomes, fits = arrays([[0.5], [1.5]], [1.0, 0.0])
+        pop = spec_pop(genomes, fits)
+        spec.conserve(pop, spec_pop([[0.0], [1.0]], [5.0, 5.0]), 4.0, "max")
+        conserve_species_seeds(genomes, fits, *arrays([[0.0], [1.0]], [5.0, 5.0]), 4.0, "max")
+        assert genomes[:, 0].tolist() == [g[0] for g, _ in pop] == [0.0, 1.0]
+        assert fits.tolist() == [f for _, f in pop] == [5.0, 5.0]
 
     def test_worst_clone_replaced(self):
         genomes, fits = arrays([[0.01], [0.02], [0.03]], [2.0, 2.0, 2.0])

@@ -252,6 +252,30 @@ def test_failed_run_exits_3_naming_the_run(tmp_path, capsys, nan_problem, jobs):
     assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]  # no reports
 
 
+@pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
+def test_dead_worker_exits_3_naming_the_first_run_not_recorded(tmp_path, capsys, doomed_problem,
+                                                                start_method):
+    out, whole = tmp_path / "r", tmp_path / "whole"
+    grid = ["--algorithm", "crowding_de", "--algorithm", "sharing_ga", "--problem", "doomed",
+            "--runs", "4", "--evals", "2000", "--seed", "7"]
+    assert main([*grid, "--jobs", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]  # no reports
+    rows = (out / "runs.csv").read_text().splitlines()
+    # the same grid, serial and with no worker to kill
+    doomed_problem()
+    assert main([*grid, "--out", str(whole)]) == 0
+    assert rows == (whole / "runs.csv").read_text().splitlines()[:len(rows)]
+    # each run writes 3 metric rows; the next run in grid order is named
+    recorded = (len(rows) - 1) // 3
+    assert 3 * recorded + 1 == len(rows) and recorded < 8
+    algorithm, run = ("crowding_de", "sharing_ga")[recorded // 4], recorded % 4
+    seed = harness.derive_seed(7, algorithm, "doomed", run)
+    assert len(err) == 1 and err[0].startswith(
+        f"run failed: {algorithm} on doomed, run {run}, seed {seed}: a pool worker died "
+        "(BrokenProcessPool: ")
+
+
 def _wait_for(condition, what, seconds=60.0):
     deadline = time.monotonic() + seconds
     while not condition():

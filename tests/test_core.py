@@ -15,7 +15,8 @@ from nichebench.core import (
     row_distances,
 )
 from nichebench.problems import deb1, himmelblau
-from test_draw_equivalence import euclidean_distance, random_genome  # oracles, not library code
+from spec import distances as euclidean_distance  # oracles, not library code
+from test_draw_equivalence import random_genome
 # the operators with their draws, one child at a time
 from test_draw_equivalence import per_child_blend, per_child_mutation, per_child_trial
 from test_draw_equivalence import per_child_tournament as tournament
@@ -80,6 +81,15 @@ class TestEvalBudget:
         assert value == pytest.approx(1.0, abs=1e-12)
         assert evaluate.used == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_raises_once_counted(self, bad):
+        base = himmelblau()
+        evaluate = Evaluator(dataclasses.replace(base, objective=bad_at(9, base.objective, bad)), 5)
+        evaluate(np.array([3.0, 2.0]))
+        with pytest.raises(ValueError, match=f"non-finite value {bad!r} at "):
+            evaluate(np.array([9.0, 9.0]))
+        assert evaluate.used == 2 and evaluate.best == 0.0
+
     def test_evaluate_after_exhaustion_raises_without_calling_the_objective(self):
         calls = []
         base = himmelblau()
@@ -124,9 +134,9 @@ class _Batched:
         return np.array([self.objective(row) for row in rows])
 
 
-def nan_at(k, objective):
-    """``objective`` that returns NaN for the row whose first coordinate is ``k``."""
-    return lambda genome: math.nan if genome[0] == k else objective(genome)
+def bad_at(k, objective, bad=math.nan):
+    """``objective`` that returns ``bad`` for the row whose first coordinate is ``k``."""
+    return lambda genome: bad if genome[0] == k else objective(genome)
 
 
 class TestEvaluatorMany:
@@ -161,18 +171,19 @@ class TestEvaluatorMany:
             assert evaluate.used == 2 and calls == []
             assert len(evaluate.many(self.rows(3))) == 3 and evaluate.exhausted
 
-    def test_non_finite_row_leaves_used_and_best_as_the_row_loop(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_leaves_used_and_best_as_the_row_loop(self, bad):
         base = himmelblau().objective
         for m in (1, 2, 5):
             for k in range(m):
-                objective = nan_at(k, base)
+                objective = bad_at(k, base, bad)
                 batched = Evaluator(dataclasses.replace(himmelblau(), objective=_Batched(objective)),
                                     10)
                 per_row = Evaluator(dataclasses.replace(himmelblau(), objective=objective), 10)
                 rows = self.rows(m)
                 for evaluate in (batched, per_row):
                     evaluate(np.array([9.0, 9.0]))
-                    with pytest.raises(ValueError, match="non-finite value nan") as error:
+                    with pytest.raises(ValueError, match=f"non-finite value {bad!r}") as error:
                         evaluate.many(rows)
                     assert str(error.value).endswith(f" at {rows[k]!r}")
                 assert batched.used == per_row.used == k + 2

@@ -1,11 +1,13 @@
-"""The fast operators against the implementations they replaced.
+"""The fast operators and whole runs against the forms they replaced.
 
 Each ``reference_*`` function below is the earlier, straightforward form
-of an operator, a child stream, an algorithm or a metric. The current one
-must return bit-identical values and leave the random stream in the
-identical state, on random inputs and on the edge cases named in each
-test. Together with the fingerprint table this is what lets the hot path
-change without moving a published number.
+of an operator, a draw or a metric; ``spec`` states the seven algorithms
+one individual at a time, and is the oracle for whole runs, crowding's
+challenge, the tournaments, the species seed scan and conservation. The
+current code must return bit-identical values and leave the random
+stream in the identical state, on random inputs and on the edge cases
+named in each test. Together with the fingerprint table this is what
+lets the hot path change without moving a published number.
 """
 
 import dataclasses
@@ -16,21 +18,15 @@ import pytest
 
 from nichebench import core, draws
 from nichebench.algorithms import (
+    ALGORITHMS,
     AlgorithmConfig,
     _Crowding,
     _RunState,
     _nearest,
-    _shared_scores,
     conserve_species_seeds,
-    crowding_de,
-    crowding_ga,
     crowding_replacement,
     determine_species_seeds,
-    preselection_ga,
     scga,
-    sde,
-    sharing_de,
-    sharing_ga,
 )
 from nichebench.core import (
     Individual,
@@ -46,22 +42,13 @@ from nichebench.draws import de_draws, de_generation_draws, ga_generation_draws,
 from nichebench.harness import resolve_problem
 from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 from nichebench.problems import BoundedProblem
+import spec
 from test_import_guard import run_fresh
 
 
 # ---------------------------------------------------------------------------
 # reference implementations
 # ---------------------------------------------------------------------------
-
-def euclidean_distance(a, b):
-    """The scalar distance the seed scan used before it took arrays; an
-    oracle only (``tests/test_core.py`` checks its metric properties)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
 
 def random_genome(rng, bounds):
     """One member's draw as the initial population made it before it took
@@ -74,15 +61,6 @@ def random_genome(rng, bounds):
 
 def reference_clip(genome, bounds):
     return np.clip(genome, bounds[:, 0], bounds[:, 1])
-
-
-def reference_random_genome(rng, bounds):
-    return rng.uniform(bounds[:, 0], bounds[:, 1])
-
-
-def reference_init_genomes(rng, bounds, n):
-    """The initial population drawn one genome per call, row by row."""
-    return [reference_random_genome(rng, bounds) for _ in range(n)]
 
 
 def reference_blend_crossover(p1, p2, rng, bounds, alpha=0.5):
@@ -105,94 +83,16 @@ def reference_gaussian_mutation(genome, rng, bounds, rate, sigma):
     return reference_clip(out, bounds)
 
 
-def reference_de_trial_vector(target_idx, pop, F, CR, rng, bounds, donor_pool=None):
-    members = pop.members
-    pool = list(range(len(members))) if donor_pool is None else list(donor_pool)
+def reference_de_trial_vector(target_idx, genomes, F, CR, rng, bounds, donor_pool=None):
+    pool = list(range(len(genomes))) if donor_pool is None else list(donor_pool)
     candidates = np.array([i for i in pool if i != target_idx], dtype=int)
     a, b, c = rng.choice(candidates, size=3, replace=False)
-    mutant = members[int(a)].genome + F * (members[int(b)].genome - members[int(c)].genome)
-    target = members[target_idx].genome
+    mutant = genomes[a] + F * (genomes[b] - genomes[c])
+    target = genomes[target_idx]
     dim = target.shape[0]
     cross = rng.random(dim) < CR
     cross[int(rng.integers(dim))] = True
     return reference_clip(np.where(cross, mutant, target), bounds)
-
-
-def reference_crowding_replacement(child, pop, cf, rng, direction):
-    if cf == len(pop.members):
-        idxs = np.arange(len(pop.members))
-    else:
-        idxs = rng.choice(len(pop.members), size=cf, replace=False)
-    genomes = np.array([pop.members[int(i)].genome for i in idxs])
-    dists = np.sqrt(np.sum((genomes - child.genome) ** 2, axis=1))
-    nearest = int(np.min(idxs[dists == dists.min()]))
-    if is_better(child.fitness, pop.members[nearest].fitness, direction):
-        pop[nearest] = child
-    return pop
-
-
-def reference_species_seeds(genomes, fitness, species_distance, direction):
-    radius = species_distance / 2.0
-    keys = -fitness if direction == "max" else fitness
-    seeds = []
-    for idx in np.argsort(keys, kind="stable").tolist():
-        if all(euclidean_distance(genomes[idx], genomes[s]) >= radius for s in seeds):
-            seeds.append(idx)
-    return seeds
-
-
-def reference_conserve(pop, seeds, species_distance, direction):
-    if not seeds:
-        return pop
-    radius = species_distance / 2.0
-    genomes = np.array([m.genome for m in pop.members])
-    seed_matrix = np.array([s.genome for s in seeds])
-    diff = genomes[:, None, :] - seed_matrix[None, :, :]
-    dists = np.sqrt(np.sum(diff * diff, axis=2))
-    assigned = np.argmin(dists, axis=1)
-    replaced = set()
-
-    def worst_of(indices):
-        worst = indices[0]
-        for i in indices[1:]:
-            if is_better(pop.members[worst].fitness, pop.members[i].fitness, direction):
-                worst = i
-        return worst
-
-    for k, seed in enumerate(seeds):
-        members = [
-            i for i in range(len(pop.members))
-            if i not in replaced and assigned[i] == k and dists[i, k] < radius
-        ]
-        if members:
-            surviving = [i for i in members if np.array_equal(pop.members[i].genome, seed.genome)]
-            if surviving:
-                replaced.add(surviving[0])
-                continue
-            slot = worst_of(members)
-        else:
-            candidates = [i for i in range(len(pop.members)) if i not in replaced]
-            if not candidates:
-                continue  # overflow: dropped
-            slot = worst_of(candidates)
-        pop[slot] = seed
-        replaced.add(slot)
-    return pop
-
-
-def reference_binary_tournament(pop, rng, direction):
-    """The member tournament the GAs ran before tournaments took a fitness vector."""
-    members = pop.members
-    first = members[int(rng.integers(len(members)))]
-    second = members[int(rng.integers(len(members)))]
-    return second if is_better(second.fitness, first.fitness, direction) else first
-
-
-def reference_score_tournament(scores, rng):
-    """sharing_ga's tournament on larger-is-better shared scores."""
-    i = int(rng.integers(scores.shape[0]))
-    j = int(rng.integers(scores.shape[0]))
-    return j if scores[j] > scores[i] else i
 
 
 def reference_distinct_peaks(genomes, fitness, fitness_threshold=1e-4, radius=0.1,
@@ -208,153 +108,6 @@ def reference_distinct_peaks(genomes, fitness, fitness_threshold=1e-4, radius=0.
         if all(float(np.sqrt(np.sum((point - q) ** 2))) >= radius for q in counted):
             counted.append(point)
     return len(counted)
-
-
-# the child streams and the algorithms as they were when every child was
-# drawn for and built on its own, and each run kept a population of
-# individuals
-
-def evaluated(st, genome):
-    return Individual(genome, st.evaluate(genome))
-
-
-def initial_population(st):
-    return Population(*st.init_population())
-
-
-def reference_result(st, pop):
-    return st.result(pop.genomes, pop.fitness)
-
-
-def reference_ga_children(st, p1, p2):
-    cfg = st.config
-    for genome in reference_blend_crossover(p1.genome, p2.genome, st.rng, st.bounds,
-                                            cfg.blend_alpha):
-        if st.evaluate.exhausted:
-            return
-        yield evaluated(st, reference_gaussian_mutation(genome, st.rng, st.bounds,
-                                                        st.mutation_rate, cfg.mutation_sigma))
-
-
-def reference_de_children(st, pop, donor_pools=None):
-    cfg = st.config
-    for target in range(len(pop.members)):
-        if st.evaluate.exhausted:
-            return
-        pool = None if donor_pools is None else donor_pools[target]
-        yield target, evaluated(st, reference_de_trial_vector(target, pop, cfg.de_F, cfg.de_CR,
-                                                              st.rng, st.bounds, pool))
-
-
-def reference_breed(st, pop, select):
-    children = []
-    while len(children) < len(pop.members) and not st.evaluate.exhausted:
-        p1, p2 = select(), select()
-        for child in reference_ga_children(st, p1, p2):
-            children.append(child)
-            if len(children) == len(pop.members):
-                break
-    for slot, child in enumerate(children):
-        pop[slot] = child
-
-
-def reference_preselection_ga(problem, config, budget, rng):
-    st = _RunState("preselection_ga", problem, config, budget, rng)
-    pop = initial_population(st)
-    for _ in st.generations():
-        order = st.rng.permutation(len(pop.members))
-        for k in range(0, len(pop.members) - 1, 2):
-            if st.evaluate.exhausted:
-                break
-            i, j = int(order[k]), int(order[k + 1])
-            parents = pop.members[i], pop.members[j]
-            for parent_idx, child in zip((i, j), reference_ga_children(st, *parents)):
-                if is_better(child.fitness, pop.members[parent_idx].fitness, st.direction):
-                    pop[parent_idx] = child
-    return reference_result(st, pop)
-
-
-def reference_sharing_ga(problem, config, budget, rng):
-    st = _RunState("sharing_ga", problem, config, budget, rng)
-    pop = initial_population(st)
-    for _ in st.generations():
-        scores = _shared_scores(pop.genomes, pop.fitness, st.direction,
-                                config.sharing_radius, config.sharing_alpha)
-        reference_breed(st, pop, lambda: pop.members[reference_score_tournament(scores, st.rng)])
-    return reference_result(st, pop)
-
-
-def reference_sharing_de(problem, config, budget, rng):
-    st = _RunState("sharing_de", problem, config, budget, rng)
-    pop = initial_population(st)
-    for _ in st.generations():
-        trials = [child for _, child in reference_de_children(st, pop)]
-        genomes = np.vstack([pop.genomes] + [t.genome for t in trials])
-        raw = np.concatenate([pop.fitness, [t.fitness for t in trials]])
-        scores = _shared_scores(genomes, raw, st.direction,
-                                config.sharing_radius, config.sharing_alpha)
-        for slot, child in enumerate(trials):
-            if scores[len(pop.members) + slot] > scores[slot]:
-                pop[slot] = child
-    return reference_result(st, pop)
-
-
-def reference_crowding_ga(problem, config, budget, rng):
-    st = _RunState("crowding_ga", problem, config, budget, rng)
-    cf = config.population_size if config.crowding_factor is None else config.crowding_factor
-    pop = initial_population(st)
-    for _ in st.generations():
-        for _ in range(len(pop.members) // 2):
-            if st.evaluate.exhausted:
-                break
-            p1 = reference_binary_tournament(pop, st.rng, st.direction)
-            p2 = reference_binary_tournament(pop, st.rng, st.direction)
-            for child in reference_ga_children(st, p1, p2):
-                reference_crowding_replacement(child, pop, cf, st.rng, st.direction)
-    return reference_result(st, pop)
-
-
-def reference_crowding_de(problem, config, budget, rng):
-    st = _RunState("crowding_de", problem, config, budget, rng)
-    cf = config.population_size if config.crowding_factor is None else config.crowding_factor
-    pop = initial_population(st)
-    for _ in st.generations():
-        for _, child in reference_de_children(st, pop):
-            reference_crowding_replacement(child, pop, cf, st.rng, st.direction)
-    return reference_result(st, pop)
-
-
-def reference_sde(problem, config, budget, rng, species_sizes=None):
-    """sde with a species list per member; ``species_sizes`` collects the
-    size of every species seen."""
-    st = _RunState("sde", problem, config, budget, rng)
-    pop = initial_population(st)
-    for _ in st.generations():
-        seeds = reference_species_seeds(pop.genomes, pop.fitness,
-                                        config.species_distance, st.direction)
-        seed_matrix = np.array([pop.members[i].genome for i in seeds])
-        assigned = core.row_distances(pop.genomes[:, None, :], seed_matrix).argmin(axis=1)
-        species = {}
-        for i, k in enumerate(assigned.tolist()):
-            species.setdefault(k, []).append(i)
-        if species_sizes is not None:
-            species_sizes.update(len(members) for members in species.values())
-        pools = [species[k] if len(species[k]) >= 4 else None for k in assigned.tolist()]
-        for target, child in reference_de_children(st, pop, pools):
-            if is_better(child.fitness, pop.members[target].fitness, st.direction):
-                pop[target] = child
-    return reference_result(st, pop)
-
-
-def reference_scga(problem, config, budget, rng):
-    st = _RunState("scga", problem, config, budget, rng)
-    pop = initial_population(st)
-    for _ in st.generations():
-        seeds = [pop.members[i] for i in reference_species_seeds(pop.genomes, pop.fitness,
-                                                         config.species_distance, st.direction)]
-        reference_breed(st, pop, lambda: reference_binary_tournament(pop, st.rng, st.direction))
-        reference_conserve(pop, seeds, config.species_distance, st.direction)
-    return reference_result(st, pop)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +135,14 @@ def assert_bits_equal(x, y):
     assert x.tobytes() == y.tobytes()
 
 
+def assert_same_run(got, want, new, old):
+    """Equal run results, byte for byte, and equal stream states after them."""
+    assert_bits_equal(got.genomes, want.genomes)
+    assert_bits_equal(got.fitness, want.fitness)
+    assert got.trace == want.trace and got.evals_used == want.evals_used
+    assert_same_stream(new, old)
+
+
 def box_diagonal(bounds):
     return float(np.sqrt(((bounds[:, 1] - bounds[:, 0]) ** 2).sum()))
 
@@ -397,6 +158,15 @@ def population(genomes, fitnesses):
 
 def snapshot(pop):
     return [(m.genome.tobytes(), m.fitness) for m in pop.members]
+
+
+def spec_pop(genomes, fitnesses):
+    """Copies of the rows as the spec's list of ``(genome, fitness)`` pairs."""
+    return list(zip(np.array(genomes, dtype=float), np.array(fitnesses, dtype=float).tolist()))
+
+
+def pair_bytes(pop):
+    return [(g.tobytes(), f) for g, f in pop]
 
 
 def per_child_blend(p1, p2, rng, bounds, alpha=0.5):
@@ -464,7 +234,7 @@ def test_random_genome_draws_match_uniform():
         bounds = random_bounds(rng, int(rng.choice(DIMS)))
         new, old = twin_streams(seed)
         for _ in range(5):
-            assert_bits_equal(random_genome(new, bounds), reference_random_genome(old, bounds))
+            assert_bits_equal(random_genome(new, bounds), old.uniform(bounds[:, 0], bounds[:, 1]))
         assert_same_stream(new, old)
 
 
@@ -473,42 +243,35 @@ def test_init_population_draws_match_one_genome_per_call(name):
     problem = resolve_problem(name)
     for seed in range(200):
         n = 2 + seed % 59
-        st = _RunState("crowding_ga", problem, AlgorithmConfig(population_size=n), n, seed)
-        genomes, fitness = st.init_population()
-        old = np.random.default_rng(seed)
-        want = reference_init_genomes(old, problem.bounds, n)
-        assert genomes.shape == (n, problem.dimension) and fitness.shape == (n,)
-        for row, genome in zip(genomes, want):
-            assert_bits_equal(row, genome)
-        assert_same_stream(st.rng, old)
+        config, (new, old) = AlgorithmConfig(population_size=n), twin_streams(seed)
+        # a budget of n runs the initial population alone, one uniform row per member
+        got = ALGORITHMS["crowding_ga"](problem, config, n, new)
+        assert got.genomes.shape == (n, problem.dimension) and got.fitness.shape == (n,)
+        assert_same_run(got, spec.crowding_ga(problem, config, n, old), new, old)
 
 
 @pytest.mark.parametrize("direction", ["max", "min"])
 def test_binary_tournament_matches_member_and_score_tournaments(direction):
+    # the spec runs one tournament on fitness and on sharing's scores
+    # (larger is better: direction "max")
     rng = np.random.default_rng(9)
     for seed in range(300):
         n = int(rng.integers(1, 12))
         fits = rng.integers(0, 3, size=n).astype(float)  # many ties
         if seed % 5 == 0:
             fits[0], fits[-1] = 0.0, -0.0
-        pop = population(rng.uniform(size=(n, 2)), fits)
+        rng.uniform(size=(n, 2))  # the genomes this case once drew
         new, old = twin_streams(seed)
-        for _ in range(5):
-            assert pop.members[per_child_tournament(pop.fitness, new, direction)] is \
-                reference_binary_tournament(pop, old, direction)
+        for _ in range(5):  # four integers(n) calls read what integers(n, size=4) reads
+            assert [per_child_tournament(fits, new, direction) for _ in range(2)] == \
+                list(spec.tournaments(fits, old, direction))
         assert_same_stream(new, old)
         new, old = twin_streams(seed)
         for _ in range(5):  # a pair's two tournaments, drawn and run as the GAs do
             candidates = new.integers(n, size=4)
-            pair = binary_tournament(pop.fitness, candidates[0::2], candidates[1::2], direction)
-            assert [pop.members[w] for w in pair.tolist()] == \
-                [reference_binary_tournament(pop, old, direction) for _ in range(2)]
+            pair = binary_tournament(fits, candidates[0::2], candidates[1::2], direction)
+            assert pair.tolist() == list(spec.tournaments(fits, old, direction))
         assert_same_stream(new, old)
-        if direction == "max":
-            new, old = twin_streams(seed)
-            for _ in range(5):
-                assert per_child_tournament(fits, new, "max") == reference_score_tournament(fits, old)
-            assert_same_stream(new, old)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 50, 3 * 2**30])
@@ -584,7 +347,8 @@ def test_gaussian_mutation_leaves_input_alone():
 def _de_case(rng, n, dim):
     bounds = random_bounds(rng, dim)
     genomes = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, dim))
-    return population(genomes, rng.uniform(size=n)), bounds
+    rng.uniform(size=n)  # the fitness this case once drew
+    return genomes, bounds
 
 
 def test_de_trial_vector_matches_candidate_choice():
@@ -592,13 +356,13 @@ def test_de_trial_vector_matches_candidate_choice():
     for seed in range(400):
         n = int(rng.integers(4, 60))
         dim = int(rng.choice(DIMS))
-        pop, bounds = _de_case(rng, n, dim)
+        genomes, bounds = _de_case(rng, n, dim)
         target = [0, n - 1, int(rng.integers(n))][seed % 3]
         F = float(rng.uniform(0.1, 1.0))
         CR = float(rng.choice([0.0, 0.5, 0.9, 1.0]))
         new, old = twin_streams(seed)
-        got = per_child_trial(target, pop.genomes, F, CR, new, bounds)
-        want = reference_de_trial_vector(target, pop, F, CR, old, bounds)
+        got = per_child_trial(target, genomes, F, CR, new, bounds)
+        want = reference_de_trial_vector(target, genomes, F, CR, old, bounds)
         assert_bits_equal(got, want)
         assert_same_stream(new, old)
 
@@ -607,26 +371,26 @@ def test_de_trial_vector_with_explicit_donor_pool():
     rng = np.random.default_rng(10)
     for seed in range(200):
         n = int(rng.integers(6, 30))
-        pop, bounds = _de_case(rng, n, int(rng.choice(DIMS)))
+        genomes, bounds = _de_case(rng, n, int(rng.choice(DIMS)))
         pool = sorted(rng.choice(n, size=int(rng.integers(4, n + 1)), replace=False).tolist())
         outside = [i for i in range(n) if i not in pool]
         # mostly a target inside its pool (as in sde), sometimes one outside it
         target = outside[0] if outside and seed % 4 == 0 else pool[seed % len(pool)]
         new, old = twin_streams(seed)
-        got = per_child_trial(target, pop.genomes, 0.5, 0.9, new, bounds, donor_pool=pool)
-        want = reference_de_trial_vector(target, pop, 0.5, 0.9, old, bounds, donor_pool=pool)
+        got = per_child_trial(target, genomes, 0.5, 0.9, new, bounds, donor_pool=pool)
+        want = reference_de_trial_vector(target, genomes, 0.5, 0.9, old, bounds, donor_pool=pool)
         assert_bits_equal(got, want)
         assert_same_stream(new, old)
 
 
 def test_de_trial_vector_still_rejects_small_pools():
     rng = np.random.default_rng(11)
-    pop, bounds = _de_case(rng, 3, 2)
+    genomes, bounds = _de_case(rng, 3, 2)
     with pytest.raises(ValueError, match="at least 4"):
-        per_child_trial(0, pop.genomes, 0.5, 0.9, np.random.default_rng(0), bounds)
-    pop, bounds = _de_case(rng, 10, 2)
+        per_child_trial(0, genomes, 0.5, 0.9, np.random.default_rng(0), bounds)
+    genomes, bounds = _de_case(rng, 10, 2)
     with pytest.raises(ValueError, match="at least 4"):
-        per_child_trial(0, pop.genomes, 0.5, 0.9, np.random.default_rng(0), bounds,
+        per_child_trial(0, genomes, 0.5, 0.9, np.random.default_rng(0), bounds,
                         donor_pool=[0, 1, 2])
     # a generation fails before its first draw, even when earlier targets could draw
     for n, pools in ((3, None), (10, np.array([0, 0, 0, 0, 1, 1, 1, -1, -1, -1])),
@@ -1032,9 +796,8 @@ def test_a_batch_is_its_rows_built_one_at_a_time():
     for seed in range(200):
         m = int(rng.integers(1, 12))
         dim = int(rng.choice(DIMS))
-        pop, bounds = _de_case(rng, int(rng.integers(4, 20)), dim)
-        genomes = pop.genomes
-        p1, p2 = (rng.integers(len(pop.members), size=m) for _ in range(2))
+        genomes, bounds = _de_case(rng, int(rng.integers(4, 20)), dim)
+        p1, p2 = (rng.integers(len(genomes), size=m) for _ in range(2))
         if seed % 5 == 0:
             p2 = p1  # equal parents
         u = rng.random((m, 2, dim))
@@ -1049,8 +812,8 @@ def test_a_batch_is_its_rows_built_one_at_a_time():
         for i in range(m):
             assert_bits_equal(mutated[i], gaussian_mutation(crossed[i, 0], masks[i], normals[i],
                                                             bounds, 0.1))
-        targets = rng.integers(len(pop.members), size=m)
-        donors, cross = zip(*[de_draws(draws, len(pop.members), int(t), dim, 0.5) for t in targets])
+        targets = rng.integers(len(genomes), size=m)
+        donors, cross = zip(*[de_draws(draws, len(genomes), int(t), dim, 0.5) for t in targets])
         trials = de_trial_vector(genomes, targets, np.array(donors).T, np.array(cross), 0.7, bounds)
         for i in range(m):
             assert_bits_equal(trials[i], de_trial_vector(genomes, targets[i], donors[i], cross[i],
@@ -1070,18 +833,18 @@ def test_crowding_replacement_matches_restacking(direction):
         genomes = rng.integers(-2, 3, size=(n, dim)).astype(float)  # ties and duplicates
         fits = rng.integers(0, 4, size=n).astype(float)
         cf = n if seed % 2 else int(rng.integers(1, n + 1))
-        new_pop, old_pop = population(genomes, fits), population(genomes, fits)
+        new_pop, old_pop = population(genomes, fits), spec_pop(genomes, fits)
         new, old = twin_streams(seed)
         for _ in range(5):  # a sequence of challenges on the same population
             child = Individual(rng.integers(-2, 3, size=dim).astype(float),
                                float(rng.integers(0, 5)))
             accepted = per_child_crowding(child, new_pop, cf, new, direction)
-            reference_crowding_replacement(child, old_pop, cf, old, direction)
+            taken = spec.crowding(old_pop, child.genome, child.fitness, cf, old, direction)
             assert accepted is any(m is child for m in new_pop.members)
-            assert [m is child for m in new_pop.members] == [m is child for m in old_pop.members]
-            assert snapshot(new_pop) == snapshot(old_pop)
-            assert_bits_equal(new_pop.genomes, old_pop.genomes)
-            assert_bits_equal(new_pop.fitness, old_pop.fitness)
+            assert [m is child for m in new_pop.members] == [i == taken for i in range(n)]
+            assert snapshot(new_pop) == pair_bytes(old_pop)
+            assert_bits_equal(new_pop.genomes, np.array([g for g, _ in old_pop]))
+            assert_bits_equal(new_pop.fitness, np.array([f for _, f in old_pop]))
         assert_same_stream(new, old)
 
 
@@ -1101,7 +864,7 @@ def test_crowding_walk_picks_the_reference_slot(direction):
         problem = BoundedProblem("grid", np.tile([-2.0, 2.0], (dim, 1)), direction,
                                  lambda x: float(x.sum() % 5))
         st = _RunState("crowding_ga", problem, AlgorithmConfig(population_size=n), n + 5, 0)
-        new_pop, old_pop = population(genomes, fits), population(genomes, fits)
+        new_pop, old_pop = population(genomes, fits), spec_pop(genomes, fits)
         originals = list(new_pop.members)
         new, old = twin_streams(seed)
         samples = (None if cf == n
@@ -1111,11 +874,10 @@ def test_crowding_walk_picks_the_reference_slot(direction):
         for row, genome in enumerate(children):
             before = list(new_pop.members)
             crowd.challenge(row)
-            child = Individual(genome, problem.objective(genome))
-            reference_crowding_replacement(child, old_pop, cf, old, direction)
-            assert snapshot(new_pop) == snapshot(old_pop)
+            taken = spec.crowding(old_pop, genome, problem.objective(genome), cf, old, direction)
+            assert snapshot(new_pop) == pair_bytes(old_pop)
             assert [m is not b for m, b in zip(new_pop.members, before)] == [
-                m is child for m in old_pop.members]
+                i == taken for i in range(n)]
         assert crowd.replaced == [m is not o for m, o in zip(new_pop.members, originals)]
         assert_same_stream(new, old)
         if samples is not None:
@@ -1134,14 +896,14 @@ def test_species_seed_scan_matches_scalar_distances(direction):
         fits = rng.integers(0, 5, size=n).astype(float)
         sigma = float(rng.uniform(0.05, 3.0))
         got = determine_species_seeds(genomes, fits, sigma, direction)
-        assert got == reference_species_seeds(genomes, fits, sigma, direction)
+        assert got == spec.species_seeds(spec_pop(genomes, fits), sigma, direction)
 
 
 def test_species_seed_scan_pair_at_exactly_half_the_distance():
     # 0.5 apart with species_distance 1.0: distance == radius, so both seed
     genomes, fits = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]]), np.array([3.0, 2.0, 1.0])
     got = determine_species_seeds(genomes, fits, 1.0, "max")
-    assert got == reference_species_seeds(genomes, fits, 1.0, "max") == [0, 1]
+    assert got == spec.species_seeds(spec_pop(genomes, fits), 1.0, "max") == [0, 1]
 
 
 @pytest.mark.parametrize("direction", ["max", "min"])
@@ -1169,23 +931,22 @@ def test_conservation_matches_list_comprehensions(direction):
                 genomes[2, 0] = -0.0  # with its zero's sign flipped: still the seed
         if trial % 4 == 0 and n > 3:
             genomes[3] = seed_genomes[0]  # and a clone of it
-        old_pop = population(genomes, fits)
-        reference_conserve(old_pop, [Individual(g, f) for g, f in zip(seed_genomes, seed_fits)],
-                           sigma, direction)
+        old_pop = spec_pop(genomes, fits)
+        spec.conserve(old_pop, spec_pop(seed_genomes, seed_fits), sigma, direction)
         conserve_species_seeds(genomes, fits, seed_genomes, seed_fits, sigma, direction)
-        assert_bits_equal(genomes, np.array([m.genome for m in old_pop.members]))
-        assert_bits_equal(fits, np.array([m.fitness for m in old_pop.members]))
+        assert_bits_equal(genomes, np.array([g for g, _ in old_pop]))
+        assert_bits_equal(fits, np.array([f for _, f in old_pop]))
 
 
 def test_conservation_seed_at_exactly_half_the_distance_is_outside():
     # the member sits exactly on the region's edge, so the species is empty
     # and the globally worst member gives way
     genomes, fits = np.array([[0.5], [3.0], [4.0]]), np.array([1.0, 0.0, 2.0])
-    pop = population(genomes, fits)
-    reference_conserve(pop, [Individual(np.array([0.0]), 5.0)], 1.0, "max")
+    pop = spec_pop(genomes, fits)
+    spec.conserve(pop, [(np.array([0.0]), 5.0)], 1.0, "max")
     conserve_species_seeds(genomes, fits, np.array([[0.0]]), np.array([5.0]), 1.0, "max")
-    assert [m.genome[0] for m in pop.members] == genomes[:, 0].tolist() == [0.5, 0.0, 4.0]
-    assert [m.fitness for m in pop.members] == fits.tolist() == [1.0, 5.0, 2.0]
+    assert [g[0] for g, _ in pop] == genomes[:, 0].tolist() == [0.5, 0.0, 4.0]
+    assert [f for _, f in pop] == fits.tolist() == [1.0, 5.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -1279,18 +1040,12 @@ def test_run_result_arrays_share_no_memory_with_the_population():
 # generation-batched algorithms
 # ---------------------------------------------------------------------------
 
-BATCHED = {
-    "preselection_ga": (preselection_ga, reference_preselection_ga),
-    "sharing_ga": (sharing_ga, reference_sharing_ga),
-    "sharing_de": (sharing_de, reference_sharing_de),
-    "scga": (scga, reference_scga),
-}
+BATCHED = ("preselection_ga", "scga", "sharing_de", "sharing_ga")
 
 
 @pytest.mark.parametrize("problem_name", ["deb1", "himmelblau", "grating"])
-@pytest.mark.parametrize("name", sorted(BATCHED))
+@pytest.mark.parametrize("name", BATCHED)
 def test_batched_generations_match_per_child_streams(name, problem_name):
-    algorithm, reference = BATCHED[name]
     problem = resolve_problem(problem_name)
     diagonal = box_diagonal(problem.bounds)
     for seed in range(50):
@@ -1303,26 +1058,17 @@ def test_batched_generations_match_per_child_streams(name, problem_name):
         config = AlgorithmConfig(population_size=n, mutation_rate=rate,
                                  species_distance=distance, sharing_radius=distance)
         new, old = twin_streams(seed)
-        got = algorithm(problem, config, budget, new)
-        want = reference(problem, config, budget, old)
-        assert_bits_equal(got.genomes, want.genomes)
-        assert_bits_equal(got.fitness, want.fitness)
-        assert got.trace == want.trace
-        assert got.evals_used == want.evals_used == budget
-        assert_same_stream(new, old)
+        got = ALGORITHMS[name](problem, config, budget, new)
+        assert_same_run(got, spec.ALGORITHMS[name](problem, config, budget, old), new, old)
+        assert got.evals_used == budget
 
 
-SEQUENTIAL = {
-    "crowding_ga": (crowding_ga, reference_crowding_ga),
-    "crowding_de": (crowding_de, reference_crowding_de),
-    "sde": (sde, reference_sde),
-}
+SEQUENTIAL = ("crowding_de", "crowding_ga", "sde")
 
 
 @pytest.mark.parametrize("problem_name", ["deb1", "himmelblau", "grating"])
-@pytest.mark.parametrize("name", sorted(SEQUENTIAL))
+@pytest.mark.parametrize("name", SEQUENTIAL)
 def test_sequential_algorithms_match_per_child_streams(name, problem_name, decoding):
-    algorithm, reference = SEQUENTIAL[name]
     problem = resolve_problem(problem_name)
     diagonal = box_diagonal(problem.bounds)
     species_sizes = set()
@@ -1340,16 +1086,11 @@ def test_sequential_algorithms_match_per_child_streams(name, problem_name, decod
         config = AlgorithmConfig(population_size=n, crowding_factor=crowding_factor,
                                  species_distance=distance, mutation_rate=rate)
         new, old = twin_streams(seed)
-        got = algorithm(problem, config, budget, new)
-        if name == "sde":
-            want = reference(problem, config, budget, old, species_sizes)
-        else:
-            want = reference(problem, config, budget, old)
-        assert_bits_equal(got.genomes, want.genomes)
-        assert_bits_equal(got.fitness, want.fitness)
-        assert got.trace == want.trace
-        assert got.evals_used == want.evals_used == budget
-        assert_same_stream(new, old)
+        got = ALGORITHMS[name](problem, config, budget, new)
+        sizes = (species_sizes,) if name == "sde" else ()  # sde collects its species' sizes
+        want = spec.ALGORITHMS[name](problem, config, budget, old, *sizes)
+        assert_same_run(got, want, new, old)
+        assert got.evals_used == budget
     if name == "sde":
         assert 4 in species_sizes and min(species_sizes) < 4, species_sizes
 
@@ -1364,11 +1105,11 @@ def recorded(problem, calls, fail_at=None):
 
 
 @pytest.mark.parametrize("problem_name", ["deb1", "himmelblau"])
-@pytest.mark.parametrize("name", sorted(SEQUENTIAL))
+@pytest.mark.parametrize("name", SEQUENTIAL)
 def test_no_speculative_evaluation(name, problem_name):
     # the speculative algorithms build children ahead, but evaluate each
     # only in its final form: the objective sees the per-child loop's calls
-    algorithm, reference = SEQUENTIAL[name]
+    algorithm, reference = ALGORITHMS[name], spec.ALGORITHMS[name]
     problem = resolve_problem(problem_name)
     for seed in range(12):
         n = (5, 10)[seed % 2]

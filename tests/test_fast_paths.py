@@ -11,9 +11,16 @@ to False, so that every generation takes the real calls and every
 distance block ``.sum``. Both runs must give the same sha256 of genomes,
 fitness, ``evals_used`` and trace, spend exactly the budget, and keep a
 trace whose evaluation counts strictly increase up to the budget and
-whose best fitness never gets worse. Tier-1 sweeps 200 cases, the
-``slow`` sweep 2000 others; a failing case is printed as one line that
-can be pinned as a regular test::
+whose best fitness never gets worse. A third leg runs a subset of the
+cases through ``spec``, the algorithms stated one individual at a time,
+which shares no code with the run core but the per-call draws: its
+digest must be the same too. So a fault in code that both library paths
+share (the crowding walk's rebuilds, conservation's slots, the budget
+cap) moves a digest. Tier-1 sweeps 200 cases, every fourth through the
+spec, and the ``slow`` sweep 2000 others, every tenth through the spec
+(the spec is per-individual Python: all 2000 would take about 40 s more);
+a failing case is printed as one line that can be pinned as a regular
+test::
 
     sde on deb1: AlgorithmConfig(population_size=7, ...), budget=150, seed=123
 
@@ -31,9 +38,13 @@ from nichebench.algorithms import ALGORITHMS, MIN_POPULATION, AlgorithmConfig
 from nichebench.core import is_better
 from nichebench.harness import PROBLEM_NAMES, resolve_problem
 
+import spec
+
 # (module, name) of each fast path's switch; False takes the reference path
 PROBES = [(core, "_sum_order_probe"), (draws, "_decoder_probe"), (draws, "_ga_decoder_probe")]
 TIER1_CASES, SLOW_CASES = 200, 2000
+# every how many cases of a sweep also run through the spec
+TIER1_SPEC_EVERY, SLOW_SPEC_EVERY = 4, 10
 
 
 @dataclass(frozen=True)
@@ -80,13 +91,15 @@ def cases(stream: int, count: int) -> list[Case]:
     return [draw_case(np.random.default_rng([stream, k])) for k in range(count)]
 
 
-def run_digest(case: Case, philox: bool = False) -> str:
+def run_digest(case: Case, philox: bool = False, runs=ALGORITHMS) -> str:
     """sha256 over the run's genomes, fitness, trace and ``evals_used``,
     once the run is checked against the budget and the trace invariants.
-    ``philox`` runs on a Philox stream of the case's seed instead of PCG64."""
+    ``philox`` runs on a Philox stream of the case's seed instead of PCG64;
+    ``runs`` maps the algorithm names to the runs, ``spec.ALGORITHMS`` for
+    the specification's."""
     problem = resolve_problem(case.problem)
     rng = np.random.Generator(np.random.Philox(case.seed)) if philox else case.seed
-    result = ALGORITHMS[case.algorithm](problem, case.config, case.budget, rng)
+    result = runs[case.algorithm](problem, case.config, case.budget, rng)
     assert result.evals_used == case.budget, f"spent {result.evals_used} evaluations"
     counts = [used for used, _ in result.trace]
     assert counts[-1] == case.budget and all(a < b for a, b in zip(counts, counts[1:])), \
@@ -101,21 +114,24 @@ def run_digest(case: Case, philox: bool = False) -> str:
     return h.hexdigest()
 
 
-def check(case: Case, monkeypatch, philox: bool = False) -> None:
+def check(case: Case, monkeypatch, philox: bool = False, against_spec: bool = False) -> None:
     fast = run_digest(case, philox)
     with monkeypatch.context() as patched:
         for module, name in PROBES:
             patched.setattr(module, name, lambda: False)
         reference = run_digest(case, philox)
     assert fast == reference, "the fast paths moved the run"
+    if against_spec:
+        assert run_digest(case, philox, spec.ALGORITHMS) == fast, "the run is not the spec's"
 
 
-def sweep(monkeypatch, swept: list[Case], philox: bool = False) -> None:
-    """Check every case, then fail with one line per failing case."""
+def sweep(monkeypatch, swept: list[Case], philox: bool = False, spec_every: int = 1) -> None:
+    """Check every case, every ``spec_every``-th from the first against the
+    spec too, then fail with one line per failing case."""
     failures = []
-    for case in swept:
+    for k, case in enumerate(swept):
         try:
-            check(case, monkeypatch, philox)
+            check(case, monkeypatch, philox, k % spec_every == 0)
         except Exception as exc:  # an assertion, or a run that raised
             reason = str(exc).splitlines()[0] if str(exc) else ""
             failures.append(f"{case} -> {type(exc).__name__}: {reason}")
@@ -138,7 +154,7 @@ def test_the_cases_cover_the_configuration_space():
 
 
 def test_fast_paths_keep_every_run(monkeypatch):
-    sweep(monkeypatch, cases(0, TIER1_CASES))
+    sweep(monkeypatch, cases(0, TIER1_CASES), spec_every=TIER1_SPEC_EVERY)
 
 
 def test_a_philox_stream_takes_the_real_calls(monkeypatch):
@@ -149,6 +165,7 @@ def test_a_philox_stream_takes_the_real_calls(monkeypatch):
 
     monkeypatch.setattr(draws, "_decode_de", no_decoding)
     monkeypatch.setattr(draws, "_decode_ga", no_decoding)
+    # one case per algorithm, each through the spec too
     swept = [next(case for case in cases(2, 50) if case.algorithm == name)
              for name in sorted(ALGORITHMS)]
     sweep(monkeypatch, swept, philox=True)
@@ -156,4 +173,4 @@ def test_a_philox_stream_takes_the_real_calls(monkeypatch):
 
 @pytest.mark.slow
 def test_fast_paths_keep_every_run_slow_sweep(monkeypatch):
-    sweep(monkeypatch, cases(1, SLOW_CASES))
+    sweep(monkeypatch, cases(1, SLOW_CASES), spec_every=SLOW_SPEC_EVERY)

@@ -3,10 +3,12 @@ process pool nor a first-use probe. SciPy comes with the first Welch t
 p-value, the pool with the first grid run at ``jobs > 1``, and each probe
 with the first DE generation, GA generation or distance block. These
 checks look at ``sys.modules`` and the probe outcomes in a fresh
-interpreter, not at import time, so they are deterministic. Two
+interpreter, not at import time, so they are deterministic. Three
 last checks read the source: only ``nichebench.draws`` calls a Generator,
-and in ``nichebench.algorithms`` only ``_RunState`` draws for a
-generation, caps it at the budget left or reads the run's RNG."""
+in ``nichebench.algorithms`` only ``_RunState`` draws for a generation,
+caps it at the budget left or reads the run's RNG, and ``tests/spec.py``
+takes from the library only the two per-call draws and no private
+name."""
 
 import ast
 import json
@@ -176,3 +178,39 @@ def stream_reads_outside_run_state(path: Path) -> dict[str, list[int]]:
 def test_only_the_run_state_draws_for_or_caps_a_generation():
     path = Path(nichebench.__file__).parent / "algorithms.py"
     assert stream_reads_outside_run_state(path) == {}
+
+
+# what tests/spec.py may take from the library: the two per-call draws
+SPEC_IMPORTS = {("nichebench.draws", "de_draws"), ("nichebench.draws", "mutation_draws")}
+
+
+def library_reach(source: str) -> tuple[list[tuple[str, str]], list[str]]:
+    """What ``source`` takes from ``nichebench``: each imported (module, name),
+    a plain ``import nichebench...`` as (module, ""), and every private name
+    it uses (a name, attribute or import alias that starts with one
+    underscore and is more than the throwaway ``_``)."""
+    imported, private = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nichebench"):
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, "") for alias in node.names
+                         if alias.name.startswith("nichebench")]
+        name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "name", None) or getattr(node, "asname", None))
+        if isinstance(name, str) and name[:1] == "_" and name[1:2] not in ("", "_"):
+            private.append(name)
+    return imported, private
+
+
+def test_the_spec_takes_only_the_per_call_draws_from_the_library():
+    imported, private = library_reach((Path(__file__).parent / "spec.py").read_text())
+    assert imported and set(imported) <= SPEC_IMPORTS
+    assert private == []
+    # the guard sees what it guards against
+    assert library_reach("import nichebench.core\n"
+                         "from nichebench.algorithms import _RunState as state\n"
+                         "def f(rng, _=0):\n"
+                         "    return rng._bit_generator, state\n") == (
+        [("nichebench.core", ""), ("nichebench.algorithms", "_RunState")],
+        ["_RunState", "_bit_generator"])

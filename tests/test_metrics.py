@@ -28,6 +28,10 @@ class TestPeakRatio:
         peaks = deb1().known_peaks
         assert peak_ratio(as_genomes([[0.95]]), peaks) == pytest.approx(0.2)
 
+    def test_genome_at_exactly_the_radius_counts(self):
+        assert peak_ratio(as_genomes([[0.5], [9.0]]), [[0.0], [8.0]], radius=0.5) == 0.5
+        assert peak_ratio(as_genomes([[3.0, 4.0]]), [[0.0, 0.0]], radius=5.0) == 1.0
+
     def test_empty_peaks_rejected(self):
         with pytest.raises(ValueError):
             peak_ratio(as_genomes([[0.0]]), [])
@@ -282,6 +286,13 @@ class TestDistinctPeaks:
     def test_direction_max(self):
         genomes = as_genomes([[0.0], [0.5]])
         assert distinct_peaks(genomes, [0.9, 0.95], fitness_threshold=0.92, direction="max") == 1
+
+    @pytest.mark.parametrize("direction", ["min", "max"])
+    def test_fitness_at_exactly_the_threshold_does_not_count(self, direction):
+        # the good side is strict: 0.5 at threshold 0.5 is out, one ulp past it is in
+        past = float(np.nextafter(0.5, -1.0 if direction == "min" else 1.0))
+        genomes = as_genomes([[0.0], [1.0], [2.0]])
+        assert distinct_peaks(genomes, [0.5, past, 0.5], 0.5, 0.1, direction) == 1
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError, match="direction"):

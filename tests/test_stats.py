@@ -106,6 +106,28 @@ class TestMannWhitneyU:
         _, p_null = mann_whitney_u(a, np.concatenate([a[:25], a[25:]]))
         assert p_null == pytest.approx(1.0, abs=1e-9)
 
+    def test_normal_approximation_against_mpmath(self):
+        # a protocol cell: 50 runs a side, so n*m = 2500 takes the normal
+        # approximation; values on a 0.1 grid tie within and across the sides
+        import mpmath as mp
+
+        rng = np.random.default_rng(31)
+        for shift in (0.0, 0.3, 0.6, 1.0):
+            a, b = np.round(rng.normal(size=50), 1), np.round(rng.normal(size=50) + shift, 1)
+            assert a.size * b.size > EXACT_MWU_LIMIT
+            pooled = sorted(a.tolist() + b.tolist())
+            with mp.workdps(50):
+                # the midrank of x: its first and last 1-based positions, averaged
+                rank = {x: mp.mpf(2 * pooled.index(x) + pooled.count(x) + 1) / 2 for x in pooled}
+                u = sum(rank[x] for x in a.tolist()) - mp.mpf(50 * 51) / 2
+                ties = sum(mp.mpf(pooled.count(x)) ** 3 - pooled.count(x) for x in set(pooled))
+                var = mp.mpf(50 * 50) / 12 * (101 - ties / (100 * 99))
+                z = max(0, abs(u - 50 * 50 / mp.mpf(2)) - mp.mpf("0.5")) / mp.sqrt(var)
+                want = mp.erfc(z / mp.sqrt(2))
+            got_u, got_p = mann_whitney_u(a, b)
+            assert got_u == u
+            assert abs(got_p - want) <= 1e-12 * want, shift
+
     def test_degenerate_all_identical(self):
         a = np.full(30, 2.0)
         b = np.full(30, 2.0)
