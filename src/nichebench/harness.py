@@ -269,9 +269,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     A run that raises stops the grid with :class:`RunError`, and so does a
     pool worker that dies, naming the first run not recorded; the rows of
     the runs recorded before it stay in ``runs.csv``. A ``KeyboardInterrupt``
-    (Ctrl-C) stops it too: pool workers ignore SIGINT, the chunks not
-    started are cancelled, and once the workers' chunks are done the
-    interrupt is raised again; ``runs.csv`` keeps the rows recorded.
+    (Ctrl-C) stops it too: pool workers ignore SIGINT, and the chunks the
+    pool has not yet put on its call queue are cancelled. Up to
+    ``2 * workers + 1`` chunks still run: one in each worker and up to
+    ``workers + 1`` already queued, which the pool cannot take back. Once
+    they are done the interrupt is raised again; ``runs.csv`` keeps the
+    rows recorded before it.
     """
     try:
         check_integer("'jobs'", jobs)
@@ -317,7 +320,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
             from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
             # Ctrl-C signals the whole process group: the workers leave it to
-            # this process, which starts no other chunk and waits for theirs
+            # this process, which cancels the chunks not yet queued and waits
+            # for the rest
             with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                                      initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
                 outcomes = pool.map(_execute_run, tasks, chunksize=_chunksize(len(tasks), workers))

@@ -1,8 +1,9 @@
 """Fixtures shared by the harness and CLI tests: a problem whose runs fail,
-one whose pool workers die, and the worker count with the pool's start
-method."""
+one whose pool workers die, one that counts the runs started, and the
+worker count with the pool's start method."""
 
 import concurrent.futures
+import csv
 import dataclasses
 import functools
 import multiprocessing
@@ -11,7 +12,8 @@ import signal
 
 import pytest
 
-from nichebench import harness
+from nichebench import cli, harness
+from nichebench.problems import himmelblau
 
 
 def _nan_objective(genome):
@@ -61,6 +63,64 @@ def doomed_problem(monkeypatch):
     himmelblau = harness.resolve_problem("himmelblau").objective
     return lambda: monkeypatch.setitem(harness.PROBLEM_FACTORIES, "doomed",
                                        lambda: build(himmelblau))
+
+
+STARTS = "NICHEBENCH_TEST_STARTS"  # the variable naming the file of run starts
+INTERRUPT_AT = "NICHEBENCH_TEST_INTERRUPT_AT"  # the CSV line at which counted_cli presses Ctrl-C
+RUN_EVALS = 2000  # evaluations per run of a 'counted' grid
+_HIMMELBLAU = himmelblau().objective
+_counted = 0
+
+
+def _objective_that_counts_runs(genome):
+    """himmelblau's objective, which appends a line to the file named by
+    ``$NICHEBENCH_TEST_STARTS``, when set, at every ``RUN_EVALS``-th call
+    of its process from the first: as a run spends exactly ``RUN_EVALS``
+    evaluations, at the start of each run."""
+    global _counted
+    if _counted % RUN_EVALS == 0 and STARTS in os.environ:
+        with open(os.environ[STARTS], "a", encoding="utf-8") as fh:
+            fh.write("start\n")
+    _counted += 1
+    return _HIMMELBLAU(genome)
+
+
+def counted_problem():
+    """'counted': himmelblau, with the objective that counts the runs started."""
+    return dataclasses.replace(himmelblau(), name="counted", objective=_objective_that_counts_runs)
+
+
+def mark_interrupt(starts):
+    """Mark the moment of an interrupt in the file of run starts."""
+    with open(starts, "a", encoding="utf-8") as fh:
+        fh.write("interrupt\n")
+
+
+class _InterruptingWriter:
+    """A CSV writer that, once it has written its ``at``-th line, marks
+    the moment and presses Ctrl-C: SIGINT to its process group."""
+
+    def __init__(self, writer, at, fh):
+        self.writer, self.at, self.lines = writer(fh), at, 0
+
+    def writerow(self, row):
+        self.writer.writerow(row)
+        self.lines += 1
+        if self.lines == self.at:
+            mark_interrupt(os.environ[STARTS])
+            os.killpg(0, signal.SIGINT)
+
+
+def counted_cli(argv):
+    """``nichebench.cli.main(argv)`` with the 'counted' problem known to it,
+    in a process of its own. With ``$NICHEBENCH_TEST_INTERRUPT_AT`` set
+    to k, the CLI interrupts itself as it writes the k-th line of
+    ``runs.csv``."""
+    harness.PROBLEM_FACTORIES["counted"] = counted_problem
+    if INTERRUPT_AT in os.environ:
+        csv.writer = functools.partial(_InterruptingWriter, csv.writer,
+                                       int(os.environ[INTERRUPT_AT]))
+    return cli.main(argv)
 
 
 def _start_pools_by(monkeypatch, method):

@@ -6,23 +6,13 @@ statistical criteria execute the full 50-run protocol and take a few
 minutes; everything else is seconds.
 """
 
-import math
-import itertools
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nichebench.algorithms import (
-    ALGORITHMS,
-    AlgorithmConfig,
-    _nearest,
-    crowding_replacement,
-    determine_species_seeds,
-    scga,
-)
-from nichebench.core import Individual
+from nichebench.algorithms import ALGORITHMS, AlgorithmConfig, determine_species_seeds, scga
 from nichebench.grating import (
     default_anchor,
     integrated_square_error,
@@ -30,10 +20,13 @@ from nichebench.grating import (
     make_default_problem,
 )
 from nichebench.harness import ExperimentSpec, derive_seed, run_experiment
-from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 from nichebench.problems import PROBLEM_FACTORIES, six_hump_camel
 from nichebench.stats import ks_two_sample, mann_whitney_u, pairwise_matrix, welch_t
-from test_draw_equivalence import population as make_pop
+# modules, not their classes: a class imported here would be collected twice
+import test_algorithms
+import test_metrics
+import test_stats
+from test_fingerprint import result_digest
 
 JOBS = 2  # worker processes for the 50-run protocol criteria
 COMMITTED_RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -60,100 +53,15 @@ def criterion(number, title):
 # criterion 1: deterministic operators match independent brute-force oracles
 # ---------------------------------------------------------------------------
 
-def _oracle_u(a, b):
-    u = 0.0
-    for x in a:
-        for y in b:
-            u += 1.0 if x > y else 0.5 if x == y else 0.0
-    return u
-
-
-def _oracle_mwu_pvalue(a, b):
-    pooled = list(a) + list(b)
-    n, nm = len(a), len(a) * len(b)
-    obs = abs(_oracle_u(a, b) - nm / 2.0)
-    favorable = total = 0
-    for idx in itertools.combinations(range(len(pooled)), n):
-        chosen = set(idx)
-        aa = [pooled[i] for i in idx]
-        bb = [pooled[i] for i in range(len(pooled)) if i not in chosen]
-        total += 1
-        favorable += abs(_oracle_u(aa, bb) - nm / 2.0) >= obs - 1e-12
-    return favorable / total
-
-
 def test_criterion_1_oracle_equivalence():
+    # the unit checks, each 1000 random instances against its oracle
     with criterion(1, "oracle equivalence on >=1000 random instances each"):
-        rng = np.random.default_rng(2025)
-
-        for _ in range(1000):  # crowding replacement, full crowding factor
-            n = int(rng.integers(2, 9))
-            dim = int(rng.integers(1, 4))
-            genomes = rng.uniform(-1, 1, size=(n, dim))
-            fits = rng.integers(0, 4, size=n).astype(float)
-            child = Individual(rng.uniform(-1, 1, size=dim), float(rng.integers(0, 4)))
-            pop = make_pop(list(genomes), fits)
-            row = np.sqrt(((genomes - child.genome) ** 2).sum(axis=1))  # the whole population
-            crowding_replacement(child, pop, _nearest(row, None), direction="max")
-            dists = [math.dist(child.genome, g) for g in genomes]
-            nearest = min(range(n), key=lambda i: (dists[i], i))
-            if child.fitness > fits[nearest]:
-                assert pop.members[nearest] is child
-            else:
-                assert all(pop.members[i].fitness == fits[i] for i in range(n))
-
-        for _ in range(1000):  # species seed scan vs quadratic oracle
-            n = int(rng.integers(1, 10))
-            genomes = rng.uniform(-1, 1, size=(n, 2))
-            fits = rng.integers(0, 5, size=n).astype(float)
-            sigma = float(rng.uniform(0.05, 2.0))
-            seeds = determine_species_seeds(genomes, fits, sigma, "max")
-            order = sorted(range(n), key=lambda i: (-fits[i], i))
-            expected = []
-            for i in order:
-                if all(math.dist(genomes[i], genomes[j]) >= sigma / 2 for j in expected):
-                    expected.append(i)
-            assert seeds == expected
-
-        for _ in range(1000):  # avg_min_distance vs double loop
-            peaks = rng.uniform(-3, 3, size=(int(rng.integers(1, 5)), 2))
-            members = rng.uniform(-3, 3, size=(int(rng.integers(1, 7)), 2))
-            expected = float(np.mean([min(math.dist(p, m) for m in members) for p in peaks]))
-            got = avg_min_distance(members, peaks)
-            assert got == pytest.approx(expected, abs=1e-12)
-
-        for _ in range(1000):  # distinct_peaks vs independent greedy re-scan
-            n = int(rng.integers(1, 12))
-            points = rng.uniform(0, 1, size=(n, 2))
-            fits = rng.uniform(0, 2e-4, size=n)
-            counted = []
-            for p, f in zip(points, fits):
-                if f < 1e-4 and all(math.dist(p, q) >= 0.1 for q in counted):
-                    counted.append(p)
-            assert distinct_peaks(points, fits) == len(counted)
-
-        for _ in range(1000):  # exact Mann-Whitney branch vs full enumeration
-            n = int(rng.integers(2, 6))
-            m = int(rng.integers(2, 6))
-            if rng.random() < 0.5:
-                values = rng.integers(0, 5, size=n + m).astype(float)
-            else:
-                values = rng.normal(size=n + m)
-            a, b = values[:n], values[n:]
-            _, p = mann_whitney_u(a, b)
-            assert abs(p - _oracle_mwu_pvalue(a, b)) <= 1e-10
-
-        for _ in range(1000):  # KS statistic vs breakpoint scan
-            n = int(rng.integers(2, 16))
-            m = int(rng.integers(2, 16))
-            a = rng.integers(0, 6, size=n).astype(float)
-            b = rng.normal(size=m)
-            d, _ = ks_two_sample(a, b)
-            best = max(
-                abs(sum(v <= t for v in a) / n - sum(v <= t for v in b) / m)
-                for t in list(a) + list(b)
-            )
-            assert d == pytest.approx(best, abs=1e-12)
+        test_algorithms.TestCrowdingReplacement().test_full_cf_against_brute_force()
+        test_algorithms.TestDetermineSpeciesSeeds().test_against_quadratic_oracle()
+        test_metrics.TestAvgMinDistance().test_against_quadratic_scan()
+        test_metrics.TestDistinctPeaks().test_against_independent_rescan()
+        test_stats.TestMannWhitneyU().test_exact_p_matches_permutation_enumeration()
+        test_stats.TestKsTwoSample().test_d_matches_breakpoint_scan()
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +79,7 @@ def test_criterion_2_budget_exactness_and_determinism():
                 second = algorithm(problem, AlgorithmConfig(), 10000, seed)
                 assert first.evals_used <= 10000
                 assert first.evals_used == 10000  # these algorithms never stop early
-                assert np.array_equal(first.genomes, second.genomes)
-                assert first.fitness.tolist() == second.fitness.tolist()
+                assert result_digest(first) == result_digest(second)
 
 
 # ---------------------------------------------------------------------------

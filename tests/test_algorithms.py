@@ -25,6 +25,7 @@ from test_draw_equivalence import spec_pop
 from test_draw_equivalence import random_genome  # the oracle, not library code
 # one crowding step drawn and made as the per-child loop made it
 from test_draw_equivalence import per_child_crowding as challenge
+from test_fingerprint import result_digest
 
 ALL_NAMES = sorted(ALGORITHMS)
 SEQUENTIAL = ("crowding_ga", "crowding_de", "sde")
@@ -82,16 +83,12 @@ class TestCrowdingReplacement:
             child = Individual(rng.uniform(-1, 1, size=dim), float(rng.integers(0, 4)))
             pop = make_pop(list(genomes), fits)
             challenge(child, pop, cf=n, rng=np.random.default_rng(0), direction="max")
-            # oracle: nearest by scan, lowest index on distance ties,
-            # replacement only when strictly better
-            dists = [math.dist(child.genome, g) for g in genomes]
-            nearest = min(range(n), key=lambda i: (dists[i], i))
-            if child.fitness > fits[nearest]:
-                assert pop.members[nearest] is child
-                changed = [i for i in range(n) if pop.members[i] is child]
-                assert changed == [nearest]
-            else:
-                assert all(pop.members[i].fitness == fits[i] for i in range(n))
+            # the whole population sampled: the spec draws nothing
+            slot = spec.crowding(spec_pop(genomes, fits), child.genome, child.fitness, n, None,
+                                 "max")
+            taken = [i for i in range(n) if pop.members[i] is child]
+            assert taken == ([] if slot is None else [slot])
+            assert all(pop.members[i].fitness == fits[i] for i in range(n) if i != slot)
 
     def test_distance_tie_prefers_lowest_index(self):
         pop = make_pop([[1.0], [-1.0], [3.0]], [0.0, 0.0, 0.0])
@@ -201,15 +198,7 @@ class TestDetermineSpeciesSeeds:
             direction = "max" if rng.random() < 0.5 else "min"
             sigma = float(rng.uniform(0.05, 2.0))
             seeds = determine_species_seeds(genomes, fits, sigma, direction)
-
-            # oracle: explicit stable sort then quadratic scan
-            sign = -1.0 if direction == "max" else 1.0
-            order = sorted(range(n), key=lambda i: (sign * fits[i], i))
-            expected = []
-            for i in order:
-                if all(math.dist(genomes[i], genomes[j]) >= sigma / 2 for j in expected):
-                    expected.append(i)
-            assert seeds == expected
+            assert seeds == spec.species_seeds(spec_pop(genomes, fits), sigma, direction)
             # invariants: best-first and pairwise separation
             best = max(fits) if direction == "max" else min(fits)
             assert fits[seeds[0]] == best
@@ -334,9 +323,7 @@ class TestEveryAlgorithm:
         problem = deb1()
         r1 = ALGORITHMS[name](problem, small_config(), 150, 99)
         r2 = ALGORITHMS[name](problem, small_config(), 150, 99)
-        assert np.array_equal(r1.genomes, r2.genomes)
-        assert r1.fitness.tolist() == r2.fitness.tolist()
-        assert r1.trace == r2.trace
+        assert result_digest(r1) == result_digest(r2)
 
     @pytest.mark.parametrize("config, budget, message", [
         (AlgorithmConfig(population_size=10), 5, "does not cover the initial population of 10"),
@@ -424,11 +411,9 @@ class TestEveryAlgorithm:
                 dataclasses.replace(problem, objective=lambda g: problem.objective(g)),
                 dataclasses.replace(problem, objective=counted))]
             first = results[0]
+            assert first.evals_used == budget
             for result in results[1:]:
-                assert result.genomes.tobytes() == first.genomes.tobytes()
-                assert result.fitness.tobytes() == first.fitness.tobytes()
-                assert result.trace == first.trace
-                assert result.evals_used == first.evals_used == budget
+                assert result_digest(result) == result_digest(first)
             if name in SEQUENTIAL:
                 assert counted.batches == [n]
             else:
@@ -547,8 +532,7 @@ class TestScga:
         result = ALGORITHMS["scga"](problem, config, 8 + 8 * 3, 13, observer=observer)
         again = ALGORITHMS["scga"](problem, config, 8 + 8 * 3, 13)
         assert seen == [0, 1, 2, 3]
-        assert result.genomes.tobytes() == again.genomes.tobytes()
-        assert result.fitness.tobytes() == again.fitness.tobytes()
+        assert result_digest(result) == result_digest(again)
 
     def test_huge_species_distance_preserves_best_only(self):
         problem = himmelblau()
@@ -576,8 +560,7 @@ def test_config_validation():
     whole = dataclasses.replace(cfg, crowding_factor=cfg.population_size)
     for name in ("crowding_ga", "crowding_de"):
         got, want = (ALGORITHMS[name](himmelblau(), c, 120, 3) for c in (cfg, whole))
-        assert got.genomes.tobytes() == want.genomes.tobytes()
-        assert got.fitness.tobytes() == want.fitness.tobytes()
+        assert result_digest(got) == result_digest(want)
     st = algorithms._RunState("sde", make_default_problem(), cfg, cfg.population_size, 0)
     assert st.mutation_rate == pytest.approx(0.125)
 

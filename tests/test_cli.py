@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,10 @@ from nichebench import harness
 from nichebench.algorithms import AlgorithmConfig
 from nichebench.cli import main
 from nichebench.harness import ExperimentSpec, run_experiment
+import conftest
 from test_import_guard import SRC
+
+TESTS = str(Path(__file__).resolve().parent)
 
 
 def test_basic_run_writes_reports(tmp_path, capsys):
@@ -283,25 +287,42 @@ def _wait_for(condition, what, seconds=60.0):
         time.sleep(0.02)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_interrupt_exits_130_keeping_a_prefix_of_the_rows(tmp_path, jobs):
+@pytest.mark.parametrize("jobs, interrupt_at", [(1, None), (2, None), (2, 4)],
+                         ids=["1", "2", "2-while-recording"])
+def test_interrupt_exits_130_keeping_a_prefix_of_the_rows(tmp_path, monkeypatch, jobs,
+                                                          interrupt_at):
     # Ctrl-C sends SIGINT to the foreground process group: the CLI and its
     # pool workers. The grid runs in a session of its own, so the signal
-    # reaches that group and not the test's
-    out = tmp_path / "r"
-    grid = ["--algorithm", "crowding_de", "--problem", "himmelblau", "--runs", "400",
-            "--seed", "5", "--jobs", str(jobs), "--out", str(out)]
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen([sys.executable, "-m", "nichebench.cli", *grid],
-                            env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    # reaches that group and not the test's. The test sends it once the
+    # first run's rows are in, mostly while the CLI waits in pool.map's
+    # result iterator, which cancels the chunks not yet queued on its way
+    # out; or the CLI sends it as it writes line ``interrupt_at`` of
+    # runs.csv, outside that iterator, where only run_experiment's own
+    # ``cancel_futures`` drops them. The objective writes a line to
+    # ``starts`` as each run starts, so the runs started after the signal
+    # show, though their rows are never recorded
+    out, starts = tmp_path / "r", tmp_path / "starts"
+    runs = 400
+    grid = ["--algorithm", "crowding_de", "--problem", "counted", "--runs", str(runs),
+            "--evals", str(conftest.RUN_EVALS), "--seed", "5", "--jobs", str(jobs),
+            "--out", str(out)]
+    path = os.pathsep.join(p for p in (SRC, TESTS, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, conftest.STARTS: str(starts)}
+    if interrupt_at:
+        env[conftest.INTERRUPT_AT] = str(interrupt_at)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys, conftest; sys.exit(conftest.counted_cli(sys.argv[1:]))",
+         *grid], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    runs_csv = out / "runs.csv"
     try:
-        runs_csv = out / "runs.csv"
-        # the header and one run's three metric rows
-        _wait_for(lambda: proc.poll() is not None or runs_csv.exists()
-                  and runs_csv.read_text().count("\n") >= 4, "the first run's rows")
-        assert proc.poll() is None, proc.stderr.read()
-        os.killpg(proc.pid, signal.SIGINT)
+        if not interrupt_at:
+            # the header and one run's three metric rows
+            _wait_for(lambda: proc.poll() is not None or runs_csv.exists()
+                      and runs_csv.read_text().count("\n") >= 4, "the first run's rows")
+            assert proc.poll() is None, proc.stderr.read()
+            conftest.mark_interrupt(starts)
+            os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
@@ -320,11 +341,20 @@ def test_interrupt_exits_130_keeping_a_prefix_of_the_rows(tmp_path, jobs):
 
     _wait_for(group_is_empty, "the workers to exit", seconds=10.0)
 
+    # after the signal a pool runs only the chunks it had handed out, one
+    # in each worker and up to workers + 1 queued; a serial grid starts at
+    # most the run it reached as the signal came
+    marks = starts.read_text().splitlines()
+    late = len(marks) - 1 - marks.index("interrupt")
+    assert late <= ((2 * jobs + 1) * harness._chunksize(runs, jobs) if jobs > 1 else 1), \
+        f"{late} runs started after the signal"
     rows = runs_csv.read_text().splitlines()
-    assert 4 <= len(rows) < 1 + 3 * 400
+    assert 4 <= len(rows) < 1 + 3 * runs
     # the same grid left to finish, up to the run the interrupted file reached
+    monkeypatch.setitem(harness.PROBLEM_FACTORIES, "counted", conftest.counted_problem)
     whole = tmp_path / "whole"
-    spec = ExperimentSpec([("crowding_de", AlgorithmConfig())], ["himmelblau"],
-                          runs=int(rows[-1].split(",")[2]) + 1, base_seed=5, output_dir=whole)
+    spec = ExperimentSpec([("crowding_de", AlgorithmConfig())], ["counted"],
+                          runs=int(rows[-1].split(",")[2]) + 1, max_evals=conftest.RUN_EVALS,
+                          base_seed=5, output_dir=whole)
     run_experiment(spec)
     assert (whole / "runs.csv").read_text().splitlines()[:len(rows)] == rows

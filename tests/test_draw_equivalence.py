@@ -1,9 +1,10 @@
 """The fast operators and whole runs against the forms they replaced.
 
 Each ``reference_*`` function below is the earlier, straightforward form
-of an operator, a draw or a metric; ``spec`` states the seven algorithms
-one individual at a time, and is the oracle for whole runs, crowding's
-challenge, the tournaments, the species seed scan and conservation. The
+of an operator or a draw; ``spec`` states the seven algorithms one
+individual at a time, and is the oracle for whole runs, crowding's
+challenge, the tournaments, the species seed scan and conservation;
+``distinct_peaks`` is checked against ``test_metrics``' re-scan. The
 current code must return bit-identical values and leave the random
 stream in the identical state, on random inputs and on the edge cases
 named in each test. Together with the fingerprint table this is what
@@ -36,7 +37,6 @@ from nichebench.core import (
     clip_to_bounds,
     de_trial_vector,
     gaussian_mutation,
-    is_better,
 )
 from nichebench.draws import de_draws, de_generation_draws, ga_generation_draws, mutation_draws
 from nichebench.harness import resolve_problem
@@ -44,6 +44,7 @@ from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 from nichebench.problems import BoundedProblem
 import spec
 from test_import_guard import run_fresh
+from test_metrics import oracle_distinct_peaks
 
 
 # ---------------------------------------------------------------------------
@@ -93,21 +94,6 @@ def reference_de_trial_vector(target_idx, genomes, F, CR, rng, bounds, donor_poo
     cross = rng.random(dim) < CR
     cross[int(rng.integers(dim))] = True
     return reference_clip(np.where(cross, mutant, target), bounds)
-
-
-def reference_distinct_peaks(genomes, fitness, fitness_threshold=1e-4, radius=0.1,
-                             direction="min", bounds=None):
-    members = np.array(genomes, dtype=float)
-    if bounds is not None:
-        bounds = np.asarray(bounds, dtype=float)
-        members = (members - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
-    counted = []
-    for f, point in zip(fitness, members):
-        if not is_better(f, fitness_threshold, direction):
-            continue
-        if all(float(np.sqrt(np.sum((point - q) ** 2))) >= radius for q in counted):
-            counted.append(point)
-    return len(counted)
 
 
 # ---------------------------------------------------------------------------
@@ -968,13 +954,13 @@ def test_distinct_peaks_matches_scalar_rescan(direction):
         threshold = float(rng.uniform(0.0, 2.0))
         radius = float(rng.uniform(0.01, 0.8))
         got = distinct_peaks(genomes, fits, threshold, radius, direction, bounds)
-        assert got == reference_distinct_peaks(genomes, fits, threshold, radius, direction, bounds)
+        assert got == oracle_distinct_peaks(genomes, fits, threshold, radius, direction, bounds)
 
 
 def test_distinct_peaks_pair_at_exactly_the_radius_counts_twice():
     genomes, fits = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]]), np.zeros(3)
     assert distinct_peaks(genomes, fits, 1.0, 0.5) == \
-        reference_distinct_peaks(genomes, fits, 1.0, 0.5) == 2
+        oracle_distinct_peaks(genomes, fits, 1.0, 0.5) == 2
 
 
 def test_metrics_leave_the_genome_matrix_alone():

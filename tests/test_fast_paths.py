@@ -27,7 +27,6 @@ test::
 A later fast path adds its switch to :data:`PROBES`.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ from nichebench.core import is_better
 from nichebench.harness import PROBLEM_NAMES, resolve_problem
 
 import spec
+from test_fingerprint import result_digest
 
 # (module, name) of each fast path's switch; False takes the reference path
 PROBES = [(core, "_sum_order_probe"), (draws, "_decoder_probe"), (draws, "_ga_decoder_probe")]
@@ -92,11 +92,11 @@ def cases(stream: int, count: int) -> list[Case]:
 
 
 def run_digest(case: Case, philox: bool = False, runs=ALGORITHMS) -> str:
-    """sha256 over the run's genomes, fitness, trace and ``evals_used``,
-    once the run is checked against the budget and the trace invariants.
-    ``philox`` runs on a Philox stream of the case's seed instead of PCG64;
-    ``runs`` maps the algorithm names to the runs, ``spec.ALGORITHMS`` for
-    the specification's."""
+    """The run's :func:`result_digest`, once the run is checked against
+    the budget and the trace invariants. ``philox`` runs on a Philox
+    stream of the case's seed instead of PCG64; ``runs`` maps the
+    algorithm names to the runs, ``spec.ALGORITHMS`` for the
+    specification's."""
     problem = resolve_problem(case.problem)
     rng = np.random.Generator(np.random.Philox(case.seed)) if philox else case.seed
     result = runs[case.algorithm](problem, case.config, case.budget, rng)
@@ -107,11 +107,7 @@ def run_digest(case: Case, philox: bool = False, runs=ALGORITHMS) -> str:
     bests = [best for _, best in result.trace]
     assert not any(is_better(a, b, problem.direction) for a, b in zip(bests, bests[1:])), \
         f"trace best fitness {bests} got worse"
-    h = hashlib.sha256()
-    for values in (result.genomes, result.fitness, np.array(result.trace, dtype=float)):
-        h.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
-    h.update(str(result.evals_used).encode())
-    return h.hexdigest()
+    return result_digest(result)
 
 
 def check(case: Case, monkeypatch, philox: bool = False, against_spec: bool = False) -> None:

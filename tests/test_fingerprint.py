@@ -1,9 +1,9 @@
 """Determinism fingerprint of every (algorithm, problem) cell.
 
 Each of the 42 cells runs at 2000 evaluations with 2 derived seeds. The
-final genomes' bytes, the final fitnesses and the convergence trace are
-hashed with sha256 and compared with the committed table in
-``fingerprints.json``. Criterion 2 only compares two runs inside one
+final genomes' bytes, the final fitnesses, the convergence trace and the
+evaluations used are hashed with sha256 (:func:`result_digest`) and
+compared with the committed table in ``fingerprints.json``. Criterion 2 only compares two runs inside one
 process, so it would pass a change that moved every result in the same
 way; this table pins the results themselves.
 
@@ -31,18 +31,24 @@ RUNS = 2
 CELLS = [(alg, prob) for alg in sorted(ALGORITHMS) for prob in PROBLEM_NAMES]
 
 
-def run_digest(algorithm: str, problem_name: str, seed, config=None) -> str:
-    """sha256 over the final genomes, the final fitnesses and the trace of
-    a run with ``config`` (default ``AlgorithmConfig()``); ``seed`` is the
-    run's ``rng``, an int or a Generator."""
-    problem = resolve_problem(problem_name)
-    result = ALGORITHMS[algorithm](problem, config or AlgorithmConfig(), MAX_EVALS, seed)
+def result_digest(result) -> str:
+    """A run's identity: sha256 over its final genomes, its final
+    fitnesses, its trace and its ``evals_used``. Every test that asks
+    whether two runs are the same run compares these digests."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(result.genomes, dtype=np.float64).tobytes())
     h.update(np.ascontiguousarray(result.fitness, dtype=np.float64).tobytes())
     h.update(np.array(result.trace, dtype=np.float64).tobytes())
     h.update(str(result.evals_used).encode())
     return h.hexdigest()
+
+
+def run_digest(algorithm: str, problem_name: str, seed, config=None) -> str:
+    """The :func:`result_digest` of a run with ``config`` (default
+    ``AlgorithmConfig()``); ``seed`` is the run's ``rng``, an int or a
+    Generator."""
+    problem = resolve_problem(problem_name)
+    return result_digest(ALGORITHMS[algorithm](problem, config or AlgorithmConfig(), MAX_EVALS, seed))
 
 
 def cell_seeds(algorithm: str, problem_name: str) -> list[int]:

@@ -58,8 +58,9 @@ class TestAvgMinDistance:
     def test_against_quadratic_scan(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):
-            peaks = rng.uniform(-3, 3, size=(rng.integers(1, 5), 3))
-            members = rng.uniform(-3, 3, size=(rng.integers(1, 7), 3))
+            dim = int(rng.integers(1, 4))
+            peaks = rng.uniform(-3, 3, size=(rng.integers(1, 5), dim))
+            members = rng.uniform(-3, 3, size=(rng.integers(1, 7), dim))
             expected = np.mean(
                 [min(math.dist(p, m) for m in members) for p in peaks]
             )
@@ -262,14 +263,20 @@ def test_numpy_scalars_and_integers_pass_for_radius_and_threshold():
     assert peak_ratio(genomes, [[0.4], [1.5]], radius=np.float64(0.1)) == 0.5
 
 
-def oracle_distinct_peaks(points, fits, threshold, radius, direction):
-    """Independent greedy re-scan."""
+def oracle_distinct_peaks(genomes, fitness, threshold=1e-4, radius=0.1, direction="min",
+                          bounds=None):
+    """Independent greedy re-scan, with nothing from ``nichebench``: in row
+    order, a member strictly better than ``threshold`` counts iff it lies
+    at distance >= ``radius`` from every member counted before it, the
+    genomes first min-max normalised by ``bounds`` when given."""
+    points = np.array(genomes, dtype=float)
+    if bounds is not None:
+        bounds = np.asarray(bounds, dtype=float)
+        points = (points - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
     counted = []
-    for p, f in zip(points, fits):
+    for p, f in zip(points, fitness):
         good = f < threshold if direction == "min" else f > threshold
-        if not good:
-            continue
-        if all(math.dist(p, q) >= radius for q in counted):
+        if good and all(math.dist(p, q) >= radius for q in counted):
             counted.append(p)
     return len(counted)
 
@@ -323,7 +330,7 @@ class TestDistinctPeaks:
             n = rng.integers(1, 12)
             points = rng.uniform(0, 1, size=(n, 2))
             fits = rng.uniform(0, 2e-4, size=n)
-            expected = oracle_distinct_peaks(points, fits, 1e-4, 0.1, "min")
+            expected = oracle_distinct_peaks(points, fits)
             assert distinct_peaks(points, fits) == expected
 
     def test_normalized_bounds(self):

@@ -20,14 +20,7 @@ from nichebench.stats import (
 
 def oracle_u(a, b):
     """U of the first sample by direct pairwise counting."""
-    u = 0.0
-    for x in a:
-        for y in b:
-            if x > y:
-                u += 1.0
-            elif x == y:
-                u += 0.5
-    return u
+    return sum(1.0 if x > y else 0.5 if x == y else 0.0 for x in a for y in b)
 
 
 def oracle_mwu_pvalue(a, b):
@@ -42,8 +35,7 @@ def oracle_mwu_pvalue(a, b):
         aa = [pooled[i] for i in idx]
         bb = [pooled[i] for i in range(len(pooled)) if i not in chosen]
         total += 1
-        if abs(oracle_u(aa, bb) - nm / 2.0) >= obs - 1e-12:
-            favorable += 1
+        favorable += abs(oracle_u(aa, bb) - nm / 2.0) >= obs - 1e-12
     return favorable / total
 
 
@@ -262,12 +254,9 @@ class TestExactMwuCache:
 
 
 def oracle_ks_d(a, b):
-    best = 0.0
-    for t in list(a) + list(b):
-        fa = sum(1 for v in a if v <= t) / len(a)
-        fb = sum(1 for v in b if v <= t) / len(b)
-        best = max(best, abs(fa - fb))
-    return best
+    """The largest gap between the two empirical CDFs, over every sample value."""
+    return max(abs(sum(v <= t for v in a) / len(a) - sum(v <= t for v in b) / len(b))
+               for t in list(a) + list(b))
 
 
 class TestKsTwoSample:
@@ -285,12 +274,10 @@ class TestKsTwoSample:
         for _ in range(1000):
             n = int(rng.integers(2, 20))
             m = int(rng.integers(2, 20))
-            if rng.random() < 0.5:
-                a = rng.integers(0, 6, size=n).astype(float)
-                b = rng.integers(0, 6, size=m).astype(float)
-            else:
-                a = rng.normal(size=n)
-                b = rng.normal(size=m)
+            # each sample integer (ties) or normal (none), so that mixed
+            # pairs come up too
+            a, b = (rng.integers(0, 6, size=k).astype(float) if rng.random() < 0.5
+                    else rng.normal(size=k) for k in (n, m))
             d, p = ks_two_sample(a, b)
             assert d == pytest.approx(oracle_ks_d(a, b), abs=1e-12)
             assert 0.0 <= d <= 1.0
