@@ -16,9 +16,11 @@ problem and the grating do; the runs in one process share its objective.
 
 Seeds are derived deterministically from (base_seed, algorithm, problem,
 run index) so any run can be reproduced in isolation, and every run's
-metric rows hit disk, in grid order, before aggregation. The process pool
-gets ``workers = min(jobs, len(tasks))`` processes; with ``workers > 1``
-runs go to it in chunks of ``max(1, len(tasks) // (32 * workers))`` runs,
+metric rows hit disk, in grid order, before aggregation. A run's rows
+land together, in one write and one flush, so a crash or an interrupt
+leaves only whole runs in ``runs.csv``. The process pool gets
+``workers = min(jobs, len(tasks))`` processes; with ``workers > 1`` runs
+go to it in chunks of ``max(1, len(tasks) // (32 * workers))`` runs,
 so a crash loses at most the ``runs.csv`` rows of the runs in flight, one
 chunk per worker, plus any finished chunk still waiting for an earlier
 one; it loses every trace, as traces stay in memory until
@@ -37,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -256,14 +259,16 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     Run ``r`` of an algorithm/problem pair is seeded with
     ``derive_seed(base_seed, algorithm, problem, r)``, so per-run results
     do not depend on execution order or parallelism. Raw metric rows are
-    appended (and flushed) to ``runs.csv`` in grid order as each run
-    finishes. The pool has ``workers = min(jobs, len(tasks))`` processes,
-    receives the runs in chunks of ``_chunksize(len(tasks), workers)`` and
-    returns them in order. An integer ``jobs`` <= 1, or a one-run grid,
-    runs serially. Each problem is built once, by ``spec.validate()``, and
-    sent to its runs in the task, so it must pickle to reach a pool; the
-    outputs depend neither on ``jobs`` nor on the pool's start method. A
-    crash loses the ``runs.csv`` rows of the runs in flight (see the module
+    appended to ``runs.csv`` in grid order as each run finishes, a run's
+    rows together in one write and one flush, so a crash or an interrupt
+    leaves only whole runs in the file. The pool has
+    ``workers = min(jobs, len(tasks))`` processes, receives the runs in
+    chunks of ``_chunksize(len(tasks), workers)`` and returns them in
+    order. An integer ``jobs`` <= 1, or a one-run grid, runs serially.
+    Each problem is built once, by ``spec.validate()``, and sent to its
+    runs in the task, so it must pickle to reach a pool; the outputs
+    depend neither on ``jobs`` nor on the pool's start method. A crash
+    loses the ``runs.csv`` rows of the runs in flight (see the module
     docstring) and every trace.
 
     A run that raises stops the grid with :class:`RunError`, and so does a
@@ -296,8 +301,19 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
 
     raw_path = out_dir / "runs.csv"
     with open(raw_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        # rows are formatted here and land in the file a run at a time, in
+        # one write and one flush, so an interrupt leaves only whole runs
+        rows = io.StringIO()
+        writer = csv.writer(rows)
+
+        def land():
+            fh.write(rows.getvalue())
+            fh.flush()
+            rows.seek(0)
+            rows.truncate()
+
         writer.writerow(RAW_COLUMNS)
+        land()
 
         def record(task, outcome):
             alg_name, _, problem, _, seed, run = task
@@ -305,7 +321,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
             for metric, value in metric_values.items():
                 table.values.setdefault((alg_name, problem.name, metric), []).append(value)
                 writer.writerow([alg_name, problem.name, run, seed, metric, _float_repr(value)])
-            fh.flush()
+            land()
             table.traces[(alg_name, problem.name, run)] = trace
 
         # a fork pool starts all its workers at the first submit, so never

@@ -1,6 +1,7 @@
 """Fixtures shared by the harness and CLI tests: a problem whose runs fail,
 one whose pool workers die, one that counts the runs started, and the
-worker count with the pool's start method."""
+worker count with the pool's start method. A collection hook fails the
+session when one test is collected twice."""
 
 import concurrent.futures
 import csv
@@ -14,6 +15,18 @@ import pytest
 
 from nichebench import cli, harness
 from nichebench.problems import himmelblau
+
+
+def pytest_collection_modifyitems(items):
+    """Fail collection when one test function, with the same parameters,
+    is collected under two node ids: a ``from test_x import TestY`` in
+    another module would run that class twice."""
+    seen = {}
+    for item in items:
+        if hasattr(item, "function"):
+            key = item.function, getattr(getattr(item, "callspec", None), "id", None)
+            if seen.setdefault(key, item.nodeid) != item.nodeid:
+                raise pytest.UsageError(f"{item.nodeid} collects {seen[key]} again")
 
 
 def _nan_objective(genome):
@@ -97,7 +110,7 @@ def mark_interrupt(starts):
 
 
 class _InterruptingWriter:
-    """A CSV writer that, once it has written its ``at``-th line, marks
+    """A CSV writer that, once it has formatted its ``at``-th line, marks
     the moment and presses Ctrl-C: SIGINT to its process group."""
 
     def __init__(self, writer, at, fh):
@@ -114,7 +127,7 @@ class _InterruptingWriter:
 def counted_cli(argv):
     """``nichebench.cli.main(argv)`` with the 'counted' problem known to it,
     in a process of its own. With ``$NICHEBENCH_TEST_INTERRUPT_AT`` set
-    to k, the CLI interrupts itself as it writes the k-th line of
+    to k, the CLI interrupts itself as it formats the k-th line of
     ``runs.csv``."""
     harness.PROBLEM_FACTORIES["counted"] = counted_problem
     if INTERRUPT_AT in os.environ:

@@ -2,12 +2,14 @@
 
 Each criterion runs at its stated tolerance and prints one PASS/FAIL
 line (visible with ``pytest tests/test_acceptance.py -v -s``). The
-statistical criteria execute the full 50-run protocol and take a few
-minutes; everything else is seconds.
+statistical criteria execute the full 50-run protocol and carry the
+``slow`` marker: on a 2-vCPU host they took about 20 s together, the
+longest, criterion 4, about 8 s. The rest of the module takes about 4 s.
 """
 
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from nichebench.grating import (
 from nichebench.harness import ExperimentSpec, derive_seed, run_experiment
 from nichebench.problems import PROBLEM_FACTORIES, six_hump_camel
 from nichebench.stats import ks_two_sample, mann_whitney_u, pairwise_matrix, welch_t
-# modules, not their classes: a class imported here would be collected twice
+# modules, not their classes: a class imported here would be collected
+# twice, which conftest's collection hook fails
+import conftest
 import test_algorithms
 import test_metrics
 import test_stats
@@ -62,6 +66,18 @@ def test_criterion_1_oracle_equivalence():
         test_metrics.TestDistinctPeaks().test_against_independent_rescan()
         test_stats.TestMannWhitneyU().test_exact_p_matches_permutation_enumeration()
         test_stats.TestKsTwoSample().test_d_matches_breakpoint_scan()
+
+
+def test_a_test_collected_twice_fails_collection():
+    check = test_algorithms.TestCrowdingReplacement.test_full_cf_against_brute_force
+
+    def item(nodeid, **callspec):
+        return SimpleNamespace(nodeid=nodeid, function=check, callspec=SimpleNamespace(**callspec))
+
+    conftest.pytest_collection_modifyitems([item("a::t"), item("a::t[1]", id="1"),
+                                            item("b::t[2]", id="2")])
+    with pytest.raises(pytest.UsageError, match=r"^b::t\[1\] collects a::t\[1\] again$"):
+        conftest.pytest_collection_modifyitems([item("a::t[1]", id="1"), item("b::t[1]", id="1")])
 
 
 # ---------------------------------------------------------------------------

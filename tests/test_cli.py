@@ -287,8 +287,8 @@ def _wait_for(condition, what, seconds=60.0):
         time.sleep(0.02)
 
 
-@pytest.mark.parametrize("jobs, interrupt_at", [(1, None), (2, None), (2, 4)],
-                         ids=["1", "2", "2-while-recording"])
+@pytest.mark.parametrize("jobs, interrupt_at", [(1, None), (2, None), (1, 5), (2, 5)],
+                         ids=["1", "2", "1-while-recording", "2-while-recording"])
 def test_interrupt_exits_130_keeping_a_prefix_of_the_rows(tmp_path, monkeypatch, jobs,
                                                           interrupt_at):
     # Ctrl-C sends SIGINT to the foreground process group: the CLI and its
@@ -296,11 +296,12 @@ def test_interrupt_exits_130_keeping_a_prefix_of_the_rows(tmp_path, monkeypatch,
     # reaches that group and not the test's. The test sends it once the
     # first run's rows are in, mostly while the CLI waits in pool.map's
     # result iterator, which cancels the chunks not yet queued on its way
-    # out; or the CLI sends it as it writes line ``interrupt_at`` of
-    # runs.csv, outside that iterator, where only run_experiment's own
-    # ``cancel_futures`` drops them. The objective writes a line to
-    # ``starts`` as each run starts, so the runs started after the signal
-    # show, though their rows are never recorded
+    # out; or the CLI sends it as it formats line ``interrupt_at`` of
+    # runs.csv, the second run's first row, outside that iterator, where
+    # only run_experiment's own ``cancel_futures`` drops them. The
+    # objective writes a line to ``starts`` as each run starts, so the runs
+    # started after the signal show, though their rows are never recorded.
+    # Whenever the signal lands, the file holds whole runs of three rows
     out, starts = tmp_path / "r", tmp_path / "starts"
     runs = 400
     grid = ["--algorithm", "crowding_de", "--problem", "counted", "--runs", str(runs),
@@ -349,7 +350,7 @@ def test_interrupt_exits_130_keeping_a_prefix_of_the_rows(tmp_path, monkeypatch,
     assert late <= ((2 * jobs + 1) * harness._chunksize(runs, jobs) if jobs > 1 else 1), \
         f"{late} runs started after the signal"
     rows = runs_csv.read_text().splitlines()
-    assert 4 <= len(rows) < 1 + 3 * runs
+    assert 4 <= len(rows) < 1 + 3 * runs and (len(rows) - 1) % 3 == 0
     # the same grid left to finish, up to the run the interrupted file reached
     monkeypatch.setitem(harness.PROBLEM_FACTORIES, "counted", conftest.counted_problem)
     whole = tmp_path / "whole"

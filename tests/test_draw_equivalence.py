@@ -2,13 +2,15 @@
 
 Each ``reference_*`` function below is the earlier, straightforward form
 of an operator or a draw; ``spec`` states the seven algorithms one
-individual at a time, and is the oracle for whole runs, crowding's
-challenge, the tournaments, the species seed scan and conservation;
-``distinct_peaks`` is checked against ``test_metrics``' re-scan. The
-current code must return bit-identical values and leave the random
-stream in the identical state, on random inputs and on the edge cases
-named in each test. Together with the fingerprint table this is what
-lets the hot path change without moving a published number.
+individual at a time, and is the oracle for whole runs, the tournaments
+and crowding's walk over a generation. The current code must return
+bit-identical values and leave the random stream in the identical
+state, on random inputs and on the edge cases named in each test.
+Together with the fingerprint table this is what lets the hot path
+change without moving a published number. Each niching rule's own
+randomized check (the crowding challenge, the species seed scan,
+conservation, ``distinct_peaks``) lives with that rule's tests, in
+``tests/test_algorithms.py`` and ``tests/test_metrics.py``.
 """
 
 import dataclasses
@@ -18,17 +20,7 @@ import numpy as np
 import pytest
 
 from nichebench import core, draws
-from nichebench.algorithms import (
-    ALGORITHMS,
-    AlgorithmConfig,
-    _Crowding,
-    _RunState,
-    _nearest,
-    conserve_species_seeds,
-    crowding_replacement,
-    determine_species_seeds,
-    scga,
-)
+from nichebench.algorithms import ALGORITHMS, AlgorithmConfig, _Crowding, _RunState, scga
 from nichebench.core import (
     Individual,
     Population,
@@ -40,11 +32,9 @@ from nichebench.core import (
 )
 from nichebench.draws import de_draws, de_generation_draws, ga_generation_draws, mutation_draws
 from nichebench.harness import resolve_problem
-from nichebench.metrics import avg_min_distance, distinct_peaks, peak_ratio
 from nichebench.problems import BoundedProblem
 import spec
 from test_import_guard import run_fresh
-from test_metrics import oracle_distinct_peaks
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +160,6 @@ def per_child_tournament(fitness, rng, direction):
     """One binary tournament, its two candidates drawn as two integers(n) calls."""
     first, second = int(rng.integers(len(fitness))), int(rng.integers(len(fitness)))
     return binary_tournament(fitness, first, second, direction)
-
-
-def per_child_crowding(child, pop, cf, rng, direction):
-    """One crowding step as the per-child loop made it: the sample of cf
-    < n members drawn, the child's distances to the whole population
-    restacked, its nearest sampled member picked as ``_Crowding`` picks
-    it, then the challenge."""
-    n = len(pop.members)
-    sample = None if cf == n else np.sort(rng.choice(n, size=cf, replace=False))
-    dists = np.sqrt(((pop.genomes - child.genome) ** 2).sum(axis=1))
-    return crowding_replacement(child, pop, _nearest(dists, sample), direction)
 
 
 def per_child_trial(target, genomes, F, CR, rng, bounds, donor_pool=None):
@@ -807,32 +786,8 @@ def test_a_batch_is_its_rows_built_one_at_a_time():
 
 
 # ---------------------------------------------------------------------------
-# survivor selection
+# crowding's walk over a generation
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("direction", ["max", "min"])
-def test_crowding_replacement_matches_restacking(direction):
-    rng = np.random.default_rng(12)
-    for seed in range(300):
-        n = int(rng.integers(2, 20))
-        dim = int(rng.choice(DIMS))
-        genomes = rng.integers(-2, 3, size=(n, dim)).astype(float)  # ties and duplicates
-        fits = rng.integers(0, 4, size=n).astype(float)
-        cf = n if seed % 2 else int(rng.integers(1, n + 1))
-        new_pop, old_pop = population(genomes, fits), spec_pop(genomes, fits)
-        new, old = twin_streams(seed)
-        for _ in range(5):  # a sequence of challenges on the same population
-            child = Individual(rng.integers(-2, 3, size=dim).astype(float),
-                               float(rng.integers(0, 5)))
-            accepted = per_child_crowding(child, new_pop, cf, new, direction)
-            taken = spec.crowding(old_pop, child.genome, child.fitness, cf, old, direction)
-            assert accepted is any(m is child for m in new_pop.members)
-            assert [m is child for m in new_pop.members] == [i == taken for i in range(n)]
-            assert snapshot(new_pop) == pair_bytes(old_pop)
-            assert_bits_equal(new_pop.genomes, np.array([g for g, _ in old_pop]))
-            assert_bits_equal(new_pop.fitness, np.array([f for _, f in old_pop]))
-        assert_same_stream(new, old)
-
 
 @pytest.mark.parametrize("direction", ["max", "min"])
 def test_crowding_walk_picks_the_reference_slot(direction):
@@ -868,111 +823,6 @@ def test_crowding_walk_picks_the_reference_slot(direction):
         assert_same_stream(new, old)
         if samples is not None:
             assert_bits_equal(samples, drawn)  # the walk sorts a copy
-
-
-@pytest.mark.parametrize("direction", ["max", "min"])
-def test_species_seed_scan_matches_scalar_distances(direction):
-    rng = np.random.default_rng(13)
-    for _ in range(400):
-        n = int(rng.integers(1, 40))
-        dim = int(rng.choice(DIMS))
-        genomes = rng.uniform(-1, 1, size=(n, dim))
-        if n > 3:
-            genomes[1] = genomes[0]  # duplicate genomes
-        fits = rng.integers(0, 5, size=n).astype(float)
-        sigma = float(rng.uniform(0.05, 3.0))
-        got = determine_species_seeds(genomes, fits, sigma, direction)
-        assert got == spec.species_seeds(spec_pop(genomes, fits), sigma, direction)
-
-
-def test_species_seed_scan_pair_at_exactly_half_the_distance():
-    # 0.5 apart with species_distance 1.0: distance == radius, so both seed
-    genomes, fits = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]]), np.array([3.0, 2.0, 1.0])
-    got = determine_species_seeds(genomes, fits, 1.0, "max")
-    assert got == spec.species_seeds(spec_pop(genomes, fits), 1.0, "max") == [0, 1]
-
-
-@pytest.mark.parametrize("direction", ["max", "min"])
-def test_conservation_matches_list_comprehensions(direction):
-    rng = np.random.default_rng(14)
-    for trial in range(400):
-        n = int(rng.integers(1, 30))
-        dim = int(rng.choice((1, 2, 3)))
-        sigma = float(rng.uniform(0.1, 2.0))
-        parent_genomes = rng.uniform(-1, 1, size=(n, dim))
-        if trial % 3 == 1:
-            parent_genomes[:, 0] = 0.0  # seeds with a zero coordinate
-        parent_fits = rng.integers(0, 4, size=n).astype(float)
-        seeds = determine_species_seeds(parent_genomes, parent_fits, sigma, direction)
-        seed_genomes, seed_fits = parent_genomes[seeds], parent_fits[seeds]
-        if trial % 5 == 0:  # more seeds than slots: overflow
-            seed_genomes = np.vstack([seed_genomes, rng.uniform(5, 9, size=(n, dim))])
-            seed_fits = np.concatenate([seed_fits, np.full(n, 9.0)])
-        genomes = rng.uniform(-1, 1, size=(n, dim))
-        fits = rng.integers(0, 4, size=n).astype(float)
-        if n > 2:
-            genomes[0] = genomes[1]  # duplicate genomes
-            genomes[2] = seed_genomes[0]  # one seed survived variation
-            if trial % 3 == 1:
-                genomes[2, 0] = -0.0  # with its zero's sign flipped: still the seed
-        if trial % 4 == 0 and n > 3:
-            genomes[3] = seed_genomes[0]  # and a clone of it
-        old_pop = spec_pop(genomes, fits)
-        spec.conserve(old_pop, spec_pop(seed_genomes, seed_fits), sigma, direction)
-        conserve_species_seeds(genomes, fits, seed_genomes, seed_fits, sigma, direction)
-        assert_bits_equal(genomes, np.array([g for g, _ in old_pop]))
-        assert_bits_equal(fits, np.array([f for _, f in old_pop]))
-
-
-def test_conservation_seed_at_exactly_half_the_distance_is_outside():
-    # the member sits exactly on the region's edge, so the species is empty
-    # and the globally worst member gives way
-    genomes, fits = np.array([[0.5], [3.0], [4.0]]), np.array([1.0, 0.0, 2.0])
-    pop = spec_pop(genomes, fits)
-    spec.conserve(pop, [(np.array([0.0]), 5.0)], 1.0, "max")
-    conserve_species_seeds(genomes, fits, np.array([[0.0]]), np.array([5.0]), 1.0, "max")
-    assert [g[0] for g, _ in pop] == genomes[:, 0].tolist() == [0.5, 0.0, 4.0]
-    assert [f for _, f in pop] == fits.tolist() == [1.0, 5.0, 2.0]
-
-
-# ---------------------------------------------------------------------------
-# metrics
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("direction", ["max", "min"])
-def test_distinct_peaks_matches_scalar_rescan(direction):
-    rng = np.random.default_rng(16)
-    for trial in range(400):
-        n = int(rng.integers(1, 60))
-        dim = int(rng.choice(DIMS))
-        bounds = random_bounds(rng, dim) if trial % 2 else None
-        lo, hi = (0.0, 1.0) if bounds is None else (bounds[:, 0], bounds[:, 1])
-        genomes = rng.uniform(lo, hi, size=(n, dim))
-        if n > 3:
-            genomes[1] = genomes[0]  # duplicate genomes
-        fits = rng.uniform(0.0, 2.0, size=n)
-        threshold = float(rng.uniform(0.0, 2.0))
-        radius = float(rng.uniform(0.01, 0.8))
-        got = distinct_peaks(genomes, fits, threshold, radius, direction, bounds)
-        assert got == oracle_distinct_peaks(genomes, fits, threshold, radius, direction, bounds)
-
-
-def test_distinct_peaks_pair_at_exactly_the_radius_counts_twice():
-    genomes, fits = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]]), np.zeros(3)
-    assert distinct_peaks(genomes, fits, 1.0, 0.5) == \
-        oracle_distinct_peaks(genomes, fits, 1.0, 0.5) == 2
-
-
-def test_metrics_leave_the_genome_matrix_alone():
-    rng = np.random.default_rng(17)
-    genomes, fits = rng.uniform(size=(20, 3)), np.zeros(20)
-    before = genomes.copy()
-    bounds = np.array([[0.0, 2.0]] * 3)
-    distinct_peaks(genomes, fits, 1.0, 0.2, "min", bounds)
-    peak_ratio(genomes, [np.full(3, 0.5)])
-    avg_min_distance(genomes, [np.full(3, 0.5)])
-    assert_bits_equal(genomes, before)
-    assert_bits_equal(fits, np.zeros(20))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ A case is a random algorithm, problem, ``AlgorithmConfig``, budget and
 seed. It runs twice: as is, and with the three first-use probes patched
 to False, so that every generation takes the real calls and every
 distance block ``.sum``. Both runs must give the same sha256 of genomes,
-fitness, ``evals_used`` and trace, spend exactly the budget, and keep a
-trace whose evaluation counts strictly increase up to the budget and
+fitness, ``evals_used`` and trace, spend exactly the budget, return one
+genome row inside the bounds and one fitness value per member, and keep
+a trace whose evaluation counts strictly increase up to the budget and
 whose best fitness never gets worse. A third leg runs a subset of the
 cases through ``spec``, the algorithms stated one individual at a time,
 which shares no code with the run core but the per-call draws: its
@@ -93,14 +94,18 @@ def cases(stream: int, count: int) -> list[Case]:
 
 def run_digest(case: Case, philox: bool = False, runs=ALGORITHMS) -> str:
     """The run's :func:`result_digest`, once the run is checked against
-    the budget and the trace invariants. ``philox`` runs on a Philox
-    stream of the case's seed instead of PCG64; ``runs`` maps the
-    algorithm names to the runs, ``spec.ALGORITHMS`` for the
-    specification's."""
+    the budget, the result's shapes and bounds, and the trace invariants.
+    ``philox`` runs on a Philox stream of the case's seed instead of
+    PCG64; ``runs`` maps the algorithm names to the runs,
+    ``spec.ALGORITHMS`` for the specification's."""
     problem = resolve_problem(case.problem)
     rng = np.random.Generator(np.random.Philox(case.seed)) if philox else case.seed
     result = runs[case.algorithm](problem, case.config, case.budget, rng)
     assert result.evals_used == case.budget, f"spent {result.evals_used} evaluations"
+    n, (lo, hi) = case.config.population_size, problem.bounds.T
+    assert result.genomes.shape == (n, problem.dimension) and result.fitness.shape == (n,), \
+        f"result shapes {result.genomes.shape} and {result.fitness.shape}"
+    assert ((lo <= result.genomes) & (result.genomes <= hi)).all(), "a genome left the bounds"
     counts = [used for used, _ in result.trace]
     assert counts[-1] == case.budget and all(a < b for a, b in zip(counts, counts[1:])), \
         f"trace counts {counts}"

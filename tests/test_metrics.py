@@ -9,6 +9,7 @@ from nichebench import algorithms, core, metrics
 from nichebench.algorithms import conserve_species_seeds, determine_species_seeds
 from nichebench.metrics import avg_min_distance, best_fitness, distinct_peaks, peak_ratio
 from nichebench.problems import deb1
+from test_draw_equivalence import DIMS, assert_bits_equal, random_bounds
 
 
 def as_genomes(rows):
@@ -327,11 +328,25 @@ class TestDistinctPeaks:
     def test_against_independent_rescan(self):
         rng = np.random.default_rng(31)
         for _ in range(1000):
-            n = rng.integers(1, 12)
-            points = rng.uniform(0, 1, size=(n, 2))
-            fits = rng.uniform(0, 2e-4, size=n)
-            expected = oracle_distinct_peaks(points, fits)
-            assert distinct_peaks(points, fits) == expected
+            n, dim = int(rng.integers(1, 60)), int(rng.choice(DIMS))
+            bounds = random_bounds(rng, dim) if rng.random() < 0.5 else None
+            lo, hi = (0.0, 1.0) if bounds is None else (bounds[:, 0], bounds[:, 1])
+            genomes = rng.uniform(lo, hi, size=(n, dim))
+            if n > 3 and rng.random() < 0.5:
+                genomes[1] = genomes[0]  # duplicate rows
+            if rng.random() < 0.5:  # the defaults: threshold 1e-4, radius 0.1, minimising
+                fits, settings = rng.uniform(0, 2e-4, size=n), ()
+            else:
+                fits = rng.uniform(0.0, 2.0, size=n)
+                settings = (float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.01, 0.8)),
+                            "max" if rng.random() < 0.5 else "min")
+            expected = oracle_distinct_peaks(genomes, fits, *settings, bounds=bounds)
+            assert distinct_peaks(genomes, fits, *settings, bounds=bounds) == expected
+
+    def test_distinct_peaks_pair_at_exactly_the_radius_counts_twice(self):
+        genomes, fits = as_genomes([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0]]), np.zeros(3)
+        assert distinct_peaks(genomes, fits, 1.0, 0.5) == \
+            oracle_distinct_peaks(genomes, fits, 1.0, 0.5) == 2
 
     def test_normalized_bounds(self):
         # raw distance 50 but 0.05 after min-max normalization: one peak
@@ -354,3 +369,15 @@ class TestDistinctPeaks:
             counts.add(distinct_peaks(as_genomes([points[i] for i in order]),
                                       [fits[i] for i in order]))
         assert counts == {3}
+
+
+def test_metrics_leave_the_genome_matrix_alone():
+    rng = np.random.default_rng(17)
+    genomes, fits = rng.uniform(size=(20, 3)), np.zeros(20)
+    before = genomes.copy()
+    bounds = np.array([[0.0, 2.0]] * 3)
+    distinct_peaks(genomes, fits, 1.0, 0.2, "min", bounds)
+    peak_ratio(genomes, [np.full(3, 0.5)])
+    avg_min_distance(genomes, [np.full(3, 0.5)])
+    assert_bits_equal(genomes, before)
+    assert_bits_equal(fits, np.zeros(20))
