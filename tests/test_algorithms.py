@@ -459,6 +459,20 @@ class TestEveryAlgorithm:
             else:
                 assert sum(counted.batches) == budget
 
+    def test_only_crowding_keeps_individuals_and_a_population(self, name, monkeypatch):
+        # the five other algorithms hold a genome matrix and a fitness vector;
+        # crowding's walk builds one Population, one member per row and one
+        # Individual per child it evaluates
+        built = {}
+        for cls in (core.Population, core.Individual):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] = built.get(_name, 0) + 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        ALGORITHMS[name](himmelblau(), small_config(), 100, 5)
+        crowding = name in ("crowding_ga", "crowding_de")
+        assert built == ({"Population": 1, "Individual": 100} if crowding else {})
+
 
 class _CountedBatches:
     """An objective that records the size of each batch it is given."""
@@ -472,25 +486,6 @@ class _CountedBatches:
     def many(self, rows):
         self.batches.append(len(rows))
         return self.objective.many(rows)
-
-
-def test_only_crowding_keeps_individuals_and_a_population(monkeypatch):
-    # the five other algorithms hold a genome matrix and a fitness vector;
-    # crowding's walk builds one Population, one member per row and one
-    # Individual per child it evaluates
-    built = {}
-    for cls in (core.Population, core.Individual):
-        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            built[_name] = built.get(_name, 0) + 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting)
-    for name in ALL_NAMES:
-        built.clear()
-        ALGORITHMS[name](himmelblau(), small_config(), 100, 5)
-        if name in ("crowding_ga", "crowding_de"):
-            assert built == {"Population": 1, "Individual": 100}, name
-        else:
-            assert built == {}, name
 
 
 def _slotwise_initial_population(problem, config, seed):

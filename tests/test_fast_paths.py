@@ -19,9 +19,11 @@ digest must be the same too. So a fault in code that both library paths
 share (the crowding walk's rebuilds, conservation's slots, the budget
 cap) moves a digest. Tier-1 sweeps 200 cases, every fourth through the
 spec, and the ``slow`` sweep 2000 others, every tenth through the spec
-(the spec is per-individual Python: all 2000 would take about 40 s more);
-a failing case is printed as one line that can be pinned as a regular
-test::
+(the spec is per-individual Python: all 2000 would take about 40 s more).
+Each sweep is one test per algorithm, over that algorithm's cases, so a
+failure names its algorithm as the removed fixed-run tests of
+``TestEveryAlgorithm`` did; a failing case is printed as one line that
+can be pinned as a regular test::
 
     sde on deb1: AlgorithmConfig(population_size=7, ...), budget=150, seed=123
 
@@ -126,17 +128,21 @@ def check(case: Case, monkeypatch, philox: bool = False, against_spec: bool = Fa
         assert run_digest(case, philox, spec.ALGORITHMS) == fast, "the run is not the spec's"
 
 
-def sweep(monkeypatch, swept: list[Case], philox: bool = False, spec_every: int = 1) -> None:
-    """Check every case, every ``spec_every``-th from the first against the
-    spec too, then fail with one line per failing case."""
+def sweep(monkeypatch, swept: list[Case], algorithm: str, philox: bool = False,
+          spec_every: int = 1) -> None:
+    """Check the cases of ``algorithm``, those at every ``spec_every``-th
+    place of ``swept`` from the first against the spec too, then fail with
+    one line per failing case."""
+    mine = [(k, case) for k, case in enumerate(swept) if case.algorithm == algorithm]
+    assert mine, f"no case of {algorithm}"
     failures = []
-    for k, case in enumerate(swept):
+    for k, case in mine:
         try:
             check(case, monkeypatch, philox, k % spec_every == 0)
         except Exception as exc:  # an assertion, or a run that raised
             reason = str(exc).splitlines()[0] if str(exc) else ""
             failures.append(f"{case} -> {type(exc).__name__}: {reason}")
-    assert not failures, f"{len(failures)} of {len(swept)} cases failed:\n" + "\n".join(failures)
+    assert not failures, f"{len(failures)} of {len(mine)} cases failed:\n" + "\n".join(failures)
 
 
 def test_the_cases_cover_the_configuration_space():
@@ -154,11 +160,13 @@ def test_the_cases_cover_the_configuration_space():
     assert sum(map(bool, mid)) > TIER1_CASES // 2
 
 
-def test_fast_paths_keep_every_run(monkeypatch):
-    sweep(monkeypatch, cases(0, TIER1_CASES), spec_every=TIER1_SPEC_EVERY)
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_fast_paths_keep_every_run(monkeypatch, algorithm):
+    sweep(monkeypatch, cases(0, TIER1_CASES), algorithm, spec_every=TIER1_SPEC_EVERY)
 
 
-def test_a_philox_stream_takes_the_real_calls(monkeypatch):
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_a_philox_stream_takes_the_real_calls(monkeypatch, algorithm):
     # the decoders read PCG64 words only: any other bit generator must never
     # reach them, and still spend the budget and reproduce its run
     def no_decoding(*args):
@@ -166,12 +174,12 @@ def test_a_philox_stream_takes_the_real_calls(monkeypatch):
 
     monkeypatch.setattr(draws, "_decode_de", no_decoding)
     monkeypatch.setattr(draws, "_decode_ga", no_decoding)
-    # one case per algorithm, each through the spec too
-    swept = [next(case for case in cases(2, 50) if case.algorithm == name)
-             for name in sorted(ALGORITHMS)]
-    sweep(monkeypatch, swept, philox=True)
+    # the algorithm's first case, through the spec too
+    swept = [next(case for case in cases(2, 50) if case.algorithm == algorithm)]
+    sweep(monkeypatch, swept, algorithm, philox=True)
 
 
 @pytest.mark.slow
-def test_fast_paths_keep_every_run_slow_sweep(monkeypatch):
-    sweep(monkeypatch, cases(1, SLOW_CASES), spec_every=SLOW_SPEC_EVERY)
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_fast_paths_keep_every_run_slow_sweep(monkeypatch, algorithm):
+    sweep(monkeypatch, cases(1, SLOW_CASES), algorithm, spec_every=SLOW_SPEC_EVERY)
