@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     try:
         spec, jobs = build_spec(args)
         table = run_experiment(spec, jobs=jobs)
-        written = emit_reports(table, output_dir=spec.output_dir)
+        written = emit_reports(table)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

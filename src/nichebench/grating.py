@@ -234,7 +234,7 @@ SYNTHETIC_FREQUENCIES = np.array(
 SYNTHETIC_AMPLITUDES = np.array([2.2e-5, 5.4e-4, 2.1e-2, 1.6e-2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticRecordingModel:
     """Smooth multimodal stand-in for the optical recording computation.
 
@@ -243,7 +243,8 @@ class SyntheticRecordingModel:
     anchor design reproduces the zero-residual values exactly while the
     sine sums create further zero-error designs across the box. This model
     is a test double and has no physical meaning. :meth:`many` is the
-    same expression broadcast over rows of designs.
+    same expression broadcast over rows of designs. It holds arrays, so it
+    is equal to and hashed as itself alone.
     """
 
     anchor: np.ndarray = field(default_factory=default_anchor)

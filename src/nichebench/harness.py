@@ -372,8 +372,9 @@ def _replacing(path: Path, newline: str | None = None):
         tmp.unlink(missing_ok=True)
 
 
-def emit_reports(table: ResultTable, output_dir: str | os.PathLike = "results") -> list[Path]:
-    """Write the report files for a finished experiment.
+def emit_reports(table: ResultTable, output_dir: str | os.PathLike | None = None) -> list[Path]:
+    """Write the report files for a finished experiment, into ``output_dir``
+    or, by default, the spec's ``output_dir``, next to ``runs.csv``.
 
     Produces ``summary.csv`` (mean and sample standard deviation per cell,
     algorithms as columns), one JSON significance matrix per (problem,
@@ -388,7 +389,7 @@ def emit_reports(table: ResultTable, output_dir: str | os.PathLike = "results") 
     """
     spec = table.spec
     labels = table.algorithms
-    out_dir = Path(output_dir)
+    out_dir = Path(spec.output_dir if output_dir is None else output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 

@@ -27,9 +27,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundedProblem:
-    """A box-bounded objective with optimization direction and known optima."""
+    """A box-bounded objective with optimization direction and known optima.
+    It holds arrays, so it is equal to and hashed as itself alone."""
 
     name: str
     bounds: np.ndarray  # shape (dimension, 2), rows [lo, hi]

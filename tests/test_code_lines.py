@@ -5,11 +5,12 @@ per line it spans."""
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+def load_tool(name: str):
+    """The module of ``tools/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,4 +36,4 @@ class Box:
             len(text))
 '''
     # import, class, def, the two lines of text, the two of the return
-    assert load_tool().code_lines(source) == 7
+    assert load_tool("code_lines").code_lines(source) == 7

@@ -14,12 +14,13 @@ conservation, ``distinct_peaks``) lives with that rule's tests, in
 """
 
 import dataclasses
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nichebench import core, draws
+from nichebench import draws
 from nichebench.algorithms import ALGORITHMS, AlgorithmConfig, _Crowding, _RunState, scga
 from nichebench.core import (
     Individual,
@@ -34,6 +35,7 @@ from nichebench.draws import de_draws, de_generation_draws, ga_generation_draws,
 from nichebench.harness import resolve_problem
 from nichebench.problems import BoundedProblem
 import spec
+from test_fast_paths import forbid
 from test_import_guard import run_fresh
 
 
@@ -402,28 +404,33 @@ def generation_case(seed, held):
     return new, old
 
 
-def assert_same_draws(got, want, new, old):
-    assert_bits_equal(got[0], want[0])
-    assert_bits_equal(got[1], want[1])
-    if want[2] is None:
-        assert got[2] is None
-    else:
-        assert_bits_equal(got[2], want[2])
+def assert_same_draws(decoder, new, old, *args):
+    """``decoder``'s generation draws for ``args`` from ``new`` against the
+    same requests made one at a time from ``old``: the same arrays, bit for
+    bit (a list of normals array by array), None where no sample was asked
+    for, then the same state, the held half and NumPy's stale ``uinteger``
+    included."""
+    got, want = DECODERS[decoder].draws(new, *args), DECODERS[decoder].sequential(old, *args)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        elif isinstance(g, list):
+            assert len(g) == len(w)
+            for a, b in zip(g, w):
+                assert_bits_equal(a, b)
+        else:
+            assert_bits_equal(g, w)
     assert_same_stream(new, old)
     assert new.random() == old.random()
 
 
-def _no_real_calls(*args):
-    raise AssertionError("took the real-call path")
-
-
 @pytest.fixture
 def decoding(monkeypatch):
-    """Every DE generation on a PCG64 stream must be decoded, crowding
-    samples included: the probe passed, and the per-trial path fails the
-    test."""
-    assert draws._decoder_probe()
-    monkeypatch.setattr(draws, "_real_de_draws", _no_real_calls)
+    """Every generation on a PCG64 stream must be decoded, crowding samples
+    included: both probes passed, and the real-call paths fail the test."""
+    for decoder in DECODERS.values():
+        assert getattr(draws, decoder.probe)()
+        forbid(monkeypatch, decoder.real)
 
 
 @pytest.mark.parametrize("n", [4, 5, 7, 10, 50])
@@ -435,8 +442,7 @@ def test_generation_draws_match_sequential_de_draws(n, decoding):
         pools = species_labels(rng, n) if seed % 2 else None
         CR = float(rng.choice([0.0, 0.5, 0.9, 1.0]))
         new, old = generation_case(seed, held=rng.random() < 0.5)
-        assert_same_draws(de_generation_draws(new, n, m, dim, CR, pools),
-                          sequential_de_draws(old, n, m, dim, CR, pools), new, old)
+        assert_same_draws("de", new, old, n, m, dim, CR, pools)
 
 
 @pytest.mark.parametrize("held", [False, True])
@@ -448,60 +454,7 @@ def test_generation_draws_with_a_species_of_four(dim, held, decoding):
     for seed in range(40):
         m = (14, 3, 9)[seed % 3]
         new, old = generation_case(seed, held)
-        assert_same_draws(de_generation_draws(new, 14, m, dim, 0.9, pools),
-                          sequential_de_draws(old, 14, m, dim, 0.9, pools), new, old)
-
-
-def test_a_possible_redraw_restores_the_stream_for_the_per_trial_path(monkeypatch):
-    assert draws._decoder_probe()  # probed with the real predicate
-    consulted, entry_states = [], []
-    monkeypatch.setattr(draws, "_may_redraw", lambda low, span: consulted.append(1) or True)
-    real_draws = draws._real_de_draws
-
-    def per_trial(rng, *args):
-        entry_states.append(rng.bit_generator.state)
-        return real_draws(rng, *args)
-
-    monkeypatch.setattr(draws, "_real_de_draws", per_trial)
-    rng = np.random.default_rng(40)
-    for seed in range(60):
-        n, dim = int(rng.choice([4, 7, 50])), int(rng.choice(DIMS))
-        pools = species_labels(rng, n) if seed % 2 else None
-        cf = (None, 1, 3)[seed % 3]  # with and without crowding samples
-        new, old = generation_case(seed, held=seed % 4 >= 2)
-        start = new.bit_generator.state
-        got = de_generation_draws(new, n, n, dim, 0.9, pools, cf)
-        assert entry_states.pop() == start
-        assert_same_draws(got, sequential_de_draws(old, n, n, dim, 0.9, pools, cf), new, old)
-    assert len(consulted) == 60
-
-
-def _no_decoding(*args):
-    raise AssertionError("decoded where the per-trial path was due")
-
-
-def test_other_bit_generators_take_the_per_trial_path(monkeypatch):
-    monkeypatch.setattr(draws, "_decode_de", _no_decoding)
-    for seed in range(20):
-        n, dim = (5, 10, 50)[seed % 3], DIMS[seed % 4]
-        pools = species_labels(np.random.default_rng(seed), n) if seed % 2 else None
-        new, old = (np.random.Generator(np.random.MT19937(seed)) for _ in range(2))
-        assert_same_draws(de_generation_draws(new, n, n, dim, 0.9, pools),
-                          sequential_de_draws(old, n, n, dim, 0.9, pools), new, old)
-
-
-def test_a_failed_probe_takes_the_per_trial_path(monkeypatch):
-    assert draws._decoder_probe.__wrapped__()
-    # a decoder that misreads choice()'s shuffle fails the probe, run uncached
-    floyd = draws._floyd
-    monkeypatch.setattr(draws, "_floyd", lambda *args: floyd(*args)[::-1])
-    assert not draws._decoder_probe.__wrapped__()
-    monkeypatch.setattr(draws, "_decoder_probe", lambda: False)
-    monkeypatch.setattr(draws, "_decode_de", _no_decoding)
-    for seed in range(10):
-        new, old = generation_case(seed, held=seed % 2 == 1)
-        assert_same_draws(de_generation_draws(new, 10, 10, 2, 0.9),
-                          sequential_de_draws(old, 10, 10, 2, 0.9), new, old)
+        assert_same_draws("de", new, old, 14, m, dim, 0.9, pools)
 
 
 # ---------------------------------------------------------------------------
@@ -529,31 +482,6 @@ def sequential_ga_draws(rng, n, m, dim, rate, tournaments=True, cf=None):
             None if cf is None else samples)
 
 
-def assert_same_ga_draws(got, want, new, old):
-    """Bit-equal draws, and the same state: the held half and NumPy's stale
-    ``uinteger`` included."""
-    for g, w in zip(got[:3], want[:3]):
-        assert_bits_equal(g, w)
-    assert len(got[3]) == len(want[3])
-    for g, w in zip(got[3], want[3]):
-        assert_bits_equal(g, w)
-    if want[4] is None:
-        assert got[4] is None
-    else:
-        assert_bits_equal(got[4], want[4])
-    assert_same_stream(new, old)
-    assert new.random() == old.random()
-
-
-@pytest.fixture
-def ga_decoding(monkeypatch):
-    """Every GA generation on a PCG64 stream must be decoded, crowding
-    samples included: the probe passed, and the real-call path fails the
-    test."""
-    assert draws._ga_decoder_probe()
-    monkeypatch.setattr(draws, "_real_ga_draws", _no_real_calls)
-
-
 def ga_case(rng, dim, seed):
     """A population size, a child count (full, odd or cut short by the
     budget) and a rate of 0, 1, 1/d or 0.5."""
@@ -564,13 +492,12 @@ def ga_case(rng, dim, seed):
 
 @pytest.mark.parametrize("tournaments", [True, False])
 @pytest.mark.parametrize("dim", DIMS)
-def test_ga_generation_draws_match_sequential_calls(dim, tournaments, ga_decoding):
+def test_ga_generation_draws_match_sequential_calls(dim, tournaments, decoding):
     rng = np.random.default_rng(50 + dim)
     for seed in range(160):
         n, m, rate = ga_case(rng, dim, seed)
         new, old = generation_case(seed, held=seed % 8 >= 4)
-        assert_same_ga_draws(ga_generation_draws(new, n, m, dim, rate, tournaments),
-                             sequential_ga_draws(old, n, m, dim, rate, tournaments), new, old)
+        assert_same_draws("ga", new, old, n, m, dim, rate, tournaments)
 
 
 def slow_path_words(seed, held, n, m, dim, rate):
@@ -583,7 +510,7 @@ def slow_path_words(seed, held, n, m, dim, rate):
     return int(np.flatnonzero(ahead == rng.bit_generator.random_raw())[0]) - fast
 
 
-def test_a_slow_path_normal_mid_generation_comes_from_a_real_call(ga_decoding):
+def test_a_slow_path_normal_mid_generation_comes_from_a_real_call(decoding):
     # seeds whose first 48 children already hold a slow-path normal; the
     # decoder gets it from one real call and must find where the walk goes on
     n, dim, rate = 50, 2, 1.0
@@ -591,8 +518,7 @@ def test_a_slow_path_normal_mid_generation_comes_from_a_real_call(ga_decoding):
     assert len(seeds) >= 10
     for seed in seeds:
         new, old = generation_case(seed, held=seed % 2 == 1)
-        assert_same_ga_draws(ga_generation_draws(new, n, n, dim, rate),
-                             sequential_ga_draws(old, n, n, dim, rate), new, old)
+        assert_same_draws("ga", new, old, n, n, dim, rate)
 
 
 SAMPLE_DIMS = (1, 2, 8)
@@ -603,32 +529,23 @@ def sample_sizes(n):
     return sorted({cf for cf in (1, 2, 3, n - 1) if cf < n})
 
 
-@pytest.mark.parametrize("tournaments", [True, False])
 @pytest.mark.parametrize("dim", SAMPLE_DIMS)
-def test_ga_crowding_samples_are_decoded(dim, tournaments, ga_decoding):
-    rng = np.random.default_rng(70 + dim)
+@pytest.mark.parametrize("decoder,tournaments", [("de", None), ("ga", True), ("ga", False)])
+def test_crowding_samples_are_decoded(decoder, tournaments, dim, decoding):
+    rng = np.random.default_rng((80 if decoder == "de" else 70) + dim)
     for seed in range(40):
-        n = (3, 5, 10, 11, 50)[seed % 5]
-        m = n if seed % 2 else n - 1 + n % 2  # full and odd child counts
+        if decoder == "de":
+            n = (5, 7, 10, 11, 50)[seed % 5]
+            m = n - (seed % 3 == 0)  # full and partial generations, odd m among them
+            pools = species_labels(rng, n) if seed % 2 else None
+        else:
+            n = (3, 5, 10, 11, 50)[seed % 5]
+            m = n if seed % 2 else n - 1 + n % 2  # full and odd child counts
         for cf in sample_sizes(n):
-            rate = float(rng.choice([0.0, 0.5, 1.0]))
+            rates = (0.9, pools) if decoder == "de" else (float(rng.choice([0.0, 0.5, 1.0])),
+                                                          tournaments)
             new, old = generation_case(seed, held=seed % 4 >= 2)
-            assert_same_ga_draws(ga_generation_draws(new, n, m, dim, rate, tournaments, cf),
-                                 sequential_ga_draws(old, n, m, dim, rate, tournaments, cf),
-                                 new, old)
-
-
-@pytest.mark.parametrize("dim", SAMPLE_DIMS)
-def test_de_crowding_samples_are_decoded(dim, decoding):
-    rng = np.random.default_rng(80 + dim)
-    for seed in range(40):
-        n = (5, 7, 10, 11, 50)[seed % 5]
-        m = n - (seed % 3 == 0)  # full and partial generations, odd m among them
-        pools = species_labels(rng, n) if seed % 2 else None
-        for cf in sample_sizes(n):
-            new, old = generation_case(seed, held=seed % 4 >= 2)
-            assert_same_draws(de_generation_draws(new, n, m, dim, 0.9, pools, cf),
-                              sequential_de_draws(old, n, m, dim, 0.9, pools, cf), new, old)
+            assert_same_draws(decoder, new, old, n, m, dim, *rates, cf)
 
 
 def test_samples_that_numpy_draws_by_its_tail_shuffle_take_the_real_call_path(monkeypatch):
@@ -641,29 +558,41 @@ def test_samples_that_numpy_draws_by_its_tail_shuffle_take_the_real_call_path(mo
                             real.append(args[-1]) or calls(*args))
     for seed, cf in ((1, 200), (2, 201), (3, 200), (4, 201)):
         new, old = generation_case(seed, held=seed > 2)
-        assert_same_ga_draws(ga_generation_draws(new, 10001, 3, 2, 0.5, cf=cf),
-                             sequential_ga_draws(old, 10001, 3, 2, 0.5, cf=cf), new, old)
+        assert_same_draws("ga", new, old, 10001, 3, 2, 0.5, True, cf)
         new, old = generation_case(seed, held=seed > 2)
-        assert_same_draws(de_generation_draws(new, 10001, 3, 2, 0.9, cf=cf),
-                          sequential_de_draws(old, 10001, 3, 2, 0.9, cf=cf), new, old)
+        assert_same_draws("de", new, old, 10001, 3, 2, 0.9, None, cf)
     assert real == [201] * 4
 
 
-def _no_ga_decoding(*args):
-    raise AssertionError("decoded where the real-call path was due")
+# ---------------------------------------------------------------------------
+# either decoder's way back to the real calls
+# ---------------------------------------------------------------------------
+
+# per decoder: its generation draws, the same requests made one at a time,
+# and the names in ``draws`` of its probe, decoder and real-call path
+Decoder = namedtuple("Decoder", "draws sequential probe decode real")
+DECODERS = {"de": Decoder(de_generation_draws, sequential_de_draws, "_decoder_probe",
+                          "_decode_de", "_real_de_draws"),
+            "ga": Decoder(ga_generation_draws, sequential_ga_draws, "_ga_decoder_probe",
+                          "_decode_ga", "_real_ga_draws")}
+# the CR or mutation rate of the tests below
+RATES = {"de": 0.9, "ga": 0.5}
 
 
-def test_other_bit_generators_take_the_real_call_path(monkeypatch):
-    monkeypatch.setattr(draws, "_decode_ga", _no_ga_decoding)
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_other_bit_generators_take_the_real_calls(monkeypatch, decoder):
+    forbid(monkeypatch, DECODERS[decoder].decode)
     for seed in range(20):
         n, dim = (5, 10, 50)[seed % 3], DIMS[seed % 4]
+        # sde's pools for odd seeds, or GA tournaments for even ones
+        pools = species_labels(np.random.default_rng(seed), n) if seed % 2 else None
         new, old = (np.random.Generator(np.random.MT19937(seed)) for _ in range(2))
-        assert_same_ga_draws(ga_generation_draws(new, n, n, dim, 0.5, seed % 2 == 0),
-                             sequential_ga_draws(old, n, n, dim, 0.5, seed % 2 == 0), new, old)
+        assert_same_draws(decoder, new, old, n, n, dim, RATES[decoder],
+                          pools if decoder == "de" else seed % 2 == 0)
 
 
 def test_a_rate_outside_the_unit_interval_raises_where_the_real_calls_do(monkeypatch):
-    monkeypatch.setattr(draws, "_decode_ga", _no_ga_decoding)
+    forbid(monkeypatch, "_decode_ga")
     for rate in (-0.1, 1.5, float("nan")):
         new, old = twin_streams(3)
         with pytest.raises(ValueError, match="mutation rate"):
@@ -673,48 +602,52 @@ def test_a_rate_outside_the_unit_interval_raises_where_the_real_calls_do(monkeyp
         assert_same_stream(new, old)
 
 
-@pytest.mark.parametrize("cause", ["redraw", "short request"])
-def test_a_generation_that_cannot_be_decoded_restores_the_stream(monkeypatch, cause):
-    assert draws._ga_decoder_probe()  # probed with the real predicate and request size
+@pytest.mark.parametrize("decoder,cause", [("de", "redraw"), ("ga", "redraw"),
+                                           ("ga", "short request")])
+def test_a_generation_that_cannot_be_decoded_restores_the_stream(monkeypatch, decoder, cause):
+    real, consulted, entry_states = DECODERS[decoder].real, [], []
+    assert getattr(draws, DECODERS[decoder].probe)()  # probed with the real predicate and size
     if cause == "redraw":
-        monkeypatch.setattr(draws, "_may_redraw", lambda low, span: True)
+        monkeypatch.setattr(draws, "_may_redraw", lambda low, span: consulted.append(1) or True)
     else:
         monkeypatch.setattr(draws, "_SPARE", -100)  # short whatever the samples add
-    entry_states = []
-    real_draws = draws._real_ga_draws
-
-    def real_calls(rng, *args):
-        entry_states.append(rng.bit_generator.state)
-        return real_draws(rng, *args)
-
-    monkeypatch.setattr(draws, "_real_ga_draws", real_calls)
-    for seed in range(40):
-        # tournaments and crowding samples make Lemire draws; a short
-        # request can come with either or neither
-        dim, tournaments, cf = DIMS[seed % 4], seed % 2 == 1, (None, 3, 49)[seed % 3]
-        if cause == "redraw" and not tournaments and cf is None:
-            cf = 2
+    monkeypatch.setattr(draws, real, lambda rng, *args, calls=getattr(draws, real):
+                        entry_states.append(rng.bit_generator.state) or calls(rng, *args))
+    rng, seeds = np.random.default_rng(40), 60 if decoder == "de" else 40
+    for seed in range(seeds):
+        if decoder == "de":  # with and without pools and crowding samples
+            n, dim = int(rng.choice([4, 7, 50])), int(rng.choice(DIMS))
+            pools = species_labels(rng, n) if seed % 2 else None
+            args = (n, n, dim, 0.9, pools, (None, 1, 3)[seed % 3])
+        else:  # tournaments and samples make Lemire draws; a short request can come without
+            tournaments, cf = seed % 2 == 1, (None, 3, 49)[seed % 3]
+            if cause == "redraw" and not tournaments and cf is None:
+                cf = 2
+            args = (50, 49, DIMS[seed % 4], 1.0, tournaments, cf)
         new, old = generation_case(seed, held=seed % 4 >= 2)
         start = new.bit_generator.state
-        got = ga_generation_draws(new, 50, 49, dim, 1.0, tournaments, cf)
+        assert_same_draws(decoder, new, old, *args)
         assert entry_states.pop() == start
-        assert_same_ga_draws(got, sequential_ga_draws(old, 50, 49, dim, 1.0, tournaments, cf),
-                             new, old)
-    assert entry_states == []
+    assert entry_states == [] and len(consulted) == seeds * (cause == "redraw")
 
 
-def test_a_failed_ga_probe_takes_the_real_call_path(monkeypatch):
-    assert draws._ga_decoder_probe.__wrapped__()
-    # a decoder that forgets the held half fails the probe, run uncached
-    leave = draws._leave
-    monkeypatch.setattr(draws, "_leave", lambda bitgen, held, *rest: leave(bitgen, False, *rest))
-    assert not draws._ga_decoder_probe.__wrapped__()
-    monkeypatch.setattr(draws, "_ga_decoder_probe", lambda: False)
-    monkeypatch.setattr(draws, "_decode_ga", _no_ga_decoding)
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_a_failed_probe_takes_the_real_calls(monkeypatch, decoder):
+    probe = getattr(draws, DECODERS[decoder].probe)
+    assert probe.__wrapped__()
+    # a decoder that misreads choice()'s shuffle or forgets the held half
+    # fails the probe, run uncached
+    floyd, leave = draws._floyd, draws._leave
+    for name, broken in (("_floyd", lambda *args: floyd(*args)[::-1]),
+                         ("_leave", lambda bitgen, held, *rest: leave(bitgen, False, *rest))):
+        with monkeypatch.context() as patched:
+            patched.setattr(draws, name, broken)
+            assert not probe.__wrapped__()
+    monkeypatch.setattr(draws, DECODERS[decoder].probe, lambda: False)
+    forbid(monkeypatch, DECODERS[decoder].decode)
     for seed in range(10):
         new, old = generation_case(seed, held=seed % 2 == 1)
-        assert_same_ga_draws(ga_generation_draws(new, 10, 10, 2, 0.5),
-                             sequential_ga_draws(old, 10, 10, 2, 0.5), new, old)
+        assert_same_draws(decoder, new, old, 10, 10, 2, RATES[decoder])
 
 
 def test_ga_decoding_in_a_fresh_process_with_the_probe_limits():
@@ -744,14 +677,6 @@ def test_ga_decoding_in_a_fresh_process_with_the_probe_limits():
         "print(json.dumps({'decodes': draws._ga_decoder_probe(), 'mismatches': mismatches}))\n"
     )
     assert out == {"decodes": True, "mismatches": 0}
-
-
-@pytest.mark.skipif(np.__version__ != "2.4.6", reason="the decoders are certified at NumPy 2.4.6")
-def test_decoders_are_on_at_the_pinned_numpy():
-    # a probe that fails keeps every bit but loses the speed: catch it here
-    assert draws._decoder_probe()
-    assert draws._ga_decoder_probe()
-    assert core._sum_order_probe()
 
 
 def test_a_batch_is_its_rows_built_one_at_a_time():

@@ -6,35 +6,42 @@ calls, and the plane-by-plane distance sums those of ``.sum``. The
 fingerprint tables pin them at fixed cells; this sweep draws its cells.
 
 A case is a random algorithm, problem, ``AlgorithmConfig``, budget and
-seed. It runs twice: as is, and with the three first-use probes patched
-to False, so that every generation takes the real calls and every
-distance block ``.sum``. Both runs must give the same sha256 of genomes,
-fitness, ``evals_used`` and trace, spend exactly the budget, return one
-genome row inside the bounds and one fitness value per member, and keep
-a trace whose evaluation counts strictly increase up to the budget and
-whose best fitness never gets worse. A third leg runs a subset of the
-cases through ``spec``, the algorithms stated one individual at a time,
-which shares no code with the run core but the per-call draws: its
-digest must be the same too. So a fault in code that both library paths
-share (the crowding walk's rebuilds, conservation's slots, the budget
-cap) moves a digest. Tier-1 sweeps 200 cases, every fourth through the
-spec, and the ``slow`` sweep 2000 others, every tenth through the spec
-(the spec is per-individual Python: all 2000 would take about 40 s more).
-Each sweep is one test per algorithm, over that algorithm's cases, so a
-failure names its algorithm as the removed fixed-run tests of
-``TestEveryAlgorithm`` did; a failing case is printed as one line that
-can be pinned as a regular test::
+seed. It runs twice: as is, and with every first-use probe of
+:data:`PROBES` patched to False, so that every generation takes the real
+calls and every distance block ``.sum``. Both runs must give the same
+sha256 of genomes, fitness, ``evals_used`` and trace, spend exactly the
+budget, return one genome row inside the bounds and one fitness value
+per member, and keep a trace whose evaluation counts strictly increase
+up to the budget and whose best fitness never gets worse. A third leg
+runs a subset of the cases through ``spec``, the algorithms stated one
+individual at a time, which shares no code with the run core but the
+per-call draws: its digest must be the same too. So a fault in code that
+both library paths share (the crowding walk's rebuilds, conservation's
+slots, the budget cap) moves a digest. Tier-1 sweeps 200 cases, every
+fourth through the spec, and the ``slow`` sweep 2000 others, every tenth
+through the spec (the spec is per-individual Python: all 2000 would take
+about 40 s more). Each sweep is one test per algorithm, over that
+algorithm's cases, so a failure names its algorithm as the removed
+fixed-run tests of ``TestEveryAlgorithm`` did; a failing case is printed
+as one line that can be pinned as a regular test::
 
     sde on deb1: AlgorithmConfig(population_size=7, ...), budget=150, seed=123
 
-A later fast path adds its switch to :data:`PROBES`.
+:data:`PROBES` is the one list of the fast paths' switches: the sweep,
+the probe-off fingerprints, the import check, the pinned-NumPy check
+below and the CI probe step all read it, and a test fails when a cached
+``*_probe`` of a ``nichebench`` module is missing from it. A later fast
+path adds its switch there and nowhere else.
 """
 
+import importlib
+import pkgutil
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import nichebench
 from nichebench import core, draws
 from nichebench.algorithms import ALGORITHMS, MIN_POPULATION, AlgorithmConfig
 from nichebench.core import is_better
@@ -45,6 +52,7 @@ from test_fingerprint import result_digest
 
 # (module, name) of each fast path's switch; False takes the reference path
 PROBES = [(core, "_sum_order_probe"), (draws, "_decoder_probe"), (draws, "_ga_decoder_probe")]
+PROBE_IDS = [name for _, name in PROBES]
 TIER1_CASES, SLOW_CASES = 200, 2000
 # every how many cases of a sweep also run through the spec
 TIER1_SPEC_EVERY, SLOW_SPEC_EVERY = 4, 10
@@ -117,11 +125,23 @@ def run_digest(case: Case, philox: bool = False, runs=ALGORITHMS) -> str:
     return result_digest(result)
 
 
+def fast_paths_off(monkeypatch, probes=PROBES) -> None:
+    """Patch each switch of ``probes`` to answer False: its reference path runs."""
+    for module, name in probes:
+        monkeypatch.setattr(module, name, lambda: False)
+
+
+def forbid(monkeypatch, *names) -> None:
+    """Make each ``draws`` function of ``names`` fail the test when called."""
+    for name in names:
+        monkeypatch.setattr(draws, name,
+                            lambda *args, name=name: pytest.fail(f"took draws.{name}"))
+
+
 def check(case: Case, monkeypatch, philox: bool = False, against_spec: bool = False) -> None:
     fast = run_digest(case, philox)
     with monkeypatch.context() as patched:
-        for module, name in PROBES:
-            patched.setattr(module, name, lambda: False)
+        fast_paths_off(patched)
         reference = run_digest(case, philox)
     assert fast == reference, "the fast paths moved the run"
     if against_spec:
@@ -169,11 +189,7 @@ def test_fast_paths_keep_every_run(monkeypatch, algorithm):
 def test_a_philox_stream_takes_the_real_calls(monkeypatch, algorithm):
     # the decoders read PCG64 words only: any other bit generator must never
     # reach them, and still spend the budget and reproduce its run
-    def no_decoding(*args):
-        raise AssertionError("a Philox generation reached a decoder")
-
-    monkeypatch.setattr(draws, "_decode_de", no_decoding)
-    monkeypatch.setattr(draws, "_decode_ga", no_decoding)
+    forbid(monkeypatch, "_decode_de", "_decode_ga")
     # the algorithm's first case, through the spec too
     swept = [next(case for case in cases(2, 50) if case.algorithm == algorithm)]
     sweep(monkeypatch, swept, algorithm, philox=True)
@@ -183,3 +199,17 @@ def test_a_philox_stream_takes_the_real_calls(monkeypatch, algorithm):
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_fast_paths_keep_every_run_slow_sweep(monkeypatch, algorithm):
     sweep(monkeypatch, cases(1, SLOW_CASES), algorithm, spec_every=SLOW_SPEC_EVERY)
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="the fast paths are certified at NumPy 2.4.6")
+def test_every_fast_path_is_on_at_the_pinned_numpy():
+    # a probe that fails keeps every bit but loses the speed: catch it here
+    assert [name for module, name in PROBES if not getattr(module, name)()] == []
+
+
+def test_every_cached_probe_is_listed():
+    modules = [importlib.import_module(f"nichebench.{info.name}")
+               for info in pkgutil.iter_modules(nichebench.__path__)]
+    cached = {(module, name) for module in modules for name, value in vars(module).items()
+              if name.endswith("_probe") and hasattr(value, "cache_info")}
+    assert cached == set(PROBES)

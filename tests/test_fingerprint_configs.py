@@ -14,16 +14,14 @@ take:
   sharing_de), which gives sde species of fewer than 4.
 
 A first-use probe is forced off by patching it to answer False. The
-crowding-factor cells run once more with both decoders forced off, on
-the real calls that wrote them. The default cells of the three DE
-algorithms run twice more: with the DE decoder forced off, where every
-generation takes the real-call path and must give the digests of
-``fingerprints.json``, and on an MT19937 generator, against their own
-digests here. The default cells of the four GAs run once more, with the
-GA decoder forced off, against ``fingerprints.json``. The default cells
-of all seven run once more with the sum-order probe forced off, where
-every distance block is summed by ``.sum``, against
-``fingerprints.json``.
+crowding-factor cells run once more with every probe of
+``test_fast_paths.PROBES`` forced off, on the real calls that wrote
+them. The default cells of all seven algorithms run once more per probe,
+that probe forced off, against ``fingerprints.json``: with the DE or GA
+decoder off every generation takes the real calls, and with the
+sum-order probe off every distance block is summed by ``.sum``. The
+default cells of the three DE algorithms also run on an MT19937
+generator, against their own digests here.
 
 The table must only be regenerated for a deliberate, documented change
 of results::
@@ -38,8 +36,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nichebench import core, draws
 from nichebench.algorithms import ALGORITHMS, AlgorithmConfig
+from test_fast_paths import PROBE_IDS, PROBES, fast_paths_off
 from test_fingerprint import TABLE as DEFAULT_TABLE
 from test_fingerprint import cell_seeds, run_digest
 
@@ -62,7 +60,7 @@ CASES = [(alg, prob, setting) for setting, (algs, _) in SETTINGS.items()
          for alg in algs for prob in PROBLEMS]
 CROWDING_CASES = [case for case in CASES if case[2].startswith("crowding_factor")]
 DE_CELLS = [(alg, prob) for alg in DES for prob in PROBLEMS]
-GA_CELLS = [(alg, prob) for alg in GAS for prob in PROBLEMS]
+CELLS = [(alg, prob) for alg in sorted(ALGORITHMS) for prob in PROBLEMS]
 
 
 def mt19937(seed: int) -> np.random.Generator:
@@ -114,29 +112,17 @@ def test_config_fingerprint(table, algorithm, problem_name, setting):
 @pytest.mark.parametrize("algorithm,problem_name,setting", CROWDING_CASES)
 def test_real_calls_reproduce_the_crowding_factor_rows(table, monkeypatch, algorithm,
                                                        problem_name, setting):
-    # the rows were written on the real-call path; the decoders must give them too
-    monkeypatch.setattr(draws, "_decoder_probe", lambda: False)
-    monkeypatch.setattr(draws, "_ga_decoder_probe", lambda: False)
+    # the rows were written on the real-call path; the fast paths must give them too
+    fast_paths_off(monkeypatch)
     assert config_digests(algorithm, problem_name, setting) == \
         table[f"{algorithm}/{problem_name}/{setting}"]
 
 
-@pytest.mark.parametrize("algorithm,problem_name", DE_CELLS)
-def test_real_de_draws_reproduce_the_default_fingerprints(monkeypatch, algorithm, problem_name):
-    monkeypatch.setattr(draws, "_decoder_probe", lambda: False)
-    assert_default_digests(algorithm, problem_name)
-
-
-@pytest.mark.parametrize("algorithm,problem_name", GA_CELLS)
-def test_real_ga_draws_reproduce_the_default_fingerprints(monkeypatch, algorithm, problem_name):
-    monkeypatch.setattr(draws, "_ga_decoder_probe", lambda: False)
-    assert_default_digests(algorithm, problem_name)
-
-
-@pytest.mark.parametrize("algorithm,problem_name", DE_CELLS + GA_CELLS)
-def test_summed_distances_reproduce_the_default_fingerprints(monkeypatch, algorithm,
-                                                             problem_name):
-    monkeypatch.setattr(core, "_sum_order_probe", lambda: False)
+@pytest.mark.parametrize("algorithm,problem_name", CELLS)
+@pytest.mark.parametrize("probe", PROBES, ids=PROBE_IDS)
+def test_a_fast_path_off_reproduces_the_default_fingerprints(monkeypatch, probe, algorithm,
+                                                            problem_name):
+    fast_paths_off(monkeypatch, [probe])
     assert_default_digests(algorithm, problem_name)
 
 

@@ -332,7 +332,7 @@ class TestEmitReports:
         table = run_experiment(spec)
         runs_csv = Path(spec.output_dir) / "runs.csv"
         streamed = runs_csv.read_bytes()
-        written = emit_reports(table, output_dir=spec.output_dir)
+        written = emit_reports(table)
         names = {p.name for p in written}
         assert "summary.csv" in names and "traces.csv" in names
         assert any(n.startswith("significance_") for n in names)
@@ -349,6 +349,15 @@ class TestEmitReports:
                     assert stored == table.mean(alg, row["problem"], row["metric"])
                 else:
                     assert stored == table.stddev(alg, row["problem"], row["metric"])
+
+    def test_reports_go_next_to_runs_csv_by_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        spec = tiny_spec(Path("x"))  # runs.csv in x/out, relative to the working directory
+        written = emit_reports(run_experiment(spec))
+        assert {path.parent for path in written} == {Path("x", "out")}
+        assert sorted(p.name for p in Path("x", "out").iterdir()) == \
+            sorted(["runs.csv", *(path.name for path in written)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x"]
 
     def test_t_test_on_single_runs_rejected_before_any_file(self, tmp_path):
         spec = ExperimentSpec(
@@ -378,7 +387,7 @@ class TestEmitReports:
     def test_significance_matrix_layout(self, tmp_path):
         spec = tiny_spec(tmp_path, tests=("mwu",))
         table = run_experiment(spec)
-        emit_reports(table, output_dir=spec.output_dir)
+        emit_reports(table)
         path = Path(spec.output_dir) / "significance_deb1_best_fitness_mwu.json"
         payload = json.loads(path.read_text())
         k = len(table.algorithms)
@@ -432,7 +441,7 @@ class TestEmitReports:
     def test_traces_monotone(self, tmp_path):
         spec = tiny_spec(tmp_path)
         table = run_experiment(spec)
-        emit_reports(table, output_dir=spec.output_dir)
+        emit_reports(table)
         with open(Path(spec.output_dir) / "traces.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         by_run = {}

@@ -1,14 +1,14 @@
 """What ``import nichebench`` loads and runs: NumPy, but neither SciPy, the
-process pool nor a first-use probe. SciPy comes with the first Welch t
-p-value, the pool with the first grid run at ``jobs > 1``, and each probe
-with the first DE generation, GA generation or distance block. These
-checks look at ``sys.modules`` and the probe outcomes in a fresh
-interpreter, not at import time, so they are deterministic. Three
-last checks read the source: only ``nichebench.draws`` calls a Generator,
-in ``nichebench.algorithms`` only ``_RunState`` draws for a generation,
-caps it at the budget left or reads the run's RNG, and ``tests/spec.py``
-takes from the library only the two per-call draws and no private
-name."""
+process pool nor a first-use probe (any of ``test_fast_paths.PROBES``).
+SciPy comes with the first Welch t p-value, the pool with the first grid
+run at ``jobs > 1``, and each probe with the first DE generation, GA
+generation or distance block. These checks look at ``sys.modules`` and
+the probe outcomes in a fresh interpreter, not at import time, so they
+are deterministic. Three last checks read the source: only
+``nichebench.draws`` calls a Generator, in ``nichebench.algorithms``
+only ``_RunState`` draws for a generation, caps it at the budget left or
+reads the run's RNG, and ``tests/spec.py`` takes from the library only
+the two per-call draws and no private name."""
 
 import ast
 import json
@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import nichebench
+from test_fast_paths import PROBE_IDS, PROBES
 
 SRC = str(Path(nichebench.__file__).resolve().parents[1])
 
@@ -78,57 +79,68 @@ def test_first_welch_t_loads_scipy_and_keeps_every_p_value_bit():
     assert out["got"] == out["want"]
 
 
-def test_import_runs_no_probe_and_the_first_de_generation_runs_it_once():
-    # the DE decoder's probe and layouts wait for the first DE generation;
-    # default_rng is wrapped before the import to see whether anything draws.
-    # The probe's cache counts its runs as misses and later calls as hits.
+def test_import_runs_no_probe():
+    # each probe of PROBES, the DE decoder's layouts and the GA decoder's
+    # normal layers wait for first use; default_rng is wrapped before the
+    # import to see whether anything draws. A probe's cache counts its runs
+    # as misses.
+    probes = [(module.__name__, name) for module, name in PROBES]
     out = run_fresh(
-        "import json\n"
+        "import importlib, json\n"
         "import numpy as np\n"
         "made = []\n"
         "default_rng = np.random.default_rng\n"
         "np.random.default_rng = lambda *a: made.append(a) or default_rng(*a)\n"
         "import nichebench, nichebench.cli\n"
         "from nichebench import draws\n"
+        f"runs = {{name: getattr(importlib.import_module(module), name).cache_info().misses\n"
+        f"        for module, name in {probes!r}}}\n"
+        "print(json.dumps({'generators': len(made), 'runs': runs,\n"
+        "                  'layouts': draws._de_layout.cache_info().currsize,\n"
+        "                  'layers': int((~np.isnan(draws._normal_scale)).sum())}))\n"
+    )
+    assert out == {"generators": 0, "runs": dict.fromkeys(PROBE_IDS, 0), "layouts": 0,
+                   "layers": 0}
+
+
+def test_the_first_de_generation_runs_its_probe_once():
+    # the probe's cache counts its runs as misses and later calls as hits
+    out = run_fresh(
+        "import json\n"
+        "import nichebench\n"
+        "from nichebench import draws\n"
         "probe = draws._decoder_probe.cache_info\n"
-        "at_import = {'generators': len(made), 'runs': probe().misses,\n"
-        "             'layouts': draws._de_layout.cache_info().currsize}\n"
         "config = nichebench.AlgorithmConfig(population_size=10)\n"
         "nichebench.crowding_de(nichebench.himmelblau(), config, budget=20, rng=1)\n"
         "first = probe().misses  # after one generation\n"
         "for run in (nichebench.sharing_de, nichebench.sde, nichebench.crowding_de):\n"
         "    run(nichebench.himmelblau(), config, budget=40, rng=1)\n"
-        "print(json.dumps({'at_import': at_import, 'first': first, 'after': probe()[:2],\n"
+        "print(json.dumps({'first': first, 'after': probe()[:2],\n"
         "                  'decodes': draws._decoder_probe()}))\n"
     )
-    assert out["at_import"] == {"generators": 0, "runs": 0, "layouts": 0}
     assert out["first"] == 1
     hits, misses = out["after"]
     assert misses == 1 and hits > 0 and out["decodes"] is True
 
 
-def test_import_runs_no_ga_or_sum_probe_and_the_first_ga_generation_runs_it_once():
-    # the GA decoder's probe and normal layers wait for the first GA
-    # generation, and the sum-order probe for the first distance block
+def test_the_first_ga_generation_runs_its_probe_and_the_sum_order_probe_once():
+    # the GA decoder's probe waits for the first GA generation, and the
+    # sum-order probe for the first distance block
     out = run_fresh(
         "import json\n"
-        "import numpy as np\n"
-        "import nichebench, nichebench.cli\n"
+        "import nichebench\n"
         "from nichebench import core, draws\n"
         "probes = (draws._ga_decoder_probe, core._sum_order_probe)\n"
-        "runs = lambda: [probe.cache_info().misses for probe in probes]\n"
-        "at_import = {'runs': runs(), 'layers': int((~np.isnan(draws._normal_scale)).sum())}\n"
         "config = nichebench.AlgorithmConfig(population_size=10)\n"
         "nichebench.crowding_ga(nichebench.himmelblau(), config, budget=20, rng=1)\n"
-        "first = runs()  # after one generation\n"
+        "first = [probe.cache_info().misses for probe in probes]  # after one generation\n"
         "for run in (nichebench.crowding_ga, nichebench.scga, nichebench.preselection_ga,\n"
         "            nichebench.sharing_ga):\n"
         "    run(nichebench.himmelblau(), config, budget=40, rng=1)\n"
-        "print(json.dumps({'at_import': at_import, 'first': first,\n"
+        "print(json.dumps({'first': first,\n"
         "                  'after': [probe.cache_info()[:2] for probe in probes],\n"
         "                  'answers': [probe() for probe in probes]}))\n"
     )
-    assert out["at_import"] == {"runs": [0, 0], "layers": 0}
     assert out["first"] == [1, 1]
     assert all(misses == 1 and hits > 0 for hits, misses in out["after"])
     assert out["answers"] == [True, True]

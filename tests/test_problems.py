@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from nichebench.core import is_better
+from nichebench.grating import SyntheticRecordingModel
 from nichebench.harness import ConfigError, resolve_problem
 from nichebench.problems import (
     PROBLEM_FACTORIES,
@@ -151,6 +152,14 @@ def test_peak_list_matches_multistart_oracle(problem):
         assert any(np.linalg.norm(np.asarray(x) - peak) < 1e-5 for x in minima), (
             f"known peak {peak} of {problem.name} not recovered by the oracle"
         )
+
+
+@pytest.mark.parametrize("value", [deb1(), resolve_problem("grating"), SyntheticRecordingModel()],
+                         ids=["deb1", "grating", "synthetic model"])
+def test_frozen_values_holding_arrays_compare_and_hash_by_identity(value):
+    twin = dataclasses.replace(value)  # the same field values, another object
+    assert value == value and value != twin and not value == twin
+    assert len({value, twin, value}) == 2 and hash(value) == hash(value)
 
 
 def test_registry_roundtrip():
